@@ -5,6 +5,7 @@
 //! `cargo run -p ecq_lint -- --pass all` and `scripts/verify.sh
 //! ctlint` perform.
 
+use ecq_lint::pass::Pass;
 use std::path::Path;
 
 #[test]
@@ -66,6 +67,21 @@ fn workspace_is_clean_under_committed_allowlists() {
         "the determinism allowlist is deliberately empty; a new entry \
          means the hot path grew a justified nondeterminism — update \
          this pin alongside the justification"
+    );
+
+    // The panic-reach allowlist size is tracked and may only shrink:
+    // a refactor of the hot path deletes entries, never adds them.
+    // Lower this ceiling when entries go.
+    const PANIC_ALLOW_MAX: usize = 36;
+    let panic_reach = ecq_lint::panicreach::PanicReach;
+    let text = std::fs::read_to_string(root.join(panic_reach.default_allowlist()))
+        .expect("read the panic-reach allowlist");
+    let (entries, errors) = ecq_lint::allowlist::parse(&text, panic_reach.classes());
+    assert!(errors.is_empty(), "{errors:#?}");
+    assert!(
+        entries.len() <= PANIC_ALLOW_MAX,
+        "the panic-reach allowlist grew to {} entries (ceiling {PANIC_ALLOW_MAX})",
+        entries.len()
     );
 
     // The JSON artifact CI uploads parses back, and a clean run's

@@ -1,11 +1,14 @@
 //! The fleet coordinator: batch enrollment, concurrent handshakes and
-//! policy-driven rekey epochs over the deterministic scheduler.
+//! policy-driven rekey epochs on a virtual timeline, through one
+//! establishment pipeline: one enrollment routine (`Enroller`), one
+//! pairing (`PairProducer`), one sweep engine (`interleave::run_sweep`)
+//! and one report fold (`sweep_and_fold`).
 
 use crate::device::SimDevice;
-use crate::interleave::{self, DeliveryRecord, SessionResult, SessionWork, SweepOptions};
+use crate::interleave::{self, DeliveryRecord, SessionWork, SweepOptions};
 use crate::pool::CaPool;
 use crate::report::FleetReport;
-use crate::scheduler::{micros_from_ms, EventScheduler, VirtualTime};
+use crate::scheduler::{micros_from_ms, VirtualTime};
 use crate::FleetError;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, RevocationList};
@@ -13,8 +16,8 @@ use ecq_crypto::sha256::Sha256;
 use ecq_crypto::HmacDrbg;
 use ecq_devices::{DevicePreset, DeviceProfile};
 use ecq_proto::{Credentials, ProtocolError, ProtocolKind, SessionKey};
+use ecq_simnet::FrameRecord;
 use ecq_sts::{RekeyPolicy, SessionManager, StsConfig, StsVariant};
-use std::collections::VecDeque;
 
 /// Parameters of a fleet run. Everything — device count, sharding,
 /// batching, validity, rekey policy — is explicit so a `(config, seed)`
@@ -120,18 +123,6 @@ impl FleetConfig {
     }
 }
 
-/// Per-pair sweep material prepared at session creation, index-aligned
-/// with the coordinator's sessions: the wire seed plus the credential
-/// clones and presets the interleaved sweep moves into its endpoints
-/// (so the sweep never has to look devices up again).
-struct PairMaterial {
-    seed: [u8; 32],
-    creds_a: Credentials,
-    creds_b: Credentials,
-    preset_a: DevicePreset,
-    preset_b: DevicePreset,
-}
-
 /// One managed pair session between two enrolled devices of the same
 /// shard.
 pub struct PairSession {
@@ -163,16 +154,6 @@ impl PairSession {
     }
 }
 
-enum EnrollEvent {
-    /// The shard's CA starts its next `issue_batch`.
-    Batch { shard: usize },
-}
-
-enum SessionEvent {
-    Handshake { session: usize },
-    RekeyTick { session: usize },
-}
-
 /// Drives N simulated devices through the full paper lifecycle —
 /// sharded batch ECQV enrollment, concurrent STS establishment,
 /// policy-driven rekey epochs — on a virtual timeline.
@@ -196,10 +177,12 @@ pub struct FleetCoordinator {
     shard_rngs: Vec<HmacDrbg>,
     session_rng: HmacDrbg,
     sessions: Vec<PairSession>,
+    /// Whether the one establishment sweep already ran.
+    swept: bool,
     gateway: DeviceProfile,
     crl: RevocationList,
     last_deliveries: Vec<DeliveryRecord>,
-    last_frame_logs: Vec<(usize, Vec<ecq_simnet::FrameRecord>)>,
+    last_frame_logs: Vec<(usize, Vec<FrameRecord>)>,
     report: FleetReport,
 }
 
@@ -236,6 +219,7 @@ impl FleetCoordinator {
             shard_rngs,
             session_rng: HmacDrbg::new(&master.bytes32(), b"fleet-sessions"),
             sessions: Vec::new(),
+            swept: false,
             gateway: DevicePreset::RaspberryPi4.profile(),
             crl: RevocationList::new(),
             last_deliveries: Vec::new(),
@@ -261,7 +245,8 @@ impl FleetCoordinator {
         self.report.per_preset.insert(preset, self.devices.len());
     }
 
-    /// The pair sessions created by [`Self::handshake_sweep`].
+    /// The pair sessions created by [`Self::handshake_sweep`] or
+    /// [`Self::interleaved_sweep`] (none after [`Self::streaming_sweep`]).
     pub fn sessions(&self) -> &[PairSession] {
         &self.sessions
     }
@@ -306,155 +291,116 @@ impl FleetCoordinator {
             .saturating_add((at / 1_000_000) as u32)
     }
 
-    /// Batch-enrolls every device against its CA shard.
-    ///
-    /// Shards run concurrently on the virtual timeline; within a shard
+    /// Roster indices of each shard's devices, in roster order.
+    fn shard_worklists(&self) -> Vec<Vec<usize>> {
+        let mut lists = vec![Vec::new(); self.pool.shard_count()];
+        for d in &self.devices {
+            if let Some(list) = lists.get_mut(d.shard) {
+                list.push(d.index);
+            }
+        }
+        lists
+    }
+
+    /// Batch-enrolls every device against its CA shard: within a shard
     /// the CA serializes `issue_batch` calls of `enroll_batch`
-    /// certificates each. A device's enrollment completes when its
-    /// batch is issued *and* the device finished its own key
-    /// reconstruction (concurrent across devices).
+    /// certificates each, shards run concurrently on the virtual
+    /// timeline, and a device's enrollment completes when its batch is
+    /// issued *and* the device finished its own key reconstruction.
     ///
     /// # Errors
     ///
     /// [`FleetError::Cert`] when issuance or reconstruction fails
     /// (impossible for well-formed rosters).
     pub fn enroll_all(&mut self) -> Result<(), FleetError> {
-        // Shard worklists in roster order.
-        let mut worklists: Vec<Vec<usize>> = vec![Vec::new(); self.pool.shard_count()];
-        for d in &self.devices {
-            worklists[d.shard].push(d.index);
-        }
-        let mut cursors = vec![0usize; worklists.len()];
-        let mut scheduler = EventScheduler::new();
-        for (shard, list) in worklists.iter().enumerate() {
-            if !list.is_empty() {
-                scheduler.schedule_at(0, EnrollEvent::Batch { shard });
-            }
-        }
         let per_cert_us = micros_from_ms(self.issue_cost_ms());
-        let mut makespan: VirtualTime = 0;
-        while let Some((at, EnrollEvent::Batch { shard })) = scheduler.next_event() {
-            let list = &worklists[shard];
-            let start = cursors[shard];
-            let end = (start + self.config.enroll_batch.max(1)).min(list.len());
-            let chunk = &list[start..end];
-            cursors[shard] = end;
-
-            // Device side: fresh request secrets from per-device DRBGs.
-            let requesters: Vec<CertRequester> = chunk
-                .iter()
-                .map(|&i| {
-                    let mut rng = HmacDrbg::new(&self.device_seeds[i], b"fleet-requester");
-                    CertRequester::generate(self.devices[i].id, &mut rng)
-                })
-                .collect();
-            let requests: Vec<_> = requesters.iter().map(|r| r.request()).collect();
-
-            // CA side: one amortized batch issuance.
-            let ca = self.pool.shard(shard);
-            let issued = ca.issue_batch(
-                &requests,
-                self.config.valid_from,
-                self.config.valid_to,
-                &mut self.shard_rngs[shard],
-            )?;
-            let ca_done = at + per_cert_us * chunk.len() as VirtualTime;
-
-            // Device side: one shared inversion for the whole batch's
-            // eq. (1) reconstructions (the device-side mirror of
-            // `issue_batch`'s amortized issuance).
-            let keys = CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())?;
-            for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
-                self.devices[i].credentials = Some(Box::new(Credentials {
-                    id: self.devices[i].id,
-                    cert: cert.certificate,
-                    keys,
-                    ca_public: ca.public_key(),
-                }));
-                let device_done =
-                    ca_done + micros_from_ms(Self::reconstruct_cost_ms(self.devices[i].preset));
-                makespan = makespan.max(device_done);
-                self.report.enrolled += 1;
-            }
-            self.report.enroll_batches += 1;
-            if cursors[shard] < list.len() {
-                scheduler.schedule_at(ca_done, EnrollEvent::Batch { shard });
+        let mut enroller = Enroller::new(
+            self.shard_worklists(),
+            self.config,
+            &self.pool,
+            &self.devices,
+            &self.device_seeds,
+            &mut self.shard_rngs,
+            per_cert_us,
+        );
+        let enrolled: Vec<Enrolled> = enroller.by_ref().collect();
+        if let Some(e) = enroller.error {
+            return Err(e);
+        }
+        self.report.enrolled += enroller.enrolled;
+        self.report.enroll_batches += enroller.batches;
+        self.report.enroll_makespan_us = enroller.makespan;
+        for d in enrolled {
+            if let Some(device) = self.devices.get_mut(d.index) {
+                device.credentials = Some(Box::new(d.creds));
             }
         }
-        self.report.enroll_makespan_us = makespan;
         Ok(())
     }
 
-    /// Pairs consecutive enrolled devices within each shard, creating
-    /// one managed session per pair; per-pair seeds are drawn from the
-    /// session DRBG in session-index order (so RNG streams do not
-    /// depend on how a later sweep shards work across threads).
-    /// Returns the per-pair sweep material (seed, credential clones and
-    /// presets), index-aligned with `self.sessions`.
+    /// The guard every establishment sweep passes first.
     ///
     /// # Panics
     ///
-    /// Panics when sessions already exist: each coordinator runs
-    /// exactly one establishment sweep (atomic or interleaved).
-    fn create_sessions(&mut self) -> Vec<PairMaterial> {
+    /// Panics when an establishment sweep (atomic, interleaved or
+    /// streaming) already ran: a second one would overwrite the first
+    /// one's sessions and report.
+    fn claim_sweep(&mut self) {
         assert!(
-            self.sessions.is_empty(),
+            !self.swept,
             "an establishment sweep runs once per coordinator"
         );
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.pool.shard_count()];
-        for d in &self.devices {
-            if let Some(list) = by_shard.get_mut(d.shard) {
-                if d.is_enrolled() {
-                    list.push(d.index);
-                }
-            }
-        }
-        let mut material = Vec::new();
-        for list in &by_shard {
-            for pair in list.chunks_exact(2) {
-                let (a, b) = (pair[0], pair[1]);
-                // Draw the seed before any fail-closed skip so later
-                // pairs keep their RNG streams either way.
-                let pair_seed = self.session_rng.bytes32();
-                let creds = |i: usize| {
-                    self.devices
-                        .get(i)
-                        .and_then(|d| d.credentials.clone().map(|c| (*c, d.preset)))
-                };
-                let (Some((creds_a, preset_a)), Some((creds_b, preset_b))) = (creds(a), creds(b))
-                else {
-                    // Unreachable for `by_shard` pairs (enrollment
-                    // checked above); skip the pair rather than panic.
-                    continue;
-                };
-                let manager = SessionManager::new(
-                    creds_a.clone(),
-                    creds_b.clone(),
-                    self.config.rekey,
-                    StsConfig {
-                        now: self.config.valid_from,
-                        variant: self.config.variant,
-                    },
-                    HmacDrbg::new(&pair_seed, b"fleet-pair"),
-                );
-                self.sessions.push(PairSession {
-                    a,
-                    b,
-                    manager,
-                    last_key: None,
-                    failure: None,
-                });
-                material.push(PairMaterial {
-                    seed: pair_seed,
-                    creds_a,
-                    creds_b,
-                    preset_a,
-                    preset_b,
-                });
-            }
+        self.swept = true;
+    }
+
+    /// Pairs consecutive enrolled devices within each shard (see
+    /// [`PairProducer`]), creating one managed session per pair, and
+    /// returns the pairs' sweep work in session order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an establishment sweep already ran.
+    fn create_sessions(&mut self) -> Vec<SessionWork> {
+        self.claim_sweep();
+        let roster = &self.devices;
+        let enrolled = self
+            .shard_worklists()
+            .into_iter()
+            .flatten()
+            .filter_map(|index| {
+                let d = roster.get(index)?;
+                let creds = d.credentials.as_deref()?.clone();
+                Some(Enrolled {
+                    index,
+                    shard: d.shard,
+                    creds,
+                    preset: d.preset,
+                })
+            });
+        let pairs = PairProducer::new(enrolled, &mut self.session_rng, &self.crl, self.config);
+        let mut work = Vec::new();
+        for (a, b, w) in pairs {
+            let manager = SessionManager::new(
+                w.creds_a.clone(),
+                w.creds_b.clone(),
+                self.config.rekey,
+                StsConfig {
+                    now: w.now,
+                    variant: w.variant,
+                },
+                HmacDrbg::new(&w.wire_seed, b"fleet-pair"),
+            );
+            self.sessions.push(PairSession {
+                a,
+                b,
+                manager,
+                last_key: None,
+                failure: None,
+            });
+            work.push(w);
         }
         self.report.sessions = self.sessions.len();
-        material
+        work
     }
 
     /// Whether either participant of `session` holds a revoked
@@ -476,22 +422,19 @@ impl FleetCoordinator {
     /// Pairs devices like [`Self::handshake_sweep`] and establishes
     /// every pair's first session at **message granularity**: each STS
     /// wire message is delivered as its own scheduler event over the
-    /// configured transport, so handshakes interleave on the virtual
-    /// timeline, and sessions shard across
+    /// configured transport, so handshakes on a shared bus interleave on
+    /// the virtual timeline, and bus groups shard across
     /// [`SweepOptions::threads`] host workers (the report is
-    /// bit-identical for any thread count — see
-    /// [`crate::interleave`]).
+    /// bit-identical for any thread count and any
+    /// [`SweepOptions::max_inflight`] — see [`crate::interleave`]).
+    /// This is [`Self::streaming_sweep`]'s engine run over the enrolled
+    /// roster, plus recording each outcome on its [`PairSession`] and
+    /// the deliveries in [`Self::last_deliveries`].
     ///
     /// Sessions whose participants are on the revocation list are
     /// denied ([`ecq_cert::CertError::Revoked`] recorded on the
     /// session, [`FleetReport::denied_revoked`] counted) while the
     /// rest of the fleet completes.
-    ///
-    /// With a finite [`SweepOptions::max_inflight`] the sweep routes
-    /// through the streaming scheduler: peak resident state is bounded
-    /// by the admission window, the report stays bit-identical, and
-    /// only the diagnostic per-worker delivery log
-    /// ([`Self::last_deliveries`]) is dropped.
     ///
     /// # Errors
     ///
@@ -502,130 +445,33 @@ impl FleetCoordinator {
     ///
     /// Panics when called after another establishment sweep.
     pub fn interleaved_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
-        let material = self.create_sessions();
-        let now = self.config.valid_from;
-        let denied: Vec<bool> = (0..self.sessions.len())
-            .map(|index| self.session_revoked(index))
-            .collect();
-        let work: Vec<SessionWork> = material
-            .into_iter()
-            .enumerate()
-            .map(|(index, m)| SessionWork {
-                index,
-                creds_a: m.creds_a,
-                creds_b: m.creds_b,
-                preset_a: m.preset_a,
-                preset_b: m.preset_b,
-                wire_seed: m.seed,
-                now,
-                variant: self.config.variant,
-                // A session with no recorded denial verdict is denied
-                // (fail closed); unreachable for index-aligned work.
-                denied: denied.get(index).copied().unwrap_or(true),
-            })
-            .collect();
-
-        let (results, log, bus_traces) = if opts.max_inflight < work.len() {
-            let total = work.len();
-            let mut slots: Vec<Option<SessionResult>> = (0..total).map(|_| None).collect();
-            let traces = interleave::run_sweep_streaming(work.into_iter(), total, opts, |i, r| {
-                if let Some(slot) = slots.get_mut(i) {
-                    *slot = Some(r);
+        let work = self.create_sessions();
+        let total = work.len();
+        let sessions = &mut self.sessions;
+        let deliveries = &mut self.last_deliveries;
+        sweep_and_fold(
+            &mut self.report,
+            &mut self.last_frame_logs,
+            work.into_iter(),
+            total,
+            opts,
+            |index, outcome, log| {
+                deliveries.extend(log);
+                if let Some(session) = sessions.get_mut(index) {
+                    match outcome {
+                        Ok(key) => session.last_key = Some(key),
+                        Err(e) => session.failure = Some(e),
+                    }
                 }
-            });
-            let results: Vec<SessionResult> = slots
-                .into_iter()
-                .map(|slot| {
-                    slot.unwrap_or_else(|| {
-                        // A group lost to a dead worker fails closed.
-                        let mut r = SessionResult::empty();
-                        r.failure = Some(ProtocolError::Poisoned);
-                        r
-                    })
-                })
-                .collect();
-            (results, Vec::new(), traces)
-        } else {
-            interleave::run_sweep(work, opts)
-        };
-        self.last_deliveries = log;
-        for trace in &bus_traces {
-            self.report.faults.dropped += trace.counters.dropped;
-            self.report.faults.corrupted += trace.counters.corrupted;
-            self.report.faults.duplicated += trace.counters.duplicated;
-            self.report.faults.held_back += trace.counters.held_back;
-            self.report.faults.delayed += trace.counters.delayed;
-            self.report.faults.replayed += trace.counters.replayed;
-            self.report.faults.storm_frames += trace.counters.storm_frames;
-            self.report.faults.isotp_errors += trace.counters.isotp_errors;
-            self.report.faults.messages_lost += trace.counters.messages_lost;
-        }
-        self.last_frame_logs = bus_traces.into_iter().map(|t| (t.bus, t.frames)).collect();
-
-        let mut digest = Sha256::new();
-        let mut makespan: VirtualTime = 0;
-        let mut first_failure: Option<FleetError> = None;
-        for (index, result) in results.into_iter().enumerate() {
-            let Some(session) = self.sessions.get_mut(index) else {
-                // A result for a session that does not exist: nothing
-                // to record it on (unreachable for index-aligned work).
-                continue;
-            };
-            digest.update(&(index as u64).to_be_bytes());
-            // A session's outcome: denial beats everything, then the
-            // sweep's typed failure, then the key. A "completed"
-            // session without a key lost its state somewhere — it
-            // fails closed as poisoned instead of panicking.
-            let failure = if denied.get(index).copied().unwrap_or(true) {
-                self.report.denied_revoked += 1;
-                session.failure = Some(FleetError::Protocol(ProtocolError::Cert(
-                    CertError::Revoked,
-                )));
-                digest.update(b"denied:revoked");
-                None
-            } else if let Some(err) = result.failure {
-                Some(err)
-            } else if let Some(key) = result.key {
-                session.last_key = Some(key);
-                digest.update(key.as_bytes());
-                self.report.handshakes += 1;
-                None
-            } else {
-                Some(ProtocolError::Poisoned)
-            };
-            if let Some(err) = failure {
-                session.failure = Some(FleetError::Protocol(err));
-                first_failure.get_or_insert(FleetError::Protocol(err));
-                if err == ProtocolError::Timeout {
-                    self.report.timeouts += 1;
-                }
-                if err == ProtocolError::Poisoned {
-                    self.report.poisoned += 1;
-                }
-                // The failure *mode* is part of the determinism
-                // witness: a run that times out where another saw an
-                // authentication failure must not digest equal.
-                digest.update(b"failed:");
-                digest.update(err.to_string().as_bytes());
-            }
-            makespan = makespan.max(result.end_us);
-            self.report.messages += result.messages;
-            self.report.wire_bytes += result.wire_bytes;
-            self.report.can_frames += result.frames;
-        }
-        self.report.handshake_makespan_us = makespan;
-        self.report.key_digest = Some(digest.finalize());
-        match first_failure {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+            },
+        )
     }
 
     /// The bounded-memory establishment sweep for million-device
     /// fleets: enrollment, pairing and handshake simulation run as one
-    /// pipeline. Pair material is *produced lazily* — each pull
+    /// pipeline. Pair work is *produced lazily* — each pull
     /// batch-enrolls just enough devices to emit the next pair — and
-    /// streamed through the interleaved scheduler with at most
+    /// streamed through the sweep engine with at most
     /// [`SweepOptions::max_inflight`] sessions resident, so peak memory
     /// scales with the admission window and the roster skeleton, never
     /// with `devices × credentials`.
@@ -633,13 +479,11 @@ impl FleetCoordinator {
     /// The resulting [`FleetReport`] (including the key digest) is
     /// **bit-identical** to [`Self::enroll_all`] +
     /// [`Self::interleaved_sweep`] on the same `(config, seed)`, for
-    /// any thread count and any window: per-shard enrollment chains,
-    /// pairing order, and every DRBG stream are replicated exactly, and
-    /// sessions are pure functions of their own work items (see
-    /// [`crate::interleave`]). What the streaming path does *not* keep
-    /// is the materialized state: the roster stays un-enrolled in
-    /// memory, [`Self::sessions`] stays empty, and the diagnostic
-    /// delivery log is dropped.
+    /// any thread count and any window: both run the same enrollment
+    /// routine, pairing, engine and fold. What the streaming path does
+    /// *not* keep is the materialized state: the roster stays
+    /// un-enrolled in memory, [`Self::sessions`] stays empty, and the
+    /// diagnostic delivery log is dropped.
     ///
     /// # Errors
     ///
@@ -649,144 +493,62 @@ impl FleetCoordinator {
     ///
     /// # Panics
     ///
-    /// Panics when called after another establishment sweep.
+    /// Panics when called after another establishment sweep or after
+    /// [`Self::enroll_all`] (this sweep enrolls the roster itself).
     pub fn streaming_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
+        self.claim_sweep();
         assert!(
-            self.sessions.is_empty() && self.report.enrolled == 0,
-            "an establishment sweep runs once per coordinator"
+            self.report.enrolled == 0,
+            "streaming_sweep enrolls the roster itself; do not call enroll_all first"
         );
-        let mut worklists: Vec<Vec<usize>> = vec![Vec::new(); self.pool.shard_count()];
-        for d in &self.devices {
-            worklists[d.shard].push(d.index);
-        }
-        let total: usize = worklists.iter().map(|l| l.len() / 2).sum();
         let per_cert_us = micros_from_ms(self.issue_cost_ms());
-        let mut producer = PairProducer {
-            config: self.config,
-            pool: &self.pool,
-            devices: &self.devices,
-            device_seeds: &self.device_seeds,
-            crl: &self.crl,
-            shard_rngs: &mut self.shard_rngs,
-            session_rng: &mut self.session_rng,
+        let worklists = self.shard_worklists();
+        let total = worklists.iter().map(|l| l.len() / 2).sum();
+        let enroller = Enroller::new(
             worklists,
-            shard: 0,
-            cursor: 0,
-            shard_time: 0,
-            next_index: 0,
-            queue: VecDeque::new(),
+            self.config,
+            &self.pool,
+            &self.devices,
+            &self.device_seeds,
+            &mut self.shard_rngs,
             per_cert_us,
-            enrolled: 0,
-            enroll_batches: 0,
-            enroll_makespan: 0,
-            error: None,
-        };
-
-        // Streaming aggregation state: exactly the fold the materialized
-        // path runs over its results vector, fed in strict index order.
-        let mut digest = Sha256::new();
-        let mut makespan: VirtualTime = 0;
-        let mut first_failure: Option<FleetError> = None;
-        let mut handshakes: usize = 0;
-        let mut denied_revoked: u64 = 0;
-        let mut timeouts: u64 = 0;
-        let mut poisoned: u64 = 0;
-        let mut messages: u64 = 0;
-        let mut wire_bytes: u64 = 0;
-        let mut can_frames: u64 = 0;
-        let bus_traces =
-            interleave::run_sweep_streaming(&mut producer, total, opts, |index, result| {
-                digest.update(&(index as u64).to_be_bytes());
-                if result.denied {
-                    denied_revoked += 1;
-                    digest.update(b"denied:revoked");
-                } else {
-                    // Denial beats everything, then the typed failure,
-                    // then the key; a keyless "completed" session fails
-                    // closed as poisoned — the materialized fold, with
-                    // `result.denied` standing in for the denial vector.
-                    let failure = if let Some(err) = result.failure {
-                        Some(err)
-                    } else if let Some(key) = result.key {
-                        digest.update(key.as_bytes());
-                        handshakes += 1;
-                        None
-                    } else {
-                        Some(ProtocolError::Poisoned)
-                    };
-                    if let Some(err) = failure {
-                        first_failure.get_or_insert(FleetError::Protocol(err));
-                        if err == ProtocolError::Timeout {
-                            timeouts += 1;
-                        }
-                        if err == ProtocolError::Poisoned {
-                            poisoned += 1;
-                        }
-                        digest.update(b"failed:");
-                        digest.update(err.to_string().as_bytes());
-                    }
-                }
-                makespan = makespan.max(result.end_us);
-                messages += result.messages;
-                wire_bytes += result.wire_bytes;
-                can_frames += result.frames;
-            });
-
-        let enrolled = producer.enrolled;
-        let enroll_batches = producer.enroll_batches;
-        let enroll_makespan = producer.enroll_makespan;
-        let sessions = producer.next_index;
-        let error = producer.error;
-
-        self.report.enrolled = enrolled;
-        self.report.enroll_batches = enroll_batches;
-        self.report.enroll_makespan_us = enroll_makespan;
-        self.report.sessions = sessions;
-        self.report.handshakes = handshakes;
-        self.report.denied_revoked = denied_revoked;
-        self.report.timeouts = timeouts;
-        self.report.poisoned = poisoned;
-        self.report.messages = messages;
-        self.report.wire_bytes = wire_bytes;
-        self.report.can_frames = can_frames;
-        self.report.handshake_makespan_us = makespan;
-        self.report.key_digest = Some(digest.finalize());
-        for trace in &bus_traces {
-            self.report.faults.dropped += trace.counters.dropped;
-            self.report.faults.corrupted += trace.counters.corrupted;
-            self.report.faults.duplicated += trace.counters.duplicated;
-            self.report.faults.held_back += trace.counters.held_back;
-            self.report.faults.delayed += trace.counters.delayed;
-            self.report.faults.replayed += trace.counters.replayed;
-            self.report.faults.storm_frames += trace.counters.storm_frames;
-            self.report.faults.isotp_errors += trace.counters.isotp_errors;
-            self.report.faults.messages_lost += trace.counters.messages_lost;
-        }
-        self.last_frame_logs = bus_traces.into_iter().map(|t| (t.bus, t.frames)).collect();
-        self.last_deliveries = Vec::new();
-        if let Some(e) = error {
-            return Err(e);
-        }
-        match first_failure {
-            Some(err) => Err(err),
-            None => Ok(()),
+        );
+        let mut pairs = PairProducer::new(enroller, &mut self.session_rng, &self.crl, self.config);
+        let swept = sweep_and_fold(
+            &mut self.report,
+            &mut self.last_frame_logs,
+            pairs.by_ref().map(|(_, _, work)| work),
+            total,
+            opts,
+            |_, _, _| {},
+        );
+        self.report.sessions = pairs.next_index;
+        let enroller = pairs.devices;
+        self.report.enrolled = enroller.enrolled;
+        self.report.enroll_batches = enroller.batches;
+        self.report.enroll_makespan_us = enroller.makespan;
+        match enroller.error {
+            Some(e) => Err(e),
+            None => swept,
         }
     }
 
-    /// The per-worker message-delivery log of the last
-    /// [`Self::interleaved_sweep`] (diagnostic: shows cross-session
-    /// interleaving at message granularity; ordering is per worker, so
-    /// it is *not* part of the deterministic report).
+    /// Every delivered message of the last [`Self::interleaved_sweep`],
+    /// session by session in session-index order and, within a session,
+    /// in delivery order (diagnostic: shows cross-session interleaving at
+    /// message granularity through the delivery times; not part of the
+    /// report, but the same for any thread count). Empty after the other
+    /// sweeps.
     pub fn last_deliveries(&self) -> &[DeliveryRecord] {
         &self.last_deliveries
     }
 
     /// The per-bus frame-schedule logs of the last
-    /// [`Self::interleaved_sweep`] over a shared-bus transport, sorted
-    /// by bus id. Unlike the delivery log, the frame schedule *is*
+    /// [`Self::interleaved_sweep`] or [`Self::streaming_sweep`] over a
+    /// shared-bus transport, sorted by bus id. The frame schedule is
     /// deterministic — it is pinned line-by-line by the golden
     /// shared-bus fixture.
-    pub fn last_frame_logs(&self) -> &[(usize, Vec<ecq_simnet::FrameRecord>)] {
+    pub fn last_frame_logs(&self) -> &[(usize, Vec<FrameRecord>)] {
         &self.last_frame_logs
     }
 
@@ -818,7 +580,8 @@ impl FleetCoordinator {
     }
 
     /// Pairs consecutive enrolled devices within each shard and runs
-    /// every pair's first STS establishment concurrently.
+    /// every pair's first STS establishment concurrently: every
+    /// handshake starts at t = 0 and takes the paper's Table I time.
     ///
     /// Pairing stays intra-shard because the shards are independent
     /// trust roots: a cross-shard handshake would (correctly) fail
@@ -833,20 +596,14 @@ impl FleetCoordinator {
     ///
     /// # Panics
     ///
-    /// Panics when called a second time (the pair sessions already
-    /// exist and a second sweep would double-count them).
+    /// Panics when called after another establishment sweep (the pair
+    /// sessions already exist and a second sweep would double-count
+    /// them).
     pub fn handshake_sweep(&mut self) -> Result<(), FleetError> {
         self.create_sessions();
-        let mut scheduler = EventScheduler::new();
-        for s in 0..self.sessions.len() {
-            scheduler.schedule_at(0, SessionEvent::Handshake { session: s });
-        }
+        let now = self.config.valid_from;
         let mut makespan: VirtualTime = 0;
-        while let Some((at, event)) = scheduler.next_event() {
-            let SessionEvent::Handshake { session } = event else {
-                continue;
-            };
-            let now = self.deploy_secs(at);
+        for session in 0..self.sessions.len() {
             let key = self.sessions[session].manager.key_for(now)?;
             self.sessions[session].last_key = Some(key);
             self.report.handshakes += 1;
@@ -854,15 +611,16 @@ impl FleetCoordinator {
                 self.devices[self.sessions[session].a].preset,
                 self.devices[self.sessions[session].b].preset,
             );
-            makespan = makespan.max(at + micros_from_ms(self.handshake_cost_ms(pa, pb)));
+            makespan = makespan.max(micros_from_ms(self.handshake_cost_ms(pa, pb)));
         }
         self.report.handshake_makespan_us = makespan;
         Ok(())
     }
 
     /// Runs `epochs` policy-driven rekey rounds: every session gets a
-    /// tick each [`RekeyPolicy::max_age_secs`], and the manager
-    /// transparently re-establishes when the key has aged out.
+    /// tick each [`RekeyPolicy::max_age_secs`], in session order, and
+    /// the manager transparently re-establishes when the key has aged
+    /// out.
     ///
     /// Sessions with a revoked participant are denied instead of
     /// rekeyed: the tick records [`ecq_cert::CertError::Revoked`] on
@@ -875,40 +633,34 @@ impl FleetCoordinator {
     /// [`FleetError::Protocol`] when a rekey handshake fails (e.g. the
     /// certificates expired before the last epoch).
     pub fn run_epochs(&mut self, epochs: u32) -> Result<(), FleetError> {
-        let mut scheduler = EventScheduler::new();
         let age_us = self.config.rekey.max_age_secs as VirtualTime * 1_000_000;
-        for epoch in 1..=epochs as VirtualTime {
-            for s in 0..self.sessions.len() {
-                scheduler.schedule_at(epoch * age_us, SessionEvent::RekeyTick { session: s });
-            }
-        }
         let mut end: VirtualTime = 0;
-        while let Some((at, event)) = scheduler.next_event() {
-            let SessionEvent::RekeyTick { session } = event else {
-                continue;
-            };
-            if self.session_revoked(session) {
-                self.sessions[session].failure = Some(FleetError::Protocol(ProtocolError::Cert(
-                    CertError::Revoked,
-                )));
-                self.report.denied_revoked += 1;
-                end = end.max(at);
-                continue;
-            }
-            let now = self.deploy_secs(at);
-            let before = self.sessions[session].manager.rekey_count();
-            let key = self.sessions[session].manager.key_for(now)?;
-            self.sessions[session].last_key = Some(key);
-            if self.sessions[session].manager.rekey_count() > before {
-                self.report.rekeys += 1;
-                self.report.handshakes += 1;
-                let (pa, pb) = (
-                    self.devices[self.sessions[session].a].preset,
-                    self.devices[self.sessions[session].b].preset,
-                );
-                end = end.max(at + micros_from_ms(self.handshake_cost_ms(pa, pb)));
-            } else {
-                end = end.max(at);
+        for epoch in 1..=epochs as VirtualTime {
+            let at = epoch * age_us;
+            for session in 0..self.sessions.len() {
+                if self.session_revoked(session) {
+                    self.sessions[session].failure = Some(FleetError::Protocol(
+                        ProtocolError::Cert(CertError::Revoked),
+                    ));
+                    self.report.denied_revoked += 1;
+                    end = end.max(at);
+                    continue;
+                }
+                let now = self.deploy_secs(at);
+                let before = self.sessions[session].manager.rekey_count();
+                let key = self.sessions[session].manager.key_for(now)?;
+                self.sessions[session].last_key = Some(key);
+                if self.sessions[session].manager.rekey_count() > before {
+                    self.report.rekeys += 1;
+                    self.report.handshakes += 1;
+                    let (pa, pb) = (
+                        self.devices[self.sessions[session].a].preset,
+                        self.devices[self.sessions[session].b].preset,
+                    );
+                    end = end.max(at + micros_from_ms(self.handshake_cost_ms(pa, pb)));
+                } else {
+                    end = end.max(at);
+                }
             }
         }
         self.report.epoch_end_us = end;
@@ -929,53 +681,168 @@ impl FleetCoordinator {
     }
 }
 
-/// Lazy pair-material source for [`FleetCoordinator::streaming_sweep`]:
-/// each [`Iterator::next`] call emits the next session's work item,
-/// batch-enrolling devices on demand. Shards are processed
-/// sequentially; within a shard the per-batch virtual-time chain
-/// (`shard_time`) is exactly the chain [`FleetCoordinator::enroll_all`]
-/// builds through its event scheduler — enrollment outcomes are
-/// order-independent across shards (per-shard chains never interact;
-/// makespan is a max, counts are sums), so the sequential replay
-/// reproduces the materialized report bit-for-bit.
+/// The one establishment engine and report fold: runs `work` through
+/// [`interleave::run_sweep`] and folds every session result into
+/// `report` in session-index order — key digest, counters, makespan and
+/// the shared buses' fault counters — handing each session's outcome
+/// and deliveries to `record`. Returns the first failure that is not a
+/// revocation denial.
+fn sweep_and_fold(
+    report: &mut FleetReport,
+    frame_logs: &mut Vec<(usize, Vec<FrameRecord>)>,
+    work: impl Iterator<Item = SessionWork>,
+    total: usize,
+    opts: &SweepOptions,
+    mut record: impl FnMut(usize, Result<SessionKey, FleetError>, Vec<DeliveryRecord>),
+) -> Result<(), FleetError> {
+    let mut digest = Sha256::new();
+    let mut first_failure: Option<FleetError> = None;
+    let traces = interleave::run_sweep(work, total, opts, |index, result| {
+        digest.update(&(index as u64).to_be_bytes());
+        // Denial beats everything, then the sweep's typed failure, then
+        // the key. A "completed" session without a key lost its state
+        // somewhere — it fails closed as poisoned instead of panicking.
+        let outcome = match (result.denied, result.failure, result.key) {
+            (true, _, _) => {
+                report.denied_revoked += 1;
+                digest.update(b"denied:revoked");
+                Err(FleetError::Protocol(ProtocolError::Cert(
+                    CertError::Revoked,
+                )))
+            }
+            (false, None, Some(key)) => {
+                digest.update(key.as_bytes());
+                report.handshakes += 1;
+                Ok(key)
+            }
+            (false, failure, _) => {
+                let err = failure.unwrap_or(ProtocolError::Poisoned);
+                first_failure.get_or_insert(FleetError::Protocol(err));
+                match err {
+                    ProtocolError::Timeout => report.timeouts += 1,
+                    ProtocolError::Poisoned => report.poisoned += 1,
+                    _ => {}
+                }
+                // The failure *mode* is part of the determinism
+                // witness: a run that times out where another saw an
+                // authentication failure must not digest equal.
+                digest.update(b"failed:");
+                digest.update(err.to_string().as_bytes());
+                Err(FleetError::Protocol(err))
+            }
+        };
+        report.handshake_makespan_us = report.handshake_makespan_us.max(result.end_us);
+        report.messages += result.messages;
+        report.wire_bytes += result.wire_bytes;
+        report.can_frames += result.frames;
+        record(index, outcome, result.deliveries);
+    });
+    for trace in &traces {
+        report.faults.dropped += trace.counters.dropped;
+        report.faults.corrupted += trace.counters.corrupted;
+        report.faults.duplicated += trace.counters.duplicated;
+        report.faults.held_back += trace.counters.held_back;
+        report.faults.delayed += trace.counters.delayed;
+        report.faults.replayed += trace.counters.replayed;
+        report.faults.storm_frames += trace.counters.storm_frames;
+        report.faults.isotp_errors += trace.counters.isotp_errors;
+        report.faults.messages_lost += trace.counters.messages_lost;
+    }
+    *frame_logs = traces.into_iter().map(|t| (t.bus, t.frames)).collect();
+    report.key_digest = Some(digest.finalize());
+    first_failure.map_or(Ok(()), Err)
+}
+
+/// A device whose enrollment completed, on its way into a pair.
+struct Enrolled {
+    index: usize,
+    shard: usize,
+    creds: Credentials,
+    preset: DevicePreset,
+}
+
+/// The fleet's one enrollment routine, as an iterator over enrolled
+/// devices — shard by shard, roster order within a shard — that enrolls
+/// one batch per refill. [`FleetCoordinator::enroll_all`] drains it;
+/// [`FleetCoordinator::streaming_sweep`] pulls it lazily through a
+/// [`PairProducer`], so only one batch of credentials is resident.
 ///
-/// Peak resident state: one enrollment batch of credentials plus at
-/// most one unpaired leftover — never the roster.
-struct PairProducer<'a> {
+/// Each shard's CA serializes its batches on its own virtual-time chain
+/// starting at t = 0, so shards run concurrently on the virtual
+/// timeline although the walk visits them one after another: chains
+/// never interact, every DRBG is per shard or per device, the makespan
+/// is a max and the counts are sums, so the walk order changes no
+/// credential and no report field.
+struct Enroller<'a> {
     config: FleetConfig,
     pool: &'a CaPool,
     devices: &'a [SimDevice],
     device_seeds: &'a [[u8; 32]],
-    crl: &'a RevocationList,
-    shard_rngs: &'a mut Vec<HmacDrbg>,
-    session_rng: &'a mut HmacDrbg,
-    /// Shard worklists in roster order (as `enroll_all` builds them).
+    shard_rngs: &'a mut [HmacDrbg],
+    /// Shard worklists in roster order, and the walk's position.
     worklists: Vec<Vec<usize>>,
     shard: usize,
     cursor: usize,
-    /// Virtual time the shard's CA becomes free (per-shard batch chain).
+    /// Virtual time the current shard's CA becomes free.
     shard_time: VirtualTime,
-    /// Next global session index to emit (pairs count in shard order).
-    next_index: usize,
-    /// Enrolled-but-unpaired credentials of the current shard, in
-    /// roster order.
-    queue: VecDeque<(Credentials, DevicePreset)>,
     per_cert_us: VirtualTime,
+    /// The enrolled batch being handed out.
+    batch: std::vec::IntoIter<Enrolled>,
     enrolled: usize,
-    enroll_batches: usize,
-    enroll_makespan: VirtualTime,
+    batches: usize,
+    makespan: VirtualTime,
     /// First enrollment failure; the iterator fuses once set.
     error: Option<FleetError>,
 }
 
-impl PairProducer<'_> {
-    /// Enrolls the current shard's next batch into the queue — the
-    /// streaming replica of one `EnrollEvent::Batch` in
-    /// [`FleetCoordinator::enroll_all`], Montgomery-trick issuance and
-    /// reconstruction included.
-    fn enroll_next_batch(&mut self) -> Result<(), FleetError> {
+impl<'a> Enroller<'a> {
+    fn new(
+        worklists: Vec<Vec<usize>>,
+        config: FleetConfig,
+        pool: &'a CaPool,
+        devices: &'a [SimDevice],
+        device_seeds: &'a [[u8; 32]],
+        shard_rngs: &'a mut [HmacDrbg],
+        per_cert_us: VirtualTime,
+    ) -> Self {
+        Enroller {
+            config,
+            pool,
+            devices,
+            device_seeds,
+            shard_rngs,
+            worklists,
+            shard: 0,
+            cursor: 0,
+            shard_time: 0,
+            per_cert_us,
+            batch: Vec::new().into_iter(),
+            enrolled: 0,
+            batches: 0,
+            makespan: 0,
+            error: None,
+        }
+    }
+
+    /// One enrollment round for the current shard's next
+    /// `enroll_batch` devices: fresh request secrets from per-device
+    /// DRBGs, one amortized `issue_batch` on the shard's CA, then one
+    /// shared inversion for the whole batch's eq. (1) reconstructions
+    /// (`reconstruct_batch`, the device-side mirror). A device is done
+    /// when its batch is issued *and* its own reconstruction finished.
+    /// Returns an empty batch once every shard is enrolled.
+    fn enroll_batch(&mut self) -> Result<Vec<Enrolled>, FleetError> {
+        while self
+            .worklists
+            .get(self.shard)
+            .is_some_and(|list| self.cursor >= list.len())
+        {
+            self.shard += 1;
+            self.cursor = 0;
+            self.shard_time = 0;
+        }
         let Some(list) = self.worklists.get(self.shard) else {
-            return Ok(()); // unreachable: the caller bounds `shard`
+            return Ok(Vec::new());
         };
         let end = (self.cursor + self.config.enroll_batch.max(1)).min(list.len());
         let chunk = &list[self.cursor..end];
@@ -998,76 +865,113 @@ impl PairProducer<'_> {
         )?;
         let ca_done = self.shard_time + self.per_cert_us * chunk.len() as VirtualTime;
         let keys = CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())?;
+        self.shard_time = ca_done;
+        self.batches += 1;
+        let mut batch = Vec::with_capacity(chunk.len());
         for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
-            let preset = self.devices[i].preset;
-            let device_done =
-                ca_done + micros_from_ms(FleetCoordinator::reconstruct_cost_ms(preset));
-            self.enroll_makespan = self.enroll_makespan.max(device_done);
+            let device = &self.devices[i];
+            let done =
+                ca_done + micros_from_ms(FleetCoordinator::reconstruct_cost_ms(device.preset));
+            self.makespan = self.makespan.max(done);
             self.enrolled += 1;
-            self.queue.push_back((
-                Credentials {
-                    id: self.devices[i].id,
+            batch.push(Enrolled {
+                index: i,
+                shard: self.shard,
+                creds: Credentials {
+                    id: device.id,
                     cert: cert.certificate,
                     keys,
                     ca_public: ca.public_key(),
                 },
-                preset,
-            ));
+                preset: device.preset,
+            });
         }
-        self.enroll_batches += 1;
-        self.shard_time = ca_done;
-        Ok(())
+        Ok(batch)
     }
 }
 
-impl Iterator for PairProducer<'_> {
-    type Item = SessionWork;
+impl Iterator for Enroller<'_> {
+    type Item = Enrolled;
 
-    fn next(&mut self) -> Option<SessionWork> {
+    fn next(&mut self) -> Option<Enrolled> {
         loop {
+            if let Some(device) = self.batch.next() {
+                return Some(device);
+            }
             if self.error.is_some() {
                 return None;
             }
-            if self.queue.len() >= 2 {
-                let (creds_a, preset_a) = self.queue.pop_front()?;
-                let (creds_b, preset_b) = self.queue.pop_front()?;
-                // Seed first, then the CRL verdict — the exact order
-                // of `create_sessions` + the sweep's denial pre-check.
-                let pair_seed = self.session_rng.bytes32();
-                let denied = self.crl.is_revoked(creds_a.cert.serial)
-                    || self.crl.is_revoked(creds_b.cert.serial);
-                let index = self.next_index;
-                self.next_index += 1;
-                return Some(SessionWork {
-                    index,
-                    creds_a,
-                    creds_b,
-                    preset_a,
-                    preset_b,
-                    wire_seed: pair_seed,
-                    now: self.config.valid_from,
-                    variant: self.config.variant,
-                    denied,
-                });
+            match self.enroll_batch() {
+                Ok(batch) if !batch.is_empty() => self.batch = batch.into_iter(),
+                Ok(_) => return None,
+                Err(e) => self.error = Some(e),
             }
-            let list = self.worklists.get(self.shard)?;
-            if self.cursor >= list.len() {
-                // Shard exhausted: an odd leftover device stays
-                // enrolled-but-unpaired, mirroring the materialized
-                // path's `chunks_exact(2)`.
-                self.queue.clear();
-                self.shard += 1;
-                self.cursor = 0;
-                self.shard_time = 0;
-                if self.shard >= self.worklists.len() {
-                    return None;
-                }
+        }
+    }
+}
+
+/// Pairs consecutive devices of each shard into session work, in
+/// session-index order: as each pair forms, its seed is drawn from the
+/// session DRBG and both serials are checked against the revocation
+/// list, so RNG streams do not depend on how a sweep shards the work.
+/// `devices` yields shard by shard, roster order within a shard — the
+/// enrolled roster for the materialized sweeps, an [`Enroller`] for the
+/// streaming one — and a shard's odd last device stays unpaired. Items
+/// are `(a, b, work)` with the pair's roster indices.
+struct PairProducer<'a, I> {
+    devices: I,
+    /// The device waiting for its partner.
+    held: Option<Enrolled>,
+    /// Next session index to emit.
+    next_index: usize,
+    session_rng: &'a mut HmacDrbg,
+    crl: &'a RevocationList,
+    config: FleetConfig,
+}
+
+impl<'a, I> PairProducer<'a, I> {
+    fn new(
+        devices: I,
+        session_rng: &'a mut HmacDrbg,
+        crl: &'a RevocationList,
+        config: FleetConfig,
+    ) -> Self {
+        PairProducer {
+            devices,
+            held: None,
+            next_index: 0,
+            session_rng,
+            crl,
+            config,
+        }
+    }
+}
+
+impl<I: Iterator<Item = Enrolled>> Iterator for PairProducer<'_, I> {
+    type Item = (usize, usize, SessionWork);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let b = self.devices.next()?;
+            let Some(a) = self.held.take().filter(|a| a.shard == b.shard) else {
+                self.held = Some(b);
                 continue;
-            }
-            if let Err(e) = self.enroll_next_batch() {
-                self.error = Some(e);
-                return None;
-            }
+            };
+            let index = self.next_index;
+            self.next_index += 1;
+            let work = SessionWork {
+                index,
+                wire_seed: self.session_rng.bytes32(),
+                denied: self.crl.is_revoked(a.creds.cert.serial)
+                    || self.crl.is_revoked(b.creds.cert.serial),
+                creds_a: a.creds,
+                creds_b: b.creds,
+                preset_a: a.preset,
+                preset_b: b.preset,
+                now: self.config.valid_from,
+                variant: self.config.variant,
+            };
+            return Some((a.index, b.index, work));
         }
     }
 }

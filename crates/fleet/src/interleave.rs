@@ -4,15 +4,15 @@
 //! deterministic fault plan.
 //!
 //! The atomic sweep ([`crate::FleetCoordinator::handshake_sweep`])
-//! completes a whole handshake inside one scheduler event — nothing can
-//! interleave. This module decomposes each STS establishment into its
-//! four wire messages (`A1 B1 A2 B2`): an endpoint's
+//! completes a whole handshake in one call — nothing can interleave.
+//! This module decomposes each STS establishment into its four wire
+//! messages (`A1 B1 A2 B2`): an endpoint's
 //! [`ecq_proto::Endpoint::step`] runs when its message *arrives*, its
 //! compute time is integrated from the primitive-operation trace it
 //! recorded during that step (against the board's `ecq_devices` cost
 //! table), and the reply goes back to the link, which decides the next
-//! delivery time. A thousand devices' handshakes genuinely interleave
-//! on the virtual timeline, at message granularity.
+//! delivery time. Sessions sharing a bus genuinely interleave on the
+//! virtual timeline, at message granularity.
 //!
 //! # Parallelism / determinism contract
 //!
@@ -30,11 +30,11 @@
 //! 1. **Shard by bus, never by pair.** `run_sweep` assigns whole bus
 //!    groups to workers; a worker *hard-errors* if it receives a
 //!    bus with members missing (a split bus would change arbitration).
-//! 2. **Lane-ordered events.** Each worker's scheduler orders same-time
+//! 2. **Lane-ordered events.** Each event loop orders same-time
 //!    events by a global lane key (session index; buses order after all
 //!    sessions), not by insertion order, so the pop order is a function
 //!    of the virtual timeline alone — not of which sessions happen to
-//!    be co-resident in the worker.
+//!    share the loop.
 //! 3. **Pure fault decisions.** Every random fault choice is a
 //!    splitmix64 hash of `(fault seed, bus id, sequence number)` (see
 //!    [`ecq_simnet::fault`]), never a draw from mutable RNG state.
@@ -113,7 +113,8 @@ pub struct RevocationSpec {
 #[non_exhaustive]
 pub struct SweepOptions {
     /// Host worker threads to shard the session population across
-    /// (clamped to at least 1). The report is identical for any value.
+    /// (clamped to at least 1 and at most one per bus group). The report
+    /// is identical for any value.
     pub threads: usize,
     /// Link implementation for every pair.
     pub transport: TransportKind,
@@ -131,11 +132,11 @@ pub struct SweepOptions {
     /// completes — the regression harness for the sweep's
     /// no-panic contract.
     pub poison: Option<usize>,
-    /// Admission window of the streaming scheduler: at most this many
+    /// Admission window of the sweep engine: at most this many
     /// sessions are resident (queued in worker channels, simulating, or
     /// awaiting in-order aggregation) at any moment, so peak memory
     /// scales with the window instead of the fleet. `usize::MAX` (the
-    /// default) keeps the materialized path. The report is bit-identical
+    /// default) admits every session at once. The report is bit-identical
     /// for any window value — sessions (and whole bus groups) are pure
     /// functions of their own work items, so admission timing cannot
     /// change their outcome.
@@ -198,8 +199,8 @@ impl SweepOptions {
         self
     }
 
-    /// Bounds the number of sessions resident in the streaming
-    /// scheduler at once (clamped up to one bus group).
+    /// Bounds the number of sessions resident in the sweep engine at
+    /// once (clamped up to one bus group).
     #[must_use]
     pub fn max_inflight(mut self, max_inflight: usize) -> Self {
         self.max_inflight = max_inflight;
@@ -207,9 +208,10 @@ impl SweepOptions {
     }
 }
 
-/// One delivered wire message, in the order a worker's scheduler popped
-/// it (diagnostic evidence of interleaving; not part of the report —
-/// pop order is per-worker and therefore depends on the shard layout).
+/// One delivered wire message (diagnostic evidence of interleaving; not
+/// part of the report). A session's deliveries are a pure function of
+/// its own work item — of its whole bus group on a shared bus — so the
+/// log does not depend on the shard layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeliveryRecord {
     /// Global session index the message belongs to.
@@ -246,9 +248,11 @@ pub(crate) struct SessionResult {
     pub wire_bytes: u64,
     pub frames: u64,
     /// The session was denied by the CRL check before kickoff. Carried
-    /// in the result so streaming aggregation (which holds no
-    /// per-session state of its own) can classify the outcome.
+    /// in the result so the fold (which holds no per-session state of
+    /// its own) can classify the outcome.
     pub denied: bool,
+    /// The session's delivered messages, in delivery order.
+    pub deliveries: Vec<DeliveryRecord>,
 }
 
 impl SessionResult {
@@ -261,6 +265,7 @@ impl SessionResult {
             wire_bytes: 0,
             frames: 0,
             denied: false,
+            deliveries: Vec::new(),
         }
     }
 }
@@ -531,8 +536,7 @@ fn dispatch_send(
 /// prepared credentials move straight into the endpoints — the sweep
 /// performs no per-session certificate/key cloning inside the timed
 /// region. Returns the per-session results in the order `work` was
-/// given, plus this worker's delivery log in scheduler pop order and
-/// the traces of the buses it owned.
+/// given, plus the traces of the buses it owned.
 ///
 /// # Panics
 ///
@@ -543,7 +547,7 @@ fn dispatch_send(
 pub(crate) fn run_worker(
     work: Vec<SessionWork>,
     cfg: WorkerConfig,
-) -> (Vec<SessionResult>, Vec<DeliveryRecord>, Vec<BusTrace>) {
+) -> (Vec<SessionResult>, Vec<BusTrace>) {
     if let TransportKind::SharedBus { group } = cfg.transport {
         assert_complete_buses(&work, group.max(1), cfg.total);
     }
@@ -555,7 +559,6 @@ pub(crate) fn run_worker(
     let mut poisoned: Vec<bool> = vec![false; work.len()];
     // Slots denied by the CRL pre-check (echoed into the results).
     let mut denied_slots: Vec<bool> = vec![false; work.len()];
-    let mut log: Vec<DeliveryRecord> = Vec::new();
     let mut scheduler = LaneScheduler::new();
     // Buses this worker owns, and (bus, bus slot) → local `live` slot.
     let mut buses: BTreeMap<usize, Rc<RefCell<SharedBus>>> = BTreeMap::new();
@@ -718,7 +721,7 @@ pub(crate) fn run_worker(
                         continue;
                     }
                 };
-                log.push(DeliveryRecord {
+                session.result.deliveries.push(DeliveryRecord {
                     session: session.index,
                     step: msg.step,
                     at_us: now,
@@ -822,7 +825,7 @@ pub(crate) fn run_worker(
             }
         })
         .collect();
-    (results, log, traces)
+    (results, traces)
 }
 
 /// Hard-errors unless every bus group in `work` is complete: members
@@ -866,110 +869,24 @@ fn make_transport(kind: &TransportKind, work: &SessionWork) -> Option<Box<dyn Tr
     }
 }
 
-/// Shards `work` across `threads` workers and returns results in
-/// session-index order regardless of the thread count.
-///
-/// Private-link sessions are dealt round-robin (worker `t` takes
-/// indices `t`, `t + threads`, …) rather than in contiguous chunks:
-/// device presets rotate through the roster, so striding gives every
-/// worker the same preset mix — and therefore the same compute load —
-/// instead of leaving the last chunk short. Shared-bus sweeps deal
-/// whole *bus groups* round-robin instead (worker `t` takes buses `t`,
-/// `t + threads`, …): the bus is the unit of independence, so splitting
-/// one across workers is rejected by [`run_worker`]. Either way any
-/// partition produces the identical report; only the host wall-clock
-/// changes.
-pub(crate) fn run_sweep(
-    work: Vec<SessionWork>,
-    opts: &SweepOptions,
-) -> (Vec<SessionResult>, Vec<DeliveryRecord>, Vec<BusTrace>) {
-    let total = work.len();
-    let group = match opts.transport {
-        TransportKind::SharedBus { group } => group.max(1),
-        _ => 1,
-    };
-    let cfg = WorkerConfig {
-        transport: opts.transport,
-        faults: opts.faults,
-        revocation: opts.revocation,
-        total,
-        poison: opts.poison,
-    };
-    let bus_count = total.div_ceil(group.max(1)).max(1);
-    let threads = opts.threads.max(1).min(bus_count);
-    if threads <= 1 {
-        return run_worker(work, cfg);
-    }
-    let mut shards: Vec<Vec<SessionWork>> = (0..threads)
-        .map(|_| Vec::with_capacity(total / threads + group))
-        .collect();
-    for (i, w) in work.into_iter().enumerate() {
-        let t = (i / group) % threads;
-        // A missing shard (impossible: t < threads) would drop the
-        // session, which then surfaces as a poisoned fail-closed
-        // result instead of a panic.
-        if let Some(s) = shards.get_mut(t) {
-            s.push(w);
-        }
-    }
-    let mut results: Vec<Option<SessionResult>> = (0..total).map(|_| None).collect();
-    let mut log: Vec<DeliveryRecord> = Vec::new();
-    let mut traces: Vec<BusTrace> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| scope.spawn(move || run_worker(shard, cfg)))
-            .collect();
-        for (t, handle) in handles.into_iter().enumerate() {
-            let (shard_results, shard_log, shard_traces) =
-                handle.join().expect("sweep worker panicked");
-            for (j, result) in shard_results.into_iter().enumerate() {
-                // Invert the deal rule arithmetically instead of
-                // carrying a per-worker index map: worker `t`'s `j`-th
-                // session came from its `j / group`-th bus group, whose
-                // global group number is `(j / group)·threads + t`.
-                // (A partial trailing group is always the globally last
-                // one, so every earlier worker-local group is full.)
-                let i = ((j / group) * threads + t) * group + (j % group);
-                if let Some(slot) = results.get_mut(i) {
-                    *slot = Some(result);
-                }
-            }
-            log.extend(shard_log);
-            traces.extend(shard_traces);
-        }
-    });
-    traces.sort_by_key(|t| t.bus);
-    let results = results
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                // A scatter bug left this slot unfilled; the session
-                // fails closed rather than aborting the sweep.
-                let mut r = SessionResult::empty();
-                r.failure = Some(ProtocolError::Poisoned);
-                r
-            })
-        })
-        .collect();
-    (results, log, traces)
-}
-
-/// Streams lazily produced work through `threads` workers with at most
-/// `opts.max_inflight` sessions resident at once, delivering results to
-/// `consume` in **strict session-index order** (so the caller can fold
-/// an incremental digest exactly as the materialized path does).
-/// Returns the bus traces, sorted by bus id.
+/// The sweep engine: streams `work` through `opts.threads` workers with
+/// at most `opts.max_inflight` sessions resident at once, delivering
+/// results to `consume` in **strict session-index order** (so the
+/// caller folds the report incrementally). Returns the bus traces,
+/// sorted by bus id.
 ///
 /// # Architecture
 ///
 /// The calling thread is the producer: it pulls `work` (which may run
 /// real enrollment cryptography per pull), chunks it into bus groups —
 /// `group` consecutive sessions, the sweep's unit of independence — and
-/// deals group `g` to worker `g % threads` over a bounded channel.
-/// Workers simulate one group at a time through the same event loop as
-/// the materialized path and send `(group, results, traces)` back; a
-/// reorder buffer releases them to `consume` in group order.
+/// deals group `g` to worker `g % threads` over a bounded channel, so a
+/// bus is never split across workers and private-link sessions, whose
+/// presets rotate through the roster, give every worker the same board
+/// mix. Workers are clamped to the number of bus groups. Each worker
+/// simulates one group at a time in its own [`run_worker`] event loop
+/// and sends `(group, results, traces)` back; a reorder buffer releases
+/// them to `consume` in group order.
 ///
 /// # Why the report cannot depend on the window
 ///
@@ -980,8 +897,8 @@ pub(crate) fn run_sweep(
 /// scheduled at or after the event that produced it), so co-residence
 /// of other sessions cannot shift a timeline. Each group's results are
 /// therefore a pure function of `(config, seed, group)` — identical
-/// whether the group ran alone, in a window of 64, or in the fully
-/// materialized sweep — and in-order delivery makes the aggregate
+/// whether the group ran alone, in a window of 64, or in one event loop
+/// with every other group — and in-order delivery makes the aggregate
 /// report bit-identical for any `threads` and any `max_inflight`.
 ///
 /// # Deadlock freedom
@@ -992,7 +909,7 @@ pub(crate) fn run_sweep(
 /// remaining results). The reorder buffer is bounded by the number of
 /// admitted-but-undelivered groups, which the channels bound by
 /// construction.
-pub(crate) fn run_sweep_streaming<I, F>(
+pub(crate) fn run_sweep<I, F>(
     work: I,
     total: usize,
     opts: &SweepOptions,
@@ -1015,7 +932,7 @@ where
         total,
         poison: opts.poison,
     };
-    let threads = opts.threads.max(1);
+    let threads = opts.threads.max(1).min(total.div_ceil(group).max(1));
     // Per-worker queue depth in groups: the window split across
     // workers, at least one so every worker can hold work — and never
     // more groups than the sweep has (`sync_channel` preallocates its
@@ -1033,7 +950,7 @@ where
             let worker_tx = res_tx.clone();
             scope.spawn(move || {
                 while let Ok((g, batch)) = rx.recv() {
-                    let (results, _log, batch_traces) = run_worker(batch, cfg);
+                    let (results, batch_traces) = run_worker(batch, cfg);
                     if worker_tx.send((g, results, batch_traces)).is_err() {
                         return;
                     }
@@ -1046,13 +963,14 @@ where
         // Reorder buffer: completed groups awaiting in-order delivery.
         let mut pending: BTreeMap<usize, Vec<SessionResult>> = BTreeMap::new();
         let mut next_out = 0usize;
-        let mut flush = |pending: &mut BTreeMap<usize, Vec<SessionResult>>,
-                         next_out: &mut usize| {
-            while let Some(results) = pending.remove(next_out) {
+        let mut retire = |(done, results, batch_traces): (usize, Vec<SessionResult>, _)| {
+            traces.extend(batch_traces);
+            pending.insert(done, results);
+            while let Some(results) = pending.remove(&next_out) {
                 for (j, r) in results.into_iter().enumerate() {
-                    consume(*next_out * group + j, r);
+                    consume(next_out * group + j, r);
                 }
-                *next_out += 1;
+                next_out += 1;
             }
         };
 
@@ -1077,10 +995,8 @@ where
             // pile up in the unbounded result channel until the final
             // drain — that would grow resident state with fleet size and
             // void the bounded-memory contract.
-            while let Ok((done, results, batch_traces)) = res_rx.try_recv() {
-                pending.insert(done, results);
-                traces.extend(batch_traces);
-                flush(&mut pending, &mut next_out);
+            while let Ok(done) = res_rx.try_recv() {
+                retire(done);
             }
             let mut msg = (g, batch);
             loop {
@@ -1091,11 +1007,7 @@ where
                         // Admission is at the window: retire one group
                         // before admitting another.
                         match res_rx.recv() {
-                            Ok((done, results, batch_traces)) => {
-                                pending.insert(done, results);
-                                traces.extend(batch_traces);
-                                flush(&mut pending, &mut next_out);
-                            }
+                            Ok(done) => retire(done),
                             Err(_) => break, // workers gone; scope will surface the panic
                         }
                     }
@@ -1105,18 +1017,9 @@ where
             g += 1;
         }
         drop(feeds);
-        while let Ok((done, results, batch_traces)) = res_rx.recv() {
-            pending.insert(done, results);
-            traces.extend(batch_traces);
-            flush(&mut pending, &mut next_out);
-        }
-        // A gap can only remain if a worker died mid-stream; deliver
-        // what completed (still in order) rather than dropping it.
-        for (done, results) in std::mem::take(&mut pending) {
-            for (j, r) in results.into_iter().enumerate() {
-                consume(done * group + j, r);
-            }
-        }
+        // A group lost to a dead worker leaves a gap the buffer never
+        // passes; the scope then re-raises the worker's panic.
+        res_rx.iter().for_each(retire);
     });
     traces.sort_by_key(|t| t.bus);
     traces
@@ -1209,7 +1112,7 @@ mod tests {
             total: 3,
             poison: Some(1),
         };
-        let (results, _log, _traces) = run_worker(work, cfg);
+        let (results, _traces) = run_worker(work, cfg);
         assert_eq!(results.len(), 3);
         assert_eq!(results[1].failure, Some(ProtocolError::Poisoned));
         assert!(results[1].key.is_none(), "a poisoned session has no key");
@@ -1229,46 +1132,55 @@ mod tests {
             total: 2,
             poison: None,
         };
-        let (results, log, traces) = run_worker(work, cfg);
+        let (results, traces) = run_worker(work, cfg);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(r.failure.is_none(), "unexpected failure: {:?}", r.failure);
             assert!(r.key.is_some());
             assert_eq!(r.messages, 4);
             assert_eq!(r.frames, 10);
+            assert_eq!(r.deliveries.len(), 4, "4 deliveries per session");
         }
-        assert_eq!(log.len(), 8, "4 deliveries per session");
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0].counters, FaultCounters::default());
     }
 
     #[test]
     fn streaming_pump_matches_materialized_for_any_window() {
-        let opts_for = |threads: usize| {
-            SweepOptions::new()
-                .threads(threads)
-                .transport(TransportKind::SharedBus { group: 2 })
-                .faults(FaultSpec {
-                    seed: 11,
-                    drop_per_mille: 60,
-                    corrupt_per_mille: 40,
-                    deadline_us: 30_000_000,
-                    ..FaultSpec::none()
-                })
+        let transport = TransportKind::SharedBus { group: 2 };
+        let faults = FaultSpec {
+            seed: 11,
+            drop_per_mille: 60,
+            corrupt_per_mille: 40,
+            deadline_us: 30_000_000,
+            ..FaultSpec::none()
         };
-        let (baseline, _, base_traces) = run_sweep(session_work(4), &opts_for(1));
-        let base_outcomes: Vec<_> = baseline
-            .iter()
-            .map(|r| (r.key.as_ref().map(|k| *k.as_bytes()), r.failure, r.end_us))
-            .collect();
+        let outcome = |r: &SessionResult| {
+            let key = r.key.as_ref().map(|k| *k.as_bytes());
+            (key, r.failure, r.end_us, r.deliveries.clone())
+        };
+        // The reference: one event loop simulating every bus group.
+        let cfg = WorkerConfig {
+            transport,
+            faults,
+            revocation: None,
+            total: 4,
+            poison: None,
+        };
+        let (baseline, base_traces) = run_worker(session_work(4), cfg);
+        let base_outcomes: Vec<_> = baseline.iter().map(outcome).collect();
         let base_counters: Vec<_> = base_traces.iter().map(|t| (t.bus, t.counters)).collect();
-        for (threads, window) in [(1, 1), (2, 2), (3, 5), (2, usize::MAX)] {
-            let opts = opts_for(threads).max_inflight(window);
+        for (threads, window) in [(1, 1), (2, 2), (3, 5), (2, usize::MAX), (8, usize::MAX)] {
+            let opts = SweepOptions::new()
+                .threads(threads)
+                .transport(transport)
+                .faults(faults)
+                .max_inflight(window);
             let mut delivered: Vec<usize> = Vec::new();
             let mut outcomes: Vec<_> = Vec::new();
-            let traces = run_sweep_streaming(session_work(4).into_iter(), 4, &opts, |index, r| {
+            let traces = run_sweep(session_work(4).into_iter(), 4, &opts, |index, r| {
                 delivered.push(index);
-                outcomes.push((r.key.as_ref().map(|k| *k.as_bytes()), r.failure, r.end_us));
+                outcomes.push(outcome(&r));
             });
             assert_eq!(
                 delivered,
@@ -1277,36 +1189,10 @@ mod tests {
             );
             assert_eq!(
                 outcomes, base_outcomes,
-                "streamed results match materialized (threads {threads}, window {window})"
+                "streamed results match one event loop (threads {threads}, window {window})"
             );
             let counters: Vec<_> = traces.iter().map(|t| (t.bus, t.counters)).collect();
             assert_eq!(counters, base_counters);
         }
-    }
-
-    #[test]
-    fn shared_bus_sweep_is_thread_count_invariant() {
-        let run = |threads: usize| {
-            let opts = SweepOptions::new()
-                .threads(threads)
-                .transport(TransportKind::SharedBus { group: 2 })
-                .faults(FaultSpec {
-                    seed: 11,
-                    drop_per_mille: 60,
-                    corrupt_per_mille: 40,
-                    deadline_us: 30_000_000,
-                    ..FaultSpec::none()
-                });
-            let (results, _, traces) = run_sweep(session_work(4), &opts);
-            let outcomes: Vec<_> = results
-                .iter()
-                .map(|r| (r.key.as_ref().map(|k| *k.as_bytes()), r.failure, r.end_us))
-                .collect();
-            let counters: Vec<_> = traces.iter().map(|t| (t.bus, t.counters)).collect();
-            (outcomes, counters)
-        };
-        let baseline = run(1);
-        assert_eq!(baseline, run(2));
-        assert_eq!(baseline, run(8));
     }
 }

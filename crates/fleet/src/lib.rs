@@ -12,13 +12,15 @@
 //! * [`FleetCoordinator`] — drives N simulated devices through the full
 //!   lifecycle: batch ECQV enrollment
 //!   ([`ecq_cert::ca::CertificateAuthority::issue_batch`], one shared
-//!   field inversion per batch), concurrent STS `establish()`
-//!   handshakes, and policy-driven rekey epochs via
-//!   [`ecq_sts::SessionManager`],
-//! * [`EventScheduler`] — a deterministic discrete-event scheduler:
-//!   durations come from the `ecq_devices` cost models, ties break by
-//!   insertion order, and no wall-clock time is ever read, so a
-//!   `(config, seed)` pair reproduces a run bit-for-bit,
+//!   field inversion per batch), concurrent STS establishment, and
+//!   policy-driven rekey epochs via [`ecq_sts::SessionManager`]. Every
+//!   establishment path shares one pipeline: one enrollment routine,
+//!   one pairing, one sweep engine ([`interleave`]) and one in-order
+//!   report fold; the materialized and streaming sweeps differ only in
+//!   whether the roster is enrolled up front and sessions are kept,
+//! * [`VirtualTime`] — every duration comes from the `ecq_devices` cost
+//!   models and no wall-clock time is ever read, so a `(config, seed)`
+//!   pair reproduces a run bit-for-bit,
 //! * [`FleetReport`] — enrollment/handshake/rekey counters plus
 //!   virtual-time makespans for throughput accounting.
 //!
@@ -54,7 +56,7 @@ pub use interleave::{DeliveryRecord, RevocationSpec, SweepOptions, TransportKind
 pub use pool::CaPool;
 pub use report::FleetReport;
 pub use scenario::{Expected, Scenario, ScenarioOutcome};
-pub use scheduler::{EventScheduler, VirtualTime};
+pub use scheduler::VirtualTime;
 
 /// Errors surfaced by a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,13 +1,9 @@
-//! A deterministic discrete-event scheduler.
+//! Virtual time.
 //!
 //! Fleet runs must be reproducible bit-for-bit from a seed, so nothing
-//! in this crate reads wall-clock time. Instead every lifecycle step is
-//! an event on a virtual microsecond timeline; durations come from the
-//! `ecq_devices` cost models, and ties are broken by insertion order so
-//! the processing sequence is a pure function of the schedule.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! in this crate reads wall-clock time. Instead every lifecycle step
+//! happens at a timestamp on a virtual microsecond timeline, with
+//! durations from the `ecq_devices` cost models.
 
 /// Virtual time in microseconds since the start of the run.
 pub type VirtualTime = u64;
@@ -15,138 +11,4 @@ pub type VirtualTime = u64;
 /// Converts a cost-model duration in milliseconds to virtual time.
 pub fn micros_from_ms(ms: f64) -> VirtualTime {
     (ms * 1_000.0).round() as VirtualTime
-}
-
-struct Scheduled<E> {
-    at: VirtualTime,
-    seq: u64,
-    event: E,
-}
-
-// Ordering ignores the payload: events sort by time, then by insertion
-// order (seq is unique, so the order is total and deterministic).
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// A min-heap event queue over virtual time.
-pub struct EventScheduler<E> {
-    queue: BinaryHeap<Reverse<Scheduled<E>>>,
-    now: VirtualTime,
-    seq: u64,
-}
-
-impl<E> Default for EventScheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventScheduler<E> {
-    /// An empty scheduler at virtual time zero.
-    pub fn new() -> Self {
-        EventScheduler {
-            queue: BinaryHeap::new(),
-            now: 0,
-            seq: 0,
-        }
-    }
-
-    /// The current virtual time (the timestamp of the last popped
-    /// event).
-    pub fn now(&self) -> VirtualTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Schedules `event` at absolute virtual time `at` (clamped to the
-    /// present: scheduling into the past fires at `now`).
-    pub fn schedule_at(&mut self, at: VirtualTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Scheduled { at, seq, event }));
-    }
-
-    /// Schedules `event` `delay` microseconds from now.
-    pub fn schedule_after(&mut self, delay: VirtualTime, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
-    }
-
-    /// Pops the earliest event, advancing virtual time to it.
-    pub fn next_event(&mut self) -> Option<(VirtualTime, E)> {
-        let Reverse(s) = self.queue.pop()?;
-        self.now = s.at;
-        Some((s.at, s.event))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut s = EventScheduler::new();
-        s.schedule_at(30, "c");
-        s.schedule_at(10, "a");
-        s.schedule_at(20, "b");
-        assert_eq!(s.next_event(), Some((10, "a")));
-        assert_eq!(s.next_event(), Some((20, "b")));
-        assert_eq!(s.now(), 20);
-        assert_eq!(s.next_event(), Some((30, "c")));
-        assert_eq!(s.next_event(), None);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut s = EventScheduler::new();
-        for i in 0..100 {
-            s.schedule_at(5, i);
-        }
-        for i in 0..100 {
-            assert_eq!(s.next_event(), Some((5, i)));
-        }
-    }
-
-    #[test]
-    fn past_events_clamp_to_now() {
-        let mut s = EventScheduler::new();
-        s.schedule_at(50, "late");
-        assert_eq!(s.next_event(), Some((50, "late")));
-        s.schedule_at(10, "early");
-        assert_eq!(s.next_event(), Some((50, "early")));
-        assert_eq!(s.now(), 50);
-    }
-
-    #[test]
-    fn relative_scheduling_and_conversion() {
-        let mut s = EventScheduler::new();
-        s.schedule_at(100, ());
-        s.next_event();
-        s.schedule_after(micros_from_ms(1.5), ());
-        assert_eq!(s.next_event(), Some((1_600, ())));
-    }
 }

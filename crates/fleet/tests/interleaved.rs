@@ -90,32 +90,35 @@ fn messages_are_delivered_at_wire_granularity() {
 
 #[test]
 fn handshakes_interleave_across_sessions() {
-    // One worker, so the delivery log is one scheduler's pop order.
-    let fleet = sweep(
-        24,
-        0xCAFE,
-        &SweepOptions::new()
-            .threads(1)
-            .transport(TransportKind::Simnet),
-    );
-    let log = fleet.last_deliveries();
-    assert_eq!(log.len(), 4 * fleet.report().sessions);
-    // Session 0's four messages must NOT be contiguous: other sessions'
-    // messages are delivered between them (message-granularity
-    // interleaving, the whole point of the transport rework).
-    let positions: Vec<usize> = log
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.session == 0)
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(positions.len(), 4);
+    // Four sessions per arbitrated bus: their messages interleave on the
+    // virtual timeline, and the delivery log — session by session, in
+    // session order — is the same for any worker count.
+    let log = |threads: usize| {
+        let opts = SweepOptions::new()
+            .threads(threads)
+            .transport(TransportKind::SharedBus { group: 4 });
+        sweep(24, 0xCAFE, &opts).last_deliveries().to_vec()
+    };
+    let one = log(1);
+    assert!(one.windows(2).all(|w| w[0].session <= w[1].session));
+    let times = |session: usize| -> Vec<u64> {
+        one.iter()
+            .filter(|d| d.session == session)
+            .map(|d| d.at_us)
+            .collect()
+    };
+    let s0 = times(0);
+    assert_eq!(s0.len(), 4);
+    assert!(s0.windows(2).all(|w| w[0] <= w[1]), "delivery order");
+    // Session 1 shares session 0's bus and is delivered to while
+    // session 0's handshake is still open.
     assert!(
-        positions[3] - positions[0] > 3,
-        "session 0 ran atomically: positions {positions:?}"
+        times(1).iter().any(|&t| s0[0] < t && t < s0[3]),
+        "session 0 ran atomically: {s0:?} vs {:?}",
+        times(1)
     );
-    // And virtual time never runs backwards in the log.
-    assert!(log.windows(2).all(|w| w[0].at_us <= w[1].at_us));
+    assert_eq!(one, log(2), "1 vs 2 workers");
+    assert_eq!(one, log(8), "1 vs 8 workers");
 }
 
 #[test]
@@ -301,6 +304,23 @@ fn streaming_sweep_denies_revoked_pairs_like_materialized() {
         .unwrap();
     assert_eq!(streamed.report(), reference.report());
     assert_eq!(streamed.report().denied_revoked, 1);
+}
+
+#[test]
+#[should_panic(expected = "an establishment sweep runs once per coordinator")]
+fn sweep_after_streaming_sweep_panics() {
+    let mut fleet = FleetCoordinator::new(config(16, 3));
+    fleet.streaming_sweep(&SweepOptions::default()).unwrap();
+    let _ = fleet.interleaved_sweep(&SweepOptions::default());
+}
+
+#[test]
+#[should_panic(expected = "an establishment sweep runs once per coordinator")]
+fn streaming_sweep_after_sweep_panics() {
+    let mut fleet = FleetCoordinator::new(config(16, 3));
+    fleet.enroll_all().unwrap();
+    fleet.interleaved_sweep(&SweepOptions::default()).unwrap();
+    let _ = fleet.streaming_sweep(&SweepOptions::default());
 }
 
 #[test]
