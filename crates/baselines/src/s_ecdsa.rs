@@ -27,7 +27,7 @@
 use ecq_cert::{DeviceId, ImplicitCert};
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::HmacDrbg;
-use ecq_p256::ecdsa::{self, Signature, VerifyStrategy};
+use ecq_p256::ecdsa::{self, Signature};
 use ecq_proto::{
     Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
     SessionKey, StsPhase, WireField,
@@ -148,7 +148,7 @@ impl SEcdsaInitiator {
         self.trace
             .record(StsPhase::Op4DecryptVerify, PrimitiveOp::EcdsaVerify);
         let material = sign_material(&self.nonce, &nonce_b, id_b);
-        if !ecdsa::verify_with(&q_b, &material, &sig_b, VerifyStrategy::SeparateMuls) {
+        if !ecdsa::verify(&q_b, &material, &sig_b) {
             return Err(ProtocolError::AuthenticationFailed);
         }
 
@@ -359,7 +359,7 @@ impl SEcdsaResponder {
         self.trace
             .record(StsPhase::Op4DecryptVerify, PrimitiveOp::EcdsaVerify);
         let material = sign_material(&nonce_b, &nonce_a, claimed);
-        if !ecdsa::verify_with(&q_a, &material, &sig_a, VerifyStrategy::SeparateMuls) {
+        if !ecdsa::verify(&q_a, &material, &sig_a) {
             return Err(ProtocolError::AuthenticationFailed);
         }
 

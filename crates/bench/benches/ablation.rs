@@ -1,16 +1,15 @@
-//! Criterion ablations for the design choices of DESIGN.md §7 that are
-//! measurable on the host: verification strategy, window width, and
-//! point (de)compression cost.
+//! Criterion ablations for the design choices that are measurable on
+//! the host: variable-base scalar multiplication (width-5 wNAF vs
+//! double-and-add) and point (de)compression cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecq_crypto::HmacDrbg;
-use ecq_p256::ecdsa::{self, VerifyStrategy};
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::{AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
 use std::hint::black_box;
 
-/// Plain double-and-add, the ablation baseline for the 4-bit window.
+/// Plain double-and-add, the ablation baseline for the width-5 wNAF.
 fn mul_double_and_add(p: &AffinePoint, k: &Scalar) -> AffinePoint {
     let kv = k.to_canonical();
     let pj = JacobianPoint::from_affine(p);
@@ -24,28 +23,13 @@ fn mul_double_and_add(p: &AffinePoint, k: &Scalar) -> AffinePoint {
     acc.to_affine()
 }
 
-fn bench_verify_strategy(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_verify");
-    g.sample_size(20);
-    let mut rng = HmacDrbg::from_seed(0xAB1);
-    let kp = KeyPair::generate(&mut rng);
-    let sig = ecdsa::sign(&kp.private, b"msg");
-    g.bench_function("separate_muls", |b| {
-        b.iter(|| ecdsa::verify_with(&kp.public, b"msg", &sig, VerifyStrategy::SeparateMuls))
-    });
-    g.bench_function("shamir", |b| {
-        b.iter(|| ecdsa::verify_with(&kp.public, b"msg", &sig, VerifyStrategy::Shamir))
-    });
-    g.finish();
-}
-
-fn bench_window(c: &mut Criterion) {
+fn bench_scalar_mul(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_scalar_mul");
     g.sample_size(20);
     let mut rng = HmacDrbg::from_seed(0xAB2);
     let k = Scalar::random(&mut rng);
     let gpt = AffinePoint::generator();
-    g.bench_function("window4", |b| b.iter(|| gpt.mul_vartime(black_box(&k))));
+    g.bench_function("wnaf5", |b| b.iter(|| gpt.mul_vartime(black_box(&k))));
     g.bench_function("double_and_add", |b| {
         b.iter(|| mul_double_and_add(&gpt, black_box(&k)))
     });
@@ -67,10 +51,5 @@ fn bench_point_encoding(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_verify_strategy,
-    bench_window,
-    bench_point_encoding
-);
+criterion_group!(benches, bench_scalar_mul, bench_point_encoding);
 criterion_main!(benches);

@@ -119,25 +119,8 @@ fn bench_curve(c: &mut Criterion) {
     g.bench_function("ecdsa_sign", |b| {
         b.iter(|| ecdsa::sign(&kp.private, black_box(b"bench message")))
     });
-    g.bench_function("ecdsa_verify_separate", |b| {
-        b.iter(|| {
-            ecdsa::verify_with(
-                &kp.public,
-                b"bench message",
-                &sig,
-                ecdsa::VerifyStrategy::SeparateMuls,
-            )
-        })
-    });
-    g.bench_function("ecdsa_verify_shamir", |b| {
-        b.iter(|| {
-            ecdsa::verify_with(
-                &kp.public,
-                b"bench message",
-                &sig,
-                ecdsa::VerifyStrategy::Shamir,
-            )
-        })
+    g.bench_function("ecdsa_verify", |b| {
+        b.iter(|| ecdsa::verify(&kp.public, b"bench message", &sig))
     });
 
     g.bench_function("point_decompress", |b| {

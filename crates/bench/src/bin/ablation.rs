@@ -1,18 +1,16 @@
-//! Ablations of the design choices DESIGN.md §7 calls out:
+//! Ablations of the reproduction's design choices:
 //!
-//! 1. ECDSA verification strategy (two multiplications vs Shamir);
-//! 2. scalar-multiplication window (4-bit window vs double-and-add);
-//! 3. certificate point encoding (compressed vs uncompressed) and its
+//! 1. variable-base scalar multiplication (width-5 wNAF vs
+//!    double-and-add);
+//! 2. certificate point encoding (compressed vs uncompressed) and its
 //!    Table II impact;
-//! 4. ISO-TP flow-control parameters vs handshake wall time;
-//! 5. Opt. I/II pipelining on heterogeneous device pairs (eq. (6)).
+//! 3. ISO-TP flow-control parameters vs handshake wall time;
+//! 4. Opt. I/II pipelining on heterogeneous device pairs (eq. (6)).
 
 use ecq_bench::{deployment, run_protocol};
 use ecq_crypto::HmacDrbg;
 use ecq_devices::timing::{integrate, pair_total, pipelined_phases};
 use ecq_devices::DevicePreset;
-use ecq_p256::ecdsa::{self, VerifyStrategy};
-use ecq_p256::keys::KeyPair;
 use ecq_p256::point::{AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{ProtocolKind, Role};
@@ -20,7 +18,7 @@ use ecq_simnet::canfd::BitTiming;
 use ecq_simnet::isotp::{transfer_time_ns, IsoTpConfig};
 use std::time::Instant;
 
-/// Reference double-and-add (no window) for the ablation.
+/// Reference double-and-add (no recoding) for the ablation.
 fn mul_double_and_add(p: &AffinePoint, k: &Scalar) -> AffinePoint {
     let kv = k.to_canonical();
     let pj = JacobianPoint::from_affine(p);
@@ -44,49 +42,24 @@ fn time_us<F: FnMut()>(iters: u32, mut f: F) -> f64 {
 
 fn main() {
     let mut rng = HmacDrbg::from_seed(0xAB1A7E);
-    let kp = KeyPair::generate(&mut rng);
-    let sig = ecdsa::sign(&kp.private, b"ablation message");
 
-    println!("Ablation 1 — ECDSA verification strategy (host time)");
-    let t_sep = time_us(20, || {
-        assert!(ecdsa::verify_with(
-            &kp.public,
-            b"ablation message",
-            &sig,
-            VerifyStrategy::SeparateMuls
-        ));
-    });
-    let t_shamir = time_us(20, || {
-        assert!(ecdsa::verify_with(
-            &kp.public,
-            b"ablation message",
-            &sig,
-            VerifyStrategy::Shamir
-        ));
-    });
-    println!("  separate muls (micro-ecc style): {t_sep:>9.1} µs");
-    println!(
-        "  Shamir's trick:                  {t_shamir:>9.1} µs  ({:.0} % of separate)",
-        t_shamir / t_sep * 100.0
-    );
-
-    println!("\nAblation 2 — scalar multiplication: 4-bit window vs double-and-add");
+    println!("Ablation 1 — scalar multiplication: width-5 wNAF vs double-and-add");
     let k = Scalar::random(&mut rng);
     let g = AffinePoint::generator();
-    let t_window = time_us(20, || {
+    let t_wnaf = time_us(20, || {
         let _ = g.mul_vartime(&k);
     });
     let t_naive = time_us(20, || {
         let _ = mul_double_and_add(&g, &k);
     });
     assert_eq!(g.mul_vartime(&k), mul_double_and_add(&g, &k));
-    println!("  4-bit window:   {t_window:>9.1} µs");
+    println!("  width-5 wNAF:   {t_wnaf:>9.1} µs");
     println!(
-        "  double-and-add: {t_naive:>9.1} µs  (window saves {:.0} %)",
-        (1.0 - t_window / t_naive) * 100.0
+        "  double-and-add: {t_naive:>9.1} µs  (wNAF saves {:.0} %)",
+        (1.0 - t_wnaf / t_naive) * 100.0
     );
 
-    println!("\nAblation 3 — certificate point encoding vs Table II");
+    println!("\nAblation 2 — certificate point encoding vs Table II");
     // Compressed point: 33 B inside the 101-B cert. Uncompressed would
     // add 32 B per certificate transmission.
     for (kind, certs_on_wire) in [
@@ -108,7 +81,7 @@ fn main() {
         );
     }
 
-    println!("\nAblation 4 — ISO-TP flow control vs largest STS message (245 B)");
+    println!("\nAblation 3 — ISO-TP flow control vs largest STS message (245 B)");
     let timing = BitTiming::default();
     for (bs, st_min_us) in [(0u8, 0u32), (4, 0), (1, 0), (0, 500), (2, 1000)] {
         let cfg = IsoTpConfig {
@@ -123,7 +96,7 @@ fn main() {
         );
     }
 
-    println!("\nAblation 5 — Opt. II pipelining across heterogeneous pairs (eq. (6))");
+    println!("\nAblation 4 — Opt. II pipelining across heterogeneous pairs (eq. (6))");
     let (alice, bob, mut r) = deployment(78);
     let (transcript, _) = run_protocol(ProtocolKind::Sts, &alice, &bob, &mut r).expect("handshake");
     let pairs = [

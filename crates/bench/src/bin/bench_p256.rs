@@ -1,12 +1,10 @@
 //! Primitive-level P-256 benchmark and the `BENCH_p256.json` artifact.
 //!
 //! Times every hot curve primitive on the specialized field backend
-//! and — where one exists — a retired reference implementation of the
-//! *same* operation (the generic [`ecq_p256::mont::MontCtx`] engine
-//! for field rows, the pre-wNAF 4-bit window walk for
-//! `point_mul_vartime`), so the artifact records the optimization
-//! speedup live instead of relying on numbers copied from an older
-//! commit. CI uploads the JSON next to
+//! and, for the field rows, the generic [`ecq_p256::mont::MontCtx`]
+//! engine on the *same* operation, so the artifact records the
+//! optimization speedup live instead of relying on numbers copied from
+//! an older commit. CI uploads the JSON next to
 //! `BENCH_fleet.json`, tracking the perf trajectory per primitive.
 //!
 //! ```sh
@@ -17,9 +15,7 @@ use ecq_cert::{ca::CertificateAuthority, requester::CertRequester, DeviceId};
 use ecq_crypto::HmacDrbg;
 use ecq_p256::field::{FieldElement, P_HEX};
 use ecq_p256::mont::MontCtx;
-use ecq_p256::point::{
-    mul_generator_ct, mul_generator_vartime, multi_scalar_mul, AffinePoint, JacobianPoint,
-};
+use ecq_p256::point::{mul_generator_ct, mul_generator_vartime, AffinePoint, JacobianPoint};
 use ecq_p256::scalar::{Scalar, N_HEX};
 use ecq_p256::u256::U256;
 use ecq_p256::{ecdh, ecdsa, keys::KeyPair};
@@ -164,26 +160,6 @@ fn rows() -> Vec<Row> {
         ns: time_ns(100, || {
             black_box(peer.public.mul_vartime(black_box(&k)));
         }),
-        // Reference: the retired 4-bit fixed-window walk the width-5
-        // wNAF path replaced, normalized to affine like the live row.
-        reference_ns: Some(time_ns(100, || {
-            black_box(
-                JacobianPoint::from_affine(&peer.public)
-                    .mul_vartime_window(black_box(&k))
-                    .to_affine(),
-            );
-        })),
-    });
-    rows.push(Row {
-        name: "multi_scalar_mul",
-        ns: time_ns(100, || {
-            black_box(multi_scalar_mul(
-                black_box(&k),
-                &AffinePoint::generator(),
-                black_box(&sa),
-                &peer.public,
-            ));
-        }),
         reference_ns: None,
     });
     rows.push(Row {
@@ -201,26 +177,9 @@ fn rows() -> Vec<Row> {
         reference_ns: None,
     });
     rows.push(Row {
-        name: "ecdsa_verify_separate",
+        name: "ecdsa_verify",
         ns: time_ns(100, || {
-            black_box(ecdsa::verify_with(
-                &kp.public,
-                b"bench message",
-                &sig,
-                ecdsa::VerifyStrategy::SeparateMuls,
-            ));
-        }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecdsa_verify_shamir",
-        ns: time_ns(100, || {
-            black_box(ecdsa::verify_with(
-                &kp.public,
-                b"bench message",
-                &sig,
-                ecdsa::VerifyStrategy::Shamir,
-            ));
+            black_box(ecdsa::verify(&kp.public, b"bench message", &sig));
         }),
         reference_ns: None,
     });
@@ -239,7 +198,7 @@ fn rows() -> Vec<Row> {
 }
 
 fn json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"bench-p256-v1\",\n  \"unit\": \"ns_per_op\",\n  \"reference\": \"retired implementation of the same row (generic MontCtx engine, or the pre-wNAF window walk for point_mul_vartime)\",\n  \"rows\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"bench-p256-v1\",\n  \"unit\": \"ns_per_op\",\n  \"reference\": \"generic MontCtx engine on the same operation\",\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"ns\": {:.1}",

@@ -11,7 +11,7 @@
 //! | `fig4` | Fig. 4 — total KD processing time bars (STM32F767) |
 //! | `fig7` | Fig. 7 — BMS↔EVCC prototype timeline |
 //! | `fig8` | Fig. 8 — threat-model block diagram |
-//! | `ablation` | design-choice ablations (DESIGN.md §7) |
+//! | `ablation` | design-choice ablations |
 //! | `attacks` | executable §V-D attack experiments |
 
 #![warn(missing_docs)]

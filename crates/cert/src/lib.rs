@@ -52,7 +52,7 @@ pub use certificate::{ImplicitCert, CERT_LEN};
 pub use id::DeviceId;
 pub use revocation::RevocationList;
 
-use ecq_p256::point::AffinePoint;
+use ecq_p256::point::{AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
 use ecq_p256::CurveError;
 
@@ -116,23 +116,16 @@ pub fn reconstruct_public_key(
     cert: &ImplicitCert,
     ca_public: &AffinePoint,
 ) -> Result<AffinePoint, CertError> {
-    let e = cert_hash(cert);
-    let p_u = cert.reconstruction_point()?;
-    // Everything here is public (certificate bytes and CA key), so the
-    // faster vartime path is fine. The Straus double-scalar walk folds
-    // the `+ Q_CA` term into the same ladder as `e·P_U`, saving the
-    // separate affine addition (and its field inversion).
-    let q = ecq_p256::point::multi_scalar_mul(&e, &p_u, &Scalar::one(), ca_public);
-    if q.infinity || !q.is_on_curve() {
+    let q = reconstruct_public_key_jacobian(cert, ca_public)?.to_affine();
+    if !q.is_on_curve() {
         return Err(CertError::InvalidPoint);
     }
     Ok(q)
 }
 
-/// [`reconstruct_public_key`] without the final affine normalization:
-/// the same eq. (1) ladder, left in Jacobian coordinates so batch
-/// verifiers ([`requester::CertRequester::reconstruct_batch`]) can
-/// amortize the inversion across a whole enrollment batch with
+/// [`reconstruct_public_key`] without the final affine normalization,
+/// so batch verifiers ([`requester::CertRequester::reconstruct_batch`])
+/// can amortize the inversion across a whole enrollment batch with
 /// [`ecq_p256::point::batch_normalize`]. The curve-equation check of
 /// the affine path runs after normalization, on the caller's side.
 ///
@@ -143,10 +136,14 @@ pub fn reconstruct_public_key(
 pub fn reconstruct_public_key_jacobian(
     cert: &ImplicitCert,
     ca_public: &AffinePoint,
-) -> Result<ecq_p256::point::JacobianPoint, CertError> {
+) -> Result<JacobianPoint, CertError> {
     let e = cert_hash(cert);
     let p_u = cert.reconstruction_point()?;
-    let q = ecq_p256::point::multi_scalar_mul_jacobian(&e, &p_u, &Scalar::one(), ca_public);
+    // Everything here is public (certificate bytes and CA key), so the
+    // faster vartime path is fine.
+    let q = JacobianPoint::from_affine(&p_u)
+        .mul_vartime(&e)
+        .add_affine(ca_public);
     if q.is_identity() {
         return Err(CertError::InvalidPoint);
     }

@@ -22,7 +22,7 @@
 
 use ecq_cert::{reconstruct_public_key, CertError, ImplicitCert};
 use ecq_crypto::ctr::ctr_blocks;
-use ecq_p256::ecdsa::{self, Signature, VerifyStrategy};
+use ecq_p256::ecdsa::{self, Signature};
 use ecq_p256::point::AffinePoint;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{OpTrace, PrimitiveOp, ProtocolError, SessionKey, StsPhase};
@@ -72,8 +72,8 @@ pub fn auth_response(
 /// Reconstruction is a pure function of `(Cert_X, Q_CA)`, so a hint
 /// computed once per *certificate* session (e.g. when a
 /// [`crate::SessionManager`] first establishes) lets every later rekey
-/// handshake of the same pair skip the double-scalar ladder — the
-/// dominant cost of Algorithm 2 after the ECDSA verify itself.
+/// handshake of the same pair skip the eq. (1) scalar multiplication —
+/// the dominant cost of Algorithm 2 after the ECDSA verify itself.
 ///
 /// Soundness: the fields are private and [`Self::compute`] is the only
 /// constructor, so a hint always holds the genuine reconstruction for
@@ -188,7 +188,7 @@ pub fn verify_response_hinted(
     msg[64..].copy_from_slice(xg_own);
 
     trace.record(StsPhase::Op4DecryptVerify, PrimitiveOp::EcdsaVerify);
-    if ecdsa::verify_with(&q_x, &msg, &sig, VerifyStrategy::SeparateMuls) {
+    if ecdsa::verify(&q_x, &msg, &sig) {
         Ok(())
     } else {
         Err(ProtocolError::AuthenticationFailed)
@@ -199,7 +199,8 @@ pub fn verify_response_hinted(
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
-    use ecq_cert::DeviceId;
+    use ecq_cert::requester::CertRequester;
+    use ecq_cert::{reconstruct_public_key_jacobian, DeviceId};
     use ecq_crypto::HmacDrbg;
     use ecq_proto::Credentials;
 
@@ -382,5 +383,81 @@ mod tests {
             .unwrap_err(),
             ProtocolError::Decode
         );
+    }
+
+    #[test]
+    fn corrupt_reconstruction_point_fails_closed() {
+        let mut rng = HmacDrbg::from_seed(117);
+        let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+        let ca_pub = ca.public_key();
+        let req = CertRequester::generate(DeviceId::from_label("dev"), &mut rng);
+        let issued = ca.issue(&req.request(), 0, 10, &mut rng).unwrap();
+        let keys = req.reconstruct(&issued, &ca_pub).unwrap();
+
+        // Two certificates whose `P_U` does not decode: a bad SEC1 tag,
+        // and an `x` with no curve point (`x³ − 3x + b` a non-residue).
+        let mut bad_tag = issued;
+        bad_tag.certificate.point[0] = 0x05;
+        let mut off_curve = issued;
+        off_curve.certificate.point = [0u8; 33];
+        off_curve.certificate.point[0] = 0x02;
+        while AffinePoint::from_bytes_compressed(&off_curve.certificate.point).is_ok() {
+            off_curve.certificate.point[32] += 1;
+        }
+
+        let xg_a = [1u8; 64];
+        let xg_b = [2u8; 64];
+        let mut trace = OpTrace::new();
+        let resp = auth_response(
+            &ks(),
+            &keys.private,
+            &xg_a,
+            &xg_b,
+            DIR_INITIATOR,
+            &mut trace,
+        );
+        let hint = ReconstructionHint::compute(&issued.certificate, &ca_pub).unwrap();
+        let invalid = CertError::InvalidPoint;
+        for bad in [bad_tag, off_curve] {
+            let cert = &bad.certificate;
+            assert_eq!(reconstruct_public_key(cert, &ca_pub), Err(invalid));
+            assert_eq!(
+                reconstruct_public_key_jacobian(cert, &ca_pub).unwrap_err(),
+                invalid
+            );
+            assert_eq!(req.reconstruct(&bad, &ca_pub).unwrap_err(), invalid);
+            assert_eq!(
+                CertRequester::reconstruct_batch(std::slice::from_ref(&req), &[bad], &ca_pub)
+                    .unwrap_err(),
+                invalid
+            );
+            assert_eq!(
+                verify_response(
+                    &ks(),
+                    &resp,
+                    cert,
+                    &ca_pub,
+                    &xg_a,
+                    &xg_b,
+                    DIR_INITIATOR,
+                    &mut trace
+                ),
+                Err(ProtocolError::Cert(invalid))
+            );
+            assert_eq!(
+                verify_response_hinted(
+                    &ks(),
+                    &resp,
+                    cert,
+                    &ca_pub,
+                    &xg_a,
+                    &xg_b,
+                    DIR_INITIATOR,
+                    &mut trace,
+                    Some(&hint)
+                ),
+                Err(ProtocolError::Cert(invalid))
+            );
+        }
     }
 }

@@ -10,9 +10,9 @@
 //! [[allow]]
 //! class = "vartime-call"             # finding class (required)
 //! file = "crates/p256/src/ecdsa.rs"  # scanned file (required)
-//! context = "verify_with"            # enclosing fn / struct (required)
-//! ident = "multi_scalar_mul"         # callee / binding (optional)
-//! justification = "u1, u2 and Q are public in ECDSA verification"
+//! context = "verify_prehashed"       # enclosing fn / struct (required)
+//! ident = "mul_vartime"              # callee / binding (optional)
+//! justification = "u2 and Q are public in ECDSA verification"
 //! ```
 //!
 //! The `class` key must belong to the owning pass's vocabulary

@@ -69,20 +69,29 @@ fn workspace_is_clean_under_committed_allowlists() {
          this pin alongside the justification"
     );
 
-    // The panic-reach allowlist size is tracked and may only shrink:
-    // a refactor of the hot path deletes entries, never adds them.
-    // Lower this ceiling when entries go.
+    // The panic-reach and secret-flow allowlist sizes are tracked and
+    // may only shrink: a refactor of the hot path deletes entries,
+    // never adds them. Lower a ceiling when entries go.
     const PANIC_ALLOW_MAX: usize = 36;
+    const CT_ALLOW_MAX: usize = 11;
     let panic_reach = ecq_lint::panicreach::PanicReach;
-    let text = std::fs::read_to_string(root.join(panic_reach.default_allowlist()))
-        .expect("read the panic-reach allowlist");
-    let (entries, errors) = ecq_lint::allowlist::parse(&text, panic_reach.classes());
-    assert!(errors.is_empty(), "{errors:#?}");
-    assert!(
-        entries.len() <= PANIC_ALLOW_MAX,
-        "the panic-reach allowlist grew to {} entries (ceiling {PANIC_ALLOW_MAX})",
-        entries.len()
-    );
+    let secret_flow = ecq_lint::secretflow::SecretFlow::default();
+    let ceilings: [(&dyn Pass, usize); 2] = [
+        (&panic_reach, PANIC_ALLOW_MAX),
+        (&secret_flow, CT_ALLOW_MAX),
+    ];
+    for (pass, max) in ceilings {
+        let text = std::fs::read_to_string(root.join(pass.default_allowlist()))
+            .expect("read a committed allowlist");
+        let (entries, errors) = ecq_lint::allowlist::parse(&text, pass.classes());
+        assert!(errors.is_empty(), "{errors:#?}");
+        assert!(
+            entries.len() <= max,
+            "the {} allowlist grew to {} entries (ceiling {max})",
+            pass.name(),
+            entries.len()
+        );
+    }
 
     // The JSON artifact CI uploads parses back, and a clean run's
     // per-pass finding arrays are empty.

@@ -3,13 +3,17 @@
 //! This is the authentication primitive of both the paper's STS design
 //! (Algorithms 1 and 2) and the static S-ECDSA baseline. Signing is
 //! deterministic (RFC 6979) by default — reproducible simulation — with
-//! an optional randomized mode. Verification supports two strategies:
-//! two separate scalar multiplications (micro-ecc's behaviour, the
-//! default for the device cost model) and Shamir's trick (an ablation).
+//! an optional randomized mode.
+//!
+//! Verification computes `u1·G + u2·Q` as two separate scalar
+//! multiplications. micro-ecc's `uECC_verify` uses Shamir's trick
+//! instead; on the host the separate form wins because `u1·G` rides
+//! the wide fixed-base comb (see the decision record in
+//! [`crate::precomp`]). Device timings come from the fitted Table I
+//! costs in `ecq_devices`, not from this code, so the choice never
+//! reaches the paper's numbers.
 
-use crate::point::{
-    mul_generator_ct, mul_generator_vartime_jacobian, multi_scalar_mul, AffinePoint, JacobianPoint,
-};
+use crate::point::{mul_generator_ct, mul_generator_vartime_jacobian, AffinePoint, JacobianPoint};
 use crate::rfc6979;
 use crate::scalar::Scalar;
 use crate::CurveError;
@@ -66,26 +70,6 @@ impl Signature {
         }
         Ok(Signature { r, s })
     }
-}
-
-/// Verification strategy for the `u1·G + u2·Q` computation.
-///
-/// Separate muls stay the default on measurement, not convention: the
-/// fixed-base `u1·G` rides the 8-bit wide comb (no doublings at all)
-/// while the Shamir ladder would force it through ~256 shared
-/// doublings — a trade the comb wins even after the wNAF rework of
-/// `u2·Q`. See the decision record in [`crate::precomp`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum VerifyStrategy {
-    /// Two independent scalar multiplications, then one addition —
-    /// micro-ecc's approach and the measured winner (comb-backed
-    /// `u1·G` + wNAF `u2·Q`).
-    #[default]
-    SeparateMuls,
-    /// Shamir's trick: one interleaved double-and-add pass. Kept as an
-    /// ablation; loses to [`Self::SeparateMuls`] because the shared
-    /// ladder cannot use the fixed-base comb.
-    Shamir,
 }
 
 fn hash_to_scalar(msg: &[u8]) -> Scalar {
@@ -145,27 +129,11 @@ fn sign_with_k(private: &Scalar, e: &Scalar, k: &Scalar) -> Option<Signature> {
 
 /// Verifies a signature on `msg` (hashed internally) under `public`.
 pub fn verify(public: &AffinePoint, msg: &[u8], sig: &Signature) -> bool {
-    verify_with(public, msg, sig, VerifyStrategy::default())
-}
-
-/// Verifies with an explicit [`VerifyStrategy`].
-pub fn verify_with(
-    public: &AffinePoint,
-    msg: &[u8],
-    sig: &Signature,
-    strategy: VerifyStrategy,
-) -> bool {
-    let h = sha256(msg);
-    verify_prehashed(public, &h, sig, strategy)
+    verify_prehashed(public, &sha256(msg), sig)
 }
 
 /// Verifies a signature over a precomputed 32-byte hash.
-pub fn verify_prehashed(
-    public: &AffinePoint,
-    hash: &[u8; 32],
-    sig: &Signature,
-    strategy: VerifyStrategy,
-) -> bool {
+pub fn verify_prehashed(public: &AffinePoint, hash: &[u8; 32], sig: &Signature) -> bool {
     if public.infinity || !public.is_on_curve() || sig.r.is_zero() || sig.s.is_zero() {
         return false;
     }
@@ -174,18 +142,12 @@ pub fn verify_prehashed(
     let u1 = e.mul(&s_inv);
     let u2 = sig.r.mul(&s_inv);
     // u1/u2 derive from the public signature and hash, so verification
-    // stays on the faster vartime paths.
-    let point = match strategy {
-        VerifyStrategy::SeparateMuls => {
-            // u1·G rides the wide fixed-base comb (no doublings); the
-            // sum stays Jacobian so the whole verification pays one
-            // field inversion instead of three.
-            let u1g = mul_generator_vartime_jacobian(&u1);
-            let u2q = JacobianPoint::from_affine(public).mul_vartime(&u2);
-            u1g.add(&u2q).to_affine()
-        }
-        VerifyStrategy::Shamir => multi_scalar_mul(&u1, &AffinePoint::generator(), &u2, public),
-    };
+    // stays on the faster vartime paths. u1·G rides the wide fixed-base
+    // comb (no doublings); the sum stays Jacobian so the whole
+    // verification pays one field inversion instead of three.
+    let u1g = mul_generator_vartime_jacobian(&u1);
+    let u2q = JacobianPoint::from_affine(public).mul_vartime(&u2);
+    let point = u1g.add(&u2q).to_affine();
     if point.infinity {
         return false;
     }
@@ -242,18 +204,7 @@ mod tests {
         let mut rng = HmacDrbg::from_seed(41);
         let kp = KeyPair::generate(&mut rng);
         let sig = sign(&kp.private, b"session transcript");
-        assert!(verify_with(
-            &kp.public,
-            b"session transcript",
-            &sig,
-            VerifyStrategy::SeparateMuls
-        ));
-        assert!(verify_with(
-            &kp.public,
-            b"session transcript",
-            &sig,
-            VerifyStrategy::Shamir
-        ));
+        assert!(verify(&kp.public, b"session transcript", &sig));
     }
 
     #[test]

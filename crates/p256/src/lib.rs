@@ -14,7 +14,8 @@
 //! * [`point`] — affine/Jacobian group operations and scalar
 //!   multiplication, split into constant-schedule `*_ct` paths for
 //!   secret scalars and explicit `*_vartime` paths for public ones
-//!   (4-bit windows; Shamir's trick for verification double mults),
+//!   (4-bit windows for `*_ct`, width-5 wNAF for the variable-base
+//!   vartime multiplier),
 //! * [`ct`] — the mask/select/table-scan primitives under the `*_ct`
 //!   paths,
 //! * [`precomp`] — the fixed-base window table behind

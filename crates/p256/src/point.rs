@@ -13,14 +13,11 @@
 //!   4 doublings + 1 masked addition per window. Key generation, ECDH,
 //!   ECDSA signing and the ECQV secret paths use these.
 //! * **`*_vartime`** — faster, schedule leaks the scalar's digit
-//!   pattern: [`mul_generator_vartime`], [`AffinePoint::mul_vartime`]
-//!   (width-5 wNAF over an odd-multiples table) and
-//!   [`multi_scalar_mul`] (interleaved wNAF sharing one doubling
-//!   ladder and one table inversion). Only for public inputs: ECDSA
-//!   verification, eq. (1) public-key reconstruction, benches and
-//!   attack simulations. The retired 4-bit fixed-window walk survives
-//!   as [`JacobianPoint::mul_vartime_window`], the differential-test
-//!   and bench baseline for the wNAF path.
+//!   pattern: [`mul_generator_vartime`] (the wide fixed-base comb) and
+//!   [`JacobianPoint::mul_vartime`] (width-5 wNAF over an
+//!   odd-multiples table), the one variable-base vartime multiplier.
+//!   Only for public inputs: ECDSA verification, eq. (1) public-key
+//!   reconstruction, benches and attack simulations.
 //!
 //! The op-counter (the `ops` module, compiled under `cfg(test)` or the
 //! `schedule-counters` feature) asserts the ct schedules are
@@ -470,14 +467,12 @@ impl JacobianPoint {
     /// `1·P, 3·P … 15·P` normalized to affine around one shared
     /// inversion, then runs one doubling ladder with a mixed
     /// Jacobian+affine addition per nonzero digit — ~255 doublings and
-    /// ~43 additions on average, versus ~252 doublings and ~60 full
-    /// Jacobian additions for the 4-bit window walk it replaced
-    /// ([`Self::mul_vartime_window`]). Negative digits reuse the table
-    /// entry negated, so the table stays eight entries.
+    /// ~43 additions on average. Negative digits reuse the table entry
+    /// negated, so the table stays eight entries.
     ///
     /// The schedule leaks the scalar's digit pattern: only for public
-    /// scalars (ECDSA verification, benches, attack tooling). Secret
-    /// scalars go through [`Self::mul_ct`].
+    /// scalars (ECDSA verification, eq. (1) reconstruction, benches,
+    /// attack tooling). Secret scalars go through [`Self::mul_ct`].
     pub fn mul_vartime(&self, k: &Scalar) -> JacobianPoint {
         let kv = k.to_canonical();
         if kv.is_zero() || self.is_identity() {
@@ -498,34 +493,8 @@ impl JacobianPoint {
         acc
     }
 
-    /// Variable-time scalar multiplication with a 4-bit fixed window —
-    /// the pre-wNAF path, kept as the differential-test and bench
-    /// baseline for [`Self::mul_vartime`].
-    ///
-    /// Zero windows skip the table addition, so the group-operation
-    /// schedule leaks the scalar's nibble pattern: only for public
-    /// scalars.
-    pub fn mul_vartime_window(&self, k: &Scalar) -> JacobianPoint {
-        let kv = k.to_canonical();
-        if kv.is_zero() || self.is_identity() {
-            return Self::identity();
-        }
-        let table = self.vartime_window_table();
-        let mut acc = Self::identity();
-        for w in (0..64).rev() {
-            if !acc.is_identity() {
-                acc = acc.double().double().double().double();
-            }
-            let nib = kv.nibble(w);
-            if nib != 0 {
-                acc = acc.add(&table[nib as usize - 1]);
-            }
-        }
-        acc
-    }
-
     /// Precomputes the odd multiples `1·P, 3·P … 15·P` for the width-5
-    /// wNAF walks (one doubling + seven additions).
+    /// wNAF walk (one doubling + seven additions).
     fn wnaf_table_vartime(&self) -> [JacobianPoint; 8] {
         let twice = self.double();
         let mut m = [*self; 8];
@@ -533,20 +502,6 @@ impl JacobianPoint {
             m[i] = m[i - 1].add(&twice);
         }
         m
-    }
-
-    /// Precomputes `1·P … 15·P` for the 4-bit vartime window walks
-    /// (shared by [`Self::mul_vartime`] and [`multi_scalar_mul`]).
-    fn vartime_window_table(&self) -> [JacobianPoint; 15] {
-        let mut table = [*self; 15];
-        for i in 2..=15 {
-            table[i - 1] = if i % 2 == 0 {
-                table[i / 2 - 1].double()
-            } else {
-                table[i - 2].add(self)
-            };
-        }
-        table
     }
 
     /// Constant-schedule scalar multiplication `k·self` for secret `k`.
@@ -795,83 +750,6 @@ fn wnaf_entry_vartime(table: &[AffinePoint; 8], d: i8) -> AffinePoint {
     }
 }
 
-/// Shamir/Straus double-scalar multiplication: computes `a·P + b·Q`
-/// with one shared doubling ladder over interleaved width-5 wNAF
-/// digits — two 8-entry odd-multiples tables normalized around a
-/// *single* shared field inversion, one doubling per bit, and at most
-/// one mixed addition per scalar per 5 bits. Variable-time by
-/// construction; only for public inputs (ECDSA verification, the
-/// eq. (1) ECQV public-key reconstruction, attack tooling).
-// ct-vartime: interleaved wNAF, schedule depends on both scalars.
-pub fn multi_scalar_mul(a: &Scalar, p: &AffinePoint, b: &Scalar, q: &AffinePoint) -> AffinePoint {
-    multi_scalar_mul_jacobian(a, p, b, q).to_affine()
-}
-
-/// [`multi_scalar_mul`] without the final affine normalization, for
-/// callers that amortize the inversion via [`batch_normalize`] or
-/// compare results in the projective equivalence class.
-// ct-vartime: interleaved wNAF, schedule depends on both scalars.
-pub fn multi_scalar_mul_jacobian(
-    a: &Scalar,
-    p: &AffinePoint,
-    b: &Scalar,
-    q: &AffinePoint,
-) -> JacobianPoint {
-    let av = a.to_canonical();
-    let bv = b.to_canonical();
-    // A unit scalar contributes exactly one mixed addition of its
-    // affine base at digit 0 — no table needed. The eq. (1)
-    // reconstruction's `+ Q_CA` term rides this case on every
-    // certificate validation.
-    let unit_a = av == U256::ONE;
-    let unit_b = bv == U256::ONE;
-    let need_a = !unit_a && !av.is_zero() && !p.infinity;
-    let need_b = !unit_b && !bv.is_zero() && !q.infinity;
-    // Both odd-multiples tables normalize around one shared inversion;
-    // unused halves stay at the identity and skip the product.
-    let mut joint = [JacobianPoint::identity(); 16];
-    if need_a {
-        joint[..8].copy_from_slice(&JacobianPoint::from_affine(p).wnaf_table_vartime());
-    }
-    if need_b {
-        joint[8..].copy_from_slice(&JacobianPoint::from_affine(q).wnaf_table_vartime());
-    }
-    let joint = normalize_fixed(&joint);
-    let mut ta = [AffinePoint::identity(); 8];
-    let mut tb = [AffinePoint::identity(); 8];
-    ta.copy_from_slice(&joint[..8]);
-    tb.copy_from_slice(&joint[8..]);
-
-    let (da, la) = wnaf5_vartime(&av);
-    let (db, lb) = wnaf5_vartime(&bv);
-    let mut acc = JacobianPoint::identity();
-    for i in (0..la.max(lb)).rev() {
-        if !acc.is_identity() {
-            acc = acc.double();
-        }
-        let dig_a = da[i];
-        if dig_a != 0 {
-            // An identity base contributes nothing: its table (or, for
-            // a unit scalar, the base itself) adds the identity, which
-            // `add_affine` passes through.
-            acc = if unit_a {
-                acc.add_affine(p)
-            } else {
-                acc.add_affine(&wnaf_entry_vartime(&ta, dig_a))
-            };
-        }
-        let dig_b = db[i];
-        if dig_b != 0 {
-            acc = if unit_b {
-                acc.add_affine(q)
-            } else {
-                acc.add_affine(&wnaf_entry_vartime(&tb, dig_b))
-            };
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -958,73 +836,6 @@ mod tests {
     fn doubling_matches_addition() {
         let g = JacobianPoint::from_affine(&AffinePoint::generator());
         assert_eq!(g.double(), g.add(&g));
-    }
-
-    #[test]
-    fn multi_scalar_matches_naive() {
-        let mut rng = HmacDrbg::from_seed(5);
-        let g = AffinePoint::generator();
-        for _ in 0..4 {
-            let a = Scalar::random(&mut rng);
-            let b = Scalar::random(&mut rng);
-            let q = g.mul_vartime(&Scalar::random(&mut rng));
-            let fast = multi_scalar_mul(&a, &g, &b, &q);
-            let naive = g.mul_vartime(&a).add(&q.mul_vartime(&b));
-            assert_eq!(fast, naive);
-        }
-    }
-
-    #[test]
-    fn multi_scalar_edge_cases() {
-        let mut rng = HmacDrbg::from_seed(0xE5);
-        let g = AffinePoint::generator();
-        let q = g.mul_vartime(&Scalar::random(&mut rng));
-        let id = AffinePoint::identity();
-        let r = Scalar::random(&mut rng);
-        // Every combination of edge scalar × edge base against the
-        // naive two-multiplication reference, including the unit-scalar
-        // shortcut (eq. (1)'s `1·Q_CA` term) and identity bases.
-        for (i, a) in edge_scalars().iter().enumerate() {
-            for (j, b) in edge_scalars().iter().enumerate() {
-                for (k, (p1, p2)) in [(g, q), (q, id), (id, q), (id, id)].iter().enumerate() {
-                    let fast = multi_scalar_mul(a, p1, b, p2);
-                    let naive = p1.mul_vartime(a).add(&p2.mul_vartime(b));
-                    assert_eq!(fast, naive, "a {i}, b {j}, bases {k}");
-                }
-            }
-        }
-        // Jacobian variant agrees in the equivalence class.
-        assert_eq!(
-            multi_scalar_mul_jacobian(&r, &g, &Scalar::one(), &q).to_affine(),
-            multi_scalar_mul(&r, &g, &Scalar::one(), &q)
-        );
-    }
-
-    #[test]
-    fn wnaf_matches_window_reference() {
-        // The wNAF path against the retired 4-bit window walk, over the
-        // same edge-scalar sweep the ct tests use plus extra sparse and
-        // dense patterns, for generator / random / identity bases.
-        let mut rng = HmacDrbg::from_seed(0xE6);
-        let g = JacobianPoint::from_affine(&AffinePoint::generator());
-        let bases = [
-            g,
-            g.mul_vartime(&Scalar::random(&mut rng)),
-            JacobianPoint::identity(),
-        ];
-        let mut scalars = edge_scalars();
-        scalars.push(Scalar::from_u64(0xFFFF_FFFF_FFFF_FFFF)); // dense NAF
-        scalars.push(pow2_scalar(255)); // single top bit
-        scalars.push(pow2_scalar(255).add(&Scalar::one())); // sparse ends
-        for (bi, base) in bases.iter().enumerate() {
-            for (i, k) in scalars.iter().enumerate() {
-                assert_eq!(
-                    base.mul_vartime(k),
-                    base.mul_vartime_window(k),
-                    "base {bi}, scalar {i}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1165,8 +976,14 @@ mod tests {
             g.mul_vartime(&Scalar::random(&mut rng)),
             AffinePoint::identity(),
         ];
+        // Beyond the edge sweep, NAF shapes the wNAF recoding must get
+        // right: a dense run, a single top bit, and sparse ends.
+        let mut scalars = edge_scalars();
+        scalars.push(Scalar::from_u64(0xFFFF_FFFF_FFFF_FFFF));
+        scalars.push(pow2_scalar(255));
+        scalars.push(pow2_scalar(255).add(&Scalar::one()));
         for (bi, base) in bases.iter().enumerate() {
-            for (i, k) in edge_scalars().iter().enumerate() {
+            for (i, k) in scalars.iter().enumerate() {
                 assert_eq!(base.mul_ct(k), base.mul_vartime(k), "base {bi}, scalar {i}");
             }
         }

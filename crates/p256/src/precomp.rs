@@ -28,19 +28,15 @@
 //! Montgomery's trick). A process that only ever runs secret-scalar
 //! paths never pays for the wide comb.
 //!
-//! **Why ECDSA verification still runs two separate multiplications.**
-//! The wide comb is also the reason Shamir/Straus loses the
-//! verification bake-off, re-measured after the width-5 wNAF rework of
-//! `mul_vartime`: separate muls cost one comb-backed `u1·G` (~19 µs
-//! here, 31 additions, zero doublings) plus one wNAF `u2·Q` (~100 µs),
-//! totalling ~120 µs, while the interleaved Straus pass (~135 µs) must
-//! drag `u1·G` through the full 256-doubling ladder because a shared
-//! ladder cannot ride a fixed-base comb. wNAF narrowed the gap (it
-//! shaved both `u2·Q` and the Straus digit schedule) but did not close
-//! it, so [`crate::ecdsa::VerifyStrategy::SeparateMuls`] stays the
-//! default and Shamir remains an ablation. Re-run
-//! `cargo run --release --bin bench_p256` after touching either path;
-//! the `ecdsa_verify_*` rows are the decision record.
+//! **Why ECDSA verification runs two separate multiplications.**
+//! The wide comb is also why `u1·G + u2·Q` is not one interleaved
+//! Shamir/Straus ladder: separately, `u1·G` rides the comb (31
+//! additions, zero doublings) and only `u2·Q` pays the wNAF ladder,
+//! while a shared ladder must drag `u1·G` through all ~256 doublings
+//! because it cannot use a fixed-base comb. Measured on the host, the
+//! Straus form lost (123.6 µs against 105.1 µs in one `bench_p256`
+//! snapshot); an alternative verifier has to beat the `ecdsa_verify`
+//! row of `cargo run --release --bin bench_p256` to replace this one.
 
 use crate::point::{batch_normalize, AffinePoint, JacobianPoint};
 use std::sync::OnceLock;

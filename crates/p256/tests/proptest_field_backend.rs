@@ -12,7 +12,6 @@
 
 use ecq_p256::field::{FieldElement, P_HEX};
 use ecq_p256::mont::MontCtx;
-use ecq_p256::point::{mul_generator_vartime, multi_scalar_mul, AffinePoint};
 use ecq_p256::scalar::{Scalar, N_HEX};
 use ecq_p256::u256::U256;
 use proptest::prelude::*;
@@ -144,47 +143,5 @@ proptest! {
         // All-ones upper edge.
         let ones = [u64::MAX; 8];
         prop_assert_eq!(Scalar::from_wide(&ones).to_canonical(), ctx.reduce_wide(&ones));
-    }
-
-    #[test]
-    fn straus_double_scalar_matches_two_single_muls(
-        a in arb_u256(),
-        b in arb_u256(),
-        q_seed in arb_u256(),
-    ) {
-        let a = Scalar::from_reduced(&a);
-        let b = Scalar::from_reduced(&b);
-        let g = AffinePoint::generator();
-        let q = mul_generator_vartime(&Scalar::from_reduced(&q_seed));
-        prop_assert_eq!(
-            multi_scalar_mul(&a, &g, &b, &q),
-            g.mul_vartime(&a).add(&q.mul_vartime(&b))
-        );
-        // Unit scalars take the table-free fast path (the eq. (1)
-        // reconstruction shape).
-        prop_assert_eq!(
-            multi_scalar_mul(&a, &g, &Scalar::one(), &q),
-            mul_generator_vartime(&a).add(&q)
-        );
-        prop_assert_eq!(
-            multi_scalar_mul(&Scalar::one(), &g, &b, &q),
-            q.mul_vartime(&b).add(&g)
-        );
-        // Degenerate operands: zero scalars and identity bases.
-        prop_assert_eq!(
-            multi_scalar_mul(&Scalar::zero(), &g, &b, &q),
-            q.mul_vartime(&b)
-        );
-        prop_assert_eq!(
-            multi_scalar_mul(&a, &g, &Scalar::zero(), &q),
-            g.mul_vartime(&a)
-        );
-        prop_assert_eq!(
-            multi_scalar_mul(&a, &AffinePoint::identity(), &b, &q),
-            q.mul_vartime(&b)
-        );
-        prop_assert!(multi_scalar_mul(
-            &Scalar::zero(), &g, &Scalar::zero(), &q
-        ).infinity);
     }
 }

@@ -4,12 +4,10 @@
 //! low — every case costs several scalar multiplications.
 
 use ecq_crypto::HmacDrbg;
-use ecq_p256::ecdsa::{self, VerifyStrategy};
+use ecq_p256::ecdsa;
 use ecq_p256::encoding;
 use ecq_p256::keys::KeyPair;
-use ecq_p256::point::{
-    mul_generator_ct, mul_generator_vartime, multi_scalar_mul, AffinePoint, JacobianPoint,
-};
+use ecq_p256::point::{mul_generator_ct, mul_generator_vartime, AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
 use ecq_p256::u256::U256;
 use proptest::prelude::*;
@@ -156,29 +154,20 @@ proptest! {
     }
 
     #[test]
-    fn shamir_equals_naive(a in arb_scalar(), b in arb_scalar(), q_scalar in arb_scalar()) {
-        let g = AffinePoint::generator();
-        let q = mul_generator_vartime(&q_scalar);
-        prop_assert_eq!(
-            multi_scalar_mul(&a, &g, &b, &q),
-            g.mul_vartime(&a).add(&q.mul_vartime(&b))
-        );
-    }
-
-    #[test]
     fn wnaf_agrees_with_window_walk(
         base_scalar in arb_scalar(),
         a in arb_scalar(),
         sparse in arb_sparse_scalar(),
         dense_byte in 1u8..=255,
     ) {
-        // The width-5 wNAF `mul_vartime` against the retired 4-bit
-        // window walk it replaced, over random, sparse-NAF (single
-        // nonzero digit), dense-NAF (every byte set) and edge scalars.
+        // The width-5 wNAF `mul_vartime` against `mul_ct`, an
+        // independent 4-bit window walk, over random, sparse-NAF
+        // (single nonzero digit), dense-NAF (every byte set) and edge
+        // scalars.
         let base = JacobianPoint::from_affine(&mul_generator_vartime(&base_scalar));
         let dense = Scalar::from_reduced(&U256::from_be_bytes(&[dense_byte; 32]));
         for k in [a, sparse, dense].into_iter().chain(edge_scalars()) {
-            prop_assert_eq!(base.mul_vartime(&k), base.mul_vartime_window(&k));
+            prop_assert_eq!(base.mul_vartime(&k), base.mul_ct(&k));
         }
     }
 
@@ -186,8 +175,7 @@ proptest! {
     fn ecdsa_roundtrip_and_strategy_agreement(key in arb_scalar(), msg in any::<[u8; 24]>()) {
         let kp = KeyPair::from_private(key);
         let sig = ecdsa::sign(&kp.private, &msg);
-        prop_assert!(ecdsa::verify_with(&kp.public, &msg, &sig, VerifyStrategy::SeparateMuls));
-        prop_assert!(ecdsa::verify_with(&kp.public, &msg, &sig, VerifyStrategy::Shamir));
+        prop_assert!(ecdsa::verify(&kp.public, &msg, &sig));
         prop_assert!(!sig.s.is_high());
         // Tampered message rejected.
         let mut other = msg;

@@ -52,8 +52,9 @@ pub enum PrimitiveOp {
     EcdhDerive,
     /// ECDSA signature generation.
     EcdsaSign,
-    /// ECDSA signature verification (two point multiplications in the
-    /// micro-ecc-style default).
+    /// ECDSA signature verification. The host computes `u1·G + u2·Q`
+    /// as two separate multiplications; device timings bill the fitted
+    /// Table I cost of `ecq_devices` whatever the host does.
     EcdsaVerify,
     /// AES-CTR encryption of `blocks` 16-byte blocks.
     AesEncrypt {
