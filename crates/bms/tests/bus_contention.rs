@@ -3,12 +3,12 @@
 //! occupancy accounting.
 
 use ecq_bms::BmsScenario;
-use ecq_proto::ProtocolKind;
-use ecq_simnet::bus::CanBus;
-use ecq_simnet::canfd::{BitTiming, CanFdFrame};
+use ecq_proto::{FieldKind, Message, ProtocolKind, Role, WireField};
 use ecq_simnet::isotp::{segment, IsoTpConfig};
+use ecq_simnet::{BabbleSpec, FaultPlan, FaultSpec, SharedBus};
 
-/// Telemetry uses a lower CAN id (higher priority) than the handshake.
+/// Telemetry uses a lower CAN id (higher priority) than the handshake,
+/// which the initiator of bus slot 0 sends on `0x100`.
 const TELEMETRY_ID: u16 = 0x050;
 const HANDSHAKE_ID: u16 = 0x100;
 
@@ -17,40 +17,57 @@ fn handshake_frames_yield_to_priority_telemetry() {
     let scenario = BmsScenario::new(0xB05);
     let report = scenario.run_handshake(ProtocolKind::Sts).unwrap();
 
-    // Re-play the recorded handshake bytes as ISO-TP frames on a bus
-    // where periodic telemetry contends.
-    let mut bus = CanBus::new(BitTiming::default());
-    let config = IsoTpConfig {
-        tx_id: HANDSHAKE_ID,
-        ..IsoTpConfig::default()
+    // Three 8-byte telemetry frames, ready within the first 3 µs, play
+    // a babbling node on a bus where a B1-sized handshake message
+    // (245 B: FF + 3 CFs) is submitted at the same instant.
+    let telemetry = BabbleSpec {
+        id: TELEMETRY_ID,
+        start_us: 0,
+        end_us: 3,
+        period_us: 1,
+        payload_len: 8,
     };
-
-    // One large handshake message (B1-sized).
-    let payload = vec![0xAB; 245];
-    for frame in segment(&payload, &config).unwrap() {
-        bus.submit(0, frame);
+    let spec = FaultSpec {
+        babble: Some(telemetry),
+        ..FaultSpec::none()
+    };
+    let mut bus = SharedBus::new(FaultPlan::new(spec, 0));
+    let slot = bus.add_slot(0, [0, 0]);
+    let b1 = Message::new(
+        "B1",
+        vec![
+            WireField::new(FieldKind::Id, vec![0xAB; 16]),
+            WireField::new(FieldKind::Cert, vec![0xAB; 101]),
+            WireField::new(FieldKind::EphemeralPoint, vec![0xAB; 64]),
+            WireField::new(FieldKind::Response, vec![0xAB; 64]),
+        ],
+    );
+    bus.send(slot, Role::Initiator, b1.clone(), 0);
+    let mut due = Vec::new();
+    while let Some(at) = bus.next_activity_us() {
+        due.extend(bus.process(at));
     }
-    // Telemetry ready at the same instant.
-    for i in 0..3 {
-        bus.submit(0, CanFdFrame::new(TELEMETRY_ID, &[i as u8; 8]));
-    }
 
-    let deliveries = bus.run();
-    assert_eq!(deliveries.len(), 4 + 3);
+    let log = bus.take_frame_log();
+    assert_eq!(log.len(), 4 + 3);
     // All telemetry wins arbitration over every handshake frame that
     // was simultaneously pending.
-    let first_three: Vec<u16> = deliveries.iter().take(3).map(|d| d.frame.id).collect();
+    let first_three: Vec<u16> = log.iter().take(3).map(|r| r.id).collect();
     assert_eq!(first_three, vec![TELEMETRY_ID; 3]);
+    assert!(log.iter().skip(3).all(|r| r.id == HANDSHAKE_ID));
+    assert_eq!(bus.counters().storm_frames, 3);
     // The handshake still completes afterwards, strictly serialized.
     let mut last = 0;
-    for d in &deliveries {
-        assert!(d.completed_at > last);
-        last = d.completed_at;
+    for r in &log {
+        assert!(r.start_ns >= last && r.completed_ns > r.start_ns);
+        last = r.completed_ns;
     }
+    assert_eq!(due.len(), 1);
+    assert_eq!(bus.recv(slot, Role::Responder, due[0].at_us), Some(b1));
 
     // Occupancy sanity: the entire contended exchange still fits in
     // ~3 ms of bus time — invisible next to the 3.6 s handshake.
-    assert!(bus.busy_until() < 3_000_000, "{}", bus.busy_until());
+    assert!(last < 3_000_000, "{last}");
     assert!(report.total_ms > 1000.0);
 }
 

@@ -438,20 +438,24 @@ impl FleetCoordinator {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Protocol`] when a non-revocation handshake
-    /// failure occurs (impossible for well-formed rosters).
+    /// [`FleetError::BusGroupTooLarge`] when a shared-bus group exceeds
+    /// one bus's capacity (refused before anything runs, so the
+    /// coordinator can still sweep); [`FleetError::Protocol`] when a
+    /// non-revocation handshake failure occurs (impossible for
+    /// well-formed rosters).
     ///
     /// # Panics
     ///
     /// Panics when called after another establishment sweep.
     pub fn interleaved_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
+        interleave::check_transport(opts.transport)?;
         let work = self.create_sessions();
         let total = work.len();
         let sessions = &mut self.sessions;
         let deliveries = &mut self.last_deliveries;
+        let frame_logs = &mut self.last_frame_logs;
         sweep_and_fold(
             &mut self.report,
-            &mut self.last_frame_logs,
             work.into_iter(),
             total,
             opts,
@@ -464,6 +468,7 @@ impl FleetCoordinator {
                     }
                 }
             },
+            |bus, frames| frame_logs.push((bus, frames)),
         )
     }
 
@@ -483,10 +488,12 @@ impl FleetCoordinator {
     /// routine, pairing, engine and fold. What the streaming path does
     /// *not* keep is the materialized state: the roster stays
     /// un-enrolled in memory, [`Self::sessions`] stays empty, and the
-    /// diagnostic delivery log is dropped.
+    /// diagnostic delivery and frame logs are dropped.
     ///
     /// # Errors
     ///
+    /// [`FleetError::BusGroupTooLarge`] when a shared-bus group exceeds
+    /// one bus's capacity (refused before anything runs),
     /// [`FleetError::Cert`] when enrollment fails,
     /// [`FleetError::Protocol`] when a non-revocation handshake failure
     /// occurs (both impossible for well-formed rosters).
@@ -496,6 +503,7 @@ impl FleetCoordinator {
     /// Panics when called after another establishment sweep or after
     /// [`Self::enroll_all`] (this sweep enrolls the roster itself).
     pub fn streaming_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
+        interleave::check_transport(opts.transport)?;
         self.claim_sweep();
         assert!(
             self.report.enrolled == 0,
@@ -516,11 +524,11 @@ impl FleetCoordinator {
         let mut pairs = PairProducer::new(enroller, &mut self.session_rng, &self.crl, self.config);
         let swept = sweep_and_fold(
             &mut self.report,
-            &mut self.last_frame_logs,
             pairs.by_ref().map(|(_, _, work)| work),
             total,
             opts,
             |_, _, _| {},
+            |_, _| {},
         );
         self.report.sessions = pairs.next_index;
         let enroller = pairs.devices;
@@ -544,10 +552,11 @@ impl FleetCoordinator {
     }
 
     /// The per-bus frame-schedule logs of the last
-    /// [`Self::interleaved_sweep`] or [`Self::streaming_sweep`] over a
-    /// shared-bus transport, sorted by bus id. The frame schedule is
-    /// deterministic — it is pinned line-by-line by the golden
-    /// shared-bus fixture.
+    /// [`Self::interleaved_sweep`] over a shared-bus transport, sorted by
+    /// bus id. The frame schedule is deterministic — it is pinned
+    /// line-by-line by the golden shared-bus fixture. Empty after the
+    /// other sweeps: [`Self::streaming_sweep`] folds each bus's fault
+    /// counters into the report and drops its frames.
     pub fn last_frame_logs(&self) -> &[(usize, Vec<FrameRecord>)] {
         &self.last_frame_logs
     }
@@ -685,70 +694,74 @@ impl FleetCoordinator {
 /// [`interleave::run_sweep`] and folds every session result into
 /// `report` in session-index order — key digest, counters, makespan and
 /// the shared buses' fault counters — handing each session's outcome
-/// and deliveries to `record`. Returns the first failure that is not a
-/// revocation denial.
+/// and deliveries to `record` and each bus's frame log to
+/// `record_frames`. Returns the first failure that is not a revocation
+/// denial.
 fn sweep_and_fold(
     report: &mut FleetReport,
-    frame_logs: &mut Vec<(usize, Vec<FrameRecord>)>,
     work: impl Iterator<Item = SessionWork>,
     total: usize,
     opts: &SweepOptions,
     mut record: impl FnMut(usize, Result<SessionKey, FleetError>, Vec<DeliveryRecord>),
+    mut record_frames: impl FnMut(usize, Vec<FrameRecord>),
 ) -> Result<(), FleetError> {
     let mut digest = Sha256::new();
     let mut first_failure: Option<FleetError> = None;
-    let traces = interleave::run_sweep(work, total, opts, |index, result| {
-        digest.update(&(index as u64).to_be_bytes());
-        // Denial beats everything, then the sweep's typed failure, then
-        // the key. A "completed" session without a key lost its state
-        // somewhere — it fails closed as poisoned instead of panicking.
-        let outcome = match (result.denied, result.failure, result.key) {
-            (true, _, _) => {
-                report.denied_revoked += 1;
-                digest.update(b"denied:revoked");
-                Err(FleetError::Protocol(ProtocolError::Cert(
-                    CertError::Revoked,
-                )))
-            }
-            (false, None, Some(key)) => {
-                digest.update(key.as_bytes());
-                report.handshakes += 1;
-                Ok(key)
-            }
-            (false, failure, _) => {
-                let err = failure.unwrap_or(ProtocolError::Poisoned);
-                first_failure.get_or_insert(FleetError::Protocol(err));
-                match err {
-                    ProtocolError::Timeout => report.timeouts += 1,
-                    ProtocolError::Poisoned => report.poisoned += 1,
-                    _ => {}
+    interleave::run_sweep(work, total, opts, |first, results, trace| {
+        for (index, result) in (first..).zip(results) {
+            digest.update(&(index as u64).to_be_bytes());
+            // Denial beats everything, then the sweep's typed failure, then
+            // the key. A "completed" session without a key lost its state
+            // somewhere — it fails closed as poisoned instead of panicking.
+            let outcome = match (result.denied, result.failure, result.key) {
+                (true, _, _) => {
+                    report.denied_revoked += 1;
+                    digest.update(b"denied:revoked");
+                    Err(FleetError::Protocol(ProtocolError::Cert(
+                        CertError::Revoked,
+                    )))
                 }
-                // The failure *mode* is part of the determinism
-                // witness: a run that times out where another saw an
-                // authentication failure must not digest equal.
-                digest.update(b"failed:");
-                digest.update(err.to_string().as_bytes());
-                Err(FleetError::Protocol(err))
-            }
-        };
-        report.handshake_makespan_us = report.handshake_makespan_us.max(result.end_us);
-        report.messages += result.messages;
-        report.wire_bytes += result.wire_bytes;
-        report.can_frames += result.frames;
-        record(index, outcome, result.deliveries);
+                (false, None, Some(key)) => {
+                    digest.update(key.as_bytes());
+                    report.handshakes += 1;
+                    Ok(key)
+                }
+                (false, failure, _) => {
+                    let err = failure.unwrap_or(ProtocolError::Poisoned);
+                    first_failure.get_or_insert(FleetError::Protocol(err));
+                    match err {
+                        ProtocolError::Timeout => report.timeouts += 1,
+                        ProtocolError::Poisoned => report.poisoned += 1,
+                        _ => {}
+                    }
+                    // The failure *mode* is part of the determinism
+                    // witness: a run that times out where another saw an
+                    // authentication failure must not digest equal.
+                    digest.update(b"failed:");
+                    digest.update(err.to_string().as_bytes());
+                    Err(FleetError::Protocol(err))
+                }
+            };
+            report.handshake_makespan_us = report.handshake_makespan_us.max(result.end_us);
+            report.messages += result.messages;
+            report.wire_bytes += result.wire_bytes;
+            report.can_frames += result.frames;
+            record(index, outcome, result.deliveries);
+        }
+        if let Some(trace) = trace {
+            let (sum, c) = (&mut report.faults, trace.counters);
+            sum.dropped += c.dropped;
+            sum.corrupted += c.corrupted;
+            sum.duplicated += c.duplicated;
+            sum.held_back += c.held_back;
+            sum.delayed += c.delayed;
+            sum.replayed += c.replayed;
+            sum.storm_frames += c.storm_frames;
+            sum.isotp_errors += c.isotp_errors;
+            sum.messages_lost += c.messages_lost;
+            record_frames(trace.bus, trace.frames);
+        }
     });
-    for trace in &traces {
-        report.faults.dropped += trace.counters.dropped;
-        report.faults.corrupted += trace.counters.corrupted;
-        report.faults.duplicated += trace.counters.duplicated;
-        report.faults.held_back += trace.counters.held_back;
-        report.faults.delayed += trace.counters.delayed;
-        report.faults.replayed += trace.counters.replayed;
-        report.faults.storm_frames += trace.counters.storm_frames;
-        report.faults.isotp_errors += trace.counters.isotp_errors;
-        report.faults.messages_lost += trace.counters.messages_lost;
-    }
-    *frame_logs = traces.into_iter().map(|t| (t.bus, t.frames)).collect();
     report.key_digest = Some(digest.finalize());
     first_failure.map_or(Ok(()), Err)
 }

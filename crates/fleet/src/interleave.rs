@@ -27,14 +27,15 @@
 //! independence. Three rules keep the `(config, seed)` report
 //! bit-identical for any worker count even then:
 //!
-//! 1. **Shard by bus, never by pair.** `run_sweep` assigns whole bus
-//!    groups to workers; a worker *hard-errors* if it receives a
-//!    bus with members missing (a split bus would change arbitration).
-//! 2. **Lane-ordered events.** Each event loop orders same-time
-//!    events by a global lane key (session index; buses order after all
-//!    sessions), not by insertion order, so the pop order is a function
-//!    of the virtual timeline alone — not of which sessions happen to
-//!    share the loop.
+//! 1. **Shard by bus, never by pair.** `run_sweep` hands each bus group
+//!    whole to one event loop; a loop *hard-errors* if its work is not
+//!    exactly one complete group (a split bus would change arbitration).
+//! 2. **Lane-ordered events.** Each event loop owns at most one bus and
+//!    orders same-time events by a lane key (the global session index;
+//!    the bus after every session), not by insertion order, so every
+//!    same-time endpoint step and its sends land before the bus
+//!    arbitrates and the pop order is a function of the virtual
+//!    timeline alone.
 //! 3. **Pure fault decisions.** Every random fault choice is a
 //!    splitmix64 hash of `(fault seed, bus id, sequence number)` (see
 //!    [`ecq_simnet::fault`]), never a draw from mutable RNG state.
@@ -43,10 +44,8 @@
 //! *moved* into the workers, so the timed sweep region clones no
 //! certificates or keys.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::rc::Rc;
 
 use crate::scheduler::{micros_from_ms, VirtualTime};
 use ecq_cert::CertError;
@@ -55,8 +54,11 @@ use ecq_devices::{DevicePreset, DeviceProfile};
 use ecq_proto::transport::{ChannelTransport, Transport};
 use ecq_proto::SocketPair;
 use ecq_proto::{Credentials, Endpoint, OpTrace, ProtocolError, Role, SessionKey, StepOutput};
+use ecq_simnet::sharedbus::SlotStats;
 use ecq_simnet::{ms_to_ns, CanLink, FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
+
+use crate::FleetError;
 
 /// Which link implementation carries the handshake messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,14 +70,17 @@ pub enum TransportKind {
     },
     /// The simulated CAN-FD/ISO-TP stack (`ecq_simnet::CanLink`), one
     /// private bus per pair, with per-frame driver overhead from the
-    /// pair's board cost tables.
+    /// pair's board cost tables. This is the same bus model as
+    /// `SharedBus { group: 1 }`, but fault-free and without a frame log.
     Simnet,
     /// One arbitrated CAN-FD bus per `group` consecutive sessions
-    /// (`ecq_simnet::SharedBus`): their frames compete for the wire and
-    /// the sweep's [`FaultSpec`] applies. `group = 1` degenerates to a
-    /// private (but fault-injectable) bus per pair.
+    /// (`ecq_simnet::SharedBus`): their frames compete for the wire, the
+    /// sweep's [`FaultSpec`] applies and the frame schedule is logged.
+    /// `group = 1` gives each pair a private bus under the fault plan.
     SharedBus {
-        /// Sessions per bus; session `i` rides bus `i / group`.
+        /// Sessions per bus; session `i` rides bus `i / group`. At most
+        /// `ecq_simnet::SharedBus::MAX_SLOTS`: a wider group is refused
+        /// with [`FleetError::BusGroupTooLarge`].
         group: usize,
     },
     /// A real in-process socket pair per session
@@ -118,10 +123,12 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Link implementation for every pair.
     pub transport: TransportKind,
-    /// Fault schedule applied to shared buses (ignored by private
-    /// links; [`FaultSpec::none`] injects nothing). The spec's
-    /// `deadline_us` bounds the sweep: sessions unfinished at the
-    /// deadline fail closed with [`ProtocolError::Timeout`].
+    /// Fault schedule applied to [`TransportKind::SharedBus`] sweeps
+    /// ([`FaultSpec::none`] injects nothing). The other transports
+    /// ignore its fault classes — [`TransportKind::Simnet`] runs
+    /// fault-free — but the spec's `deadline_us` bounds every sweep:
+    /// sessions unfinished at the deadline fail closed with
+    /// [`ProtocolError::Timeout`].
     pub faults: FaultSpec,
     /// Optional mid-sweep revocation with a stale-CRL window.
     pub revocation: Option<RevocationSpec>,
@@ -292,18 +299,14 @@ pub(crate) struct WorkerConfig {
     pub poison: Option<usize>,
 }
 
-/// The wire under one session: private (owned transport) or a slot on
-/// a shared bus co-owned by the worker's bus group.
+/// The wire under one session: an owned private transport, or the slot
+/// of the event loop's one bus at the session's position in its work.
 enum Link {
     Private(Box<dyn Transport>),
-    Shared {
-        bus: Rc<RefCell<SharedBus>>,
-        bus_id: usize,
-        slot: usize,
-    },
+    Shared,
 }
 
-/// A live session inside one worker's event loop.
+/// A live session inside one event loop.
 struct Live {
     /// Global session index (for the delivery log and event lanes;
     /// results aggregate by slot order).
@@ -325,14 +328,14 @@ enum Event {
     Kickoff { slot: usize },
     /// A wire message arrives at one endpoint.
     Deliver { slot: usize, to: Role },
-    /// A shared bus may have frames to arbitrate/complete.
-    BusAdvance { bus: usize },
+    /// The loop's bus may have frames to arbitrate/complete.
+    BusAdvance,
 }
 
-/// Event lanes order same-time events globally: session events ride
-/// their *global* session index, bus events ride `LANE_BUS + bus id`
-/// so every same-time endpoint step (and its sends) lands before the
-/// bus arbitrates — the pop order is shard-layout-independent.
+/// Event lanes order same-time events: session events ride their
+/// global session index and bus events ride `LANE_BUS`, so every
+/// same-time endpoint step (and its sends) lands before the bus
+/// arbitrates — the pop order is shard-layout-independent.
 const LANE_BUS: u64 = 1 << 32;
 
 struct LaneEntry {
@@ -438,28 +441,14 @@ impl Live {
 
     fn recv_message(
         &mut self,
+        bus: Option<&mut SharedBus>,
+        slot: usize,
         to: Role,
         now: VirtualTime,
     ) -> Result<Option<ecq_proto::Message>, ProtocolError> {
         match &mut self.link {
             Link::Private(t) => Ok(t.recv_frame(to, now, now)?),
-            Link::Shared { bus, slot, .. } => Ok(bus.borrow_mut().recv(*slot, to, now)),
-        }
-    }
-
-    fn capture_stats(&mut self) {
-        match &self.link {
-            Link::Private(t) => {
-                self.result.messages = t.messages_carried();
-                self.result.wire_bytes = t.bytes_carried();
-                self.result.frames = t.frames_carried();
-            }
-            Link::Shared { bus, slot, .. } => {
-                let s = bus.borrow().slot_stats(*slot);
-                self.result.messages = s.messages;
-                self.result.wire_bytes = s.bytes;
-                self.result.frames = s.frames;
-            }
+            Link::Shared => Ok(bus.and_then(|b| b.recv(slot, to, now))),
         }
     }
 
@@ -477,27 +466,42 @@ impl Live {
             _ => self.result.failure = Some(ProtocolError::KeyMismatch),
         }
         self.result.end_us = end;
-        self.capture_stats();
         self.done = true;
     }
 
     fn fail(&mut self, err: ProtocolError, at: VirtualTime) {
         self.result.failure = Some(err);
         self.result.end_us = at;
-        self.capture_stats();
         self.done = true;
+    }
+
+    /// Copies the link's traffic totals into the result; read once the
+    /// loop has ended, since a finished session never sends again.
+    fn capture_stats(&mut self, bus: Option<&SharedBus>, slot: usize) {
+        let stats = match &self.link {
+            Link::Private(t) => SlotStats {
+                messages: t.messages_carried(),
+                bytes: t.bytes_carried(),
+                frames: t.frames_carried(),
+            },
+            Link::Shared => bus.map(|b| b.slot_stats(slot)).unwrap_or_default(),
+        };
+        self.result.messages = stats.messages;
+        self.result.wire_bytes = stats.bytes;
+        self.result.frames = stats.frames;
     }
 }
 
 /// Sends `msg` over the session's link and schedules the follow-up
 /// event: the peer's delivery (private links decide arrival themselves)
-/// or a bus-advance (shared links arbitrate first).
+/// or a bus-advance (the bus arbitrates first).
 fn dispatch_send(
     session: &mut Live,
     slot: usize,
     from: Role,
     msg: ecq_proto::Message,
     done_at: VirtualTime,
+    bus: Option<&mut SharedBus>,
     scheduler: &mut LaneScheduler,
 ) {
     match &mut session.link {
@@ -516,41 +520,43 @@ fn dispatch_send(
             // virtual links never do; a socket link surfaces real I/O.
             Err(e) => session.fail(e.into(), done_at),
         },
-        Link::Shared {
-            bus,
-            bus_id,
-            slot: bus_slot,
-        } => {
-            bus.borrow_mut().send(*bus_slot, from, msg, done_at);
-            scheduler.schedule(
-                done_at,
-                LANE_BUS + *bus_id as u64,
-                Event::BusAdvance { bus: *bus_id },
-            );
+        Link::Shared => {
+            if let Some(bus) = bus {
+                bus.send(slot, from, msg, done_at);
+            }
+            scheduler.schedule(done_at, LANE_BUS, Event::BusAdvance);
         }
     }
 }
 
-/// Runs one worker's share of sessions under a single virtual clock,
-/// delivering messages as events. Takes its sessions by value so the
-/// prepared credentials move straight into the endpoints — the sweep
-/// performs no per-session certificate/key cloning inside the timed
-/// region. Returns the per-session results in the order `work` was
-/// given, plus the traces of the buses it owned.
+/// Runs bus group `g` — or, on private links, any list of sessions —
+/// under a single virtual clock, delivering messages as events. Takes
+/// its sessions by value so the prepared credentials move straight into
+/// the endpoints — the sweep performs no per-session certificate/key
+/// cloning inside the timed region. Returns the per-session results in
+/// the order `work` was given, plus the trace of the group's bus.
 ///
 /// # Panics
 ///
-/// Under [`TransportKind::SharedBus`], panics if `work` contains a bus
-/// group with members missing: a bus split across sweep shards would
-/// arbitrate different traffic per layout and break the determinism
-/// contract, so it is rejected loudly rather than simulated wrong.
+/// Under [`TransportKind::SharedBus`], panics unless `work` is exactly
+/// bus group `g`: a bus split across sweep shards would arbitrate
+/// different traffic per layout and break the determinism contract, so
+/// it is rejected loudly rather than simulated wrong.
 pub(crate) fn run_worker(
+    g: usize,
     work: Vec<SessionWork>,
     cfg: WorkerConfig,
-) -> (Vec<SessionResult>, Vec<BusTrace>) {
-    if let TransportKind::SharedBus { group } = cfg.transport {
-        assert_complete_buses(&work, group.max(1), cfg.total);
-    }
+) -> (Vec<SessionResult>, Option<BusTrace>) {
+    let mut bus = match cfg.transport {
+        TransportKind::SharedBus { group } => {
+            assert_one_bus_group(&work, g, group.max(1), cfg.total);
+            Some(SharedBus::new(FaultPlan::new(cfg.faults, g as u64)))
+        }
+        _ => None,
+    };
+    // A session's bus slot is its position in `work`, so slot `s` is
+    // global session `first + s`.
+    let first = work.first().map_or(0, |w| w.index);
 
     let mut live: Vec<Option<Live>> = Vec::with_capacity(work.len());
     // Slots whose state was lost while events were still due for them.
@@ -560,39 +566,20 @@ pub(crate) fn run_worker(
     // Slots denied by the CRL pre-check (echoed into the results).
     let mut denied_slots: Vec<bool> = vec![false; work.len()];
     let mut scheduler = LaneScheduler::new();
-    // Buses this worker owns, and (bus, bus slot) → local `live` slot.
-    let mut buses: BTreeMap<usize, Rc<RefCell<SharedBus>>> = BTreeMap::new();
-    let mut slot_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
 
     for (slot, w) in work.into_iter().enumerate() {
-        // Register the bus slot for *every* session — including denied
-        // ones — so slot numbering (and thus arbitration priority)
-        // matches the global layout `bus slot = index % group`.
-        let shared = if let TransportKind::SharedBus { group } = cfg.transport {
-            let group = group.max(1);
-            let bus_id = w.index / group;
-            let bus = buses
-                .entry(bus_id)
-                .or_insert_with(|| {
-                    Rc::new(RefCell::new(SharedBus::new(FaultPlan::new(
-                        cfg.faults,
-                        bus_id as u64,
-                    ))))
-                })
-                .clone();
-            let bus_slot = bus.borrow_mut().add_slot(
+        // Register *every* session on the bus — including denied ones —
+        // so slot numbering (and thus arbitration priority) is the
+        // session's position in its group.
+        if let Some(bus) = bus.as_mut() {
+            bus.add_slot(
                 (w.index & 0xFFFF) as u16,
                 [
                     ms_to_ns(w.preset_a.profile().costs.hash_block_ms),
                     ms_to_ns(w.preset_b.profile().costs.hash_block_ms),
                 ],
             );
-            debug_assert_eq!(bus_slot, w.index % group, "bus slots follow session order");
-            slot_of.insert((bus_id, bus_slot), slot);
-            Some((bus, bus_id, bus_slot))
-        } else {
-            None
-        };
+        }
         if w.denied {
             if let Some(d) = denied_slots.get_mut(slot) {
                 *d = true;
@@ -607,25 +594,14 @@ pub(crate) fn run_worker(
             scheduler.schedule(0, w.index as u64, Event::Kickoff { slot });
             continue;
         }
-        let link = match shared {
-            Some((bus, bus_id, bus_slot)) => Link::Shared {
-                bus,
-                bus_id,
-                slot: bus_slot,
-            },
-            None => match make_transport(&cfg.transport, &w) {
-                Some(t) => Link::Private(t),
-                None => {
-                    // A session whose link cannot be built (no bus
-                    // slot registered, socket-pair creation refused)
-                    // cannot be simulated; fail it closed.
-                    if let Some(p) = poisoned.get_mut(slot) {
-                        *p = true;
-                    }
-                    live.push(None);
-                    continue;
-                }
-            },
+        let Some(link) = make_link(&cfg.transport, &w) else {
+            // A session whose link cannot be built (socket-pair creation
+            // refused) cannot be simulated; fail it closed.
+            if let Some(p) = poisoned.get_mut(slot) {
+                *p = true;
+            }
+            live.push(None);
+            continue;
         };
         // Mirror `ecq_sts::establish`: one stream per role, initiator
         // first, derived from the pair's wire seed.
@@ -670,7 +646,15 @@ pub(crate) fn run_worker(
                 session.last_event_us = now;
                 match session.step(Role::Initiator, None, now) {
                     Ok((StepOutput::Send(msg), done_at)) => {
-                        dispatch_send(session, slot, Role::Initiator, msg, done_at, &mut scheduler);
+                        dispatch_send(
+                            session,
+                            slot,
+                            Role::Initiator,
+                            msg,
+                            done_at,
+                            bus.as_mut(),
+                            &mut scheduler,
+                        );
                     }
                     Ok((_, done_at)) => session.fail(ProtocolError::Stalled, done_at),
                     Err(e) => session.fail(e, now),
@@ -697,12 +681,12 @@ pub(crate) fn run_worker(
                     if session.index == rv.session
                         && now >= rv.at_us.saturating_add(rv.propagation_us)
                     {
-                        let _ = session.recv_message(to, now);
+                        let _ = session.recv_message(bus.as_mut(), slot, to, now);
                         session.fail(ProtocolError::Cert(CertError::Revoked), now);
                         continue;
                     }
                 }
-                let msg = match session.recv_message(to, now) {
+                let msg = match session.recv_message(bus.as_mut(), slot, to, now) {
                     Ok(Some(msg)) => msg,
                     Ok(None) => {
                         // A shared-bus delivery can evaporate (the
@@ -711,7 +695,7 @@ pub(crate) fn run_worker(
                         // consumed it); a private link's schedule is
                         // exact.
                         debug_assert!(
-                            matches!(session.link, Link::Shared { .. }),
+                            matches!(session.link, Link::Shared),
                             "private delivery must be due"
                         );
                         continue;
@@ -728,7 +712,15 @@ pub(crate) fn run_worker(
                 });
                 match session.step(to, Some(&msg), now) {
                     Ok((StepOutput::Send(reply), done_at)) => {
-                        dispatch_send(session, slot, to, reply, done_at, &mut scheduler);
+                        dispatch_send(
+                            session,
+                            slot,
+                            to,
+                            reply,
+                            done_at,
+                            bus.as_mut(),
+                            &mut scheduler,
+                        );
                         // A responder that just sent B2 is established;
                         // the session finishes when the initiator
                         // consumes it.
@@ -747,34 +739,25 @@ pub(crate) fn run_worker(
                     Err(e) => session.fail(e, now),
                 }
             }
-            Event::BusAdvance { bus } => {
-                let Some(rc) = buses.get(&bus).map(Rc::clone) else {
-                    // An advance for a bus this worker does not own:
-                    // skip it — its sessions (if any) resolve through
-                    // the fail-closed timeout backstop below.
+            Event::BusAdvance => {
+                let Some(bus) = bus.as_mut() else {
                     continue;
                 };
-                let due = rc.borrow_mut().process(now);
-                for d in due {
-                    let Some(&slot) = slot_of.get(&(bus, d.slot)) else {
-                        // An unregistered bus slot cannot be routed;
-                        // its session fails closed at the deadline.
-                        continue;
-                    };
-                    // Denied sessions never transmit, so nothing is
-                    // ever due for them; route on the session's lane.
-                    let lane = live
-                        .get(slot)
-                        .and_then(Option::as_ref)
-                        .map_or(0, |l| l.index as u64);
-                    scheduler.schedule(d.at_us, lane, Event::Deliver { slot, to: d.to });
+                for d in bus.process(now) {
+                    scheduler.schedule(
+                        d.at_us,
+                        (first + d.slot) as u64,
+                        Event::Deliver {
+                            slot: d.slot,
+                            to: d.to,
+                        },
+                    );
                 }
                 // `next_activity_us` is strictly beyond `now` once
                 // `process(now)` ran, so this re-arm terminates;
                 // redundant advances are idempotent.
-                let next = rc.borrow().next_activity_us();
-                if let Some(at) = next {
-                    scheduler.schedule(at, LANE_BUS + bus as u64, Event::BusAdvance { bus });
+                if let Some(at) = bus.next_activity_us() {
+                    scheduler.schedule(at, LANE_BUS, Event::BusAdvance);
                 }
             }
         }
@@ -783,7 +766,11 @@ pub(crate) fn run_worker(
     // Fail-closed sweep boundary: anything unfinished at the deadline
     // (lost frames, withheld messages, storms that never relented)
     // times out — it must never linger as a half-open session.
-    for session in live.iter_mut().flatten() {
+    for (slot, session) in live.iter_mut().enumerate() {
+        let Some(session) = session else {
+            continue;
+        };
+        session.capture_stats(bus.as_ref(), slot);
         if !session.done {
             let at = if deadline < u64::MAX {
                 deadline
@@ -814,66 +801,66 @@ pub(crate) fn run_worker(
             None => SessionResult::empty(),
         })
         .collect();
-    let traces = buses
-        .into_iter()
-        .map(|(bus, rc)| {
-            let b = rc.borrow();
-            BusTrace {
-                bus,
-                counters: b.counters(),
-                frames: b.frame_log().to_vec(),
-            }
-        })
-        .collect();
-    (results, traces)
+    let trace = bus.map(|mut bus| BusTrace {
+        bus: g,
+        counters: bus.counters(),
+        frames: bus.take_frame_log(),
+    });
+    (results, trace)
 }
 
-/// Hard-errors unless every bus group in `work` is complete: members
-/// of bus `b` are exactly the global indices `b·group .. min((b+1)·group,
-/// total)`, all present.
-fn assert_complete_buses(work: &[SessionWork], group: usize, total: usize) {
-    let mut members: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for w in work {
-        members.entry(w.index / group).or_default().push(w.index);
-    }
-    for (bus, mut present) in members {
-        present.sort_unstable();
-        let start = bus * group;
-        let expected: Vec<usize> = (start..(start + group).min(total)).collect();
-        assert!(
-            present == expected,
-            "bus split across sweep shards: bus {bus} needs sessions {expected:?} \
-             in one worker but got {present:?} (shard whole buses, not pairs)"
-        );
-    }
+/// Hard-errors unless `work` is exactly bus group `g`: the global
+/// indices `g·group .. min((g+1)·group, total)`, all present and in
+/// order, so a session's bus slot is its position in `work`.
+fn assert_one_bus_group(work: &[SessionWork], g: usize, group: usize, total: usize) {
+    let start = g * group;
+    let expected: Vec<usize> = (start..(start + group).min(total)).collect();
+    let present: Vec<usize> = work.iter().map(|w| w.index).collect();
+    assert!(
+        present == expected,
+        "bus split across sweep shards: bus {g} needs sessions {expected:?} \
+         in one worker but got {present:?} (shard whole buses, not pairs)"
+    );
 }
 
-/// Builds a private per-session transport. Returns `None` under a
-/// shared-bus transport: those sessions ride `Link::Shared`, and a
-/// caller that reaches this without a registered bus slot must fail
-/// the session closed rather than abort.
-fn make_transport(kind: &TransportKind, work: &SessionWork) -> Option<Box<dyn Transport>> {
-    match kind {
-        TransportKind::Channel { latency_us } => Some(Box::new(ChannelTransport::new(*latency_us))),
-        TransportKind::Simnet => Some(Box::new(CanLink::for_pair(
+/// Builds a session's link: an owned private transport, or its slot on
+/// the loop's bus. Returns `None` when socket-pair creation is refused
+/// (fd exhaustion): the caller fails that session closed rather than
+/// aborting the sweep.
+fn make_link(kind: &TransportKind, work: &SessionWork) -> Option<Link> {
+    let private: Box<dyn Transport> = match kind {
+        TransportKind::Channel { latency_us } => Box::new(ChannelTransport::new(*latency_us)),
+        TransportKind::Simnet => Box::new(CanLink::for_pair(
             (work.index & 0xFFFF) as u16,
             &work.preset_a.profile(),
             &work.preset_b.profile(),
-        ))),
-        TransportKind::SharedBus { .. } => None,
-        // Socket-pair creation can fail (fd exhaustion); the caller
-        // fails that session closed rather than aborting the sweep.
-        TransportKind::Socket => SocketPair::open()
-            .ok()
-            .map(|pair| Box::new(pair) as Box<dyn Transport>),
+        )),
+        TransportKind::SharedBus { .. } => return Some(Link::Shared),
+        TransportKind::Socket => Box::new(SocketPair::open().ok()?),
+    };
+    Some(Link::Private(private))
+}
+
+/// Refuses a bus group wider than one bus's arbitration-id space up
+/// front, before a sweep consumes the coordinator (the bus would
+/// otherwise abort a worker thread when the group's slots run out).
+pub(crate) fn check_transport(transport: TransportKind) -> Result<(), FleetError> {
+    match transport {
+        TransportKind::SharedBus { group } if group > SharedBus::MAX_SLOTS => {
+            Err(FleetError::BusGroupTooLarge {
+                group,
+                capacity: SharedBus::MAX_SLOTS,
+            })
+        }
+        _ => Ok(()),
     }
 }
 
 /// The sweep engine: streams `work` through `opts.threads` workers with
-/// at most `opts.max_inflight` sessions resident at once, delivering
-/// results to `consume` in **strict session-index order** (so the
-/// caller folds the report incrementally). Returns the bus traces,
-/// sorted by bus id.
+/// at most `opts.max_inflight` sessions resident at once, handing each
+/// group's results and bus trace to `consume` in **strict session-index
+/// order**, with the index of the group's first session (so the caller
+/// folds the report incrementally).
 ///
 /// # Architecture
 ///
@@ -885,7 +872,7 @@ fn make_transport(kind: &TransportKind, work: &SessionWork) -> Option<Box<dyn Tr
 /// presets rotate through the roster, give every worker the same board
 /// mix. Workers are clamped to the number of bus groups. Each worker
 /// simulates one group at a time in its own [`run_worker`] event loop
-/// and sends `(group, results, traces)` back; a reorder buffer releases
+/// and sends `(group, results, trace)` back; a reorder buffer releases
 /// them to `consume` in group order.
 ///
 /// # Why the report cannot depend on the window
@@ -897,9 +884,9 @@ fn make_transport(kind: &TransportKind, work: &SessionWork) -> Option<Box<dyn Tr
 /// scheduled at or after the event that produced it), so co-residence
 /// of other sessions cannot shift a timeline. Each group's results are
 /// therefore a pure function of `(config, seed, group)` — identical
-/// whether the group ran alone, in a window of 64, or in one event loop
-/// with every other group — and in-order delivery makes the aggregate
-/// report bit-identical for any `threads` and any `max_inflight`.
+/// whether the group ran alone or in a window of 64 — and in-order
+/// delivery makes the aggregate report bit-identical for any `threads`
+/// and any `max_inflight`.
 ///
 /// # Deadlock freedom
 ///
@@ -909,15 +896,10 @@ fn make_transport(kind: &TransportKind, work: &SessionWork) -> Option<Box<dyn Tr
 /// remaining results). The reorder buffer is bounded by the number of
 /// admitted-but-undelivered groups, which the channels bound by
 /// construction.
-pub(crate) fn run_sweep<I, F>(
-    work: I,
-    total: usize,
-    opts: &SweepOptions,
-    mut consume: F,
-) -> Vec<BusTrace>
+pub(crate) fn run_sweep<I, F>(work: I, total: usize, opts: &SweepOptions, mut consume: F)
 where
     I: Iterator<Item = SessionWork>,
-    F: FnMut(usize, SessionResult),
+    F: FnMut(usize, Vec<SessionResult>, Option<BusTrace>),
 {
     use std::sync::mpsc::{channel, sync_channel, TrySendError};
 
@@ -940,18 +922,17 @@ where
     let groups_per_worker = total.div_ceil(group).div_ceil(threads).max(1);
     let cap = (opts.max_inflight.max(group) / threads / group).clamp(1, groups_per_worker);
 
-    let mut traces: Vec<BusTrace> = Vec::new();
     let mut work = work;
     std::thread::scope(|scope| {
-        let (res_tx, res_rx) = channel::<(usize, Vec<SessionResult>, Vec<BusTrace>)>();
+        let (res_tx, res_rx) = channel::<(usize, Vec<SessionResult>, Option<BusTrace>)>();
         let mut feeds = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (tx, rx) = sync_channel::<(usize, Vec<SessionWork>)>(cap);
             let worker_tx = res_tx.clone();
             scope.spawn(move || {
                 while let Ok((g, batch)) = rx.recv() {
-                    let (results, batch_traces) = run_worker(batch, cfg);
-                    if worker_tx.send((g, results, batch_traces)).is_err() {
+                    let (results, trace) = run_worker(g, batch, cfg);
+                    if worker_tx.send((g, results, trace)).is_err() {
                         return;
                     }
                 }
@@ -961,15 +942,12 @@ where
         drop(res_tx);
 
         // Reorder buffer: completed groups awaiting in-order delivery.
-        let mut pending: BTreeMap<usize, Vec<SessionResult>> = BTreeMap::new();
+        let mut pending = BTreeMap::new();
         let mut next_out = 0usize;
-        let mut retire = |(done, results, batch_traces): (usize, Vec<SessionResult>, _)| {
-            traces.extend(batch_traces);
-            pending.insert(done, results);
-            while let Some(results) = pending.remove(&next_out) {
-                for (j, r) in results.into_iter().enumerate() {
-                    consume(next_out * group + j, r);
-                }
+        let mut retire = |(done, results, trace)| {
+            pending.insert(done, (results, trace));
+            while let Some((results, trace)) = pending.remove(&next_out) {
+                consume(next_out * group, results, trace);
                 next_out += 1;
             }
         };
@@ -1021,8 +999,6 @@ where
         // passes; the scope then re-raises the worker's panic.
         res_rx.iter().for_each(retire);
     });
-    traces.sort_by_key(|t| t.bus);
-    traces
 }
 
 #[cfg(test)]
@@ -1099,7 +1075,7 @@ mod tests {
             total: 2,
             poison: None,
         };
-        let _ = run_worker(work, cfg);
+        let _ = run_worker(0, work, cfg);
     }
 
     #[test]
@@ -1112,7 +1088,7 @@ mod tests {
             total: 3,
             poison: Some(1),
         };
-        let (results, _traces) = run_worker(work, cfg);
+        let (results, _trace) = run_worker(0, work, cfg);
         assert_eq!(results.len(), 3);
         assert_eq!(results[1].failure, Some(ProtocolError::Poisoned));
         assert!(results[1].key.is_none(), "a poisoned session has no key");
@@ -1132,7 +1108,7 @@ mod tests {
             total: 2,
             poison: None,
         };
-        let (results, traces) = run_worker(work, cfg);
+        let (results, trace) = run_worker(0, work, cfg);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(r.failure.is_none(), "unexpected failure: {:?}", r.failure);
@@ -1141,8 +1117,8 @@ mod tests {
             assert_eq!(r.frames, 10);
             assert_eq!(r.deliveries.len(), 4, "4 deliveries per session");
         }
-        assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].counters, FaultCounters::default());
+        let trace = trace.expect("a shared-bus loop returns its bus trace");
+        assert_eq!(trace.counters, FaultCounters::default());
     }
 
     #[test]
@@ -1159,7 +1135,8 @@ mod tests {
             let key = r.key.as_ref().map(|k| *k.as_bytes());
             (key, r.failure, r.end_us, r.deliveries.clone())
         };
-        // The reference: one event loop simulating every bus group.
+        // The reference: each bus group alone in one event loop, in
+        // group order.
         let cfg = WorkerConfig {
             transport,
             faults,
@@ -1167,9 +1144,13 @@ mod tests {
             total: 4,
             poison: None,
         };
-        let (baseline, base_traces) = run_worker(session_work(4), cfg);
-        let base_outcomes: Vec<_> = baseline.iter().map(outcome).collect();
-        let base_counters: Vec<_> = base_traces.iter().map(|t| (t.bus, t.counters)).collect();
+        let mut work = session_work(4).into_iter();
+        let (mut base_outcomes, mut base_counters) = (Vec::new(), Vec::new());
+        for g in 0..2 {
+            let (results, trace) = run_worker(g, work.by_ref().take(2).collect(), cfg);
+            base_outcomes.extend(results.iter().map(outcome));
+            base_counters.extend(trace.map(|t| (t.bus, t.counters)));
+        }
         for (threads, window) in [(1, 1), (2, 2), (3, 5), (2, usize::MAX), (8, usize::MAX)] {
             let opts = SweepOptions::new()
                 .threads(threads)
@@ -1178,10 +1159,17 @@ mod tests {
                 .max_inflight(window);
             let mut delivered: Vec<usize> = Vec::new();
             let mut outcomes: Vec<_> = Vec::new();
-            let traces = run_sweep(session_work(4).into_iter(), 4, &opts, |index, r| {
-                delivered.push(index);
-                outcomes.push(outcome(&r));
-            });
+            let mut counters: Vec<_> = Vec::new();
+            run_sweep(
+                session_work(4).into_iter(),
+                4,
+                &opts,
+                |first, results, trace| {
+                    delivered.extend(first..first + results.len());
+                    outcomes.extend(results.iter().map(outcome));
+                    counters.extend(trace.map(|t| (t.bus, t.counters)));
+                },
+            );
             assert_eq!(
                 delivered,
                 vec![0, 1, 2, 3],
@@ -1189,9 +1177,8 @@ mod tests {
             );
             assert_eq!(
                 outcomes, base_outcomes,
-                "streamed results match one event loop (threads {threads}, window {window})"
+                "streamed results match the lone loops (threads {threads}, window {window})"
             );
-            let counters: Vec<_> = traces.iter().map(|t| (t.bus, t.counters)).collect();
             assert_eq!(counters, base_counters);
         }
     }

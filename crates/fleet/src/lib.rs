@@ -65,6 +65,14 @@ pub enum FleetError {
     Cert(ecq_cert::CertError),
     /// An STS handshake or rekey failed.
     Protocol(ecq_proto::ProtocolError),
+    /// A shared-bus sweep asked for more sessions per bus than one bus's
+    /// arbitration-id space holds; the sweep was refused before it ran.
+    BusGroupTooLarge {
+        /// The requested sessions per bus.
+        group: usize,
+        /// Sessions one bus can carry (`ecq_simnet::SharedBus::MAX_SLOTS`).
+        capacity: usize,
+    },
 }
 
 impl core::fmt::Display for FleetError {
@@ -72,6 +80,10 @@ impl core::fmt::Display for FleetError {
         match self {
             FleetError::Cert(e) => write!(f, "enrollment failed: {e}"),
             FleetError::Protocol(e) => write!(f, "session failed: {e}"),
+            FleetError::BusGroupTooLarge { group, capacity } => write!(
+                f,
+                "bus group of {group} sessions exceeds the {capacity} sessions one bus can carry"
+            ),
         }
     }
 }

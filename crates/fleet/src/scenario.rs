@@ -113,7 +113,8 @@ impl Scenario {
             .map(|s| match s.failure() {
                 Some(FleetError::Protocol(e)) => Some(*e),
                 Some(FleetError::Cert(e)) => Some(ProtocolError::Cert(*e)),
-                None => None,
+                // A refused sweep records nothing on its sessions.
+                Some(FleetError::BusGroupTooLarge { .. }) | None => None,
             })
             .collect();
         ScenarioOutcome {

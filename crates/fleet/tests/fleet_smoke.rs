@@ -57,6 +57,45 @@ fn lifecycle_enroll_handshake_rekey() {
     assert!(report.handshakes_per_virtual_sec() > 0.0);
 }
 
+/// The `fleet --smoke` sweep (1000 devices, 8 shards, batch 64, seed
+/// 0xF1EE7) over the CAN-FD model reproduces the virtual-time figures
+/// and key digest committed in `ci/BENCH_fleet_baseline.json`: any
+/// change to the link model's timing or accounting moves one of them.
+#[test]
+fn smoke_sweep_matches_committed_baseline() {
+    let mut fleet = FleetCoordinator::new(
+        FleetConfig::new()
+            .devices(1000)
+            .ca_shards(8)
+            .enroll_batch(64)
+            .seed(0xF1EE7),
+    );
+    fleet.enroll_all().expect("enrollment succeeds");
+    fleet
+        .interleaved_sweep(
+            &SweepOptions::new()
+                .threads(2)
+                .transport(TransportKind::Simnet),
+        )
+        .expect("sweep succeeds");
+    let r = fleet.report();
+    assert_eq!(r.sessions, 498);
+    assert_eq!(r.handshake_makespan_us, 46_281_256);
+    assert_eq!(r.messages, 1992);
+    assert_eq!(r.wire_bytes, 244_518);
+    assert_eq!(r.can_frames, 4980);
+    let digest: String = r
+        .key_digest
+        .expect("the sweep digests its outcomes")
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(
+        digest,
+        "18b3b0ca9f321921472b1ff2451507216f18daf7381f122aa2fc260fea1adb33"
+    );
+}
+
 /// Host throughput of one interleaved sweep at `threads` workers
 /// (handshakes per second), on a fresh fleet each time.
 fn interleaved_hs_per_sec(threads: usize) -> f64 {

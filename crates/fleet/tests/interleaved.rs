@@ -5,6 +5,7 @@
 use ecq_cert::CertError;
 use ecq_fleet::{FleetConfig, FleetCoordinator, FleetError, SweepOptions, TransportKind};
 use ecq_proto::ProtocolError;
+use ecq_simnet::{FaultCounters, FaultSpec, SharedBus};
 
 fn config(devices: usize, seed: u64) -> FleetConfig {
     FleetConfig::new()
@@ -137,6 +138,20 @@ fn keys_are_transport_independent_but_makespan_is_not() {
     assert_eq!(channel.report().can_frames, 0);
     assert!(simnet.report().can_frames > 0);
     assert!(simnet.report().handshake_makespan_us > channel.report().handshake_makespan_us);
+    // Simnet's private buses run fault-free whatever the sweep's fault
+    // spec says: drop/corrupt rates change nothing in the report.
+    let faulted = sweep(
+        24,
+        0xF00D,
+        &SweepOptions::new().faults(FaultSpec {
+            seed: 9,
+            drop_per_mille: 200,
+            corrupt_per_mille: 200,
+            ..FaultSpec::none()
+        }),
+    );
+    assert_eq!(faulted.report(), simnet.report());
+    assert_eq!(faulted.report().faults, FaultCounters::default());
 }
 
 #[test]
@@ -234,19 +249,46 @@ fn streaming_sweep_reproduces_the_materialized_report() {
     // scheduling) must reproduce the materialized enroll_all +
     // interleaved_sweep report bit-for-bit, for any thread count and
     // any admission window.
-    let reference = sweep(48, 0x57AE, &SweepOptions::default()).report().clone();
-    assert!(reference.key_digest.is_some());
-    for (threads, window) in [(1, 2), (2, 4), (8, 16), (3, usize::MAX)] {
-        let opts = SweepOptions::new()
-            .threads(threads)
-            .transport(TransportKind::Simnet)
-            .max_inflight(window);
+    let simnet = (
+        sweep(48, 0x57AE, &SweepOptions::default()).report().clone(),
+        Ok(()),
+    );
+    assert!(simnet.0.key_digest.is_some());
+    // Faulted shared buses: sessions may fail, so the reference's
+    // outcome is compared rather than unwrapped.
+    let faulted = SweepOptions::new()
+        .transport(TransportKind::SharedBus { group: 4 })
+        .faults(FaultSpec {
+            seed: 21,
+            drop_per_mille: 30,
+            corrupt_per_mille: 30,
+            deadline_us: 30_000_000,
+            ..FaultSpec::none()
+        });
+    let mut bus_fleet = FleetCoordinator::new(config(48, 0x57AE));
+    bus_fleet.enroll_all().unwrap();
+    let outcome = bus_fleet.interleaved_sweep(&faulted);
+    let bus = (bus_fleet.report().clone(), outcome);
+    assert_ne!(bus.0.faults, FaultCounters::default());
+    assert!(!bus_fleet.last_frame_logs().is_empty());
+    for (threads, window, opts, (report, outcome)) in [
+        (1, 2, SweepOptions::new(), &simnet),
+        (2, 4, SweepOptions::new(), &simnet),
+        (8, 16, SweepOptions::new(), &simnet),
+        (3, usize::MAX, SweepOptions::new(), &simnet),
+        (2, 8, faulted, &bus),
+    ] {
+        let opts = opts.threads(threads).max_inflight(window);
         let mut fleet = FleetCoordinator::new(config(48, 0x57AE));
-        fleet.streaming_sweep(&opts).unwrap();
+        assert_eq!(fleet.streaming_sweep(&opts), *outcome);
         assert_eq!(
-            *fleet.report(),
-            reference,
+            fleet.report(),
+            report,
             "streaming report differs (threads {threads}, window {window})"
+        );
+        assert!(
+            fleet.last_frame_logs().is_empty(),
+            "streaming keeps no frame logs"
         );
         assert!(
             fleet.sessions().is_empty(),
@@ -304,6 +346,49 @@ fn streaming_sweep_denies_revoked_pairs_like_materialized() {
         .unwrap();
     assert_eq!(streamed.report(), reference.report());
     assert_eq!(streamed.report().denied_revoked, 1);
+}
+
+#[test]
+fn oversized_bus_group_is_refused_before_the_sweep() {
+    // One bus carries SharedBus::MAX_SLOTS sessions; a wider group is a
+    // typed refusal that consumes nothing, so the coordinator can still
+    // run its one sweep.
+    let capacity = SharedBus::MAX_SLOTS;
+    assert_eq!(capacity, 448, "0x100 + 4·slot must fit 11 bits");
+    let refused = FleetError::BusGroupTooLarge {
+        group: capacity + 1,
+        capacity,
+    };
+    let too_wide = SweepOptions::new().transport(TransportKind::SharedBus {
+        group: capacity + 1,
+    });
+
+    let mut fleet = FleetCoordinator::new(config(8, 0x0B05));
+    fleet.enroll_all().unwrap();
+    assert_eq!(fleet.interleaved_sweep(&too_wide), Err(refused));
+    fleet
+        .interleaved_sweep(&SweepOptions::new().transport(TransportKind::SharedBus { group: 4 }))
+        .unwrap();
+
+    // A fleet whose first bus would overflow: refused, then a bus
+    // filled to capacity runs.
+    let mut fleet = FleetCoordinator::new(
+        FleetConfig::new()
+            .devices(2 * (capacity + 1))
+            .ca_shards(1)
+            .enroll_batch(64)
+            .seed(0x0B05),
+    );
+    assert_eq!(fleet.streaming_sweep(&too_wide), Err(refused));
+    assert_eq!(fleet.report().enrolled, 0, "nothing ran");
+    fleet
+        .streaming_sweep(
+            &SweepOptions::new()
+                .threads(2)
+                .transport(TransportKind::SharedBus { group: capacity }),
+        )
+        .unwrap();
+    assert_eq!(fleet.report().handshakes, capacity + 1);
 }
 
 #[test]

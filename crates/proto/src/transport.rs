@@ -5,14 +5,19 @@
 //! [`crate::endpoint::Role::Responder`] with explicit virtual-time
 //! latency, so a discrete-event scheduler can deliver each handshake
 //! message as its own event instead of running a handshake to
-//! completion in one step. Two implementations exist:
+//! completion in one step. Four implementations exist:
 //!
 //! * [`ChannelTransport`] (here) — an in-memory FIFO pair with a fixed
 //!   per-message latency; the reference implementation and the fast
 //!   path for tests,
 //! * `ecq_simnet::transport::CanLink` — frames routed through the
 //!   CAN-FD bus and ISO 15765-2 segmentation models with per-link
-//!   latency from the `ecq_devices` cost tables.
+//!   latency from the `ecq_devices` cost tables,
+//! * [`crate::socket::StreamTransport`] — versioned service frames over
+//!   a real byte stream (TCP, Unix socket), delivered in wall-clock time,
+//! * [`crate::socket::SocketPair`] — two stream transports joined over
+//!   an in-process socket pair, so virtual-time sweeps can push every
+//!   message through a kernel socket buffer.
 //!
 //! The contract every implementation upholds:
 //!
@@ -46,8 +51,9 @@ pub type TransportTime = u64;
 /// link, one [`Message`] out. Virtual-time implementations
 /// ([`ChannelTransport`], `ecq_simnet::transport::CanLink`) are
 /// infallible in practice and always return `Ok`; real-socket
-/// implementations (`ecq_service::SocketTransport`) surface I/O and
-/// framing failures as [`TransportError`].
+/// implementations ([`crate::socket::StreamTransport`],
+/// [`crate::socket::SocketPair`]) surface I/O and framing failures as
+/// [`TransportError`].
 pub trait Transport {
     /// Submits `message` from `from` at virtual time `now_us`. Returns
     /// the virtual time at which the peer can receive it.

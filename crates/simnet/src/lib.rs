@@ -11,18 +11,16 @@
 //!   transfer-time accounting,
 //! * [`app`] — the application/session header of the paper's Fig. 6
 //!   (communication code, session communication id, op code),
-//! * [`bus`] — a discrete-event bus serializing transmissions with
-//!   priority arbitration,
+//! * [`sharedbus`] — the one bus model: sessions' frames arbitrate
+//!   (lowest id wins) on one medium processed incrementally under a
+//!   [`fault::FaultPlan`], with the ISO-TP delivery formula, typed-message
+//!   reconstruction and a pinned frame-schedule log,
 //! * [`transport`] — the `ecq_proto` [`transport::CanLink`] transport:
-//!   handshake messages wrapped in the app header, segmented by ISO-TP
-//!   and routed frame-by-frame through the bus, with per-link latency
-//!   from the `ecq_devices` cost tables,
+//!   a private one-slot fault-free bus, with per-link latency from the
+//!   `ecq_devices` cost tables,
 //! * [`fault`] — the seeded, schedule-stable fault-injection plan
 //!   (frame drop/corrupt/duplicate/reorder/delay, message replay,
-//!   babble storms, clock skew),
-//! * [`sharedbus`] — a multi-session arbitrated bus processed
-//!   incrementally under a [`fault::FaultPlan`], with typed-message
-//!   reconstruction and a pinned frame-schedule log.
+//!   babble storms, clock skew).
 //!
 //! The headline check reproduced by the tests and the Fig. 7 bench: a
 //! full handshake message (≤ 245 B) crosses the bus in ~1 ms — "the
@@ -31,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod bus;
 pub mod canfd;
 pub mod fault;
 pub mod isotp;

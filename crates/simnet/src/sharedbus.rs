@@ -1,11 +1,9 @@
-//! A multi-session CAN-FD bus with deterministic arbitration and
-//! fault injection.
+//! The crate's one CAN-FD bus model: deterministic arbitration, the
+//! ISO-TP delivery formula and fault injection.
 //!
-//! [`CanLink`](crate::CanLink) gives every handshake a pristine private
-//! medium; real harnesses share one. [`SharedBus`] carries *many*
-//! sessions' ISO-TP traffic over a single arbitrated medium, processed
-//! incrementally so an external event scheduler can interleave bus
-//! time with endpoint compute:
+//! [`SharedBus`] carries one or many sessions' ISO-TP traffic over a
+//! single arbitrated medium, processed incrementally so an external
+//! event loop can interleave bus time with endpoint compute:
 //!
 //! * every session gets a **slot** with its own arbitration-id block
 //!   (`0x100 + 4·slot`), so earlier slots win arbitration exactly like
@@ -32,6 +30,10 @@
 //! Every transmitted frame is appended to a [`FrameRecord`] log; the
 //! fleet layer pins a two-session interleaving of this log as a golden
 //! fixture.
+//!
+//! A private link is the one-slot case: [`CanLink`](crate::CanLink) is
+//! slot 0 of its own bus under [`FaultPlan::inert`], drained after
+//! every send.
 
 use crate::app::AppMessage;
 use crate::canfd::{BitTiming, CanFdFrame, MAX_PAYLOAD};
@@ -232,6 +234,11 @@ impl SharedBus {
         bus
     }
 
+    /// Sessions one bus can carry: slot `s` takes the 4-id arbitration
+    /// block at `0x100 + 4·s`, and the blocks must fit the 11-bit id
+    /// space.
+    pub const MAX_SLOTS: usize = (0x800 - 0x100) / 4;
+
     /// Registers a session on the bus; returns its slot index. Each
     /// slot gets a 4-id arbitration block at `0x100 + 4·slot`
     /// (initiator data/FC, responder data/FC), so slot order is
@@ -239,12 +246,11 @@ impl SharedBus {
     ///
     /// # Panics
     ///
-    /// Panics when the id block would leave the 11-bit space (~440
-    /// sessions per bus).
+    /// Panics when the bus already holds [`Self::MAX_SLOTS`] sessions.
     pub fn add_slot(&mut self, session_id: u16, overhead_ns: [SimNanos; 2]) -> usize {
         let slot = self.slots.len();
+        assert!(slot < Self::MAX_SLOTS, "arbitration id space exhausted");
         let base = 0x100u16 + 4 * slot as u16;
-        assert!(base + 3 < 0x800, "arbitration id space exhausted");
         self.slots.push(SlotState {
             session_id,
             isotp: [
@@ -316,25 +322,25 @@ impl SharedBus {
         self.slots[slot].stats.bytes += message.wire_len() as u64;
         self.slots[slot].stats.frames += frames.len() as u64;
         let replay = self.plan.replay_delay_ns(slot, from, msg_index as usize);
-        self.slots[slot].pending_typed[rx].insert(
-            msg_index,
-            PendingTyped {
-                original: message.clone(),
-                encoded: encoded.clone(),
-                frames: frames.len() as u64,
-            },
-        );
         if replay.is_some() {
             self.counters.replayed += 1;
             self.slots[slot].pending_typed[rx].insert(
                 msg_index | REPLAY_BIT,
                 PendingTyped {
-                    original: message,
-                    encoded,
+                    original: message.clone(),
+                    encoded: encoded.clone(),
                     frames: frames.len() as u64,
                 },
             );
         }
+        self.slots[slot].pending_typed[rx].insert(
+            msg_index,
+            PendingTyped {
+                original: message,
+                encoded,
+                frames: frames.len() as u64,
+            },
+        );
 
         for (k, frame) in frames.iter().enumerate() {
             let seq = self.alloc_seq();
@@ -519,9 +525,15 @@ impl SharedBus {
     }
 
     /// Delivers the earliest queued message for `(slot, to)` due by
-    /// `now_us`.
+    /// `now_us` (none for an unregistered slot).
     pub fn recv(&mut self, slot: usize, to: Role, now_us: TransportTime) -> Option<Message> {
-        self.slots[slot].queues.pop_due(to, now_us)
+        self.slots.get_mut(slot)?.queues.pop_due(to, now_us)
+    }
+
+    /// The delivery time of the earliest message queued for
+    /// `(slot, to)`, due or not.
+    pub fn next_delivery(&self, slot: usize, to: Role) -> Option<TransportTime> {
+        self.slots.get(slot)?.queues.next_delivery(to)
     }
 
     /// The next virtual time (µs) at which the bus can make progress,
@@ -543,14 +555,14 @@ impl SharedBus {
         c
     }
 
-    /// Per-slot traffic totals.
+    /// Per-slot traffic totals (zero for an unregistered slot).
     pub fn slot_stats(&self, slot: usize) -> SlotStats {
-        self.slots[slot].stats
+        self.slots.get(slot).map(|s| s.stats).unwrap_or_default()
     }
 
-    /// The transmitted-frame schedule so far.
-    pub fn frame_log(&self) -> &[FrameRecord] {
-        &self.log
+    /// Takes the transmitted-frame schedule logged since the last take.
+    pub fn take_frame_log(&mut self) -> Vec<FrameRecord> {
+        std::mem::take(&mut self.log)
     }
 }
 
@@ -636,11 +648,11 @@ mod tests {
         bus.send(s1, Role::Initiator, a1(), 0);
         bus.send(s0, Role::Initiator, a1(), 0);
         drain(&mut bus);
-        let first = &bus.frame_log()[0];
-        assert_eq!(first.slot, Some(s0));
+        let log = bus.take_frame_log();
+        assert_eq!(log[0].slot, Some(s0));
         // The two sessions' frames interleave by priority: every slot-0
         // frame precedes every slot-1 frame here (all ready at once).
-        let slots: Vec<_> = bus.frame_log().iter().map(|r| r.slot).collect();
+        let slots: Vec<_> = log.iter().map(|r| r.slot).collect();
         assert_eq!(slots, vec![Some(0), Some(0), Some(1), Some(1)]);
     }
 
@@ -827,7 +839,7 @@ mod tests {
             bus.send(s1, Role::Responder, b1(), 10);
             bus.send(s0, Role::Responder, b1(), 500);
             let due = drain(&mut bus);
-            (due, bus.frame_log().to_vec(), bus.counters())
+            (due, bus.take_frame_log(), bus.counters())
         };
         assert_eq!(run(), run());
     }
@@ -861,6 +873,6 @@ mod tests {
         all.sort_by_key(|d| (d.at_us, d.slot));
         acc.sort_by_key(|d| (d.at_us, d.slot));
         assert_eq!(all, acc);
-        assert_eq!(one_shot.frame_log(), stepped.frame_log());
+        assert_eq!(one_shot.take_frame_log(), stepped.take_frame_log());
     }
 }

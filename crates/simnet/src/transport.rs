@@ -1,19 +1,22 @@
 //! An `ecq_proto` transport over the simulated CAN-FD stack.
 //!
 //! [`CanLink`] carries one handshake's wire messages across the Fig. 6
-//! stack: each [`Message`] is wrapped in the session-layer
-//! [`AppMessage`] header, segmented into CAN-FD frames by the ISO
-//! 15765-2 layer, and the frames are *actually routed* through the
-//! shared [`CanBus`] — so the two directions contend for the medium,
-//! bus occupancy delays later messages, and every payload is reassembled
-//! back from the delivered frames before the typed message is handed to
-//! the receiver (a byte-level integrity check of the whole path, every
-//! send).
+//! stack. It is slot 0 of a private [`SharedBus`] under
+//! [`FaultPlan::inert`], so a private link and an arbitrated, faulted
+//! bus are one model: each [`Message`] is wrapped in the session-layer
+//! [`AppMessage`](crate::app::AppMessage) header, segmented into CAN-FD
+//! frames by the ISO 15765-2 layer, and the frames are *actually
+//! routed* through the bus — so the two directions contend for the
+//! medium, bus occupancy delays later messages, and every payload is
+//! reassembled back from the delivered frames before the typed message
+//! is handed to the receiver (a byte-level integrity check of the whole
+//! path, every send).
 //!
 //! Per-link latency therefore has three components:
 //!
-//! 1. frame transmission time from the [`BitTiming`] bit-level model
-//!    (nominal + data phase, stuffing estimate),
+//! 1. frame transmission time from the
+//!    [`BitTiming`](crate::canfd::BitTiming) bit-level model (nominal +
+//!    data phase, stuffing estimate),
 //! 2. the ISO-TP flow-control round (one FC frame after the FF, plus
 //!    STmin gaps when configured),
 //! 3. per-frame driver overhead on each endpoint's board, taken from
@@ -23,43 +26,22 @@
 //!    stand-in (the paper's point stands: transfer time is negligible
 //!    against the EC arithmetic).
 
-use crate::app::AppMessage;
-use crate::bus::CanBus;
-use crate::canfd::BitTiming;
-use crate::isotp::{flow_control_frame, segment, IsoTpConfig, Reassembler};
+use crate::fault::FaultPlan;
+use crate::sharedbus::SharedBus;
 use crate::{ms_to_ns, SimNanos};
 use ecq_devices::DeviceProfile;
-use ecq_proto::transport::{DirectionalQueues, Transport, TransportTime};
+use ecq_proto::transport::{Transport, TransportTime};
 use ecq_proto::{Message, Role, TransportError};
 
-/// Per-frame driver overhead of the two endpoints, in nanoseconds
-/// (indexed by [`role_index`]).
-type Overheads = [SimNanos; 2];
-
-fn role_index(role: Role) -> usize {
-    match role {
-        Role::Initiator => 0,
-        Role::Responder => 1,
-    }
-}
+/// The link's one slot on its private bus.
+const SLOT: usize = 0;
 
 /// A point-to-point CAN-FD link between one handshake's initiator and
 /// responder, implementing the `ecq_proto` [`Transport`] contract on
 /// virtual microseconds.
 #[derive(Debug)]
 pub struct CanLink {
-    bus: CanBus,
-    timing: BitTiming,
-    /// ISO-TP configs per sending role (distinct arbitration ids so the
-    /// two directions arbitrate honestly on the shared bus).
-    isotp: [IsoTpConfig; 2],
-    /// Per-frame driver overhead per role, ns.
-    overhead_ns: Overheads,
-    session_id: u16,
-    queues: DirectionalQueues,
-    bytes: u64,
-    messages: u64,
-    frames: u64,
+    bus: SharedBus,
 }
 
 impl CanLink {
@@ -82,107 +64,40 @@ impl CanLink {
         )
     }
 
-    fn with_overheads(session_id: u16, overhead_ns: Overheads) -> Self {
-        CanLink {
-            bus: CanBus::new(BitTiming::default()),
-            timing: BitTiming::default(),
-            isotp: [
-                // Initiator transmits on 0x100 (wins arbitration, like
-                // the opening ECU of the prototype); responder on 0x102.
-                IsoTpConfig {
-                    tx_id: 0x100,
-                    fc_id: 0x103,
-                    ..IsoTpConfig::default()
-                },
-                IsoTpConfig {
-                    tx_id: 0x102,
-                    fc_id: 0x101,
-                    ..IsoTpConfig::default()
-                },
-            ],
-            overhead_ns,
-            session_id,
-            queues: DirectionalQueues::new(),
-            bytes: 0,
-            messages: 0,
-            frames: 0,
-        }
+    fn with_overheads(session_id: u16, overhead_ns: [SimNanos; 2]) -> Self {
+        // Slot 0 transmits on 0x100 (initiator, winning arbitration like
+        // the opening ECU of the prototype) and 0x102 (responder).
+        let mut bus = SharedBus::new(FaultPlan::inert());
+        bus.add_slot(session_id, overhead_ns);
+        CanLink { bus }
     }
 }
 
 impl Transport for CanLink {
     /// Pushes `message` through app-header encapsulation, ISO-TP
-    /// segmentation and the shared bus; the returned delivery time
-    /// includes frame times, bus occupancy, the flow-control round and
-    /// both boards' per-frame driver overhead.
+    /// segmentation and the bus, and drains the bus; the returned
+    /// delivery time includes frame times, bus occupancy, the
+    /// flow-control round and both boards' per-frame driver overhead.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the reassembled bytes do not reproduce the submitted
-    /// message — that would be a transport-stack bug, never an input
-    /// condition (handshake messages are far below the ISO-TP limit).
+    /// [`TransportError::Malformed`] if the delivered frames do not
+    /// reassemble into the submitted message — a transport-stack bug,
+    /// never an input condition, since the bus injects no faults.
     fn send_frame(
         &mut self,
         from: Role,
         message: Message,
         now_us: TransportTime,
     ) -> Result<TransportTime, TransportError> {
-        let config = self.isotp[role_index(from)];
-        let encoded = message.encode();
-        let payload = AppMessage::handshake(self.session_id, encoded.clone()).encode();
-        let frames = segment(&payload, &config).expect("handshake messages fit ISO-TP");
-
-        // Sender-side driver overhead: the k-th frame is ready only
-        // after k ISR slots.
-        let now_ns = now_us * 1_000;
-        let tx_overhead = self.overhead_ns[role_index(from)];
-        for (k, frame) in frames.iter().enumerate() {
-            self.bus
-                .submit(now_ns + tx_overhead * (k as SimNanos + 1), frame.clone());
-        }
-        let deliveries = self.bus.run();
-
-        // Reassemble from what the bus actually delivered — the typed
-        // message the receiver gets is validated against these bytes.
-        let mut reassembler = Reassembler::new();
-        let mut last_ns: SimNanos = now_ns;
-        let mut rebuilt = None;
-        for d in &deliveries {
-            if d.frame.id != config.tx_id {
-                continue;
-            }
-            last_ns = last_ns.max(d.completed_at);
-            if let Some(bytes) = reassembler
-                .accept(&d.frame)
-                .expect("own segmentation is valid")
-            {
-                rebuilt = Some(bytes);
-            }
-        }
-        let rebuilt = rebuilt.expect("all frames delivered in one bus drain");
-        let app = AppMessage::decode(&rebuilt).expect("app header intact");
-        assert_eq!(app.data, encoded, "byte path must be lossless");
-
-        // Flow-control round (receiver → sender after the FF) and STmin
-        // gaps, accounted analytically on top of the data-frame times.
-        if frames.len() > 1 {
-            last_ns += flow_control_frame(&config).frame_time_ns(&self.timing);
-            last_ns += (config.st_min_us as SimNanos) * 1_000 * (frames.len() as SimNanos - 1);
-        }
-        // Receiver-side driver overhead for every frame.
-        last_ns += self.overhead_ns[role_index(from.peer())] * frames.len() as SimNanos;
-
-        self.bytes += message.wire_len() as u64;
-        self.messages += 1;
-        self.frames += frames.len() as u64;
-
-        // DirectionalQueues clamps the delivery to FIFO order within
-        // the direction (a small late message can otherwise undercut a
-        // still-in-flight multi-frame one, since the FC round and
-        // receiver overhead are accounted analytically off-bus).
-        Ok(self
-            .queues
-            .push(from.peer(), last_ns.div_ceil(1_000).max(now_us), message))
+        self.bus.send(SLOT, from, message, now_us);
+        let due = self.bus.process(TransportTime::MAX);
+        // The schedule log is the shared bus's forensic record; a link
+        // keeps no frames across sends.
+        self.bus.take_frame_log();
+        due.first()
+            .map(|d| d.at_us)
+            .ok_or(TransportError::Malformed)
     }
 
     fn recv_frame(
@@ -191,24 +106,24 @@ impl Transport for CanLink {
         now_us: TransportTime,
         _deadline_us: TransportTime,
     ) -> Result<Option<Message>, TransportError> {
-        Ok(self.queues.pop_due(to, now_us))
+        Ok(self.bus.recv(SLOT, to, now_us))
     }
 
     fn next_delivery(&self, to: Role) -> Option<TransportTime> {
-        self.queues.next_delivery(to)
+        self.bus.next_delivery(SLOT, to)
     }
 
     fn bytes_carried(&self) -> u64 {
-        self.bytes
+        self.bus.slot_stats(SLOT).bytes
     }
 
     fn messages_carried(&self) -> u64 {
-        self.messages
+        self.bus.slot_stats(SLOT).messages
     }
 
     /// CAN-FD data frames moved across the bus so far.
     fn frames_carried(&self) -> u64 {
-        self.frames
+        self.bus.slot_stats(SLOT).frames
     }
 }
 
@@ -352,5 +267,51 @@ mod tests {
         );
         assert_eq!(link.next_delivery(Role::Responder), None);
         assert_eq!(link.messages_carried(), 2);
+    }
+    /// Runs a fixed script over `for_pair(initiator, responder)`: B1 and
+    /// an ACK each way on an idle bus, then a B1 followed at the same
+    /// instant by the peer's ACK, once in each direction (the ACK waits
+    /// for the B1 to clear the bus).
+    fn scripted_arrivals(
+        initiator: ecq_devices::DevicePreset,
+        responder: ecq_devices::DevicePreset,
+    ) -> Vec<TransportTime> {
+        let mut link = CanLink::for_pair(5, &initiator.profile(), &responder.profile());
+        let script = [
+            (Role::Responder, sts_b1(), 0),
+            (Role::Initiator, ack(), 10_000),
+            (Role::Initiator, sts_b1(), 20_000),
+            (Role::Responder, ack(), 30_000),
+            (Role::Initiator, sts_b1(), 40_000),
+            (Role::Responder, ack(), 40_000),
+            (Role::Responder, sts_b1(), 50_000),
+            (Role::Initiator, ack(), 50_000),
+        ];
+        let arrivals = script
+            .into_iter()
+            .map(|(from, msg, now)| link.send_frame(from, msg, now).unwrap())
+            .collect();
+        assert!(
+            link.bus.take_frame_log().is_empty(),
+            "a link keeps no frame records across sends"
+        );
+        assert_eq!(link.frames_carried(), 4 * 5);
+        arrivals
+    }
+
+    #[test]
+    fn arrival_times_are_pinned() {
+        // Exact virtual arrival times (µs) of the link model; a change
+        // to arbitration, frame timing, the FC round or driver overhead
+        // moves them.
+        use ecq_devices::DevicePreset;
+        assert_eq!(
+            scripted_arrivals(DevicePreset::S32K144, DevicePreset::ATmega2560),
+            [4334, 11080, 25211, 31080, 45211, 41699, 54334, 54972]
+        );
+        assert_eq!(
+            scripted_arrivals(DevicePreset::RaspberryPi4, DevicePreset::Stm32F767),
+            [1572, 10140, 21661, 30140, 41661, 41559, 51572, 51619]
+        );
     }
 }
