@@ -1,24 +1,30 @@
-//! Primitive-level P-256 benchmark and the `BENCH_p256.json` artifact.
+//! Host timing of every primitive and handshake, and the
+//! `BENCH_p256.json` artifact.
 //!
-//! Times every hot curve primitive on the specialized field backend
-//! and, for the field rows, the generic [`ecq_p256::mont::MontCtx`]
-//! engine on the *same* operation, so the artifact records the
-//! optimization speedup live instead of relying on numbers copied from
-//! an older commit. CI uploads the JSON next to
-//! `BENCH_fleet.json`, tracking the perf trajectory per primitive.
+//! One table covers the symmetric primitives, the P-256 field and
+//! curve operations, ECQV issuance and reconstruction, point decoding
+//! and one full handshake per distinct wire format of Table II. The
+//! field rows also time the generic [`ecq_p256::mont::MontCtx`] engine
+//! on the *same* operation, so the artifact records the backend's
+//! speedup live instead of relying on numbers copied from an older
+//! commit. Host numbers differ from the paper's embedded boards by
+//! construction; the ratios between rows are the comparison that
+//! carries over. CI uploads the JSON next to `BENCH_fleet.json`.
 //!
 //! ```sh
 //! cargo run --release --bin bench_p256 -- --json BENCH_p256.json
 //! ```
 
+use ecq_bench::{deployment, run_protocol};
 use ecq_cert::{ca::CertificateAuthority, requester::CertRequester, DeviceId};
-use ecq_crypto::HmacDrbg;
+use ecq_crypto::{aes::Aes128, cmac, ctr, hkdf, hmac, sha256, HmacDrbg};
 use ecq_p256::field::{FieldElement, P_HEX};
 use ecq_p256::mont::MontCtx;
 use ecq_p256::point::{mul_generator_ct, mul_generator_vartime, AffinePoint, JacobianPoint};
 use ecq_p256::scalar::{Scalar, N_HEX};
 use ecq_p256::u256::U256;
-use ecq_p256::{ecdh, ecdsa, keys::KeyPair};
+use ecq_p256::{ecdh, ecdsa, encoding, keys::KeyPair};
+use ecq_proto::ProtocolKind;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -51,6 +57,28 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     samples[REPS / 2]
 }
 
+/// A row with no reference implementation.
+fn row(name: &'static str, ns: f64) -> Row {
+    Row {
+        name,
+        ns,
+        reference_ns: None,
+    }
+}
+
+/// The row name of `kind`'s full handshake. The STS schedules share
+/// one row: they differ only in the device timing model, and on the
+/// host [`run_protocol`] runs the same handshake for all three.
+fn handshake_row(kind: ProtocolKind) -> &'static str {
+    match kind {
+        ProtocolKind::SEcdsa => "handshake_s_ecdsa",
+        ProtocolKind::SEcdsaExt => "handshake_s_ecdsa_ext",
+        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => "handshake_sts",
+        ProtocolKind::Scianc => "handshake_scianc",
+        ProtocolKind::Poramb => "handshake_poramb",
+    }
+}
+
 fn rows() -> Vec<Row> {
     let mut rng = HmacDrbg::from_seed(0xB256);
     let p_ctx = MontCtx::new(U256::from_be_hex(P_HEX));
@@ -75,7 +103,64 @@ fn rows() -> Vec<Row> {
     let req = CertRequester::generate(DeviceId::from_label("dev"), &mut rng);
     let issued = ca.issue(&req.request(), 0, 100, &mut rng).unwrap();
 
-    let mut rows = Vec::new();
+    let data_64 = [0xA5u8; 64];
+    let data_1k = [0x5Au8; 1024];
+    let aes = Aes128::new(b"0123456789abcdef");
+    let compressed = encoding::encode_compressed(&kp.public);
+    let raw = encoding::encode_raw(&kp.public);
+
+    let mut rows = vec![
+        row(
+            "sha256_64B",
+            time_ns(5_000, || {
+                black_box(sha256::sha256(black_box(&data_64)));
+            }),
+        ),
+        row(
+            "sha256_1KiB",
+            time_ns(1_000, || {
+                black_box(sha256::sha256(black_box(&data_1k)));
+            }),
+        ),
+        row(
+            "hmac_sha256_64B",
+            time_ns(2_000, || {
+                black_box(hmac::hmac_sha256(b"key", black_box(&data_64)));
+            }),
+        ),
+        row(
+            "hkdf_sha256_32B_out",
+            time_ns(2_000, || {
+                let mut okm = [0u8; 32];
+                hkdf::hkdf_sha256(b"salt", black_box(&data_64), b"info", &mut okm);
+                black_box(okm);
+            }),
+        ),
+        row(
+            "aes128_block",
+            time_ns(10_000, || {
+                let mut block = [0u8; 16];
+                aes.encrypt_block(black_box(&mut block));
+                black_box(block);
+            }),
+        ),
+        row(
+            "aes128_ctr_64B",
+            time_ns(2_000, || {
+                black_box(ctr::aes128_ctr_encrypt(
+                    b"0123456789abcdef",
+                    &[0u8; 12],
+                    black_box(&data_64),
+                ));
+            }),
+        ),
+        row(
+            "aes128_cmac_64B",
+            time_ns(2_000, || {
+                black_box(cmac::aes128_cmac(b"0123456789abcdef", black_box(&data_64)));
+            }),
+        ),
+    ];
 
     rows.push(Row {
         name: "fe_mul",
@@ -193,6 +278,47 @@ fn rows() -> Vec<Row> {
         }),
         reference_ns: None,
     });
+    let mut issue_rng = HmacDrbg::from_seed(0xEC2);
+    rows.push(row(
+        "ecqv_ca_issue",
+        time_ns(100, || {
+            black_box(
+                ca.issue(black_box(&req.request()), 0, 100, &mut issue_rng)
+                    .unwrap(),
+            );
+        }),
+    ));
+    rows.push(row(
+        "ecqv_reconstruct_subject",
+        time_ns(50, || {
+            black_box(
+                req.reconstruct(black_box(&issued), &ca.public_key())
+                    .unwrap(),
+            );
+        }),
+    ));
+    rows.push(row(
+        "point_decompress",
+        time_ns(300, || {
+            black_box(encoding::decode_compressed(black_box(&compressed)).unwrap());
+        }),
+    ));
+    rows.push(row(
+        "point_decode_raw",
+        time_ns(2_000, || {
+            black_box(encoding::decode_raw(black_box(&raw)).unwrap());
+        }),
+    ));
+
+    for kind in ProtocolKind::WIRE_DISTINCT {
+        let (alice, bob, mut hs_rng) = deployment(kind as u64 + 100);
+        rows.push(row(
+            handshake_row(kind),
+            time_ns(10, || {
+                black_box(run_protocol(kind, &alice, &bob, &mut hs_rng).expect("handshake"));
+            }),
+        ));
+    }
 
     rows
 }

@@ -57,14 +57,12 @@
 #![deny(missing_docs)]
 
 pub mod auth;
-pub mod group;
 pub mod initiator;
 pub mod manager;
 pub mod responder;
 pub mod variant;
 
 pub use auth::ReconstructionHint;
-pub use group::GroupSession;
 pub use initiator::StsInitiator;
 pub use manager::{RekeyPolicy, SessionManager};
 pub use responder::StsResponder;

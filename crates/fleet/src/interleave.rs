@@ -52,7 +52,6 @@ use ecq_cert::CertError;
 use ecq_crypto::{ct, HmacDrbg};
 use ecq_devices::{DevicePreset, DeviceProfile};
 use ecq_proto::transport::{ChannelTransport, Transport};
-use ecq_proto::SocketPair;
 use ecq_proto::{Credentials, Endpoint, OpTrace, ProtocolError, Role, SessionKey, StepOutput};
 use ecq_simnet::sharedbus::SlotStats;
 use ecq_simnet::{ms_to_ns, CanLink, FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
@@ -83,13 +82,6 @@ pub enum TransportKind {
         /// with [`FleetError::BusGroupTooLarge`].
         group: usize,
     },
-    /// A real in-process socket pair per session
-    /// (`ecq_proto::SocketPair`): every wire message crosses a kernel
-    /// socket buffer in the versioned service frame format. Delivery
-    /// is immediate in virtual time, so reports stay deterministic;
-    /// this is the smoke path proving the service wire format carries
-    /// the sweep's exact byte streams.
-    Socket,
 }
 
 /// Revocation arriving *during* the sweep: from `at_us`, session
@@ -113,7 +105,7 @@ pub struct RevocationSpec {
 /// The struct is `#[non_exhaustive]`: build one with
 /// [`SweepOptions::new`] (or `default()`) and refine it with the
 /// builder methods, e.g.
-/// `SweepOptions::new().threads(8).transport(TransportKind::Socket)`.
+/// `SweepOptions::new().threads(8).transport(TransportKind::Simnet)`.
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct SweepOptions {
@@ -516,8 +508,8 @@ fn dispatch_send(
                     },
                 );
             }
-            // A link that refuses a frame fails the session closed —
-            // virtual links never do; a socket link surfaces real I/O.
+            // A link that refuses a frame fails the session closed:
+            // only `CanLink` can, if its inert bus loses the message.
             Err(e) => session.fail(e.into(), done_at),
         },
         Link::Shared => {
@@ -594,15 +586,7 @@ pub(crate) fn run_worker(
             scheduler.schedule(0, w.index as u64, Event::Kickoff { slot });
             continue;
         }
-        let Some(link) = make_link(&cfg.transport, &w) else {
-            // A session whose link cannot be built (socket-pair creation
-            // refused) cannot be simulated; fail it closed.
-            if let Some(p) = poisoned.get_mut(slot) {
-                *p = true;
-            }
-            live.push(None);
-            continue;
-        };
+        let link = make_link(&cfg.transport, &w);
         // Mirror `ecq_sts::establish`: one stream per role, initiator
         // first, derived from the pair's wire seed.
         let mut rng = HmacDrbg::new(&w.wire_seed, b"fleet-pair-wire");
@@ -824,10 +808,8 @@ fn assert_one_bus_group(work: &[SessionWork], g: usize, group: usize, total: usi
 }
 
 /// Builds a session's link: an owned private transport, or its slot on
-/// the loop's bus. Returns `None` when socket-pair creation is refused
-/// (fd exhaustion): the caller fails that session closed rather than
-/// aborting the sweep.
-fn make_link(kind: &TransportKind, work: &SessionWork) -> Option<Link> {
+/// the loop's bus.
+fn make_link(kind: &TransportKind, work: &SessionWork) -> Link {
     let private: Box<dyn Transport> = match kind {
         TransportKind::Channel { latency_us } => Box::new(ChannelTransport::new(*latency_us)),
         TransportKind::Simnet => Box::new(CanLink::for_pair(
@@ -835,10 +817,9 @@ fn make_link(kind: &TransportKind, work: &SessionWork) -> Option<Link> {
             &work.preset_a.profile(),
             &work.preset_b.profile(),
         )),
-        TransportKind::SharedBus { .. } => return Some(Link::Shared),
-        TransportKind::Socket => Box::new(SocketPair::open().ok()?),
+        TransportKind::SharedBus { .. } => return Link::Shared,
     };
-    Some(Link::Private(private))
+    Link::Private(private)
 }
 
 /// Refuses a bus group wider than one bus's arbitration-id space up

@@ -155,32 +155,6 @@ fn keys_are_transport_independent_but_makespan_is_not() {
 }
 
 #[test]
-fn socket_transport_derives_the_same_keys_as_channel() {
-    // Real OS sockets under the fleet sweep: key material and session
-    // outcomes must match the in-process channel transport exactly —
-    // only the link model differs, never the cryptography.
-    let channel = sweep(
-        16,
-        0x50C7,
-        &SweepOptions::new()
-            .threads(1)
-            .transport(TransportKind::Channel { latency_us: 0 }),
-    );
-    let socket = sweep(
-        16,
-        0x50C7,
-        &SweepOptions::new()
-            .threads(1)
-            .transport(TransportKind::Socket),
-    );
-    assert_eq!(channel.report().key_digest, socket.report().key_digest);
-    assert_eq!(channel.report().handshakes, socket.report().handshakes);
-    // Sockets carry whole messages: one wire frame each, no CAN-FD
-    // segmentation.
-    assert_eq!(socket.report().can_frames, socket.report().messages);
-}
-
-#[test]
 fn pre_sweep_revocation_denies_only_the_revoked_pair() {
     let mut fleet = FleetCoordinator::new(config(24, 0xDEAD));
     fleet.enroll_all().unwrap();

@@ -616,9 +616,9 @@ pub fn mul_generator_ct_jacobian(k: &Scalar) -> JacobianPoint {
 /// Walks the *wide* 8-bit comb of [`crate::precomp`] and skips zero
 /// bytes, so at most 32 mixed additions, no doublings, and a schedule
 /// that leaks `k`'s byte pattern. Only for public scalars: the `u1`
-/// of ECDSA verification, benches and tests. The generic path
-/// (`AffinePoint::generator().mul_vartime(k)`) remains the comparison
-/// baseline in `benches/primitives.rs`.
+/// of ECDSA verification, benches and tests. `bench_p256` times it as
+/// `base_mul_vartime`, next to the generic variable-base
+/// `mul_vartime` as `point_mul_vartime`.
 pub fn mul_generator_vartime(k: &Scalar) -> AffinePoint {
     mul_generator_vartime_jacobian(k).to_affine()
 }

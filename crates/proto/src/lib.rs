@@ -16,8 +16,8 @@
 //! * [`framing`] — the versioned, length-prefixed service wire format
 //!   (magic, protocol version, cryptosystem identifier) with a total
 //!   fail-closed decoder,
-//! * [`socket`] — real-socket [`transport::Transport`] implementations
-//!   over the framing layer (TCP / Unix streams, in-process pairs),
+//! * [`socket`] — blocking frame I/O ([`socket::read_frame`],
+//!   [`socket::write_frame`]) over TCP / Unix streams,
 //! * [`error`] — the shared error types ([`ProtocolError`],
 //!   [`TransportError`]).
 
@@ -39,7 +39,6 @@ pub use endpoint::{run_handshake, Endpoint, Role, StepOutput};
 pub use error::{ProtocolError, TransportError};
 pub use framing::{Frame, FrameKind};
 pub use session::SessionKey;
-pub use socket::{SocketPair, StreamTransport};
 pub use trace::{OpTrace, PrimitiveOp, StsPhase};
 pub use transcript::Transcript;
 pub use transport::{ChannelTransport, DirectionalQueues, Transport, TransportTime};

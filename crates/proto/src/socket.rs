@@ -1,53 +1,14 @@
-//! Real-socket implementations of the [`Transport`] contract.
+//! Blocking frame I/O over a byte stream.
 //!
-//! [`StreamTransport`] frames handshake messages over any byte stream
-//! (TCP, Unix domain sockets, an in-process socket pair) using the
-//! versioned [`crate::framing`] wire format. Unlike the virtual-time
-//! transports, delivery here is wall-clock: `send_frame` writes the
-//! frame immediately and returns `now_us` unchanged, and `recv_frame`
-//! blocks on the stream for up to `deadline_us − now_us` wall-clock
-//! microseconds.
-//!
-//! [`SocketPair`] joins two [`StreamTransport`]s over an in-process
-//! socket pair into one bidirectional [`Transport`], so the fleet
-//! sweep can push every wire message of a session through a real
-//! kernel socket buffer (the `TransportKind::Socket` smoke path): same
-//! bytes, same order, real file descriptors.
+//! [`read_frame`] and [`write_frame`] move one versioned
+//! [`crate::framing`] frame at a time over any [`Read`] / [`Write`]
+//! stream (TCP, Unix domain sockets). The service client and daemon
+//! frame their traffic with them. A read deadline set on the stream
+//! surfaces as [`TransportError::Timeout`].
 
-use crate::endpoint::Role;
 use crate::error::TransportError;
 use crate::framing::{Frame, HEADER_LEN};
-use crate::transport::{Transport, TransportTime};
-use crate::wire::Message;
 use std::io::{Read, Write};
-use std::time::Duration;
-
-/// A byte stream with a settable read deadline — the capability
-/// [`StreamTransport::recv_frame`] needs to honor its deadline
-/// parameter on a blocking socket.
-pub trait DeadlineStream: Read + Write {
-    /// Sets the read timeout for subsequent reads (`None` blocks
-    /// indefinitely).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket-option failure as [`TransportError`].
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> Result<(), TransportError>;
-}
-
-impl DeadlineStream for std::net::TcpStream {
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        std::net::TcpStream::set_read_timeout(self, timeout).map_err(TransportError::from)
-    }
-}
-
-#[cfg(unix)]
-impl DeadlineStream for std::os::unix::net::UnixStream {
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
-            .map_err(TransportError::from)
-    }
-}
 
 /// Reads exactly one frame from `stream`: a 12-byte header (validated
 /// before any payload byte is read) followed by the declared payload.
@@ -78,327 +39,18 @@ pub fn write_frame<S: Write>(stream: &mut S, frame: &Frame) -> Result<(), Transp
     Ok(())
 }
 
-/// One endpoint's framed view of a byte stream: handshake messages go
-/// out as [`Frame::HsMessage`] frames and come back the same way.
-///
-/// The transport is single-ended — it speaks for `local` and refuses
-/// sends or receives on behalf of the peer (those travel on the peer's
-/// own stream). An unexpected frame kind on the stream (a typed
-/// [`Frame::ErrorClose`], a stray control frame) surfaces as
-/// [`TransportError::Malformed`] rather than being skipped: control
-/// traffic is a connection-setup concern, finished before a transport
-/// is constructed.
-#[derive(Debug)]
-pub struct StreamTransport<S: DeadlineStream> {
-    stream: S,
-    local: Role,
-    bytes: u64,
-    messages: u64,
-    frames: u64,
-}
-
-impl<S: DeadlineStream> StreamTransport<S> {
-    /// Wraps `stream` as `local`'s framed transport.
-    pub fn new(stream: S, local: Role) -> Self {
-        StreamTransport {
-            stream,
-            local,
-            bytes: 0,
-            messages: 0,
-            frames: 0,
-        }
-    }
-
-    /// The local role this transport speaks for.
-    pub fn local_role(&self) -> Role {
-        self.local
-    }
-
-    /// Consumes the transport, returning the underlying stream.
-    pub fn into_inner(self) -> S {
-        self.stream
-    }
-
-    /// Shared access to the underlying stream.
-    pub fn get_ref(&self) -> &S {
-        &self.stream
-    }
-}
-
-impl<S: DeadlineStream> Transport for StreamTransport<S> {
-    /// Writes the message as one frame, immediately. The returned time
-    /// is `now_us` — wall-clock sockets have no virtual latency model;
-    /// elapsed time is measured by the caller, not simulated.
-    fn send_frame(
-        &mut self,
-        from: Role,
-        message: Message,
-        now_us: TransportTime,
-    ) -> Result<TransportTime, TransportError> {
-        if from != self.local {
-            return Err(TransportError::Malformed);
-        }
-        let wire_len = message.wire_len() as u64;
-        write_frame(&mut self.stream, &Frame::HsMessage(message))?;
-        self.bytes += wire_len;
-        self.messages += 1;
-        self.frames += 1;
-        Ok(now_us)
-    }
-
-    /// Blocks for up to `deadline_us − now_us` wall-clock microseconds
-    /// for the peer's next handshake frame. A zero budget means "wait
-    /// indefinitely" (a caller that wants a pure poll should use a
-    /// 1 µs budget instead — blocking sockets cannot poll exactly).
-    fn recv_frame(
-        &mut self,
-        to: Role,
-        now_us: TransportTime,
-        deadline_us: TransportTime,
-    ) -> Result<Option<Message>, TransportError> {
-        if to != self.local {
-            return Err(TransportError::Malformed);
-        }
-        let budget = deadline_us.saturating_sub(now_us);
-        let timeout = if budget == 0 {
-            None
-        } else {
-            Some(Duration::from_micros(budget))
-        };
-        self.stream.set_read_deadline(timeout)?;
-        match read_frame(&mut self.stream)? {
-            Frame::HsMessage(message) => {
-                self.frames += 1;
-                Ok(Some(message))
-            }
-            _ => Err(TransportError::Malformed),
-        }
-    }
-
-    /// Real sockets cannot peek a delivery schedule; `None` always.
-    fn next_delivery(&self, _to: Role) -> Option<TransportTime> {
-        None
-    }
-
-    fn bytes_carried(&self) -> u64 {
-        self.bytes
-    }
-
-    fn messages_carried(&self) -> u64 {
-        self.messages
-    }
-
-    /// Frames moved in either direction on this endpoint's stream.
-    fn frames_carried(&self) -> u64 {
-        self.frames
-    }
-}
-
-#[cfg(unix)]
-type PairStream = std::os::unix::net::UnixStream;
-#[cfg(not(unix))]
-type PairStream = std::net::TcpStream;
-
-/// Both ends of an in-process socket pair, presented as one
-/// bidirectional [`Transport`]: sends from a role go into that role's
-/// socket end, receives drain the other end. Every message crosses a
-/// real kernel socket buffer in the versioned frame format.
-///
-/// Delivery is immediate in virtual time (like a zero-latency
-/// [`crate::transport::ChannelTransport`]): the sweep scheduler learns
-/// nothing about wall-clock socket timing, which keeps reports
-/// deterministic, while the byte path is exercised for real.
-#[derive(Debug)]
-pub struct SocketPair {
-    initiator: StreamTransport<PairStream>,
-    responder: StreamTransport<PairStream>,
-    /// Pending delivery bookkeeping per receiver
-    /// (`[initiator, responder]`): the kernel buffer holds the bytes;
-    /// these hold the virtual delivery times `next_delivery` reports.
-    pending: [std::collections::VecDeque<TransportTime>; 2],
-}
-
-fn pair_streams() -> Result<(PairStream, PairStream), TransportError> {
-    #[cfg(unix)]
-    {
-        let (a, b) = std::os::unix::net::UnixStream::pair()?;
-        Ok((a, b))
-    }
-    #[cfg(not(unix))]
-    {
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let a = std::net::TcpStream::connect(addr)?;
-        let (b, _) = listener.accept()?;
-        a.set_nodelay(true)?;
-        b.set_nodelay(true)?;
-        Ok((a, b))
-    }
-}
-
-impl SocketPair {
-    /// Opens a fresh in-process socket pair (a Unix socketpair where
-    /// available, a loopback TCP pair otherwise).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError`] when the operating system refuses the pair
-    /// (fd exhaustion being the realistic cause).
-    pub fn open() -> Result<Self, TransportError> {
-        let (a, b) = pair_streams()?;
-        Ok(SocketPair {
-            initiator: StreamTransport::new(a, Role::Initiator),
-            responder: StreamTransport::new(b, Role::Responder),
-            pending: [Default::default(), Default::default()],
-        })
-    }
-
-    fn end_mut(&mut self, role: Role) -> &mut StreamTransport<PairStream> {
-        match role {
-            Role::Initiator => &mut self.initiator,
-            Role::Responder => &mut self.responder,
-        }
-    }
-
-    fn pending_mut(&mut self, receiver: Role) -> &mut std::collections::VecDeque<TransportTime> {
-        match receiver {
-            Role::Initiator => &mut self.pending[0],
-            Role::Responder => &mut self.pending[1],
-        }
-    }
-}
-
-impl Transport for SocketPair {
-    fn send_frame(
-        &mut self,
-        from: Role,
-        message: Message,
-        now_us: TransportTime,
-    ) -> Result<TransportTime, TransportError> {
-        let at = self.end_mut(from).send_frame(from, message, now_us)?;
-        self.pending_mut(from.peer()).push_back(at);
-        Ok(at)
-    }
-
-    fn recv_frame(
-        &mut self,
-        to: Role,
-        now_us: TransportTime,
-        _deadline_us: TransportTime,
-    ) -> Result<Option<Message>, TransportError> {
-        match self.pending_mut(to).front() {
-            Some(at) if *at <= now_us => {}
-            _ => return Ok(None),
-        }
-        self.pending_mut(to).pop_front();
-        // The sender's write preceded this call in program order, so
-        // the bytes sit in the kernel buffer; a generous wall-clock
-        // deadline only guards against a torn write.
-        self.end_mut(to).recv_frame(to, 0, 1_000_000)
-    }
-
-    fn next_delivery(&self, to: Role) -> Option<TransportTime> {
-        let queue = match to {
-            Role::Initiator => &self.pending[0],
-            Role::Responder => &self.pending[1],
-        };
-        queue.front().copied()
-    }
-
-    fn bytes_carried(&self) -> u64 {
-        self.initiator.bytes_carried() + self.responder.bytes_carried()
-    }
-
-    fn messages_carried(&self) -> u64 {
-        self.initiator.messages_carried() + self.responder.messages_carried()
-    }
-
-    fn frames_carried(&self) -> u64 {
-        // Count each frame once, at its sending end.
-        self.initiator.messages_carried() + self.responder.messages_carried()
-    }
-}
-
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::wire::{FieldKind, WireField};
-
-    fn msg(step: &'static str, byte: u8) -> Message {
-        Message::new(step, vec![WireField::new(FieldKind::Ack, vec![byte])])
-    }
-
-    #[test]
-    fn socket_pair_carries_messages_both_ways() {
-        let mut pair = SocketPair::open().unwrap();
-        pair.send_frame(Role::Initiator, msg("A1", 1), 5).unwrap();
-        pair.send_frame(Role::Responder, msg("B1", 2), 5).unwrap();
-        assert_eq!(pair.next_delivery(Role::Responder), Some(5));
-        let got = pair.recv_frame(Role::Responder, 5, 5).unwrap().unwrap();
-        assert_eq!(got, msg("A1", 1));
-        let got = pair.recv_frame(Role::Initiator, 5, 5).unwrap().unwrap();
-        assert_eq!(got, msg("B1", 2));
-        assert_eq!(pair.messages_carried(), 2);
-        assert_eq!(pair.bytes_carried(), 2);
-        assert_eq!(pair.frames_carried(), 2);
-    }
-
-    #[test]
-    fn socket_pair_is_fifo_and_time_gated() {
-        let mut pair = SocketPair::open().unwrap();
-        pair.send_frame(Role::Initiator, msg("A1", 1), 10).unwrap();
-        pair.send_frame(Role::Initiator, msg("A2", 2), 20).unwrap();
-        // Nothing is due before its virtual send time.
-        assert!(pair.recv_frame(Role::Responder, 9, 9).unwrap().is_none());
-        assert_eq!(
-            pair.recv_frame(Role::Responder, 10, 10)
-                .unwrap()
-                .unwrap()
-                .step,
-            "A1"
-        );
-        assert_eq!(
-            pair.recv_frame(Role::Responder, 20, 20)
-                .unwrap()
-                .unwrap()
-                .step,
-            "A2"
-        );
-        assert!(pair.recv_frame(Role::Responder, 30, 30).unwrap().is_none());
-    }
-
-    #[test]
-    fn stream_transport_rejects_wrong_role() {
-        let (a, _b) = pair_streams().unwrap();
-        let mut end = StreamTransport::new(a, Role::Initiator);
-        assert_eq!(
-            end.send_frame(Role::Responder, msg("A1", 1), 0),
-            Err(TransportError::Malformed)
-        );
-        assert_eq!(
-            end.recv_frame(Role::Responder, 0, 0),
-            Err(TransportError::Malformed)
-        );
-    }
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
 
     #[test]
     fn recv_deadline_times_out() {
-        let mut pair = SocketPair::open().unwrap();
-        // Bypass the bookkeeping: read directly on the raw end with a
-        // small wall-clock budget and nothing in flight.
-        let end = pair.end_mut(Role::Initiator);
-        let err = end.recv_frame(Role::Initiator, 0, 50_000).unwrap_err();
-        assert_eq!(err, TransportError::Timeout);
-    }
-
-    #[test]
-    fn control_frame_on_a_handshake_stream_is_malformed() {
-        let mut pair = SocketPair::open().unwrap();
-        write_frame(&mut pair.responder.stream, &Frame::CrlRequest).unwrap();
-        let err = pair
-            .initiator
-            .recv_frame(Role::Initiator, 0, 1_000_000)
-            .unwrap_err();
-        assert_eq!(err, TransportError::Malformed);
+        // Nothing in flight: the read deadline on the blocking socket
+        // must surface as a typed timeout, not as an I/O error.
+        let (mut a, _b) = UnixStream::pair().unwrap();
+        a.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        assert_eq!(read_frame(&mut a).unwrap_err(), TransportError::Timeout);
     }
 }

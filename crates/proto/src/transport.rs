@@ -5,27 +5,20 @@
 //! [`crate::endpoint::Role::Responder`] with explicit virtual-time
 //! latency, so a discrete-event scheduler can deliver each handshake
 //! message as its own event instead of running a handshake to
-//! completion in one step. Four implementations exist:
+//! completion in one step. Two implementations exist:
 //!
 //! * [`ChannelTransport`] (here) — an in-memory FIFO pair with a fixed
 //!   per-message latency; the reference implementation and the fast
 //!   path for tests,
 //! * `ecq_simnet::transport::CanLink` — frames routed through the
 //!   CAN-FD bus and ISO 15765-2 segmentation models with per-link
-//!   latency from the `ecq_devices` cost tables,
-//! * [`crate::socket::StreamTransport`] — versioned service frames over
-//!   a real byte stream (TCP, Unix socket), delivered in wall-clock time,
-//! * [`crate::socket::SocketPair`] — two stream transports joined over
-//!   an in-process socket pair, so virtual-time sweeps can push every
-//!   message through a kernel socket buffer.
+//!   latency from the `ecq_devices` cost tables.
 //!
 //! The contract every implementation upholds:
 //!
-//! 1. **Determinism** (virtual-time transports) — delivery times are a
-//!    pure function of the submitted messages and their timestamps; no
-//!    wall clock, no randomness. Real-socket transports trade this for
-//!    wall-clock concurrency and live outside the simulator's
-//!    determinism envelope (see `ecq_service`).
+//! 1. **Determinism** — delivery times are a pure function of the
+//!    submitted messages and their timestamps; no wall clock, no
+//!    randomness.
 //! 2. **FIFO per direction** — messages from one role arrive in the
 //!    order they were sent (a CAN link cannot reorder one sender's
 //!    ISO-TP messages).
@@ -48,12 +41,9 @@ pub type TransportTime = u64;
 /// one handshake, with virtual-time delivery accounting.
 ///
 /// The API is framed: one handshake [`Message`] in, one frame on the
-/// link, one [`Message`] out. Virtual-time implementations
-/// ([`ChannelTransport`], `ecq_simnet::transport::CanLink`) are
-/// infallible in practice and always return `Ok`; real-socket
-/// implementations ([`crate::socket::StreamTransport`],
-/// [`crate::socket::SocketPair`]) surface I/O and framing failures as
-/// [`TransportError`].
+/// link, one [`Message`] out. [`ChannelTransport`] never fails;
+/// `ecq_simnet::transport::CanLink` returns a typed [`TransportError`]
+/// if its bus ever loses a message.
 pub trait Transport {
     /// Submits `message` from `from` at virtual time `now_us`. Returns
     /// the virtual time at which the peer can receive it.
@@ -61,7 +51,7 @@ pub trait Transport {
     /// # Errors
     ///
     /// Returns [`TransportError`] when the frame cannot be carried
-    /// (encoding failure, oversized frame, socket I/O failure).
+    /// (encoding failure, oversized frame, a lost message).
     fn send_frame(
         &mut self,
         from: Role,
@@ -72,11 +62,9 @@ pub trait Transport {
     /// Delivers the earliest message queued for `to` whose delivery
     /// time is `<= now_us`, or `Ok(None)` when nothing has arrived yet.
     ///
-    /// `deadline_us` is the caller's receive deadline. Virtual-time
-    /// transports never block and treat it as advisory; blocking
-    /// socket transports wait up to `deadline_us - now_us`
-    /// (wall-clock microseconds) for a frame before returning
-    /// [`TransportError::Timeout`].
+    /// `deadline_us` is the caller's receive deadline. It is advisory:
+    /// no implementation blocks, so each returns `Ok(None)` when
+    /// nothing is due at `now_us`.
     ///
     /// # Errors
     ///

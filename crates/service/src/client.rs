@@ -12,7 +12,7 @@ use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdsa::{verify, Signature};
 use ecq_p256::point::AffinePoint;
 use ecq_p256::scalar::Scalar;
-use ecq_proto::socket::{read_frame, write_frame, DeadlineStream};
+use ecq_proto::socket::{read_frame, write_frame};
 use ecq_proto::{Credentials, Endpoint, Frame, Message, SessionKey, StepOutput};
 use ecq_sts::{StsConfig, StsInitiator, StsVariant};
 use std::time::Duration;

@@ -9,8 +9,9 @@ pub enum BindAddr {
     /// A TCP socket address string (e.g. `127.0.0.1:0` for an
     /// ephemeral loopback port).
     Tcp(String),
-    /// A Unix-domain socket path. A stale socket file at the path is
-    /// removed before binding.
+    /// A Unix-domain socket path. A stale socket file at the path (one
+    /// no listener answers on) is removed before binding; any other
+    /// file there makes the bind fail with `AddrInUse`.
     #[cfg(unix)]
     Unix(PathBuf),
 }

@@ -13,7 +13,7 @@ use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::point::AffinePoint;
 use ecq_proto::framing::ErrorCode;
-use ecq_proto::socket::{write_frame, DeadlineStream};
+use ecq_proto::socket::write_frame;
 use ecq_proto::{Endpoint, Frame, StepOutput, TransportError};
 use ecq_sts::{StsConfig, StsResponder};
 use std::io::Read;

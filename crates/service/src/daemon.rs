@@ -235,10 +235,22 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
         }
         #[cfg(unix)]
         BindAddr::Unix(path) => {
-            let _ = std::fs::remove_file(path);
+            remove_stale_socket(path);
             let listener = std::os::unix::net::UnixListener::bind(path)?;
             Ok((Listener::Unix(listener), ServiceAddr::Unix(path.clone())))
         }
+    }
+}
+
+/// Removes `path` only if it is a socket that no listener answers on.
+/// Anything else there (a regular file, a live daemon's socket) stays,
+/// and the bind that follows fails with `AddrInUse`.
+#[cfg(unix)]
+fn remove_stale_socket(path: &std::path::Path) {
+    use std::os::unix::fs::FileTypeExt;
+    let is_socket = std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket());
+    if is_socket && std::os::unix::net::UnixStream::connect(path).is_err() {
+        let _ = std::fs::remove_file(path);
     }
 }
 

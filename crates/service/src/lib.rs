@@ -43,16 +43,6 @@ pub use daemon::{ServiceAddr, ServiceDaemon, StatsSnapshot};
 pub use error::ServiceError;
 pub use stream::ServiceStream;
 
-// The socket transports live in `ecq_proto::socket` (the fleet uses
-// them without depending on this crate); service mode re-exports them
-// as its client-side transport vocabulary.
-pub use ecq_proto::{SocketPair, StreamTransport};
-
-/// The client-side [`ecq_proto::Transport`] over a service connection:
-/// a [`StreamTransport`] framing handshake messages onto a
-/// [`ServiceStream`].
-pub type SocketTransport = StreamTransport<ServiceStream>;
-
 use ecq_sts::StsVariant;
 
 /// Wire code of an STS variant inside [`ecq_proto::Frame::HsOpen`].

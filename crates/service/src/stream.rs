@@ -1,6 +1,5 @@
 //! A unified byte stream over the daemon's two listener families.
 
-use ecq_proto::socket::DeadlineStream;
 use ecq_proto::TransportError;
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -17,6 +16,19 @@ pub enum ServiceStream {
 }
 
 impl ServiceStream {
+    /// Sets the read timeout (`None` blocks indefinitely).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket-option failure as [`TransportError`].
+    pub fn set_read_deadline(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        match self {
+            ServiceStream::Tcp(s) => s.set_read_timeout(timeout).map_err(TransportError::from),
+            #[cfg(unix)]
+            ServiceStream::Unix(s) => s.set_read_timeout(timeout).map_err(TransportError::from),
+        }
+    }
+
     /// Sets the write timeout (`None` blocks indefinitely).
     ///
     /// # Errors
@@ -55,16 +67,6 @@ impl Write for ServiceStream {
             ServiceStream::Tcp(s) => s.flush(),
             #[cfg(unix)]
             ServiceStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl DeadlineStream for ServiceStream {
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        match self {
-            ServiceStream::Tcp(s) => s.set_read_timeout(timeout).map_err(TransportError::from),
-            #[cfg(unix)]
-            ServiceStream::Unix(s) => s.set_read_timeout(timeout).map_err(TransportError::from),
         }
     }
 }

@@ -5,7 +5,7 @@ use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::framing::ErrorCode;
 use ecq_proto::socket::{read_frame, write_frame};
-use ecq_proto::{Credentials, Frame, TransportError};
+use ecq_proto::{Credentials, Frame, FrameKind, TransportError};
 use ecq_service::{ServiceAddr, ServiceClient, ServiceConfig, ServiceDaemon, ServiceError};
 use ecq_sts::StsVariant;
 use std::io::Write;
@@ -109,6 +109,79 @@ fn unix_socket_serves_the_same_protocol() {
         .unwrap();
     daemon.shutdown();
     assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+#[cfg(unix)]
+#[test]
+fn unix_bind_replaces_only_a_stale_socket() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let in_use = Some(ServiceError::Transport(TransportError::Io(
+        std::io::ErrorKind::AddrInUse,
+    )));
+
+    // A regular file at the path is not the daemon's to delete.
+    let file = dir.join(format!("ecq-service-file-{pid}"));
+    std::fs::write(&file, b"keep me").unwrap();
+    assert_eq!(
+        ServiceDaemon::start(ServiceConfig::unix(&file)).err(),
+        in_use
+    );
+    assert_eq!(std::fs::read(&file).unwrap(), b"keep me");
+    std::fs::remove_file(&file).unwrap();
+
+    // A live daemon's socket is not stale: a second daemon is refused
+    // and the first keeps serving on its path.
+    let live = dir.join(format!("ecq-service-live-{pid}.sock"));
+    let mut first = ServiceDaemon::start(ServiceConfig::unix(&live).seed(21)).unwrap();
+    assert_eq!(
+        ServiceDaemon::start(ServiceConfig::unix(&live).seed(22)).err(),
+        in_use
+    );
+    let mut client = ServiceClient::connect(first.addr()).unwrap();
+    assert_eq!(client.hello([5; 32]).unwrap(), first.ca_public());
+    first.shutdown();
+
+    // The file a dropped listener leaves behind is stale: replaced.
+    let stale = dir.join(format!("ecq-service-stale-{pid}.sock"));
+    drop(std::os::unix::net::UnixListener::bind(&stale).unwrap());
+    assert!(stale.exists());
+    let mut daemon = ServiceDaemon::start(ServiceConfig::unix(&stale).seed(23)).unwrap();
+    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+    assert_eq!(client.hello([6; 32]).unwrap(), daemon.ca_public());
+    daemon.shutdown();
+}
+
+#[test]
+fn control_frame_mid_handshake_is_unexpected() {
+    // A scripted peer answers A1 with a control frame: the client must
+    // fail closed on it, not skip it.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        assert!(matches!(
+            read_frame(&mut stream).unwrap(),
+            Frame::HsOpen { .. }
+        ));
+        assert!(matches!(
+            read_frame(&mut stream).unwrap(),
+            Frame::HsMessage(m) if m.step == "A1"
+        ));
+        write_frame(&mut stream, &Frame::CrlRequest).unwrap();
+    });
+    let mut rng = HmacDrbg::from_seed(501);
+    let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+    let initiator =
+        Credentials::provision(&ca, DeviceId::from_label("init"), 0, 1000, &mut rng).unwrap();
+    let mut client = ServiceClient::connect_tcp(addr).unwrap();
+    let seed_a = rng.bytes32();
+    let seed_b = rng.bytes32();
+    let err = client
+        .handshake(&initiator, StsVariant::Conventional, 0, &seed_a, &seed_b)
+        .unwrap_err();
+    assert_eq!(err, ServiceError::Unexpected(FrameKind::CrlRequest));
+    peer.join().unwrap();
 }
 
 #[test]

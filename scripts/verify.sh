@@ -2,7 +2,7 @@
 # Tier-1 verification. CI runs exactly these steps, split into jobs:
 #
 #   ./scripts/verify.sh          # everything (local pre-push default)
-#   ./scripts/verify.sh lint     # fmt + clippy + docs       (CI `lint`)
+#   ./scripts/verify.sh lint     # fmt + clippy + docs + perfbench check (CI `lint`)
 #   ./scripts/verify.sh test     # build + tests + ct suite  (CI `test`)
 #   ./scripts/verify.sh fleet    # interleaved fleet smoke   (CI `fleet-smoke`)
 #   ./scripts/verify.sh mega     # 1M-device streaming sweep  (CI `fleet-mega`)
@@ -43,6 +43,11 @@ run_lint() {
 
   echo "==> cargo doc -D warnings"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+
+  # perfbench is a workspace of its own, so nothing above builds it;
+  # this keeps the public API it calls from drifting under it.
+  echo "==> cargo check perfbench"
+  cargo check --locked --quiet --manifest-path perfbench/Cargo.toml
 }
 
 run_ctlint() {
@@ -98,9 +103,9 @@ run_fleet() {
     --baseline ci/BENCH_fleet_mega_baseline.json \
     --gate-pct 30
 
-  # Per-primitive trajectory: the specialized backend vs the generic
-  # MontCtx reference, recorded as an artifact next to BENCH_fleet.json.
-  echo "==> p256 primitive bench (BENCH_p256.json artifact)"
+  # Host cost of every primitive and handshake (field rows against the
+  # generic MontCtx reference), recorded next to BENCH_fleet.json.
+  echo "==> host timing table (BENCH_p256.json artifact)"
   cargo run --release -q --bin bench_p256 -- --json BENCH_p256.json
 }
 
@@ -174,7 +179,7 @@ case "$mode" in
     ;;
   lint)
     run_lint
-    echo "OK: fmt, clippy, docs green"
+    echo "OK: fmt, clippy, docs, perfbench check green"
     ;;
   ctlint)
     run_ctlint
