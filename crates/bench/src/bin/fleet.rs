@@ -17,10 +17,10 @@
 //! count, fails (exit 1) if any `(config, seed)` report differs across
 //! thread counts, writes the `BENCH_fleet.json` artifact, and — when a
 //! baseline is given — fails if host handshake throughput regressed
-//! more than `--gate-pct` percent (and, for baselines that record
-//! `peak_rss_bytes`, if peak RSS exceeded the baseline by the same
-//! margin). Regenerate the committed baseline on a CI-class runner with
-//! `--write-baseline ci/BENCH_fleet_baseline.json`.
+//! more than `--gate-pct` percent, if peak RSS exceeded the baseline's
+//! `peak_rss_bytes` by the same margin, or if either gate cannot be
+//! evaluated. Regenerate the committed baseline on a CI-class runner
+//! with `--write-baseline ci/BENCH_fleet_baseline.json`.
 //!
 //! ```sh
 //! # Million-device tier: bounded-memory streaming sweep + RSS gate
@@ -352,33 +352,38 @@ fn smoke(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        // Memory gate: when the baseline records a peak RSS (streaming
-        // tiers do), the measured high-water mark may not exceed it by
-        // more than the gate percentage — the bounded-memory contract,
-        // enforced with the same headroom as throughput.
-        match baseline_field(path, "peak_rss_bytes") {
-            Ok(baseline_rss) if baseline_rss > 0.0 && peak_rss > 0 => {
-                let ceiling = baseline_rss * (1.0 + args.gate_pct / 100.0);
-                println!(
-                    "  rss gate: {:.1} MiB measured vs {:.1} MiB ceiling \
-                     (baseline {:.1} MiB + {}%)",
-                    peak_rss as f64 / (1024.0 * 1024.0),
-                    ceiling / (1024.0 * 1024.0),
-                    baseline_rss / (1024.0 * 1024.0),
-                    args.gate_pct
-                );
-                if peak_rss as f64 > ceiling {
-                    eprintln!(
-                        "MEMORY REGRESSION: peak RSS {} bytes is more than {}% above the \
-                         committed baseline {baseline_rss:.0} bytes ({path})",
-                        peak_rss, args.gate_pct
-                    );
-                    return ExitCode::FAILURE;
-                }
+        // Memory gate: the measured high-water mark may not exceed the
+        // baseline's peak RSS by more than the gate percentage — the
+        // bounded-memory contract, enforced with the same headroom as
+        // throughput. Like the throughput gate, it fails rather than
+        // skips when it cannot be evaluated.
+        let baseline_rss = match baseline_field(path, "peak_rss_bytes") {
+            Ok(rss) => rss,
+            Err(e) => {
+                eprintln!("cannot evaluate rss gate: {e}");
+                return ExitCode::FAILURE;
             }
-            // v1 baselines carry no RSS field; the throughput gate
-            // above remains the only verdict.
-            _ => {}
+        };
+        if peak_rss == 0 {
+            eprintln!("cannot evaluate rss gate: no VmHWM in /proc/self/status");
+            return ExitCode::FAILURE;
+        }
+        let ceiling = baseline_rss * (1.0 + args.gate_pct / 100.0);
+        println!(
+            "  rss gate: {:.1} MiB measured vs {:.1} MiB ceiling \
+             (baseline {:.1} MiB + {}%)",
+            peak_rss as f64 / (1024.0 * 1024.0),
+            ceiling / (1024.0 * 1024.0),
+            baseline_rss / (1024.0 * 1024.0),
+            args.gate_pct
+        );
+        if peak_rss as f64 > ceiling {
+            eprintln!(
+                "MEMORY REGRESSION: peak RSS {} bytes is more than {}% above the \
+                 committed baseline {baseline_rss:.0} bytes ({path})",
+                peak_rss, args.gate_pct
+            );
+            return ExitCode::FAILURE;
         }
     }
     println!("fleet smoke OK");

@@ -59,11 +59,6 @@ pub fn run(name: &str) -> Option<AdversarialReport> {
     by_name(name).map(run_scenario)
 }
 
-/// Runs the whole catalog — the conformance sweep in charging terms.
-pub fn run_all() -> Vec<AdversarialReport> {
-    catalog().iter().map(run_scenario).collect()
-}
-
 fn run_scenario(scenario: &Scenario) -> AdversarialReport {
     let out = scenario.run();
     AdversarialReport {

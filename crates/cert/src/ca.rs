@@ -68,15 +68,6 @@ impl CertificateAuthority {
         }
     }
 
-    /// Creates a CA from an existing key pair (for reproducible tests).
-    pub fn with_keys(id: DeviceId, keys: KeyPair) -> Self {
-        CertificateAuthority {
-            id,
-            keys,
-            next_serial: 1,
-        }
-    }
-
     /// The CA identity.
     pub fn id(&self) -> DeviceId {
         self.id

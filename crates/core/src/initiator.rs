@@ -71,11 +71,6 @@ impl StsInitiator {
         self
     }
 
-    /// The ephemeral point `XG_A` (for tests and attack simulations).
-    pub fn ephemeral_point(&self) -> [u8; 64] {
-        self.xg_own
-    }
-
     fn check_peer_cert(&self, cert: &ImplicitCert, claimed: &[u8]) -> Result<(), ProtocolError> {
         if cert.subject.as_bytes() != claimed {
             return Err(ProtocolError::AuthenticationFailed);

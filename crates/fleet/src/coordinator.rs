@@ -553,10 +553,13 @@ impl FleetCoordinator {
 
     /// The per-bus frame-schedule logs of the last
     /// [`Self::interleaved_sweep`] over a shared-bus transport, sorted by
-    /// bus id. The frame schedule is deterministic — it is pinned
-    /// line-by-line by the golden shared-bus fixture. Empty after the
-    /// other sweeps: [`Self::streaming_sweep`] folds each bus's fault
-    /// counters into the report and drops its frames.
+    /// bus id, one entry per bus that transmitted a frame. The frame
+    /// schedule is deterministic — it is pinned line-by-line by the
+    /// golden shared-bus fixture. Empty after a
+    /// [`TransportKind::Simnet`](crate::TransportKind::Simnet) sweep,
+    /// whose one-pair buses hand over no log, and after the other
+    /// sweeps: [`Self::streaming_sweep`] folds each bus's fault counters
+    /// into the report and drops its frames.
     pub fn last_frame_logs(&self) -> &[(usize, Vec<FrameRecord>)] {
         &self.last_frame_logs
     }
@@ -574,11 +577,6 @@ impl FleetCoordinator {
             Some(creds) => self.crl.revoke(creds.cert.serial),
             None => false,
         }
-    }
-
-    /// The coordinator's revocation list.
-    pub fn revocation_list(&self) -> &RevocationList {
-        &self.crl
     }
 
     /// Mutable access to the revocation list, for revoking by serial
@@ -693,8 +691,8 @@ impl FleetCoordinator {
 /// The one establishment engine and report fold: runs `work` through
 /// [`interleave::run_sweep`] and folds every session result into
 /// `report` in session-index order — key digest, counters, makespan and
-/// the shared buses' fault counters — handing each session's outcome
-/// and deliveries to `record` and each bus's frame log to
+/// every bus's fault counters — handing each session's outcome and
+/// deliveries to `record` and each non-empty bus frame log to
 /// `record_frames`. Returns the first failure that is not a revocation
 /// denial.
 fn sweep_and_fold(
@@ -748,17 +746,17 @@ fn sweep_and_fold(
             report.can_frames += result.frames;
             record(index, outcome, result.deliveries);
         }
-        if let Some(trace) = trace {
-            let (sum, c) = (&mut report.faults, trace.counters);
-            sum.dropped += c.dropped;
-            sum.corrupted += c.corrupted;
-            sum.duplicated += c.duplicated;
-            sum.held_back += c.held_back;
-            sum.delayed += c.delayed;
-            sum.replayed += c.replayed;
-            sum.storm_frames += c.storm_frames;
-            sum.isotp_errors += c.isotp_errors;
-            sum.messages_lost += c.messages_lost;
+        let (sum, c) = (&mut report.faults, trace.counters);
+        sum.dropped += c.dropped;
+        sum.corrupted += c.corrupted;
+        sum.duplicated += c.duplicated;
+        sum.held_back += c.held_back;
+        sum.delayed += c.delayed;
+        sum.replayed += c.replayed;
+        sum.storm_frames += c.storm_frames;
+        sum.isotp_errors += c.isotp_errors;
+        sum.messages_lost += c.messages_lost;
+        if !trace.frames.is_empty() {
             record_frames(trace.bus, trace.frames);
         }
     });

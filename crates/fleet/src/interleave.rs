@@ -1,7 +1,6 @@
 //! Message-granularity handshake sweeps: every wire message is its own
 //! scheduler event, device populations shard across host threads, and
-//! groups of sessions can share one arbitrated CAN-FD bus under a
-//! deterministic fault plan.
+//! every session rides a slot of its event loop's one CAN-FD bus.
 //!
 //! The atomic sweep ([`crate::FleetCoordinator::handshake_sweep`])
 //! completes a whole handshake in one call — nothing can interleave.
@@ -10,27 +9,30 @@
 //! [`ecq_proto::Endpoint::step`] runs when its message *arrives*, its
 //! compute time is integrated from the primitive-operation trace it
 //! recorded during that step (against the board's `ecq_devices` cost
-//! table), and the reply goes back to the link, which decides the next
+//! table), and the reply goes back to the bus, which decides the next
 //! delivery time. Sessions sharing a bus genuinely interleave on the
 //! virtual timeline, at message granularity.
 //!
+//! # One bus per event loop
+//!
+//! Every event loop owns one [`SharedBus`] and simulates exactly one
+//! bus group on it. [`TransportKind::SharedBus`] puts `group`
+//! consecutive sessions on the bus under the sweep's fault plan.
+//! [`TransportKind::Simnet`] is group 1 under [`FaultPlan::inert`]:
+//! each pair alone on its bus, the sweep's fault classes ignored, its
+//! deadline still honoured, and the bus's frame log dropped in the
+//! worker rather than handed to the report fold.
+//!
 //! # Parallelism / determinism contract
 //!
-//! With private links ([`TransportKind::Channel`] /
-//! [`TransportKind::Simnet`]) sessions share no simulation state, so a
-//! session's entire result is a pure function of
-//! `(config, seed, session index)` and any shard layout reproduces the
-//! same report.
-//!
-//! [`TransportKind::SharedBus`] couples `group` consecutive sessions on
-//! one arbitrated bus, so a bus — not a session — becomes the unit of
-//! independence. Three rules keep the `(config, seed)` report
-//! bit-identical for any worker count even then:
+//! A bus — not a session — is the unit of independence: a group's
+//! sessions share no simulation state with any other group. Three rules
+//! keep the `(config, seed)` report bit-identical for any worker count:
 //!
 //! 1. **Shard by bus, never by pair.** `run_sweep` hands each bus group
 //!    whole to one event loop; a loop *hard-errors* if its work is not
 //!    exactly one complete group (a split bus would change arbitration).
-//! 2. **Lane-ordered events.** Each event loop owns at most one bus and
+//! 2. **Lane-ordered events.** Each event loop owns one bus and
 //!    orders same-time events by a lane key (the global session index;
 //!    the bus after every session), not by insertion order, so every
 //!    same-time endpoint step and its sends land before the bus
@@ -51,37 +53,42 @@ use crate::scheduler::{micros_from_ms, VirtualTime};
 use ecq_cert::CertError;
 use ecq_crypto::{ct, HmacDrbg};
 use ecq_devices::{DevicePreset, DeviceProfile};
-use ecq_proto::transport::{ChannelTransport, Transport};
 use ecq_proto::{Credentials, Endpoint, OpTrace, ProtocolError, Role, SessionKey, StepOutput};
-use ecq_simnet::sharedbus::SlotStats;
-use ecq_simnet::{ms_to_ns, CanLink, FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
+use ecq_simnet::{ms_to_ns, FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 
 use crate::FleetError;
 
-/// Which link implementation carries the handshake messages.
+/// How the sweep lays its sessions onto CAN-FD buses. Both kinds run
+/// the one bus model (`ecq_simnet::SharedBus`, the Fig. 6 stack with
+/// per-frame driver overhead from each pair's board cost tables); every
+/// event loop owns one bus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-memory channel with a fixed per-message latency (µs).
-    Channel {
-        /// Per-message delivery latency in virtual microseconds.
-        latency_us: u64,
-    },
-    /// The simulated CAN-FD/ISO-TP stack (`ecq_simnet::CanLink`), one
-    /// private bus per pair, with per-frame driver overhead from the
-    /// pair's board cost tables. This is the same bus model as
-    /// `SharedBus { group: 1 }`, but fault-free and without a frame log.
+    /// One bus per pair: bus group 1 under [`FaultPlan::inert`]. The
+    /// sweep's fault classes are ignored, its `deadline_us` is honoured,
+    /// and the bus's frame schedule is not logged for the caller.
     Simnet,
-    /// One arbitrated CAN-FD bus per `group` consecutive sessions
-    /// (`ecq_simnet::SharedBus`): their frames compete for the wire, the
-    /// sweep's [`FaultSpec`] applies and the frame schedule is logged.
-    /// `group = 1` gives each pair a private bus under the fault plan.
+    /// One arbitrated CAN-FD bus per `group` consecutive sessions: their
+    /// frames compete for the wire, the sweep's [`FaultSpec`] applies
+    /// and the frame schedule is logged. `group = 1` gives each pair a
+    /// bus of its own under the fault plan.
     SharedBus {
         /// Sessions per bus; session `i` rides bus `i / group`. At most
         /// `ecq_simnet::SharedBus::MAX_SLOTS`: a wider group is refused
         /// with [`FleetError::BusGroupTooLarge`].
         group: usize,
     },
+}
+
+impl TransportKind {
+    /// Sessions per bus.
+    fn group(self) -> usize {
+        match self {
+            TransportKind::Simnet => 1,
+            TransportKind::SharedBus { group } => group.max(1),
+        }
+    }
 }
 
 /// Revocation arriving *during* the sweep: from `at_us`, session
@@ -113,14 +120,14 @@ pub struct SweepOptions {
     /// (clamped to at least 1 and at most one per bus group). The report
     /// is identical for any value.
     pub threads: usize,
-    /// Link implementation for every pair.
+    /// How sessions are laid onto buses.
     pub transport: TransportKind,
     /// Fault schedule applied to [`TransportKind::SharedBus`] sweeps
-    /// ([`FaultSpec::none`] injects nothing). The other transports
-    /// ignore its fault classes — [`TransportKind::Simnet`] runs
-    /// fault-free — but the spec's `deadline_us` bounds every sweep:
-    /// sessions unfinished at the deadline fail closed with
-    /// [`ProtocolError::Timeout`].
+    /// ([`FaultSpec::none`] injects nothing). Every event loop owns one
+    /// bus, and a [`TransportKind::Simnet`] bus is group 1 under an
+    /// inert plan, so Simnet ignores the spec's fault classes; the
+    /// spec's `deadline_us` bounds every sweep: sessions unfinished at
+    /// the deadline fail closed with [`ProtocolError::Timeout`].
     pub faults: FaultSpec,
     /// Optional mid-sweep revocation with a stale-CRL window.
     pub revocation: Option<RevocationSpec>,
@@ -170,7 +177,7 @@ impl SweepOptions {
         self
     }
 
-    /// Sets the link implementation.
+    /// Sets how sessions are laid onto buses.
     #[must_use]
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
@@ -269,8 +276,9 @@ impl SessionResult {
     }
 }
 
-/// Fault-engine evidence from one shared bus: aggregate counters for
-/// the report and the full frame-schedule log for fixtures/forensics.
+/// Fault-engine evidence from one event loop's bus: aggregate counters
+/// for the report and the frame-schedule log for fixtures/forensics
+/// (empty for a [`TransportKind::Simnet`] bus).
 pub(crate) struct BusTrace {
     pub bus: usize,
     pub counters: FaultCounters,
@@ -291,13 +299,6 @@ pub(crate) struct WorkerConfig {
     pub poison: Option<usize>,
 }
 
-/// The wire under one session: an owned private transport, or the slot
-/// of the event loop's one bus at the session's position in its work.
-enum Link {
-    Private(Box<dyn Transport>),
-    Shared,
-}
-
 /// A live session inside one event loop.
 struct Live {
     /// Global session index (for the delivery log and event lanes;
@@ -305,7 +306,6 @@ struct Live {
     index: usize,
     initiator: StsInitiator,
     responder: StsResponder,
-    link: Link,
     profiles: [DeviceProfile; 2],
     cursors: [usize; 2],
     result: SessionResult,
@@ -431,19 +431,6 @@ impl Live {
         Ok((out, now + micros_from_ms(cost)))
     }
 
-    fn recv_message(
-        &mut self,
-        bus: Option<&mut SharedBus>,
-        slot: usize,
-        to: Role,
-        now: VirtualTime,
-    ) -> Result<Option<ecq_proto::Message>, ProtocolError> {
-        match &mut self.link {
-            Link::Private(t) => Ok(t.recv_frame(to, now, now)?),
-            Link::Shared => Ok(bus.and_then(|b| b.recv(slot, to, now))),
-        }
-    }
-
     /// Closes an established session. Both sides claiming establishment
     /// is *not* trusted: the keys are compared (in constant time) and a
     /// disagreement surfaces as [`ProtocolError::KeyMismatch`] — a
@@ -466,86 +453,35 @@ impl Live {
         self.result.end_us = at;
         self.done = true;
     }
-
-    /// Copies the link's traffic totals into the result; read once the
-    /// loop has ended, since a finished session never sends again.
-    fn capture_stats(&mut self, bus: Option<&SharedBus>, slot: usize) {
-        let stats = match &self.link {
-            Link::Private(t) => SlotStats {
-                messages: t.messages_carried(),
-                bytes: t.bytes_carried(),
-                frames: t.frames_carried(),
-            },
-            Link::Shared => bus.map(|b| b.slot_stats(slot)).unwrap_or_default(),
-        };
-        self.result.messages = stats.messages;
-        self.result.wire_bytes = stats.bytes;
-        self.result.frames = stats.frames;
-    }
 }
 
-/// Sends `msg` over the session's link and schedules the follow-up
-/// event: the peer's delivery (private links decide arrival themselves)
-/// or a bus-advance (the bus arbitrates first).
-fn dispatch_send(
-    session: &mut Live,
-    slot: usize,
-    from: Role,
-    msg: ecq_proto::Message,
-    done_at: VirtualTime,
-    bus: Option<&mut SharedBus>,
-    scheduler: &mut LaneScheduler,
-) {
-    match &mut session.link {
-        Link::Private(t) => match t.send_frame(from, msg, done_at) {
-            Ok(arrival) => {
-                scheduler.schedule(
-                    arrival,
-                    session.index as u64,
-                    Event::Deliver {
-                        slot,
-                        to: from.peer(),
-                    },
-                );
-            }
-            // A link that refuses a frame fails the session closed:
-            // only `CanLink` can, if its inert bus loses the message.
-            Err(e) => session.fail(e.into(), done_at),
-        },
-        Link::Shared => {
-            if let Some(bus) = bus {
-                bus.send(slot, from, msg, done_at);
-            }
-            scheduler.schedule(done_at, LANE_BUS, Event::BusAdvance);
-        }
-    }
-}
-
-/// Runs bus group `g` — or, on private links, any list of sessions —
-/// under a single virtual clock, delivering messages as events. Takes
-/// its sessions by value so the prepared credentials move straight into
-/// the endpoints — the sweep performs no per-session certificate/key
-/// cloning inside the timed region. Returns the per-session results in
-/// the order `work` was given, plus the trace of the group's bus.
+/// Runs bus group `g` on the event loop's one bus, under a single
+/// virtual clock, delivering messages as events. A
+/// [`TransportKind::Simnet`] group is one pair on a bus under
+/// [`FaultPlan::inert`]; a [`TransportKind::SharedBus`] group runs
+/// under the sweep's fault plan. Takes its sessions by value so the
+/// prepared credentials move straight into the endpoints — the sweep
+/// performs no per-session certificate/key cloning inside the timed
+/// region. Returns the per-session results in the order `work` was
+/// given, plus the trace of the group's bus.
 ///
 /// # Panics
 ///
-/// Under [`TransportKind::SharedBus`], panics unless `work` is exactly
-/// bus group `g`: a bus split across sweep shards would arbitrate
-/// different traffic per layout and break the determinism contract, so
-/// it is rejected loudly rather than simulated wrong.
+/// Panics unless `work` is exactly bus group `g`: a bus split across
+/// sweep shards would arbitrate different traffic per layout and break
+/// the determinism contract, so it is rejected loudly rather than
+/// simulated wrong.
 pub(crate) fn run_worker(
     g: usize,
     work: Vec<SessionWork>,
     cfg: WorkerConfig,
-) -> (Vec<SessionResult>, Option<BusTrace>) {
-    let mut bus = match cfg.transport {
-        TransportKind::SharedBus { group } => {
-            assert_one_bus_group(&work, g, group.max(1), cfg.total);
-            Some(SharedBus::new(FaultPlan::new(cfg.faults, g as u64)))
-        }
-        _ => None,
+) -> (Vec<SessionResult>, BusTrace) {
+    assert_one_bus_group(&work, g, cfg.transport.group(), cfg.total);
+    let plan = match cfg.transport {
+        TransportKind::Simnet => FaultPlan::inert(),
+        TransportKind::SharedBus { .. } => FaultPlan::new(cfg.faults, g as u64),
     };
+    let mut bus = SharedBus::new(plan);
     // A session's bus slot is its position in `work`, so slot `s` is
     // global session `first + s`.
     let first = work.first().map_or(0, |w| w.index);
@@ -563,15 +499,13 @@ pub(crate) fn run_worker(
         // Register *every* session on the bus — including denied ones —
         // so slot numbering (and thus arbitration priority) is the
         // session's position in its group.
-        if let Some(bus) = bus.as_mut() {
-            bus.add_slot(
-                (w.index & 0xFFFF) as u16,
-                [
-                    ms_to_ns(w.preset_a.profile().costs.hash_block_ms),
-                    ms_to_ns(w.preset_b.profile().costs.hash_block_ms),
-                ],
-            );
-        }
+        bus.add_slot(
+            (w.index & 0xFFFF) as u16,
+            [
+                ms_to_ns(w.preset_a.profile().costs.hash_block_ms),
+                ms_to_ns(w.preset_b.profile().costs.hash_block_ms),
+            ],
+        );
         if w.denied {
             if let Some(d) = denied_slots.get_mut(slot) {
                 *d = true;
@@ -586,7 +520,6 @@ pub(crate) fn run_worker(
             scheduler.schedule(0, w.index as u64, Event::Kickoff { slot });
             continue;
         }
-        let link = make_link(&cfg.transport, &w);
         // Mirror `ecq_sts::establish`: one stream per role, initiator
         // first, derived from the pair's wire seed.
         let mut rng = HmacDrbg::new(&w.wire_seed, b"fleet-pair-wire");
@@ -601,7 +534,6 @@ pub(crate) fn run_worker(
             index: w.index,
             initiator: StsInitiator::new(w.creds_a, config, &mut rng_a),
             responder: StsResponder::new(w.creds_b, config, &mut rng_b),
-            link,
             profiles: [w.preset_a.profile(), w.preset_b.profile()],
             cursors: [0, 0],
             result: SessionResult::empty(),
@@ -630,15 +562,8 @@ pub(crate) fn run_worker(
                 session.last_event_us = now;
                 match session.step(Role::Initiator, None, now) {
                     Ok((StepOutput::Send(msg), done_at)) => {
-                        dispatch_send(
-                            session,
-                            slot,
-                            Role::Initiator,
-                            msg,
-                            done_at,
-                            bus.as_mut(),
-                            &mut scheduler,
-                        );
+                        bus.send(slot, Role::Initiator, msg, done_at);
+                        scheduler.schedule(done_at, LANE_BUS, Event::BusAdvance);
                     }
                     Ok((_, done_at)) => session.fail(ProtocolError::Stalled, done_at),
                     Err(e) => session.fail(e, now),
@@ -665,29 +590,16 @@ pub(crate) fn run_worker(
                     if session.index == rv.session
                         && now >= rv.at_us.saturating_add(rv.propagation_us)
                     {
-                        let _ = session.recv_message(bus.as_mut(), slot, to, now);
+                        bus.recv(slot, to, now);
                         session.fail(ProtocolError::Cert(CertError::Revoked), now);
                         continue;
                     }
                 }
-                let msg = match session.recv_message(bus.as_mut(), slot, to, now) {
-                    Ok(Some(msg)) => msg,
-                    Ok(None) => {
-                        // A shared-bus delivery can evaporate (the
-                        // message was lost to faults after its sibling
-                        // scheduled this event, or a replay already
-                        // consumed it); a private link's schedule is
-                        // exact.
-                        debug_assert!(
-                            matches!(session.link, Link::Shared),
-                            "private delivery must be due"
-                        );
-                        continue;
-                    }
-                    Err(e) => {
-                        session.fail(e, now);
-                        continue;
-                    }
+                // A delivery can evaporate: the message was lost to
+                // faults after its sibling scheduled this event, or a
+                // replay already consumed it.
+                let Some(msg) = bus.recv(slot, to, now) else {
+                    continue;
                 };
                 session.result.deliveries.push(DeliveryRecord {
                     session: session.index,
@@ -696,15 +608,8 @@ pub(crate) fn run_worker(
                 });
                 match session.step(to, Some(&msg), now) {
                     Ok((StepOutput::Send(reply), done_at)) => {
-                        dispatch_send(
-                            session,
-                            slot,
-                            to,
-                            reply,
-                            done_at,
-                            bus.as_mut(),
-                            &mut scheduler,
-                        );
+                        bus.send(slot, to, reply, done_at);
+                        scheduler.schedule(done_at, LANE_BUS, Event::BusAdvance);
                         // A responder that just sent B2 is established;
                         // the session finishes when the initiator
                         // consumes it.
@@ -724,9 +629,6 @@ pub(crate) fn run_worker(
                 }
             }
             Event::BusAdvance => {
-                let Some(bus) = bus.as_mut() else {
-                    continue;
-                };
                 for d in bus.process(now) {
                     scheduler.schedule(
                         d.at_us,
@@ -754,7 +656,12 @@ pub(crate) fn run_worker(
         let Some(session) = session else {
             continue;
         };
-        session.capture_stats(bus.as_ref(), slot);
+        // A finished session never sends again, so its slot's totals
+        // are final once the loop has ended.
+        let stats = bus.slot_stats(slot);
+        session.result.messages = stats.messages;
+        session.result.wire_bytes = stats.bytes;
+        session.result.frames = stats.frames;
         if !session.done {
             let at = if deadline < u64::MAX {
                 deadline
@@ -785,11 +692,18 @@ pub(crate) fn run_worker(
             None => SessionResult::empty(),
         })
         .collect();
-    let trace = bus.map(|mut bus| BusTrace {
+    let trace = BusTrace {
         bus: g,
         counters: bus.counters(),
-        frames: bus.take_frame_log(),
-    });
+        // A Simnet bus is one pair's link, whose schedule no caller
+        // reads: dropping its log here keeps it off the result channel,
+        // where a streaming window's worth of logs would raise peak
+        // memory.
+        frames: match cfg.transport {
+            TransportKind::Simnet => Vec::new(),
+            TransportKind::SharedBus { .. } => bus.take_frame_log(),
+        },
+    };
     (results, trace)
 }
 
@@ -805,21 +719,6 @@ fn assert_one_bus_group(work: &[SessionWork], g: usize, group: usize, total: usi
         "bus split across sweep shards: bus {g} needs sessions {expected:?} \
          in one worker but got {present:?} (shard whole buses, not pairs)"
     );
-}
-
-/// Builds a session's link: an owned private transport, or its slot on
-/// the loop's bus.
-fn make_link(kind: &TransportKind, work: &SessionWork) -> Link {
-    let private: Box<dyn Transport> = match kind {
-        TransportKind::Channel { latency_us } => Box::new(ChannelTransport::new(*latency_us)),
-        TransportKind::Simnet => Box::new(CanLink::for_pair(
-            (work.index & 0xFFFF) as u16,
-            &work.preset_a.profile(),
-            &work.preset_b.profile(),
-        )),
-        TransportKind::SharedBus { .. } => return Link::Shared,
-    };
-    Link::Private(private)
 }
 
 /// Refuses a bus group wider than one bus's arbitration-id space up
@@ -849,17 +748,16 @@ pub(crate) fn check_transport(transport: TransportKind) -> Result<(), FleetError
 /// real enrollment cryptography per pull), chunks it into bus groups —
 /// `group` consecutive sessions, the sweep's unit of independence — and
 /// deals group `g` to worker `g % threads` over a bounded channel, so a
-/// bus is never split across workers and private-link sessions, whose
-/// presets rotate through the roster, give every worker the same board
-/// mix. Workers are clamped to the number of bus groups. Each worker
+/// bus is never split across workers and Simnet's one-pair groups,
+/// whose presets rotate through the roster, give every worker the same
+/// board mix. Workers are clamped to the number of bus groups. Each worker
 /// simulates one group at a time in its own [`run_worker`] event loop
 /// and sends `(group, results, trace)` back; a reorder buffer releases
 /// them to `consume` in group order.
 ///
 /// # Why the report cannot depend on the window
 ///
-/// A session on a private link — and a whole group on a shared bus —
-/// interacts with nothing outside its own work item: the worker event
+/// A bus group interacts with nothing outside its own work item: the worker event
 /// loop's virtual clock never advances an event past its scheduled
 /// time (the `schedule` clamp is vacuous because every follow-up is
 /// scheduled at or after the event that produced it), so co-residence
@@ -880,14 +778,11 @@ pub(crate) fn check_transport(transport: TransportKind) -> Result<(), FleetError
 pub(crate) fn run_sweep<I, F>(work: I, total: usize, opts: &SweepOptions, mut consume: F)
 where
     I: Iterator<Item = SessionWork>,
-    F: FnMut(usize, Vec<SessionResult>, Option<BusTrace>),
+    F: FnMut(usize, Vec<SessionResult>, BusTrace),
 {
     use std::sync::mpsc::{channel, sync_channel, TrySendError};
 
-    let group = match opts.transport {
-        TransportKind::SharedBus { group } => group.max(1),
-        _ => 1,
-    };
+    let group = opts.transport.group();
     let cfg = WorkerConfig {
         transport: opts.transport,
         faults: opts.faults,
@@ -905,7 +800,7 @@ where
 
     let mut work = work;
     std::thread::scope(|scope| {
-        let (res_tx, res_rx) = channel::<(usize, Vec<SessionResult>, Option<BusTrace>)>();
+        let (res_tx, res_rx) = channel::<(usize, Vec<SessionResult>, BusTrace)>();
         let mut feeds = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (tx, rx) = sync_channel::<(usize, Vec<SessionWork>)>(cap);
@@ -1063,7 +958,7 @@ mod tests {
     fn poisoned_session_fails_closed_while_siblings_complete() {
         let work = session_work(3);
         let cfg = WorkerConfig {
-            transport: TransportKind::Simnet,
+            transport: TransportKind::SharedBus { group: 3 },
             faults: FaultSpec::none(),
             revocation: None,
             total: 3,
@@ -1098,7 +993,6 @@ mod tests {
             assert_eq!(r.frames, 10);
             assert_eq!(r.deliveries.len(), 4, "4 deliveries per session");
         }
-        let trace = trace.expect("a shared-bus loop returns its bus trace");
         assert_eq!(trace.counters, FaultCounters::default());
     }
 
@@ -1130,7 +1024,7 @@ mod tests {
         for g in 0..2 {
             let (results, trace) = run_worker(g, work.by_ref().take(2).collect(), cfg);
             base_outcomes.extend(results.iter().map(outcome));
-            base_counters.extend(trace.map(|t| (t.bus, t.counters)));
+            base_counters.push((trace.bus, trace.counters));
         }
         for (threads, window) in [(1, 1), (2, 2), (3, 5), (2, usize::MAX), (8, usize::MAX)] {
             let opts = SweepOptions::new()
@@ -1148,7 +1042,7 @@ mod tests {
                 |first, results, trace| {
                     delivered.extend(first..first + results.len());
                     outcomes.extend(results.iter().map(outcome));
-                    counters.extend(trace.map(|t| (t.bus, t.counters)));
+                    counters.push((trace.bus, trace.counters));
                 },
             );
             assert_eq!(

@@ -40,7 +40,7 @@ pub struct FleetReport {
     pub messages: u64,
     /// Handshake payload bytes those messages carried.
     pub wire_bytes: u64,
-    /// Link-layer CAN-FD frames moved (0 for the channel transport).
+    /// Link-layer CAN-FD frames moved.
     pub can_frames: u64,
     /// Handshakes denied because a participant's certificate was on the
     /// coordinator's revocation list.
@@ -52,8 +52,11 @@ pub struct FleetReport {
     /// because the simulation lost their state mid-sweep (broken
     /// scheduler invariant or crashed worker; 0 on a healthy run).
     pub poisoned: u64,
-    /// Fault-engine activity summed over every shared bus in the sweep
-    /// (all-zero for private links or an inactive fault spec).
+    /// Fault-engine activity summed over every bus in the sweep. Every
+    /// event loop owns one bus, and a Simnet bus is group 1 under an
+    /// inert plan, so under Simnet (or an inactive fault spec) every
+    /// fault class stays zero and only `messages_lost` can move: it
+    /// counts messages a deadline cut off in flight.
     pub faults: ecq_simnet::FaultCounters,
     /// SHA-256 over every session's outcome (key bytes or failure
     /// marker) in session-index order — the cheap cross-run and

@@ -124,21 +124,20 @@ fn handshakes_interleave_across_sessions() {
 
 #[test]
 fn keys_are_transport_independent_but_makespan_is_not() {
-    // The derived keys depend only on the endpoint RNG streams; the
-    // link model only decides *when* messages move.
+    // The derived keys depend only on the endpoint RNG streams; the bus
+    // layout only decides *when* messages move.
     let simnet = sweep(24, 0xF00D, &SweepOptions::default());
-    let channel = sweep(
+    let shared = sweep(
         24,
         0xF00D,
         &SweepOptions::new()
             .threads(1)
-            .transport(TransportKind::Channel { latency_us: 0 }),
+            .transport(TransportKind::SharedBus { group: 4 }),
     );
-    assert_eq!(simnet.report().key_digest, channel.report().key_digest);
-    assert_eq!(channel.report().can_frames, 0);
-    assert!(simnet.report().can_frames > 0);
-    assert!(simnet.report().handshake_makespan_us > channel.report().handshake_makespan_us);
-    // Simnet's private buses run fault-free whatever the sweep's fault
+    assert_eq!(simnet.report().key_digest, shared.report().key_digest);
+    assert_eq!(simnet.report().can_frames, shared.report().can_frames);
+    assert!(shared.report().handshake_makespan_us > simnet.report().handshake_makespan_us);
+    // Simnet's buses run under an inert plan whatever the sweep's fault
     // spec says: drop/corrupt rates change nothing in the report.
     let faulted = sweep(
         24,
@@ -152,6 +151,48 @@ fn keys_are_transport_independent_but_makespan_is_not() {
     );
     assert_eq!(faulted.report(), simnet.report());
     assert_eq!(faulted.report().faults, FaultCounters::default());
+}
+
+#[test]
+fn simnet_is_bus_group_one_under_an_inert_plan() {
+    // Every event loop owns one bus, and Simnet is group 1 under an
+    // inert plan: without faults both layouts give equal reports from
+    // both sweep engines. Only the frame log differs.
+    let group_one = TransportKind::SharedBus { group: 1 };
+    let opts = |transport| SweepOptions::new().threads(2).transport(transport);
+    let simnet = sweep(24, 0x1B05, &opts(TransportKind::Simnet));
+    let bus = sweep(24, 0x1B05, &opts(group_one));
+    assert_eq!(simnet.report(), bus.report());
+    assert_eq!(simnet.last_deliveries(), bus.last_deliveries());
+    assert!(
+        simnet.last_frame_logs().is_empty(),
+        "Simnet buses hand over no frame log"
+    );
+    assert_eq!(bus.last_frame_logs().len(), bus.report().sessions);
+    for transport in [TransportKind::Simnet, group_one] {
+        let mut fleet = FleetCoordinator::new(config(24, 0x1B05));
+        fleet
+            .streaming_sweep(&opts(transport).max_inflight(3))
+            .unwrap();
+        assert_eq!(fleet.report(), simnet.report(), "streaming {transport:?}");
+    }
+    // The sweep's deadline still binds a Simnet bus: cut short, both
+    // layouts time out the same sessions and count the same messages
+    // lost in flight.
+    let cut = FaultSpec {
+        deadline_us: simnet.report().handshake_makespan_us / 2,
+        ..FaultSpec::none()
+    };
+    let cut_short = |transport| {
+        let mut fleet = FleetCoordinator::new(config(24, 0x1B05));
+        fleet.enroll_all().unwrap();
+        let outcome = fleet.interleaved_sweep(&opts(transport).faults(cut));
+        (fleet.report().clone(), outcome)
+    };
+    let (report, outcome) = cut_short(TransportKind::Simnet);
+    assert_eq!(outcome, Err(FleetError::Protocol(ProtocolError::Timeout)));
+    assert!(report.timeouts > 0);
+    assert_eq!((report, outcome), cut_short(group_one));
 }
 
 #[test]

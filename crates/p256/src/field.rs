@@ -231,11 +231,6 @@ impl FieldElement {
         self.add(self)
     }
 
-    /// Multiplication by a small constant.
-    pub fn mul_u64(&self, k: u64) -> Self {
-        self.mul(&FieldElement::from_u64(k))
-    }
-
     /// `self^(2^n)`: `n` back-to-back squarings (chain helper).
     fn sqn(&self, n: usize) -> Self {
         let mut x = *self;

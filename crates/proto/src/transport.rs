@@ -8,11 +8,15 @@
 //! completion in one step. Two implementations exist:
 //!
 //! * [`ChannelTransport`] (here) — an in-memory FIFO pair with a fixed
-//!   per-message latency; the reference implementation and the fast
-//!   path for tests,
-//! * `ecq_simnet::transport::CanLink` — frames routed through the
-//!   CAN-FD bus and ISO 15765-2 segmentation models with per-link
-//!   latency from the `ecq_devices` cost tables.
+//!   per-message latency; the reference link that transcript
+//!   equivalence tests compare other paths against,
+//! * `ecq_simnet::transport::CanLink` — one pair's messages routed
+//!   through the CAN-FD bus and ISO 15765-2 segmentation models with
+//!   per-link latency from the `ecq_devices` cost tables; the
+//!   `perfbench` replay drives it message by message.
+//!
+//! The fleet sweep engine uses neither: every event loop there owns one
+//! `ecq_simnet::SharedBus`, and each session rides a slot of it.
 //!
 //! The contract every implementation upholds:
 //!
@@ -80,12 +84,6 @@ pub trait Transport {
     /// The earliest pending delivery time for `to`, if any message is
     /// in flight toward it.
     fn next_delivery(&self, to: Role) -> Option<TransportTime>;
-
-    /// Total payload bytes accepted by [`Transport::send_frame`] so far.
-    fn bytes_carried(&self) -> u64;
-
-    /// Total messages accepted by [`Transport::send_frame`] so far.
-    fn messages_carried(&self) -> u64;
 
     /// Link-layer frames moved so far (0 for transports that do not
     /// segment messages into frames).
@@ -167,8 +165,6 @@ impl DirectionalQueues {
 pub struct ChannelTransport {
     latency_us: TransportTime,
     queues: DirectionalQueues,
-    bytes: u64,
-    messages: u64,
 }
 
 impl ChannelTransport {
@@ -189,8 +185,6 @@ impl Transport for ChannelTransport {
         message: Message,
         now_us: TransportTime,
     ) -> Result<TransportTime, TransportError> {
-        self.bytes += message.wire_len() as u64;
-        self.messages += 1;
         Ok(self
             .queues
             .push(from.peer(), now_us.saturating_add(self.latency_us), message))
@@ -207,14 +201,6 @@ impl Transport for ChannelTransport {
 
     fn next_delivery(&self, to: Role) -> Option<TransportTime> {
         self.queues.next_delivery(to)
-    }
-
-    fn bytes_carried(&self) -> u64 {
-        self.bytes
-    }
-
-    fn messages_carried(&self) -> u64 {
-        self.messages
     }
 }
 
@@ -252,8 +238,6 @@ mod tests {
         t.send_frame(Role::Responder, msg("B1", 2), 0).unwrap();
         assert_eq!(take(&mut t, Role::Initiator, 0).unwrap().step, "B1");
         assert_eq!(take(&mut t, Role::Responder, 0).unwrap().step, "A1");
-        assert_eq!(t.messages_carried(), 2);
-        assert_eq!(t.bytes_carried(), 2);
     }
 
     #[test]

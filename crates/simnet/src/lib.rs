@@ -16,8 +16,10 @@
 //!   [`fault::FaultPlan`], with the ISO-TP delivery formula, typed-message
 //!   reconstruction and a pinned frame-schedule log,
 //! * [`transport`] — the `ecq_proto` [`transport::CanLink`] transport:
-//!   a private one-slot fault-free bus, with per-link latency from the
-//!   `ecq_devices` cost tables,
+//!   one pair on a one-slot bus under an inert plan, with per-link
+//!   latency from the `ecq_devices` cost tables, for callers that drive
+//!   a pair message by message (the `perfbench` replay); the fleet
+//!   sweep engine instead gives every event loop one [`SharedBus`],
 //! * [`fault`] — the seeded, schedule-stable fault-injection plan
 //!   (frame drop/corrupt/duplicate/reorder/delay, message replay,
 //!   babble storms, clock skew).

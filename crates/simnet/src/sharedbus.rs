@@ -31,9 +31,11 @@
 //! fleet layer pins a two-session interleaving of this log as a golden
 //! fixture.
 //!
-//! A private link is the one-slot case: [`CanLink`](crate::CanLink) is
-//! slot 0 of its own bus under [`FaultPlan::inert`], drained after
-//! every send.
+//! One pair alone is the one-slot case under [`FaultPlan::inert`]. The
+//! fleet sweep engine gives every event loop one bus, and a Simnet
+//! sweep is bus group 1 under that inert plan;
+//! [`CanLink`](crate::CanLink) wraps the same case behind the
+//! `ecq_proto` transport trait, draining the bus after every send.
 
 use crate::app::AppMessage;
 use crate::canfd::{BitTiming, CanFdFrame, MAX_PAYLOAD};
@@ -112,8 +114,8 @@ pub struct FaultCounters {
     pub messages_lost: u64,
 }
 
-/// Per-slot traffic totals (the [`Transport`](ecq_proto::transport::Transport)
-/// counters of a private link, kept per session here).
+/// Per-slot traffic totals: one session's share of the bus, read back
+/// into its fleet report line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotStats {
     /// Typed messages submitted by the session's endpoints.
@@ -275,11 +277,6 @@ impl SharedBus {
             delivered: 0,
         });
         slot
-    }
-
-    /// Number of registered slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
     }
 
     fn alloc_seq(&mut self) -> u64 {

@@ -25,6 +25,12 @@
 //!    block time on that board — a deliberately small, board-scaled
 //!    stand-in (the paper's point stands: transfer time is negligible
 //!    against the EC arithmetic).
+//!
+//! The fleet sweep engine does not go through this link: every event
+//! loop there owns one [`SharedBus`] directly, and a Simnet sweep is
+//! bus group 1 under [`FaultPlan::inert`] — the same one-slot model as
+//! this link. `CanLink` remains the `Transport` for callers that drive
+//! one pair message by message, such as the `perfbench` replay.
 
 use crate::fault::FaultPlan;
 use crate::sharedbus::SharedBus;
@@ -113,14 +119,6 @@ impl Transport for CanLink {
         self.bus.next_delivery(SLOT, to)
     }
 
-    fn bytes_carried(&self) -> u64 {
-        self.bus.slot_stats(SLOT).bytes
-    }
-
-    fn messages_carried(&self) -> u64 {
-        self.bus.slot_stats(SLOT).messages
-    }
-
     /// CAN-FD data frames moved across the bus so far.
     fn frames_carried(&self) -> u64 {
         self.bus.slot_stats(SLOT).frames
@@ -163,7 +161,6 @@ mod tests {
             link.recv_frame(Role::Initiator, at, at).unwrap().unwrap(),
             msg
         );
-        assert_eq!(link.bytes_carried(), 245);
         // 245 B + 4 B app header → FF + 3 CFs.
         assert_eq!(link.frames_carried(), 4);
     }
@@ -266,7 +263,6 @@ mod tests {
             "B1"
         );
         assert_eq!(link.next_delivery(Role::Responder), None);
-        assert_eq!(link.messages_carried(), 2);
     }
     /// Runs a fixed script over `for_pair(initiator, responder)`: B1 and
     /// an ACK each way on an idle bus, then a B1 followed at the same
