@@ -23,7 +23,9 @@ use ecq_crypto::HmacDrbg;
 use ecq_p256::encoding::{decode_raw, encode_raw};
 use ecq_p256::point::mul_generator_vartime;
 use ecq_p256::scalar::Scalar;
-use ecq_proto::{Endpoint, FieldKind, Message, ProtocolError, Role, SessionKey, WireField};
+use ecq_proto::{
+    Endpoint, FieldKind, Message, ProtocolError, Role, SessionKey, StepOutput, WireField,
+};
 use ecq_sts::auth::{auth_response, DIR_RESPONDER};
 use ecq_sts::{StsConfig, StsInitiator};
 
@@ -45,7 +47,7 @@ pub fn scianc_kci(deployment: &mut TestDeployment) -> KciOutcome {
     let ca_public = deployment.ca.public_key(); // public
 
     let mut alice = SciancInitiator::new(deployment.alice.clone(), 0, &mut deployment.rng);
-    let a1 = alice.start().expect("start").expect("A1");
+    let a1 = alice.step(None).expect("kickoff").into_sent().expect("A1");
     let nonce_a = a1.field(FieldKind::Nonce).expect("nonce").to_vec();
 
     // Attacker crafts B1 with Bob's public certificate and its own nonce.
@@ -60,9 +62,9 @@ pub fn scianc_kci(deployment: &mut TestDeployment) -> KciOutcome {
         ],
     );
 
-    let a2 = match alice.on_message(&b1) {
-        Ok(Some(m)) => m,
-        Ok(None) => return KciOutcome::Rejected(ProtocolError::UnexpectedMessage),
+    let a2 = match alice.step(Some(&b1)) {
+        Ok(StepOutput::Send(m)) => m,
+        Ok(_) => return KciOutcome::Rejected(ProtocolError::UnexpectedMessage),
         Err(e) => return KciOutcome::Rejected(e),
     };
 
@@ -82,7 +84,7 @@ pub fn scianc_kci(deployment: &mut TestDeployment) -> KciOutcome {
     // Forge Bob's authentication MAC.
     let forged = scianc::auth_mac(&ks, Role::Responder, &nonce_a, &nonce_e);
     let b2 = Message::new("B2", vec![WireField::new(FieldKind::Mac, forged.to_vec())]);
-    match alice.on_message(&b2) {
+    match alice.step(Some(&b2)) {
         Ok(_) if alice.is_established() => KciOutcome::Compromised,
         Ok(_) => KciOutcome::Rejected(ProtocolError::Stalled),
         Err(e) => KciOutcome::Rejected(e),
@@ -99,7 +101,7 @@ pub fn sts_kci(deployment: &mut TestDeployment) -> KciOutcome {
 
     let config = StsConfig::default();
     let mut alice = StsInitiator::new(deployment.alice.clone(), config, &mut deployment.rng);
-    let a1 = alice.start().expect("start").expect("A1");
+    let a1 = alice.step(None).expect("kickoff").into_sent().expect("A1");
     let xg_a: [u8; 64] = a1
         .field(FieldKind::EphemeralPoint)
         .expect("xg")
@@ -134,7 +136,7 @@ pub fn sts_kci(deployment: &mut TestDeployment) -> KciOutcome {
             WireField::new(FieldKind::Response, resp.to_vec()),
         ],
     );
-    match alice.on_message(&b1) {
+    match alice.step(Some(&b1)) {
         Ok(_) if alice.is_established() => KciOutcome::Compromised,
         Ok(_) => {
             // Handshake continued; it can only complete if the forged

@@ -52,12 +52,13 @@ pub fn sts_rogue_certificate(deployment: &mut TestDeployment) -> MitmOutcome {
     // The attacker plays a fully honest STS responder — with the wrong root.
     let mut attacker = StsResponder::new(attacker_creds, config, &mut attacker_rng);
 
-    let a1 = alice.start().expect("start").expect("A1");
+    let a1 = alice.step(None).expect("kickoff").into_sent().expect("A1");
     let b1 = attacker
-        .on_message(&a1)
+        .step(Some(&a1))
         .expect("attacker replies")
+        .into_sent()
         .expect("B1");
-    match alice.on_message(&b1) {
+    match alice.step(Some(&b1)) {
         Err(e) => MitmOutcome::Rejected(e),
         Ok(_) => MitmOutcome::Compromised,
     }
@@ -71,8 +72,12 @@ pub fn sts_point_substitution(deployment: &mut TestDeployment) -> MitmOutcome {
     let mut alice = StsInitiator::new(deployment.alice.clone(), config, &mut deployment.rng);
     let mut bob = StsResponder::new(deployment.bob.clone(), config, &mut rng_b);
 
-    let a1 = alice.start().expect("start").expect("A1");
-    let mut b1 = bob.on_message(&a1).expect("bob replies").expect("B1");
+    let a1 = alice.step(None).expect("kickoff").into_sent().expect("A1");
+    let mut b1 = bob
+        .step(Some(&a1))
+        .expect("bob replies")
+        .into_sent()
+        .expect("B1");
 
     // The attacker swaps XG_B for a point it controls.
     let evil_scalar = Scalar::from_u64(0xEEEE);
@@ -82,7 +87,7 @@ pub fn sts_point_substitution(deployment: &mut TestDeployment) -> MitmOutcome {
             f.bytes = evil_point.to_vec();
         }
     }
-    match alice.on_message(&b1) {
+    match alice.step(Some(&b1)) {
         Err(e) => MitmOutcome::Rejected(e),
         Ok(_) => MitmOutcome::Compromised,
     }
@@ -99,14 +104,18 @@ pub fn sts_replay(deployment: &mut TestDeployment) -> MitmOutcome {
     let mut rng_b = HmacDrbg::new(&deployment.rng.bytes32(), b"bob1");
     let mut alice1 = StsInitiator::new(deployment.alice.clone(), config, &mut deployment.rng);
     let mut bob1 = StsResponder::new(deployment.bob.clone(), config, &mut rng_b);
-    let a1 = alice1.start().expect("start").expect("A1");
-    let recorded_b1 = bob1.on_message(&a1).expect("bob replies").expect("B1");
+    let a1 = alice1.step(None).expect("kickoff").into_sent().expect("A1");
+    let recorded_b1 = bob1
+        .step(Some(&a1))
+        .expect("bob replies")
+        .into_sent()
+        .expect("B1");
 
     // Session 2: the attacker answers Alice's fresh request with the
     // recorded message.
     let mut alice2 = StsInitiator::new(deployment.alice.clone(), config, &mut deployment.rng);
-    let _a1_fresh = alice2.start().expect("start").expect("A1");
-    match alice2.on_message(&recorded_b1) {
+    alice2.step(None).expect("kickoff");
+    match alice2.step(Some(&recorded_b1)) {
         Err(e) => MitmOutcome::Rejected(e),
         Ok(_) => MitmOutcome::Compromised,
     }

@@ -15,7 +15,13 @@
 //!
 //! Each implementation is a full message-level state machine whose wire
 //! format reproduces its Table II column byte-for-byte and whose
-//! primitive trace drives the Table I device timings.
+//! primitive trace drives the Table I device timings. Every machine
+//! holds an [`ecq_proto::EndpointCore`] and is driven through
+//! [`ecq_proto::Endpoint::step`], so it fails closed exactly as the STS
+//! endpoints do: an error or a message after completion fails the
+//! session and wipes its key, and the key is wiped on drop too. The
+//! `establish_*` drivers return [`ecq_proto::SessionOutcome`], the same
+//! outcome type as `ecq_sts::establish`.
 
 #![warn(missing_docs)]
 
@@ -25,19 +31,7 @@ pub mod scianc;
 pub mod skd;
 
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{run_handshake, Credentials, ProtocolError, SessionKey, Transcript};
-
-/// Result of a completed baseline handshake (mirrors
-/// `ecq_sts::SessionOutcome`).
-#[derive(Debug)]
-pub struct BaselineOutcome {
-    /// Key derived by the initiator.
-    pub initiator_key: SessionKey,
-    /// Key derived by the responder.
-    pub responder_key: SessionKey,
-    /// Full wire + trace transcript.
-    pub transcript: Transcript,
-}
+use ecq_proto::{run_handshake, Credentials, ProtocolError, SessionOutcome};
 
 /// Runs a complete S-ECDSA handshake (set `extended` for the
 /// finished-message variant).
@@ -51,18 +45,12 @@ pub fn establish_s_ecdsa(
     now: u32,
     extended: bool,
     rng: &mut HmacDrbg,
-) -> Result<BaselineOutcome, ProtocolError> {
-    use ecq_proto::Endpoint as _;
+) -> Result<SessionOutcome, ProtocolError> {
     let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"secdsa-a");
     let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"secdsa-b");
     let mut a = s_ecdsa::SEcdsaInitiator::new(initiator.clone(), now, extended, &mut rng_a);
     let mut b = s_ecdsa::SEcdsaResponder::new(responder.clone(), now, extended, &mut rng_b);
-    let transcript = run_handshake(&mut a, &mut b)?;
-    Ok(BaselineOutcome {
-        initiator_key: a.session_key()?,
-        responder_key: b.session_key()?,
-        transcript,
-    })
+    run_handshake(&mut a, &mut b)
 }
 
 /// Runs a complete SCIANC handshake.
@@ -75,18 +63,12 @@ pub fn establish_scianc(
     responder: &Credentials,
     now: u32,
     rng: &mut HmacDrbg,
-) -> Result<BaselineOutcome, ProtocolError> {
-    use ecq_proto::Endpoint as _;
+) -> Result<SessionOutcome, ProtocolError> {
     let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"scianc-a");
     let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"scianc-b");
     let mut a = scianc::SciancInitiator::new(initiator.clone(), now, &mut rng_a);
     let mut b = scianc::SciancResponder::new(responder.clone(), now, &mut rng_b);
-    let transcript = run_handshake(&mut a, &mut b)?;
-    Ok(BaselineOutcome {
-        initiator_key: a.session_key()?,
-        responder_key: b.session_key()?,
-        transcript,
-    })
+    run_handshake(&mut a, &mut b)
 }
 
 /// Runs a complete PORAMB handshake. `pairwise_key` is the pre-shared
@@ -102,18 +84,12 @@ pub fn establish_poramb(
     pairwise_key: &[u8; 32],
     now: u32,
     rng: &mut HmacDrbg,
-) -> Result<BaselineOutcome, ProtocolError> {
-    use ecq_proto::Endpoint as _;
+) -> Result<SessionOutcome, ProtocolError> {
     let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"poramb-a");
     let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"poramb-b");
     let mut a = poramb::PorambInitiator::new(initiator.clone(), *pairwise_key, now, &mut rng_a);
     let mut b = poramb::PorambResponder::new(responder.clone(), *pairwise_key, now, &mut rng_b);
-    let transcript = run_handshake(&mut a, &mut b)?;
-    Ok(BaselineOutcome {
-        initiator_key: a.session_key()?,
-        responder_key: b.session_key()?,
-        transcript,
-    })
+    run_handshake(&mut a, &mut b)
 }
 
 #[cfg(test)]

@@ -32,14 +32,14 @@
 //! holding a long-term private key recomputes `S1` and therefore every
 //! past and future `S2` from public transcripts.
 
-use ecq_cert::{reconstruct_public_key, DeviceId, ImplicitCert};
+use ecq_cert::{reconstruct_public_key, ImplicitCert};
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::sha256::sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
-    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError,
+    Role, SessionKey, StsPhase, WireField,
 };
 
 /// Domain-separation label for the PORAMB KDF.
@@ -177,14 +177,12 @@ fn verify_finish(
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum InitState {
     Start,
     AwaitB1,
     AwaitB2,
     AwaitB3,
-    Established,
-    Failed,
 }
 
 /// Initiator-side PORAMB state machine.
@@ -197,9 +195,8 @@ pub struct PorambInitiator {
     nonce: [u8; 32],
     peer_hello: Option<[u8; 32]>,
     peer_cert: Option<ImplicitCert>,
-    session: Option<SessionKey>,
     state: InitState,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl PorambInitiator {
@@ -210,8 +207,8 @@ impl PorambInitiator {
         now: u32,
         rng: &mut HmacDrbg,
     ) -> Self {
-        let mut trace = OpTrace::new();
-        trace.record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 64 });
+        let mut core = EndpointCore::new(Role::Initiator);
+        core.record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 64 });
         PorambInitiator {
             creds,
             pairwise,
@@ -220,9 +217,8 @@ impl PorambInitiator {
             nonce: rng.bytes32(),
             peer_hello: None,
             peer_cert: None,
-            session: None,
             state: InitState::Start,
-            trace,
+            core,
         }
     }
 
@@ -234,7 +230,7 @@ impl PorambInitiator {
         let _id_b = msg.field(FieldKind::Id)?;
         self.peer_hello = Some(hello_b);
 
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacTag);
+        self.core.record(StsPhase::Other, PrimitiveOp::MacTag);
         let mac = phase2_mac(
             &self.pairwise,
             Role::Initiator,
@@ -264,7 +260,7 @@ impl PorambInitiator {
         if !cert_b.is_valid_at(self.now) {
             return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
         }
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacVerify);
+        self.core.record(StsPhase::Other, PrimitiveOp::MacVerify);
         let expect = phase2_mac(
             &self.pairwise,
             Role::Responder,
@@ -283,16 +279,16 @@ impl PorambInitiator {
             nonce_a: self.nonce,
             nonce_b,
         };
-        let ks = derive_ks(&self.creds, &cert_b, &inputs, &mut self.trace)?;
+        let ks = derive_ks(&self.creds, &cert_b, &inputs, self.core.trace_mut())?;
         let finish = finish_blob(
             &self.pairwise,
             &ks,
             Role::Initiator,
             &self.creds.cert,
-            &mut self.trace,
+            self.core.trace_mut(),
         );
         self.peer_cert = Some(cert_b);
-        self.session = Some(ks);
+        self.core.set_key(ks);
         self.state = InitState::AwaitB3;
         Ok(Some(Message::new(
             "A3",
@@ -302,7 +298,7 @@ impl PorambInitiator {
 
     fn handle_b3(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
         let blob = msg.field(FieldKind::Finish)?;
-        let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
+        let ks = self.core.derived_key()?;
         let cert_b = self.peer_cert.ok_or(ProtocolError::UnexpectedMessage)?;
         verify_finish(
             &self.pairwise,
@@ -310,23 +306,23 @@ impl PorambInitiator {
             Role::Responder,
             &cert_b,
             blob,
-            &mut self.trace,
+            self.core.trace_mut(),
         )?;
-        self.state = InitState::Established;
+        self.core.establish();
         Ok(None)
     }
 }
 
 impl Endpoint for PorambInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
-    fn role(&self) -> Role {
-        Role::Initiator
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            InitState::Start => {
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (InitState::Start, None) => {
                 self.state = InitState::AwaitB1;
                 Ok(Some(Message::new(
                     "A1",
@@ -336,43 +332,19 @@ impl Endpoint for PorambInitiator {
                     ],
                 )))
             }
+            (InitState::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (InitState::AwaitB2, Some(msg)) => self.handle_b2(msg),
+            (InitState::AwaitB3, Some(msg)) => self.handle_b3(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         }
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            InitState::AwaitB1 => self.handle_b1(msg),
-            InitState::AwaitB2 => self.handle_b2(msg),
-            InitState::AwaitB3 => self.handle_b3(msg),
-            _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = InitState::Failed;
-            self.session = None;
-        }
-        result
-    }
-    fn is_established(&self) -> bool {
-        matches!(self.state, InitState::Established)
-    }
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            InitState::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum RespState {
     AwaitA1,
     AwaitA2,
     AwaitA3,
-    Established,
-    Failed,
 }
 
 /// Responder-side PORAMB state machine.
@@ -386,9 +358,8 @@ pub struct PorambResponder {
     nonce: Option<[u8; 32]>,
     peer_hello: Option<[u8; 32]>,
     peer_cert: Option<ImplicitCert>,
-    session: Option<SessionKey>,
     state: RespState,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl PorambResponder {
@@ -408,9 +379,8 @@ impl PorambResponder {
             nonce: None,
             peer_hello: None,
             peer_cert: None,
-            session: None,
             state: RespState::AwaitA1,
-            trace: OpTrace::new(),
+            core: EndpointCore::new(Role::Responder),
         }
     }
 
@@ -420,7 +390,7 @@ impl PorambResponder {
             .try_into()
             .map_err(|_| ProtocolError::Decode)?;
         let _id_a = msg.field(FieldKind::Id)?;
-        self.trace
+        self.core
             .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
         let hello_b = self.rng.bytes32();
         self.hello = Some(hello_b);
@@ -448,16 +418,16 @@ impl PorambResponder {
         }
         let hello_b = self.hello.ok_or(ProtocolError::UnexpectedMessage)?;
         let hello_a = self.peer_hello.ok_or(ProtocolError::UnexpectedMessage)?;
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacVerify);
+        self.core.record(StsPhase::Other, PrimitiveOp::MacVerify);
         let expect = phase2_mac(&self.pairwise, Role::Initiator, &hello_b, &nonce_a, &cert_a);
         if !ecq_crypto::ct::eq(&expect, mac) {
             return Err(ProtocolError::AuthenticationFailed);
         }
 
-        self.trace
+        self.core
             .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
         let nonce_b = self.rng.bytes32();
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacTag);
+        self.core.record(StsPhase::Other, PrimitiveOp::MacTag);
         let own_mac = phase2_mac(
             &self.pairwise,
             Role::Responder,
@@ -472,11 +442,11 @@ impl PorambResponder {
             nonce_a,
             nonce_b,
         };
-        let ks = derive_ks(&self.creds, &cert_a, &inputs, &mut self.trace)?;
+        let ks = derive_ks(&self.creds, &cert_a, &inputs, self.core.trace_mut())?;
 
         self.nonce = Some(nonce_b);
         self.peer_cert = Some(cert_a);
-        self.session = Some(ks);
+        self.core.set_key(ks);
         self.state = RespState::AwaitA3;
         Ok(Some(Message::new(
             "B2",
@@ -490,7 +460,7 @@ impl PorambResponder {
 
     fn handle_a3(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
         let blob = msg.field(FieldKind::Finish)?;
-        let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
+        let ks = self.core.derived_key()?;
         let cert_a = self.peer_cert.ok_or(ProtocolError::UnexpectedMessage)?;
         verify_finish(
             &self.pairwise,
@@ -498,16 +468,16 @@ impl PorambResponder {
             Role::Initiator,
             &cert_a,
             blob,
-            &mut self.trace,
+            self.core.trace_mut(),
         )?;
         let own = finish_blob(
             &self.pairwise,
             &ks,
             Role::Responder,
             &self.creds.cert,
-            &mut self.trace,
+            self.core.trace_mut(),
         );
-        self.state = RespState::Established;
+        self.core.establish();
         Ok(Some(Message::new(
             "B3",
             vec![WireField::new(FieldKind::Finish, own)],
@@ -516,39 +486,19 @@ impl PorambResponder {
 }
 
 impl Endpoint for PorambResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
-    fn role(&self) -> Role {
-        Role::Responder
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            RespState::AwaitA1 => self.handle_a1(msg),
-            RespState::AwaitA2 => self.handle_a2(msg),
-            RespState::AwaitA3 => self.handle_a3(msg),
-            _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = RespState::Failed;
-            self.session = None;
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (_, None) => Ok(None),
+            (RespState::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (RespState::AwaitA2, Some(msg)) => self.handle_a2(msg),
+            (RespState::AwaitA3, Some(msg)) => self.handle_a3(msg),
         }
-        result
-    }
-    fn is_established(&self) -> bool {
-        matches!(self.state, RespState::Established)
-    }
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            RespState::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
@@ -556,6 +506,7 @@ impl Endpoint for PorambResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -611,14 +562,14 @@ mod tests {
         let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"y");
         let mut alice = PorambInitiator::new(a, [7u8; 32], 0, &mut rng_a);
         let mut bob = PorambResponder::new(b, [7u8; 32], 0, &mut rng_b);
-        let a1 = alice.start().unwrap().unwrap();
-        let b1 = bob.on_message(&a1).unwrap().unwrap();
-        let a2 = alice.on_message(&b1).unwrap().unwrap();
-        let b2 = bob.on_message(&a2).unwrap().unwrap();
-        let mut a3 = alice.on_message(&b2).unwrap().unwrap();
+        let a1 = alice.step(None).unwrap().into_sent().unwrap();
+        let b1 = bob.step(Some(&a1)).unwrap().into_sent().unwrap();
+        let a2 = alice.step(Some(&b1)).unwrap().into_sent().unwrap();
+        let b2 = bob.step(Some(&a2)).unwrap().into_sent().unwrap();
+        let mut a3 = alice.step(Some(&b2)).unwrap().into_sent().unwrap();
         a3.fields[0].bytes[50] ^= 1; // inside the cert echo
         assert_eq!(
-            bob.on_message(&a3).unwrap_err(),
+            bob.step(Some(&a3)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }

@@ -24,13 +24,13 @@
 //! with a 96-byte `Fin` blob of three HMAC tags (transcript, nonces and
 //! key-confirmation labels) under the session MAC key.
 
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdsa::{self, Signature};
 use ecq_proto::{
-    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError,
+    Role, SessionKey, StsPhase, WireField,
 };
 
 /// Domain-separation label for the S-ECDSA KDF.
@@ -83,13 +83,11 @@ fn verify_fin(
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum InitState {
     Start,
     AwaitB1,
     AwaitAck,
-    Established,
-    Failed,
 }
 
 /// Initiator-side S-ECDSA state machine.
@@ -100,25 +98,23 @@ pub struct SEcdsaInitiator {
     extended: bool,
     nonce: [u8; 32],
     peer_nonce: Option<[u8; 32]>,
-    session: Option<SessionKey>,
     state: InitState,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl SEcdsaInitiator {
     /// Creates an initiator; draws its nonce eagerly.
     pub fn new(creds: Credentials, now: u32, extended: bool, rng: &mut HmacDrbg) -> Self {
-        let mut trace = OpTrace::new();
-        trace.record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
+        let mut core = EndpointCore::new(Role::Initiator);
+        core.record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
         SEcdsaInitiator {
             creds,
             now,
             extended,
             nonce: rng.bytes32(),
             peer_nonce: None,
-            session: None,
             state: InitState::Start,
-            trace,
+            core,
         }
     }
 
@@ -140,12 +136,12 @@ impl SEcdsaInitiator {
         }
 
         // Implicitly derive Q_B and verify the nonce signature.
-        self.trace.record(
+        self.core.record(
             StsPhase::Op2KeyDerivation,
             PrimitiveOp::PublicKeyReconstruction,
         );
         let q_b = ecq_cert::reconstruct_public_key(&cert_b, &self.creds.ca_public)?;
-        self.trace
+        self.core
             .record(StsPhase::Op4DecryptVerify, PrimitiveOp::EcdsaVerify);
         let material = sign_material(&self.nonce, &nonce_b, id_b);
         if !ecdsa::verify(&q_b, &material, &sig_b) {
@@ -155,16 +151,16 @@ impl SEcdsaInitiator {
         // Static KD. Note the reconstruction already happened for the
         // signature check; the implementation reuses Q_B, so only the
         // ECDH multiplication is billed here.
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::EcdhDerive);
         let premaster = ecq_p256::ecdh::shared_secret(&self.creds.keys.private, &q_b)?;
         let salt = [self.nonce.as_slice(), nonce_b.as_slice()].concat();
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::Kdf);
         let ks = SessionKey::derive(premaster.as_slice(), &salt, KDF_LABEL);
 
         // Our own signature over (Nonce_B ‖ Nonce_A ‖ ID_A).
-        self.trace
+        self.core
             .record(StsPhase::Op3SignEncrypt, PrimitiveOp::EcdsaSign);
         let sig_a = ecdsa::sign(
             &self.creds.keys.private,
@@ -172,7 +168,7 @@ impl SEcdsaInitiator {
         );
 
         self.peer_nonce = Some(nonce_b);
-        self.session = Some(ks);
+        self.core.set_key(ks);
         self.state = InitState::AwaitAck;
         Ok(Some(Message::new(
             "A2",
@@ -187,7 +183,7 @@ impl SEcdsaInitiator {
         if msg.field(FieldKind::Ack)? != [0x01] {
             return Err(ProtocolError::AuthenticationFailed);
         }
-        let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
+        let ks = self.core.derived_key()?;
         let nonce_b = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
         if self.extended {
             let fin = msg.field(FieldKind::Fin)?;
@@ -197,30 +193,36 @@ impl SEcdsaInitiator {
                 &self.nonce,
                 &nonce_b,
                 fin,
-                &mut self.trace,
+                self.core.trace_mut(),
             )?;
-            let own_fin = fin_blob(&ks, Role::Initiator, &self.nonce, &nonce_b, &mut self.trace);
-            self.state = InitState::Established;
+            let own_fin = fin_blob(
+                &ks,
+                Role::Initiator,
+                &self.nonce,
+                &nonce_b,
+                self.core.trace_mut(),
+            );
+            self.core.establish();
             return Ok(Some(Message::new(
                 "A3",
                 vec![WireField::new(FieldKind::Fin, own_fin)],
             )));
         }
-        self.state = InitState::Established;
+        self.core.establish();
         Ok(None)
     }
 }
 
 impl Endpoint for SEcdsaInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
-    fn role(&self) -> Role {
-        Role::Initiator
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            InitState::Start => {
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (InitState::Start, None) => {
                 self.state = InitState::AwaitB1;
                 Ok(Some(Message::new(
                     "A1",
@@ -230,42 +232,18 @@ impl Endpoint for SEcdsaInitiator {
                     ],
                 )))
             }
+            (InitState::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (InitState::AwaitAck, Some(msg)) => self.handle_ack(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         }
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            InitState::AwaitB1 => self.handle_b1(msg),
-            InitState::AwaitAck => self.handle_ack(msg),
-            _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = InitState::Failed;
-            self.session = None;
-        }
-        result
-    }
-    fn is_established(&self) -> bool {
-        matches!(self.state, InitState::Established)
-    }
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            InitState::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum RespState {
     AwaitA1,
     AwaitA2,
     AwaitFin,
-    Established,
-    Failed,
 }
 
 /// Responder-side S-ECDSA state machine.
@@ -278,9 +256,8 @@ pub struct SEcdsaResponder {
     nonce: Option<[u8; 32]>,
     peer_id: Option<Vec<u8>>,
     peer_nonce: Option<[u8; 32]>,
-    session: Option<SessionKey>,
     state: RespState,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl SEcdsaResponder {
@@ -294,9 +271,8 @@ impl SEcdsaResponder {
             nonce: None,
             peer_id: None,
             peer_nonce: None,
-            session: None,
             state: RespState::AwaitA1,
-            trace: OpTrace::new(),
+            core: EndpointCore::new(Role::Responder),
         }
     }
 
@@ -307,11 +283,11 @@ impl SEcdsaResponder {
             .try_into()
             .map_err(|_| ProtocolError::Decode)?;
 
-        self.trace
+        self.core
             .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
         let nonce_b = self.rng.bytes32();
 
-        self.trace
+        self.core
             .record(StsPhase::Op3SignEncrypt, PrimitiveOp::EcdsaSign);
         let sig_b = ecdsa::sign(
             &self.creds.keys.private,
@@ -351,41 +327,47 @@ impl SEcdsaResponder {
         let nonce_a = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
         let nonce_b = self.nonce.ok_or(ProtocolError::UnexpectedMessage)?;
 
-        self.trace.record(
+        self.core.record(
             StsPhase::Op2KeyDerivation,
             PrimitiveOp::PublicKeyReconstruction,
         );
         let q_a = ecq_cert::reconstruct_public_key(&cert_a, &self.creds.ca_public)?;
-        self.trace
+        self.core
             .record(StsPhase::Op4DecryptVerify, PrimitiveOp::EcdsaVerify);
         let material = sign_material(&nonce_b, &nonce_a, claimed);
         if !ecdsa::verify(&q_a, &material, &sig_a) {
             return Err(ProtocolError::AuthenticationFailed);
         }
 
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::EcdhDerive);
         let premaster = ecq_p256::ecdh::shared_secret(&self.creds.keys.private, &q_a)?;
         let salt = [nonce_a.as_slice(), nonce_b.as_slice()].concat();
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::Kdf);
         let ks = SessionKey::derive(premaster.as_slice(), &salt, KDF_LABEL);
-        self.session = Some(ks);
+        self.core.set_key(ks);
 
         let mut fields = vec![WireField::new(FieldKind::Ack, vec![0x01])];
         if self.extended {
-            let fin = fin_blob(&ks, Role::Responder, &nonce_a, &nonce_b, &mut self.trace);
+            let fin = fin_blob(
+                &ks,
+                Role::Responder,
+                &nonce_a,
+                &nonce_b,
+                self.core.trace_mut(),
+            );
             fields.push(WireField::new(FieldKind::Fin, fin));
             self.state = RespState::AwaitFin;
         } else {
-            self.state = RespState::Established;
+            self.core.establish();
         }
         Ok(Some(Message::new("B2", fields)))
     }
 
     fn handle_fin(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
         let fin = msg.field(FieldKind::Fin)?;
-        let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
+        let ks = self.core.derived_key()?;
         let nonce_a = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
         let nonce_b = self.nonce.ok_or(ProtocolError::UnexpectedMessage)?;
         verify_fin(
@@ -394,47 +376,27 @@ impl SEcdsaResponder {
             &nonce_a,
             &nonce_b,
             fin,
-            &mut self.trace,
+            self.core.trace_mut(),
         )?;
-        self.state = RespState::Established;
+        self.core.establish();
         Ok(None)
     }
 }
 
 impl Endpoint for SEcdsaResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
-    fn role(&self) -> Role {
-        Role::Responder
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            RespState::AwaitA1 => self.handle_a1(msg),
-            RespState::AwaitA2 => self.handle_a2(msg),
-            RespState::AwaitFin => self.handle_fin(msg),
-            _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = RespState::Failed;
-            self.session = None;
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (_, None) => Ok(None),
+            (RespState::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (RespState::AwaitA2, Some(msg)) => self.handle_a2(msg),
+            (RespState::AwaitFin, Some(msg)) => self.handle_fin(msg),
         }
-        result
-    }
-    fn is_established(&self) -> bool {
-        matches!(self.state, RespState::Established)
-    }
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            RespState::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
@@ -442,6 +404,7 @@ impl Endpoint for SEcdsaResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -504,8 +467,8 @@ mod tests {
         let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"y");
         let mut alice = SEcdsaInitiator::new(a, 0, false, &mut rng_a);
         let mut bob = SEcdsaResponder::new(b, 0, false, &mut rng_b);
-        let a1 = alice.start().unwrap().unwrap();
-        let mut b1 = bob.on_message(&a1).unwrap().unwrap();
+        let a1 = alice.step(None).unwrap().into_sent().unwrap();
+        let mut b1 = bob.step(Some(&a1)).unwrap().into_sent().unwrap();
         // Flip one signature byte.
         for f in &mut b1.fields {
             if f.kind == FieldKind::Signature {
@@ -513,7 +476,7 @@ mod tests {
             }
         }
         assert_eq!(
-            alice.on_message(&b1).unwrap_err(),
+            alice.step(Some(&b1)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }

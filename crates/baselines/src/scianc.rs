@@ -21,12 +21,12 @@
 //! exploitation": ∆ in Table III).
 
 use crate::skd::static_premaster_traced;
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::{
-    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError,
+    Role, SessionKey, StsPhase, WireField,
 };
 
 /// Domain-separation label for the SCIANC KDF.
@@ -57,13 +57,11 @@ pub fn auth_mac(ks: &SessionKey, role: Role, nonce_a: &[u8], nonce_b: &[u8]) -> 
     hmac_sha256_concat(ks.as_bytes(), &[role_tag, nonce_a, nonce_b])
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum InitState {
     Start,
     AwaitB1,
     AwaitMac,
-    Established,
-    Failed,
 }
 
 /// Initiator-side SCIANC state machine.
@@ -73,24 +71,22 @@ pub struct SciancInitiator {
     now: u32,
     nonce: [u8; 32],
     peer_nonce: Option<[u8; 32]>,
-    session: Option<SessionKey>,
     state: InitState,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl SciancInitiator {
     /// Creates an initiator; draws its nonce eagerly.
     pub fn new(creds: Credentials, now: u32, rng: &mut HmacDrbg) -> Self {
-        let mut trace = OpTrace::new();
-        trace.record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
+        let mut core = EndpointCore::new(Role::Initiator);
+        core.record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
         SciancInitiator {
             creds,
             now,
             nonce: rng.bytes32(),
             peer_nonce: None,
-            session: None,
             state: InitState::Start,
-            trace,
+            core,
         }
     }
 
@@ -112,12 +108,18 @@ impl SciancInitiator {
             return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
         }
 
-        let ks = derive_ks(&self.creds, &cert_b, &self.nonce, &nonce_b, &mut self.trace)?;
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacTag);
+        let ks = derive_ks(
+            &self.creds,
+            &cert_b,
+            &self.nonce,
+            &nonce_b,
+            self.core.trace_mut(),
+        )?;
+        self.core.record(StsPhase::Other, PrimitiveOp::MacTag);
         let mac = auth_mac(&ks, Role::Initiator, &self.nonce, &nonce_b);
 
         self.peer_nonce = Some(nonce_b);
-        self.session = Some(ks);
+        self.core.set_key(ks);
         self.state = InitState::AwaitMac;
         Ok(Some(Message::new(
             "A2",
@@ -127,28 +129,28 @@ impl SciancInitiator {
 
     fn handle_mac(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
         let mac = msg.field(FieldKind::Mac)?;
-        let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
+        let ks = self.core.derived_key()?;
         let nonce_b = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacVerify);
+        self.core.record(StsPhase::Other, PrimitiveOp::MacVerify);
         let expect = auth_mac(&ks, Role::Responder, &self.nonce, &nonce_b);
         if !ecq_crypto::ct::eq(&expect, mac) {
             return Err(ProtocolError::AuthenticationFailed);
         }
-        self.state = InitState::Established;
+        self.core.establish();
         Ok(None)
     }
 }
 
 impl Endpoint for SciancInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
-    fn role(&self) -> Role {
-        Role::Initiator
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            InitState::Start => {
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (InitState::Start, None) => {
                 self.state = InitState::AwaitB1;
                 Ok(Some(Message::new(
                     "A1",
@@ -159,41 +161,17 @@ impl Endpoint for SciancInitiator {
                     ],
                 )))
             }
+            (InitState::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (InitState::AwaitMac, Some(msg)) => self.handle_mac(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         }
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            InitState::AwaitB1 => self.handle_b1(msg),
-            InitState::AwaitMac => self.handle_mac(msg),
-            _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = InitState::Failed;
-            self.session = None;
-        }
-        result
-    }
-    fn is_established(&self) -> bool {
-        matches!(self.state, InitState::Established)
-    }
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            InitState::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum RespState {
     AwaitA1,
     AwaitA2,
-    Established,
-    Failed,
 }
 
 /// Responder-side SCIANC state machine.
@@ -204,9 +182,8 @@ pub struct SciancResponder {
     rng: HmacDrbg,
     nonce: Option<[u8; 32]>,
     peer_nonce: Option<[u8; 32]>,
-    session: Option<SessionKey>,
     state: RespState,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl SciancResponder {
@@ -218,9 +195,8 @@ impl SciancResponder {
             rng: HmacDrbg::new(&rng.bytes32(), b"scianc-responder"),
             nonce: None,
             peer_nonce: None,
-            session: None,
             state: RespState::AwaitA1,
-            trace: OpTrace::new(),
+            core: EndpointCore::new(Role::Responder),
         }
     }
 
@@ -238,14 +214,20 @@ impl SciancResponder {
             return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
         }
 
-        self.trace
+        self.core
             .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
         let nonce_b = self.rng.bytes32();
-        let ks = derive_ks(&self.creds, &cert_a, &nonce_a, &nonce_b, &mut self.trace)?;
+        let ks = derive_ks(
+            &self.creds,
+            &cert_a,
+            &nonce_a,
+            &nonce_b,
+            self.core.trace_mut(),
+        )?;
 
         self.nonce = Some(nonce_b);
         self.peer_nonce = Some(nonce_a);
-        self.session = Some(ks);
+        self.core.set_key(ks);
         self.state = RespState::AwaitA2;
         Ok(Some(Message::new(
             "B1",
@@ -259,17 +241,17 @@ impl SciancResponder {
 
     fn handle_a2(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
         let mac = msg.field(FieldKind::Mac)?;
-        let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
+        let ks = self.core.derived_key()?;
         let nonce_a = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
         let nonce_b = self.nonce.ok_or(ProtocolError::UnexpectedMessage)?;
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacVerify);
+        self.core.record(StsPhase::Other, PrimitiveOp::MacVerify);
         let expect = auth_mac(&ks, Role::Initiator, &nonce_a, &nonce_b);
         if !ecq_crypto::ct::eq(&expect, mac) {
             return Err(ProtocolError::AuthenticationFailed);
         }
-        self.trace.record(StsPhase::Other, PrimitiveOp::MacTag);
+        self.core.record(StsPhase::Other, PrimitiveOp::MacTag);
         let own = auth_mac(&ks, Role::Responder, &nonce_a, &nonce_b);
-        self.state = RespState::Established;
+        self.core.establish();
         Ok(Some(Message::new(
             "B2",
             vec![WireField::new(FieldKind::Mac, own.to_vec())],
@@ -278,38 +260,18 @@ impl SciancResponder {
 }
 
 impl Endpoint for SciancResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
-    fn role(&self) -> Role {
-        Role::Responder
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            RespState::AwaitA1 => self.handle_a1(msg),
-            RespState::AwaitA2 => self.handle_a2(msg),
-            _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = RespState::Failed;
-            self.session = None;
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (_, None) => Ok(None),
+            (RespState::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (RespState::AwaitA2, Some(msg)) => self.handle_a2(msg),
         }
-        result
-    }
-    fn is_established(&self) -> bool {
-        matches!(self.state, RespState::Established)
-    }
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            RespState::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
@@ -317,6 +279,7 @@ impl Endpoint for SciancResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -345,12 +308,12 @@ mod tests {
         let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"y");
         let mut alice = SciancInitiator::new(a, 0, &mut rng_a);
         let mut bob = SciancResponder::new(b, 0, &mut rng_b);
-        let a1 = alice.start().unwrap().unwrap();
-        let b1 = bob.on_message(&a1).unwrap().unwrap();
-        let mut a2 = alice.on_message(&b1).unwrap().unwrap();
+        let a1 = alice.step(None).unwrap().into_sent().unwrap();
+        let b1 = bob.step(Some(&a1)).unwrap().into_sent().unwrap();
+        let mut a2 = alice.step(Some(&b1)).unwrap().into_sent().unwrap();
         a2.fields[0].bytes[5] ^= 1;
         assert_eq!(
-            bob.on_message(&a2).unwrap_err(),
+            bob.step(Some(&a2)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }
@@ -386,7 +349,7 @@ mod tests {
             ],
         );
         assert_eq!(
-            bob.on_message(&msg).unwrap_err(),
+            bob.step(Some(&msg)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }

@@ -141,50 +141,45 @@ impl BmsScenario {
     pub fn run_handshake(&self, kind: ProtocolKind) -> Result<SessionReport, ProtocolError> {
         let (bms_creds, evcc_creds) = self.provision().map_err(ProtocolError::Cert)?;
         let mut rng = HmacDrbg::from_seed(self.seed ^ 0xB145_0000);
-        let (mut bms, mut evcc) = self.build_endpoints(kind, bms_creds, evcc_creds, &mut rng);
+        let (bms, evcc) = self.build_endpoints(kind, bms_creds, evcc_creds, &mut rng);
+        // Per side, BMS first: the endpoint, the trace entries already
+        // charged and the per-phase device time.
+        let mut sides = [bms, evcc];
+        let mut traced = [0usize; 2];
+        let mut phases = [PhaseTimes::default(); 2];
+        const ACTORS: [&str; 2] = ["BMS", "EVCC"];
 
         let mut timeline = Timeline::new();
         let mut handshake_bytes = 0usize;
-        let mut traced_a = 0usize; // entries already charged, per side
-        let mut traced_b = 0usize;
         let session_id = 0x0001;
 
-        let charge = |timeline: &mut Timeline,
-                      endpoint: &dyn Endpoint,
-                      traced: &mut usize,
-                      actor: &str,
-                      label: &str| {
-            let entries = endpoint.trace().entries();
-            let delta = &entries[*traced..];
-            *traced = entries.len();
+        // The BMS kicks off; then each message crosses the bus and the
+        // other side steps on it, until a step sends nothing.
+        let mut incoming: Option<Message> = None;
+        let mut turn = 0;
+        loop {
+            let label = match &incoming {
+                None => step_label(kind, "A1", true),
+                Some(msg) => step_label(kind, msg.step, false),
+            };
+            let out = sides[turn].step(incoming.as_ref())?;
+
+            // Charge the primitives this step traced.
+            let entries = sides[turn].trace().entries();
             let mut slice = ecq_proto::OpTrace::new();
-            for e in delta {
+            for e in &entries[traced[turn]..] {
                 slice.record(e.phase, e.op);
             }
+            traced[turn] = entries.len();
             let times = integrate(&slice, &self.ecu_device);
             if times.total() > 0.0 {
-                timeline.push(actor, label, times.total(), EventKind::Compute);
+                timeline.push(ACTORS[turn], &label, times.total(), EventKind::Compute);
             }
-            times
-        };
+            phases[turn] = add_phases(phases[turn], times);
 
-        let mut phases_a = PhaseTimes::default();
-        let mut phases_b = PhaseTimes::default();
-
-        let mut pending: Option<Message> = bms.start()?;
-        phases_a = add_phases(
-            phases_a,
-            charge(
-                &mut timeline,
-                bms.as_ref(),
-                &mut traced_a,
-                "BMS",
-                &step_label(kind, "A1", true),
-            ),
-        );
-
-        let mut sender_is_bms = true;
-        while let Some(msg) = pending.take() {
+            let Some(msg) = out.into_sent() else {
+                break;
+            };
             // Bus transfer through the Fig. 6 stack.
             let app = AppMessage::handshake(session_id, msg.encode());
             handshake_bytes += msg.wire_len();
@@ -195,32 +190,11 @@ impl BmsScenario {
                 ns_to_ms(t_ns),
                 EventKind::Transfer,
             );
-
-            // Receiver processes.
-            let (receiver, traced, actor): (&mut Box<dyn Endpoint>, &mut usize, &str) =
-                if sender_is_bms {
-                    (&mut evcc, &mut traced_b, "EVCC")
-                } else {
-                    (&mut bms, &mut traced_a, "BMS")
-                };
-            let step = msg.step;
-            let reply = receiver.on_message(&msg)?;
-            let delta = charge(
-                &mut timeline,
-                receiver.as_ref(),
-                traced,
-                actor,
-                &step_label(kind, step, false),
-            );
-            if sender_is_bms {
-                phases_b = add_phases(phases_b, delta);
-            } else {
-                phases_a = add_phases(phases_a, delta);
-            }
-            pending = reply;
-            sender_is_bms = !sender_is_bms;
+            incoming = Some(msg);
+            turn = 1 - turn;
         }
 
+        let [bms, evcc] = sides;
         if !bms.is_established() || !evcc.is_established() {
             return Err(ProtocolError::Stalled);
         }
@@ -228,7 +202,7 @@ impl BmsScenario {
         // Pipelining saving per eqs. (6)–(8).
         let mut total_ms = timeline.total_ms();
         for phase in pipelined_phases(kind) {
-            total_ms -= phases_a.phase(*phase).min(phases_b.phase(*phase));
+            total_ms -= phases[0].phase(*phase).min(phases[1].phase(*phase));
         }
 
         Ok(SessionReport {

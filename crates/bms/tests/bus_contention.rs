@@ -103,15 +103,15 @@ fn corrupted_handshake_payload_detected_at_protocol() {
     };
     let mut alice = StsInitiator::new(bms, cfg, &mut rng_a);
     let mut bob = StsResponder::new(evcc, cfg, &mut rng_b);
-    let a1 = alice.start().unwrap().unwrap();
-    let mut b1 = bob.on_message(&a1).unwrap().unwrap();
+    let a1 = alice.step(None).unwrap().into_sent().unwrap();
+    let mut b1 = bob.step(Some(&a1)).unwrap().into_sent().unwrap();
     for f in &mut b1.fields {
         if f.kind == FieldKind::Response {
             f.bytes[30] ^= 0x10;
         }
     }
     assert_eq!(
-        alice.on_message(&b1).unwrap_err(),
+        alice.step(Some(&b1)).unwrap_err(),
         ProtocolError::AuthenticationFailed
     );
 }

@@ -55,7 +55,6 @@ pub struct IssuedCert {
 pub struct CertificateAuthority {
     id: DeviceId,
     keys: KeyPair,
-    next_serial: u64,
 }
 
 impl CertificateAuthority {
@@ -64,7 +63,6 @@ impl CertificateAuthority {
         CertificateAuthority {
             id,
             keys: KeyPair::generate(rng),
-            next_serial: 1,
         }
     }
 
@@ -95,15 +93,15 @@ impl CertificateAuthority {
     /// 4. `e = H_n(Cert_U)`,
     /// 5. `r = e·k + d_CA mod n` — private reconstruction data.
     ///
-    /// This non-mutating variant draws a random 64-bit serial (unique
-    /// with overwhelming probability), so serial-based revocation
-    /// distinguishes certificates even without the stateful counter of
-    /// [`Self::issue_next`].
+    /// The certificate carries a random 64-bit serial (unique with
+    /// overwhelming probability), so serial-based revocation
+    /// distinguishes certificates. This is [`Self::issue_batch`] over
+    /// one request, which pays one field inversion.
     ///
     /// # Errors
     ///
     /// [`CertError::InvalidRequest`] when the request point is off-curve
-    /// or the identity, or when the blinded point degenerates.
+    /// or the identity.
     pub fn issue(
         &self,
         request: &CertRequest,
@@ -111,43 +109,9 @@ impl CertificateAuthority {
         valid_to: u32,
         rng: &mut HmacDrbg,
     ) -> Result<IssuedCert, CertError> {
-        let serial = rng.next_u64();
-        self.issue_with_serial(request, serial, valid_from, valid_to, rng)
-    }
-
-    /// Issues with an explicit serial (the mutable-counter variant is a
-    /// convenience; gateways track serials themselves).
-    pub fn issue_with_serial(
-        &self,
-        request: &CertRequest,
-        serial: u64,
-        valid_from: u32,
-        valid_to: u32,
-        rng: &mut HmacDrbg,
-    ) -> Result<IssuedCert, CertError> {
-        if request.point.infinity || !request.point.is_on_curve() {
-            return Err(CertError::InvalidRequest);
-        }
-        loop {
-            let k = Scalar::random(rng);
-            // The blinding scalar is as secret as the CA key (`r`
-            // reveals `d_CA` given `k`), so `k·G` uses the ct path.
-            let p_u = request.point.add(&mul_generator_ct(&k));
-            if p_u.infinity {
-                continue; // R_U = -kG; resample
-            }
-            let certificate =
-                ImplicitCert::new(serial, self.id, request.subject, valid_from, valid_to, &p_u);
-            let e = cert_hash(&certificate);
-            if e.is_zero() {
-                continue;
-            }
-            let recon_private = e.mul(&k).add(&self.keys.private);
-            return Ok(IssuedCert {
-                certificate,
-                recon_private,
-            });
-        }
+        self.issue_batch(core::slice::from_ref(request), valid_from, valid_to, rng)?
+            .pop()
+            .ok_or(CertError::InvalidRequest)
     }
 
     /// Issues certificates for a whole batch of requests, sharing the
@@ -160,9 +124,9 @@ impl CertificateAuthority {
     /// RNG output is consumed, each blinded point `P_U = R_U + k·G`
     /// stays in Jacobian coordinates through the fixed-base
     /// multiplication, and a single shared field inversion
-    /// ([`batch_normalize`]) replaces the two inversions per
-    /// certificate the sequential path pays. Fleet-scale provisioning
-    /// (`ecq_fleet`) enrolls thousands of devices through this API.
+    /// ([`batch_normalize`]) normalizes the whole batch. Fleet-scale
+    /// provisioning (`ecq_fleet`) enrolls thousands of devices through
+    /// this API.
     ///
     /// # Errors
     ///
@@ -215,9 +179,9 @@ impl CertificateAuthority {
             );
             let mut e = cert_hash(&certificate);
             let mut k = blindings[i];
-            // e = 0 requires a fresh blinding (probability ≈ 2⁻²⁵⁶; the
-            // sequential path resamples before later requests draw, so
-            // RNG streams would diverge here — unreachable in practice).
+            // e = 0 requires a fresh blinding (probability ≈ 2⁻²⁵⁶,
+            // unreachable in practice; a batch of N would then draw in
+            // a different order than N batches of one).
             while e.is_zero() {
                 k = Scalar::random(rng);
                 let p_u = request.point.add(&mul_generator_ct(&k));
@@ -240,20 +204,6 @@ impl CertificateAuthority {
             });
         }
         Ok(out)
-    }
-
-    /// Issues a certificate and advances the internal serial counter.
-    pub fn issue_next(
-        &mut self,
-        request: &CertRequest,
-        valid_from: u32,
-        valid_to: u32,
-        rng: &mut HmacDrbg,
-    ) -> Result<IssuedCert, CertError> {
-        let serial = self.next_serial;
-        let issued = self.issue_with_serial(request, serial, valid_from, valid_to, rng)?;
-        self.next_serial += 1;
-        Ok(issued)
     }
 }
 
@@ -285,18 +235,6 @@ mod tests {
             reconstruct_public_key(&issued.certificate, &ca.public_key()).unwrap(),
             keys.public
         );
-    }
-
-    #[test]
-    fn serial_advances() {
-        let mut rng = HmacDrbg::from_seed(62);
-        let mut ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
-        let r = CertRequester::generate(DeviceId::from_label("dev"), &mut rng);
-        let c1 = ca.issue_next(&r.request(), 0, 10, &mut rng).unwrap();
-        let c2 = ca.issue_next(&r.request(), 0, 10, &mut rng).unwrap();
-        assert_eq!(c1.certificate.serial + 1, c2.certificate.serial);
-        // Fresh CA randomness ⇒ different reconstruction points.
-        assert_ne!(c1.certificate.point, c2.certificate.point);
     }
 
     #[test]

@@ -2,13 +2,11 @@
 
 use crate::ca::IssuedCert;
 use crate::id::DeviceId;
-use crate::{cert_hash, reconstruct_public_key, reconstruct_public_key_jacobian, CertError};
+use crate::{cert_hash, reconstruct_public_key_jacobian, CertError};
 use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::keys::KeyPair;
-use ecq_p256::point::{
-    batch_normalize, mul_generator_ct, mul_generator_ct_jacobian, AffinePoint, JacobianPoint,
-};
+use ecq_p256::point::{batch_normalize, mul_generator_ct, mul_generator_ct_jacobian, AffinePoint};
 use ecq_p256::scalar::Scalar;
 
 /// The public part of a certificate request: `(U, R_U)`.
@@ -55,7 +53,8 @@ impl CertRequester {
     /// * `d_U = e·k_U + r mod n`
     /// * `Q_U = e·P_U + Q_CA`
     ///
-    /// and validates `Q_U == d_U·G` before accepting.
+    /// and validates `Q_U == d_U·G` before accepting. This is
+    /// [`Self::reconstruct_batch`] over one certificate.
     ///
     /// # Errors
     ///
@@ -69,25 +68,13 @@ impl CertRequester {
         issued: &IssuedCert,
         ca_public: &AffinePoint,
     ) -> Result<KeyPair, CertError> {
-        if issued.certificate.subject != self.subject {
-            return Err(CertError::InvalidEncoding);
-        }
-        let e = cert_hash(&issued.certificate);
-        let d_u = e.mul(&self.k_u).add(&issued.recon_private);
-        if d_u.is_zero() {
-            return Err(CertError::ReconstructionMismatch);
-        }
-        let q_u = reconstruct_public_key(&issued.certificate, ca_public)?;
-        // d_U is the reconstructed private key: possession check on the
-        // ct path, compared in the projective equivalence class so the
-        // check costs no second field inversion.
-        if mul_generator_ct_jacobian(&d_u) != JacobianPoint::from_affine(&q_u) {
-            return Err(CertError::ReconstructionMismatch);
-        }
-        Ok(KeyPair {
-            private: d_u,
-            public: q_u,
-        })
+        Self::reconstruct_batch(
+            core::slice::from_ref(self),
+            core::slice::from_ref(issued),
+            ca_public,
+        )?
+        .pop()
+        .ok_or(CertError::InvalidEncoding)
     }
 
     /// Batch [`Self::reconstruct`]: the whole enrollment batch shares
@@ -96,7 +83,7 @@ impl CertRequester {
     /// [`crate::ca::CertificateAuthority::issue_batch`]'s amortized
     /// issuance), and every possession check compares in the projective
     /// equivalence class instead of normalizing. Results are
-    /// byte-identical to calling [`Self::reconstruct`] per device.
+    /// byte-identical to reconstructing each device as a batch of one.
     ///
     /// `requesters` and `issued` must be index-aligned, as produced by
     /// requesting in order and issuing with `issue_batch`.
@@ -139,8 +126,8 @@ impl CertRequester {
             .zip(publics)
             .map(|(private, public)| {
                 // Group-law outputs of valid inputs are always on the
-                // curve; the check mirrors the single-device path's
-                // defense in depth against arithmetic faults.
+                // curve; the check is defense in depth against
+                // arithmetic faults.
                 if public.infinity || !public.is_on_curve() {
                     return Err(CertError::InvalidPoint);
                 }

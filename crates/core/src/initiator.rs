@@ -4,7 +4,7 @@ use crate::auth::{
     auth_response, verify_response_hinted, ReconstructionHint, DIR_INITIATOR, DIR_RESPONDER,
 };
 use crate::{StsConfig, KDF_LABEL};
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdh;
@@ -12,17 +12,15 @@ use ecq_p256::encoding::{decode_raw, encode_raw};
 use ecq_p256::keys::KeyPair;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
-    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
+    Credentials, Endpoint, EndpointCore, FieldKind, Message, PrimitiveOp, ProtocolError, Role,
     SessionKey, StsPhase, WireField,
 };
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum State {
     Start,
     AwaitB1,
     AwaitAck,
-    Established,
-    Failed,
 }
 
 /// Initiator-side STS state machine.
@@ -33,18 +31,17 @@ pub struct StsInitiator {
     ephemeral: KeyPair,
     xg_own: [u8; 64],
     peer_hint: Option<ReconstructionHint>,
-    session: Option<SessionKey>,
     state: State,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl StsInitiator {
     /// Creates an initiator; draws the ephemeral secret eagerly
     /// (the paper's Op1 happens in the request phase).
     pub fn new(creds: Credentials, config: StsConfig, rng: &mut HmacDrbg) -> Self {
-        let mut trace = OpTrace::new();
-        trace.record(StsPhase::Op1Request, PrimitiveOp::RandomBytes { bytes: 32 });
-        trace.record(StsPhase::Op1Request, PrimitiveOp::EphemeralKeyGen);
+        let mut core = EndpointCore::new(Role::Initiator);
+        core.record(StsPhase::Op1Request, PrimitiveOp::RandomBytes { bytes: 32 });
+        core.record(StsPhase::Op1Request, PrimitiveOp::EphemeralKeyGen);
         let x = Scalar::random(rng);
         let ephemeral = KeyPair::from_private(x);
         let xg_own = encode_raw(&ephemeral.public);
@@ -54,9 +51,8 @@ impl StsInitiator {
             ephemeral,
             xg_own,
             peer_hint: None,
-            session: None,
             state: State::Start,
-            trace,
+            core,
         }
     }
 
@@ -94,11 +90,11 @@ impl StsInitiator {
         let xg_b = decode_raw(&xg_b_bytes)?;
 
         // Op2: premaster KPM = X_A · XG_B, then KS = KDF(KPM, salt).
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::EcdhDerive);
         let premaster = ecdh::shared_secret(&self.ephemeral.private, &xg_b)?;
         let salt = [self.xg_own.as_slice(), xg_b_bytes.as_slice()].concat();
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::Kdf);
         // `premaster` wipes itself when it drops at the end of this
         // scope; only the derived session key survives.
@@ -114,7 +110,7 @@ impl StsInitiator {
             &xg_b_bytes,
             &self.xg_own,
             DIR_RESPONDER,
-            &mut self.trace,
+            self.core.trace_mut(),
             self.peer_hint.as_ref(),
         )?;
 
@@ -125,10 +121,10 @@ impl StsInitiator {
             &self.xg_own,
             &xg_b_bytes,
             DIR_INITIATOR,
-            &mut self.trace,
+            self.core.trace_mut(),
         );
 
-        self.session = Some(ks);
+        self.core.set_key(ks);
         self.state = State::AwaitAck;
         Ok(Some(Message::new(
             "A2",
@@ -141,29 +137,26 @@ impl StsInitiator {
 }
 
 impl Drop for StsInitiator {
-    /// Wipes the ephemeral secret `X_A` and any derived session key:
-    /// forward secrecy is only as good as the lifetime of the
-    /// ephemerals (paper §V, node-capture row of Table III).
+    /// Wipes the ephemeral secret `X_A`: forward secrecy is only as
+    /// good as the lifetime of the ephemerals (paper §V, node-capture
+    /// row of Table III). The core wipes the session key.
     fn drop(&mut self) {
         self.ephemeral.zeroize();
-        if let Some(key) = self.session.as_mut() {
-            key.zeroize();
-        }
     }
 }
 
 impl Endpoint for StsInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
 
-    fn role(&self) -> Role {
-        Role::Initiator
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
 
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            State::Start => {
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (State::Start, None) => {
                 self.state = State::AwaitB1;
                 Ok(Some(Message::new(
                     "A1",
@@ -173,50 +166,16 @@ impl Endpoint for StsInitiator {
                     ],
                 )))
             }
-            _ => Err(ProtocolError::UnexpectedMessage),
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            State::AwaitB1 => self.handle_b1(msg),
-            State::AwaitAck => {
-                let ack = msg.field(FieldKind::Ack)?;
-                if ack == [0x01] {
-                    self.state = State::Established;
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::AuthenticationFailed)
+            (State::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (State::AwaitAck, Some(msg)) => {
+                if msg.field(FieldKind::Ack)? != [0x01] {
+                    return Err(ProtocolError::AuthenticationFailed);
                 }
+                self.core.establish();
+                Ok(None)
             }
             _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = State::Failed;
-            // Wipe in place before dropping the Option: clearing it
-            // alone would leave the key bytes resident (and invisible
-            // to our Drop impl) for the endpoint's remaining lifetime.
-            if let Some(key) = self.session.as_mut() {
-                key.zeroize();
-            }
-            self.session = None;
         }
-        result
-    }
-
-    fn is_established(&self) -> bool {
-        matches!(self.state, State::Established)
-    }
-
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            State::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
@@ -224,6 +183,8 @@ impl Endpoint for StsInitiator {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
+    use ecq_proto::StepOutput;
 
     fn creds(seed: u64) -> (Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -236,7 +197,9 @@ mod tests {
     fn start_emits_a1_with_correct_layout() {
         let (c, mut rng) = creds(121);
         let mut init = StsInitiator::new(c, StsConfig::default(), &mut rng);
-        let a1 = init.start().unwrap().unwrap();
+        let StepOutput::Send(a1) = init.step(None).unwrap() else {
+            panic!("the kickoff must send A1");
+        };
         assert_eq!(a1.step, "A1");
         assert_eq!(a1.wire_len(), 80);
         assert!(!init.is_established());
@@ -247,8 +210,11 @@ mod tests {
     fn double_start_rejected() {
         let (c, mut rng) = creds(122);
         let mut init = StsInitiator::new(c, StsConfig::default(), &mut rng);
-        init.start().unwrap();
-        assert!(init.start().is_err());
+        init.step(None).unwrap();
+        assert_eq!(
+            init.step(None).unwrap_err(),
+            ProtocolError::UnexpectedMessage
+        );
     }
 
     #[test]
@@ -262,10 +228,10 @@ mod tests {
     fn unexpected_message_fails_cleanly() {
         let (c, mut rng) = creds(124);
         let mut init = StsInitiator::new(c, StsConfig::default(), &mut rng);
-        init.start().unwrap();
+        init.step(None).unwrap();
         let bogus = Message::new("B2", vec![WireField::new(FieldKind::Ack, vec![1])]);
         // AwaitB1 state: an ACK has no Id field -> decode error.
-        assert!(init.on_message(&bogus).is_err());
+        assert!(init.step(Some(&bogus)).is_err());
         assert!(!init.is_established());
     }
 }

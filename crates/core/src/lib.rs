@@ -69,7 +69,7 @@ pub use responder::StsResponder;
 pub use variant::StsVariant;
 
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{run_handshake, Credentials, ProtocolError, SessionKey, Transcript};
+use ecq_proto::{run_handshake, Credentials, ProtocolError, SessionOutcome};
 
 /// Domain-separation label for the STS KDF.
 pub const KDF_LABEL: &[u8] = b"ecqv-sts-v1";
@@ -90,17 +90,6 @@ impl Default for StsConfig {
             variant: StsVariant::Conventional,
         }
     }
-}
-
-/// Result of a completed STS handshake between two local endpoints.
-#[derive(Debug)]
-pub struct SessionOutcome {
-    /// Key derived by the initiator.
-    pub initiator_key: SessionKey,
-    /// Key derived by the responder (always equal on success).
-    pub responder_key: SessionKey,
-    /// Full wire + trace transcript.
-    pub transcript: Transcript,
 }
 
 /// Convenience driver: runs a complete STS handshake between two
@@ -148,15 +137,8 @@ pub fn establish_hinted(
     if let Some(hint) = responder_hint {
         bob = bob.with_peer_hint(*hint);
     }
-    let transcript = run_handshake(&mut alice, &mut bob)?;
-    Ok(SessionOutcome {
-        initiator_key: alice.session_key()?,
-        responder_key: bob.session_key()?,
-        transcript,
-    })
+    run_handshake(&mut alice, &mut bob)
 }
-
-use ecq_proto::Endpoint as _;
 
 #[cfg(test)]
 mod tests {

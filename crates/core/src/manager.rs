@@ -14,10 +14,10 @@
 //! handshake (cheap to demand here, because the DKD makes rekeying
 //! safe — no key material is shared between epochs).
 
-use crate::{establish_hinted, ReconstructionHint, SessionOutcome, StsConfig};
+use crate::{establish_hinted, ReconstructionHint, StsConfig};
 use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{Credentials, ProtocolError, SessionKey};
+use ecq_proto::{Credentials, ProtocolError, SessionKey, SessionOutcome};
 
 /// When a session key must be replaced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,8 +47,6 @@ pub enum RekeyReason {
     Aged,
     /// The key protected [`RekeyPolicy::max_messages`] messages.
     Exhausted,
-    /// An explicit caller request.
-    Requested,
 }
 
 /// Statistics about the current key epoch.
@@ -218,16 +216,6 @@ impl SessionManager {
         epoch.messages_used += 1;
         Ok(self.key.expect("key exists after rekey"))
     }
-
-    /// Forces a fresh session regardless of policy.
-    ///
-    /// # Errors
-    ///
-    /// Handshake or certificate-expiry errors.
-    pub fn force_rekey(&mut self, now: u32) -> Result<SessionKey, ProtocolError> {
-        self.rekey(now, RekeyReason::Requested)?;
-        Ok(self.key.expect("key exists after rekey"))
-    }
 }
 
 impl Drop for SessionManager {
@@ -319,15 +307,6 @@ mod tests {
         // Next rekey falls after expiry: the certificate session is over.
         let err = m.key_for(60).unwrap_err();
         assert_eq!(err, ProtocolError::Cert(ecq_cert::CertError::Expired));
-    }
-
-    #[test]
-    fn forced_rekey() {
-        let mut m = manager(405, RekeyPolicy::default(), 100_000);
-        let k1 = m.key_for(0).unwrap();
-        let k2 = m.force_rekey(1).unwrap();
-        assert_ne!(k1, k2);
-        assert_eq!(m.epoch().unwrap().reason, RekeyReason::Requested);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::auth::{
     auth_response, verify_response_hinted, ReconstructionHint, DIR_INITIATOR, DIR_RESPONDER,
 };
 use crate::{StsConfig, KDF_LABEL};
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdh;
@@ -12,16 +12,14 @@ use ecq_p256::encoding::{decode_raw, encode_raw};
 use ecq_p256::point::mul_generator_ct;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
-    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
+    Credentials, Endpoint, EndpointCore, FieldKind, Message, PrimitiveOp, ProtocolError, Role,
     SessionKey, StsPhase, WireField,
 };
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum State {
     AwaitA1,
     AwaitA2,
-    Established,
-    Failed,
 }
 
 /// Responder-side STS state machine.
@@ -34,9 +32,8 @@ pub struct StsResponder {
     peer_hint: Option<ReconstructionHint>,
     peer_id: Option<Vec<u8>>,
     peer_xg: Option<[u8; 64]>,
-    session: Option<SessionKey>,
     state: State,
-    trace: OpTrace,
+    core: EndpointCore,
 }
 
 impl StsResponder {
@@ -51,9 +48,8 @@ impl StsResponder {
             peer_hint: None,
             peer_id: None,
             peer_xg: None,
-            session: None,
             state: State::AwaitA1,
-            trace: OpTrace::new(),
+            core: EndpointCore::new(Role::Responder),
         }
     }
 
@@ -77,19 +73,19 @@ impl StsResponder {
         let xg_a = decode_raw(&xg_a_bytes)?;
 
         // Op1: our own ephemeral point XG_B.
-        self.trace
+        self.core
             .record(StsPhase::Op1Request, PrimitiveOp::RandomBytes { bytes: 32 });
-        self.trace
+        self.core
             .record(StsPhase::Op1Request, PrimitiveOp::EphemeralKeyGen);
         let x_b = Scalar::random(&mut self.rng);
         let xg_b_bytes = encode_raw(&mul_generator_ct(&x_b));
 
         // Op2: KPM = X_B · XG_A; KS = KDF(KPM, XG_A ‖ XG_B).
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::EcdhDerive);
         let premaster = ecdh::shared_secret(&x_b, &xg_a)?;
         let salt = [xg_a_bytes.as_slice(), xg_b_bytes.as_slice()].concat();
-        self.trace
+        self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::Kdf);
         // `premaster` wipes itself when it drops at the end of this
         // scope; only the derived session key survives.
@@ -102,13 +98,13 @@ impl StsResponder {
             &xg_b_bytes,
             &xg_a_bytes,
             DIR_RESPONDER,
-            &mut self.trace,
+            self.core.trace_mut(),
         );
 
         self.ephemeral = Some((x_b, xg_b_bytes));
         self.peer_id = Some(id_a);
         self.peer_xg = Some(xg_a_bytes);
-        self.session = Some(ks);
+        self.core.set_key(ks);
         self.state = State::AwaitA2;
 
         Ok(Some(Message::new(
@@ -137,7 +133,7 @@ impl StsResponder {
             return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
         }
 
-        let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
+        let ks = self.core.derived_key()?;
         let xg_a = self.peer_xg.ok_or(ProtocolError::UnexpectedMessage)?;
         let (_, xg_b) = self.ephemeral.ok_or(ProtocolError::UnexpectedMessage)?;
 
@@ -149,11 +145,11 @@ impl StsResponder {
             &xg_a,
             &xg_b,
             DIR_INITIATOR,
-            &mut self.trace,
+            self.core.trace_mut(),
             self.peer_hint.as_ref(),
         )?;
 
-        self.state = State::Established;
+        self.core.establish();
         Ok(Some(Message::new(
             "B2",
             vec![WireField::new(FieldKind::Ack, vec![0x01])],
@@ -162,62 +158,30 @@ impl StsResponder {
 }
 
 impl Drop for StsResponder {
-    /// Wipes the ephemeral secret `X_B` and any derived session key.
+    /// Wipes the ephemeral secret `X_B`; the core wipes the session
+    /// key.
     fn drop(&mut self) {
         if let Some((x_b, _)) = self.ephemeral.as_mut() {
             x_b.zeroize();
-        }
-        if let Some(key) = self.session.as_mut() {
-            key.zeroize();
         }
     }
 }
 
 impl Endpoint for StsResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
+    fn core(&self) -> &EndpointCore {
+        &self.core
     }
 
-    fn role(&self) -> Role {
-        Role::Responder
+    fn core_mut(&mut self) -> &mut EndpointCore {
+        &mut self.core
     }
 
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            State::AwaitA1 => self.handle_a1(msg),
-            State::AwaitA2 => self.handle_a2(msg),
-            _ => Err(ProtocolError::UnexpectedMessage),
-        };
-        if result.is_err() {
-            self.state = State::Failed;
-            // Wipe in place before dropping the Option: clearing it
-            // alone would leave the key bytes resident (and invisible
-            // to our Drop impl) for the endpoint's remaining lifetime.
-            if let Some(key) = self.session.as_mut() {
-                key.zeroize();
-            }
-            self.session = None;
+    fn advance(&mut self, incoming: Option<&Message>) -> Result<Option<Message>, ProtocolError> {
+        match (self.state, incoming) {
+            (_, None) => Ok(None),
+            (State::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (State::AwaitA2, Some(msg)) => self.handle_a2(msg),
         }
-        result
-    }
-
-    fn is_established(&self) -> bool {
-        matches!(self.state, State::Established)
-    }
-
-    fn session_key(&self) -> Result<SessionKey, ProtocolError> {
-        match self.state {
-            State::Established => self.session.ok_or(ProtocolError::NotEstablished),
-            _ => Err(ProtocolError::NotEstablished),
-        }
-    }
-
-    fn trace(&self) -> &OpTrace {
-        &self.trace
     }
 }
 
@@ -225,6 +189,8 @@ impl Endpoint for StsResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
+    use ecq_proto::StepOutput;
 
     fn creds(seed: u64) -> (Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -237,7 +203,7 @@ mod tests {
     fn responder_starts_silent() {
         let (c, mut rng) = creds(131);
         let mut resp = StsResponder::new(c, StsConfig::default(), &mut rng);
-        assert!(resp.start().unwrap().is_none());
+        assert_eq!(resp.step(None).unwrap(), StepOutput::Wait);
         assert!(!resp.is_established());
     }
 
@@ -253,7 +219,7 @@ mod tests {
                 WireField::new(FieldKind::EphemeralPoint, vec![0; 64]),
             ],
         );
-        assert!(resp.on_message(&msg).is_err());
+        assert!(resp.step(Some(&msg)).is_err());
         assert!(!resp.is_established());
         assert!(resp.session_key().is_err());
     }
@@ -270,6 +236,6 @@ mod tests {
             ],
         );
         // In AwaitA1, an A2-shaped message lacks the Id field.
-        assert!(resp.on_message(&msg).is_err());
+        assert!(resp.step(Some(&msg)).is_err());
     }
 }

@@ -1,13 +1,11 @@
-//! Equivalence of the three ways to drive an STS handshake:
+//! Equivalence of the two ways to drive an STS handshake:
 //!
-//! 1. the classic run-to-completion callback loop (`start` /
-//!    `on_message`, the pre-transport driver),
-//! 2. the poll-style [`Endpoint::step`] state machine fed through a
+//! 1. the poll-style [`Endpoint::step`] state machine fed through a
 //!    virtual-time [`ChannelTransport`],
-//! 3. the [`run_handshake`] convenience driver.
+//! 2. the [`run_handshake`] convenience driver.
 //!
-//! All three must produce byte-identical transcripts and the same
-//! session key for identically seeded endpoints — the message-granular
+//! Both must produce byte-identical transcripts and the same session
+//! key for identically seeded endpoints — the message-granular
 //! scheduler path changes *when* messages move, never *what* they say.
 
 use ecq_cert::ca::CertificateAuthority;
@@ -31,22 +29,20 @@ fn endpoints(seed: u64, variant: StsVariant) -> (StsInitiator, StsResponder) {
     )
 }
 
-/// The pre-transport driver, verbatim: alternate `start`/`on_message`
-/// until a side stops replying. Returns the raw bytes of each message.
-fn drive_callbacks(alice: &mut StsInitiator, bob: &mut StsResponder) -> (Vec<Vec<u8>>, SessionKey) {
-    let mut wire = Vec::new();
-    let mut pending = alice.start().unwrap();
-    let mut sender = Role::Initiator;
-    while let Some(msg) = pending {
-        wire.push(msg.encode());
-        pending = match sender {
-            Role::Initiator => bob.on_message(&msg).unwrap(),
-            Role::Responder => alice.on_message(&msg).unwrap(),
-        };
-        sender = sender.peer();
-    }
-    assert!(alice.is_established() && bob.is_established());
-    (wire, alice.session_key().unwrap())
+/// The run-to-completion driver's wire bytes and initiator key.
+fn drive_to_completion(
+    alice: &mut StsInitiator,
+    bob: &mut StsResponder,
+) -> (Vec<Vec<u8>>, SessionKey) {
+    let outcome = run_handshake(alice, bob).unwrap();
+    assert_eq!(outcome.initiator_key, outcome.responder_key);
+    let wire = outcome
+        .transcript
+        .messages()
+        .iter()
+        .map(|m| m.bytes.clone())
+        .collect();
+    (wire, outcome.initiator_key)
 }
 
 /// The message-granularity driver: `step` outputs go through a
@@ -99,7 +95,7 @@ fn step_transcripts_match_run_to_completion_bytes() {
     ] {
         for seed in [1u64, 2, 99, 0xFEED] {
             let (mut a1, mut b1) = endpoints(seed, variant);
-            let (old_wire, old_key) = drive_callbacks(&mut a1, &mut b1);
+            let (old_wire, old_key) = drive_to_completion(&mut a1, &mut b1);
 
             let (mut a2, mut b2) = endpoints(seed, variant);
             let (new_wire, new_key, end) = drive_transport(&mut a2, &mut b2, 1500);
@@ -115,8 +111,9 @@ fn step_transcripts_match_run_to_completion_bytes() {
 #[test]
 fn run_handshake_driver_matches_both() {
     let (mut a1, mut b1) = endpoints(7, StsVariant::Conventional);
-    let transcript = run_handshake(&mut a1, &mut b1).unwrap();
-    let driver_wire: Vec<Vec<u8>> = transcript
+    let outcome = run_handshake(&mut a1, &mut b1).unwrap();
+    let driver_wire: Vec<Vec<u8>> = outcome
+        .transcript
         .messages()
         .iter()
         .map(|m| m.bytes.clone())
@@ -125,8 +122,9 @@ fn run_handshake_driver_matches_both() {
     let (mut a2, mut b2) = endpoints(7, StsVariant::Conventional);
     let (manual_wire, key, _) = drive_transport(&mut a2, &mut b2, 0);
     assert_eq!(driver_wire, manual_wire);
+    assert_eq!(outcome.initiator_key, key);
     assert_eq!(a1.session_key().unwrap(), key);
-    assert_eq!(transcript.total_bytes(), 491); // Table II
+    assert_eq!(outcome.transcript.total_bytes(), 491); // Table II
 }
 
 #[test]

@@ -54,12 +54,6 @@ impl HmacDrbg {
         Self::new(&seed.to_be_bytes(), b"ecq-sim")
     }
 
-    /// Mixes additional input into the DRBG state (SP 800-90A reseed).
-    pub fn reseed(&mut self, entropy: &[u8]) {
-        self.update(&[entropy]);
-        self.reseed_counter = 1;
-    }
-
     fn update(&mut self, provided: &[&[u8]]) {
         let has_data = provided.iter().any(|p| !p.is_empty());
         let mut parts: Vec<&[u8]> = vec![&self.v, &[0x00]];
@@ -133,14 +127,6 @@ mod tests {
     fn personalization_matters() {
         let mut a = HmacDrbg::new(b"e", b"p1");
         let mut b = HmacDrbg::new(b"e", b"p2");
-        assert_ne!(a.bytes32(), b.bytes32());
-    }
-
-    #[test]
-    fn reseed_changes_stream() {
-        let mut a = HmacDrbg::from_seed(7);
-        let mut b = HmacDrbg::from_seed(7);
-        b.reseed(b"fresh entropy");
         assert_ne!(a.bytes32(), b.bytes32());
     }
 

@@ -10,9 +10,10 @@
 //! that makes it unreachable.
 //!
 //! **Roots.** The sweep drivers (`interleaved_sweep`, `run_sweep`,
-//! `run_worker`) and every `step` implementation (the `Endpoint::step`
-//! message pump). The cone is the transitive closure over the shared
-//! name-resolved call graph.
+//! `run_worker`), every fn named `step` (the provided `Endpoint::step`
+//! message pump among them) and the service daemon's
+//! `handle_connection`. The cone is the transitive closure over the
+//! shared name-resolved call graph.
 //!
 //! **Finding classes** (anchored at the offending token, with the
 //! root-first reach chain as evidence):
@@ -48,8 +49,10 @@ pub const NAME: &str = "panic-reach";
 /// The class vocabulary.
 pub const CLASSES: &[&str] = &["panic-unwrap", "panic-macro", "panic-index", "panic-div"];
 
-/// Hot-path root functions (simple names). `step` covers every
-/// `Endpoint::step` implementation; `handle_connection` is the service
+/// Hot-path root functions (simple names). `step` is the one provided
+/// `Endpoint::step`, which reaches every handshake state machine
+/// through its protocol hook `advance` (a name-resolved edge that
+/// `workspace_clean.rs` pins); `handle_connection` is the service
 /// daemon's per-connection worker, which faces untrusted socket bytes.
 pub const ROOT_FNS: &[&str] = &[
     "interleaved_sweep",

@@ -11,8 +11,6 @@ use crate::CurveError;
 
 /// Length of a compressed SEC1 point encoding.
 pub const COMPRESSED_LEN: usize = 33;
-/// Length of an uncompressed SEC1 point encoding (with the 0x04 tag).
-pub const UNCOMPRESSED_LEN: usize = 65;
 /// Length of a raw `x‖y` encoding (no tag), as used for `XG` on the wire.
 pub const RAW_LEN: usize = 64;
 
@@ -55,32 +53,6 @@ pub fn decode_compressed(bytes: &[u8]) -> Result<AffinePoint, CurveError> {
         y = y.neg();
     }
     AffinePoint::from_coords(x, y).ok_or(CurveError::InvalidPoint)
-}
-
-/// Encodes a point in uncompressed SEC1 form (`04 ‖ x ‖ y`).
-///
-/// # Panics
-///
-/// Panics on the point at infinity.
-pub fn encode_uncompressed(p: &AffinePoint) -> [u8; UNCOMPRESSED_LEN] {
-    assert!(!p.infinity, "cannot encode the point at infinity");
-    let mut out = [0u8; UNCOMPRESSED_LEN];
-    out[0] = 0x04;
-    out[1..33].copy_from_slice(&p.x.to_be_bytes());
-    out[33..].copy_from_slice(&p.y.to_be_bytes());
-    out
-}
-
-/// Decodes an uncompressed SEC1 point, validating the curve equation.
-///
-/// # Errors
-///
-/// [`CurveError::InvalidPoint`] on malformed input or off-curve points.
-pub fn decode_uncompressed(bytes: &[u8]) -> Result<AffinePoint, CurveError> {
-    if bytes.len() != UNCOMPRESSED_LEN || bytes[0] != 0x04 {
-        return Err(CurveError::InvalidPoint);
-    }
-    decode_raw(&bytes[1..])
 }
 
 /// Encodes a point as a raw 64-byte `x ‖ y` pair (the paper's `XG(64)`).
@@ -133,9 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn uncompressed_and_raw_roundtrip() {
+    fn raw_roundtrip() {
         let p = mul_generator_vartime(&Scalar::from_u64(77));
-        assert_eq!(decode_uncompressed(&encode_uncompressed(&p)).unwrap(), p);
         assert_eq!(decode_raw(&encode_raw(&p)).unwrap(), p);
     }
 
@@ -152,7 +123,6 @@ mod tests {
     fn rejects_bad_encodings() {
         assert!(decode_compressed(&[0u8; 33]).is_err()); // bad tag
         assert!(decode_compressed(&[0x02; 10]).is_err()); // bad length
-        assert!(decode_uncompressed(&[0u8; 65]).is_err());
         assert!(decode_raw(&[0u8; 64]).is_err()); // (0,0) not on curve
         assert!(decode_raw(&[0u8; 63]).is_err());
         // x >= p must be rejected.

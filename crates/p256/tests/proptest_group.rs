@@ -100,10 +100,6 @@ proptest! {
         let p = mul_generator_vartime(&a);
         prop_assert_eq!(encoding::decode_compressed(&encoding::encode_compressed(&p)).unwrap(), p);
         prop_assert_eq!(encoding::decode_raw(&encoding::encode_raw(&p)).unwrap(), p);
-        prop_assert_eq!(
-            encoding::decode_uncompressed(&encoding::encode_uncompressed(&p)).unwrap(),
-            p
-        );
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! * [`trace`] — the primitive-operation trace that the device cost
 //!   model (`ecq-devices`) integrates into Table I timings,
 //! * [`session`] — session key material and the KDF chain of eq. (4),
-//! * [`endpoint`] — the two-party state-machine abstraction (poll-style
-//!   [`endpoint::Endpoint::step`]) and the run-to-completion driver
-//!   that produces [`transcript::Transcript`]s,
+//! * [`endpoint`] — the two-party state-machine abstraction, driven
+//!   only through [`endpoint::Endpoint::step`], the shared fail-closed
+//!   [`endpoint::EndpointCore`] every state machine holds, and the
+//!   run-to-completion driver that returns both keys with the
+//!   [`transcript::Transcript`] as an [`endpoint::SessionOutcome`],
 //! * [`transport`] — the message-granularity [`transport::Transport`]
 //!   link abstraction with the in-memory channel implementation,
 //! * [`framing`] — the versioned, length-prefixed service wire format
@@ -35,7 +37,7 @@ pub mod transport;
 pub mod wire;
 
 pub use credentials::Credentials;
-pub use endpoint::{run_handshake, Endpoint, Role, StepOutput};
+pub use endpoint::{run_handshake, Endpoint, EndpointCore, Role, SessionOutcome, StepOutput};
 pub use error::{ProtocolError, TransportError};
 pub use framing::{Frame, FrameKind};
 pub use session::SessionKey;
@@ -97,16 +99,6 @@ impl ProtocolKind {
             ProtocolKind::Poramb => "PORAMB",
         }
     }
-
-    /// Whether the variant performs a *dynamic* key derivation
-    /// (fresh ephemeral secret per communication session). Only STS
-    /// does — §V-A: "Only STS is the true DKD".
-    pub fn is_dynamic(&self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII
-        )
-    }
 }
 
 impl core::fmt::Display for ProtocolKind {
@@ -125,16 +117,5 @@ mod tests {
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 7);
-    }
-
-    #[test]
-    fn only_sts_family_is_dynamic() {
-        assert!(ProtocolKind::Sts.is_dynamic());
-        assert!(ProtocolKind::StsOptI.is_dynamic());
-        assert!(ProtocolKind::StsOptII.is_dynamic());
-        assert!(!ProtocolKind::SEcdsa.is_dynamic());
-        assert!(!ProtocolKind::SEcdsaExt.is_dynamic());
-        assert!(!ProtocolKind::Scianc.is_dynamic());
-        assert!(!ProtocolKind::Poramb.is_dynamic());
     }
 }

@@ -67,8 +67,10 @@ impl SessionKey {
 
 impl Zeroize for SessionKey {
     /// Wipes the key bytes (volatile stores; see
-    /// [`ecq_crypto::zeroize`]). The STS endpoints and
-    /// `SessionManager` call this when their state drops.
+    /// [`ecq_crypto::zeroize`]). [`crate::EndpointCore`] calls this
+    /// when its handshake fails and when it drops, so every endpoint
+    /// (baselines included) wipes its key; `SessionManager` wipes each
+    /// superseded epoch key and its last one on drop.
     fn zeroize(&mut self) {
         self.bytes.zeroize();
     }
