@@ -102,6 +102,8 @@ fn rows() -> Vec<Row> {
     let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
     let req = CertRequester::generate(DeviceId::from_label("dev"), &mut rng);
     let issued = ca.issue(&req.request(), 0, 100, &mut rng).unwrap();
+    let subject = req.reconstruct(&issued, &ca.public_key()).unwrap();
+    let subject_sig = ecdsa::sign(&subject.private, b"bench message");
 
     let data_64 = [0xA5u8; 64];
     let data_1k = [0x5Au8; 1024];
@@ -278,6 +280,22 @@ fn rows() -> Vec<Row> {
         }),
         reference_ns: None,
     });
+    // eq. (1) folded into the verify: the first-contact path of
+    // Algorithm 2, against `ecqv_reconstruct_eq1` + `ecdsa_verify`.
+    rows.push(row(
+        "ecqv_verify_implicit",
+        time_ns(100, || {
+            black_box(
+                ecq_cert::verify_implicit(
+                    black_box(&issued.certificate),
+                    &ca.public_key(),
+                    b"bench message",
+                    &subject_sig,
+                )
+                .unwrap(),
+            );
+        }),
+    ));
     let mut issue_rng = HmacDrbg::from_seed(0xEC2);
     rows.push(row(
         "ecqv_ca_issue",

@@ -12,7 +12,8 @@
 //!    (`d_U = e·k_U + r`, `Q_U = e·P_U + Q_CA`);
 //! 4. any peer that knows the CA public key can *implicitly* derive
 //!    `Q_U = Hash(Cert_U)·Decode(Cert_U) + Q_CA` — the paper's eq. (1)
-//!    ([`reconstruct_public_key`]).
+//!    ([`reconstruct_public_key`]), or check a signature under that
+//!    key without forming it ([`verify_implicit`]).
 //!
 //! There is no signature on the certificate: authenticity is implied by
 //! the fact that only the legitimate subject can know the private key
@@ -52,6 +53,8 @@ pub use certificate::{ImplicitCert, CERT_LEN};
 pub use id::DeviceId;
 pub use revocation::RevocationList;
 
+use ecq_crypto::sha256::sha256;
+use ecq_p256::ecdsa::{self, Signature};
 use ecq_p256::point::{AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
 use ecq_p256::CurveError;
@@ -99,7 +102,7 @@ impl From<CurveError> for CertError {
 /// Computes the certificate hash `e = H_n(Cert_U)` used by both the CA
 /// and every reconstructing party.
 pub fn cert_hash(cert: &ImplicitCert) -> Scalar {
-    Scalar::from_be_bytes_reduced(&ecq_crypto::sha256::sha256(&cert.to_bytes()))
+    Scalar::from_be_bytes_reduced(&sha256(&cert.to_bytes()))
 }
 
 /// The paper's eq. (1): `Q_X = Hash(Cert_X) · Decode(Cert_X) + Q_CA`.
@@ -121,6 +124,37 @@ pub fn reconstruct_public_key(
         return Err(CertError::InvalidPoint);
     }
     Ok(q)
+}
+
+/// Verifies an ECDSA signature on `msg` under the key eq. (1) implies
+/// for `cert` and `ca_public`, without computing that key.
+///
+/// The answer is the one [`reconstruct_public_key`] followed by
+/// [`ecdsa::verify`] gives: the same verdict, the same error. Eq. (1)
+/// folds into the verification sum as
+/// `u1·G + (u2·e)·P_X + u2·Q_CA`, whose two variable bases share one
+/// wNAF ladder ([`ecdsa::verify_prehashed_terms`]). That saves one
+/// variable-base multiplication and one field inversion against the
+/// two-step path, which the hinted STS path keeps for a cached `Q_X`.
+///
+/// # Errors
+///
+/// [`CertError::InvalidPoint`] when the certificate's embedded point
+/// does not decode, `ca_public` is off the curve, or the implied key is
+/// the point at infinity — in which case `u1·G` alone would verify a
+/// forged signature.
+pub fn verify_implicit(
+    cert: &ImplicitCert,
+    ca_public: &AffinePoint,
+    msg: &[u8],
+    sig: &Signature,
+) -> Result<bool, CertError> {
+    let p_x = cert.reconstruction_point()?;
+    if !ca_public.is_on_curve() {
+        return Err(CertError::InvalidPoint);
+    }
+    let key = [(cert_hash(cert), p_x), (Scalar::one(), *ca_public)];
+    Ok(ecdsa::verify_prehashed_terms(key, &sha256(msg), sig)?)
 }
 
 /// [`reconstruct_public_key`] without the final affine normalization,

@@ -1,14 +1,18 @@
 //! Property-based tests of the ECQV certificate layer: encoding
-//! roundtrips over arbitrary metadata, tamper detection, and the
-//! reconstruction identity over random deployments.
+//! roundtrips over arbitrary metadata, tamper detection, the
+//! reconstruction identity over random deployments, and fused
+//! verification against eq. (1) followed by a plain verify.
 
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{
-    cert_hash, reconstruct_public_key, CertError, DeviceId, ImplicitCert, RevocationList,
+    cert_hash, reconstruct_public_key, verify_implicit, CertError, DeviceId, ImplicitCert,
+    RevocationList,
 };
 use ecq_crypto::HmacDrbg;
-use ecq_p256::point::mul_generator_vartime;
+use ecq_p256::ecdsa::{self, Signature};
+use ecq_p256::keys::KeyPair;
+use ecq_p256::point::{mul_generator_vartime, AffinePoint};
 use ecq_p256::scalar::Scalar;
 use proptest::prelude::*;
 
@@ -31,6 +35,18 @@ fn arb_cert() -> impl Strategy<Value = ImplicitCert> {
                 &mul_generator_vartime(&Scalar::from_u64(k)),
             )
         })
+}
+
+/// The two-step path [`verify_implicit`] must agree with: eq. (1),
+/// then a plain verify under the reconstructed key.
+fn reconstruct_then_verify(
+    cert: &ImplicitCert,
+    ca_public: &AffinePoint,
+    msg: &[u8],
+    sig: &Signature,
+) -> Result<bool, CertError> {
+    let q = reconstruct_public_key(cert, ca_public)?;
+    Ok(ecdsa::verify(&q, msg, sig))
 }
 
 proptest! {
@@ -69,6 +85,62 @@ proptest! {
             reconstruct_public_key(&issued.certificate, &ca.public_key()).unwrap(),
             keys.public
         );
+    }
+
+    #[test]
+    fn fused_verification_matches_reconstruct_then_verify(
+        seed in any::<u64>(),
+        msg in any::<[u8; 24]>(),
+        pos in 3usize..101,
+        bit in 0u8..8,
+    ) {
+        let mut rng = HmacDrbg::from_seed(seed);
+        let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+        let req = CertRequester::generate(DeviceId::from_label("dev"), &mut rng);
+        let issued = ca.issue(&req.request(), 0, 100, &mut rng).unwrap();
+        let keys = req.reconstruct(&issued, &ca.public_key()).unwrap();
+        let (cert, ca_pub) = (issued.certificate, ca.public_key());
+        let sig = ecdsa::sign(&keys.private, &msg);
+        prop_assert_eq!(verify_implicit(&cert, &ca_pub, &msg, &sig), Ok(true));
+
+        // Tampered certificates: one flipped bit anywhere past the
+        // magic and version (a flip the parser refuses is skipped),
+        // one in the x of P_X, and two P_X that do not decode — a bad
+        // tag and an x with no curve point.
+        let mut bytes = cert.to_bytes();
+        bytes[pos] ^= 1 << bit;
+        let mut x_flip = cert;
+        x_flip.point[1 + pos % 32] ^= 1 << bit;
+        let mut bad_tag = cert;
+        bad_tag.point[0] = 0x05;
+        let mut no_point = cert;
+        while AffinePoint::from_bytes_compressed(&no_point.point).is_ok() {
+            no_point.point[32] = no_point.point[32].wrapping_add(1);
+        }
+        let mut certs = vec![x_flip, bad_tag, no_point];
+        certs.extend(ImplicitCert::from_bytes(&bytes).ok());
+
+        let mut wrong_msg = msg;
+        wrong_msg[0] ^= 1;
+        let stranger = KeyPair::generate(&mut rng);
+        let foreign = ecdsa::sign(&stranger.private, &msg);
+        let swapped = Signature { r: sig.s, s: sig.r };
+        let other_ca = CertificateAuthority::new(DeviceId::from_label("CA2"), &mut rng);
+
+        let mut cases: Vec<(ImplicitCert, AffinePoint, &[u8], Signature)> = vec![
+            (cert, other_ca.public_key(), &msg, sig),
+            (cert, AffinePoint::identity(), &msg, sig),
+            (cert, ca_pub, &wrong_msg, sig),
+            (cert, ca_pub, &msg, foreign),
+            (cert, ca_pub, &msg, swapped),
+        ];
+        cases.extend(certs.into_iter().map(|c| (c, ca_pub, &msg[..], sig)));
+        for (i, (cert, ca_public, m, sig)) in cases.iter().enumerate() {
+            let fused = verify_implicit(cert, ca_public, m, sig);
+            let unfused = reconstruct_then_verify(cert, ca_public, m, sig);
+            prop_assert_eq!(fused, unfused, "case {}: {:?} vs {:?}", i, fused, unfused);
+            prop_assert!(fused != Ok(true), "case {} verified", i);
+        }
     }
 
     #[test]

@@ -19,8 +19,17 @@
 //! Encrypting the signature under the freshly derived `KS` proves key
 //! confirmation in the same flight as authentication: a peer that
 //! cannot derive `KS` cannot produce a decryptable response.
+//!
+//! Algorithm 2 computes `Q_X` explicitly. On a first contact the code
+//! folds eq. (1) into the verification instead
+//! ([`ecq_cert::verify_implicit`]: `u1·G + (u2·e)·P_X + u2·Q_CA`, with
+//! one ladder for both variable bases), so `Q_X` is never formed. The
+//! op trace still records a public-key reconstruction and a verify, so
+//! the device cost model bills both operations as the paper does. A
+//! [`ReconstructionHint`] that already holds `Q_X` keeps the plain
+//! verify.
 
-use ecq_cert::{reconstruct_public_key, CertError, ImplicitCert};
+use ecq_cert::{reconstruct_public_key, verify_implicit, CertError, ImplicitCert};
 use ecq_crypto::ctr::ctr_blocks;
 use ecq_p256::ecdsa::{self, Signature};
 use ecq_p256::point::AffinePoint;
@@ -72,18 +81,20 @@ pub fn auth_response(
 /// Reconstruction is a pure function of `(Cert_X, Q_CA)`, so a hint
 /// computed once per *certificate* session (e.g. when a
 /// [`crate::SessionManager`] first establishes) lets every later rekey
-/// handshake of the same pair skip the eq. (1) scalar multiplication —
-/// the dominant cost of Algorithm 2 after the ECDSA verify itself.
+/// handshake of the same pair skip eq. (1) and verify against the
+/// cached key directly.
 ///
 /// Soundness: the fields are private and [`Self::compute`] is the only
 /// constructor, so a hint always holds the genuine reconstruction for
-/// the certificate it carries. [`verify_response_hinted`] compares the
-/// hint's certificate against the certificate received on the wire and
-/// falls back to a fresh reconstruction on any mismatch — a stale or
-/// misrouted hint can cost time, never authentication soundness.
+/// the certificate and CA key it carries. [`verify_response_hinted`]
+/// uses it only when both match the certificate received on the wire
+/// and the verifier's own CA key, and falls back to the full path on
+/// any mismatch — a stale, misrouted or foreign-CA hint can cost time,
+/// never authentication soundness.
 #[derive(Clone, Copy, Debug)]
 pub struct ReconstructionHint {
     cert: ImplicitCert,
+    ca_public: AffinePoint,
     public: AffinePoint,
 }
 
@@ -98,14 +109,15 @@ impl ReconstructionHint {
     pub fn compute(cert: &ImplicitCert, ca_public: &AffinePoint) -> Result<Self, CertError> {
         Ok(ReconstructionHint {
             cert: *cert,
+            ca_public: *ca_public,
             public: reconstruct_public_key(cert, ca_public)?,
         })
     }
 
     /// The cached public key, if the hint was computed for exactly
-    /// `cert`.
-    fn lookup(&self, cert: &ImplicitCert) -> Option<AffinePoint> {
-        (self.cert == *cert).then_some(self.public)
+    /// `cert` under exactly `ca_public`.
+    fn lookup(&self, cert: &ImplicitCert, ca_public: &AffinePoint) -> Option<AffinePoint> {
+        (self.cert == *cert && self.ca_public == *ca_public).then_some(self.public)
     }
 }
 
@@ -135,10 +147,10 @@ pub fn verify_response(
 
 /// [`verify_response`] with an optional cached eq. (1) result.
 ///
-/// When `hint` matches `peer_cert` the public-key reconstruction (and
-/// its trace record) is skipped; any mismatch falls back to the full
-/// reconstruction, so a wrong hint only costs the time it was meant to
-/// save.
+/// When `hint` matches both `peer_cert` and `ca_public`, the signature
+/// is checked against the cached key and the public-key reconstruction
+/// is not traced; any mismatch falls back to the full path, so a wrong
+/// hint only costs the time it was meant to save.
 ///
 /// # Errors
 ///
@@ -170,25 +182,24 @@ pub fn verify_response_hinted(
 
     let sig = Signature::from_bytes(&dsign).map_err(|_| ProtocolError::AuthenticationFailed)?;
 
-    // eq. (1): Q_X = Hash(Cert_X)·Decode(Cert_X) + Q_CA — or the
-    // cached evaluation when the hint carries this exact certificate.
-    let q_x = match hint.and_then(|h| h.lookup(peer_cert)) {
-        Some(q) => q,
+    let mut msg = [0u8; 128];
+    msg[..64].copy_from_slice(xg_peer);
+    msg[64..].copy_from_slice(xg_own);
+
+    let verified = match hint.and_then(|h| h.lookup(peer_cert, ca_public)) {
+        Some(q_x) => ecdsa::verify(&q_x, &msg, &sig),
+        // eq. (1) folded into the verification: Q_X is never formed,
+        // but the trace still bills it ahead of the verify.
         None => {
             trace.record(
                 StsPhase::Op2KeyDerivation,
                 PrimitiveOp::PublicKeyReconstruction,
             );
-            reconstruct_public_key(peer_cert, ca_public)?
+            verify_implicit(peer_cert, ca_public, &msg, &sig)?
         }
     };
-
-    let mut msg = [0u8; 128];
-    msg[..64].copy_from_slice(xg_peer);
-    msg[64..].copy_from_slice(xg_own);
-
     trace.record(StsPhase::Op4DecryptVerify, PrimitiveOp::EcdsaVerify);
-    if ecdsa::verify(&q_x, &msg, &sig) {
+    if verified {
         Ok(())
     } else {
         Err(ProtocolError::AuthenticationFailed)
@@ -200,8 +211,10 @@ mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
     use ecq_cert::requester::CertRequester;
-    use ecq_cert::{reconstruct_public_key_jacobian, DeviceId};
+    use ecq_cert::{cert_hash, reconstruct_public_key_jacobian, DeviceId};
+    use ecq_crypto::sha256::sha256;
     use ecq_crypto::HmacDrbg;
+    use ecq_p256::point::{mul_generator_ct, mul_generator_vartime};
     use ecq_proto::Credentials;
 
     fn creds(seed: u64) -> (Credentials, AffinePoint) {
@@ -459,5 +472,107 @@ mod tests {
                 Err(ProtocolError::Cert(invalid))
             );
         }
+    }
+
+    fn ops(trace: &OpTrace) -> Vec<PrimitiveOp> {
+        trace.entries().iter().map(|e| e.op).collect()
+    }
+
+    #[test]
+    fn trace_bills_eq1_and_verify_in_algorithm_2_order() {
+        // The fused first contact records what Algorithm 2 computes:
+        // the reconstruction, then the verify. A matching hint drops
+        // only the reconstruction; a bad point stops after it.
+        let (c, ca_pub) = creds(118);
+        let xg_a = [1u8; 64];
+        let xg_b = [2u8; 64];
+        let resp = auth_response(
+            &ks(),
+            &c.keys.private,
+            &xg_a,
+            &xg_b,
+            DIR_INITIATOR,
+            &mut OpTrace::new(),
+        );
+        let decrypt = PrimitiveOp::AesDecrypt {
+            blocks: ctr_blocks(RESP_LEN),
+        };
+        let hint = ReconstructionHint::compute(&c.cert, &ca_pub).unwrap();
+        let mut bad = c.cert;
+        bad.point[0] = 0x05;
+        let cases = [
+            (c.cert, None, Ok(())),
+            (c.cert, Some(&hint), Ok(())),
+            (bad, None, Err(ProtocolError::Cert(CertError::InvalidPoint))),
+        ];
+        for (cert, hint, expected) in cases {
+            let mut trace = OpTrace::new();
+            let got = verify_response_hinted(
+                &ks(),
+                &resp,
+                &cert,
+                &ca_pub,
+                &xg_a,
+                &xg_b,
+                DIR_INITIATOR,
+                &mut trace,
+                hint,
+            );
+            assert_eq!(got, expected);
+            let want = match (hint, expected) {
+                (Some(_), _) => vec![decrypt, PrimitiveOp::EcdsaVerify],
+                (None, Ok(())) => vec![
+                    decrypt,
+                    PrimitiveOp::PublicKeyReconstruction,
+                    PrimitiveOp::EcdsaVerify,
+                ],
+                (None, Err(_)) => vec![decrypt, PrimitiveOp::PublicKeyReconstruction],
+            };
+            assert_eq!(ops(&trace), want);
+        }
+    }
+
+    #[test]
+    fn identity_implicit_key_refuses_a_forgery() {
+        // A CA key of −(e·P_X) makes eq. (1) yield Q_X = O. Against
+        // that key u1·G alone is the whole verification sum, so
+        // r = x(k·G), s = H(m)·k⁻¹ would verify for any message.
+        let (c, _) = creds(119);
+        let e = cert_hash(&c.cert);
+        let ca_pub = c.cert.reconstruction_point().unwrap().mul_vartime(&e).neg();
+        let xg_a = [1u8; 64];
+        let xg_b = [2u8; 64];
+        let mut msg = [0u8; 128];
+        msg[..64].copy_from_slice(&xg_a);
+        msg[64..].copy_from_slice(&xg_b);
+        let h = Scalar::from_be_bytes_reduced(&sha256(&msg));
+        let k = Scalar::random(&mut HmacDrbg::from_seed(120));
+        let sig = Signature {
+            r: Scalar::from_reduced(&mul_generator_ct(&k).x.to_canonical()),
+            s: h.mul(&k.invert()),
+        };
+        // The forgery is real: u1·G = H(m)·s⁻¹·G = k·G has x = r.
+        let u1g = mul_generator_vartime(&h.mul(&sig.s.invert()));
+        assert_eq!(Scalar::from_reduced(&u1g.x.to_canonical()), sig.r);
+
+        let invalid = CertError::InvalidPoint;
+        assert_eq!(reconstruct_public_key(&c.cert, &ca_pub), Err(invalid));
+        assert_eq!(verify_implicit(&c.cert, &ca_pub, &msg, &sig), Err(invalid));
+        let mut resp = sig.to_bytes();
+        ks().apply_stream(DIR_INITIATOR, &mut resp);
+        let mut trace = OpTrace::new();
+        assert_eq!(
+            verify_response(
+                &ks(),
+                &resp,
+                &c.cert,
+                &ca_pub,
+                &xg_a,
+                &xg_b,
+                DIR_INITIATOR,
+                &mut trace
+            ),
+            Err(ProtocolError::Cert(invalid))
+        );
     }
 }

@@ -58,9 +58,9 @@ impl StsInitiator {
 
     /// Installs a cached eq. (1) evaluation for the expected peer.
     ///
-    /// When the responder's certificate matches the hint, the Op2
-    /// public-key reconstruction is skipped (and not traced); a
-    /// mismatched hint silently falls back to the full reconstruction.
+    /// When the responder's certificate and this side's CA key match the
+    /// hint, the Op2 public-key reconstruction is skipped (and not
+    /// traced); a mismatched hint silently falls back to the full path.
     #[must_use]
     pub fn with_peer_hint(mut self, hint: ReconstructionHint) -> Self {
         self.peer_hint = Some(hint);

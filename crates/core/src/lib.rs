@@ -114,7 +114,8 @@ pub fn establish(
 /// reconstruction — the win [`SessionManager`] exploits on rekeys,
 /// where the same pair of certificates recurs for the session's whole
 /// lifetime. Wire bytes and derived keys are identical with or without
-/// hints; a mismatched hint falls back to a fresh reconstruction.
+/// hints; a hint computed for another certificate or under another CA
+/// key falls back to the full path.
 ///
 /// # Errors
 ///
@@ -230,6 +231,29 @@ mod tests {
         let b =
             Credentials::provision(&ca2, DeviceId::from_label("bob"), 0, 100, &mut rng).unwrap();
         let err = establish(&a, &b, &StsConfig::default(), &mut rng).unwrap_err();
+        assert_eq!(err, ProtocolError::AuthenticationFailed);
+    }
+
+    #[test]
+    fn foreign_ca_hints_fall_back_to_the_verifiers_ca() {
+        // Each hint holds the genuine key of its certificate under
+        // that certificate's own CA, but each verifier trusts the
+        // other CA. The hints must not stand in for the verifier's own
+        // eq. (1): the handshake fails as it does without them.
+        let mut rng = HmacDrbg::from_seed(108);
+        let ca1 = CertificateAuthority::new(DeviceId::from_label("CA1"), &mut rng);
+        let ca2 = CertificateAuthority::new(DeviceId::from_label("CA2"), &mut rng);
+        let a =
+            Credentials::provision(&ca1, DeviceId::from_label("alice"), 0, 100, &mut rng).unwrap();
+        let b =
+            Credentials::provision(&ca2, DeviceId::from_label("bob"), 0, 100, &mut rng).unwrap();
+        let cfg = StsConfig::default();
+        let err = establish_hinted(&a, &b, &cfg, &mut rng, None, None).unwrap_err();
+        assert_eq!(err, ProtocolError::AuthenticationFailed);
+        let hint_a = ReconstructionHint::compute(&b.cert, &b.ca_public).unwrap();
+        let hint_b = ReconstructionHint::compute(&a.cert, &a.ca_public).unwrap();
+        let err =
+            establish_hinted(&a, &b, &cfg, &mut rng, Some(&hint_a), Some(&hint_b)).unwrap_err();
         assert_eq!(err, ProtocolError::AuthenticationFailed);
     }
 

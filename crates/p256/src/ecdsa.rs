@@ -4,15 +4,26 @@
 //! (Algorithms 1 and 2) and the static S-ECDSA baseline. Signing is
 //! deterministic (RFC 6979), which keeps simulations reproducible.
 //!
-//! Verification computes `u1·G + u2·Q` as two separate scalar
-//! multiplications. micro-ecc's `uECC_verify` uses Shamir's trick
-//! instead; on the host the separate form wins because `u1·G` rides
-//! the wide fixed-base comb (see the decision record in
-//! [`crate::precomp`]). Device timings come from the fitted Table I
+//! Verification has one core, [`verify_prehashed_terms`], which takes
+//! the public key as one or two terms. [`verify`] and
+//! [`verify_prehashed`] pass a plain key `[(1, Q)]`. An ECQV implicit
+//! key passes `[(e, P_X), (1, Q_CA)]`: Algorithm 2 first computes
+//! `Q_X = e·P_X + Q_CA` (eq. (1)) and then verifies against it, while
+//! the core folds eq. (1) into the verification sum and never forms
+//! `Q_X` (see `ecq_cert::verify_implicit`). The device cost model still
+//! bills both operations, because the op trace records both.
+//!
+//! `u1·G` stays a separate fixed-base multiplication on the wide comb,
+//! and only the variable bases share a wNAF ladder. micro-ecc's
+//! `uECC_verify` runs all of `u1·G + u2·Q` through Shamir's trick
+//! instead; on the host the split form wins (see the decision record
+//! in [`crate::precomp`]). Device timings come from the fitted Table I
 //! costs in `ecq_devices`, not from this code, so the choice never
 //! reaches the paper's numbers.
 
-use crate::point::{mul_generator_ct, mul_generator_vartime_jacobian, AffinePoint, JacobianPoint};
+use crate::point::{
+    mul_generator_ct, mul_generator_vartime_jacobian, mul_sum_vartime, AffinePoint, JacobianPoint,
+};
 use crate::rfc6979;
 use crate::scalar::Scalar;
 use crate::CurveError;
@@ -117,24 +128,54 @@ pub fn verify(public: &AffinePoint, msg: &[u8], sig: &Signature) -> bool {
 
 /// Verifies a signature over a precomputed 32-byte hash.
 pub fn verify_prehashed(public: &AffinePoint, hash: &[u8; 32], sig: &Signature) -> bool {
-    if public.infinity || !public.is_on_curve() || sig.r.is_zero() || sig.s.is_zero() {
-        return false;
+    public.is_on_curve()
+        && verify_prehashed_terms([(Scalar::one(), *public)], hash, sig) == Ok(true)
+}
+
+/// The verification core: checks `sig` over `hash` under the public
+/// key `Q = Σ cᵢ·Pᵢ`, given as one or two `(cᵢ, Pᵢ)` terms —
+/// `[(1, Q)]` for a plain key, `[(e, P_X), (1, Q_CA)]` for the key
+/// eq. (1) implies for an ECQV certificate.
+///
+/// `u1·G` rides the wide fixed-base comb and `u2·Q = Σ (u2·cᵢ)·Pᵢ`
+/// one shared wNAF ladder ([`mul_sum_vartime`]), so an implicit key
+/// is never formed. Because `r, s ∈ [1, n−1]` makes `u2 ≠ 0`,
+/// `u2·Q = O` exactly when `Q = O`; that key is refused before `u1·G`
+/// is added, since `u1·G` alone would otherwise verify a forgery.
+///
+/// Every point must be on the curve; [`verify_prehashed`] and
+/// `ecq_cert::verify_implicit` check theirs before calling.
+///
+/// # Errors
+///
+/// [`CurveError::InvalidPoint`] when the key is the identity. A
+/// signature with a zero component, which [`Signature::from_bytes`]
+/// never returns, is `Ok(false)` before the key is looked at.
+pub fn verify_prehashed_terms<const N: usize>(
+    key: [(Scalar, AffinePoint); N],
+    hash: &[u8; 32],
+    sig: &Signature,
+) -> Result<bool, CurveError> {
+    if sig.r.is_zero() || sig.s.is_zero() {
+        return Ok(false);
     }
     let e = Scalar::from_be_bytes_reduced(hash);
     let s_inv = sig.s.invert();
     let u1 = e.mul(&s_inv);
     let u2 = sig.r.mul(&s_inv);
     // u1/u2 derive from the public signature and hash, so verification
-    // stays on the faster vartime paths. u1·G rides the wide fixed-base
-    // comb (no doublings); the sum stays Jacobian so the whole
-    // verification pays one field inversion instead of three.
-    let u1g = mul_generator_vartime_jacobian(&u1);
-    let u2q = JacobianPoint::from_affine(public).mul_vartime(&u2);
-    let point = u1g.add(&u2q).to_affine();
-    if point.infinity {
-        return false;
+    // stays on the faster vartime paths; the sum stays Jacobian so the
+    // whole verification pays one field inversion for the tables and
+    // one for the result.
+    let u2q = mul_sum_vartime(&key.map(|(c, p)| (u2.mul(&c), JacobianPoint::from_affine(&p))));
+    if u2q.is_identity() {
+        return Err(CurveError::InvalidPoint);
     }
-    Scalar::from_reduced(&point.x.to_canonical()) == sig.r
+    let point = mul_generator_vartime_jacobian(&u1).add(&u2q).to_affine();
+    if point.infinity {
+        return Ok(false);
+    }
+    Ok(Scalar::from_reduced(&point.x.to_canonical()) == sig.r)
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //!   ECDSA signing and the ECQV secret paths use these.
 //! * **`*_vartime`** — faster, schedule leaks the scalar's digit
 //!   pattern: [`mul_generator_vartime`] (the wide fixed-base comb) and
-//!   [`JacobianPoint::mul_vartime`] (width-5 wNAF over an
-//!   odd-multiples table), the one variable-base vartime multiplier.
-//!   Only for public inputs: ECDSA verification, eq. (1) public-key
+//!   [`mul_sum_vartime`] (one width-5 wNAF ladder over one or two
+//!   odd-multiples tables), the one variable-base vartime multiplier;
+//!   [`JacobianPoint::mul_vartime`] is its one-term case. Only for
+//!   public inputs: ECDSA verification, eq. (1) public-key
 //!   reconstruction, benches and attack simulations.
 //!
 //! The op-counter (the `ops` module, compiled under `cfg(test)` or the
@@ -460,37 +461,14 @@ impl JacobianPoint {
         Self::conditional_select(self, &out, rhs_is_id)
     }
 
-    /// Variable-time scalar multiplication via width-5 wNAF.
-    ///
-    /// Recodes `k` into signed odd digits `±{1,3,…,15}` (at most one
-    /// nonzero digit per 5 bits), precomputes the eight odd multiples
-    /// `1·P, 3·P … 15·P` normalized to affine around one shared
-    /// inversion, then runs one doubling ladder with a mixed
-    /// Jacobian+affine addition per nonzero digit — ~255 doublings and
-    /// ~43 additions on average. Negative digits reuse the table entry
-    /// negated, so the table stays eight entries.
+    /// Variable-time scalar multiplication `k·self`: the one-term case
+    /// of [`mul_sum_vartime`], the width-5 wNAF ladder.
     ///
     /// The schedule leaks the scalar's digit pattern: only for public
-    /// scalars (ECDSA verification, eq. (1) reconstruction, benches,
-    /// attack tooling). Secret scalars go through [`Self::mul_ct`].
+    /// scalars (eq. (1) reconstruction, benches, attack tooling).
+    /// Secret scalars go through [`Self::mul_ct`].
     pub fn mul_vartime(&self, k: &Scalar) -> JacobianPoint {
-        let kv = k.to_canonical();
-        if kv.is_zero() || self.is_identity() {
-            return Self::identity();
-        }
-        let table = normalize_fixed(&self.wnaf_table_vartime());
-        let (digits, len) = wnaf5_vartime(&kv);
-        let mut acc = Self::identity();
-        for i in (0..len).rev() {
-            if !acc.is_identity() {
-                acc = acc.double();
-            }
-            let d = digits[i];
-            if d != 0 {
-                acc = acc.add_affine(&wnaf_entry_vartime(&table, d));
-            }
-        }
-        acc
+        mul_sum_vartime(&[(*k, *self)])
     }
 
     /// Precomputes the odd multiples `1·P, 3·P … 15·P` for the width-5
@@ -542,7 +520,7 @@ impl JacobianPoint {
         // this sits on the hot secret path (every ECDH). The skip
         // pattern branches only on identity flags — properties of the
         // public base point, never of `k`.
-        let table = normalize_fixed(&multiples);
+        let [table] = normalize_fixed(&[multiples]);
 
         let kv = k.to_canonical();
         let mut acc = Self::identity();
@@ -641,6 +619,59 @@ pub fn mul_generator_vartime_jacobian(k: &Scalar) -> JacobianPoint {
     acc
 }
 
+/// `Σ kᵢ·Pᵢ` over one or two public `(scalar, point)` terms, on one
+/// width-5 wNAF ladder — the workspace's one variable-base vartime
+/// multiplier ([`JacobianPoint::mul_vartime`] is its one-term case).
+///
+/// Each scalar is recoded into signed odd digits `±{1,3,…,15}` (at
+/// most one nonzero digit per 5 bits), and each point gets the eight
+/// odd multiples `1·P, 3·P … 15·P`, all tables normalized to affine
+/// around one shared inversion. One doubling ladder then walks the
+/// longest recoding with a mixed Jacobian+affine addition per nonzero
+/// digit of any term: ~255 doublings in all, plus ~43 additions per
+/// term on average. Negative digits reuse the table entry negated.
+/// Sharing the doublings is Straus's trick (Möller, "Algorithms for
+/// multi-exponentiation", SAC 2001); ECDSA verification uses it for
+/// the two variable bases of an implicit key, `u2·e·P_X + u2·Q_CA`.
+///
+/// Zero scalars and identity points drop out before any table is
+/// built, and cancelling terms (`P = −Q`) pass through the addition's
+/// exceptional cases, so any inputs give the exact sum. The schedule
+/// leaks every scalar's digit pattern: only for public scalars.
+pub fn mul_sum_vartime<const N: usize>(terms: &[(Scalar, JacobianPoint); N]) -> JacobianPoint {
+    const { assert!(N == 1 || N == 2, "the ladder takes one or two terms") };
+    let mut tables = [[JacobianPoint::identity(); 8]; N];
+    let mut digits = [[0i8; 257]; N];
+    let mut len = 0usize;
+    for ((k, p), (table, ds)) in terms.iter().zip(tables.iter_mut().zip(digits.iter_mut())) {
+        let kv = k.to_canonical();
+        if kv.is_zero() || p.is_identity() {
+            continue;
+        }
+        *table = p.wnaf_table_vartime();
+        let (d, l) = wnaf5_vartime(&kv);
+        *ds = d;
+        len = len.max(l);
+    }
+    if len == 0 {
+        return JacobianPoint::identity();
+    }
+    let tables = normalize_fixed(&tables);
+    let mut acc = JacobianPoint::identity();
+    for i in (0..len).rev() {
+        if !acc.is_identity() {
+            acc = acc.double();
+        }
+        for (table, ds) in tables.iter().zip(&digits) {
+            let d = ds[i];
+            if d != 0 {
+                acc = acc.add_affine(&wnaf_entry_vartime(table, d));
+            }
+        }
+    }
+    acc
+}
+
 /// Normalizes a batch of Jacobian points to affine with a single field
 /// inversion (Montgomery's trick): the inverse of the product of all
 /// `Z` coordinates is computed once, then unwound into each individual
@@ -674,14 +705,18 @@ pub fn batch_normalize(points: &[JacobianPoint]) -> Vec<AffinePoint> {
     out
 }
 
-/// Montgomery's-trick normalization over a fixed-size array: one
-/// shared field inversion for all `N` points, no allocation. Identity
+/// Montgomery's-trick normalization over fixed-size arrays: one
+/// shared field inversion for all `M·N` points, no allocation. Identity
 /// entries map to [`AffinePoint::identity`] and skip the product —
 /// inverting an empty product is `1⁻¹`, which is well defined — so
 /// callers may leave unused slots at the identity.
-fn normalize_fixed<const N: usize>(points: &[JacobianPoint; N]) -> [AffinePoint; N] {
+fn normalize_fixed<const M: usize, const N: usize>(
+    points: &[[JacobianPoint; M]; N],
+) -> [[AffinePoint; M]; N] {
+    let points = points.as_flattened();
     // prefix[i] = product of z_j for non-identity j < i.
-    let mut prefix = [FieldElement::one(); N];
+    let mut prefix = [[FieldElement::one(); M]; N];
+    let prefix = prefix.as_flattened_mut();
     let mut acc = FieldElement::one();
     for (slot, p) in prefix.iter_mut().zip(points) {
         *slot = acc;
@@ -690,8 +725,14 @@ fn normalize_fixed<const N: usize>(points: &[JacobianPoint; N]) -> [AffinePoint;
         }
     }
     let mut suffix_inv = acc.invert();
-    let mut out = [AffinePoint::identity(); N];
-    for ((entry, p), pre) in out.iter_mut().zip(points).zip(&prefix).rev() {
+    let mut out = [[AffinePoint::identity(); M]; N];
+    for ((entry, p), pre) in out
+        .as_flattened_mut()
+        .iter_mut()
+        .zip(points)
+        .zip(&*prefix)
+        .rev()
+    {
         if p.is_identity() {
             continue;
         }

@@ -37,6 +37,19 @@
 //! Straus form lost (123.6 µs against 105.1 µs in one `bench_p256`
 //! snapshot); an alternative verifier has to beat the `ecdsa_verify`
 //! row of `cargo run --release --bin bench_p256` to replace this one.
+//!
+//! That holds for `u1·G` only. The two *variable* bases of an ECQV
+//! implicit key, `(u2·e)·P_X + u2·Q_CA`, do share one wNAF ladder
+//! ([`crate::point::mul_sum_vartime`], behind
+//! `ecq_cert::verify_implicit`): neither base has a comb to lose, so
+//! sharing pays the ~256 doublings once instead of twice and needs one
+//! table inversion instead of two. Over 64 certificates in 30
+//! interleaved rounds (order rotated each round, same binary) the fused
+//! check took 0.66× (IQR 0.62–0.70) of eq. (1) followed by a plain
+//! verify; `bench_p256` tracks it as `ecqv_verify_implicit`. A per-CA
+//! 4-bit comb for `Q_CA` was prototyped against it and measured about
+//! the same (0.65×), for ~70 KiB and 0.6–0.9 ms of build time per CA,
+//! so it is not built.
 
 use crate::point::{batch_normalize, AffinePoint, JacobianPoint};
 use std::sync::OnceLock;

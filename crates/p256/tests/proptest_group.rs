@@ -1,13 +1,16 @@
 //! Property-based tests of the elliptic-curve group: abelian group
-//! laws, scalar-multiplication homomorphism, ct/vartime agreement,
-//! encodings, ECDSA and ECDH over random keys. Case counts are kept
-//! low — every case costs several scalar multiplications.
+//! laws, scalar-multiplication homomorphism, ct/vartime agreement
+//! (the shared two-term ladder included), encodings, ECDSA and ECDH
+//! over random keys. Case counts are kept low — every case costs
+//! several scalar multiplications.
 
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdsa;
 use ecq_p256::encoding;
 use ecq_p256::keys::KeyPair;
-use ecq_p256::point::{mul_generator_ct, mul_generator_vartime, AffinePoint, JacobianPoint};
+use ecq_p256::point::{
+    mul_generator_ct, mul_generator_vartime, mul_sum_vartime, AffinePoint, JacobianPoint,
+};
 use ecq_p256::scalar::Scalar;
 use ecq_p256::u256::U256;
 use proptest::prelude::*;
@@ -164,6 +167,40 @@ proptest! {
         let dense = Scalar::from_reduced(&U256::from_be_bytes(&[dense_byte; 32]));
         for k in [a, sparse, dense].into_iter().chain(edge_scalars()) {
             prop_assert_eq!(base.mul_vartime(&k), base.mul_ct(&k));
+        }
+    }
+
+    #[test]
+    fn shared_ladder_matches_sum_of_ct_walks(
+        p_scalar in arb_scalar(),
+        q_scalar in arb_scalar(),
+        a in arb_scalar(),
+        b in arb_scalar(),
+        sparse in arb_sparse_scalar(),
+    ) {
+        // The one- and two-term wNAF ladder against independent
+        // constant-time walks, over random, sparse, zero and edge
+        // scalars, and over second bases Q = P and Q = −P where the
+        // terms cancel. P enters with a non-unit Z.
+        let p = JacobianPoint::from_affine(&mul_generator_vartime(&p_scalar)).double();
+        let p_affine = p.to_affine();
+        let n_minus_1 = Scalar::from_u64(1).neg();
+        for k in [a, sparse, Scalar::zero(), Scalar::one(), n_minus_1] {
+            prop_assert_eq!(mul_sum_vartime(&[(k, p)]), p.mul_ct(&k));
+        }
+        let seconds = [
+            mul_generator_vartime(&q_scalar),
+            p_affine,
+            p_affine.neg(),
+            AffinePoint::identity(),
+        ];
+        for q in seconds.map(|q| JacobianPoint::from_affine(&q)) {
+            for k1 in [a, sparse, Scalar::zero(), n_minus_1] {
+                for k2 in [b, k1, k1.neg(), Scalar::zero(), Scalar::one()] {
+                    let expected = p.mul_ct(&k1).add(&q.mul_ct(&k2));
+                    prop_assert_eq!(mul_sum_vartime(&[(k1, p), (k2, q)]), expected);
+                }
+            }
         }
     }
 

@@ -52,9 +52,11 @@ pub enum PrimitiveOp {
     EcdhDerive,
     /// ECDSA signature generation.
     EcdsaSign,
-    /// ECDSA signature verification. The host computes `u1·G + u2·Q`
-    /// as two separate multiplications; device timings bill the fitted
-    /// Table I cost of `ecq_devices` whatever the host does.
+    /// ECDSA signature verification. On a first contact the host folds
+    /// the preceding [`Self::PublicKeyReconstruction`] into it (one sum
+    /// `u1·G + (u2·e)·P_X + u2·Q_CA`), but the trace records both, and
+    /// device timings bill the fitted Table I cost of each whatever the
+    /// host does.
     EcdsaVerify,
     /// AES-CTR encryption of `blocks` 16-byte blocks.
     AesEncrypt {
