@@ -16,11 +16,11 @@
 //!   which derives a different key.
 
 use super::TestDeployment;
-use ecq_baselines::{establish_s_ecdsa, s_ecdsa};
+use ecq_baselines::s_ecdsa;
 use ecq_cert::ImplicitCert;
 use ecq_p256::point::AffinePoint;
 use ecq_p256::scalar::Scalar;
-use ecq_proto::{FieldKind, Message, ProtocolError, SessionKey, Transcript};
+use ecq_proto::{FieldKind, Message, ProtocolError, ProtocolKind, SessionKey, Transcript};
 use ecq_sts::{establish, StsConfig};
 
 /// Everything a passive eavesdropper captures.
@@ -53,11 +53,11 @@ fn encrypt_app_data(key: &SessionKey, plaintext: &[u8]) -> Vec<u8> {
 ///
 /// Propagates handshake errors.
 pub fn capture_s_ecdsa(deployment: &mut TestDeployment) -> Result<CapturedSession, ProtocolError> {
-    let out = establish_s_ecdsa(
+    let out = ecq_baselines::establish(
+        ProtocolKind::SEcdsa,
         &deployment.alice,
         &deployment.bob,
         0,
-        false,
         &mut deployment.rng,
     )?;
     let plaintext = b"BMS cell telemetry: v=3.71V t=25.4C soc=81%".to_vec();

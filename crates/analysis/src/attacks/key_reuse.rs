@@ -6,8 +6,8 @@
 //! every session under fixed certificates.
 
 use super::TestDeployment;
-use ecq_baselines::{establish_s_ecdsa, establish_scianc, skd};
-use ecq_proto::ProtocolError;
+use ecq_baselines::skd;
+use ecq_proto::{ProtocolError, ProtocolKind};
 use ecq_sts::{establish, StsConfig};
 
 /// Result of running `n` sessions under unchanged certificates.
@@ -33,11 +33,11 @@ pub fn s_ecdsa_reuse(
 ) -> Result<ReuseReport, ProtocolError> {
     let mut keys = Vec::new();
     for _ in 0..n {
-        let out = establish_s_ecdsa(
+        let out = ecq_baselines::establish(
+            ProtocolKind::SEcdsa,
             &deployment.alice,
             &deployment.bob,
             0,
-            false,
             &mut deployment.rng,
         )?;
         keys.push(*out.initiator_key.as_bytes());
@@ -59,7 +59,13 @@ pub fn scianc_reuse(
 ) -> Result<ReuseReport, ProtocolError> {
     let mut keys = Vec::new();
     for _ in 0..n {
-        let out = establish_scianc(&deployment.alice, &deployment.bob, 0, &mut deployment.rng)?;
+        let out = ecq_baselines::establish(
+            ProtocolKind::Scianc,
+            &deployment.alice,
+            &deployment.bob,
+            0,
+            &mut deployment.rng,
+        )?;
         keys.push(*out.initiator_key.as_bytes());
     }
     let premaster = skd::static_premaster(&deployment.alice, &deployment.bob.cert)?;

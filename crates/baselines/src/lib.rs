@@ -1,4 +1,5 @@
-//! Baseline key-derivation protocols the paper compares against (§V-A).
+//! The comparison protocols the paper measures STS against (§V-A), and
+//! the one protocol table for all seven Table I rows.
 //!
 //! All three baseline families use a **static key derivation (SKD)**:
 //! the session secret is a Diffie–Hellman over the long-term,
@@ -19,9 +20,13 @@
 //! holds an [`ecq_proto::EndpointCore`] and is driven through
 //! [`ecq_proto::Endpoint::step`], so it fails closed exactly as the STS
 //! endpoints do: an error or a message after completion fails the
-//! session and wipes its key, and the key is wiped on drop too. The
-//! `establish_*` drivers return [`ecq_proto::SessionOutcome`], the same
-//! outcome type as `ecq_sts::establish`.
+//! session and wipes its key, and the key is wiped on drop too.
+//!
+//! [`endpoints`] is the protocol table: it turns any [`ProtocolKind`]
+//! (the four baselines and STS under its three schedules) into its
+//! seeded endpoint pair, and [`establish`] runs that pair to completion.
+//! Every in-process caller that picks a protocol by kind goes through
+//! these two functions.
 
 #![warn(missing_docs)]
 
@@ -31,65 +36,92 @@ pub mod scianc;
 pub mod skd;
 
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{run_handshake, Credentials, ProtocolError, SessionOutcome};
+use ecq_proto::{
+    run_handshake, Credentials, Endpoint, ProtocolError, ProtocolKind, SessionOutcome,
+};
+use ecq_sts::{StsConfig, StsVariant};
 
-/// Runs a complete S-ECDSA handshake (set `extended` for the
-/// finished-message variant).
+/// The endpoint pair that implements `kind` between `initiator` and
+/// `responder` at deployment time `now`, with every random input drawn
+/// from `rng`.
 ///
-/// # Errors
-///
-/// Any [`ProtocolError`] from the handshake.
-pub fn establish_s_ecdsa(
-    initiator: &Credentials,
-    responder: &Credentials,
+/// STS builds through [`ecq_sts::endpoint_pair`] with the schedule the
+/// row names. Each baseline draws one DRBG stream per role from `rng`,
+/// initiator first; PORAMB draws its pre-shared pairwise key before
+/// the streams.
+pub fn endpoints(
+    kind: ProtocolKind,
+    initiator: Credentials,
+    responder: Credentials,
     now: u32,
-    extended: bool,
     rng: &mut HmacDrbg,
-) -> Result<SessionOutcome, ProtocolError> {
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"secdsa-a");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"secdsa-b");
-    let mut a = s_ecdsa::SEcdsaInitiator::new(initiator.clone(), now, extended, &mut rng_a);
-    let mut b = s_ecdsa::SEcdsaResponder::new(responder.clone(), now, extended, &mut rng_b);
-    run_handshake(&mut a, &mut b)
+) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    match kind {
+        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
+            let variant = match kind {
+                ProtocolKind::StsOptI => StsVariant::OptimizationI,
+                ProtocolKind::StsOptII => StsVariant::OptimizationII,
+                _ => StsVariant::Conventional,
+            };
+            let config = StsConfig { now, variant };
+            let (a, b) = ecq_sts::endpoint_pair(initiator, responder, config, rng);
+            (Box::new(a), Box::new(b))
+        }
+        ProtocolKind::SEcdsa | ProtocolKind::SEcdsaExt => {
+            let extended = kind == ProtocolKind::SEcdsaExt;
+            let [mut rng_a, mut rng_b] = role_streams(rng, [b"secdsa-a", b"secdsa-b"]);
+            (
+                Box::new(s_ecdsa::SEcdsaInitiator::new(
+                    initiator, now, extended, &mut rng_a,
+                )),
+                Box::new(s_ecdsa::SEcdsaResponder::new(
+                    responder, now, extended, &mut rng_b,
+                )),
+            )
+        }
+        ProtocolKind::Scianc => {
+            let [mut rng_a, mut rng_b] = role_streams(rng, [b"scianc-a", b"scianc-b"]);
+            (
+                Box::new(scianc::SciancInitiator::new(initiator, now, &mut rng_a)),
+                Box::new(scianc::SciancResponder::new(responder, now, &mut rng_b)),
+            )
+        }
+        ProtocolKind::Poramb => {
+            let pairwise = rng.bytes32();
+            let [mut rng_a, mut rng_b] = role_streams(rng, [b"poramb-a", b"poramb-b"]);
+            (
+                Box::new(poramb::PorambInitiator::new(
+                    initiator, pairwise, now, &mut rng_a,
+                )),
+                Box::new(poramb::PorambResponder::new(
+                    responder, pairwise, now, &mut rng_b,
+                )),
+            )
+        }
+    }
 }
 
-/// Runs a complete SCIANC handshake.
-///
-/// # Errors
-///
-/// Any [`ProtocolError`] from the handshake.
-pub fn establish_scianc(
-    initiator: &Credentials,
-    responder: &Credentials,
-    now: u32,
-    rng: &mut HmacDrbg,
-) -> Result<SessionOutcome, ProtocolError> {
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"scianc-a");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"scianc-b");
-    let mut a = scianc::SciancInitiator::new(initiator.clone(), now, &mut rng_a);
-    let mut b = scianc::SciancResponder::new(responder.clone(), now, &mut rng_b);
-    run_handshake(&mut a, &mut b)
+/// One DRBG stream per role, initiator first, each seeded from `rng`.
+fn role_streams(rng: &mut HmacDrbg, labels: [&[u8]; 2]) -> [HmacDrbg; 2] {
+    labels.map(|label| HmacDrbg::new(&rng.bytes32(), label))
 }
 
-/// Runs a complete PORAMB handshake. `pairwise_key` is the pre-shared
-/// per-peer authentication key Porambage's scheme requires both sides
-/// to hold.
+/// Runs one complete handshake of `kind`: [`run_handshake`] over the
+/// [`endpoints`] pair.
 ///
 /// # Errors
 ///
-/// Any [`ProtocolError`] from the handshake.
-pub fn establish_poramb(
+/// Any [`ProtocolError`] from the handshake (authentication failure,
+/// expired certificates, malformed messages).
+pub fn establish(
+    kind: ProtocolKind,
     initiator: &Credentials,
     responder: &Credentials,
-    pairwise_key: &[u8; 32],
     now: u32,
     rng: &mut HmacDrbg,
 ) -> Result<SessionOutcome, ProtocolError> {
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"poramb-a");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"poramb-b");
-    let mut a = poramb::PorambInitiator::new(initiator.clone(), *pairwise_key, now, &mut rng_a);
-    let mut b = poramb::PorambResponder::new(responder.clone(), *pairwise_key, now, &mut rng_b);
-    run_handshake(&mut a, &mut b)
+    let (mut a, mut b) = endpoints(kind, initiator.clone(), responder.clone(), now, rng);
+    run_handshake(a.as_mut(), b.as_mut())
 }
 
 #[cfg(test)]
@@ -109,12 +141,12 @@ mod tests {
     #[test]
     fn s_ecdsa_table2_totals() {
         let (a, b, mut rng) = setup(201);
-        let out = establish_s_ecdsa(&a, &b, 0, false, &mut rng).unwrap();
+        let out = establish(ProtocolKind::SEcdsa, &a, &b, 0, &mut rng).unwrap();
         assert_eq!(out.initiator_key, out.responder_key);
         assert_eq!(out.transcript.step_count(), 4);
         assert_eq!(out.transcript.total_bytes(), 427); // Table II
 
-        let out = establish_s_ecdsa(&a, &b, 0, true, &mut rng).unwrap();
+        let out = establish(ProtocolKind::SEcdsaExt, &a, &b, 0, &mut rng).unwrap();
         assert_eq!(out.transcript.step_count(), 5);
         assert_eq!(out.transcript.total_bytes(), 427 + 192); // Table II ext
     }
@@ -122,7 +154,7 @@ mod tests {
     #[test]
     fn scianc_table2_totals() {
         let (a, b, mut rng) = setup(202);
-        let out = establish_scianc(&a, &b, 0, &mut rng).unwrap();
+        let out = establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
         assert_eq!(out.initiator_key, out.responder_key);
         assert_eq!(out.transcript.step_count(), 4);
         assert_eq!(out.transcript.total_bytes(), 362); // Table II
@@ -131,7 +163,7 @@ mod tests {
     #[test]
     fn poramb_table2_totals() {
         let (a, b, mut rng) = setup(203);
-        let out = establish_poramb(&a, &b, &[7u8; 32], 0, &mut rng).unwrap();
+        let out = establish(ProtocolKind::Poramb, &a, &b, 0, &mut rng).unwrap();
         assert_eq!(out.initiator_key, out.responder_key);
         assert_eq!(out.transcript.step_count(), 6);
         assert_eq!(out.transcript.total_bytes(), 820); // Table II

@@ -507,6 +507,7 @@ mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
     use ecq_cert::DeviceId;
+    use ecq_proto::ProtocolKind;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -537,7 +538,7 @@ mod tests {
         // The Table I cost structure: 2 reconstructions + 2 ECDH-class
         // multiplications per side (2× SCIANC).
         let (a, b, mut rng) = setup(242);
-        let out = crate::establish_poramb(&a, &b, &[7u8; 32], 0, &mut rng).unwrap();
+        let out = crate::establish(ProtocolKind::Poramb, &a, &b, 0, &mut rng).unwrap();
         for role in [Role::Initiator, Role::Responder] {
             let t = out.transcript.trace(role);
             assert_eq!(t.count_op(PrimitiveOp::PublicKeyReconstruction), 2);
@@ -549,8 +550,8 @@ mod tests {
     #[test]
     fn session_keys_diversify_with_nonces() {
         let (a, b, mut rng) = setup(243);
-        let o1 = crate::establish_poramb(&a, &b, &[7u8; 32], 0, &mut rng).unwrap();
-        let o2 = crate::establish_poramb(&a, &b, &[7u8; 32], 0, &mut rng).unwrap();
+        let o1 = crate::establish(ProtocolKind::Poramb, &a, &b, 0, &mut rng).unwrap();
+        let o2 = crate::establish(ProtocolKind::Poramb, &a, &b, 0, &mut rng).unwrap();
         assert_ne!(o1.initiator_key, o2.initiator_key);
     }
 

@@ -405,6 +405,7 @@ mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
     use ecq_cert::DeviceId;
+    use ecq_proto::ProtocolKind;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -419,8 +420,8 @@ mod tests {
         // KS changes with nonces, but the premaster does not — the
         // structural weakness Table III records as "key data reuse".
         let (a, b, mut rng) = setup(221);
-        let o1 = crate::establish_s_ecdsa(&a, &b, 0, false, &mut rng).unwrap();
-        let o2 = crate::establish_s_ecdsa(&a, &b, 0, false, &mut rng).unwrap();
+        let o1 = crate::establish(ProtocolKind::SEcdsa, &a, &b, 0, &mut rng).unwrap();
+        let o2 = crate::establish(ProtocolKind::SEcdsa, &a, &b, 0, &mut rng).unwrap();
         assert_ne!(o1.initiator_key, o2.initiator_key); // nonce diversified
         let p1 = crate::skd::static_premaster(&a, &b.cert).unwrap();
         let p2 = crate::skd::static_premaster(&a, &b.cert).unwrap();
@@ -434,19 +435,19 @@ mod tests {
         let ca2 = CertificateAuthority::new(DeviceId::from_label("CA2"), &mut rng);
         let a = Credentials::provision(&ca1, DeviceId::from_label("a"), 0, 100, &mut rng).unwrap();
         let b = Credentials::provision(&ca2, DeviceId::from_label("b"), 0, 100, &mut rng).unwrap();
-        assert!(crate::establish_s_ecdsa(&a, &b, 0, false, &mut rng).is_err());
+        assert!(crate::establish(ProtocolKind::SEcdsa, &a, &b, 0, &mut rng).is_err());
     }
 
     #[test]
     fn expired_cert_fails() {
         let (a, b, mut rng) = setup(223);
-        assert!(crate::establish_s_ecdsa(&a, &b, 5000, false, &mut rng).is_err());
+        assert!(crate::establish(ProtocolKind::SEcdsa, &a, &b, 5000, &mut rng).is_err());
     }
 
     #[test]
     fn extended_handshake_traces_mac_work() {
         let (a, b, mut rng) = setup(224);
-        let out = crate::establish_s_ecdsa(&a, &b, 0, true, &mut rng).unwrap();
+        let out = crate::establish(ProtocolKind::SEcdsaExt, &a, &b, 0, &mut rng).unwrap();
         let a_macs = out
             .transcript
             .trace(Role::Initiator)

@@ -280,6 +280,7 @@ mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
     use ecq_cert::DeviceId;
+    use ecq_proto::ProtocolKind;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -294,7 +295,7 @@ mod tests {
         // A holder of KS can forge future authentication MACs — the
         // structural tie the security analysis penalizes.
         let (a, b, mut rng) = setup(231);
-        let out = crate::establish_scianc(&a, &b, 0, &mut rng).unwrap();
+        let out = crate::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
         let ks = out.initiator_key;
         let forged = auth_mac(&ks, Role::Initiator, &[0u8; 32], &[1u8; 32]);
         let recomputed = auth_mac(&ks, Role::Initiator, &[0u8; 32], &[1u8; 32]);
@@ -324,7 +325,7 @@ mod tests {
         // signatures. The trace must show exactly 2 EC multiplications
         // per side.
         let (a, b, mut rng) = setup(233);
-        let out = crate::establish_scianc(&a, &b, 0, &mut rng).unwrap();
+        let out = crate::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
         for role in [Role::Initiator, Role::Responder] {
             let t = out.transcript.trace(role);
             assert_eq!(t.count_op(PrimitiveOp::PublicKeyReconstruction), 1);

@@ -7,7 +7,8 @@
 //! 3. ISO-TP flow-control parameters vs handshake wall time;
 //! 4. Opt. I/II pipelining on heterogeneous device pairs (eq. (6)).
 
-use ecq_bench::{deployment, run_protocol};
+use ecq_baselines::establish;
+use ecq_bench::deployment;
 use ecq_crypto::HmacDrbg;
 use ecq_devices::timing::{integrate, pair_total, pipelined_phases};
 use ecq_devices::DevicePreset;
@@ -69,8 +70,8 @@ fn main() {
         (ProtocolKind::Poramb, 2),
     ] {
         let (alice, bob, mut r) = deployment(77);
-        let (t, _) = run_protocol(kind, &alice, &bob, &mut r).expect("handshake");
-        let compressed = t.total_bytes();
+        let out = establish(kind, &alice, &bob, 0, &mut r).expect("handshake");
+        let compressed = out.transcript.total_bytes();
         let uncompressed = compressed + 32 * certs_on_wire;
         println!(
             "  {:<10} {:>4} B compressed → {:>4} B with uncompressed points (+{:.1} %)",
@@ -98,7 +99,9 @@ fn main() {
 
     println!("\nAblation 4 — Opt. II pipelining across heterogeneous pairs (eq. (6))");
     let (alice, bob, mut r) = deployment(78);
-    let (transcript, _) = run_protocol(ProtocolKind::Sts, &alice, &bob, &mut r).expect("handshake");
+    let transcript = establish(ProtocolKind::Sts, &alice, &bob, 0, &mut r)
+        .expect("handshake")
+        .transcript;
     let pairs = [
         (DevicePreset::Stm32F767, DevicePreset::Stm32F767),
         (DevicePreset::Stm32F767, DevicePreset::S32K144),

@@ -15,7 +15,8 @@
 //! cargo run --release --bin bench_p256 -- --json BENCH_p256.json
 //! ```
 
-use ecq_bench::{deployment, run_protocol};
+use ecq_baselines::establish;
+use ecq_bench::deployment;
 use ecq_cert::{ca::CertificateAuthority, requester::CertRequester, DeviceId};
 use ecq_crypto::{aes::Aes128, cmac, ctr, hkdf, hmac, sha256, HmacDrbg};
 use ecq_p256::field::{FieldElement, P_HEX};
@@ -68,7 +69,7 @@ fn row(name: &'static str, ns: f64) -> Row {
 
 /// The row name of `kind`'s full handshake. The STS schedules share
 /// one row: they differ only in the device timing model, and on the
-/// host [`run_protocol`] runs the same handshake for all three.
+/// host [`establish`] runs the same handshake for all three.
 fn handshake_row(kind: ProtocolKind) -> &'static str {
     match kind {
         ProtocolKind::SEcdsa => "handshake_s_ecdsa",
@@ -333,7 +334,7 @@ fn rows() -> Vec<Row> {
         rows.push(row(
             handshake_row(kind),
             time_ns(10, || {
-                black_box(run_protocol(kind, &alice, &bob, &mut hs_rng).expect("handshake"));
+                black_box(establish(kind, &alice, &bob, 0, &mut hs_rng).expect("handshake"));
             }),
         ));
     }

@@ -8,7 +8,8 @@
 //! coprocessor, full-STS sessions drop to SCIANC-class latencies while
 //! keeping forward secrecy.
 
-use ecq_bench::{deployment, run_protocol};
+use ecq_baselines::establish;
+use ecq_bench::deployment;
 use ecq_devices::accelerator::Accelerator;
 use ecq_devices::timing::protocol_pair_time;
 use ecq_devices::DevicePreset;
@@ -30,9 +31,9 @@ fn main() {
         .map(|k| {
             (
                 *k,
-                run_protocol(*k, &alice, &bob, &mut rng)
+                establish(*k, &alice, &bob, 0, &mut rng)
                     .expect("handshake")
-                    .0,
+                    .transcript,
             )
         })
         .collect();

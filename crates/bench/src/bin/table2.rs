@@ -1,7 +1,8 @@
 //! Regenerates the paper's Table II: communication steps and
 //! transmission overhead of the KD protocols, from real transcripts.
 
-use ecq_bench::{deployment, run_protocol};
+use ecq_baselines::establish;
+use ecq_bench::deployment;
 use ecq_proto::ProtocolKind;
 
 fn paper_total(kind: ProtocolKind) -> usize {
@@ -19,7 +20,9 @@ fn main() {
     println!("Table II — communication steps and transmission overhead\n");
     let (alice, bob, mut rng) = deployment(2);
     for kind in ProtocolKind::WIRE_DISTINCT {
-        let (transcript, _) = run_protocol(kind, &alice, &bob, &mut rng).expect("handshake");
+        let transcript = establish(kind, &alice, &bob, 0, &mut rng)
+            .expect("handshake")
+            .transcript;
         println!("── {} ──", kind.label());
         print!("{}", transcript.describe());
         let paper = paper_total(kind);

@@ -13,13 +13,17 @@
 //! | `fig8` | Fig. 8 — threat-model block diagram |
 //! | `ablation` | design-choice ablations |
 //! | `attacks` | executable §V-D attack experiments |
+//!
+//! A binary that runs a handshake by [`ProtocolKind`] gets it from the
+//! one protocol table, [`ecq_baselines::establish`], at deployment time
+//! 0 over a [`deployment`]. The eqs. (5)–(8) schedule arithmetic that
+//! turns its transcript into device time lives in `ecq_devices::timing`.
 
 #![warn(missing_docs)]
 
-use ecq_baselines::{establish_poramb, establish_s_ecdsa, establish_scianc};
+use ecq_baselines::establish;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{Credentials, ProtocolError, ProtocolKind, SessionKey, Transcript};
-use ecq_sts::{establish, StsConfig};
+use ecq_proto::{Credentials, ProtocolKind};
 
 /// A reproducible two-device deployment for the harness.
 pub fn deployment(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
@@ -33,43 +37,6 @@ pub fn deployment(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
     (a, b, rng)
 }
 
-/// Runs one handshake of `kind` and returns the transcript and agreed
-/// session key.
-///
-/// # Errors
-///
-/// Propagates handshake errors.
-pub fn run_protocol(
-    kind: ProtocolKind,
-    alice: &Credentials,
-    bob: &Credentials,
-    rng: &mut HmacDrbg,
-) -> Result<(Transcript, SessionKey), ProtocolError> {
-    match kind {
-        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
-            let out = establish(alice, bob, &StsConfig::default(), rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::SEcdsa => {
-            let out = establish_s_ecdsa(alice, bob, 0, false, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::SEcdsaExt => {
-            let out = establish_s_ecdsa(alice, bob, 0, true, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::Scianc => {
-            let out = establish_scianc(alice, bob, 0, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::Poramb => {
-            let pairwise = rng.bytes32();
-            let out = establish_poramb(alice, bob, &pairwise, 0, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-    }
-}
-
 /// Simulated Table I cell: protocol time on one device pair, averaged
 /// over `runs` independent handshakes (the paper averages ten runs).
 pub fn simulate_table1_cell(
@@ -80,8 +47,8 @@ pub fn simulate_table1_cell(
     let (alice, bob, mut rng) = deployment(0x7AB1E1 ^ kind as u64);
     let mut acc = 0.0;
     for _ in 0..runs {
-        let (transcript, _) = run_protocol(kind, &alice, &bob, &mut rng).expect("handshake");
-        acc += ecq_devices::timing::protocol_pair_time(kind, &transcript, device, device);
+        let out = establish(kind, &alice, &bob, 0, &mut rng).expect("handshake");
+        acc += ecq_devices::timing::protocol_pair_time(kind, &out.transcript, device, device);
     }
     acc / runs as f64
 }
@@ -101,8 +68,8 @@ mod tests {
     fn all_protocols_run_through_harness() {
         let (a, b, mut rng) = deployment(1);
         for kind in ProtocolKind::ALL {
-            let (t, _) = run_protocol(kind, &a, &b, &mut rng).unwrap();
-            assert!(t.total_bytes() > 0, "{kind}");
+            let out = establish(kind, &a, &b, 0, &mut rng).unwrap();
+            assert!(out.transcript.total_bytes() > 0, "{kind}");
         }
     }
 

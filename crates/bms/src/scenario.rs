@@ -1,18 +1,17 @@
 //! The BMS ↔ EVCC session scenario (paper §V-C, Fig. 7).
 
 use crate::timeline::{EventKind, Timeline};
-use ecq_baselines::{poramb, s_ecdsa, scianc};
+use ecq_baselines::endpoints;
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_devices::timing::{integrate, pipelined_phases};
-use ecq_devices::{DevicePreset, DeviceProfile, PhaseTimes};
-use ecq_proto::{Credentials, Endpoint, Message, ProtocolError, ProtocolKind, SessionKey};
+use ecq_devices::timing::{integrate, pair_total, pipelined_phases};
+use ecq_devices::{DevicePreset, DeviceProfile};
+use ecq_proto::{Credentials, Message, ProtocolError, ProtocolKind, SessionKey};
 use ecq_simnet::app::AppMessage;
 use ecq_simnet::canfd::BitTiming;
 use ecq_simnet::isotp::{transfer_time_ns, IsoTpConfig};
 use ecq_simnet::ns_to_ms;
-use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 
 /// Report of one simulated session establishment.
 #[derive(Debug)]
@@ -77,61 +76,6 @@ impl BmsScenario {
         Ok((bms, evcc))
     }
 
-    fn build_endpoints(
-        &self,
-        kind: ProtocolKind,
-        bms: Credentials,
-        evcc: Credentials,
-        rng: &mut HmacDrbg,
-    ) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
-        let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"bms-endpoint");
-        let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"evcc-endpoint");
-        match kind {
-            ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
-                let variant = match kind {
-                    ProtocolKind::StsOptI => StsVariant::OptimizationI,
-                    ProtocolKind::StsOptII => StsVariant::OptimizationII,
-                    _ => StsVariant::Conventional,
-                };
-                let config = StsConfig {
-                    now: self.now,
-                    variant,
-                };
-                (
-                    Box::new(StsInitiator::new(bms, config, &mut rng_a)),
-                    Box::new(StsResponder::new(evcc, config, &mut rng_b)),
-                )
-            }
-            ProtocolKind::SEcdsa | ProtocolKind::SEcdsaExt => {
-                let ext = kind == ProtocolKind::SEcdsaExt;
-                (
-                    Box::new(s_ecdsa::SEcdsaInitiator::new(
-                        bms, self.now, ext, &mut rng_a,
-                    )),
-                    Box::new(s_ecdsa::SEcdsaResponder::new(
-                        evcc, self.now, ext, &mut rng_b,
-                    )),
-                )
-            }
-            ProtocolKind::Scianc => (
-                Box::new(scianc::SciancInitiator::new(bms, self.now, &mut rng_a)),
-                Box::new(scianc::SciancResponder::new(evcc, self.now, &mut rng_b)),
-            ),
-            ProtocolKind::Poramb => {
-                // The pre-shared pairwise key comes from provisioning.
-                let pairwise = rng.bytes32();
-                (
-                    Box::new(poramb::PorambInitiator::new(
-                        bms, pairwise, self.now, &mut rng_a,
-                    )),
-                    Box::new(poramb::PorambResponder::new(
-                        evcc, pairwise, self.now, &mut rng_b,
-                    )),
-                )
-            }
-        }
-    }
-
     /// Runs a full session establishment and returns the Fig. 7-style
     /// report.
     ///
@@ -141,12 +85,11 @@ impl BmsScenario {
     pub fn run_handshake(&self, kind: ProtocolKind) -> Result<SessionReport, ProtocolError> {
         let (bms_creds, evcc_creds) = self.provision().map_err(ProtocolError::Cert)?;
         let mut rng = HmacDrbg::from_seed(self.seed ^ 0xB145_0000);
-        let (bms, evcc) = self.build_endpoints(kind, bms_creds, evcc_creds, &mut rng);
-        // Per side, BMS first: the endpoint, the trace entries already
-        // charged and the per-phase device time.
+        let (bms, evcc) = endpoints(kind, bms_creds, evcc_creds, self.now, &mut rng);
+        // Per side, BMS first: the endpoint and the trace entries
+        // already charged.
         let mut sides = [bms, evcc];
         let mut traced = [0usize; 2];
-        let mut phases = [PhaseTimes::default(); 2];
         const ACTORS: [&str; 2] = ["BMS", "EVCC"];
 
         let mut timeline = Timeline::new();
@@ -175,7 +118,6 @@ impl BmsScenario {
             if times.total() > 0.0 {
                 timeline.push(ACTORS[turn], &label, times.total(), EventKind::Compute);
             }
-            phases[turn] = add_phases(phases[turn], times);
 
             let Some(msg) = out.into_sent() else {
                 break;
@@ -199,11 +141,11 @@ impl BmsScenario {
             return Err(ProtocolError::Stalled);
         }
 
-        // Pipelining saving per eqs. (6)–(8).
-        let mut total_ms = timeline.total_ms();
-        for phase in pipelined_phases(kind) {
-            total_ms -= phases[0].phase(*phase).min(phases[1].phase(*phase));
-        }
+        // Device time under the variant's schedule (eqs. (5)–(8)),
+        // plus the sequential bus transfers.
+        let [bms_times, evcc_times] = [&bms, &evcc].map(|e| integrate(e.trace(), &self.ecu_device));
+        let total_ms =
+            timeline.transfer_ms() + pair_total(&bms_times, &evcc_times, pipelined_phases(kind));
 
         Ok(SessionReport {
             kind,
@@ -215,15 +157,6 @@ impl BmsScenario {
             evcc_key: evcc.session_key()?,
         })
     }
-}
-
-fn add_phases(mut acc: PhaseTimes, delta: PhaseTimes) -> PhaseTimes {
-    acc.op1 += delta.op1;
-    acc.op2 += delta.op2;
-    acc.op3 += delta.op3;
-    acc.op4 += delta.op4;
-    acc.other += delta.other;
-    acc
 }
 
 /// Fig. 7-style labels for the processing that follows each step.

@@ -128,17 +128,33 @@ pub fn establish_hinted(
     initiator_hint: Option<&ReconstructionHint>,
     responder_hint: Option<&ReconstructionHint>,
 ) -> Result<SessionOutcome, ProtocolError> {
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"sts-initiator");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"sts-responder");
-    let mut alice = StsInitiator::new(initiator.clone(), *config, &mut rng_a);
+    let (mut alice, mut bob) = endpoint_pair(initiator.clone(), responder.clone(), *config, rng);
     if let Some(hint) = initiator_hint {
         alice = alice.with_peer_hint(*hint);
     }
-    let mut bob = StsResponder::new(responder.clone(), *config, &mut rng_b);
     if let Some(hint) = responder_hint {
         bob = bob.with_peer_hint(*hint);
     }
     run_handshake(&mut alice, &mut bob)
+}
+
+/// The STS endpoint pair of one session. Each role gets its own DRBG
+/// stream, seeded from `rng` (initiator first), so one coordinator
+/// seed fixes both sides' ephemerals. [`establish_hinted`], the
+/// protocol table in `ecq_baselines` and the fleet's sweep engine all
+/// build their pairs here.
+pub fn endpoint_pair(
+    initiator: Credentials,
+    responder: Credentials,
+    config: StsConfig,
+    rng: &mut HmacDrbg,
+) -> (StsInitiator, StsResponder) {
+    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"sts-initiator");
+    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"sts-responder");
+    (
+        StsInitiator::new(initiator, config, &mut rng_a),
+        StsResponder::new(responder, config, &mut rng_b),
+    )
 }
 
 #[cfg(test)]

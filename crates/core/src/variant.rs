@@ -12,19 +12,21 @@
 //! * **Opt. II** (eq. (8)): Op3 is additionally pipelined behind Op2:
 //!   `τ'' = 2·T_Op1 + T_Op2 + T_Op3 + 2·T_Op4`.
 //!
-//! The trade-off (paper §IV-C): failed authentication is only detected
-//! after the heavy computations have run, which widens the surface for
-//! denial-of-service by unauthenticated peers — [`StsVariant::dos_note`]
-//! captures this.
-//!
 //! For heterogeneous device pairs the paper's eq. (6) applies: the
 //! pipelined operation costs `|T_OpAx − T_OpBx|` extra rather than
-//! vanishing. The schedule arithmetic lives in `ecq-devices::timing`;
-//! this type only names which operations overlap.
+//! vanishing. The schedule table and its arithmetic live in one place,
+//! `ecq_devices::timing` (`pipelined_phases` and `pair_total`), keyed
+//! by the [`ProtocolKind`] row [`StsVariant::kind`] names.
 
-use ecq_proto::StsPhase;
+use ecq_proto::ProtocolKind;
 
 /// STS execution-schedule variants (Table I rows STS / opt. I / opt. II).
+///
+/// The optimizations trade flexibility for speed (paper §IV-C): with
+/// pipelining, a failed authentication is detected only after the
+/// pipelined computations complete, so an unauthenticated peer can
+/// force wasted work — a wider denial-of-service surface than the
+/// conventional schedule's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum StsVariant {
     /// The conventional sequential schedule (eq. (5)).
@@ -37,38 +39,18 @@ pub enum StsVariant {
 }
 
 impl StsVariant {
-    /// The STS operations this variant overlaps across the device pair.
-    /// For identical devices each overlapped phase is paid once instead
-    /// of twice; for different devices eq. (6) applies.
-    pub fn pipelined_phases(&self) -> &'static [StsPhase] {
+    /// The Table I row this schedule is measured as.
+    pub fn kind(&self) -> ProtocolKind {
         match self {
-            StsVariant::Conventional => &[],
-            StsVariant::OptimizationI => &[StsPhase::Op2KeyDerivation],
-            StsVariant::OptimizationII => &[StsPhase::Op2KeyDerivation, StsPhase::Op3SignEncrypt],
+            StsVariant::Conventional => ProtocolKind::Sts,
+            StsVariant::OptimizationI => ProtocolKind::StsOptI,
+            StsVariant::OptimizationII => ProtocolKind::StsOptII,
         }
     }
 
     /// The paper's label for this variant.
     pub fn label(&self) -> &'static str {
-        match self {
-            StsVariant::Conventional => "STS",
-            StsVariant::OptimizationI => "STS (opt. I)",
-            StsVariant::OptimizationII => "STS (opt. II)",
-        }
-    }
-
-    /// The flexibility cost the paper calls out: with pipelining,
-    /// authentication failures surface only after the expensive
-    /// operations already ran.
-    pub fn dos_note(&self) -> Option<&'static str> {
-        match self {
-            StsVariant::Conventional => None,
-            _ => Some(
-                "failed authentication requests are detected only after \
-                 the pipelined computations complete; unauthenticated \
-                 peers can force wasted work (denial-of-service surface)",
-            ),
-        }
+        self.kind().label()
     }
 }
 
@@ -81,23 +63,6 @@ impl core::fmt::Display for StsVariant {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipelining_sets() {
-        assert!(StsVariant::Conventional.pipelined_phases().is_empty());
-        assert_eq!(
-            StsVariant::OptimizationI.pipelined_phases(),
-            &[StsPhase::Op2KeyDerivation]
-        );
-        assert_eq!(StsVariant::OptimizationII.pipelined_phases().len(), 2);
-    }
-
-    #[test]
-    fn only_optimized_variants_carry_dos_note() {
-        assert!(StsVariant::Conventional.dos_note().is_none());
-        assert!(StsVariant::OptimizationI.dos_note().is_some());
-        assert!(StsVariant::OptimizationII.dos_note().is_some());
-    }
 
     #[test]
     fn labels_match_paper() {

@@ -15,7 +15,7 @@ use ecq_cert::{CertError, RevocationList};
 use ecq_crypto::sha256::Sha256;
 use ecq_crypto::HmacDrbg;
 use ecq_devices::{DevicePreset, DeviceProfile};
-use ecq_proto::{Credentials, ProtocolError, ProtocolKind, SessionKey};
+use ecq_proto::{Credentials, ProtocolError, SessionKey};
 use ecq_simnet::FrameRecord;
 use ecq_sts::{RekeyPolicy, SessionManager, StsConfig, StsVariant};
 
@@ -276,11 +276,7 @@ impl FleetCoordinator {
     /// paper's Table I pair time for the configured variant, gated by
     /// the slower board.
     fn handshake_cost_ms(&self, a: DevicePreset, b: DevicePreset) -> f64 {
-        let kind = match self.config.variant {
-            StsVariant::Conventional => ProtocolKind::Sts,
-            StsVariant::OptimizationI => ProtocolKind::StsOptI,
-            StsVariant::OptimizationII => ProtocolKind::StsOptII,
-        };
+        let kind = self.config.variant.kind();
         a.paper_table1(kind).max(b.paper_table1(kind))
     }
 
@@ -597,6 +593,11 @@ impl FleetCoordinator {
     /// Runs once per coordinator; subsequent re-establishments happen
     /// through [`Self::run_epochs`], not by sweeping again.
     ///
+    /// Sessions whose participants are on the revocation list are
+    /// denied like in [`Self::interleaved_sweep`]:
+    /// [`ecq_cert::CertError::Revoked`] is recorded on the session, no
+    /// key is derived, and [`FleetReport::denied_revoked`] counts it.
+    ///
     /// # Errors
     ///
     /// [`FleetError::Protocol`] when a handshake fails.
@@ -608,17 +609,9 @@ impl FleetCoordinator {
     /// them).
     pub fn handshake_sweep(&mut self) -> Result<(), FleetError> {
         self.create_sessions();
-        let now = self.config.valid_from;
         let mut makespan: VirtualTime = 0;
         for session in 0..self.sessions.len() {
-            let key = self.sessions[session].manager.key_for(now)?;
-            self.sessions[session].last_key = Some(key);
-            self.report.handshakes += 1;
-            let (pa, pb) = (
-                self.devices[self.sessions[session].a].preset,
-                self.devices[self.sessions[session].b].preset,
-            );
-            makespan = makespan.max(micros_from_ms(self.handshake_cost_ms(pa, pb)));
+            makespan = makespan.max(self.tick(session, 0)?.1);
         }
         self.report.handshake_makespan_us = makespan;
         Ok(())
@@ -645,33 +638,44 @@ impl FleetCoordinator {
         for epoch in 1..=epochs as VirtualTime {
             let at = epoch * age_us;
             for session in 0..self.sessions.len() {
-                if self.session_revoked(session) {
-                    self.sessions[session].failure = Some(FleetError::Protocol(
-                        ProtocolError::Cert(CertError::Revoked),
-                    ));
-                    self.report.denied_revoked += 1;
-                    end = end.max(at);
-                    continue;
-                }
-                let now = self.deploy_secs(at);
-                let before = self.sessions[session].manager.rekey_count();
-                let key = self.sessions[session].manager.key_for(now)?;
-                self.sessions[session].last_key = Some(key);
-                if self.sessions[session].manager.rekey_count() > before {
+                let (handshook, done) = self.tick(session, at)?;
+                if handshook {
                     self.report.rekeys += 1;
-                    self.report.handshakes += 1;
-                    let (pa, pb) = (
-                        self.devices[self.sessions[session].a].preset,
-                        self.devices[self.sessions[session].b].preset,
-                    );
-                    end = end.max(at + micros_from_ms(self.handshake_cost_ms(pa, pb)));
-                } else {
-                    end = end.max(at);
                 }
+                end = end.max(done);
             }
         }
         self.report.epoch_end_us = end;
         Ok(())
+    }
+
+    /// One session's tick at virtual time `at`, shared by
+    /// [`Self::handshake_sweep`] and [`Self::run_epochs`]. A session
+    /// with a revoked participant is denied: the failure is recorded
+    /// and counted. Any other session takes its manager's key for the
+    /// deployment clock at `at`, which re-establishes when the key has
+    /// aged out; a handshake is counted and costs the configured
+    /// variant's Table I pair time.
+    ///
+    /// Returns whether a handshake ran and when the tick's work ends.
+    fn tick(&mut self, session: usize, at: VirtualTime) -> Result<(bool, VirtualTime), FleetError> {
+        if self.session_revoked(session) {
+            self.sessions[session].failure = Some(FleetError::Protocol(ProtocolError::Cert(
+                CertError::Revoked,
+            )));
+            self.report.denied_revoked += 1;
+            return Ok((false, at));
+        }
+        let now = self.deploy_secs(at);
+        let s = &mut self.sessions[session];
+        let before = s.manager.rekey_count();
+        s.last_key = Some(s.manager.key_for(now)?);
+        if s.manager.rekey_count() == before {
+            return Ok((false, at));
+        }
+        self.report.handshakes += 1;
+        let (pa, pb) = (self.devices[s.a].preset, self.devices[s.b].preset);
+        Ok((true, at + micros_from_ms(self.handshake_cost_ms(pa, pb))))
     }
 
     /// Convenience driver: enrollment, handshake sweep, then `epochs`

@@ -520,20 +520,18 @@ pub(crate) fn run_worker(
             scheduler.schedule(0, w.index as u64, Event::Kickoff { slot });
             continue;
         }
-        // Mirror `ecq_sts::establish`: one stream per role, initiator
-        // first, derived from the pair's wire seed.
+        // Both roles' DRBG streams derive from the pair's wire seed.
         let mut rng = HmacDrbg::new(&w.wire_seed, b"fleet-pair-wire");
-        let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"sts-initiator");
-        let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"sts-responder");
         let config = StsConfig {
             now: w.now,
             variant: w.variant,
         };
+        let (initiator, responder) = ecq_sts::endpoint_pair(w.creds_a, w.creds_b, config, &mut rng);
         let lane = w.index as u64;
         live.push(Some(Live {
             index: w.index,
-            initiator: StsInitiator::new(w.creds_a, config, &mut rng_a),
-            responder: StsResponder::new(w.creds_b, config, &mut rng_b),
+            initiator,
+            responder,
             profiles: [w.preset_a.profile(), w.preset_b.profile()],
             cursors: [0, 0],
             result: SessionResult::empty(),

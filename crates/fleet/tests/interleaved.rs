@@ -224,6 +224,48 @@ fn pre_sweep_revocation_denies_only_the_revoked_pair() {
 }
 
 #[test]
+fn atomic_sweep_denies_a_revoked_pair_like_the_interleaved_sweep() {
+    let revoked_fleet = || {
+        let config = FleetConfig::new()
+            .devices(24)
+            .ca_shards(2)
+            .enroll_batch(4)
+            .seed(0xDEAD);
+        let mut fleet = FleetCoordinator::new(config);
+        fleet.enroll_all().unwrap();
+        assert!(fleet.revoke_device(0));
+        fleet
+    };
+    let mut atomic = revoked_fleet();
+    atomic.handshake_sweep().unwrap();
+    let mut interleaved = revoked_fleet();
+    interleaved
+        .interleaved_sweep(&SweepOptions::default())
+        .unwrap();
+
+    let session = atomic
+        .sessions()
+        .iter()
+        .find(|s| s.a == 0 || s.b == 0)
+        .expect("device 0 is paired");
+    assert_eq!(
+        session.failure(),
+        Some(&FleetError::Protocol(ProtocolError::Cert(
+            CertError::Revoked
+        )))
+    );
+    assert!(session.last_key().is_none());
+
+    let (a, i) = (atomic.report(), interleaved.report());
+    assert_eq!(a.denied_revoked, 1);
+    assert_eq!(a.handshakes, a.sessions - 1);
+    assert_eq!(
+        (a.denied_revoked, a.handshakes),
+        (i.denied_revoked, i.handshakes)
+    );
+}
+
+#[test]
 fn mid_run_revocation_fails_subsequent_handshakes_only() {
     let mut fleet = FleetCoordinator::new(config(24, 0xACDC));
     fleet.enroll_all().unwrap();

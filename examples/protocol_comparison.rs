@@ -5,9 +5,9 @@
 //! cargo run --example protocol_comparison
 //! ```
 
+use dynamic_ecqv::baselines;
 use dynamic_ecqv::devices::timing::protocol_pair_time;
 use dynamic_ecqv::prelude::*;
-use dynamic_ecqv::proto::ProtocolError;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = HmacDrbg::from_seed(31337);
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(100));
 
     for kind in ProtocolKind::ALL {
-        let (transcript, _key) = run(kind, &alice, &bob, &mut rng)?;
+        let transcript = baselines::establish(kind, &alice, &bob, 0, &mut rng)?.transcript;
         print!(
             "{:<16}{:>8}{:>8}   ",
             kind.label(),
@@ -46,36 +46,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("(STS opt. rows transmit the same bytes; only the schedule differs — §V-B)");
     Ok(())
-}
-
-fn run(
-    kind: ProtocolKind,
-    alice: &Credentials,
-    bob: &Credentials,
-    rng: &mut HmacDrbg,
-) -> Result<(dynamic_ecqv::proto::Transcript, SessionKey), ProtocolError> {
-    use dynamic_ecqv::baselines::{establish_poramb, establish_s_ecdsa, establish_scianc};
-    match kind {
-        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
-            let out = establish(alice, bob, &StsConfig::default(), rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::SEcdsa => {
-            let out = establish_s_ecdsa(alice, bob, 0, false, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::SEcdsaExt => {
-            let out = establish_s_ecdsa(alice, bob, 0, true, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::Scianc => {
-            let out = establish_scianc(alice, bob, 0, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-        ProtocolKind::Poramb => {
-            let pairwise = rng.bytes32();
-            let out = establish_poramb(alice, bob, &pairwise, 0, rng)?;
-            Ok((out.transcript, out.initiator_key))
-        }
-    }
 }

@@ -1,7 +1,8 @@
 //! The endpoint contract, table-driven over all eight handshake state
 //! machines (the STS pair and one initiator/responder pair each for
 //! S-ECDSA, SCIANC and PORAMB) across every distinct wire format of
-//! Table II.
+//! Table II. Every pair comes from `ecq_baselines::endpoints`, the
+//! protocol table the production callers use.
 //!
 //! Every machine is driven only through `Endpoint::step`, and its
 //! fail-closed rules live in the shared `EndpointCore`:
@@ -14,13 +15,25 @@
 //!   reply that follows;
 //! * an established endpoint refuses any further step and drops its key.
 
-use dynamic_ecqv::baselines::{poramb, s_ecdsa, scianc};
+use dynamic_ecqv::baselines::endpoints;
 use dynamic_ecqv::prelude::*;
 use dynamic_ecqv::proto::{Endpoint, Message, ProtocolError, Role, StepOutput};
-use dynamic_ecqv::sts::{StsInitiator, StsResponder};
 use std::collections::BTreeSet;
 
-/// One honest pair for `kind`, with the type names of its two machines.
+/// The type names of the two machines that implement `kind`.
+fn machine_names(kind: ProtocolKind) -> [&'static str; 2] {
+    match kind {
+        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
+            ["StsInitiator", "StsResponder"]
+        }
+        ProtocolKind::SEcdsa | ProtocolKind::SEcdsaExt => ["SEcdsaInitiator", "SEcdsaResponder"],
+        ProtocolKind::Scianc => ["SciancInitiator", "SciancResponder"],
+        ProtocolKind::Poramb => ["PorambInitiator", "PorambResponder"],
+    }
+}
+
+/// One honest pair for `kind` from the protocol table, with the type
+/// names of its two machines.
 fn pair(
     kind: ProtocolKind,
     seed: u64,
@@ -29,39 +42,8 @@ fn pair(
     let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
     let a = Credentials::provision(&ca, DeviceId::from_label("alice"), 0, 1000, &mut rng).unwrap();
     let b = Credentials::provision(&ca, DeviceId::from_label("bob"), 0, 1000, &mut rng).unwrap();
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"contract-a");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"contract-b");
-    match kind {
-        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
-            let config = StsConfig::default();
-            (
-                Box::new(StsInitiator::new(a, config, &mut rng_a)),
-                Box::new(StsResponder::new(b, config, &mut rng_b)),
-                ["StsInitiator", "StsResponder"],
-            )
-        }
-        ProtocolKind::SEcdsa | ProtocolKind::SEcdsaExt => {
-            let ext = kind == ProtocolKind::SEcdsaExt;
-            (
-                Box::new(s_ecdsa::SEcdsaInitiator::new(a, 0, ext, &mut rng_a)),
-                Box::new(s_ecdsa::SEcdsaResponder::new(b, 0, ext, &mut rng_b)),
-                ["SEcdsaInitiator", "SEcdsaResponder"],
-            )
-        }
-        ProtocolKind::Scianc => (
-            Box::new(scianc::SciancInitiator::new(a, 0, &mut rng_a)),
-            Box::new(scianc::SciancResponder::new(b, 0, &mut rng_b)),
-            ["SciancInitiator", "SciancResponder"],
-        ),
-        ProtocolKind::Poramb => {
-            let pairwise = [7u8; poramb::PAIRWISE_KEY_LEN];
-            (
-                Box::new(poramb::PorambInitiator::new(a, pairwise, 0, &mut rng_a)),
-                Box::new(poramb::PorambResponder::new(b, pairwise, 0, &mut rng_b)),
-                ["PorambInitiator", "PorambResponder"],
-            )
-        }
-    }
+    let (initiator, responder) = endpoints(kind, a, b, 0, &mut rng);
+    (initiator, responder, machine_names(kind))
 }
 
 fn side<'a>(

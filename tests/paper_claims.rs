@@ -2,6 +2,7 @@
 //! and figure has at least one machine-checked invariant here.
 
 use dynamic_ecqv::analysis::{security_matrix, Protection, Threat};
+use dynamic_ecqv::baselines;
 use dynamic_ecqv::bms::BmsScenario;
 use dynamic_ecqv::devices::timing::{protocol_pair_time, sts_operation_times};
 use dynamic_ecqv::prelude::*;
@@ -134,7 +135,9 @@ fn table2_exact_byte_counts() {
         (ProtocolKind::Poramb, 6, 820),
     ];
     for (kind, steps, bytes) in expect {
-        let (t, _) = ecq_bench::run_protocol(kind, &alice, &bob, &mut rng).unwrap();
+        let t = baselines::establish(kind, &alice, &bob, 0, &mut rng)
+            .unwrap()
+            .transcript;
         assert_eq!(t.step_count(), steps, "{kind} steps");
         assert_eq!(t.total_bytes(), bytes, "{kind} bytes");
     }
@@ -204,8 +207,9 @@ fn table3_no_protocol_fully_survives_node_capture() {
 fn heterogeneous_pipelining_saves_only_the_smaller_phase() {
     use dynamic_ecqv::proto::Role;
     let (alice, bob, mut rng) = ecq_bench::deployment(99);
-    let (transcript, _) =
-        ecq_bench::run_protocol(ProtocolKind::Sts, &alice, &bob, &mut rng).unwrap();
+    let transcript = baselines::establish(ProtocolKind::Sts, &alice, &bob, 0, &mut rng)
+        .unwrap()
+        .transcript;
     let fast = DevicePreset::RaspberryPi4.profile();
     let slow = DevicePreset::ATmega2560.profile();
     let conv = protocol_pair_time(ProtocolKind::Sts, &transcript, &slow, &fast);

@@ -1,7 +1,7 @@
 //! End-to-end property tests: protocol invariants over arbitrary
 //! seeds, and timing-model invariants over arbitrary cost tables.
 
-use dynamic_ecqv::baselines::{establish_s_ecdsa, establish_scianc};
+use dynamic_ecqv::baselines;
 use dynamic_ecqv::devices::profile::{DeviceProfile, PrimitiveCosts};
 use dynamic_ecqv::devices::timing::{integrate, pair_total, pipelined_phases};
 use dynamic_ecqv::prelude::*;
@@ -61,9 +61,9 @@ proptest! {
     #[test]
     fn baselines_always_agree(seed in any::<u64>()) {
         let (a, b, mut rng) = world(seed);
-        let o = establish_s_ecdsa(&a, &b, 0, false, &mut rng).unwrap();
+        let o = baselines::establish(ProtocolKind::SEcdsa, &a, &b, 0, &mut rng).unwrap();
         prop_assert_eq!(o.initiator_key, o.responder_key);
-        let o = establish_scianc(&a, &b, 0, &mut rng).unwrap();
+        let o = baselines::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
         prop_assert_eq!(o.initiator_key, o.responder_key);
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration: full session establishment for every
 //! protocol, key agreement, and transcript invariants.
 
-use dynamic_ecqv::baselines::{establish_poramb, establish_s_ecdsa, establish_scianc};
+use dynamic_ecqv::baselines;
 use dynamic_ecqv::prelude::*;
 use dynamic_ecqv::proto::{ProtocolError, Role};
 
@@ -30,16 +30,10 @@ fn sts_agreement_and_freshness_over_many_sessions() {
 #[test]
 fn all_protocols_agree_on_keys() {
     let (a, b, mut rng) = world(2);
-    let s = establish(&a, &b, &StsConfig::default(), &mut rng).unwrap();
-    assert_eq!(s.initiator_key, s.responder_key);
-    let o = establish_s_ecdsa(&a, &b, 0, false, &mut rng).unwrap();
-    assert_eq!(o.initiator_key, o.responder_key);
-    let o = establish_s_ecdsa(&a, &b, 0, true, &mut rng).unwrap();
-    assert_eq!(o.initiator_key, o.responder_key);
-    let o = establish_scianc(&a, &b, 0, &mut rng).unwrap();
-    assert_eq!(o.initiator_key, o.responder_key);
-    let o = establish_poramb(&a, &b, &[9u8; 32], 0, &mut rng).unwrap();
-    assert_eq!(o.initiator_key, o.responder_key);
+    for kind in ProtocolKind::ALL {
+        let o = baselines::establish(kind, &a, &b, 0, &mut rng).unwrap();
+        assert_eq!(o.initiator_key, o.responder_key, "{kind}");
+    }
 }
 
 #[test]
@@ -48,8 +42,8 @@ fn protocols_domain_separate_their_keys() {
     // KDF labels must separate the derived keys. With SKD protocols the
     // premaster IS shared — so this is a real cross-protocol check.
     let (a, b, mut rng) = world(3);
-    let s_ecdsa = establish_s_ecdsa(&a, &b, 0, false, &mut rng).unwrap();
-    let scianc = establish_scianc(&a, &b, 0, &mut rng).unwrap();
+    let s_ecdsa = baselines::establish(ProtocolKind::SEcdsa, &a, &b, 0, &mut rng).unwrap();
+    let scianc = baselines::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
     assert_ne!(s_ecdsa.initiator_key, scianc.initiator_key);
 }
 
@@ -77,12 +71,12 @@ fn sessions_between_unrelated_cas_always_fail() {
     let a = Credentials::provision(&ca1, DeviceId::from_label("alice"), 0, 1000, &mut rng).unwrap();
     let b = Credentials::provision(&ca2, DeviceId::from_label("bob"), 0, 1000, &mut rng).unwrap();
     assert!(establish(&a, &b, &StsConfig::default(), &mut rng).is_err());
-    assert!(establish_s_ecdsa(&a, &b, 0, false, &mut rng).is_err());
+    assert!(baselines::establish(ProtocolKind::SEcdsa, &a, &b, 0, &mut rng).is_err());
     // SCIANC has no signature check — but key agreement itself fails
     // because each side reconstructs the peer key under its own CA,
     // yielding different premasters, so the MAC exchange breaks.
     assert_eq!(
-        establish_scianc(&a, &b, 0, &mut rng).unwrap_err(),
+        baselines::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap_err(),
         ProtocolError::AuthenticationFailed
     );
 }
@@ -90,14 +84,12 @@ fn sessions_between_unrelated_cas_always_fail() {
 #[test]
 fn expired_certificates_rejected_everywhere() {
     let (a, b, mut rng) = world(6);
-    let cfg = StsConfig {
-        now: 99_999,
-        ..StsConfig::default()
-    };
-    assert!(establish(&a, &b, &cfg, &mut rng).is_err());
-    assert!(establish_s_ecdsa(&a, &b, 99_999, false, &mut rng).is_err());
-    assert!(establish_scianc(&a, &b, 99_999, &mut rng).is_err());
-    assert!(establish_poramb(&a, &b, &[1u8; 32], 99_999, &mut rng).is_err());
+    for kind in ProtocolKind::ALL {
+        assert!(
+            baselines::establish(kind, &a, &b, 99_999, &mut rng).is_err(),
+            "{kind}"
+        );
+    }
 }
 
 #[test]
