@@ -1,7 +1,7 @@
 //! Equivalence of the two ways to drive an STS handshake:
 //!
 //! 1. the poll-style [`Endpoint::step`] state machine fed through a
-//!    virtual-time [`ChannelTransport`],
+//!    virtual-time link with a fixed per-message latency,
 //! 2. the [`run_handshake`] convenience driver.
 //!
 //! Both must produce byte-identical transcripts and the same session
@@ -11,9 +11,9 @@
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::transport::{ChannelTransport, Transport};
-use ecq_proto::{run_handshake, Credentials, Endpoint, Role, SessionKey, StepOutput};
+use ecq_proto::{run_handshake, Credentials, Endpoint, Message, Role, SessionKey, StepOutput};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
+use std::collections::VecDeque;
 
 fn endpoints(seed: u64, variant: StsVariant) -> (StsInitiator, StsResponder) {
     let mut rng = HmacDrbg::from_seed(seed);
@@ -45,15 +45,16 @@ fn drive_to_completion(
     (wire, outcome.initiator_key)
 }
 
-/// The message-granularity driver: `step` outputs go through a
-/// latency-bearing transport, and each delivery is consumed at its own
+/// The message-granularity driver: every `step` output is queued on a
+/// link with a fixed latency, and each delivery is consumed at its own
 /// virtual timestamp.
 fn drive_transport(
     alice: &mut StsInitiator,
     bob: &mut StsResponder,
     latency_us: u64,
 ) -> (Vec<Vec<u8>>, SessionKey, u64) {
-    let mut link = ChannelTransport::new(latency_us);
+    // In flight: (delivery time, receiver, message).
+    let mut link: VecDeque<(u64, Role, Message)> = VecDeque::new();
     let mut wire = Vec::new();
     let mut now = 0u64;
 
@@ -61,25 +62,17 @@ fn drive_transport(
         panic!("initiator must open");
     };
     wire.push(a1.encode());
-    link.send_frame(Role::Initiator, a1, now).unwrap();
+    link.push_back((now + latency_us, Role::Responder, a1));
 
-    let mut to = Role::Responder;
-    while let Some(at) = link.next_delivery(to) {
+    while let Some((at, to, msg)) = link.pop_front() {
         now = at;
-        let msg = link.recv_frame(to, now, now).unwrap().unwrap();
-        match (if to == Role::Responder {
-            bob.step(Some(&msg))
-        } else {
-            alice.step(Some(&msg))
-        })
-        .unwrap()
-        {
-            StepOutput::Send(reply) => {
-                wire.push(reply.encode());
-                link.send_frame(to, reply, now).unwrap();
-                to = to.peer();
-            }
-            StepOutput::Established | StepOutput::Wait => break,
+        let endpoint: &mut dyn Endpoint = match to {
+            Role::Initiator => &mut *alice,
+            Role::Responder => &mut *bob,
+        };
+        if let StepOutput::Send(reply) = endpoint.step(Some(&msg)).unwrap() {
+            wire.push(reply.encode());
+            link.push_back((now + latency_us, to.peer(), reply));
         }
     }
     assert!(alice.is_established() && bob.is_established());

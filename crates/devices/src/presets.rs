@@ -28,7 +28,8 @@ impl DevicePreset {
 
     /// The fitted per-side STS operation times `[Op1, Op2, Op3, Op4]`
     /// in ms, inverted from the paper's Table I via eqs. (5)–(8)
-    /// (derivation in DESIGN.md §5).
+    /// (derivation and residuals in the crate docs' Calibration
+    /// section).
     pub fn fitted_op_times(&self) -> [f64; 4] {
         match self {
             DevicePreset::ATmega2560 => [4701.385, 4581.80, 9269.42, 4578.41],

@@ -5,7 +5,7 @@
 //! and one report fold (`sweep_and_fold`).
 
 use crate::device::SimDevice;
-use crate::interleave::{self, DeliveryRecord, SessionWork, SweepOptions};
+use crate::interleave::{self, DeliveryRecord, Outcome, SessionWork, SweepOptions};
 use crate::pool::CaPool;
 use crate::report::FleetReport;
 use crate::scheduler::{micros_from_ms, VirtualTime};
@@ -151,6 +151,21 @@ impl PairSession {
     /// if it did.
     pub fn failure(&self) -> Option<&FleetError> {
         self.failure.as_ref()
+    }
+
+    /// Records how an establishment of this session ended: a key
+    /// replaces [`Self::last_key`]; a failure or a denial sets
+    /// [`Self::failure`] and leaves any key the session already held.
+    fn record_outcome(&mut self, outcome: Outcome) {
+        match outcome {
+            Outcome::Keyed(key) => self.last_key = Some(key),
+            Outcome::Failed(e) => self.failure = Some(FleetError::Protocol(e)),
+            Outcome::Denied => {
+                self.failure = Some(FleetError::Protocol(ProtocolError::Cert(
+                    CertError::Revoked,
+                )));
+            }
+        }
     }
 }
 
@@ -458,10 +473,7 @@ impl FleetCoordinator {
             |index, outcome, log| {
                 deliveries.extend(log);
                 if let Some(session) = sessions.get_mut(index) {
-                    match outcome {
-                        Ok(key) => session.last_key = Some(key),
-                        Err(e) => session.failure = Some(e),
-                    }
+                    session.record_outcome(outcome);
                 }
             },
             |bus, frames| frame_logs.push((bus, frames)),
@@ -651,7 +663,7 @@ impl FleetCoordinator {
 
     /// One session's tick at virtual time `at`, shared by
     /// [`Self::handshake_sweep`] and [`Self::run_epochs`]. A session
-    /// with a revoked participant is denied: the failure is recorded
+    /// with a revoked participant is denied: the denial is recorded
     /// and counted. Any other session takes its manager's key for the
     /// deployment clock at `at`, which re-establishes when the key has
     /// aged out; a handshake is counted and costs the configured
@@ -660,20 +672,19 @@ impl FleetCoordinator {
     /// Returns whether a handshake ran and when the tick's work ends.
     fn tick(&mut self, session: usize, at: VirtualTime) -> Result<(bool, VirtualTime), FleetError> {
         if self.session_revoked(session) {
-            self.sessions[session].failure = Some(FleetError::Protocol(ProtocolError::Cert(
-                CertError::Revoked,
-            )));
-            self.report.denied_revoked += 1;
+            self.sessions[session].record_outcome(Outcome::Denied);
+            self.report.count(&Outcome::Denied);
             return Ok((false, at));
         }
         let now = self.deploy_secs(at);
         let s = &mut self.sessions[session];
         let before = s.manager.rekey_count();
-        s.last_key = Some(s.manager.key_for(now)?);
+        let outcome = Outcome::Keyed(s.manager.key_for(now)?);
+        s.record_outcome(outcome);
         if s.manager.rekey_count() == before {
             return Ok((false, at));
         }
-        self.report.handshakes += 1;
+        self.report.count(&outcome);
         let (pa, pb) = (self.devices[s.a].preset, self.devices[s.b].preset);
         Ok((true, at + micros_from_ms(self.handshake_cost_ms(pa, pb))))
     }
@@ -697,14 +708,14 @@ impl FleetCoordinator {
 /// `report` in session-index order — key digest, counters, makespan and
 /// every bus's fault counters — handing each session's outcome and
 /// deliveries to `record` and each non-empty bus frame log to
-/// `record_frames`. Returns the first failure that is not a revocation
-/// denial.
+/// `record_frames`. Returns the first failure; a revocation denial is
+/// not one.
 fn sweep_and_fold(
     report: &mut FleetReport,
     work: impl Iterator<Item = SessionWork>,
     total: usize,
     opts: &SweepOptions,
-    mut record: impl FnMut(usize, Result<SessionKey, FleetError>, Vec<DeliveryRecord>),
+    mut record: impl FnMut(usize, Outcome, Vec<DeliveryRecord>),
     mut record_frames: impl FnMut(usize, Vec<FrameRecord>),
 ) -> Result<(), FleetError> {
     let mut digest = Sha256::new();
@@ -712,54 +723,26 @@ fn sweep_and_fold(
     interleave::run_sweep(work, total, opts, |first, results, trace| {
         for (index, result) in (first..).zip(results) {
             digest.update(&(index as u64).to_be_bytes());
-            // Denial beats everything, then the sweep's typed failure, then
-            // the key. A "completed" session without a key lost its state
-            // somewhere — it fails closed as poisoned instead of panicking.
-            let outcome = match (result.denied, result.failure, result.key) {
-                (true, _, _) => {
-                    report.denied_revoked += 1;
-                    digest.update(b"denied:revoked");
-                    Err(FleetError::Protocol(ProtocolError::Cert(
-                        CertError::Revoked,
-                    )))
-                }
-                (false, None, Some(key)) => {
-                    digest.update(key.as_bytes());
-                    report.handshakes += 1;
-                    Ok(key)
-                }
-                (false, failure, _) => {
-                    let err = failure.unwrap_or(ProtocolError::Poisoned);
+            report.count(&result.outcome);
+            match result.outcome {
+                Outcome::Keyed(key) => digest.update(key.as_bytes()),
+                Outcome::Denied => digest.update(b"denied:revoked"),
+                Outcome::Failed(err) => {
                     first_failure.get_or_insert(FleetError::Protocol(err));
-                    match err {
-                        ProtocolError::Timeout => report.timeouts += 1,
-                        ProtocolError::Poisoned => report.poisoned += 1,
-                        _ => {}
-                    }
                     // The failure *mode* is part of the determinism
                     // witness: a run that times out where another saw an
                     // authentication failure must not digest equal.
                     digest.update(b"failed:");
                     digest.update(err.to_string().as_bytes());
-                    Err(FleetError::Protocol(err))
                 }
-            };
+            }
             report.handshake_makespan_us = report.handshake_makespan_us.max(result.end_us);
             report.messages += result.messages;
             report.wire_bytes += result.wire_bytes;
             report.can_frames += result.frames;
-            record(index, outcome, result.deliveries);
+            record(index, result.outcome, result.deliveries);
         }
-        let (sum, c) = (&mut report.faults, trace.counters);
-        sum.dropped += c.dropped;
-        sum.corrupted += c.corrupted;
-        sum.duplicated += c.duplicated;
-        sum.held_back += c.held_back;
-        sum.delayed += c.delayed;
-        sum.replayed += c.replayed;
-        sum.storm_frames += c.storm_frames;
-        sum.isotp_errors += c.isotp_errors;
-        sum.messages_lost += c.messages_lost;
+        report.faults += trace.counters;
         if !trace.frames.is_empty() {
             record_frames(trace.bus, trace.frames);
         }

@@ -45,6 +45,16 @@
 //! Session state (credentials, RNG seeds) is prepared serially and
 //! *moved* into the workers, so the timed sweep region clones no
 //! certificates or keys.
+//!
+//! # How a session ends
+//!
+//! Each event loop keeps one table of slot states: a live session, a
+//! session the CRL pre-check denied, or one whose state was lost. When
+//! the loop ends, every slot becomes one typed outcome: keyed (both
+//! endpoints established with keys that compare equal), failed closed
+//! with a named [`ProtocolError`] (a live session unfinished at the
+//! deadline times out; a lost slot is poisoned), or denied. The report
+//! fold digests and counts exactly that outcome.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -53,7 +63,9 @@ use crate::scheduler::{micros_from_ms, VirtualTime};
 use ecq_cert::CertError;
 use ecq_crypto::{ct, HmacDrbg};
 use ecq_devices::{DevicePreset, DeviceProfile};
-use ecq_proto::{Credentials, Endpoint, OpTrace, ProtocolError, Role, SessionKey, StepOutput};
+use ecq_proto::{
+    Credentials, Endpoint, Message, OpTrace, ProtocolError, Role, SessionKey, StepOutput,
+};
 use ecq_simnet::{ms_to_ns, FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 
@@ -245,35 +257,26 @@ pub(crate) struct SessionWork {
     pub denied: bool,
 }
 
-/// Per-session outcome, aggregated in index order.
+/// How a session ended. The fold digests and counts exactly this.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// Both endpoints established and their keys compared equal.
+    Keyed(SessionKey),
+    /// The session failed closed with this error.
+    Failed(ProtocolError),
+    /// A participant was on the revocation list: the session never ran.
+    Denied,
+}
+
+/// Per-session result, aggregated in index order.
 pub(crate) struct SessionResult {
-    pub key: Option<SessionKey>,
-    pub failure: Option<ProtocolError>,
+    pub outcome: Outcome,
     pub end_us: VirtualTime,
     pub messages: u64,
     pub wire_bytes: u64,
     pub frames: u64,
-    /// The session was denied by the CRL check before kickoff. Carried
-    /// in the result so the fold (which holds no per-session state of
-    /// its own) can classify the outcome.
-    pub denied: bool,
     /// The session's delivered messages, in delivery order.
     pub deliveries: Vec<DeliveryRecord>,
-}
-
-impl SessionResult {
-    pub(crate) fn empty() -> Self {
-        SessionResult {
-            key: None,
-            failure: None,
-            end_us: 0,
-            messages: 0,
-            wire_bytes: 0,
-            frames: 0,
-            denied: false,
-            deliveries: Vec::new(),
-        }
-    }
 }
 
 /// Fault-engine evidence from one event loop's bus: aggregate counters
@@ -285,36 +288,34 @@ pub(crate) struct BusTrace {
     pub frames: Vec<FrameRecord>,
 }
 
-/// The per-worker configuration, identical across workers so a session
-/// computes the same result wherever it lands.
-#[derive(Clone, Copy)]
-pub(crate) struct WorkerConfig {
-    pub transport: TransportKind,
-    pub faults: FaultSpec,
-    pub revocation: Option<RevocationSpec>,
-    /// Total sessions in the sweep (bounds the width of the last bus).
-    pub total: usize,
-    /// Test hook: drop the state of the session with this global index
-    /// before its kickoff, exercising the fail-closed poisoned path.
-    pub poison: Option<usize>,
+/// One bus slot of an event loop.
+enum Slot {
+    Live(Box<Live>),
+    /// Denied by the CRL pre-check; nothing is scheduled for it.
+    Denied,
+    /// Its state is gone (the poison hook): events for it are skipped
+    /// and it fails closed with [`ProtocolError::Poisoned`].
+    Lost,
 }
 
 /// A live session inside one event loop.
 struct Live {
-    /// Global session index (for the delivery log and event lanes;
-    /// results aggregate by slot order).
+    /// Global session index (delivery log, revocation target).
     index: usize,
     initiator: StsInitiator,
     responder: StsResponder,
     profiles: [DeviceProfile; 2],
     cursors: [usize; 2],
-    result: SessionResult,
+    /// Set once the session ends; no event touches it afterwards.
+    outcome: Option<Outcome>,
+    end_us: VirtualTime,
     /// Last virtual time anything happened to this session (timeout
     /// stamping when no deadline is set).
     last_event_us: VirtualTime,
-    done: bool,
+    deliveries: Vec<DeliveryRecord>,
 }
 
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// The initiator opens its handshake (draws no message).
     Kickoff { slot: usize },
@@ -330,34 +331,11 @@ enum Event {
 /// arbitrates — the pop order is shard-layout-independent.
 const LANE_BUS: u64 = 1 << 32;
 
-struct LaneEntry {
-    at: VirtualTime,
-    lane: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for LaneEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.lane, self.seq) == (other.at, other.lane, other.seq)
-    }
-}
-impl Eq for LaneEntry {}
-impl PartialOrd for LaneEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LaneEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.lane, self.seq).cmp(&(other.at, other.lane, other.seq))
-    }
-}
-
 /// A deterministic min-heap over `(at, lane, seq)`: time first, then
-/// the global lane, then insertion order as the final tiebreak.
+/// the global lane, then insertion order as the final tiebreak. `seq`
+/// is unique, so the event in the last place never decides the order.
 struct LaneScheduler {
-    queue: BinaryHeap<Reverse<LaneEntry>>,
+    queue: BinaryHeap<Reverse<(VirtualTime, u64, u64, Event)>>,
     now: VirtualTime,
     seq: u64,
 }
@@ -374,19 +352,14 @@ impl LaneScheduler {
     /// Schedules `event` at `at` (clamped to now) on `lane`.
     fn schedule(&mut self, at: VirtualTime, lane: u64, event: Event) {
         let at = at.max(self.now);
-        self.queue.push(Reverse(LaneEntry {
-            at,
-            lane,
-            seq: self.seq,
-            event,
-        }));
+        self.queue.push(Reverse((at, lane, self.seq, event)));
         self.seq += 1;
     }
 
     fn next(&mut self) -> Option<(VirtualTime, Event)> {
-        let Reverse(entry) = self.queue.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        let Reverse((at, _, _, event)) = self.queue.pop()?;
+        self.now = at;
+        Some((at, event))
     }
 }
 
@@ -402,56 +375,50 @@ fn delta_cost_ms(trace: &OpTrace, cursor: &mut usize, profile: &DeviceProfile) -
 }
 
 impl Live {
-    fn endpoint_mut(&mut self, role: Role) -> &mut dyn Endpoint {
-        match role {
-            Role::Initiator => &mut self.initiator,
-            Role::Responder => &mut self.responder,
-        }
-    }
-
     /// Runs one endpoint step and returns `(output, completion time)`;
     /// the completion time charges the step's traced primitives against
     /// the endpoint's board.
     fn step(
         &mut self,
         role: Role,
-        incoming: Option<&ecq_proto::Message>,
+        incoming: Option<&Message>,
         now: VirtualTime,
     ) -> Result<(StepOutput, VirtualTime), ProtocolError> {
-        let out = self.endpoint_mut(role).step(incoming)?;
-        let idx = match role {
-            Role::Initiator => 0,
-            Role::Responder => 1,
+        let (endpoint, idx): (&mut dyn Endpoint, usize) = match role {
+            Role::Initiator => (&mut self.initiator, 0),
+            Role::Responder => (&mut self.responder, 1),
         };
-        let trace = match role {
-            Role::Initiator => self.initiator.trace(),
-            Role::Responder => self.responder.trace(),
-        };
-        let cost = delta_cost_ms(trace, &mut self.cursors[idx], &self.profiles[idx]);
+        let out = endpoint.step(incoming)?;
+        let cost = delta_cost_ms(
+            endpoint.trace(),
+            &mut self.cursors[idx],
+            &self.profiles[idx],
+        );
         Ok((out, now + micros_from_ms(cost)))
     }
 
-    /// Closes an established session. Both sides claiming establishment
-    /// is *not* trusted: the keys are compared (in constant time) and a
-    /// disagreement surfaces as [`ProtocolError::KeyMismatch`] — a
-    /// faulted wire must never yield a silently mismatched session.
+    /// Closes a session whose endpoint sent nothing back. Both sides
+    /// claiming establishment is *not* trusted: the keys are compared
+    /// (in constant time) and a disagreement surfaces as
+    /// [`ProtocolError::KeyMismatch`] — a faulted wire must never yield
+    /// a silently mismatched session. Waiting with nothing in flight
+    /// cannot happen in a two-party alternating handshake, so a session
+    /// that is not established on both sides has stalled.
     fn finalize(&mut self, end: VirtualTime) {
-        let key_a = self.initiator.session_key().ok();
-        let key_b = self.responder.session_key().ok();
-        match (key_a, key_b) {
-            (Some(a), Some(b)) if ct::eq(a.as_bytes(), b.as_bytes()) => {
-                self.result.key = Some(a);
+        let outcome = if self.initiator.is_established() && self.responder.is_established() {
+            match (self.initiator.session_key(), self.responder.session_key()) {
+                (Ok(a), Ok(b)) if ct::eq(a.as_bytes(), b.as_bytes()) => Outcome::Keyed(a),
+                _ => Outcome::Failed(ProtocolError::KeyMismatch),
             }
-            _ => self.result.failure = Some(ProtocolError::KeyMismatch),
-        }
-        self.result.end_us = end;
-        self.done = true;
+        } else {
+            Outcome::Failed(ProtocolError::Stalled)
+        };
+        self.end(outcome, end);
     }
 
-    fn fail(&mut self, err: ProtocolError, at: VirtualTime) {
-        self.result.failure = Some(err);
-        self.result.end_us = at;
-        self.done = true;
+    fn end(&mut self, outcome: Outcome, at: VirtualTime) {
+        self.outcome = Some(outcome);
+        self.end_us = at;
     }
 }
 
@@ -459,11 +426,12 @@ impl Live {
 /// virtual clock, delivering messages as events. A
 /// [`TransportKind::Simnet`] group is one pair on a bus under
 /// [`FaultPlan::inert`]; a [`TransportKind::SharedBus`] group runs
-/// under the sweep's fault plan. Takes its sessions by value so the
-/// prepared credentials move straight into the endpoints — the sweep
-/// performs no per-session certificate/key cloning inside the timed
-/// region. Returns the per-session results in the order `work` was
-/// given, plus the trace of the group's bus.
+/// under the sweep's fault plan. `total` is the sweep's session count
+/// (it bounds the width of the last bus). Takes its sessions by value
+/// so the prepared credentials move straight into the endpoints — the
+/// sweep performs no per-session certificate/key cloning inside the
+/// timed region. Returns the per-session results in the order `work`
+/// was given, plus the trace of the group's bus.
 ///
 /// # Panics
 ///
@@ -474,25 +442,20 @@ impl Live {
 pub(crate) fn run_worker(
     g: usize,
     work: Vec<SessionWork>,
-    cfg: WorkerConfig,
+    opts: SweepOptions,
+    total: usize,
 ) -> (Vec<SessionResult>, BusTrace) {
-    assert_one_bus_group(&work, g, cfg.transport.group(), cfg.total);
-    let plan = match cfg.transport {
+    assert_one_bus_group(&work, g, opts.transport.group(), total);
+    let plan = match opts.transport {
         TransportKind::Simnet => FaultPlan::inert(),
-        TransportKind::SharedBus { .. } => FaultPlan::new(cfg.faults, g as u64),
+        TransportKind::SharedBus { .. } => FaultPlan::new(opts.faults, g as u64),
     };
     let mut bus = SharedBus::new(plan);
     // A session's bus slot is its position in `work`, so slot `s` is
     // global session `first + s`.
     let first = work.first().map_or(0, |w| w.index);
 
-    let mut live: Vec<Option<Live>> = Vec::with_capacity(work.len());
-    // Slots whose state was lost while events were still due for them.
-    // A poisoned slot fails closed as `ProtocolError::Poisoned` instead
-    // of aborting the whole worker.
-    let mut poisoned: Vec<bool> = vec![false; work.len()];
-    // Slots denied by the CRL pre-check (echoed into the results).
-    let mut denied_slots: Vec<bool> = vec![false; work.len()];
+    let mut slots: Vec<Slot> = Vec::with_capacity(work.len());
     let mut scheduler = LaneScheduler::new();
 
     for (slot, w) in work.into_iter().enumerate() {
@@ -507,17 +470,15 @@ pub(crate) fn run_worker(
             ],
         );
         if w.denied {
-            if let Some(d) = denied_slots.get_mut(slot) {
-                *d = true;
-            }
-            live.push(None);
+            slots.push(Slot::Denied);
             continue;
         }
-        if cfg.poison == Some(w.index) {
+        let lane = w.index as u64;
+        scheduler.schedule(0, lane, Event::Kickoff { slot });
+        if opts.poison == Some(w.index) {
             // Test hook: the session's state is gone but its kickoff
-            // still fires, driving the fail-closed branch below.
-            live.push(None);
-            scheduler.schedule(0, w.index as u64, Event::Kickoff { slot });
+            // still fires, driving the skip below.
+            slots.push(Slot::Lost);
             continue;
         }
         // Both roles' DRBG streams derive from the pair's wire seed.
@@ -527,105 +488,27 @@ pub(crate) fn run_worker(
             variant: w.variant,
         };
         let (initiator, responder) = ecq_sts::endpoint_pair(w.creds_a, w.creds_b, config, &mut rng);
-        let lane = w.index as u64;
-        live.push(Some(Live {
+        slots.push(Slot::Live(Box::new(Live {
             index: w.index,
             initiator,
             responder,
             profiles: [w.preset_a.profile(), w.preset_b.profile()],
             cursors: [0, 0],
-            result: SessionResult::empty(),
+            outcome: None,
+            end_us: 0,
             last_event_us: 0,
-            done: false,
-        }));
-        scheduler.schedule(0, lane, Event::Kickoff { slot });
+            deliveries: Vec::new(),
+        })));
     }
 
-    let deadline = cfg.faults.deadline_us;
+    let deadline = opts.faults.deadline_us;
     while let Some((now, event)) = scheduler.next() {
         if now > deadline {
             break;
         }
-        match event {
-            Event::Kickoff { slot } => {
-                let Some(session) = live.get_mut(slot).and_then(Option::as_mut) else {
-                    // State for this slot is gone (broken scheduler
-                    // invariant or the poison hook): fail it closed
-                    // instead of aborting the worker.
-                    if let Some(p) = poisoned.get_mut(slot) {
-                        *p = true;
-                    }
-                    continue;
-                };
-                session.last_event_us = now;
-                match session.step(Role::Initiator, None, now) {
-                    Ok((StepOutput::Send(msg), done_at)) => {
-                        bus.send(slot, Role::Initiator, msg, done_at);
-                        scheduler.schedule(done_at, LANE_BUS, Event::BusAdvance);
-                    }
-                    Ok((_, done_at)) => session.fail(ProtocolError::Stalled, done_at),
-                    Err(e) => session.fail(e, now),
-                }
-            }
-            Event::Deliver { slot, to } => {
-                let Some(session) = live.get_mut(slot).and_then(Option::as_mut) else {
-                    // A delivery for a vanished session: fail the slot
-                    // closed, drop the message on the floor.
-                    if let Some(p) = poisoned.get_mut(slot) {
-                        *p = true;
-                    }
-                    continue;
-                };
-                if session.done {
-                    continue;
-                }
-                session.last_event_us = now;
-                // Revocation lifecycle: once the CRL has propagated,
-                // the targeted session refuses its peer — whatever the
-                // handshake state. Deliveries inside the stale-CRL
-                // window still succeed (the measurable exposure).
-                if let Some(rv) = cfg.revocation {
-                    if session.index == rv.session
-                        && now >= rv.at_us.saturating_add(rv.propagation_us)
-                    {
-                        bus.recv(slot, to, now);
-                        session.fail(ProtocolError::Cert(CertError::Revoked), now);
-                        continue;
-                    }
-                }
-                // A delivery can evaporate: the message was lost to
-                // faults after its sibling scheduled this event, or a
-                // replay already consumed it.
-                let Some(msg) = bus.recv(slot, to, now) else {
-                    continue;
-                };
-                session.result.deliveries.push(DeliveryRecord {
-                    session: session.index,
-                    step: msg.step,
-                    at_us: now,
-                });
-                match session.step(to, Some(&msg), now) {
-                    Ok((StepOutput::Send(reply), done_at)) => {
-                        bus.send(slot, to, reply, done_at);
-                        scheduler.schedule(done_at, LANE_BUS, Event::BusAdvance);
-                        // A responder that just sent B2 is established;
-                        // the session finishes when the initiator
-                        // consumes it.
-                    }
-                    Ok((_, done_at)) => {
-                        if session.initiator.is_established() && session.responder.is_established()
-                        {
-                            session.finalize(done_at);
-                        } else if !session.done {
-                            // Waiting with nothing in flight cannot
-                            // happen in a two-party alternating
-                            // handshake; treat it as a stall.
-                            session.fail(ProtocolError::Stalled, done_at);
-                        }
-                    }
-                    Err(e) => session.fail(e, now),
-                }
-            }
+        let (slot, role) = match event {
+            Event::Kickoff { slot } => (slot, Role::Initiator),
+            Event::Deliver { slot, to } => (slot, to),
             Event::BusAdvance => {
                 for d in bus.process(now) {
                     scheduler.schedule(
@@ -643,51 +526,93 @@ pub(crate) fn run_worker(
                 if let Some(at) = bus.next_activity_us() {
                     scheduler.schedule(at, LANE_BUS, Event::BusAdvance);
                 }
+                continue;
             }
+        };
+        // Events for a lost, denied or finished session are skipped:
+        // a lost slot fails closed below instead of aborting the worker.
+        let Some(Slot::Live(session)) = slots.get_mut(slot) else {
+            continue;
+        };
+        if session.outcome.is_some() {
+            continue;
+        }
+        session.last_event_us = now;
+        let incoming = match event {
+            Event::Deliver { .. } => {
+                // Revocation lifecycle: once the CRL has propagated, the
+                // targeted session refuses its peer — whatever the
+                // handshake state. Deliveries inside the stale-CRL
+                // window still succeed (the measurable exposure).
+                if opts.revocation.is_some_and(|rv| {
+                    session.index == rv.session && now >= rv.at_us.saturating_add(rv.propagation_us)
+                }) {
+                    bus.recv(slot, role, now);
+                    let revoked = ProtocolError::Cert(CertError::Revoked);
+                    session.end(Outcome::Failed(revoked), now);
+                    continue;
+                }
+                // A delivery can evaporate: the message was lost to
+                // faults after its sibling scheduled this event, or a
+                // replay already consumed it.
+                let Some(msg) = bus.recv(slot, role, now) else {
+                    continue;
+                };
+                session.deliveries.push(DeliveryRecord {
+                    session: session.index,
+                    step: msg.step,
+                    at_us: now,
+                });
+                Some(msg)
+            }
+            _ => None,
+        };
+        match session.step(role, incoming.as_ref(), now) {
+            // A responder that just sent B2 is established; the session
+            // finishes when the initiator consumes it.
+            Ok((StepOutput::Send(reply), done_at)) => {
+                bus.send(slot, role, reply, done_at);
+                scheduler.schedule(done_at, LANE_BUS, Event::BusAdvance);
+            }
+            Ok((_, done_at)) => session.finalize(done_at),
+            Err(e) => session.end(Outcome::Failed(e), now),
         }
     }
 
     // Fail-closed sweep boundary: anything unfinished at the deadline
     // (lost frames, withheld messages, storms that never relented)
-    // times out — it must never linger as a half-open session.
-    for (slot, session) in live.iter_mut().enumerate() {
-        let Some(session) = session else {
-            continue;
-        };
-        // A finished session never sends again, so its slot's totals
-        // are final once the loop has ended.
-        let stats = bus.slot_stats(slot);
-        session.result.messages = stats.messages;
-        session.result.wire_bytes = stats.bytes;
-        session.result.frames = stats.frames;
-        if !session.done {
-            let at = if deadline < u64::MAX {
-                deadline
-            } else {
-                session.last_event_us
-            };
-            session.fail(ProtocolError::Timeout, at);
-        }
-    }
-
-    let results = live
+    // times out — it must never linger as a half-open session. A
+    // finished session never sends again, so every slot's traffic
+    // totals are final once the loop has ended (zero for a slot that
+    // never ran).
+    let results = slots
         .into_iter()
-        .zip(poisoned.into_iter().zip(denied_slots))
-        .map(|(slot, (was_poisoned, was_denied))| match slot {
-            Some(l) => l.result,
-            // Denial wins over the poison hook: a denied session never
-            // schedules events, so nothing can poison it.
-            None if was_denied => {
-                let mut r = SessionResult::empty();
-                r.denied = true;
-                r
+        .enumerate()
+        .map(|(slot, state)| {
+            let (outcome, end_us, deliveries) = match state {
+                Slot::Live(live) => match live.outcome {
+                    Some(outcome) => (outcome, live.end_us, live.deliveries),
+                    None => {
+                        let at = if deadline < u64::MAX {
+                            deadline
+                        } else {
+                            live.last_event_us
+                        };
+                        (Outcome::Failed(ProtocolError::Timeout), at, live.deliveries)
+                    }
+                },
+                Slot::Denied => (Outcome::Denied, 0, Vec::new()),
+                Slot::Lost => (Outcome::Failed(ProtocolError::Poisoned), 0, Vec::new()),
+            };
+            let stats = bus.slot_stats(slot);
+            SessionResult {
+                outcome,
+                end_us,
+                messages: stats.messages,
+                wire_bytes: stats.bytes,
+                frames: stats.frames,
+                deliveries,
             }
-            None if was_poisoned => {
-                let mut r = SessionResult::empty();
-                r.failure = Some(ProtocolError::Poisoned);
-                r
-            }
-            None => SessionResult::empty(),
         })
         .collect();
     let trace = BusTrace {
@@ -697,7 +622,7 @@ pub(crate) fn run_worker(
         // reads: dropping its log here keeps it off the result channel,
         // where a streaming window's worth of logs would raise peak
         // memory.
-        frames: match cfg.transport {
+        frames: match opts.transport {
             TransportKind::Simnet => Vec::new(),
             TransportKind::SharedBus { .. } => bus.take_frame_log(),
         },
@@ -781,13 +706,7 @@ where
     use std::sync::mpsc::{channel, sync_channel, TrySendError};
 
     let group = opts.transport.group();
-    let cfg = WorkerConfig {
-        transport: opts.transport,
-        faults: opts.faults,
-        revocation: opts.revocation,
-        total,
-        poison: opts.poison,
-    };
+    let opts = *opts;
     let threads = opts.threads.max(1).min(total.div_ceil(group).max(1));
     // Per-worker queue depth in groups: the window split across
     // workers, at least one so every worker can hold work — and never
@@ -805,7 +724,7 @@ where
             let worker_tx = res_tx.clone();
             scope.spawn(move || {
                 while let Ok((g, batch)) = rx.recv() {
-                    let (results, trace) = run_worker(g, batch, cfg);
+                    let (results, trace) = run_worker(g, batch, opts, total);
                     if worker_tx.send((g, results, trace)).is_err() {
                         return;
                     }
@@ -937,61 +856,74 @@ mod tests {
             .collect()
     }
 
+    fn shared_bus(group: usize) -> SweepOptions {
+        SweepOptions::new().transport(TransportKind::SharedBus { group })
+    }
+
     #[test]
     #[should_panic(expected = "bus split across sweep shards")]
     fn split_bus_group_is_rejected() {
         let mut work = session_work(2);
         work.remove(1); // bus 0 = sessions {0, 1}; hand the worker only 0
-        let cfg = WorkerConfig {
-            transport: TransportKind::SharedBus { group: 2 },
-            faults: FaultSpec::none(),
-            revocation: None,
-            total: 2,
-            poison: None,
-        };
-        let _ = run_worker(0, work, cfg);
+        let _ = run_worker(0, work, shared_bus(2), 2);
     }
 
     #[test]
     fn poisoned_session_fails_closed_while_siblings_complete() {
-        let work = session_work(3);
-        let cfg = WorkerConfig {
-            transport: TransportKind::SharedBus { group: 3 },
-            faults: FaultSpec::none(),
-            revocation: None,
-            total: 3,
-            poison: Some(1),
-        };
-        let (results, _trace) = run_worker(0, work, cfg);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[1].failure, Some(ProtocolError::Poisoned));
-        assert!(results[1].key.is_none(), "a poisoned session has no key");
+        let mut work = session_work(4);
+        work[3].denied = true;
+        let (results, _trace) = run_worker(0, work, shared_bus(4).poison(1), 4);
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[1].outcome, Outcome::Failed(ProtocolError::Poisoned));
+        assert_eq!(results[3].outcome, Outcome::Denied);
+        for i in [1usize, 3] {
+            let r = &results[i];
+            assert_eq!((r.end_us, r.messages, r.frames), (0, 0, 0), "slot {i}");
+            assert!(r.deliveries.is_empty(), "slot {i} never ran");
+        }
         for i in [0usize, 2] {
-            assert!(results[i].failure.is_none(), "sibling {i} unaffected");
-            assert!(results[i].key.is_some(), "sibling {i} completes");
+            assert!(
+                matches!(results[i].outcome, Outcome::Keyed(_)),
+                "sibling {i} completes"
+            );
         }
     }
 
     #[test]
     fn shared_bus_sessions_complete_with_equal_keys() {
         let work = session_work(2);
-        let cfg = WorkerConfig {
-            transport: TransportKind::SharedBus { group: 2 },
-            faults: FaultSpec::none(),
-            revocation: None,
-            total: 2,
-            poison: None,
-        };
-        let (results, trace) = run_worker(0, work, cfg);
+        let (results, trace) = run_worker(0, work, shared_bus(2), 2);
         assert_eq!(results.len(), 2);
         for r in &results {
-            assert!(r.failure.is_none(), "unexpected failure: {:?}", r.failure);
-            assert!(r.key.is_some());
+            assert!(
+                matches!(r.outcome, Outcome::Keyed(_)),
+                "unexpected outcome: {:?}",
+                r.outcome
+            );
             assert_eq!(r.messages, 4);
             assert_eq!(r.frames, 10);
             assert_eq!(r.deliveries.len(), 4, "4 deliveries per session");
         }
         assert_eq!(trace.counters, FaultCounters::default());
+    }
+
+    #[test]
+    fn lane_scheduler_pops_by_time_then_lane_then_insertion() {
+        let mut s = LaneScheduler::new();
+        s.schedule(5, 2, Event::Kickoff { slot: 0 });
+        s.schedule(5, 1, Event::Kickoff { slot: 1 });
+        s.schedule(3, LANE_BUS, Event::BusAdvance);
+        s.schedule(5, 1, Event::Kickoff { slot: 2 });
+        let popped: Vec<_> = std::iter::from_fn(|| s.next()).collect();
+        assert_eq!(
+            popped,
+            [
+                (3, Event::BusAdvance),
+                (5, Event::Kickoff { slot: 1 }),
+                (5, Event::Kickoff { slot: 2 }),
+                (5, Event::Kickoff { slot: 0 }),
+            ]
+        );
     }
 
     #[test]
@@ -1004,23 +936,14 @@ mod tests {
             deadline_us: 30_000_000,
             ..FaultSpec::none()
         };
-        let outcome = |r: &SessionResult| {
-            let key = r.key.as_ref().map(|k| *k.as_bytes());
-            (key, r.failure, r.end_us, r.deliveries.clone())
-        };
+        let outcome = |r: &SessionResult| (r.outcome, r.end_us, r.deliveries.clone());
         // The reference: each bus group alone in one event loop, in
         // group order.
-        let cfg = WorkerConfig {
-            transport,
-            faults,
-            revocation: None,
-            total: 4,
-            poison: None,
-        };
+        let base = SweepOptions::new().transport(transport).faults(faults);
         let mut work = session_work(4).into_iter();
         let (mut base_outcomes, mut base_counters) = (Vec::new(), Vec::new());
         for g in 0..2 {
-            let (results, trace) = run_worker(g, work.by_ref().take(2).collect(), cfg);
+            let (results, trace) = run_worker(g, work.by_ref().take(2).collect(), base, 4);
             base_outcomes.extend(results.iter().map(outcome));
             base_counters.push((trace.bus, trace.counters));
         }

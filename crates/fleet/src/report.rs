@@ -1,7 +1,9 @@
 //! Aggregated results of a fleet run.
 
+use crate::interleave::Outcome;
 use crate::scheduler::VirtualTime;
 use ecq_devices::DevicePreset;
+use ecq_proto::ProtocolError;
 use std::collections::BTreeMap;
 
 /// Counters and simulated-time totals for one fleet lifecycle.
@@ -67,6 +69,18 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
+    /// Counts one session outcome: the only place that moves
+    /// `handshakes`, `denied_revoked`, `timeouts` and `poisoned`.
+    pub(crate) fn count(&mut self, outcome: &Outcome) {
+        match outcome {
+            Outcome::Keyed(_) => self.handshakes += 1,
+            Outcome::Denied => self.denied_revoked += 1,
+            Outcome::Failed(ProtocolError::Timeout) => self.timeouts += 1,
+            Outcome::Failed(ProtocolError::Poisoned) => self.poisoned += 1,
+            Outcome::Failed(_) => {}
+        }
+    }
+
     /// Enrollments per simulated second of CA-gateway time.
     pub fn enrollments_per_virtual_sec(&self) -> f64 {
         per_sec(self.enrolled, self.enroll_makespan_us)

@@ -117,9 +117,14 @@ impl Scenario {
                 Some(FleetError::BusGroupTooLarge { .. }) | None => None,
             })
             .collect();
+        // A target outside the fleet reads as unkeyed with no failure,
+        // which fails every expectation in `verify`.
         ScenarioOutcome {
-            target_failure: session_failures[self.target],
-            target_keyed: fleet.sessions()[self.target].last_key().is_some(),
+            target_failure: session_failures.get(self.target).copied().flatten(),
+            target_keyed: fleet
+                .sessions()
+                .get(self.target)
+                .is_some_and(|s| s.last_key().is_some()),
             session_failures,
             makespan_us: fleet.report().handshake_makespan_us,
             baseline_makespan_us,
@@ -435,6 +440,19 @@ mod tests {
             );
         }
         assert!(CATALOG.len() >= 8, "catalog must stay adversarially broad");
+    }
+
+    #[test]
+    fn catalog_targets_are_sessions_of_the_fleet() {
+        for s in CATALOG {
+            assert!(
+                s.target < DEVICES / GROUP,
+                "scenario {} targets session {} of {}",
+                s.name,
+                s.target,
+                DEVICES / GROUP
+            );
+        }
     }
 
     #[test]

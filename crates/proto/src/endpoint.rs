@@ -16,7 +16,7 @@ use ecq_crypto::zeroize::Zeroize;
 
 /// The two handshake roles — the paper's ALICE (initiator) and BOB
 /// (responder) of Fig. 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Role {
     /// The party that opens the session (ALICE / device A).
     Initiator,

@@ -146,9 +146,10 @@ pub enum Frame {
     },
     /// Handshake session open.
     HsOpen {
-        /// Session seed: both sides derive their handshake RNG streams
-        /// from it, which is what makes a socket transcript comparable
-        /// byte-for-byte to a simulator run of the same seed.
+        /// Session seed. Only a daemon in deterministic mode derives
+        /// its responder stream from it, which makes a socket transcript
+        /// comparable byte-for-byte to a simulator run of the same seed;
+        /// any other daemon ignores it.
         seed: [u8; 32],
         /// STS variant code (0 conventional, 1 opt. I, 2 opt. II).
         variant: u8,
@@ -317,6 +318,35 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    /// The fixed frame header, checked field by field as its bytes
+    /// arrive: a prefix is `Truncated` only until its first bad field
+    /// is in, so a stream reader stops waiting on a bad magic at once.
+    fn header(&mut self) -> Result<(FrameKind, u32), TransportError> {
+        if self.array::<4>()? != MAGIC {
+            return Err(TransportError::BadMagic);
+        }
+        let version = self.u8()?;
+        if version != VERSION {
+            return Err(TransportError::BadVersion { got: version });
+        }
+        let crypto = self.u8()?;
+        if crypto != CRYPTO_P256_SHA256 {
+            return Err(TransportError::BadCrypto { got: crypto });
+        }
+        let kind = FrameKind::from_code(self.u8()?)?;
+        if self.u8()? != 0 {
+            return Err(TransportError::Malformed); // flags are reserved
+        }
+        let len = self.u32()?;
+        if len > MAX_PAYLOAD {
+            return Err(TransportError::FrameTooLarge {
+                len,
+                max: MAX_PAYLOAD,
+            });
+        }
+        Ok((kind, len))
+    }
+
     fn finish(&self) -> Result<(), TransportError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -476,30 +506,7 @@ impl Frame {
     /// structurally invalid payloads.
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), TransportError> {
         let mut r = Reader::new(bytes);
-        let magic: [u8; 4] = r.array()?;
-        if magic != MAGIC {
-            return Err(TransportError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(TransportError::BadVersion { got: version });
-        }
-        let crypto = r.u8()?;
-        if crypto != CRYPTO_P256_SHA256 {
-            return Err(TransportError::BadCrypto { got: crypto });
-        }
-        let kind = FrameKind::from_code(r.u8()?)?;
-        let flags = r.u8()?;
-        if flags != 0 {
-            return Err(TransportError::Malformed);
-        }
-        let len = r.u32()?;
-        if len > MAX_PAYLOAD {
-            return Err(TransportError::FrameTooLarge {
-                len,
-                max: MAX_PAYLOAD,
-            });
-        }
+        let (kind, len) = r.header()?;
         let payload = r.take(len as usize)?;
         let frame = Frame::decode_payload(kind, payload)?;
         Ok((frame, HEADER_LEN + len as usize))
@@ -554,32 +561,7 @@ impl Frame {
     ///
     /// The same header errors as [`Frame::decode`].
     pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, u32), TransportError> {
-        let mut r = Reader::new(header);
-        let magic: [u8; 4] = r.array()?;
-        if magic != MAGIC {
-            return Err(TransportError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(TransportError::BadVersion { got: version });
-        }
-        let crypto = r.u8()?;
-        if crypto != CRYPTO_P256_SHA256 {
-            return Err(TransportError::BadCrypto { got: crypto });
-        }
-        let kind = FrameKind::from_code(r.u8()?)?;
-        let flags = r.u8()?;
-        if flags != 0 {
-            return Err(TransportError::Malformed);
-        }
-        let len = r.u32()?;
-        if len > MAX_PAYLOAD {
-            return Err(TransportError::FrameTooLarge {
-                len,
-                max: MAX_PAYLOAD,
-            });
-        }
-        Ok((kind, len))
+        Reader::new(header).header()
     }
 }
 
@@ -700,6 +682,56 @@ mod tests {
                 Err(TransportError::Truncated),
                 "cut at {cut}"
             );
+        }
+    }
+
+    /// Pins `Frame::decode` on every 0–12-byte prefix of a header: a
+    /// prefix is `Truncated` until the first bad byte is in, then it
+    /// is that byte's error. A 4-byte bad magic is already `BadMagic`,
+    /// because stream readers wait for more bytes on `Truncated`.
+    #[test]
+    fn header_prefixes_fail_at_their_first_bad_byte() {
+        let valid = Frame::Hello { nonce: [0; 32] }.encode().unwrap();
+        let header = |at: usize, bytes: &[u8]| {
+            let mut h = valid[..HEADER_LEN].to_vec();
+            h[at..at + bytes.len()].copy_from_slice(bytes);
+            h
+        };
+        let oversize = (MAX_PAYLOAD + 1).to_be_bytes();
+        // (header, prefix length at which the error shows, the error)
+        let cases = [
+            (header(0, &[]), HEADER_LEN + 1, TransportError::Truncated),
+            (header(3, b"X"), 4, TransportError::BadMagic),
+            (header(4, &[2]), 5, TransportError::BadVersion { got: 2 }),
+            (
+                header(5, &[0x18]),
+                6,
+                TransportError::BadCrypto { got: 0x18 },
+            ),
+            (header(6, &[0x55]), 7, TransportError::Malformed),
+            (header(7, &[0x80]), 8, TransportError::Malformed),
+            (
+                header(8, &oversize),
+                12,
+                TransportError::FrameTooLarge {
+                    len: MAX_PAYLOAD + 1,
+                    max: MAX_PAYLOAD,
+                },
+            ),
+        ];
+        for (h, shows_at, error) in cases {
+            for cut in 0..=HEADER_LEN {
+                let expected = if cut >= shows_at {
+                    error
+                } else {
+                    TransportError::Truncated
+                };
+                assert_eq!(
+                    Frame::decode(&h[..cut]),
+                    Err(expected),
+                    "header {h:02x?} cut at {cut}"
+                );
+            }
         }
     }
 

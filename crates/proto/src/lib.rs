@@ -14,7 +14,7 @@
 //!   run-to-completion driver that returns both keys with the
 //!   [`transcript::Transcript`] as an [`endpoint::SessionOutcome`],
 //! * [`transport`] — the message-granularity [`transport::Transport`]
-//!   link abstraction with the in-memory channel implementation,
+//!   link abstraction and the per-direction delivery queues,
 //! * [`framing`] — the versioned, length-prefixed service wire format
 //!   (magic, protocol version, cryptosystem identifier) with a total
 //!   fail-closed decoder,
@@ -43,7 +43,7 @@ pub use framing::{Frame, FrameKind};
 pub use session::SessionKey;
 pub use trace::{OpTrace, PrimitiveOp, StsPhase};
 pub use transcript::Transcript;
-pub use transport::{ChannelTransport, DirectionalQueues, Transport, TransportTime};
+pub use transport::{DirectionalQueues, Transport, TransportTime};
 pub use wire::{FieldKind, Message, WireField};
 
 /// The seven protocol variants evaluated in the paper (Tables I–III).

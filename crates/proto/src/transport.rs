@@ -5,18 +5,15 @@
 //! [`crate::endpoint::Role::Responder`] with explicit virtual-time
 //! latency, so a discrete-event scheduler can deliver each handshake
 //! message as its own event instead of running a handshake to
-//! completion in one step. Two implementations exist:
+//! completion in one step. Its one implementation is
+//! `ecq_simnet::transport::CanLink`: one pair's messages routed through
+//! the CAN-FD bus and ISO 15765-2 segmentation models with per-link
+//! latency from the `ecq_devices` cost tables, which the `perfbench`
+//! replay drives message by message.
 //!
-//! * [`ChannelTransport`] (here) — an in-memory FIFO pair with a fixed
-//!   per-message latency; the reference link that transcript
-//!   equivalence tests compare other paths against,
-//! * `ecq_simnet::transport::CanLink` — one pair's messages routed
-//!   through the CAN-FD bus and ISO 15765-2 segmentation models with
-//!   per-link latency from the `ecq_devices` cost tables; the
-//!   `perfbench` replay drives it message by message.
-//!
-//! The fleet sweep engine uses neither: every event loop there owns one
-//! `ecq_simnet::SharedBus`, and each session rides a slot of it.
+//! The fleet sweep engine does not use it: every event loop there owns
+//! one `ecq_simnet::SharedBus`, and each session rides a slot of it.
+//! The bus keeps each slot's deliveries in [`DirectionalQueues`].
 //!
 //! The contract every implementation upholds:
 //!
@@ -45,9 +42,8 @@ pub type TransportTime = u64;
 /// one handshake, with virtual-time delivery accounting.
 ///
 /// The API is framed: one handshake [`Message`] in, one frame on the
-/// link, one [`Message`] out. [`ChannelTransport`] never fails;
-/// `ecq_simnet::transport::CanLink` returns a typed [`TransportError`]
-/// if its bus ever loses a message.
+/// link, one [`Message`] out. `ecq_simnet::transport::CanLink` returns
+/// a typed [`TransportError`] if its bus ever loses a message.
 pub trait Transport {
     /// Submits `message` from `from` at virtual time `now_us`. Returns
     /// the virtual time at which the peer can receive it.
@@ -158,52 +154,6 @@ impl DirectionalQueues {
     }
 }
 
-/// An in-memory channel transport: two FIFO queues with a fixed
-/// per-message latency. The zero-latency configuration reproduces the
-/// classic run-to-completion message order exactly.
-#[derive(Debug, Default)]
-pub struct ChannelTransport {
-    latency_us: TransportTime,
-    queues: DirectionalQueues,
-}
-
-impl ChannelTransport {
-    /// Creates a channel with a fixed per-message latency in virtual
-    /// microseconds (0 is allowed: delivery at the send timestamp).
-    pub fn new(latency_us: TransportTime) -> Self {
-        ChannelTransport {
-            latency_us,
-            ..Self::default()
-        }
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn send_frame(
-        &mut self,
-        from: Role,
-        message: Message,
-        now_us: TransportTime,
-    ) -> Result<TransportTime, TransportError> {
-        Ok(self
-            .queues
-            .push(from.peer(), now_us.saturating_add(self.latency_us), message))
-    }
-
-    fn recv_frame(
-        &mut self,
-        to: Role,
-        now_us: TransportTime,
-        _deadline_us: TransportTime,
-    ) -> Result<Option<Message>, TransportError> {
-        Ok(self.queues.pop_due(to, now_us))
-    }
-
-    fn next_delivery(&self, to: Role) -> Option<TransportTime> {
-        self.queues.next_delivery(to)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,42 +163,25 @@ mod tests {
         Message::new(step, vec![WireField::new(FieldKind::Ack, vec![byte])])
     }
 
-    /// Non-blocking receive helper: virtual transports ignore the
-    /// deadline, so pass `now` for both.
-    fn take(t: &mut ChannelTransport, to: Role, now: TransportTime) -> Option<Message> {
-        t.recv_frame(to, now, now).unwrap()
-    }
-
-    #[test]
-    fn latency_defers_delivery() {
-        let mut t = ChannelTransport::new(250);
-        let at = t.send_frame(Role::Initiator, msg("A1", 1), 100).unwrap();
-        assert_eq!(at, 350);
-        assert_eq!(t.next_delivery(Role::Responder), Some(350));
-        assert!(take(&mut t, Role::Responder, 349).is_none());
-        let m = take(&mut t, Role::Responder, 350).unwrap();
-        assert_eq!(m.step, "A1");
-        assert!(take(&mut t, Role::Responder, 400).is_none());
-    }
-
     #[test]
     fn directions_are_independent() {
-        let mut t = ChannelTransport::new(0);
-        t.send_frame(Role::Initiator, msg("A1", 1), 0).unwrap();
-        t.send_frame(Role::Responder, msg("B1", 2), 0).unwrap();
-        assert_eq!(take(&mut t, Role::Initiator, 0).unwrap().step, "B1");
-        assert_eq!(take(&mut t, Role::Responder, 0).unwrap().step, "A1");
+        let mut q = DirectionalQueues::new();
+        q.push(Role::Responder, 0, msg("A1", 1));
+        q.push(Role::Initiator, 0, msg("B1", 2));
+        assert_eq!(q.pop_due(Role::Initiator, 0).unwrap().step, "B1");
+        assert_eq!(q.pop_due(Role::Responder, 0).unwrap().step, "A1");
     }
 
     #[test]
     fn fifo_within_a_direction() {
-        let mut t = ChannelTransport::new(10);
-        t.send_frame(Role::Initiator, msg("A1", 1), 0).unwrap();
-        t.send_frame(Role::Initiator, msg("A2", 2), 5).unwrap();
-        assert_eq!(take(&mut t, Role::Responder, 100).unwrap().step, "A1");
-        assert_eq!(take(&mut t, Role::Responder, 100).unwrap().step, "A2");
-        assert!(take(&mut t, Role::Responder, 100).is_none());
-        assert_eq!(t.next_delivery(Role::Responder), None);
+        let mut q = DirectionalQueues::new();
+        q.push(Role::Responder, 10, msg("A1", 1));
+        q.push(Role::Responder, 15, msg("A2", 2));
+        assert!(q.pop_due(Role::Responder, 9).is_none(), "not due yet");
+        assert_eq!(q.pop_due(Role::Responder, 100).unwrap().step, "A1");
+        assert_eq!(q.pop_due(Role::Responder, 100).unwrap().step, "A2");
+        assert!(q.pop_due(Role::Responder, 100).is_none());
+        assert_eq!(q.next_delivery(Role::Responder), None);
     }
 
     #[test]
@@ -263,13 +196,5 @@ mod tests {
         assert_eq!(q.next_delivery(Role::Responder), Some(500));
         assert_eq!(q.pop_due(Role::Responder, 500).unwrap().step, "B1");
         assert_eq!(q.pop_due(Role::Responder, 500).unwrap().step, "B2");
-    }
-
-    #[test]
-    fn zero_latency_delivers_at_send_time() {
-        let mut t = ChannelTransport::new(0);
-        let at = t.send_frame(Role::Responder, msg("B2", 1), 77).unwrap();
-        assert_eq!(at, 77);
-        assert!(take(&mut t, Role::Initiator, 77).is_some());
     }
 }

@@ -1,14 +1,17 @@
 //! `ecq_serviced` — the CA + responder daemon, as a process.
 //!
 //! ```text
-//! ecq_serviced [--bind ADDR | --unix PATH] [--seed N]
+//! ecq_serviced [--bind ADDR | --unix PATH]
 //!              [--valid-from N] [--valid-to N]
 //!              [--read-timeout-ms N] [--max-seconds N]
 //! ```
 //!
-//! Prints the bound address on stdout (`listening on ...`) once the
-//! listener is up, then serves until killed — or for `--max-seconds`
-//! when given, which is how the CI service job bounds the run.
+//! The daemon's CA key, responder credentials and handshake randomness
+//! derive from 32 bytes of `/dev/urandom` read at start, so every run
+//! has keys of its own. Prints the bound address on stdout
+//! (`listening on ...`) once the listener is up, then serves until
+//! killed — or for `--max-seconds` when given, which is how the CI
+//! service job bounds the run.
 
 use ecq_service::{ServiceAddr, ServiceConfig, ServiceDaemon};
 use std::time::Duration;
@@ -22,7 +25,6 @@ fn parse_args() -> Result<Args, String> {
     let mut bind: Option<String> = None;
     #[cfg(unix)]
     let mut unix: Option<String> = None;
-    let mut seed: u64 = 1;
     let mut valid_from: u32 = 0;
     let mut valid_to: u32 = u32::MAX;
     let mut read_timeout_ms: u64 = 5_000;
@@ -37,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
             "--bind" => bind = Some(value("--bind")?),
             #[cfg(unix)]
             "--unix" => unix = Some(value("--unix")?),
-            "--seed" => seed = parse(&value("--seed")?)?,
             "--valid-from" => valid_from = parse(&value("--valid-from")?)?,
             "--valid-to" => valid_to = parse(&value("--valid-to")?)?,
             "--read-timeout-ms" => read_timeout_ms = parse(&value("--read-timeout-ms")?)?,
@@ -56,7 +57,6 @@ fn parse_args() -> Result<Args, String> {
 
     Ok(Args {
         config: config
-            .seed(seed)
             .validity(valid_from, valid_to)
             .read_timeout(Duration::from_millis(read_timeout_ms)),
         max_seconds,

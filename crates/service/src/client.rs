@@ -164,10 +164,12 @@ impl ServiceClient {
     /// Runs a full STS handshake against the daemon's responder.
     ///
     /// `seed_initiator` seeds the local initiator RNG stream and
-    /// `seed_responder` travels in the `HsOpen` frame to seed the
-    /// daemon's responder stream — the same two-stream derivation
+    /// `seed_responder` travels in the `HsOpen` frame. A daemon in the
+    /// deterministic mode of [`crate::ServiceConfig::seed`] seeds its
+    /// responder stream from it — the same two-stream derivation
     /// `ecq_sts::establish` performs, so the wire transcript of
-    /// `(credentials, config, seeds)` is reproducible bit-for-bit.
+    /// `(credentials, config, seeds)` is reproducible bit-for-bit. Any
+    /// other daemon ignores it and draws from its own secret stream.
     ///
     /// # Errors
     ///

@@ -26,9 +26,12 @@ pub enum BindAddr {
 pub struct ServiceConfig {
     /// Listener address.
     pub bind: BindAddr,
-    /// Seed for the daemon's deterministic RNG (CA key generation,
-    /// responder provisioning, certificate serials and blindings).
-    pub seed: u64,
+    /// `None` (the default): the daemon reads 32 secret bytes from
+    /// `/dev/urandom` at start and derives from them its CA key, its
+    /// responder credentials, its certificate serials and blindings,
+    /// and every handshake's responder randomness. `Some(n)` is the
+    /// deterministic mode set by [`ServiceConfig::seed`].
+    pub seed: Option<u64>,
     /// Validity-window start for certificates the CA issues.
     pub valid_from: u32,
     /// Validity-window end for certificates the CA issues.
@@ -48,7 +51,7 @@ impl ServiceConfig {
     pub fn tcp(addr: impl Into<String>) -> Self {
         ServiceConfig {
             bind: BindAddr::Tcp(addr.into()),
-            seed: 1,
+            seed: None,
             valid_from: 0,
             valid_to: u32::MAX,
             read_timeout: Duration::from_secs(5),
@@ -64,10 +67,16 @@ impl ServiceConfig {
         config
     }
 
-    /// Sets the daemon RNG seed.
+    /// Switches the daemon to deterministic mode: the CA key, the
+    /// responder credentials and the issuance stream derive from
+    /// `seed`, and each handshake's responder randomness from the seed
+    /// its client sends in `HsOpen`. Runs then reproduce bit for bit —
+    /// and anyone who knows `seed` can issue certificates, while anyone
+    /// who sees the `HsOpen` frame can recompute the session key. For
+    /// tests and benchmarks only.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.seed = Some(seed);
         self
     }
 
@@ -106,7 +115,7 @@ mod tests {
             .read_timeout(Duration::from_millis(250))
             .write_timeout(Duration::from_millis(125));
         assert_eq!(config.bind, BindAddr::Tcp("127.0.0.1:0".into()));
-        assert_eq!(config.seed, 7);
+        assert_eq!(config.seed, Some(7));
         assert_eq!((config.valid_from, config.valid_to), (10, 20));
         assert_eq!(config.read_timeout, Duration::from_millis(250));
         assert_eq!(config.write_timeout, Duration::from_millis(125));
@@ -118,5 +127,6 @@ mod tests {
         let config = ServiceConfig::unix("/tmp/ecq.sock");
         assert_eq!(config.bind, BindAddr::Unix(PathBuf::from("/tmp/ecq.sock")));
         assert_eq!(config.valid_to, u32::MAX);
+        assert_eq!(config.seed, None, "secret seed unless asked otherwise");
     }
 }

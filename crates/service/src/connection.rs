@@ -188,10 +188,18 @@ fn handshake(
 ) -> Result<(), Option<ErrorCode>> {
     let variant = variant_from_code(variant).ok_or(Some(ErrorCode::BadFrame))?;
     let config = StsConfig { now, variant };
-    // The responder RNG stream is derived exactly as
-    // `ecq_sts::establish` derives it from the session seed, which is
-    // what makes socket transcripts comparable to simulator runs.
-    let mut rng = HmacDrbg::new(seed, b"sts-responder");
+    // A daemon with a secret seed ignores the client's: a seed sent in
+    // clear would hand any observer the responder's ephemeral key. In
+    // deterministic mode the stream derives from the client's seed
+    // exactly as `ecq_sts::establish` derives it, which is what makes
+    // socket transcripts comparable to simulator runs.
+    let mut rng = match &shared.responder_rng {
+        Some(own) => {
+            let mut own = own.lock().map_err(|_| Some(ErrorCode::HandshakeFailed))?;
+            HmacDrbg::new(&own.bytes32(), b"sts-responder")
+        }
+        None => HmacDrbg::new(seed, b"sts-responder"),
+    };
     let mut responder = StsResponder::new(shared.responder.clone(), config, &mut rng);
     while !responder.is_established() {
         let message = match source.next(stream, shared) {

@@ -7,8 +7,10 @@ use crate::stream::ServiceStream;
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::revocation::RevocationList;
 use ecq_cert::DeviceId;
+use ecq_crypto::zeroize::wipe_bytes;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::Credentials;
+use std::io::Read;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -57,6 +59,10 @@ pub(crate) struct Shared {
     /// Serial + blinding RNG for issuance; the lock serializes draws so
     /// issuance order alone determines the certificate stream.
     pub issue_rng: Mutex<HmacDrbg>,
+    /// The stream every handshake's responder randomness is drawn
+    /// from. `None` in deterministic mode, where each handshake is
+    /// seeded by its client's `HsOpen` frame instead.
+    pub responder_rng: Option<Mutex<HmacDrbg>>,
     pub valid_from: u32,
     pub valid_to: u32,
     pub read_timeout: Duration,
@@ -102,15 +108,21 @@ pub struct ServiceDaemon {
 }
 
 impl ServiceDaemon {
-    /// Starts a daemon whose CA and responder credentials are derived
-    /// deterministically from `config.seed`.
+    /// Starts a daemon with a CA and responder credentials of its own.
+    /// By default they derive from 32 secret bytes read from
+    /// `/dev/urandom`, which also seed the daemon's issuance stream and
+    /// every handshake's responder randomness. With
+    /// [`ServiceConfig::seed`] they derive from that public seed
+    /// instead (deterministic mode).
     ///
     /// # Errors
     ///
-    /// [`ServiceError`] when provisioning fails or the listener cannot
-    /// bind.
+    /// [`ServiceError::Entropy`] when `/dev/urandom` cannot be read,
+    /// and [`ServiceError`] when provisioning fails or the listener
+    /// cannot bind.
     pub fn start(config: ServiceConfig) -> Result<Self, ServiceError> {
-        let mut rng = HmacDrbg::from_seed(config.seed);
+        let entropy = Entropy::for_config(&config)?;
+        let mut rng = entropy.keys();
         let ca = CertificateAuthority::new(DeviceId::from_label("service-ca"), &mut rng);
         let responder = Credentials::provision(
             &ca,
@@ -119,10 +131,13 @@ impl ServiceDaemon {
             config.valid_to,
             &mut rng,
         )?;
-        Self::start_with(config, ca, responder)
+        Self::launch(config, &entropy, ca, responder)
     }
 
-    /// Starts a daemon with injected CA and responder credentials.
+    /// Starts a daemon with injected CA and responder credentials. Its
+    /// issuance stream and responder randomness come from
+    /// `/dev/urandom`, or from [`ServiceConfig::seed`] in deterministic
+    /// mode, as in [`Self::start`].
     ///
     /// This is the hook the transcript-equivalence test uses: it builds
     /// the *same* CA and credentials a simulator run derives, so the
@@ -131,22 +146,30 @@ impl ServiceDaemon {
     ///
     /// # Errors
     ///
-    /// [`ServiceError`] when the listener cannot bind.
+    /// [`ServiceError::Entropy`] when `/dev/urandom` cannot be read,
+    /// and [`ServiceError`] when the listener cannot bind.
     pub fn start_with(
         config: ServiceConfig,
         ca: CertificateAuthority,
         responder: Credentials,
     ) -> Result<Self, ServiceError> {
-        // Issuance draws continue an independent stream personalized by
-        // the CA identity, so injected-credential daemons still issue.
-        let mut seed_rng = HmacDrbg::from_seed(config.seed);
-        let issue_rng = HmacDrbg::new(&seed_rng.bytes32(), b"service-issue");
+        let entropy = Entropy::for_config(&config)?;
+        Self::launch(config, &entropy, ca, responder)
+    }
+
+    fn launch(
+        config: ServiceConfig,
+        entropy: &Entropy,
+        ca: CertificateAuthority,
+        responder: Credentials,
+    ) -> Result<Self, ServiceError> {
         let (listener, addr) = bind(&config.bind)?;
         let shared = Arc::new(Shared {
             ca,
             responder,
             crl: Mutex::new(RevocationList::new()),
-            issue_rng: Mutex::new(issue_rng),
+            issue_rng: Mutex::new(entropy.issuance()),
+            responder_rng: entropy.responder().map(Mutex::new),
             valid_from: config.valid_from,
             valid_to: config.valid_to,
             read_timeout: config.read_timeout,
@@ -223,6 +246,61 @@ impl ServiceDaemon {
 impl Drop for ServiceDaemon {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Where a daemon's randomness comes from (see [`ServiceConfig::seed`]).
+enum Entropy {
+    /// Deterministic mode: everything derives from a public seed.
+    Seeded(u64),
+    /// 32 secret bytes from `/dev/urandom`, wiped on drop.
+    Secret([u8; 32]),
+}
+
+impl Entropy {
+    fn for_config(config: &ServiceConfig) -> Result<Self, ServiceError> {
+        if let Some(seed) = config.seed {
+            return Ok(Entropy::Seeded(seed));
+        }
+        let mut bytes = [0u8; 32];
+        std::fs::File::open("/dev/urandom")
+            .and_then(|mut urandom| urandom.read_exact(&mut bytes))
+            .map_err(|e| ServiceError::Entropy(e.kind()))?;
+        Ok(Entropy::Secret(bytes))
+    }
+
+    /// The stream the CA key and the responder credentials draw from.
+    fn keys(&self) -> HmacDrbg {
+        match self {
+            Entropy::Seeded(seed) => HmacDrbg::from_seed(*seed),
+            Entropy::Secret(bytes) => HmacDrbg::new(bytes, b"service-keys"),
+        }
+    }
+
+    /// The certificate serial and blinding stream.
+    fn issuance(&self) -> HmacDrbg {
+        match self {
+            Entropy::Seeded(seed) => {
+                HmacDrbg::new(&HmacDrbg::from_seed(*seed).bytes32(), b"service-issue")
+            }
+            Entropy::Secret(bytes) => HmacDrbg::new(bytes, b"service-issue"),
+        }
+    }
+
+    /// The daemon's own responder stream; none in deterministic mode.
+    fn responder(&self) -> Option<HmacDrbg> {
+        match self {
+            Entropy::Seeded(_) => None,
+            Entropy::Secret(bytes) => Some(HmacDrbg::new(bytes, b"service-responder")),
+        }
+    }
+}
+
+impl Drop for Entropy {
+    fn drop(&mut self) {
+        if let Entropy::Secret(bytes) = self {
+            wipe_bytes(bytes);
+        }
     }
 }
 

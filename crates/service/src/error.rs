@@ -27,6 +27,8 @@ pub enum ServiceError {
     MissingHello,
     /// The CRL signature did not verify against the CA public key.
     BadCrlSignature,
+    /// The daemon could not read its secret seed from `/dev/urandom`.
+    Entropy(std::io::ErrorKind),
 }
 
 impl core::fmt::Display for ServiceError {
@@ -47,6 +49,9 @@ impl core::fmt::Display for ServiceError {
             }
             ServiceError::BadCrlSignature => {
                 write!(f, "CRL signature does not verify against the CA key")
+            }
+            ServiceError::Entropy(kind) => {
+                write!(f, "cannot read a secret seed from /dev/urandom: {kind}")
             }
         }
     }

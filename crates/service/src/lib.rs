@@ -16,12 +16,15 @@
 //!   ([`ecq_proto::Frame::CrlRequest`] →
 //!   [`ecq_proto::Frame::CrlResponse`]).
 //!
-//! [`ServiceClient`] is the matching blocking client. Handshake RNG
-//! streams on both sides are derived from an explicit session seed
-//! (carried in [`ecq_proto::Frame::HsOpen`]) exactly the way
-//! `ecq_sts::establish` derives them, so a socket transcript is
-//! byte-identical to a simulator transcript of the same seed — the
-//! property the `transcript_equiv` test pins down.
+//! [`ServiceClient`] is the matching blocking client. A daemon's keys
+//! and its responder randomness derive from 32 bytes of
+//! `/dev/urandom`; the seed a client sends in
+//! [`ecq_proto::Frame::HsOpen`] is ignored. In the deterministic mode
+//! of [`ServiceConfig::seed`], for tests and benchmarks, the responder
+//! stream derives from that seed exactly the way `ecq_sts::establish`
+//! derives it, so a socket transcript is byte-identical to a simulator
+//! transcript of the same seeds — the property the `transcript_equiv`
+//! test pins down.
 //!
 //! Connections fail closed: every malformed frame, deadline overrun or
 //! daemon shutdown surfaces as a typed

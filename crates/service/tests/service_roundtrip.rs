@@ -34,6 +34,19 @@ fn hello_returns_the_ca_key() {
 }
 
 #[test]
+fn default_daemons_hold_keys_of_their_own() {
+    let a = ServiceDaemon::start(ServiceConfig::tcp("127.0.0.1:0")).unwrap();
+    let b = ServiceDaemon::start(ServiceConfig::tcp("127.0.0.1:0")).unwrap();
+    assert_ne!(
+        a.ca_public(),
+        b.ca_public(),
+        "without a seed, the CA key must not come from a public constant"
+    );
+    // Deterministic mode still reproduces its keys.
+    assert_eq!(start_tcp(31).ca_public(), start_tcp(31).ca_public());
+}
+
+#[test]
 fn enroll_then_handshake_agrees_end_to_end() {
     let mut daemon = start_tcp(12);
     let mut client = ServiceClient::connect_tcp(tcp_addr(&daemon)).unwrap();

@@ -1,18 +1,18 @@
-//! Socket transcripts are byte-identical to channel transcripts.
+//! Socket transcripts are byte-identical to in-memory transcripts.
 //!
-//! The socket path changes the transport, nothing else: for the same
-//! (credentials, config, seeds), every handshake message that crosses
-//! the loopback daemon must encode to exactly the bytes the same
-//! session produces over an in-memory [`ChannelTransport`]. This is
-//! the property that lets wall-clock service benchmarks stand in for
-//! simulator runs byte-for-byte.
+//! In deterministic mode ([`ServiceConfig::seed`]) the socket path
+//! changes the transport, nothing else: for the same (credentials,
+//! config, seeds), every handshake message that crosses the loopback
+//! daemon must encode to exactly the bytes [`run_handshake`] produces
+//! for the same session in memory. This is the property that lets
+//! wall-clock service benchmarks stand in for simulator runs
+//! byte-for-byte. A daemon in its default mode must *not* have it: the
+//! seed a client sends in clear may not fix the responder's secrets.
 
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{
-    ChannelTransport, Credentials, Endpoint, Message, Role, SessionKey, StepOutput, Transport,
-};
+use ecq_proto::{run_handshake, Credentials, Endpoint, Message, SessionKey};
 use ecq_service::{ServiceAddr, ServiceClient, ServiceConfig, ServiceDaemon};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 use proptest::prelude::*;
@@ -51,55 +51,37 @@ fn setup(seed: u64) -> Setup {
     }
 }
 
-/// The reference run: same endpoints, same seed-derived RNG streams,
-/// driven message-by-message over an in-memory channel transport.
-fn channel_transcript(setup: &Setup, config: StsConfig) -> (SessionKey, Vec<Message>) {
+/// The reference run: the same endpoints and seed-derived RNG streams,
+/// driven in memory by the run-to-completion driver. Returns the key
+/// and each message's step label and wire bytes.
+fn reference_transcript(
+    setup: &Setup,
+    config: StsConfig,
+) -> (SessionKey, Vec<(&'static str, Vec<u8>)>) {
     let mut rng_a = HmacDrbg::new(&setup.seed_a, b"sts-initiator");
     let mut rng_b = HmacDrbg::new(&setup.seed_b, b"sts-responder");
     let mut alice = StsInitiator::new(setup.initiator.clone(), config, &mut rng_a);
     let mut bob = StsResponder::new(setup.responder.clone(), config, &mut rng_b);
-    let mut link = ChannelTransport::new(0);
-    let mut messages = Vec::new();
-
-    let opening = match alice.step(None).unwrap() {
-        StepOutput::Send(message) => message,
-        other => panic!("initiator must open with a send, got {other:?}"),
-    };
-    messages.push(opening.clone());
-    link.send_frame(Role::Initiator, opening, 0).unwrap();
-
-    let mut receiver = Role::Responder;
-    for _ in 0..16 {
-        if alice.is_established() && bob.is_established() {
-            break;
-        }
-        let message = link
-            .recv_frame(receiver, 0, 0)
-            .unwrap()
-            .expect("message due");
-        let endpoint: &mut dyn Endpoint = match receiver {
-            Role::Initiator => &mut alice,
-            Role::Responder => &mut bob,
-        };
-        if let StepOutput::Send(reply) = endpoint.step(Some(&message)).unwrap() {
-            messages.push(reply.clone());
-            link.send_frame(receiver, reply, 0).unwrap();
-        }
-        receiver = receiver.peer();
-    }
-    assert!(alice.is_established() && bob.is_established());
-    let key = alice.session_key().unwrap();
-    assert_eq!(key, bob.session_key().unwrap());
-    (key, messages)
+    let outcome = run_handshake(&mut alice, &mut bob).unwrap();
+    assert_eq!(outcome.initiator_key, outcome.responder_key);
+    let wire = outcome
+        .transcript
+        .messages()
+        .iter()
+        .map(|m| (m.step, m.bytes.clone()))
+        .collect();
+    (outcome.initiator_key, wire)
 }
 
-fn socket_transcript(setup: &Setup, config: StsConfig) -> (SessionKey, Vec<Message>) {
-    let mut daemon = ServiceDaemon::start_with(
-        ServiceConfig::tcp("127.0.0.1:0"),
-        setup.ca.clone(),
-        setup.responder.clone(),
-    )
-    .unwrap();
+/// One handshake against a loopback daemon holding the setup's
+/// injected credentials.
+fn socket_transcript(
+    setup: &Setup,
+    config: StsConfig,
+    daemon: ServiceConfig,
+) -> (SessionKey, Vec<Message>) {
+    let mut daemon =
+        ServiceDaemon::start_with(daemon, setup.ca.clone(), setup.responder.clone()).unwrap();
     let addr = match daemon.addr() {
         ServiceAddr::Tcp(addr) => *addr,
         #[cfg(unix)]
@@ -122,28 +104,62 @@ fn socket_transcript(setup: &Setup, config: StsConfig) -> (SessionKey, Vec<Messa
 fn assert_byte_identical(seed: u64, variant: StsVariant, now: u32) {
     let setup = setup(seed);
     let config = StsConfig { now, variant };
-    let (channel_key, channel_messages) = channel_transcript(&setup, config);
-    let (socket_key, socket_messages) = socket_transcript(&setup, config);
+    let (reference_key, reference_messages) = reference_transcript(&setup, config);
+    let deterministic = ServiceConfig::tcp("127.0.0.1:0").seed(seed);
+    let (socket_key, socket_messages) = socket_transcript(&setup, config, deterministic);
 
-    assert_eq!(socket_key, channel_key, "session keys diverge");
+    assert_eq!(socket_key, reference_key, "session keys diverge");
     assert_eq!(
         socket_messages.len(),
-        channel_messages.len(),
+        reference_messages.len(),
         "message counts diverge"
     );
-    for (index, (socket, channel)) in socket_messages
+    for (index, (socket, (step, bytes))) in socket_messages
         .iter()
-        .zip(channel_messages.iter())
+        .zip(reference_messages.iter())
         .enumerate()
     {
-        assert_eq!(socket.step, channel.step, "step order diverges at {index}");
+        assert_eq!(socket.step, *step, "step order diverges at {index}");
         assert_eq!(
-            socket.encode(),
-            channel.encode(),
-            "message {index} ({}) bytes diverge",
-            channel.step
+            &socket.encode(),
+            bytes,
+            "message {index} ({step}) bytes diverge"
         );
     }
+}
+
+/// What a passive observer derives from the wire: the responder rebuilt
+/// from the `HsOpen` seed the client sent in clear and fed the client's
+/// A1 holds the key the daemon would hold had it honoured that seed.
+fn observer_key(setup: &Setup, config: StsConfig, a1: &Message) -> SessionKey {
+    let mut rng = HmacDrbg::new(&setup.seed_b, b"sts-responder");
+    let mut replay = StsResponder::new(setup.responder.clone(), config, &mut rng);
+    replay.step(Some(a1)).unwrap();
+    replay.core().derived_key().unwrap()
+}
+
+#[test]
+fn hs_open_seed_exposes_the_key_only_in_deterministic_mode() {
+    let setup = setup(77);
+    let config = StsConfig {
+        now: 5,
+        variant: StsVariant::Conventional,
+    };
+    let (key, messages) = socket_transcript(&setup, config, ServiceConfig::tcp("127.0.0.1:0"));
+    assert_eq!(messages[0].step, "A1");
+    assert_ne!(
+        observer_key(&setup, config, &messages[0]),
+        key,
+        "a default daemon must not derive its responder from the client's seed"
+    );
+
+    let deterministic = ServiceConfig::tcp("127.0.0.1:0").seed(77);
+    let (key, messages) = socket_transcript(&setup, config, deterministic);
+    assert_eq!(
+        observer_key(&setup, config, &messages[0]),
+        key,
+        "deterministic mode honours the seed, so an observer recomputes the key"
+    );
 }
 
 #[test]
@@ -155,8 +171,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// For ANY master seed, variant and clock, the loopback-socket
-    /// handshake transcript is byte-identical to the channel-transport
-    /// transcript of the same inputs, and both derive the same key.
+    /// handshake transcript of a deterministic-mode daemon is
+    /// byte-identical to the in-memory transcript of the same inputs,
+    /// and both derive the same key.
     #[test]
     fn socket_transcript_is_byte_identical_to_channel(
         seed in 0u64..1_000_000,

@@ -114,6 +114,21 @@ pub struct FaultCounters {
     pub messages_lost: u64,
 }
 
+impl std::ops::AddAssign for FaultCounters {
+    /// Sums another bus's counters into these, class by class.
+    fn add_assign(&mut self, other: Self) {
+        self.dropped += other.dropped;
+        self.corrupted += other.corrupted;
+        self.duplicated += other.duplicated;
+        self.held_back += other.held_back;
+        self.delayed += other.delayed;
+        self.replayed += other.replayed;
+        self.storm_frames += other.storm_frames;
+        self.isotp_errors += other.isotp_errors;
+        self.messages_lost += other.messages_lost;
+    }
+}
+
 /// Per-slot traffic totals: one session's share of the bus, read back
 /// into its fleet report line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
