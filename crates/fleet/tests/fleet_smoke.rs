@@ -3,6 +3,7 @@
 //! smaller sizes (the ISSUE-mandated ≥1000-device enrollment runs real
 //! ECQV cryptography for every device).
 
+use ecq_crypto::sha256::Sha256;
 use ecq_fleet::{FleetConfig, FleetCoordinator, SweepOptions, TransportKind};
 use proptest::prelude::*;
 use std::time::Instant;
@@ -93,6 +94,46 @@ fn smoke_sweep_matches_committed_baseline() {
     assert_eq!(
         digest,
         "18b3b0ca9f321921472b1ff2451507216f18daf7381f122aa2fc260fea1adb33"
+    );
+}
+
+/// The two oracles `perfbench` commits, rebuilt through the public API
+/// (16 devices, seed 0xF1EE7). The rekey oracle digests every
+/// session's key, in session order, after the first-contact sweep and
+/// two rekey epochs; the stream oracle is the streaming sweep's report
+/// digest. A change to the establishment path must keep both
+/// byte-identical.
+#[test]
+fn perfbench_oracles_are_reproduced() {
+    let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let config = FleetConfig::new().devices(16).seed(0xF1EE7);
+
+    let mut rekey = FleetCoordinator::new(config.validity(0, u32::MAX));
+    rekey.enroll_all().expect("enrollment succeeds");
+    rekey.handshake_sweep().expect("first contact succeeds");
+    rekey.run_epochs(2).expect("rekeys succeed");
+    let mut digest = Sha256::new();
+    for s in rekey.sessions() {
+        digest.update(s.last_key().expect("every session is keyed").as_bytes());
+    }
+    assert_eq!(
+        hex(&digest.finalize()),
+        "c7979a77e125002573062e1f6af004c46f0f543b63eeecb9d65157428da0c377"
+    );
+
+    let mut stream = FleetCoordinator::new(config);
+    stream
+        .streaming_sweep(
+            &SweepOptions::new()
+                .threads(2)
+                .transport(TransportKind::Simnet)
+                .max_inflight(1024),
+        )
+        .expect("sweep succeeds");
+    let key_digest = stream.report().key_digest.expect("the sweep digests");
+    assert_eq!(
+        hex(&key_digest),
+        "90d99c504715a97c812bc005947af4933f8669b6a1ae6ec64c799617b3c0b334"
     );
 }
 
