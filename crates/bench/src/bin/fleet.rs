@@ -4,7 +4,8 @@
 //! pair at message granularity over the simnet transport (handshakes
 //! interleaved on the virtual timeline, sharded across host threads),
 //! then reports host wall-clock and simulated throughput, plus the
-//! legacy atomic lifecycle and per-board sweeps.
+//! lifecycle (first contact, then rekey epochs, each a round of the
+//! same sweep engine) and per-board lifecycles.
 //!
 //! ```sh
 //! cargo run --release --bin fleet
@@ -487,8 +488,8 @@ fn full_run(args: &Args) -> ExitCode {
     );
     if args.mega {
         // The streaming tier never materializes the fleet, so the
-        // atomic-lifecycle and per-board comparisons below (which do)
-        // are out of scope for it.
+        // lifecycle and per-board comparisons below (which do) are out
+        // of scope for it.
         let peak = peak_rss_bytes();
         if peak > 0 {
             println!(
@@ -500,7 +501,7 @@ fn full_run(args: &Args) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Legacy atomic lifecycle (enroll + sweep + rekey epochs).
+    // The lifecycle: enrollment, a first-contact round, rekey epochs.
     let mut fleet = FleetCoordinator::new(config(args));
     let t = Instant::now();
     fleet.enroll_all().expect("enrollment");
@@ -513,7 +514,7 @@ fn full_run(args: &Args) -> ExitCode {
     let epoch_wall = t.elapsed();
 
     let r = fleet.report().clone();
-    println!("\nhost wall-clock, atomic lifecycle (real cryptography, all boards interleaved):");
+    println!("\nhost wall-clock, lifecycle (one sweep-engine round per epoch, all boards):");
     println!(
         "  enrollment : {:8.0} enroll/s  ({} devices in {:.2?}, {} batches)",
         r.enrolled as f64 / enroll_wall.as_secs_f64(),

@@ -10,9 +10,9 @@
 //! that makes it unreachable.
 //!
 //! **Roots.** The sweep drivers (`interleaved_sweep`, `run_sweep`,
-//! `run_worker`), every fn named `step` (the provided `Endpoint::step`
-//! message pump among them) and the service daemon's
-//! `handle_connection`. The cone is the transitive closure over the
+//! `run_worker`), the rekey path (`handshake_sweep`, `run_epochs`),
+//! every fn named `step` (the provided `Endpoint::step` message pump
+//! among them) and the service daemon's `handle_connection`. The cone is the transitive closure over the
 //! shared name-resolved call graph.
 //!
 //! **Finding classes** (anchored at the offending token, with the
@@ -58,6 +58,8 @@ pub const ROOT_FNS: &[&str] = &[
     "interleaved_sweep",
     "run_sweep",
     "run_worker",
+    "handshake_sweep",
+    "run_epochs",
     "step",
     "handle_connection",
 ];

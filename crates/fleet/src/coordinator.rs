@@ -1,11 +1,12 @@
 //! The fleet coordinator: batch enrollment, concurrent handshakes and
-//! policy-driven rekey epochs on a virtual timeline, through one
-//! establishment pipeline: one enrollment routine (`Enroller`), one
-//! pairing (`PairProducer`), one sweep engine (`interleave::run_sweep`)
-//! and one report fold (`sweep_and_fold`).
+//! rekey epochs on a virtual timeline, through one establishment
+//! pipeline: one enrollment routine (`Enroller`), one pairing
+//! (`PairProducer`), one sweep engine (`interleave::run_sweep`) and one
+//! report fold (`sweep_and_fold`). First contact and every rekey are
+//! rounds of that engine.
 
 use crate::device::SimDevice;
-use crate::interleave::{self, DeliveryRecord, Outcome, SessionWork, SweepOptions};
+use crate::interleave::{self, DeliveryRecord, Outcome, Pair, SessionWork, SweepOptions};
 use crate::pool::CaPool;
 use crate::report::FleetReport;
 use crate::scheduler::{micros_from_ms, VirtualTime};
@@ -14,19 +15,18 @@ use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, RevocationList};
 use ecq_crypto::sha256::Sha256;
 use ecq_crypto::HmacDrbg;
-use ecq_devices::{DevicePreset, DeviceProfile};
+use ecq_devices::DevicePreset;
 use ecq_proto::{Credentials, ProtocolError, SessionKey};
 use ecq_simnet::FrameRecord;
-use ecq_sts::{RekeyPolicy, SessionManager, StsConfig, StsVariant};
+use ecq_sts::{ReconstructionHint, RekeyPolicy, StsConfig};
 
 /// Parameters of a fleet run. Everything — device count, sharding,
-/// batching, validity, rekey policy — is explicit so a `(config, seed)`
-/// pair fully determines the run.
+/// batching, validity — is explicit so a `(config, seed)` pair fully
+/// determines the run.
 ///
 /// The struct is `#[non_exhaustive]`: build one with
 /// [`FleetConfig::new`] (or `default()`) and refine it with the
-/// builder methods, e.g.
-/// `FleetConfig::new().devices(64).seed(7).variant(StsVariant::OptimizationII)`.
+/// builder methods, e.g. `FleetConfig::new().devices(64).seed(7)`.
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct FleetConfig {
@@ -40,17 +40,13 @@ pub struct FleetConfig {
     pub valid_from: u32,
     /// Certificate validity end (deployment seconds).
     pub valid_to: u32,
-    /// Rekey policy every pair session runs under.
-    pub rekey: RekeyPolicy,
-    /// STS execution-schedule variant.
-    pub variant: StsVariant,
     /// Master seed; all shard, device and session DRBGs derive from it.
     pub seed: u64,
 }
 
 impl Default for FleetConfig {
     /// 1024 devices over 4 shards, 64-certificate batches, one-day
-    /// certificates, hourly/10k-message rekey.
+    /// certificates.
     fn default() -> Self {
         FleetConfig {
             devices: 1024,
@@ -58,8 +54,6 @@ impl Default for FleetConfig {
             enroll_batch: 64,
             valid_from: 0,
             valid_to: 86_400,
-            rekey: RekeyPolicy::default(),
-            variant: StsVariant::Conventional,
             seed: 0xF1EE7,
         }
     }
@@ -101,20 +95,6 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the rekey policy.
-    #[must_use]
-    pub fn rekey(mut self, rekey: RekeyPolicy) -> Self {
-        self.rekey = rekey;
-        self
-    }
-
-    /// Sets the STS execution-schedule variant.
-    #[must_use]
-    pub fn variant(mut self, variant: StsVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
     /// Sets the master seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -123,22 +103,26 @@ impl FleetConfig {
     }
 }
 
-/// One managed pair session between two enrolled devices of the same
-/// shard.
+/// One pair session between two enrolled devices of the same shard.
 pub struct PairSession {
     /// Roster index of the initiating device.
     pub a: usize,
     /// Roster index of the responding device.
     pub b: usize,
-    manager: SessionManager,
+    /// The session's own `fleet-pair` stream of endpoint pairs.
+    rng: HmacDrbg,
+    /// Eq. (1) for each side's peer, computed before the first rekey.
+    hints: Option<(ReconstructionHint, ReconstructionHint)>,
+    keyed: u64,
     last_key: Option<SessionKey>,
     failure: Option<FleetError>,
 }
 
 impl PairSession {
-    /// Completed handshakes of this session.
+    /// Completed handshakes of this session: its first contact and
+    /// every rekey, whichever sweep or epoch ran them.
     pub fn rekey_count(&self) -> u64 {
-        self.manager.rekey_count()
+        self.keyed
     }
 
     /// The most recent session key, once established.
@@ -158,7 +142,10 @@ impl PairSession {
     /// [`Self::failure`] and leaves any key the session already held.
     fn record_outcome(&mut self, outcome: Outcome) {
         match outcome {
-            Outcome::Keyed(key) => self.last_key = Some(key),
+            Outcome::Keyed(key) => {
+                self.last_key = Some(key);
+                self.keyed += 1;
+            }
             Outcome::Failed(e) => self.failure = Some(FleetError::Protocol(e)),
             Outcome::Denied => {
                 self.failure = Some(FleetError::Protocol(ProtocolError::Cert(
@@ -167,11 +154,59 @@ impl PairSession {
             }
         }
     }
+
+    /// This session's work in a round: the pair [`ecq_sts::endpoint_pair`]
+    /// draws from its stream, hinted when `hinted`. A participant that
+    /// is revoked, or cannot be checked for lack of a roster entry or
+    /// credentials, denies the session (fail closed).
+    fn work(
+        &mut self,
+        index: usize,
+        devices: &[SimDevice],
+        crl: &RevocationList,
+        config: StsConfig,
+        hinted: bool,
+    ) -> SessionWork {
+        let creds = |i: usize| {
+            let d = devices.get(i)?.credentials.as_deref()?;
+            (!crl.is_revoked(d.cert.serial)).then_some(d)
+        };
+        let pair = match (creds(self.a), creds(self.b)) {
+            (Some(a), Some(b)) => {
+                let (mut initiator, mut responder) =
+                    ecq_sts::endpoint_pair(a.clone(), b.clone(), config, &mut self.rng);
+                let hint = |cert, ca| ReconstructionHint::compute(cert, ca).ok();
+                if hinted && self.hints.is_none() {
+                    self.hints = hint(&b.cert, &a.ca_public).zip(hint(&a.cert, &b.ca_public));
+                }
+                // Without hints (a failed reconstruction) the handshake
+                // re-evaluates eq. (1) and fails closed in Algorithm 2.
+                if let (true, Some((for_a, for_b))) = (hinted, self.hints) {
+                    initiator = initiator.with_peer_hint(for_a);
+                    responder = responder.with_peer_hint(for_b);
+                }
+                Pair::Built(Box::new((initiator, responder)))
+            }
+            _ => Pair::Denied,
+        };
+        // A denied slot never transmits: a missing device's board is moot.
+        let preset = |i: usize| {
+            devices
+                .get(i)
+                .map_or(DevicePreset::RaspberryPi4, |d| d.preset)
+        };
+        SessionWork {
+            index,
+            preset_a: preset(self.a),
+            preset_b: preset(self.b),
+            pair,
+        }
+    }
 }
 
 /// Drives N simulated devices through the full paper lifecycle —
-/// sharded batch ECQV enrollment, concurrent STS establishment,
-/// policy-driven rekey epochs — on a virtual timeline.
+/// sharded batch ECQV enrollment, concurrent STS establishment, rekey
+/// epochs — on a virtual timeline.
 ///
 /// # Example
 ///
@@ -194,7 +229,6 @@ pub struct FleetCoordinator {
     sessions: Vec<PairSession>,
     /// Whether the one establishment sweep already ran.
     swept: bool,
-    gateway: DeviceProfile,
     crl: RevocationList,
     last_deliveries: Vec<DeliveryRecord>,
     last_frame_logs: Vec<(usize, Vec<FrameRecord>)>,
@@ -235,7 +269,6 @@ impl FleetCoordinator {
             session_rng: HmacDrbg::new(&master.bytes32(), b"fleet-sessions"),
             sessions: Vec::new(),
             swept: false,
-            gateway: DevicePreset::RaspberryPi4.profile(),
             crl: RevocationList::new(),
             last_deliveries: Vec::new(),
             last_frame_logs: Vec::new(),
@@ -271,11 +304,11 @@ impl FleetCoordinator {
         &self.report
     }
 
-    /// Virtual CA-side cost of issuing one certificate on the gateway:
-    /// the `k·G` blinding (keygen), the serial draw, and the two-block
-    /// certificate hash.
-    fn issue_cost_ms(&self) -> f64 {
-        let c = &self.gateway.costs;
+    /// Virtual CA-side cost of issuing one certificate on the gateway
+    /// (a Raspberry Pi 4): the `k·G` blinding (keygen), the serial
+    /// draw, and the two-block certificate hash.
+    fn issue_cost_ms() -> f64 {
+        let c = DevicePreset::RaspberryPi4.profile().costs;
         c.keygen_ms + c.rng32_ms + 2.0 * c.hash_block_ms
     }
 
@@ -285,21 +318,6 @@ impl FleetCoordinator {
     fn reconstruct_cost_ms(preset: DevicePreset) -> f64 {
         let c = preset.profile().costs;
         2.0 * c.keygen_ms + c.recon_ms
-    }
-
-    /// Virtual duration of one STS handshake between two presets: the
-    /// paper's Table I pair time for the configured variant, gated by
-    /// the slower board.
-    fn handshake_cost_ms(&self, a: DevicePreset, b: DevicePreset) -> f64 {
-        let kind = self.config.variant.kind();
-        a.paper_table1(kind).max(b.paper_table1(kind))
-    }
-
-    /// Deployment-clock seconds corresponding to a virtual timestamp.
-    fn deploy_secs(&self, at: VirtualTime) -> u32 {
-        self.config
-            .valid_from
-            .saturating_add((at / 1_000_000) as u32)
     }
 
     /// Roster indices of each shard's devices, in roster order.
@@ -324,7 +342,6 @@ impl FleetCoordinator {
     /// [`FleetError::Cert`] when issuance or reconstruction fails
     /// (impossible for well-formed rosters).
     pub fn enroll_all(&mut self) -> Result<(), FleetError> {
-        let per_cert_us = micros_from_ms(self.issue_cost_ms());
         let mut enroller = Enroller::new(
             self.shard_worklists(),
             self.config,
@@ -332,7 +349,6 @@ impl FleetCoordinator {
             &self.devices,
             &self.device_seeds,
             &mut self.shard_rngs,
-            per_cert_us,
         );
         let enrolled: Vec<Enrolled> = enroller.by_ref().collect();
         if let Some(e) = enroller.error {
@@ -353,7 +369,7 @@ impl FleetCoordinator {
     ///
     /// # Panics
     ///
-    /// Panics when an establishment sweep (atomic, interleaved or
+    /// Panics when an establishment sweep (handshake, interleaved or
     /// streaming) already ran: a second one would overwrite the first
     /// one's sessions and report.
     fn claim_sweep(&mut self) {
@@ -365,8 +381,8 @@ impl FleetCoordinator {
     }
 
     /// Pairs consecutive enrolled devices within each shard (see
-    /// [`PairProducer`]), creating one managed session per pair, and
-    /// returns the pairs' sweep work in session order.
+    /// [`PairProducer`]), creating one session per pair, and returns
+    /// the pairs' first-contact work in session order.
     ///
     /// # Panics
     ///
@@ -390,21 +406,13 @@ impl FleetCoordinator {
             });
         let pairs = PairProducer::new(enrolled, &mut self.session_rng, &self.crl, self.config);
         let mut work = Vec::new();
-        for (a, b, w) in pairs {
-            let manager = SessionManager::new(
-                w.creds_a.clone(),
-                w.creds_b.clone(),
-                self.config.rekey,
-                StsConfig {
-                    now: w.now,
-                    variant: w.variant,
-                },
-                HmacDrbg::new(&w.wire_seed, b"fleet-pair"),
-            );
+        for (a, b, wire_seed, w) in pairs {
             self.sessions.push(PairSession {
                 a,
                 b,
-                manager,
+                rng: HmacDrbg::new(&wire_seed, b"fleet-pair"),
+                hints: None,
+                keyed: 0,
                 last_key: None,
                 failure: None,
             });
@@ -414,33 +422,17 @@ impl FleetCoordinator {
         work
     }
 
-    /// Whether either participant of `session` holds a revoked
-    /// certificate. A participant whose revocation status cannot be
-    /// checked (missing roster entry or credentials — unreachable for
-    /// sessions built by [`Self::create_sessions`]) is treated as
-    /// revoked: the denial is the fail-closed outcome.
-    fn session_revoked(&self, session: usize) -> bool {
-        let revoked = |i: usize| match self.devices.get(i).and_then(|d| d.credentials.as_ref()) {
-            Some(c) => self.crl.is_revoked(c.cert.serial),
-            None => true,
-        };
-        match self.sessions.get(session) {
-            Some(s) => revoked(s.a) || revoked(s.b),
-            None => true,
-        }
-    }
-
-    /// Pairs devices like [`Self::handshake_sweep`] and establishes
-    /// every pair's first session at **message granularity**: each STS
-    /// wire message is delivered as its own scheduler event over the
-    /// configured transport, so handshakes on a shared bus interleave on
-    /// the virtual timeline, and bus groups shard across
-    /// [`SweepOptions::threads`] host workers (the report is
+    /// Pairs consecutive enrolled devices within each shard and
+    /// establishes every pair's first session at **message
+    /// granularity**: each STS wire message is delivered as its own
+    /// scheduler event over the configured transport, so handshakes on
+    /// a shared bus interleave on the virtual timeline, and bus groups
+    /// shard across [`SweepOptions::threads`] host workers (the report is
     /// bit-identical for any thread count and any
     /// [`SweepOptions::max_inflight`] — see [`crate::interleave`]).
     /// This is [`Self::streaming_sweep`]'s engine run over the enrolled
-    /// roster, plus recording each outcome on its [`PairSession`] and
-    /// the deliveries in [`Self::last_deliveries`].
+    /// roster as one [`Self::run_round`], which records each outcome on
+    /// its [`PairSession`] and keeps the round's diagnostic logs.
     ///
     /// Sessions whose participants are on the revocation list are
     /// denied ([`ecq_cert::CertError::Revoked`] recorded on the
@@ -461,23 +453,7 @@ impl FleetCoordinator {
     pub fn interleaved_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
         interleave::check_transport(opts.transport)?;
         let work = self.create_sessions();
-        let total = work.len();
-        let sessions = &mut self.sessions;
-        let deliveries = &mut self.last_deliveries;
-        let frame_logs = &mut self.last_frame_logs;
-        sweep_and_fold(
-            &mut self.report,
-            work.into_iter(),
-            total,
-            opts,
-            |index, outcome, log| {
-                deliveries.extend(log);
-                if let Some(session) = sessions.get_mut(index) {
-                    session.record_outcome(outcome);
-                }
-            },
-            |bus, frames| frame_logs.push((bus, frames)),
-        )
+        self.run_round(work, opts).first_contact(&mut self.report)
     }
 
     /// The bounded-memory establishment sweep for million-device
@@ -517,7 +493,6 @@ impl FleetCoordinator {
             self.report.enrolled == 0,
             "streaming_sweep enrolls the roster itself; do not call enroll_all first"
         );
-        let per_cert_us = micros_from_ms(self.issue_cost_ms());
         let worklists = self.shard_worklists();
         let total = worklists.iter().map(|l| l.len() / 2).sum();
         let enroller = Enroller::new(
@@ -527,17 +502,18 @@ impl FleetCoordinator {
             &self.devices,
             &self.device_seeds,
             &mut self.shard_rngs,
-            per_cert_us,
         );
         let mut pairs = PairProducer::new(enroller, &mut self.session_rng, &self.crl, self.config);
         let swept = sweep_and_fold(
             &mut self.report,
-            pairs.by_ref().map(|(_, _, work)| work),
+            &mut [],
+            pairs.by_ref().map(|(_, _, _, work)| work),
             total,
             opts,
-            |_, _, _| {},
+            |_| {},
             |_, _| {},
-        );
+        )
+        .first_contact(&mut self.report);
         self.report.sessions = pairs.next_index;
         let enroller = pairs.devices;
         self.report.enrolled = enroller.enrolled;
@@ -549,24 +525,22 @@ impl FleetCoordinator {
         }
     }
 
-    /// Every delivered message of the last [`Self::interleaved_sweep`],
-    /// session by session in session-index order and, within a session,
-    /// in delivery order (diagnostic: shows cross-session interleaving at
-    /// message granularity through the delivery times; not part of the
-    /// report, but the same for any thread count). Empty after the other
-    /// sweeps.
+    /// Every delivered message of the last [`Self::run_round`], session
+    /// by session in session-index order and, within a session, in
+    /// delivery order (diagnostic: shows cross-session interleaving
+    /// through the delivery times; not part of the report, but the same
+    /// for any thread count). Empty after [`Self::streaming_sweep`].
     pub fn last_deliveries(&self) -> &[DeliveryRecord] {
         &self.last_deliveries
     }
 
-    /// The per-bus frame-schedule logs of the last
-    /// [`Self::interleaved_sweep`] over a shared-bus transport, sorted by
-    /// bus id, one entry per bus that transmitted a frame. The frame
-    /// schedule is deterministic — it is pinned line-by-line by the
-    /// golden shared-bus fixture. Empty after a
-    /// [`TransportKind::Simnet`](crate::TransportKind::Simnet) sweep,
-    /// whose one-pair buses hand over no log, and after the other
-    /// sweeps: [`Self::streaming_sweep`] folds each bus's fault counters
+    /// The per-bus frame-schedule logs of the last [`Self::run_round`]
+    /// over a shared-bus transport, sorted by bus id, one entry per bus
+    /// that transmitted a frame. The frame schedule is deterministic —
+    /// it is pinned line-by-line by the golden shared-bus fixture. Empty
+    /// after a [`TransportKind::Simnet`](crate::TransportKind::Simnet)
+    /// round, whose one-pair buses hand over no log, and after
+    /// [`Self::streaming_sweep`], which folds each bus's fault counters
     /// into the report and drops its frames.
     pub fn last_frame_logs(&self) -> &[(usize, Vec<FrameRecord>)] {
         &self.last_frame_logs
@@ -594,21 +568,11 @@ impl FleetCoordinator {
         &mut self.crl
     }
 
-    /// Pairs consecutive enrolled devices within each shard and runs
-    /// every pair's first STS establishment concurrently: every
-    /// handshake starts at t = 0 and takes the paper's Table I time.
-    ///
-    /// Pairing stays intra-shard because the shards are independent
-    /// trust roots: a cross-shard handshake would (correctly) fail
-    /// authentication.
-    ///
-    /// Runs once per coordinator; subsequent re-establishments happen
-    /// through [`Self::run_epochs`], not by sweeping again.
-    ///
-    /// Sessions whose participants are on the revocation list are
-    /// denied like in [`Self::interleaved_sweep`]:
-    /// [`ecq_cert::CertError::Revoked`] is recorded on the session, no
-    /// key is derived, and [`FleetReport::denied_revoked`] counts it.
+    /// Pairs devices like [`Self::interleaved_sweep`] and runs every
+    /// pair's first contact as an unhinted [`Self::run_round`] at t = 0
+    /// under default [`SweepOptions`], denying revoked pairs. Unlike
+    /// that sweep, each pair comes from the session's own stream, the
+    /// one [`Self::run_epochs`] continues.
     ///
     /// # Errors
     ///
@@ -616,77 +580,78 @@ impl FleetCoordinator {
     ///
     /// # Panics
     ///
-    /// Panics when called after another establishment sweep (the pair
-    /// sessions already exist and a second sweep would double-count
-    /// them).
+    /// Panics when called after another establishment sweep.
     pub fn handshake_sweep(&mut self) -> Result<(), FleetError> {
         self.create_sessions();
-        let mut makespan: VirtualTime = 0;
-        for session in 0..self.sessions.len() {
-            makespan = makespan.max(self.tick(session, 0)?.1);
-        }
-        self.report.handshake_makespan_us = makespan;
-        Ok(())
+        let work = self.session_work(0, false);
+        self.run_round(work, &SweepOptions::default())
+            .first_contact(&mut self.report)
     }
 
-    /// Runs `epochs` policy-driven rekey rounds: every session gets a
-    /// tick each [`RekeyPolicy::max_age_secs`], in session order, and
-    /// the manager transparently re-establishes when the key has aged
-    /// out.
-    ///
-    /// Sessions with a revoked participant are denied instead of
-    /// rekeyed: the tick records [`ecq_cert::CertError::Revoked`] on
-    /// the session and counts into [`FleetReport::denied_revoked`],
-    /// while every other session proceeds — revoking one device never
-    /// stalls the fleet.
+    /// Runs `epochs` rekey epochs an hour of deployment time apart (the
+    /// default [`RekeyPolicy::max_age_secs`]): epoch `e` is a hinted
+    /// [`Self::run_round`] at `e` hours under default [`SweepOptions`],
+    /// denying revoked pairs while the rest of the fleet rekeys; its
+    /// keyed sessions count as [`FleetReport::rekeys`].
     ///
     /// # Errors
     ///
-    /// [`FleetError::Protocol`] when a rekey handshake fails (e.g. the
-    /// certificates expired before the last epoch).
+    /// The first failure of the first epoch that has one, e.g.
+    /// [`ecq_cert::CertError::Expired`] after the certificates' validity
+    /// ended. Every session of that epoch is attempted and records its
+    /// outcome (a failed one keeps its last good key); no later epoch
+    /// runs.
     pub fn run_epochs(&mut self, epochs: u32) -> Result<(), FleetError> {
-        let age_us = self.config.rekey.max_age_secs as VirtualTime * 1_000_000;
-        let mut end: VirtualTime = 0;
-        for epoch in 1..=epochs as VirtualTime {
-            let at = epoch * age_us;
-            for session in 0..self.sessions.len() {
-                let (handshook, done) = self.tick(session, at)?;
-                if handshook {
-                    self.report.rekeys += 1;
-                }
-                end = end.max(done);
+        let epoch_us = VirtualTime::from(RekeyPolicy::default().max_age_secs) * 1_000_000;
+        for epoch in 1..=VirtualTime::from(epochs) {
+            let at = epoch * epoch_us;
+            let handshakes = self.report.handshakes;
+            let work = self.session_work(at, true);
+            let round = self.run_round(work, &SweepOptions::default());
+            self.report.rekeys += (self.report.handshakes - handshakes) as u64;
+            self.report.key_digest = Some(round.digest);
+            self.report.epoch_end_us = at + round.makespan;
+            if let Some(e) = round.failure {
+                return Err(e);
             }
         }
-        self.report.epoch_end_us = end;
         Ok(())
     }
 
-    /// One session's tick at virtual time `at`, shared by
-    /// [`Self::handshake_sweep`] and [`Self::run_epochs`]. A session
-    /// with a revoked participant is denied: the denial is recorded
-    /// and counted. Any other session takes its manager's key for the
-    /// deployment clock at `at`, which re-establishes when the key has
-    /// aged out; a handshake is counted and costs the configured
-    /// variant's Table I pair time.
-    ///
-    /// Returns whether a handshake ran and when the tick's work ends.
-    fn tick(&mut self, session: usize, at: VirtualTime) -> Result<(bool, VirtualTime), FleetError> {
-        if self.session_revoked(session) {
-            self.sessions[session].record_outcome(Outcome::Denied);
-            self.report.count(&Outcome::Denied);
-            return Ok((false, at));
-        }
-        let now = self.deploy_secs(at);
-        let s = &mut self.sessions[session];
-        let before = s.manager.rekey_count();
-        let outcome = Outcome::Keyed(s.manager.key_for(now)?);
-        s.record_outcome(outcome);
-        if s.manager.rekey_count() == before {
-            return Ok((false, at));
-        }
-        self.report.count(&outcome);
-        let (pa, pb) = (self.devices[s.a].preset, self.devices[s.b].preset);
-        Ok((true, at + micros_from_ms(self.handshake_cost_ms(pa, pb))))
+    /// Every session's work for a round `at` µs into the run, at the
+    /// matching deployment second: see [`PairSession::work`].
+    fn session_work(&mut self, at: VirtualTime, hinted: bool) -> Vec<SessionWork> {
+        let config = StsConfig {
+            now: self
+                .config
+                .valid_from
+                .saturating_add((at / 1_000_000) as u32),
+            ..StsConfig::default()
+        };
+        let (devices, crl) = (&self.devices, &self.crl);
+        (0..)
+            .zip(&mut self.sessions)
+            .map(|(index, s)| s.work(index, devices, crl, config, hinted))
+            .collect()
+    }
+
+    /// One establishment round over every pair session: `work` runs
+    /// through the sweep engine and fold on a clock that starts at 0,
+    /// and its diagnostic logs replace the previous round's.
+    fn run_round(&mut self, work: Vec<SessionWork>, opts: &SweepOptions) -> Round {
+        let total = work.len();
+        let (deliveries, frame_logs) = (&mut self.last_deliveries, &mut self.last_frame_logs);
+        deliveries.clear();
+        frame_logs.clear();
+        sweep_and_fold(
+            &mut self.report,
+            &mut self.sessions,
+            work.into_iter(),
+            total,
+            opts,
+            |log| deliveries.extend(log),
+            |bus, frames| frame_logs.push((bus, frames)),
+        )
     }
 
     /// Convenience driver: enrollment, handshake sweep, then `epochs`
@@ -703,22 +668,42 @@ impl FleetCoordinator {
     }
 }
 
+/// What a round leaves besides the report's counters: the SHA-256 over
+/// every session's outcome in session-index order, the makespan on the
+/// round's own clock, and the first failure (a denial is not one).
+struct Round {
+    digest: [u8; 32],
+    makespan: VirtualTime,
+    failure: Option<FleetError>,
+}
+
+impl Round {
+    /// Records a first contact's digest and makespan on `report` and
+    /// returns its first failure.
+    fn first_contact(self, report: &mut FleetReport) -> Result<(), FleetError> {
+        report.key_digest = Some(self.digest);
+        report.handshake_makespan_us = self.makespan;
+        self.failure.map_or(Ok(()), Err)
+    }
+}
+
 /// The one establishment engine and report fold: runs `work` through
 /// [`interleave::run_sweep`] and folds every session result into
-/// `report` in session-index order — key digest, counters, makespan and
-/// every bus's fault counters — handing each session's outcome and
-/// deliveries to `record` and each non-empty bus frame log to
-/// `record_frames`. Returns the first failure; a revocation denial is
-/// not one.
+/// `report` in session-index order — counters, traffic and every bus's
+/// fault counters — recording each outcome on its session in
+/// `sessions` (none for a streaming sweep), each session's deliveries
+/// with `record` and each non-empty bus frame log with `record_frames`.
 fn sweep_and_fold(
     report: &mut FleetReport,
+    sessions: &mut [PairSession],
     work: impl Iterator<Item = SessionWork>,
     total: usize,
     opts: &SweepOptions,
-    mut record: impl FnMut(usize, Outcome, Vec<DeliveryRecord>),
+    mut record: impl FnMut(Vec<DeliveryRecord>),
     mut record_frames: impl FnMut(usize, Vec<FrameRecord>),
-) -> Result<(), FleetError> {
+) -> Round {
     let mut digest = Sha256::new();
+    let mut makespan: VirtualTime = 0;
     let mut first_failure: Option<FleetError> = None;
     interleave::run_sweep(work, total, opts, |first, results, trace| {
         for (index, result) in (first..).zip(results) {
@@ -736,19 +721,25 @@ fn sweep_and_fold(
                     digest.update(err.to_string().as_bytes());
                 }
             }
-            report.handshake_makespan_us = report.handshake_makespan_us.max(result.end_us);
+            makespan = makespan.max(result.end_us);
             report.messages += result.messages;
             report.wire_bytes += result.wire_bytes;
             report.can_frames += result.frames;
-            record(index, result.outcome, result.deliveries);
+            if let Some(session) = sessions.get_mut(index) {
+                session.record_outcome(result.outcome);
+            }
+            record(result.deliveries);
         }
         report.faults += trace.counters;
         if !trace.frames.is_empty() {
             record_frames(trace.bus, trace.frames);
         }
     });
-    report.key_digest = Some(digest.finalize());
-    first_failure.map_or(Ok(()), Err)
+    Round {
+        digest: digest.finalize(),
+        makespan,
+        failure: first_failure,
+    }
 }
 
 /// A device whose enrollment completed, on its way into a pair.
@@ -801,7 +792,6 @@ impl<'a> Enroller<'a> {
         devices: &'a [SimDevice],
         device_seeds: &'a [[u8; 32]],
         shard_rngs: &'a mut [HmacDrbg],
-        per_cert_us: VirtualTime,
     ) -> Self {
         Enroller {
             config,
@@ -813,7 +803,7 @@ impl<'a> Enroller<'a> {
             shard: 0,
             cursor: 0,
             shard_time: 0,
-            per_cert_us,
+            per_cert_us: micros_from_ms(FleetCoordinator::issue_cost_ms()),
             batch: Vec::new().into_iter(),
             enrolled: 0,
             batches: 0,
@@ -915,7 +905,7 @@ impl Iterator for Enroller<'_> {
 /// `devices` yields shard by shard, roster order within a shard — the
 /// enrolled roster for the materialized sweeps, an [`Enroller`] for the
 /// streaming one — and a shard's odd last device stays unpaired. Items
-/// are `(a, b, work)` with the pair's roster indices.
+/// are `(a, b, wire_seed, work)` with the pair's roster indices.
 struct PairProducer<'a, I> {
     devices: I,
     /// The device waiting for its partner.
@@ -946,7 +936,7 @@ impl<'a, I> PairProducer<'a, I> {
 }
 
 impl<I: Iterator<Item = Enrolled>> Iterator for PairProducer<'_, I> {
-    type Item = (usize, usize, SessionWork);
+    type Item = (usize, usize, [u8; 32], SessionWork);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -957,19 +947,24 @@ impl<I: Iterator<Item = Enrolled>> Iterator for PairProducer<'_, I> {
             };
             let index = self.next_index;
             self.next_index += 1;
+            let wire_seed = self.session_rng.bytes32();
+            let denied = self.crl.is_revoked(a.creds.cert.serial)
+                || self.crl.is_revoked(b.creds.cert.serial);
             let work = SessionWork {
                 index,
-                wire_seed: self.session_rng.bytes32(),
-                denied: self.crl.is_revoked(a.creds.cert.serial)
-                    || self.crl.is_revoked(b.creds.cert.serial),
-                creds_a: a.creds,
-                creds_b: b.creds,
                 preset_a: a.preset,
                 preset_b: b.preset,
-                now: self.config.valid_from,
-                variant: self.config.variant,
+                pair: if denied {
+                    Pair::Denied
+                } else {
+                    let config = StsConfig {
+                        now: self.config.valid_from,
+                        ..StsConfig::default()
+                    };
+                    Pair::Seeded(Box::new([a.creds, b.creds]), wire_seed, config)
+                },
             };
-            return Some((a.index, b.index, work));
+            return Some((a.index, b.index, wire_seed, work));
         }
     }
 }

@@ -2,10 +2,9 @@
 //! scheduler event, device populations shard across host threads, and
 //! every session rides a slot of its event loop's one CAN-FD bus.
 //!
-//! The atomic sweep ([`crate::FleetCoordinator::handshake_sweep`])
-//! completes a whole handshake in one call — nothing can interleave.
-//! This module decomposes each STS establishment into its four wire
-//! messages (`A1 B1 A2 B2`): an endpoint's
+//! This engine runs every establishment of the fleet, first contact and
+//! rekey epoch alike, and decomposes each STS establishment into its
+//! four wire messages (`A1 B1 A2 B2`): an endpoint's
 //! [`ecq_proto::Endpoint::step`] runs when its message *arrives*, its
 //! compute time is integrated from the primitive-operation trace it
 //! recorded during that step (against the board's `ecq_devices` cost
@@ -42,9 +41,8 @@
 //!    splitmix64 hash of `(fault seed, bus id, sequence number)` (see
 //!    [`ecq_simnet::fault`]), never a draw from mutable RNG state.
 //!
-//! Session state (credentials, RNG seeds) is prepared serially and
-//! *moved* into the workers, so the timed sweep region clones no
-//! certificates or keys.
+//! Session state ([`Pair`]) is prepared serially and *moved* into the
+//! workers, so no worker clones a certificate or a key.
 //!
 //! # How a session ends
 //!
@@ -67,7 +65,7 @@ use ecq_proto::{
     Credentials, Endpoint, Message, OpTrace, ProtocolError, Role, SessionKey, StepOutput,
 };
 use ecq_simnet::{ms_to_ns, FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
-use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
+use ecq_sts::{StsConfig, StsInitiator, StsResponder};
 
 use crate::FleetError;
 
@@ -244,17 +242,22 @@ pub struct DeliveryRecord {
 /// the coordinator so RNG streams derive in session-index order.
 pub(crate) struct SessionWork {
     pub index: usize,
-    pub creds_a: Credentials,
-    pub creds_b: Credentials,
     pub preset_a: DevicePreset,
     pub preset_b: DevicePreset,
-    /// Per-pair seed for the wire endpoints' DRBG streams.
-    pub wire_seed: [u8; 32],
-    pub now: u32,
-    pub variant: StsVariant,
-    /// Pre-checked against the coordinator's revocation list: a denied
-    /// session never starts its handshake.
-    pub denied: bool,
+    pub pair: Pair,
+}
+
+/// How a worker gets a session's STS endpoint pair.
+pub(crate) enum Pair {
+    /// First contact: `(credentials [initiator, responder], wire seed,
+    /// config)`. The worker draws the pair from the seed's
+    /// `fleet-pair-wire` stream, off the producer thread, which may be
+    /// enrolling.
+    Seeded(Box<[Credentials; 2]>, [u8; 32], StsConfig),
+    /// A pair the coordinator built from the session's own stream.
+    Built(Box<(StsInitiator, StsResponder)>),
+    /// Denied by the coordinator's revocation-list pre-check: never run.
+    Denied,
 }
 
 /// How a session ended. The fold digests and counts exactly this.
@@ -469,10 +472,18 @@ pub(crate) fn run_worker(
                 ms_to_ns(w.preset_b.profile().costs.hash_block_ms),
             ],
         );
-        if w.denied {
-            slots.push(Slot::Denied);
-            continue;
-        }
+        let (initiator, responder) = match w.pair {
+            Pair::Denied => {
+                slots.push(Slot::Denied);
+                continue;
+            }
+            Pair::Seeded(creds, wire_seed, config) => {
+                let [creds_a, creds_b] = *creds;
+                let mut rng = HmacDrbg::new(&wire_seed, b"fleet-pair-wire");
+                ecq_sts::endpoint_pair(creds_a, creds_b, config, &mut rng)
+            }
+            Pair::Built(pair) => *pair,
+        };
         let lane = w.index as u64;
         scheduler.schedule(0, lane, Event::Kickoff { slot });
         if opts.poison == Some(w.index) {
@@ -481,13 +492,6 @@ pub(crate) fn run_worker(
             slots.push(Slot::Lost);
             continue;
         }
-        // Both roles' DRBG streams derive from the pair's wire seed.
-        let mut rng = HmacDrbg::new(&w.wire_seed, b"fleet-pair-wire");
-        let config = StsConfig {
-            now: w.now,
-            variant: w.variant,
-        };
-        let (initiator, responder) = ecq_sts::endpoint_pair(w.creds_a, w.creds_b, config, &mut rng);
         slots.push(Slot::Live(Box::new(Live {
             index: w.index,
             initiator,
@@ -843,14 +847,19 @@ mod tests {
                 wire_seed[0] = p as u8;
                 SessionWork {
                     index: p,
-                    creds_a: creds.next().expect("one credential per endpoint"),
-                    creds_b: creds.next().expect("one credential per endpoint"),
                     preset_a: DevicePreset::S32K144,
                     preset_b: DevicePreset::S32K144,
-                    wire_seed,
-                    now: 1,
-                    variant: StsVariant::Conventional,
-                    denied: false,
+                    pair: Pair::Seeded(
+                        Box::new([
+                            creds.next().expect("one credential per endpoint"),
+                            creds.next().expect("one credential per endpoint"),
+                        ]),
+                        wire_seed,
+                        StsConfig {
+                            now: 1,
+                            ..StsConfig::default()
+                        },
+                    ),
                 }
             })
             .collect()
@@ -871,7 +880,7 @@ mod tests {
     #[test]
     fn poisoned_session_fails_closed_while_siblings_complete() {
         let mut work = session_work(4);
-        work[3].denied = true;
+        work[3].pair = Pair::Denied;
         let (results, _trace) = run_worker(0, work, shared_bus(4).poison(1), 4);
         assert_eq!(results.len(), 4);
         assert_eq!(results[1].outcome, Outcome::Failed(ProtocolError::Poisoned));

@@ -13,11 +13,11 @@
 //!   lifecycle: batch ECQV enrollment
 //!   ([`ecq_cert::ca::CertificateAuthority::issue_batch`], one shared
 //!   field inversion per batch), concurrent STS establishment, and
-//!   policy-driven rekey epochs via [`ecq_sts::SessionManager`]. Every
-//!   establishment path shares one pipeline: one enrollment routine,
-//!   one pairing, one sweep engine ([`interleave`]) and one in-order
-//!   report fold; the materialized and streaming sweeps differ only in
-//!   whether the roster is enrolled up front and sessions are kept,
+//!   hourly rekey epochs (the paper's dynamic sessions). Every
+//!   establishment shares one pipeline: one enrollment routine, one
+//!   pairing, one sweep engine ([`interleave`]) and one in-order report
+//!   fold. The sweeps differ only in whether the roster is enrolled up
+//!   front and sessions are kept; a rekey epoch is one more round,
 //! * [`VirtualTime`] — every duration comes from the `ecq_devices` cost
 //!   models and no wall-clock time is ever read, so a `(config, seed)`
 //!   pair reproduces a run bit-for-bit,
@@ -93,11 +93,5 @@ impl std::error::Error for FleetError {}
 impl From<ecq_cert::CertError> for FleetError {
     fn from(e: ecq_cert::CertError) -> Self {
         FleetError::Cert(e)
-    }
-}
-
-impl From<ecq_proto::ProtocolError> for FleetError {
-    fn from(e: ecq_proto::ProtocolError) -> Self {
-        FleetError::Protocol(e)
     }
 }

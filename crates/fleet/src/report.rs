@@ -8,9 +8,9 @@ use std::collections::BTreeMap;
 
 /// Counters and simulated-time totals for one fleet lifecycle.
 ///
-/// All times are *virtual*: they come from the `ecq_devices` cost
-/// models integrated by the event scheduler, not from the host clock,
-/// so two runs with the same seed produce the same report. Wall-clock
+/// Counters sum over first contact and every rekey epoch. All times
+/// are *virtual*, integrated from the `ecq_devices` cost models by the
+/// sweep engine, so two runs with the same seed agree. Wall-clock
 /// throughput of the host is measured separately by the `fleet` bench
 /// binary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -26,23 +26,23 @@ pub struct FleetReport {
     /// Virtual makespan of the enrollment phase in microseconds
     /// (shards work concurrently; this is the slowest shard's total).
     pub enroll_makespan_us: VirtualTime,
-    /// Pair sessions created by the handshake sweep.
+    /// Pair sessions created by the first-contact sweep.
     pub sessions: usize,
     /// Completed STS handshakes (initial establishments + rekeys).
     pub handshakes: usize,
     /// Rekeys beyond each session's initial establishment.
     pub rekeys: u64,
-    /// Virtual makespan of the initial handshake sweep in microseconds
-    /// (pairs run concurrently).
+    /// Virtual makespan of the first-contact sweep in microseconds, as
+    /// the sweep engine simulated it (pairs run concurrently).
     pub handshake_makespan_us: VirtualTime,
-    /// Virtual time at the end of the rekey-epoch phase, microseconds.
+    /// Virtual end of the last rekey epoch (its start plus makespan), µs.
     pub epoch_end_us: VirtualTime,
-    /// Wire messages delivered as individual scheduler events by the
-    /// interleaved sweep.
+    /// Wire messages delivered as individual scheduler events, first
+    /// contacts and rekeys alike.
     pub messages: u64,
     /// Handshake payload bytes those messages carried.
     pub wire_bytes: u64,
-    /// Link-layer CAN-FD frames moved.
+    /// Link-layer CAN-FD frames moved, first contacts and rekeys alike.
     pub can_frames: u64,
     /// Handshakes denied because a participant's certificate was on the
     /// coordinator's revocation list.
@@ -61,8 +61,8 @@ pub struct FleetReport {
     /// counts messages a deadline cut off in flight.
     pub faults: ecq_simnet::FaultCounters,
     /// SHA-256 over every session's outcome (key bytes or failure
-    /// marker) in session-index order — the cheap cross-run and
-    /// cross-thread-count determinism witness.
+    /// marker) of the latest round, in session-index order — the cheap
+    /// cross-run and cross-thread-count determinism witness.
     pub key_digest: Option<[u8; 32]>,
     /// Enrolled devices per evaluation board.
     pub per_preset: BTreeMap<DevicePreset, usize>,

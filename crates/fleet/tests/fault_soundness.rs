@@ -8,20 +8,12 @@ use ecq_devices::DevicePreset;
 use ecq_fleet::{FleetConfig, FleetCoordinator, FleetError, SweepOptions, TransportKind};
 use ecq_proto::ProtocolError;
 use ecq_simnet::FaultSpec;
-use ecq_sts::StsVariant;
 use proptest::prelude::*;
-
-const VARIANTS: [StsVariant; 3] = [
-    StsVariant::Conventional,
-    StsVariant::OptimizationI,
-    StsVariant::OptimizationII,
-];
 
 fn run_faulted(
     devices: usize,
     seed: u64,
     preset: DevicePreset,
-    variant: StsVariant,
     faults: FaultSpec,
     threads: usize,
 ) -> FleetCoordinator {
@@ -30,8 +22,7 @@ fn run_faulted(
             .devices(devices)
             .ca_shards(1)
             .enroll_batch(devices)
-            .seed(seed)
-            .variant(variant),
+            .seed(seed),
     );
     fleet.set_preset_all(preset);
     fleet.enroll_all().expect("enrollment is fault-free");
@@ -80,7 +71,6 @@ proptest! {
         delay in 0u16..=120,
         skew in 0u32..=80_000,
         preset_ix in 0usize..4,
-        variant_ix in 0usize..3,
     ) {
         let faults = FaultSpec {
             seed: fault_seed,
@@ -95,9 +85,8 @@ proptest! {
             ..FaultSpec::none()
         };
         let preset = DevicePreset::ALL[preset_ix];
-        let variant = VARIANTS[variant_ix];
-        let fleet = run_faulted(8, fleet_seed, preset, variant, faults, 1);
-        assert_sound(&fleet, &format!("{preset:?}/{variant:?}"));
+        let fleet = run_faulted(8, fleet_seed, preset, faults, 1);
+        assert_sound(&fleet, &format!("{preset:?}"));
         // Every loss the engine recorded is visible in the report, and
         // timeouts only occur when something was actually injected.
         let r = fleet.report();
@@ -125,16 +114,9 @@ fn faulted_shared_bus_report_is_thread_count_invariant() {
         ..FaultSpec::none()
     };
     let run = |threads: usize| {
-        run_faulted(
-            32,
-            0xD0_0D,
-            DevicePreset::S32K144,
-            StsVariant::Conventional,
-            faults,
-            threads,
-        )
-        .report()
-        .clone()
+        run_faulted(32, 0xD0_0D, DevicePreset::S32K144, faults, threads)
+            .report()
+            .clone()
     };
     let one = run(1);
     let two = run(2);
@@ -151,30 +133,29 @@ fn faulted_shared_bus_report_is_thread_count_invariant() {
     );
 }
 
-/// Fixed-seed fault matrix across all 4 presets × 3 STS variants —
-/// the release-mode fuzz pass of the CI `scenario` job
+/// Fixed-seed fault matrix across all 4 presets, 12 fault schedules
+/// each — the release-mode fuzz pass of the CI `scenario` job
 /// (`verify.sh scenario` runs it with `--ignored`).
 #[test]
 #[ignore = "heavy: release-mode fuzz pass, run via verify.sh scenario"]
 fn fixed_seed_matrix_all_presets_and_variants() {
     for (pi, preset) in DevicePreset::ALL.into_iter().enumerate() {
-        for (vi, variant) in VARIANTS.into_iter().enumerate() {
-            for round in 0u64..4 {
-                let faults = FaultSpec {
-                    seed: 0xC0FFEE ^ (round << 8) ^ ((pi as u64) << 4) ^ vi as u64,
-                    drop_per_mille: 60,
-                    corrupt_per_mille: 50,
-                    duplicate_per_mille: 40,
-                    reorder_per_mille: 40,
-                    delay_per_mille: 40,
-                    delay_ns: 2_000_000,
-                    skew_ppm: [0, 25_000],
-                    deadline_us: 60_000_000,
-                    ..FaultSpec::none()
-                };
-                let fleet = run_faulted(8, 0xBEEF ^ round, preset, variant, faults, 2);
-                assert_sound(&fleet, &format!("{preset:?}/{variant:?}/round{round}"));
-            }
+        for schedule in 0u64..12 {
+            let (round, vi) = (schedule / 3, schedule % 3);
+            let faults = FaultSpec {
+                seed: 0xC0FFEE ^ (round << 8) ^ ((pi as u64) << 4) ^ vi,
+                drop_per_mille: 60,
+                corrupt_per_mille: 50,
+                duplicate_per_mille: 40,
+                reorder_per_mille: 40,
+                delay_per_mille: 40,
+                delay_ns: 2_000_000,
+                skew_ppm: [0, 25_000],
+                deadline_us: 60_000_000,
+                ..FaultSpec::none()
+            };
+            let fleet = run_faulted(8, 0xBEEF ^ round, preset, faults, 2);
+            assert_sound(&fleet, &format!("{preset:?}/schedule{schedule}"));
         }
     }
 }

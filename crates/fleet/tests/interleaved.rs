@@ -236,14 +236,14 @@ fn atomic_sweep_denies_a_revoked_pair_like_the_interleaved_sweep() {
         assert!(fleet.revoke_device(0));
         fleet
     };
-    let mut atomic = revoked_fleet();
-    atomic.handshake_sweep().unwrap();
+    let mut handshake = revoked_fleet();
+    handshake.handshake_sweep().unwrap();
     let mut interleaved = revoked_fleet();
     interleaved
         .interleaved_sweep(&SweepOptions::default())
         .unwrap();
 
-    let session = atomic
+    let session = handshake
         .sessions()
         .iter()
         .find(|s| s.a == 0 || s.b == 0)
@@ -256,7 +256,7 @@ fn atomic_sweep_denies_a_revoked_pair_like_the_interleaved_sweep() {
     );
     assert!(session.last_key().is_none());
 
-    let (a, i) = (atomic.report(), interleaved.report());
+    let (a, i) = (handshake.report(), interleaved.report());
     assert_eq!(a.denied_revoked, 1);
     assert_eq!(a.handshakes, a.sessions - 1);
     assert_eq!(
@@ -285,18 +285,68 @@ fn mid_run_revocation_fails_subsequent_handshakes_only() {
     // The sweep key it already held survives (forward secrecy protects
     // the past; revocation stops the future)…
     assert!(revoked[0].last_key().is_some());
-    // …but its rekey handshakes were denied: no manager establishment.
-    assert_eq!(revoked[0].rekey_count(), 0);
+    // …but its rekey handshakes were denied: the sweep's key is its
+    // one establishment.
+    assert_eq!(revoked[0].rekey_count(), 1);
     assert_eq!(
         *revoked[0].failure().unwrap(),
         FleetError::Protocol(ProtocolError::Cert(CertError::Revoked))
     );
     // One denial per epoch tick.
     assert_eq!(fleet.report().denied_revoked, 2);
-    // The rest of the fleet kept rekeying.
+    // The rest of the fleet kept rekeying: the sweep plus two epochs.
     for s in fleet.sessions().iter().filter(|s| !(s.a == 1 || s.b == 1)) {
-        assert!(s.rekey_count() >= 1, "unrevoked sessions must proceed");
+        assert_eq!(s.rekey_count(), 3, "unrevoked sessions must proceed");
         assert!(s.failure().is_none());
+    }
+}
+
+#[test]
+fn rekey_epochs_ride_the_bus() {
+    let mut fleet = FleetCoordinator::new(config(24, 0x5E55));
+    fleet.enroll_all().unwrap();
+    fleet.handshake_sweep().unwrap();
+    let first_contact = fleet.report().clone();
+    fleet.run_epochs(2).unwrap();
+    let r = fleet.report();
+    let sessions = r.sessions as u64;
+    assert_eq!(r.rekeys, 2 * sessions);
+    assert_eq!(r.handshakes as u64, 3 * sessions);
+    // Every handshake, first contact and rekey alike, moves its four
+    // STS messages (491 B, Table II) in 10 CAN-FD frames.
+    let handshakes = r.handshakes as u64;
+    assert_eq!(r.messages, 4 * handshakes);
+    assert_eq!(r.wire_bytes, 491 * handshakes);
+    assert_eq!(r.can_frames, 10 * handshakes);
+    // The epochs run on the deployment clock after the sweep, which
+    // keeps its own makespan.
+    assert_eq!(r.handshake_makespan_us, first_contact.handshake_makespan_us);
+    assert!(r.epoch_end_us > 2 * 3_600_000_000);
+}
+
+#[test]
+fn expiry_fails_every_session_of_its_epoch() {
+    // The certificates expire between the first epoch (3600 s) and the
+    // second (7200 s).
+    let lifecycle = |epochs| {
+        let mut fleet = FleetCoordinator::new(config(24, 0xE4B1).validity(0, 5_000));
+        fleet.enroll_all().unwrap();
+        fleet.handshake_sweep().unwrap();
+        let outcome = fleet.run_epochs(epochs);
+        (fleet, outcome)
+    };
+    let (one, outcome) = lifecycle(1);
+    assert_eq!(outcome, Ok(()));
+    let (two, outcome) = lifecycle(2);
+    let expired = FleetError::Protocol(ProtocolError::Cert(CertError::Expired));
+    assert_eq!(outcome, Err(expired));
+    let r = two.report();
+    assert!(r.sessions > 1);
+    assert_eq!(r.rekeys, r.sessions as u64, "only the first epoch rekeyed");
+    for (s, good) in two.sessions().iter().zip(one.sessions()) {
+        assert_eq!(s.failure(), Some(&expired), "every session was attempted");
+        assert_eq!(s.last_key(), good.last_key(), "and keeps its last good key");
+        assert_eq!(s.rekey_count(), 2);
     }
 }
 
