@@ -431,7 +431,7 @@ impl FleetCoordinator {
     /// bit-identical for any thread count and any
     /// [`SweepOptions::max_inflight`] — see [`crate::interleave`]).
     /// This is [`Self::streaming_sweep`]'s engine run over the enrolled
-    /// roster as one [`Self::run_round`], which records each outcome on
+    /// roster as one establishment round, which records each outcome on
     /// its [`PairSession`] and keeps the round's diagnostic logs.
     ///
     /// Sessions whose participants are on the revocation list are
@@ -525,7 +525,7 @@ impl FleetCoordinator {
         }
     }
 
-    /// Every delivered message of the last [`Self::run_round`], session
+    /// Every delivered message of the last establishment round, session
     /// by session in session-index order and, within a session, in
     /// delivery order (diagnostic: shows cross-session interleaving
     /// through the delivery times; not part of the report, but the same
@@ -534,7 +534,7 @@ impl FleetCoordinator {
         &self.last_deliveries
     }
 
-    /// The per-bus frame-schedule logs of the last [`Self::run_round`]
+    /// The per-bus frame-schedule logs of the last establishment round
     /// over a shared-bus transport, sorted by bus id, one entry per bus
     /// that transmitted a frame. The frame schedule is deterministic —
     /// it is pinned line-by-line by the golden shared-bus fixture. Empty
@@ -569,7 +569,7 @@ impl FleetCoordinator {
     }
 
     /// Pairs devices like [`Self::interleaved_sweep`] and runs every
-    /// pair's first contact as an unhinted [`Self::run_round`] at t = 0
+    /// pair's first contact as an unhinted establishment round at t = 0
     /// under default [`SweepOptions`], denying revoked pairs. Unlike
     /// that sweep, each pair comes from the session's own stream, the
     /// one [`Self::run_epochs`] continues.
@@ -590,7 +590,7 @@ impl FleetCoordinator {
 
     /// Runs `epochs` rekey epochs an hour of deployment time apart (the
     /// default [`RekeyPolicy::max_age_secs`]): epoch `e` is a hinted
-    /// [`Self::run_round`] at `e` hours under default [`SweepOptions`],
+    /// establishment round at `e` hours under default [`SweepOptions`],
     /// denying revoked pairs while the rest of the fleet rekeys; its
     /// keyed sessions count as [`FleetReport::rekeys`].
     ///

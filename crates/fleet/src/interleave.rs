@@ -41,8 +41,8 @@
 //!    splitmix64 hash of `(fault seed, bus id, sequence number)` (see
 //!    [`ecq_simnet::fault`]), never a draw from mutable RNG state.
 //!
-//! Session state ([`Pair`]) is prepared serially and *moved* into the
-//! workers, so no worker clones a certificate or a key.
+//! Session state is prepared serially and *moved* into the workers, so
+//! no worker clones a certificate or a key.
 //!
 //! # How a session ends
 //!

@@ -141,9 +141,9 @@ fn faulted_shared_bus_report_is_thread_count_invariant() {
 fn fixed_seed_matrix_all_presets_and_variants() {
     for (pi, preset) in DevicePreset::ALL.into_iter().enumerate() {
         for schedule in 0u64..12 {
-            let (round, vi) = (schedule / 3, schedule % 3);
+            let (round, salt) = (schedule / 3, schedule % 3);
             let faults = FaultSpec {
-                seed: 0xC0FFEE ^ (round << 8) ^ ((pi as u64) << 4) ^ vi,
+                seed: 0xC0FFEE ^ (round << 8) ^ ((pi as u64) << 4) ^ salt,
                 drop_per_mille: 60,
                 corrupt_per_mille: 50,
                 duplicate_per_mille: 40,
