@@ -382,7 +382,9 @@ impl FleetCoordinator {
 
     /// Pairs consecutive enrolled devices within each shard (see
     /// [`PairProducer`]), creating one session per pair, and returns
-    /// the pairs' first-contact work in session order.
+    /// the pairs' first-contact work in session order. Pairing stays
+    /// intra-shard because the shards are independent trust roots: a
+    /// cross-shard handshake would (correctly) fail authentication.
     ///
     /// # Panics
     ///
