@@ -12,8 +12,8 @@
 //! **Roots.** The sweep drivers (`interleaved_sweep`, `run_sweep`,
 //! `run_worker`), the rekey path (`handshake_sweep`, `run_epochs`),
 //! every fn named `step` (the provided `Endpoint::step` message pump
-//! among them) and the service daemon's `handle_connection`. The cone is the transitive closure over the
-//! shared name-resolved call graph.
+//! among them) and the service daemon's `handle_connection`. The cone
+//! is the transitive closure over the shared name-resolved call graph.
 //!
 //! **Finding classes** (anchored at the offending token, with the
 //! root-first reach chain as evidence):
