@@ -316,6 +316,28 @@ fn rows() -> Vec<Row> {
             );
         }),
     ));
+    // Enrollment batches, per device: `ecqv_reconstruct_subject` is the
+    // batch of one, these share one possession check per batch.
+    let mut batch_rng = HmacDrbg::from_seed(0xBA7C);
+    for (name, size, iters) in [
+        ("ecqv_reconstruct_batch8", 8, 25),
+        ("ecqv_reconstruct_batch64", 64, 4),
+    ] {
+        let requesters: Vec<CertRequester> = (0..size)
+            .map(|i| {
+                CertRequester::generate(DeviceId::from_label(&format!("dev-{i}")), &mut batch_rng)
+            })
+            .collect();
+        let requests: Vec<_> = requesters.iter().map(CertRequester::request).collect();
+        let issued = ca.issue_batch(&requests, 0, 100, &mut batch_rng).unwrap();
+        let per_batch = time_ns(iters, || {
+            black_box(
+                CertRequester::reconstruct_batch(black_box(&requesters), &issued, &ca.public_key())
+                    .unwrap(),
+            );
+        });
+        rows.push(row(name, per_batch / size as f64));
+    }
     rows.push(row(
         "point_decompress",
         time_ns(300, || {

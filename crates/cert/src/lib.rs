@@ -55,7 +55,7 @@ pub use revocation::RevocationList;
 
 use ecq_crypto::sha256::sha256;
 use ecq_p256::ecdsa::{self, Signature};
-use ecq_p256::point::{AffinePoint, JacobianPoint};
+use ecq_p256::point::{mul_sum_vartime, AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
 use ecq_p256::CurveError;
 
@@ -158,10 +158,11 @@ pub fn verify_implicit(
 }
 
 /// [`reconstruct_public_key`] without the final affine normalization,
-/// so batch verifiers ([`requester::CertRequester::reconstruct_batch`])
-/// can amortize the inversion across a whole enrollment batch with
+/// for callers that amortize the inversion across a batch with
 /// [`ecq_p256::point::batch_normalize`]. The curve-equation check of
 /// the affine path runs after normalization, on the caller's side.
+/// This is eq. (1)'s weighted batch sum over one certificate with
+/// weight 1, whose CA term costs one addition.
 ///
 /// # Errors
 ///
@@ -171,15 +172,33 @@ pub fn reconstruct_public_key_jacobian(
     cert: &ImplicitCert,
     ca_public: &AffinePoint,
 ) -> Result<JacobianPoint, CertError> {
-    let e = cert_hash(cert);
     let p_u = cert.reconstruction_point()?;
-    // Everything here is public (certificate bytes and CA key), so the
-    // faster vartime path is fine.
-    let q = JacobianPoint::from_affine(&p_u)
-        .mul_vartime(&e)
-        .add_affine(ca_public);
+    let q = eq1_weighted_sum(&[(Scalar::one(), cert_hash(cert), p_u)], ca_public);
     if q.is_identity() {
         return Err(CertError::InvalidPoint);
     }
     Ok(q)
+}
+
+/// Eq. (1) summed over a batch of certificates with weights: `Σ wᵢ·Qᵢ`
+/// for the keys `Qᵢ = eᵢ·Pᵢ + Q_CA`, each certificate given by its
+/// weight `wᵢ`, hash `eᵢ` and decoded reconstruction point `Pᵢ`.
+///
+/// The sum regroups as `Σ (wᵢ·eᵢ)·Pᵢ + (Σ wᵢ)·Q_CA` and runs on one
+/// wNAF ladder ([`mul_sum_vartime`]): one term per certificate plus
+/// the CA key, sharing one doubling chain. Every input is public (the
+/// weights of the batch possession check derive from public data
+/// only), so the vartime ladder is sound here.
+pub(crate) fn eq1_weighted_sum(
+    certs: &[(Scalar, Scalar, AffinePoint)],
+    ca_public: &AffinePoint,
+) -> JacobianPoint {
+    let mut ca_weight = Scalar::zero();
+    let mut terms = Vec::with_capacity(certs.len() + 1);
+    for (w, e, p) in certs {
+        ca_weight = ca_weight.add(w);
+        terms.push((w.mul(e), JacobianPoint::from_affine(p)));
+    }
+    terms.push((ca_weight, JacobianPoint::from_affine(ca_public)));
+    mul_sum_vartime(&terms)
 }

@@ -1,9 +1,10 @@
 //! Property-based tests of the ECQV certificate layer: encoding
 //! roundtrips over arbitrary metadata, tamper detection, the
-//! reconstruction identity over random deployments, and fused
-//! verification against eq. (1) followed by a plain verify.
+//! reconstruction identity over random deployments, fused
+//! verification against eq. (1) followed by a plain verify, and the
+//! batch possession check against a per-device SEC4 check.
 
-use ecq_cert::ca::CertificateAuthority;
+use ecq_cert::ca::{CertificateAuthority, IssuedCert};
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{
     cert_hash, reconstruct_public_key, verify_implicit, CertError, DeviceId, ImplicitCert,
@@ -12,7 +13,7 @@ use ecq_cert::{
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdsa::{self, Signature};
 use ecq_p256::keys::KeyPair;
-use ecq_p256::point::{mul_generator_vartime, AffinePoint};
+use ecq_p256::point::{mul_generator_ct, mul_generator_vartime, AffinePoint};
 use ecq_p256::scalar::Scalar;
 use proptest::prelude::*;
 
@@ -47,6 +48,154 @@ fn reconstruct_then_verify(
 ) -> Result<bool, CertError> {
     let q = reconstruct_public_key(cert, ca_public)?;
     Ok(ecdsa::verify(&q, msg, sig))
+}
+
+/// The reference the batch possession check must agree with: SEC4
+/// "Cert Reception" for one device, given its request secret `k_U` —
+/// the subject check, `d_U = e·k_U + r`, eq. (1), and `d_U·G == Q_U`.
+fn sec4_device(
+    k_u: &Scalar,
+    subject: DeviceId,
+    issued: &IssuedCert,
+    ca_public: &AffinePoint,
+) -> Result<KeyPair, CertError> {
+    if issued.certificate.subject != subject {
+        return Err(CertError::InvalidEncoding);
+    }
+    let d_u = cert_hash(&issued.certificate)
+        .mul(k_u)
+        .add(&issued.recon_private);
+    if d_u.is_zero() {
+        return Err(CertError::ReconstructionMismatch);
+    }
+    let q_u = reconstruct_public_key(&issued.certificate, ca_public)?;
+    if mul_generator_ct(&d_u) != q_u {
+        return Err(CertError::ReconstructionMismatch);
+    }
+    Ok(KeyPair {
+        private: d_u,
+        public: q_u,
+    })
+}
+
+/// [`sec4_device`] over a batch in index order; the first error wins.
+fn sec4_batch(
+    secrets: &[(Scalar, DeviceId)],
+    issued: &[IssuedCert],
+    ca_public: &AffinePoint,
+) -> Result<Vec<KeyPair>, CertError> {
+    secrets
+        .iter()
+        .zip(issued)
+        .map(|((k_u, subject), cert)| sec4_device(k_u, *subject, cert, ca_public))
+        .collect()
+}
+
+/// One per-device fault: `recon_private + 1`, a flipped certificate
+/// bit (`bit` counts from the first bit past magic and version; a
+/// flip the parser refuses moves to the extensions), a `P_U` with a
+/// bad tag, a `P_U` with no curve point, or a swapped subject.
+fn fault(kind: usize, issued: &mut IssuedCert, bit: usize) {
+    let cert = &mut issued.certificate;
+    match kind {
+        0 => issued.recon_private = issued.recon_private.add(&Scalar::one()),
+        1 => {
+            let mut bytes = cert.to_bytes();
+            bytes[3 + bit / 8] ^= 1 << (bit % 8);
+            match ImplicitCert::from_bytes(&bytes) {
+                Ok(flipped) => *cert = flipped,
+                Err(_) => cert.extensions[0] ^= 1,
+            }
+        }
+        2 => cert.point[0] = 0x05,
+        3 => {
+            while AffinePoint::from_bytes_compressed(&cert.point).is_ok() {
+                cert.point[32] = cert.point[32].wrapping_add(1);
+            }
+        }
+        _ => cert.subject = DeviceId::from_label("swapped"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn batch_possession_check_matches_per_device(
+        seed in any::<u64>(),
+        kind in 0usize..7,
+        second in 1usize..5,
+        picks in any::<[u64; 2]>(),
+        bit in 0usize..784,
+        delta in any::<[u8; 32]>(),
+    ) {
+        // Every batch size, honest and faulted. The fault kind rotates
+        // with the size: one fault at a random index, a wrong CA key,
+        // or two faults of different kinds at i < j. Every batch of two
+        // or more also gets r + δ at i with r − δ at j, which an
+        // unweighted sum would cancel.
+        for (s, size) in [1usize, 2, 16, 64, 65].into_iter().enumerate() {
+            let mut rng = HmacDrbg::from_seed(seed ^ s as u64);
+            let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+            let mut requesters = Vec::with_capacity(size);
+            let mut secrets = Vec::with_capacity(size);
+            for d in 0..size {
+                let subject = DeviceId::from_label(&format!("dev-{d}"));
+                // Replaying the requester's one DRBG draw recovers k_U.
+                secrets.push((Scalar::random(&mut rng.clone()), subject));
+                requesters.push(CertRequester::generate(subject, &mut rng));
+            }
+            let requests: Vec<_> = requesters.iter().map(CertRequester::request).collect();
+            let issued = ca.issue_batch(&requests, 0, 100, &mut rng).unwrap();
+            let ca_pub = ca.public_key();
+
+            let honest = CertRequester::reconstruct_batch(&requesters, &issued, &ca_pub);
+            prop_assert_eq!(&honest, &sec4_batch(&secrets, &issued, &ca_pub));
+            prop_assert_eq!(honest.map(|keys| keys.len()), Ok(size));
+
+            let at = (picks[0] % size as u64) as usize;
+            let pair = (size > 1).then(|| {
+                let i = (picks[0] % (size as u64 - 1)) as usize;
+                (i, i + 1 + (picks[1] % (size - 1 - i) as u64) as usize)
+            });
+            let mut faulted = issued.clone();
+            let mut ca_key = ca_pub;
+            let kind = (kind + s) % 7;
+            match (kind, pair) {
+                (5, _) => {
+                    ca_key = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng)
+                        .public_key();
+                }
+                (6, Some((i, j))) => {
+                    fault(s % 5, &mut faulted[i], bit);
+                    fault((s + second) % 5, &mut faulted[j], bit);
+                }
+                _ => fault(kind % 5, &mut faulted[at], bit),
+            }
+            let mut cancelling = issued.clone();
+            if let Some((i, j)) = pair {
+                let mut delta = Scalar::from_be_bytes_reduced(&delta);
+                if delta.is_zero() {
+                    delta = Scalar::one();
+                }
+                cancelling[i].recon_private = cancelling[i].recon_private.add(&delta);
+                cancelling[j].recon_private = cancelling[j].recon_private.sub(&delta);
+            }
+            let mut cases = vec![(kind, faulted, ca_key)];
+            if pair.is_some() {
+                cases.push((7, cancelling, ca_pub));
+            }
+            for (kind, faulted, ca_key) in cases {
+                let expected = sec4_batch(&secrets, &faulted, &ca_key);
+                prop_assert!(expected.is_err(), "size {}, kind {}: unnoticed", size, kind);
+                prop_assert_eq!(
+                    CertRequester::reconstruct_batch(&requesters, &faulted, &ca_key),
+                    expected,
+                    "size {}, kind {}", size, kind
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 //! Dynamic companion to the static lint: drives real secret-bearing
 //! paths — full STS handshakes from `ecq_sts` down through the curve,
-//! plus ECDH and scalar inversion in isolation — under the
+//! batch enrollment, plus ECDH and scalar inversion in isolation —
+//! under the
 //! `schedule-counters` feature's runtime op counters, and asserts the
 //! constant-time schedules are value-independent end-to-end across
 //! crate boundaries (the static analyzer proves no vartime call is
@@ -8,6 +9,7 @@
 //! input-independent operation sequence).
 
 use ecq_cert::ca::CertificateAuthority;
+use ecq_cert::requester::CertRequester;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::field::fe_ops;
@@ -49,6 +51,37 @@ fn handshake_ct_schedule_is_seed_independent() {
         schedules.iter().all(|s| *s == first),
         "ct schedule varies with the handshake secrets: {schedules:?}"
     );
+}
+
+/// Batch enrollment, counted at the group-operation level: each
+/// device's `d_U` and the possession check's secret sum `Σ zᵢ·dᵢ` only
+/// ever enter the constant-schedule comb, so an 8-device batch costs
+/// nine combs of 64 ct-additions whatever the request secrets are.
+#[test]
+fn enrollment_ct_schedule_is_secret_independent() {
+    let mut ca_rng = HmacDrbg::from_seed(0xCA);
+    let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut ca_rng);
+    let mut schedules = Vec::new();
+    for seed in [0x5005u64, 0x6006, 0x7007, 0x8008] {
+        let mut rng = HmacDrbg::from_seed(seed);
+        let requesters: Vec<CertRequester> = (0..8)
+            .map(|i| CertRequester::generate(DeviceId::from_label(&format!("dev-{i}")), &mut rng))
+            .collect();
+        let requests: Vec<_> = requesters.iter().map(CertRequester::request).collect();
+        let issued = ca.issue_batch(&requests, 0, 3600, &mut rng).expect("issue");
+        let (keys, counts) = ops::measure(|| {
+            CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())
+        });
+        assert_eq!(keys.expect("reconstruct").len(), 8);
+        schedules.push((counts.ct_adds, counts.ct_doubles));
+    }
+    assert!(
+        schedules.iter().all(|s| *s == schedules[0]),
+        "enrollment ct schedule varies with the request secrets: {schedules:?}"
+    );
+    // Eight per-device combs plus the one comb of the secret sum: the
+    // batch equation held, so the per-device fallback never ran.
+    assert_eq!(schedules[0], (9 * 64, 0), "ct adds and doubles");
 }
 
 /// ECDH at field-multiplication granularity: the scalar ladder and the

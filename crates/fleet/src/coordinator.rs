@@ -229,6 +229,9 @@ pub struct FleetCoordinator {
     sessions: Vec<PairSession>,
     /// Whether the one establishment sweep already ran.
     swept: bool,
+    /// Rekey epochs already run, failed ones included: the next epoch
+    /// continues the deployment clock from here.
+    epochs_run: u32,
     crl: RevocationList,
     last_deliveries: Vec<DeliveryRecord>,
     last_frame_logs: Vec<(usize, Vec<FrameRecord>)>,
@@ -269,6 +272,7 @@ impl FleetCoordinator {
             session_rng: HmacDrbg::new(&master.bytes32(), b"fleet-sessions"),
             sessions: Vec::new(),
             swept: false,
+            epochs_run: 0,
             crl: RevocationList::new(),
             last_deliveries: Vec::new(),
             last_frame_logs: Vec::new(),
@@ -590,11 +594,14 @@ impl FleetCoordinator {
             .first_contact(&mut self.report)
     }
 
-    /// Runs `epochs` rekey epochs an hour of deployment time apart (the
-    /// default [`RekeyPolicy::max_age_secs`]): epoch `e` is a hinted
-    /// establishment round at `e` hours under default [`SweepOptions`],
-    /// denying revoked pairs while the rest of the fleet rekeys; its
-    /// keyed sessions count as [`FleetReport::rekeys`].
+    /// Runs `epochs` more rekey epochs an hour of deployment time apart
+    /// (the default [`RekeyPolicy::max_age_secs`]): epoch `e` is a
+    /// hinted establishment round at `e` hours under default
+    /// [`SweepOptions`], denying revoked pairs while the rest of the
+    /// fleet rekeys; its keyed sessions count as
+    /// [`FleetReport::rekeys`]. Epochs are numbered across calls, so
+    /// `run_epochs(1)` twice runs what `run_epochs(2)` runs; a failed
+    /// epoch counts too, since its deployment time has passed.
     ///
     /// # Errors
     ///
@@ -602,11 +609,12 @@ impl FleetCoordinator {
     /// [`ecq_cert::CertError::Expired`] after the certificates' validity
     /// ended. Every session of that epoch is attempted and records its
     /// outcome (a failed one keeps its last good key); no later epoch
-    /// runs.
+    /// of this call runs.
     pub fn run_epochs(&mut self, epochs: u32) -> Result<(), FleetError> {
         let epoch_us = VirtualTime::from(RekeyPolicy::default().max_age_secs) * 1_000_000;
-        for epoch in 1..=VirtualTime::from(epochs) {
-            let at = epoch * epoch_us;
+        for _ in 0..epochs {
+            self.epochs_run += 1;
+            let at = VirtualTime::from(self.epochs_run) * epoch_us;
             let handshakes = self.report.handshakes;
             let work = self.session_work(at, true);
             let round = self.run_round(work, &SweepOptions::default());

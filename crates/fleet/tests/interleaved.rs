@@ -353,6 +353,45 @@ fn expiry_fails_every_session_of_its_epoch() {
 }
 
 #[test]
+fn epochs_continue_across_calls() {
+    // A second `run_epochs` call continues the deployment clock: two
+    // one-epoch calls rekey at 3600 s and 7200 s, as one two-epoch call
+    // does, instead of at 3600 s twice.
+    let swept = |config: FleetConfig| {
+        let mut fleet = FleetCoordinator::new(config);
+        fleet.enroll_all().unwrap();
+        fleet.handshake_sweep().unwrap();
+        fleet
+    };
+    let mut once = swept(config(24, 0xE90C));
+    once.run_epochs(2).unwrap();
+    let mut split = swept(config(24, 0xE90C));
+    split.run_epochs(1).unwrap();
+    split.run_epochs(1).unwrap();
+    let fields = |fleet: &FleetCoordinator| {
+        let r = fleet.report();
+        (r.rekeys, r.handshakes, r.epoch_end_us, r.key_digest)
+    };
+    assert_eq!(fields(&split), fields(&once));
+    assert_eq!(split.report(), once.report());
+    assert_eq!(split.sessions().len(), once.sessions().len());
+    for (s, t) in split.sessions().iter().zip(once.sessions()) {
+        assert_eq!(s.last_key(), t.last_key());
+    }
+
+    // The certificates expire at 5000 s, between the first call's epoch
+    // and the second's, so the second call fails closed.
+    let mut expiring = swept(config(24, 0xE4B1).validity(0, 5_000));
+    assert_eq!(expiring.run_epochs(1), Ok(()));
+    assert_eq!(
+        expiring.run_epochs(1),
+        Err(FleetError::Protocol(ProtocolError::Cert(
+            CertError::Expired
+        )))
+    );
+}
+
+#[test]
 fn streaming_sweep_reproduces_the_materialized_report() {
     // The bounded-memory pipeline (lazy enrollment + streamed
     // scheduling) must reproduce the materialized enroll_all +

@@ -14,11 +14,12 @@
 //!   ECDSA signing and the ECQV secret paths use these.
 //! * **`*_vartime`** — faster, schedule leaks the scalar's digit
 //!   pattern: [`mul_generator_vartime`] (the wide fixed-base comb) and
-//!   [`mul_sum_vartime`] (one width-5 wNAF ladder over one or two
+//!   [`mul_sum_vartime`] (one width-5 wNAF ladder over any number of
 //!   odd-multiples tables), the one variable-base vartime multiplier;
 //!   [`JacobianPoint::mul_vartime`] is its one-term case. Only for
 //!   public inputs: ECDSA verification, eq. (1) public-key
-//!   reconstruction, benches and attack simulations.
+//!   reconstruction and the batch possession check, benches and attack
+//!   simulations.
 //!
 //! The op-counter (the `ops` module, compiled under `cfg(test)` or the
 //! `schedule-counters` feature) asserts the ct schedules are
@@ -471,13 +472,18 @@ impl JacobianPoint {
         mul_sum_vartime(&[(*k, *self)])
     }
 
-    /// Precomputes the odd multiples `1·P, 3·P … 15·P` for the width-5
-    /// wNAF walk (one doubling + seven additions).
-    fn wnaf_table_vartime(&self) -> [JacobianPoint; 8] {
-        let twice = self.double();
-        let mut m = [*self; 8];
-        for i in 1..8 {
-            m[i] = m[i - 1].add(&twice);
+    /// Precomputes the first `entries` odd multiples `1·P, 3·P …` for
+    /// the width-5 wNAF walk, leaving the rest of the eight slots at
+    /// the identity: one doubling + `entries − 1` additions, none for
+    /// a single entry.
+    fn wnaf_table_vartime(&self, entries: usize) -> [JacobianPoint; 8] {
+        let mut m = [Self::identity(); 8];
+        m[0] = *self;
+        if entries > 1 {
+            let twice = self.double();
+            for i in 1..entries {
+                m[i] = m[i - 1].add(&twice);
+            }
         }
         m
     }
@@ -515,12 +521,13 @@ impl JacobianPoint {
                 multiples[i - 2].add(self)
             };
         }
-        // Fixed-size Montgomery's-trick normalization: same shared
+        // Montgomery's-trick normalization on the stack: same shared
         // inversion as [`batch_normalize`] but allocation-free, since
         // this sits on the hot secret path (every ECDH). The skip
         // pattern branches only on identity flags — properties of the
         // public base point, never of `k`.
-        let [table] = normalize_fixed(&[multiples]);
+        let mut table = [AffinePoint::identity(); 15];
+        normalize_into(&multiples, &mut table);
 
         let kv = k.to_canonical();
         let mut acc = Self::identity();
@@ -619,51 +626,61 @@ pub fn mul_generator_vartime_jacobian(k: &Scalar) -> JacobianPoint {
     acc
 }
 
-/// `Σ kᵢ·Pᵢ` over one or two public `(scalar, point)` terms, on one
+/// `Σ kᵢ·Pᵢ` over any number of public `(scalar, point)` terms, on one
 /// width-5 wNAF ladder — the workspace's one variable-base vartime
 /// multiplier ([`JacobianPoint::mul_vartime`] is its one-term case).
 ///
 /// Each scalar is recoded into signed odd digits `±{1,3,…,15}` (at
-/// most one nonzero digit per 5 bits), and each point gets the eight
-/// odd multiples `1·P, 3·P … 15·P`, all tables normalized to affine
-/// around one shared inversion. One doubling ladder then walks the
-/// longest recoding with a mixed Jacobian+affine addition per nonzero
-/// digit of any term: ~255 doublings in all, plus ~43 additions per
-/// term on average. Negative digits reuse the table entry negated.
+/// most one nonzero digit per 5 bits), and each point gets the odd
+/// multiples `1·P, 3·P …` up to its largest digit (at most `15·P`, so
+/// a term with scalar 1 costs one addition and no table work), all
+/// tables normalized to affine around one shared inversion. One
+/// doubling ladder then walks the longest recoding with a mixed
+/// Jacobian+affine addition per nonzero digit of any term: ~255
+/// doublings in all, plus ~43 additions and an eight-entry table per
+/// full-size term. Negative digits reuse the table entry negated.
 /// Sharing the doublings is Straus's trick (Möller, "Algorithms for
-/// multi-exponentiation", SAC 2001); ECDSA verification uses it for
-/// the two variable bases of an implicit key, `u2·e·P_X + u2·Q_CA`.
+/// multi-exponentiation", SAC 2001): ECDSA verification uses it for
+/// the two variable bases of an implicit key, `u2·e·P_X + u2·Q_CA`,
+/// and the ECQV batch possession check for one term per device plus
+/// the CA key.
 ///
 /// Zero scalars and identity points drop out before any table is
-/// built, and cancelling terms (`P = −Q`) pass through the addition's
-/// exceptional cases, so any inputs give the exact sum. The schedule
-/// leaks every scalar's digit pattern: only for public scalars.
-pub fn mul_sum_vartime<const N: usize>(terms: &[(Scalar, JacobianPoint); N]) -> JacobianPoint {
-    const { assert!(N == 1 || N == 2, "the ladder takes one or two terms") };
-    let mut tables = [[JacobianPoint::identity(); 8]; N];
-    let mut digits = [[0i8; 257]; N];
+/// built, no terms give the identity, and cancelling terms
+/// (`P = −Q`) pass through the addition's exceptional cases, so any
+/// inputs give the exact sum. The schedule leaks every scalar's digit
+/// pattern: only for public scalars.
+pub fn mul_sum_vartime(terms: &[(Scalar, JacobianPoint)]) -> JacobianPoint {
+    let n = terms.len();
+    // Digits are stored position-major, so each ladder step reads its
+    // `n` digits from one contiguous row; dropped terms keep zero rows
+    // and identity tables, which the normalization skips.
+    let mut digits = vec![0i8; 257 * n];
+    let mut tables = vec![[JacobianPoint::identity(); 8]; n];
     let mut len = 0usize;
-    for ((k, p), (table, ds)) in terms.iter().zip(tables.iter_mut().zip(digits.iter_mut())) {
+    for (t, ((k, p), table)) in terms.iter().zip(&mut tables).enumerate() {
         let kv = k.to_canonical();
         if kv.is_zero() || p.is_identity() {
             continue;
         }
-        *table = p.wnaf_table_vartime();
-        let (d, l) = wnaf5_vartime(&kv);
-        *ds = d;
+        let (d, l, top) = wnaf5_vartime(&kv);
+        *table = p.wnaf_table_vartime(usize::from(top).div_ceil(2));
+        for (i, &digit) in d[..l].iter().enumerate() {
+            digits[i * n + t] = digit;
+        }
         len = len.max(l);
     }
     if len == 0 {
         return JacobianPoint::identity();
     }
-    let tables = normalize_fixed(&tables);
+    let mut affine = vec![[AffinePoint::identity(); 8]; n];
+    normalize_into(tables.as_flattened(), affine.as_flattened_mut());
     let mut acc = JacobianPoint::identity();
-    for i in (0..len).rev() {
+    for row in digits[..len * n].chunks_exact(n).rev() {
         if !acc.is_identity() {
             acc = acc.double();
         }
-        for (table, ds) in tables.iter().zip(&digits) {
-            let d = ds[i];
+        for (table, &d) in affine.iter().zip(row) {
             if d != 0 {
                 acc = acc.add_affine(&wnaf_entry_vartime(table, d));
             }
@@ -678,88 +695,58 @@ pub fn mul_sum_vartime<const N: usize>(terms: &[(Scalar, JacobianPoint); N]) -> 
 /// `Z⁻¹` with two multiplications per point. Identity points map to
 /// [`AffinePoint::identity`] and do not participate in the product.
 pub fn batch_normalize(points: &[JacobianPoint]) -> Vec<AffinePoint> {
-    // prefix[i] = product of z_j for non-identity j < i.
-    let mut prefix = Vec::with_capacity(points.len());
-    let mut acc = FieldElement::one();
-    for p in points {
-        prefix.push(acc);
-        if !p.is_identity() {
-            acc = acc.mul(&p.z);
-        }
-    }
-    let mut suffix_inv = acc.invert();
     let mut out = vec![AffinePoint::identity(); points.len()];
-    for (i, p) in points.iter().enumerate().rev() {
-        if p.is_identity() {
-            continue;
-        }
-        let z_inv = suffix_inv.mul(&prefix[i]);
-        suffix_inv = suffix_inv.mul(&p.z);
-        let z_inv2 = z_inv.square();
-        out[i] = AffinePoint {
-            x: p.x.mul(&z_inv2),
-            y: p.y.mul(&z_inv2).mul(&z_inv),
-            infinity: false,
-        };
-    }
+    normalize_into(points, &mut out);
     out
 }
 
-/// Montgomery's-trick normalization over fixed-size arrays: one
-/// shared field inversion for all `M·N` points, no allocation. Identity
-/// entries map to [`AffinePoint::identity`] and skip the product —
-/// inverting an empty product is `1⁻¹`, which is well defined — so
-/// callers may leave unused slots at the identity.
-fn normalize_fixed<const M: usize, const N: usize>(
-    points: &[[JacobianPoint; M]; N],
-) -> [[AffinePoint; M]; N] {
-    let points = points.as_flattened();
-    // prefix[i] = product of z_j for non-identity j < i.
-    let mut prefix = [[FieldElement::one(); M]; N];
-    let prefix = prefix.as_flattened_mut();
+/// [`batch_normalize`] into a caller-provided slice of the same
+/// length, without allocating: `out` doubles as the scratch for the
+/// prefix products, so fixed-size tables on the hot secret path
+/// ([`JacobianPoint::mul_ct`], every ECDH) normalize on the stack.
+/// Identity entries skip the product — inverting an empty product is
+/// `1⁻¹`, which is well defined — so callers may leave unused slots at
+/// the identity.
+fn normalize_into(points: &[JacobianPoint], out: &mut [AffinePoint]) {
+    debug_assert_eq!(points.len(), out.len());
+    // out[i].x = product of z_j for non-identity j < i.
     let mut acc = FieldElement::one();
-    for (slot, p) in prefix.iter_mut().zip(points) {
-        *slot = acc;
+    for (slot, p) in out.iter_mut().zip(points) {
+        slot.x = acc;
         if !p.is_identity() {
             acc = acc.mul(&p.z);
         }
     }
     let mut suffix_inv = acc.invert();
-    let mut out = [[AffinePoint::identity(); M]; N];
-    for ((entry, p), pre) in out
-        .as_flattened_mut()
-        .iter_mut()
-        .zip(points)
-        .zip(&*prefix)
-        .rev()
-    {
+    for (slot, p) in out.iter_mut().zip(points).rev() {
         if p.is_identity() {
+            *slot = AffinePoint::identity();
             continue;
         }
-        let z_inv = suffix_inv.mul(pre);
+        let z_inv = suffix_inv.mul(&slot.x);
         suffix_inv = suffix_inv.mul(&p.z);
         let z_inv2 = z_inv.square();
-        *entry = AffinePoint {
+        *slot = AffinePoint {
             x: p.x.mul(&z_inv2),
             y: p.y.mul(&z_inv2).mul(&z_inv),
             infinity: false,
         };
     }
-    out
 }
 
 /// Width-5 wNAF recoding: signed odd digits `±{1,3,…,15}`, at least
 /// four zero digits between nonzero ones. Returns the digit array
-/// (little-endian by bit position, zero-padded) and the number of
-/// digits used.
+/// (little-endian by bit position, zero-padded), the number of digits
+/// used and the largest digit magnitude.
 ///
 /// Index bound: a nonzero digit at position `m` forces
 /// `k > 2^m·16/31` (the top digit is positive and lower nonzero
 /// digits, ≥5 apart, sum to less than `2^m·15/31`), so `k < 2^256`
 /// caps `m` at 256 and the 257-entry array never overflows.
-fn wnaf5_vartime(kv: &U256) -> ([i8; 257], usize) {
+fn wnaf5_vartime(kv: &U256) -> ([i8; 257], usize, u8) {
     let mut digits = [0i8; 257];
     let mut len = 0usize;
+    let mut top = 0u8;
     let mut k = *kv;
     let mut i = 0usize;
     while !k.is_zero() {
@@ -774,11 +761,12 @@ fn wnaf5_vartime(kv: &U256) -> ([i8; 257], usize) {
             };
             digits[i] = d;
             len = i + 1;
+            top = top.max(d.unsigned_abs());
         }
         k = k.shr1();
         i += 1;
     }
-    (digits, len)
+    (digits, len, top)
 }
 
 /// Looks up `d·P` in a wNAF odd-multiples table (`d` odd, `|d| ≤ 15`):
@@ -887,8 +875,10 @@ mod tests {
             scalars.push(Scalar::random(&mut rng));
         }
         for (i, k) in scalars.iter().enumerate() {
-            let (digits, len) = wnaf5_vartime(&k.to_canonical());
+            let (digits, len, top) = wnaf5_vartime(&k.to_canonical());
             assert!(len <= 257, "scalar {i}: len {len}");
+            let widest = digits.iter().map(|d| d.unsigned_abs()).max();
+            assert_eq!(Some(top), widest, "scalar {i}: largest digit");
             let mut last_nonzero: Option<usize> = None;
             // Horner evaluation from the top digit back to the scalar.
             let mut acc = Scalar::zero();

@@ -1,6 +1,6 @@
 //! Property-based tests of the elliptic-curve group: abelian group
 //! laws, scalar-multiplication homomorphism, ct/vartime agreement
-//! (the shared two-term ladder included), encodings, ECDSA and ECDH
+//! (the shared N-term ladder included), encodings, ECDSA and ECDH
 //! over random keys. Case counts are kept low — every case costs
 //! several scalar multiplications.
 
@@ -177,10 +177,39 @@ proptest! {
         a in arb_scalar(),
         b in arb_scalar(),
         sparse in arb_sparse_scalar(),
+        terms in 0usize..5,
+        term_seed in any::<u64>(),
     ) {
-        // The one- and two-term wNAF ladder against independent
-        // constant-time walks, over random, sparse, zero and edge
-        // scalars, and over second bases Q = P and Q = −P where the
+        // An N-term ladder, N ∈ {0, 1, 2, 3, 65}, against the sum of
+        // independent constant-time walks. Terms mix random and sparse
+        // scalars, zero and n − 1, identity points, and P, −P pairs.
+        let n = [0usize, 1, 2, 3, 65][terms];
+        let mut rng = HmacDrbg::from_seed(term_seed);
+        let mut ladder: Vec<(Scalar, JacobianPoint)> = Vec::with_capacity(n);
+        while ladder.len() < n {
+            let k = Scalar::random(&mut rng);
+            let base = JacobianPoint::from_affine(&mul_generator_vartime(&Scalar::random(&mut rng)));
+            match rng.next_u64() % 6 {
+                0 => ladder.push((Scalar::zero(), base)),
+                1 => ladder.push((k, JacobianPoint::identity())),
+                2 if ladder.len() + 2 <= n => {
+                    // The same scalar cancels the pair outright.
+                    let k2 = if rng.next_u64() & 1 == 0 { k } else { Scalar::random(&mut rng) };
+                    ladder.push((k, base));
+                    ladder.push((k2, JacobianPoint::from_affine(&base.to_affine().neg())));
+                }
+                3 => ladder.push((Scalar::from_u64(1).neg(), base.double())),
+                4 => ladder.push((Scalar::from_u64(rng.next_u64() % 32), base)),
+                _ => ladder.push((k, base)),
+            }
+        }
+        let expected = ladder
+            .iter()
+            .fold(JacobianPoint::identity(), |acc, (k, p)| acc.add(&p.mul_ct(k)));
+        prop_assert_eq!(mul_sum_vartime(&ladder), expected, "{} terms", n);
+
+        // The one- and two-term ladder over random, sparse, zero and
+        // edge scalars, and over second bases Q = P and Q = −P where the
         // terms cancel. P enters with a non-unit Z.
         let p = JacobianPoint::from_affine(&mul_generator_vartime(&p_scalar)).double();
         let p_affine = p.to_affine();
