@@ -162,7 +162,8 @@ pub fn verify_implicit(
 /// [`ecq_p256::point::batch_normalize`]. The curve-equation check of
 /// the affine path runs after normalization, on the caller's side.
 /// This is eq. (1)'s weighted batch sum over one certificate with
-/// weight 1, whose CA term costs one addition.
+/// weight 1: `e·P_U` on the wNAF ladder plus one mixed addition of
+/// `Q_CA`.
 ///
 /// # Errors
 ///
@@ -186,19 +187,21 @@ pub fn reconstruct_public_key_jacobian(
 ///
 /// The sum regroups as `Σ (wᵢ·eᵢ)·Pᵢ + (Σ wᵢ)·Q_CA` and runs on one
 /// wNAF ladder ([`mul_sum_vartime`]): one term per certificate plus
-/// the CA key, sharing one doubling chain. Every input is public (the
-/// weights of the batch possession check derive from public data
-/// only), so the vartime ladder is sound here.
+/// the CA key, sharing one doubling chain. `Q_CA` enters once as a
+/// plain addition and `Σ wᵢ − 1` times on the ladder, so one
+/// certificate of weight 1 costs a one-term ladder and one addition.
+/// Every input is public (the weights of the batch possession check
+/// derive from public data only), so the vartime ladder is sound here.
 pub(crate) fn eq1_weighted_sum(
     certs: &[(Scalar, Scalar, AffinePoint)],
     ca_public: &AffinePoint,
 ) -> JacobianPoint {
-    let mut ca_weight = Scalar::zero();
+    let mut ca_weight = Scalar::one().neg();
     let mut terms = Vec::with_capacity(certs.len() + 1);
     for (w, e, p) in certs {
         ca_weight = ca_weight.add(w);
         terms.push((w.mul(e), JacobianPoint::from_affine(p)));
     }
     terms.push((ca_weight, JacobianPoint::from_affine(ca_public)));
-    mul_sum_vartime(&terms)
+    mul_sum_vartime(&terms).add_affine(ca_public)
 }

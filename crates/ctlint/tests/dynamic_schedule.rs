@@ -1,12 +1,11 @@
 //! Dynamic companion to the static lint: drives real secret-bearing
 //! paths — full STS handshakes from `ecq_sts` down through the curve,
 //! batch enrollment, plus ECDH and scalar inversion in isolation —
-//! under the
-//! `schedule-counters` feature's runtime op counters, and asserts the
-//! constant-time schedules are value-independent end-to-end across
-//! crate boundaries (the static analyzer proves no vartime call is
-//! *reachable*; this proves the ct paths actually taken perform an
-//! input-independent operation sequence).
+//! under the `schedule-counters` feature's runtime op counters, and
+//! asserts the constant-time schedules are value-independent
+//! end-to-end across crate boundaries (the static analyzer proves no
+//! vartime call is *reachable*; this proves the ct paths actually
+//! taken perform an input-independent operation sequence).
 
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;

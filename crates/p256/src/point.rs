@@ -472,18 +472,13 @@ impl JacobianPoint {
         mul_sum_vartime(&[(*k, *self)])
     }
 
-    /// Precomputes the first `entries` odd multiples `1·P, 3·P …` for
-    /// the width-5 wNAF walk, leaving the rest of the eight slots at
-    /// the identity: one doubling + `entries − 1` additions, none for
-    /// a single entry.
-    fn wnaf_table_vartime(&self, entries: usize) -> [JacobianPoint; 8] {
-        let mut m = [Self::identity(); 8];
-        m[0] = *self;
-        if entries > 1 {
-            let twice = self.double();
-            for i in 1..entries {
-                m[i] = m[i - 1].add(&twice);
-            }
+    /// Precomputes the odd multiples `1·P, 3·P … 15·P` for the width-5
+    /// wNAF walk (one doubling + seven additions).
+    fn wnaf_table_vartime(&self) -> [JacobianPoint; 8] {
+        let twice = self.double();
+        let mut m = [*self; 8];
+        for i in 1..8 {
+            m[i] = m[i - 1].add(&twice);
         }
         m
     }
@@ -631,49 +626,75 @@ pub fn mul_generator_vartime_jacobian(k: &Scalar) -> JacobianPoint {
 /// multiplier ([`JacobianPoint::mul_vartime`] is its one-term case).
 ///
 /// Each scalar is recoded into signed odd digits `±{1,3,…,15}` (at
-/// most one nonzero digit per 5 bits), and each point gets the odd
-/// multiples `1·P, 3·P …` up to its largest digit (at most `15·P`, so
-/// a term with scalar 1 costs one addition and no table work), all
-/// tables normalized to affine around one shared inversion. One
-/// doubling ladder then walks the longest recoding with a mixed
-/// Jacobian+affine addition per nonzero digit of any term: ~255
-/// doublings in all, plus ~43 additions and an eight-entry table per
-/// full-size term. Negative digits reuse the table entry negated.
+/// most one nonzero digit per 5 bits), and each point gets the eight
+/// odd multiples `1·P, 3·P … 15·P`, all tables normalized to affine
+/// around one shared inversion. One doubling ladder then walks the
+/// longest recoding with a mixed Jacobian+affine addition per nonzero
+/// digit of any term: ~255 doublings in all, plus ~43 additions per
+/// term on average. Negative digits reuse the table entry negated.
 /// Sharing the doublings is Straus's trick (Möller, "Algorithms for
 /// multi-exponentiation", SAC 2001): ECDSA verification uses it for
 /// the two variable bases of an implicit key, `u2·e·P_X + u2·Q_CA`,
 /// and the ECQV batch possession check for one term per device plus
-/// the CA key.
+/// the CA key. Up to two live terms, the usual verification shapes,
+/// run on stack buffers; more allocate theirs.
 ///
 /// Zero scalars and identity points drop out before any table is
-/// built, no terms give the identity, and cancelling terms
-/// (`P = −Q`) pass through the addition's exceptional cases, so any
-/// inputs give the exact sum. The schedule leaks every scalar's digit
-/// pattern: only for public scalars.
+/// built and take no ladder slot, no live terms give the identity,
+/// and cancelling terms (`P = −Q`) pass through the addition's
+/// exceptional cases, so any inputs give the exact sum. The schedule
+/// leaks every scalar's digit pattern: only for public scalars.
 pub fn mul_sum_vartime(terms: &[(Scalar, JacobianPoint)]) -> JacobianPoint {
-    let n = terms.len();
-    // Digits are stored position-major, so each ladder step reads its
-    // `n` digits from one contiguous row; dropped terms keep zero rows
-    // and identity tables, which the normalization skips.
-    let mut digits = vec![0i8; 257 * n];
-    let mut tables = vec![[JacobianPoint::identity(); 8]; n];
+    let live = terms.iter().filter(|(k, p)| is_live(k, p)).count();
+    if live <= 2 {
+        let mut digits = [0i8; 2 * 257];
+        let mut tables = [[JacobianPoint::identity(); 8]; 2];
+        let mut affine = [[AffinePoint::identity(); 8]; 2];
+        wnaf_ladder_vartime(
+            terms,
+            &mut digits[..live * 257],
+            &mut tables[..live],
+            &mut affine[..live],
+        )
+    } else {
+        wnaf_ladder_vartime(
+            terms,
+            &mut vec![0i8; live * 257],
+            &mut vec![[JacobianPoint::identity(); 8]; live],
+            &mut vec![[AffinePoint::identity(); 8]; live],
+        )
+    }
+}
+
+/// Whether a ladder term contributes: a nonzero scalar on a point
+/// other than the identity.
+fn is_live(k: &Scalar, p: &JacobianPoint) -> bool {
+    !k.is_zero() && !p.is_identity()
+}
+
+/// [`mul_sum_vartime`]'s ladder over zeroed buffers sized for the live
+/// terms: one odd-multiples table per live term, and their digits
+/// stored position-major, so each step reads one contiguous row.
+fn wnaf_ladder_vartime(
+    terms: &[(Scalar, JacobianPoint)],
+    digits: &mut [i8],
+    tables: &mut [[JacobianPoint; 8]],
+    affine: &mut [[AffinePoint; 8]],
+) -> JacobianPoint {
+    let n = tables.len();
     let mut len = 0usize;
-    for (t, ((k, p), table)) in terms.iter().zip(&mut tables).enumerate() {
-        let kv = k.to_canonical();
-        if kv.is_zero() || p.is_identity() {
-            continue;
-        }
-        let (d, l, top) = wnaf5_vartime(&kv);
-        *table = p.wnaf_table_vartime(usize::from(top).div_ceil(2));
-        for (i, &digit) in d[..l].iter().enumerate() {
-            digits[i * n + t] = digit;
+    let live = terms.iter().filter(|(k, p)| is_live(k, p));
+    for (t, ((k, p), table)) in live.zip(tables.iter_mut()).enumerate() {
+        let (d, l) = wnaf5_vartime(&k.to_canonical());
+        *table = p.wnaf_table_vartime();
+        for (slot, &digit) in digits.iter_mut().skip(t).step_by(n).zip(&d[..l]) {
+            *slot = digit;
         }
         len = len.max(l);
     }
     if len == 0 {
         return JacobianPoint::identity();
     }
-    let mut affine = vec![[AffinePoint::identity(); 8]; n];
     normalize_into(tables.as_flattened(), affine.as_flattened_mut());
     let mut acc = JacobianPoint::identity();
     for row in digits[..len * n].chunks_exact(n).rev() {
@@ -736,17 +757,16 @@ fn normalize_into(points: &[JacobianPoint], out: &mut [AffinePoint]) {
 
 /// Width-5 wNAF recoding: signed odd digits `±{1,3,…,15}`, at least
 /// four zero digits between nonzero ones. Returns the digit array
-/// (little-endian by bit position, zero-padded), the number of digits
-/// used and the largest digit magnitude.
+/// (little-endian by bit position, zero-padded) and the number of
+/// digits used.
 ///
 /// Index bound: a nonzero digit at position `m` forces
 /// `k > 2^m·16/31` (the top digit is positive and lower nonzero
 /// digits, ≥5 apart, sum to less than `2^m·15/31`), so `k < 2^256`
 /// caps `m` at 256 and the 257-entry array never overflows.
-fn wnaf5_vartime(kv: &U256) -> ([i8; 257], usize, u8) {
+fn wnaf5_vartime(kv: &U256) -> ([i8; 257], usize) {
     let mut digits = [0i8; 257];
     let mut len = 0usize;
-    let mut top = 0u8;
     let mut k = *kv;
     let mut i = 0usize;
     while !k.is_zero() {
@@ -761,12 +781,11 @@ fn wnaf5_vartime(kv: &U256) -> ([i8; 257], usize, u8) {
             };
             digits[i] = d;
             len = i + 1;
-            top = top.max(d.unsigned_abs());
         }
         k = k.shr1();
         i += 1;
     }
-    (digits, len, top)
+    (digits, len)
 }
 
 /// Looks up `d·P` in a wNAF odd-multiples table (`d` odd, `|d| ≤ 15`):
@@ -875,10 +894,8 @@ mod tests {
             scalars.push(Scalar::random(&mut rng));
         }
         for (i, k) in scalars.iter().enumerate() {
-            let (digits, len, top) = wnaf5_vartime(&k.to_canonical());
+            let (digits, len) = wnaf5_vartime(&k.to_canonical());
             assert!(len <= 257, "scalar {i}: len {len}");
-            let widest = digits.iter().map(|d| d.unsigned_abs()).max();
-            assert_eq!(Some(top), widest, "scalar {i}: largest digit");
             let mut last_nonzero: Option<usize> = None;
             // Horner evaluation from the top digit back to the scalar.
             let mut acc = Scalar::zero();

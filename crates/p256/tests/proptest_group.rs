@@ -181,8 +181,9 @@ proptest! {
         term_seed in any::<u64>(),
     ) {
         // An N-term ladder, N ∈ {0, 1, 2, 3, 65}, against the sum of
-        // independent constant-time walks. Terms mix random and sparse
-        // scalars, zero and n − 1, identity points, and P, −P pairs.
+        // independent constant-time walks. Terms mix random and small
+        // scalars, zero, n − 1 on a non-unit-Z base, identity points,
+        // and P, −P pairs.
         let n = [0usize, 1, 2, 3, 65][terms];
         let mut rng = HmacDrbg::from_seed(term_seed);
         let mut ladder: Vec<(Scalar, JacobianPoint)> = Vec::with_capacity(n);
