@@ -4,7 +4,7 @@ use crate::ca::IssuedCert;
 use crate::id::DeviceId;
 use crate::{cert_hash, eq1_weighted_sum, reconstruct_public_key_jacobian, CertError};
 use ecq_crypto::sha256::{sha256_concat, Sha256};
-use ecq_crypto::zeroize::Zeroize;
+use ecq_crypto::zeroize::{Zeroize, Zeroizing};
 use ecq_crypto::HmacDrbg;
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::{batch_normalize, mul_generator_ct, mul_generator_ct_jacobian, AffinePoint};
@@ -111,6 +111,11 @@ impl CertRequester {
     /// are byte-identical to reconstructing each device as a batch of
     /// one.
     ///
+    /// Every device's `d_U` stays in a wiping holder until its key pair
+    /// is built, and no key pair is built before every `Q_U` has passed
+    /// its on-curve check, so a failed batch frees no private key
+    /// unwiped.
+    ///
     /// `requesters` and `issued` must be index-aligned, as produced by
     /// requesting in order and issuing with `issue_batch`.
     ///
@@ -132,19 +137,16 @@ impl CertRequester {
             Some(checked) => checked,
             None => Self::check_each(requesters, issued, ca_public)?,
         };
-        privates
-            .into_iter()
+        // Group-law outputs of valid inputs are always on the curve; the
+        // check is defense in depth against arithmetic faults.
+        if publics.iter().any(|q| q.infinity || !q.is_on_curve()) {
+            return Err(CertError::InvalidPoint);
+        }
+        Ok(privates
+            .iter()
             .zip(publics)
-            .map(|(private, public)| {
-                // Group-law outputs of valid inputs are always on the
-                // curve; the check is defense in depth against
-                // arithmetic faults.
-                if public.infinity || !public.is_on_curve() {
-                    return Err(CertError::InvalidPoint);
-                }
-                Ok(KeyPair { private, public })
-            })
-            .collect()
+            .map(|(&private, public)| KeyPair { private, public })
+            .collect())
     }
 
     /// The batch possession check of [`Self::reconstruct_batch`]: every
@@ -154,11 +156,11 @@ impl CertRequester {
         requesters: &[CertRequester],
         issued: &[IssuedCert],
         ca_public: &AffinePoint,
-    ) -> Option<(Vec<Scalar>, Vec<AffinePoint>)> {
+    ) -> Option<(Zeroizing<Vec<Scalar>>, Vec<AffinePoint>)> {
         if ca_public.infinity || !ca_public.is_on_curve() {
             return None;
         }
-        let mut privates = Vec::with_capacity(requesters.len());
+        let mut privates = Zeroizing::new(Vec::with_capacity(requesters.len()));
         let mut combs = Vec::with_capacity(requesters.len());
         let mut certs = Vec::with_capacity(requesters.len());
         for (req, cert) in requesters.iter().zip(issued) {
@@ -178,7 +180,7 @@ impl CertRequester {
             [q] => *q,
             _ => {
                 let mut sum = Scalar::zero();
-                for ((z, _, _), d) in terms.iter().zip(&privates) {
+                for ((z, _, _), d) in terms.iter().zip(privates.iter()) {
                     sum = sum.add(&z.mul(d));
                 }
                 let lhs = mul_generator_ct_jacobian(&sum);
@@ -196,8 +198,8 @@ impl CertRequester {
         requesters: &[CertRequester],
         issued: &[IssuedCert],
         ca_public: &AffinePoint,
-    ) -> Result<(Vec<Scalar>, Vec<AffinePoint>), CertError> {
-        let mut privates = Vec::with_capacity(requesters.len());
+    ) -> Result<(Zeroizing<Vec<Scalar>>, Vec<AffinePoint>), CertError> {
+        let mut privates = Zeroizing::new(Vec::with_capacity(requesters.len()));
         let mut publics = Vec::with_capacity(requesters.len());
         for (req, cert) in requesters.iter().zip(issued) {
             let (_, d_u) = req.derive(cert)?;
@@ -341,7 +343,7 @@ mod tests {
         let (privates, publics) =
             CertRequester::check_batch(&requesters, &issued, &ca.public_key()).unwrap();
         assert_eq!(
-            privates,
+            *privates,
             batch.iter().map(|k| k.private).collect::<Vec<_>>()
         );
         assert_eq!(publics, batch.iter().map(|k| k.public).collect::<Vec<_>>());

@@ -62,6 +62,17 @@ impl<const N: usize> Zeroize for [u64; N] {
     }
 }
 
+/// Wipes every element in place. Only the live elements are reached:
+/// a vector that grew past its capacity left copies in the buffers it
+/// moved out of, so secret vectors are sized up front.
+impl<T: Zeroize> Zeroize for Vec<T> {
+    fn zeroize(&mut self) {
+        for item in self.iter_mut() {
+            item.zeroize();
+        }
+    }
+}
+
 /// A wrapper that wipes its contents when dropped.
 ///
 /// Dereferences to the inner value for use; equality compares the
@@ -168,5 +179,23 @@ mod tests {
         assert_eq!(WIPES.load(AtomicOrdering::SeqCst), 0);
         drop(probe);
         assert_eq!(WIPES.load(AtomicOrdering::SeqCst), 1);
+    }
+
+    #[test]
+    fn zeroizing_vec_wipes_every_element_on_drop() {
+        static WIPES: AtomicUsize = AtomicUsize::new(0);
+
+        struct Probe([u8; 4]);
+        impl Zeroize for Probe {
+            fn zeroize(&mut self) {
+                self.0.zeroize();
+                WIPES.fetch_add(1, AtomicOrdering::SeqCst);
+            }
+        }
+
+        let probes = Zeroizing::new(vec![Probe([1; 4]), Probe([2; 4]), Probe([3; 4])]);
+        assert_eq!(WIPES.load(AtomicOrdering::SeqCst), 0);
+        drop(probes);
+        assert_eq!(WIPES.load(AtomicOrdering::SeqCst), 3);
     }
 }

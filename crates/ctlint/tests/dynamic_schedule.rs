@@ -1,7 +1,8 @@
 //! Dynamic companion to the static lint: drives real secret-bearing
 //! paths — full STS handshakes from `ecq_sts` down through the curve,
 //! batch enrollment, plus ECDH and scalar inversion in isolation —
-//! under the `schedule-counters` feature's runtime op counters, and
+//! under the `schedule-counters` feature's runtime op and divstep
+//! counters, and
 //! asserts the constant-time schedules are value-independent
 //! end-to-end across crate boundaries (the static analyzer proves no
 //! vartime call is *reachable*; this proves the ct paths actually
@@ -11,6 +12,7 @@ use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
+use ecq_p256::backend::divstep_ops;
 use ecq_p256::field::fe_ops;
 use ecq_p256::point::{mul_generator_ct, ops};
 use ecq_p256::scalar::scalar_ops;
@@ -28,23 +30,29 @@ fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
     (a, b, rng)
 }
 
-/// The whole handshake, counted at the group-operation level: however
-/// the secrets vary, the constant-schedule add/double counts must not.
+/// The whole handshake, counted at the group-operation level and in
+/// divsteps: however the secrets vary, the constant-schedule
+/// add/double counts and the inversions' divstep total must not.
 #[test]
 fn handshake_ct_schedule_is_seed_independent() {
     let mut schedules = Vec::new();
     for seed in [0x1001u64, 0x2002, 0x3003, 0x4004] {
         let (a, b, mut rng) = setup(seed);
         let config = StsConfig::default();
-        let (outcome, counts) = ops::measure(|| establish(&a, &b, &config, &mut rng));
+        let ((outcome, counts), divsteps) =
+            divstep_ops::measure(|| ops::measure(|| establish(&a, &b, &config, &mut rng)));
         let outcome = outcome.expect("handshake");
         assert_eq!(outcome.initiator_key, outcome.responder_key);
-        schedules.push((counts.ct_adds, counts.ct_doubles));
+        schedules.push((counts.ct_adds, counts.ct_doubles, divsteps));
     }
     let first = schedules[0];
     assert!(
         first.0 > 0 && first.1 > 0,
         "handshake never touched the ct paths: {schedules:?}"
+    );
+    assert!(
+        first.2 > 0 && first.2 % 590 == 0,
+        "inversions ran a partial divstep schedule: {schedules:?}"
     );
     assert!(
         schedules.iter().all(|s| *s == first),
@@ -108,26 +116,21 @@ fn ecdh_field_schedule_is_key_independent() {
     );
 }
 
-/// Scalar inversion (the s-computation path in ECDSA signing) uses a
-/// fixed addition chain: identical scalar-mul/square counts for every
-/// input.
+/// Scalar inversion (the s-computation path in ECDSA signing) is one
+/// safegcd and one correcting multiplication: exactly 590 divsteps,
+/// one scalar multiplication and no squaring for every input.
 #[test]
 fn scalar_inversion_schedule_is_value_independent() {
     let mut rng = HmacDrbg::from_seed(0x15C4);
     let mut schedules = Vec::new();
     for _ in 0..4 {
         let k = Scalar::random(&mut rng);
-        let (inv, counts) = scalar_ops::measure(|| k.invert());
-        assert!(!inv.is_zero());
-        schedules.push((counts.muls, counts.squares));
+        let ((inv, counts), divsteps) = divstep_ops::measure(|| scalar_ops::measure(|| k.invert()));
+        assert_eq!(inv.mul(&k), Scalar::one());
+        schedules.push((counts.muls, counts.squares, divsteps));
     }
-    let first = schedules[0];
     assert!(
-        first.0 > 0 && first.1 > 0,
-        "no scalar ops counted: {schedules:?}"
-    );
-    assert!(
-        schedules.iter().all(|s| *s == first),
-        "scalar inversion schedule varies with the input: {schedules:?}"
+        schedules.iter().all(|s| *s == (1, 0, 590)),
+        "scalar inversion schedule is not 1 mul, 0 squares, 590 divsteps: {schedules:?}"
     );
 }

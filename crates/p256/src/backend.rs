@@ -19,7 +19,13 @@
 //! * every reduction ends in a **branch-free** conditional
 //!   subtraction: the candidate `t − m` is always computed and kept or
 //!   discarded by an all-ones/all-zeros mask, so no secret-dependent
-//!   branch or cmov-defeating pattern remains in the field layer.
+//!   branch or cmov-defeating pattern remains in the field layer;
+//! * inversion, for both moduli, is one constant-time safegcd
+//!   (`invert`): Bernstein and Yang, "Fast constant-time gcd
+//!   computation and modular inversion" (TCHES 2019), in the shape of
+//!   libsecp256k1's `modinv64`. It runs exactly 590 divsteps, the
+//!   bound for 256-bit inputs, as 10 batches of 59, and no branch,
+//!   index or exit depends on the value.
 //!
 //! [`crate::field`] instantiates this engine for GF(p) and
 //! [`crate::scalar`] for the order field mod n; `MontCtx` stays as the
@@ -39,6 +45,13 @@ pub(crate) struct MontParams {
     pub r1: [u64; 4],
     /// `R^2 mod m` — the to-Montgomery conversion constant.
     pub r2: [u64; 4],
+    /// `R^3 mod m`: one Montgomery multiplication by it takes the
+    /// inverse `(aR)^{-1}` of a Montgomery-form `aR` to `a^{-1}R`.
+    pub r3: [u64; 4],
+    /// The modulus in signed 62-bit limbs, for `invert`.
+    m62: [i64; 5],
+    /// `m^{-1} mod 2^62`, for `invert`.
+    m_inv62: u64,
 }
 
 /// `a + b` over 4 limbs with carry-out.
@@ -73,13 +86,34 @@ const fn sbb4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     (out, borrow)
 }
 
+/// `x·2^256 mod m` for a reduced `x`, by 256 modular doublings.
+const fn mul_2_256(mut x: [u64; 4], m: &[u64; 4]) -> [u64; 4] {
+    let mut i = 0;
+    while i < 256 {
+        let carry = x[3] >> 63;
+        x = [
+            x[0] << 1,
+            (x[1] << 1) | (x[0] >> 63),
+            (x[2] << 1) | (x[1] >> 63),
+            (x[3] << 1) | (x[2] >> 63),
+        ];
+        let (reduced, borrow) = sbb4(&x, m);
+        if carry == 1 || borrow == 0 {
+            x = reduced;
+        }
+        i += 1;
+    }
+    x
+}
+
 impl MontParams {
     /// Derives every constant from the modulus at compile time.
     ///
-    /// Mirrors `MontCtx::new`: `n0` by Newton–Hensel lifting,
-    /// `R mod m = 2^256 − m` (valid because `m > 2^255`), `R^2 mod m`
-    /// by 256 modular doublings. Branches here run in the compiler,
-    /// not on secrets.
+    /// Mirrors `MontCtx::new`: `m^{-1} mod 2^64` by Newton–Hensel
+    /// lifting (negated for `n0`, truncated for `m^{-1} mod 2^62`),
+    /// `R mod m = 2^256 − m` (valid because `m > 2^255`), and
+    /// `R^2 mod m` and `R^3 mod m` by 256 modular doublings each.
+    /// Branches here run in the compiler, not on secrets.
     pub const fn new(m: [u64; 4]) -> Self {
         assert!(m[0] & 1 == 1, "Montgomery modulus must be odd");
         assert!(m[3] >> 63 == 1, "modulus must exceed 2^255");
@@ -90,30 +124,21 @@ impl MontParams {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m[0].wrapping_mul(inv)));
             i += 1;
         }
-        let n0 = inv.wrapping_neg();
 
         // R mod m = 2^256 − m.
         let (r1, _) = sbb4(&[0, 0, 0, 0], &m);
+        let r2 = mul_2_256(r1, &m);
+        let r3 = mul_2_256(r2, &m);
 
-        // R^2 mod m by 256 modular doublings of R.
-        let mut r2 = r1;
-        let mut i = 0;
-        while i < 256 {
-            let carry = r2[3] >> 63;
-            r2 = [
-                r2[0] << 1,
-                (r2[1] << 1) | (r2[0] >> 63),
-                (r2[2] << 1) | (r2[1] >> 63),
-                (r2[3] << 1) | (r2[2] >> 63),
-            ];
-            let (reduced, borrow) = sbb4(&r2, &m);
-            if carry == 1 || borrow == 0 {
-                r2 = reduced;
-            }
-            i += 1;
+        MontParams {
+            m,
+            n0: inv.wrapping_neg(),
+            r1,
+            r2,
+            r3,
+            m62: to_signed62(&m),
+            m_inv62: inv & M62,
         }
-
-        MontParams { m, n0, r1, r2 }
     }
 }
 
@@ -336,6 +361,227 @@ pub(crate) fn reduce_wide(wide: &[u64; 8], p: &MontParams) -> [u64; 4] {
     mont_mul(&t, &p.r2, p)
 }
 
+/// Counter for the divstep schedule, mirroring `field::fe_ops`: the
+/// constant-time assertions use it to prove every inversion runs
+/// exactly 590 divsteps. Compiled for this crate's tests and under the
+/// `schedule-counters` feature for cross-crate checks.
+#[cfg(any(test, feature = "schedule-counters"))]
+pub mod divstep_ops {
+    use std::cell::Cell;
+
+    thread_local! {
+        static DIVSTEPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts one divstep on this thread.
+    pub fn record() {
+        DIVSTEPS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Runs `f` with a zeroed counter and returns its result plus the
+    /// divsteps it ran on this thread.
+    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        DIVSTEPS.with(|c| c.set(0));
+        let result = f();
+        (result, DIVSTEPS.with(Cell::get))
+    }
+}
+
+/// The low 62 bits of a limb.
+const M62: u64 = u64::MAX >> 2;
+
+/// Splits a 256-bit value into five 62-bit limbs, the last holding the
+/// top 8 bits: the signed-62 form `invert` works in.
+const fn to_signed62(a: &[u64; 4]) -> [i64; 5] {
+    [
+        (a[0] & M62) as i64,
+        (((a[0] >> 62) | (a[1] << 2)) & M62) as i64,
+        (((a[1] >> 60) | (a[2] << 4)) & M62) as i64,
+        (((a[2] >> 58) | (a[3] << 6)) & M62) as i64,
+        (a[3] >> 56) as i64,
+    ]
+}
+
+/// Joins normalized signed-62 limbs (each in `[0, 2^62)`, the value
+/// below `2^256`) back into four 64-bit limbs.
+fn from_signed62(v: &[i64; 5]) -> [u64; 4] {
+    let v = v.map(|x| x as u64);
+    [
+        v[0] | (v[1] << 62),
+        (v[1] >> 2) | (v[2] << 60),
+        (v[2] >> 4) | (v[3] << 58),
+        (v[3] >> 6) | (v[4] << 56),
+    ]
+}
+
+/// The transition matrix of one batch of 59 divsteps, scaled by
+/// `2^62`: it maps `(f, g)` to `2^62·(f', g')`, and `|u| + |v|` and
+/// `|q| + |r|` are at most `2^62`.
+struct Trans {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
+}
+
+/// 59 divsteps on the low 64 bits of `f` (odd) and `g`, returning the
+/// new `zeta = −(delta + 1/2)` and the batch's transition matrix.
+///
+/// Each step is branch-free: with `c1` the mask of `zeta < 0` and `c2`
+/// the mask of `g` odd, it adds `±f` to `g` when `g` is odd, swaps
+/// roles (`f ← g`, `zeta ← −zeta − 2`) when both masks are set, and
+/// halves `g`. The matrix starts at `8·I` so that 59 doublings scale it
+/// by exactly `2^62`.
+#[inline(always)]
+fn divsteps_59(mut zeta: i64, f0: u64, g0: u64) -> (i64, Trans) {
+    let (mut u, mut v, mut q, mut r) = (8u64, 0u64, 0u64, 8u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut i = 0;
+    while i < 59 {
+        #[cfg(any(test, feature = "schedule-counters"))]
+        divstep_ops::record();
+        let c1 = (zeta >> 63) as u64;
+        let c2 = (g & 1).wrapping_neg();
+        // Conditionally negated f, u, v, added to g, q, r when g is odd.
+        let x = (f ^ c1).wrapping_sub(c1);
+        let y = (u ^ c1).wrapping_sub(c1);
+        let z = (v ^ c1).wrapping_sub(c1);
+        g = g.wrapping_add(x & c2);
+        q = q.wrapping_add(y & c2);
+        r = r.wrapping_add(z & c2);
+        // When both hold, zeta becomes −zeta − 2 and the new g, q, r
+        // are added to f, u, v; otherwise zeta decrements.
+        let c1 = c1 & c2;
+        zeta = (zeta ^ c1 as i64) - 1;
+        f = f.wrapping_add(g & c1);
+        u = u.wrapping_add(q & c1);
+        v = v.wrapping_add(r & c1);
+        g >>= 1;
+        u <<= 1;
+        v <<= 1;
+        i += 1;
+    }
+    let t = Trans {
+        u: u as i64,
+        v: v as i64,
+        q: q as i64,
+        r: r as i64,
+    };
+    (zeta, t)
+}
+
+/// `(x, y) ← (t·(x, y) + m·(mx, my)) / 2^62`. The division is exact:
+/// for `(f, g)` the batch's divsteps cleared the low 62 bits of
+/// `t·(f, g)` and `mx = my = 0`; for `(d, e)` the multiples come from
+/// `de_multiples`.
+#[inline(always)]
+fn apply(t: &Trans, x: &mut [i64; 5], y: &mut [i64; 5], (mx, my): (i64, i64), m: &[i64; 5]) {
+    let (u, v, q, r) = (t.u as i128, t.v as i128, t.q as i128, t.r as i128);
+    let (mx, my) = (mx as i128, my as i128);
+    let mut cx = u * x[0] as i128 + v * y[0] as i128 + m[0] as i128 * mx;
+    let mut cy = q * x[0] as i128 + r * y[0] as i128 + m[0] as i128 * my;
+    debug_assert!((cx as u64) & M62 == 0 && (cy as u64) & M62 == 0);
+    cx >>= 62;
+    cy >>= 62;
+    let mut i = 1;
+    while i < 5 {
+        cx += u * x[i] as i128 + v * y[i] as i128 + m[i] as i128 * mx;
+        cy += q * x[i] as i128 + r * y[i] as i128 + m[i] as i128 * my;
+        x[i - 1] = ((cx as u64) & M62) as i64;
+        y[i - 1] = ((cy as u64) & M62) as i64;
+        cx >>= 62;
+        cy >>= 62;
+        i += 1;
+    }
+    x[4] = cx as i64;
+    y[4] = cy as i64;
+}
+
+/// The multiples `(md, me)` of m that make `t·(d, e) + m·(md, me)`
+/// divisible by `2^62` while keeping `d` and `e` in `(−2m, m)`: they
+/// start at `(u, q)` if `d` is negative plus `(v, r)` if `e` is, both
+/// by mask, and then subtract what clears the low 62 bits.
+#[inline(always)]
+fn de_multiples(d: &[i64; 5], e: &[i64; 5], t: &Trans, p: &MontParams) -> (i64, i64) {
+    let sd = d[4] >> 63;
+    let se = e[4] >> 63;
+    let md = (t.u & sd) + (t.v & se);
+    let me = (t.q & sd) + (t.r & se);
+    // The low 64 bits of t·(d, e).
+    let (d0, e0) = (d[0] as u64, e[0] as u64);
+    let cd = (t.u as u64)
+        .wrapping_mul(d0)
+        .wrapping_add((t.v as u64).wrapping_mul(e0));
+    let ce = (t.q as u64)
+        .wrapping_mul(d0)
+        .wrapping_add((t.r as u64).wrapping_mul(e0));
+    (
+        md - (p.m_inv62.wrapping_mul(cd).wrapping_add(md as u64) & M62) as i64,
+        me - (p.m_inv62.wrapping_mul(ce).wrapping_add(me as u64) & M62) as i64,
+    )
+}
+
+/// Carries limbs 0–3 of `x` into `[0, 2^62)`, which leaves the sign of
+/// the value in the top limb.
+#[inline(always)]
+fn carry_62(x: &mut [i64; 5]) {
+    let mut i = 0;
+    while i < 4 {
+        x[i + 1] += x[i] >> 62;
+        x[i] &= M62 as i64;
+        i += 1;
+    }
+}
+
+/// `a^{-1} mod m` of a reduced nonzero `a`, in constant time.
+///
+/// Bernstein–Yang safegcd with libsecp256k1's `modinv64` layout: `a`
+/// is split into signed 62-bit limbs, and `(f, g) = (m, a)` run
+/// exactly 10 batches of 59 divsteps, 590 in all, the bound for
+/// 256-bit inputs (Bernstein and Yang, "Fast constant-time gcd
+/// computation and modular inversion", TCHES 2019). Each batch's
+/// matrix is applied to `(f, g)` and, mod m, to `(d, e) = (0, 1)`, so
+/// that `f ≡ d·a` and `g ≡ e·a` throughout. At the end `g = 0` and
+/// `f = ±1`, and `d` is normalized to `±d mod m` by masks. No branch,
+/// index or exit depends on `a`.
+///
+/// `a = 0` has no inverse; callers refuse it before calling.
+pub(crate) fn invert(a: &[u64; 4], p: &MontParams) -> [u64; 4] {
+    let mut d = [0i64; 5];
+    let mut e = [1i64, 0, 0, 0, 0];
+    let mut f = p.m62;
+    let mut g = to_signed62(a);
+    // zeta = −(delta + 1/2), with delta starting at 1/2.
+    let mut zeta = -1;
+    let mut batch = 0;
+    while batch < 10 {
+        let (z, t) = divsteps_59(zeta, f[0] as u64, g[0] as u64);
+        zeta = z;
+        let multiples = de_multiples(&d, &e, &t, p);
+        apply(&t, &mut d, &mut e, multiples, &p.m62);
+        apply(&t, &mut f, &mut g, (0, 0), &p.m62);
+        batch += 1;
+    }
+    let minus_one = [M62 as i64, M62 as i64, M62 as i64, M62 as i64, -1];
+    debug_assert!(g == [0; 5], "safegcd left g nonzero after 590 divsteps");
+    debug_assert!(f == [1, 0, 0, 0, 0] || f == minus_one, "gcd(a, m) is not 1");
+    // d is in (−2m, m), its sign in the top limb. Add m if it is
+    // negative and negate it if f = −1, which gives (−m, m); then add
+    // m once more if it is still negative, which gives [0, m).
+    let add = d[4] >> 63;
+    let negate = f[4] >> 63;
+    for (limb, m) in d.iter_mut().zip(p.m62) {
+        *limb = ((*limb + (m & add)) ^ negate) - negate;
+    }
+    carry_62(&mut d);
+    let add = d[4] >> 63;
+    for (limb, m) in d.iter_mut().zip(p.m62) {
+        *limb += m & add;
+    }
+    carry_62(&mut d);
+    from_signed62(&d)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,6 +594,12 @@ mod tests {
         0xffff_ffff_0000_0001,
     ];
     const PARAMS: MontParams = MontParams::new(P);
+    const N: [u64; 4] = [
+        0xf3b9_cac2_fc63_2551,
+        0xbce6_faad_a717_9e84,
+        0xffff_ffff_ffff_ffff,
+        0xffff_ffff_0000_0000,
+    ];
 
     #[test]
     fn const_params_match_runtime_ctx() {
@@ -356,6 +608,61 @@ mod tests {
         assert_eq!(PARAMS.r2, ctx.r2.limbs());
         assert_eq!(PARAMS.n0, ctx.n0());
         assert_eq!(PARAMS.n0, 1, "P-256 prime has n0 = 1");
+    }
+
+    #[test]
+    fn inversion_params_are_consistent() {
+        for m in [P, N] {
+            let params = MontParams::new(m);
+            // R²·R²·R⁻¹ = R³.
+            assert_eq!(params.r3, mont_mul(&params.r2, &params.r2, &params));
+            assert_eq!(from_signed62(&params.m62), m);
+            assert_eq!(params.m_inv62.wrapping_mul(m[0]) & M62, 1);
+        }
+    }
+
+    /// The canonical inputs `tests/proptest_field_backend.rs` pins for
+    /// p and for n.
+    const P_TENTH_BATCH: [&str; 2] = [
+        "1fc6ab8f0e2ea2cf2423986d9a68cb73ad588fcd815374ce5d0dce476d1f7d54",
+        "b90ad88d39cb370d9a1065751e2db84879a6669d8914a26fb24edf9b98a0af6b",
+    ];
+    const N_TENTH_BATCH: [&str; 2] = [
+        "9b48406b426169918f113fc2938d0ea07f6f49a0535b9909f086da4fecc846c3",
+        "25cd0e2dacf4faaa6d26ccbe3794501af442030b13bcc961ba1677c22c7db21e",
+    ];
+
+    #[test]
+    fn pinned_inputs_need_the_tenth_batch() {
+        // Their Montgomery forms still have g ≠ 0 after nine batches
+        // (531 divsteps), and the tenth batch brings g to 0.
+        for (m, pinned) in [(P, P_TENTH_BATCH), (N, N_TENTH_BATCH)] {
+            let params = MontParams::new(m);
+            for hex in pinned {
+                let stored = mont_mul(&U256::from_be_hex(hex).limbs(), &params.r2, &params);
+                let (mut f, mut g) = (params.m62, to_signed62(&stored));
+                let mut zeta = -1;
+                for batch in 1..=10 {
+                    assert_ne!(g, [0; 5], "{hex}: g = 0 before batch {batch}");
+                    let (z, t) = divsteps_59(zeta, f[0] as u64, g[0] as u64);
+                    zeta = z;
+                    apply(&t, &mut f, &mut g, (0, 0), &params.m62);
+                }
+                assert_eq!(g, [0; 5], "{hex}");
+            }
+        }
+    }
+
+    #[test]
+    fn invert_matches_reference() {
+        let ctx = crate::mont::MontCtx::new(U256::from_limbs(P));
+        for v in [1u64, 2, 3, 0xdead_beef, u64::MAX] {
+            let a = U256::from_u64(v);
+            let inv = invert(&a.limbs(), &PARAMS);
+            assert_eq!(ctx.mul(&a, &U256::from_limbs(inv)), U256::ONE, "v={v}");
+        }
+        let minus_one = U256::from_limbs(P).wrapping_sub(&U256::ONE);
+        assert_eq!(invert(&minus_one.limbs(), &PARAMS), minus_one.limbs());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Montgomery form and every operation runs on the specialized
 //! fixed-constant backend ([`crate::backend`]): unrolled
 //! multiplication/squaring with the modulus limbs and `n0 = 1` folded
-//! in at compile time, branch-free final reductions, and inversion /
-//! square root via fixed Fermat addition chains instead of generic
+//! in at compile time, branch-free final reductions, inversion by the
+//! backend's constant-time safegcd (Bernstein–Yang, 590 divsteps), and
+//! the square root by a fixed addition chain instead of generic
 //! square-and-multiply. The generic [`crate::mont::MontCtx`] engine is
 //! no longer on any GF(p) path — it survives as the reference oracle
 //! the backend proptests compare against.
@@ -41,9 +42,9 @@ fn curve_b_mont() -> &'static FieldElement {
 }
 
 /// Counters for the field-operation schedule, mirroring `point::ops`:
-/// the constant-time assertions use these to prove the inversion and
-/// square-root chains run a value-independent sequence of
-/// multiplications and squarings. Compiled for this crate's tests and
+/// the constant-time assertions use these to prove the square-root
+/// chain and the inversion's Montgomery correction run a
+/// value-independent sequence of multiplications and squarings. Compiled for this crate's tests and
 /// under the `schedule-counters` feature for cross-crate checks.
 #[cfg(any(test, feature = "schedule-counters"))]
 pub mod fe_ops {
@@ -240,39 +241,33 @@ impl FieldElement {
         x
     }
 
-    /// The shared low-Hamming-weight powers `x^(2^k − 1)` for
-    /// `k ∈ {2, 4, 8, 16, 32}` that both Fermat chains start from.
-    fn small_pows(&self) -> [FieldElement; 5] {
+    /// `self^(2^32 − 1)`, the 32-one block the square-root chain starts
+    /// from, built as `x^(2^k − 1)` for `k = 2, 4, 8, 16, 32`.
+    fn pow_2_32_minus_1(&self) -> Self {
         let x2 = self.square().mul(self);
         let x4 = x2.sqn(2).mul(&x2);
         let x8 = x4.sqn(4).mul(&x4);
         let x16 = x8.sqn(8).mul(&x8);
-        let x32 = x16.sqn(16).mul(&x16);
-        [x2, x4, x8, x16, x32]
+        x16.sqn(16).mul(&x16)
     }
 
-    /// Multiplicative inverse via the Fermat addition chain for
-    /// `p − 2`: exactly 255 squarings and 13 multiplications for every
-    /// input — no exponent-bit scanning, no value-dependent schedule
-    /// (the test-only `fe_ops` counters assert this).
+    /// Multiplicative inverse, by the constant-time safegcd of
+    /// Bernstein and Yang ("Fast constant-time gcd computation and
+    /// modular inversion", TCHES 2019) in [`crate::backend`]: exactly
+    /// 590 divsteps for every input, the bound for 256-bit moduli, then
+    /// one Montgomery multiplication by `R³ mod p`. No branch, index or
+    /// exit depends on the value (the test-only `fe_ops` and
+    /// `divstep_ops` counters assert the schedule).
     ///
     /// # Panics
     ///
     /// Panics when `self` is zero.
     pub fn invert(&self) -> Self {
         assert!(!self.is_zero(), "attempted to invert zero");
-        let [x2, x4, x8, x16, x32] = self.small_pows();
-        // p − 2 in 32-bit words, most significant first:
-        //   ffffffff 00000001 00000000 00000000
-        //   00000000 ffffffff ffffffff fffffffd
-        let mut t = x32.sqn(32).mul(self); // ffffffff 00000001
-        t = t.sqn(128).mul(&x32); // three zero words, then ffffffff
-        t = t.sqn(32).mul(&x32); // ffffffff
-        t = t.sqn(16).mul(&x16); // fffffffd assembled from
-        t = t.sqn(8).mul(&x8); //   16+8+4+2 ones…
-        t = t.sqn(4).mul(&x4);
-        t = t.sqn(2).mul(&x2);
-        t.sqn(2).mul(self) // …and the final "01" bits
+        // The stored integer is aR, whose inverse is a⁻¹R⁻¹; one
+        // Montgomery multiplication by R³ takes it to a⁻¹R.
+        let inv = backend::invert(&self.0.limbs(), &P_PARAMS);
+        FieldElement(U256::from_limbs(inv)).mul(&FieldElement(U256::from_limbs(P_PARAMS.r3)))
     }
 
     /// Square root, if one exists (`p ≡ 3 mod 4` ⇒ `sqrt = a^{(p+1)/4}`),
@@ -282,7 +277,7 @@ impl FieldElement {
     /// Returns `None` for quadratic non-residues. Used by point
     /// decompression.
     pub fn sqrt(&self) -> Option<Self> {
-        let [_, _, _, _, x32] = self.small_pows();
+        let x32 = self.pow_2_32_minus_1();
         // (p+1)/4 = 2^254 − 2^222 + 2^190 + 2^94: a 32-one block at the
         // top, two lone bits, and 94 trailing zeros.
         let mut t = x32.sqn(32).mul(self);
@@ -305,6 +300,7 @@ impl FieldElement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::divstep_ops;
 
     #[test]
     fn identities() {
@@ -381,20 +377,17 @@ mod tests {
 
     #[test]
     fn inversion_schedule_is_value_independent() {
-        // The Fermat chain must run the same multiplication/squaring
-        // sequence for every input: 255 squarings + 13 multiplications.
-        let mut schedules = Vec::new();
-        for v in [1u64, 2, 0xdead_beef, u64::MAX] {
-            let a = FieldElement::from_u64(v);
-            let (_, counts) = fe_ops::measure(|| a.invert());
-            assert_eq!(counts.squares, 255, "v={v}: {counts:?}");
-            assert_eq!(counts.muls, 13, "v={v}: {counts:?}");
-            schedules.push(counts);
-        }
+        // The safegcd runs 590 divsteps for every input, and the
+        // Montgomery correction is one multiplication.
         let p_minus_1 = FieldElement::one().neg();
-        let (_, counts) = fe_ops::measure(|| p_minus_1.invert());
-        schedules.push(counts);
-        assert!(schedules.windows(2).all(|w| w[0] == w[1]));
+        let inputs = [1u64, 2, 0xdead_beef, u64::MAX].map(FieldElement::from_u64);
+        for a in inputs.into_iter().chain([p_minus_1]) {
+            let ((inv, counts), divsteps) = divstep_ops::measure(|| fe_ops::measure(|| a.invert()));
+            assert_eq!(a.mul(&inv), FieldElement::one(), "{a:?}");
+            assert_eq!(divsteps, 590, "{a:?}");
+            assert_eq!(counts.muls, 1, "{a:?}: {counts:?}");
+            assert_eq!(counts.squares, 0, "{a:?}: {counts:?}");
+        }
     }
 
     #[test]

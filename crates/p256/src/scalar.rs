@@ -5,10 +5,9 @@
 //! Like [`crate::field`], the hot operations run on the specialized
 //! fixed-constant backend ([`crate::backend`]) — the order limbs and
 //! `n0` fold in at compile time and every reduction is branch-free.
-//! Inversion walks a fixed 4-bit window chain over the public constant
-//! exponent `n − 2` (252 squarings + 69 multiplications, the same
-//! schedule for every input) instead of generic bit-scanning
-//! square-and-multiply.
+//! Inversion (`k⁻¹` in ECDSA signing, `s⁻¹` in verification) is the
+//! backend's constant-time safegcd (Bernstein–Yang, 590 divsteps for
+//! every input) plus one Montgomery multiplication.
 
 use crate::backend::{self, MontParams};
 use crate::u256::U256;
@@ -27,19 +26,12 @@ const N_LIMBS: [u64; 4] = [
     0xffff_ffff_0000_0000,
 ];
 
-/// `n − 2`, the Fermat inversion exponent (public, fixed).
-const N_MINUS_2: U256 = U256::from_limbs([
-    0xf3b9_cac2_fc63_254f,
-    0xbce6_faad_a717_9e84,
-    0xffff_ffff_ffff_ffff,
-    0xffff_ffff_0000_0000,
-]);
-
 /// Compile-time Montgomery parameters for the order field.
 const N_PARAMS: MontParams = MontParams::new(N_LIMBS);
 
 /// Counters for the scalar-operation schedule (see `field::fe_ops`);
-/// the inversion ct test asserts the window chain is input-independent.
+/// the inversion ct test asserts its Montgomery correction is
+/// input-independent.
 /// Compiled for this crate's tests and under the `schedule-counters`
 /// feature for cross-crate checks.
 #[cfg(any(test, feature = "schedule-counters"))]
@@ -248,37 +240,23 @@ impl Scalar {
         )))
     }
 
-    /// Multiplicative inverse mod n via Fermat's little theorem with a
-    /// fixed 4-bit window chain over the constant exponent `n − 2`.
-    ///
-    /// The exponent is public, so its zero windows may be skipped
-    /// without leaking anything about `self`; what matters for
-    /// constant time is that the schedule never depends on the *base*,
-    /// and it cannot — the window digits are compile-time constants.
-    /// Every call costs exactly 252 squarings and 69 multiplications
-    /// (14 table + 55 window), asserted by the ct schedule test.
+    /// Multiplicative inverse mod n, by the constant-time safegcd of
+    /// Bernstein and Yang ("Fast constant-time gcd computation and
+    /// modular inversion", TCHES 2019) in [`crate::backend`]: exactly
+    /// 590 divsteps for every input, the bound for 256-bit moduli, then
+    /// one Montgomery multiplication by `R³ mod n`. No branch, index or
+    /// exit depends on the value (the test-only `scalar_ops` and
+    /// `divstep_ops` counters assert the schedule).
     ///
     /// # Panics
     ///
     /// Panics when `self` is zero.
     pub fn invert(&self) -> Self {
         assert!(!self.0.is_zero(), "attempted to invert zero");
-        // table[d-1] = self^d for d ∈ [1, 15].
-        let mut table = [*self; 15];
-        for i in 1..15 {
-            table[i] = table[i - 1].mul(self);
-        }
-        // Walk the 64 window digits of n − 2 from the top; the leading
-        // digit (0xf) seeds the accumulator.
-        let mut acc = table[N_MINUS_2.nibble(63) as usize - 1];
-        for w in (0..63).rev() {
-            acc = acc.square().square().square().square();
-            let d = N_MINUS_2.nibble(w);
-            if d != 0 {
-                acc = acc.mul(&table[d as usize - 1]);
-            }
-        }
-        acc
+        // The stored integer is aR, whose inverse is a⁻¹R⁻¹; one
+        // Montgomery multiplication by R³ takes it to a⁻¹R.
+        let inv = backend::invert(&self.0.limbs(), &N_PARAMS);
+        Scalar(U256::from_limbs(inv)).mul(&Scalar(U256::from_limbs(N_PARAMS.r3)))
     }
 
     /// Whether the canonical value is in the "high" half (`> n/2`);
@@ -299,6 +277,7 @@ impl ecq_crypto::zeroize::Zeroize for Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::divstep_ops;
 
     #[test]
     fn ring_identities() {
@@ -312,7 +291,6 @@ mod tests {
     #[test]
     fn limbs_hex_agree() {
         assert_eq!(Scalar::order(), U256::from_be_hex(N_HEX));
-        assert_eq!(N_MINUS_2, Scalar::order().wrapping_sub(&U256::from_u64(2)));
     }
 
     #[test]
@@ -377,19 +355,17 @@ mod tests {
 
     #[test]
     fn inversion_schedule_is_input_independent() {
-        // 252 squarings + 69 multiplications, for every base.
-        let mut schedules = Vec::new();
-        for v in [1u64, 2, 0xdead_beef, u64::MAX] {
-            let a = Scalar::from_u64(v);
-            let (inv, counts) = scalar_ops::measure(|| a.invert());
-            assert_eq!(a.mul(&inv), Scalar::one(), "v={v}");
-            assert_eq!(counts.squares, 252, "v={v}: {counts:?}");
-            assert_eq!(counts.muls, 69, "v={v}: {counts:?}");
-            schedules.push(counts);
+        // 590 divsteps and one correcting multiplication, for every base.
+        let n_minus_1 = Scalar::from_u64(1).neg();
+        let inputs = [1u64, 2, 0xdead_beef, u64::MAX].map(Scalar::from_u64);
+        for a in inputs.into_iter().chain([n_minus_1]) {
+            let ((inv, counts), divsteps) =
+                divstep_ops::measure(|| scalar_ops::measure(|| a.invert()));
+            assert_eq!(a.mul(&inv), Scalar::one(), "{:?}", a.to_canonical());
+            assert_eq!(divsteps, 590, "{:?}", a.to_canonical());
+            assert_eq!(counts.muls, 1, "{counts:?}");
+            assert_eq!(counts.squares, 0, "{counts:?}");
         }
-        let (_, counts) = scalar_ops::measure(|| Scalar::from_u64(1).neg().invert());
-        schedules.push(counts);
-        assert!(schedules.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! [`ecq_p256::field::FieldElement`] and [`ecq_p256::scalar::Scalar`]
 //! run on the fixed-constant backend (compile-time Montgomery
-//! constants, unrolled limb code, branch-free reductions, Fermat
-//! addition chains). [`ecq_p256::mont::MontCtx`] derives every constant
-//! independently at runtime and keeps the original loop/branch
-//! algorithms — these properties pin the two against each other for
-//! every operation over random values and the edge cases 0, 1, p−1 and
-//! un-reduced 2^256−1, so a backend regression cannot hide behind its
+//! constants, unrolled limb code, branch-free reductions, safegcd
+//! inversion, the square-root addition chain).
+//! [`ecq_p256::mont::MontCtx`] derives every constant independently at
+//! runtime and keeps the original loop/branch algorithms, inverting by
+//! Fermat's little theorem — these properties pin the two against each
+//! other for every operation over random values and the edge cases 0,
+//! 1, p−1 and un-reduced 2^256−1, and the inversion sweeps add a fixed
+//! set of edge inputs, so a backend regression cannot hide behind its
 //! own test vectors.
 
 use ecq_p256::field::{FieldElement, P_HEX};
@@ -38,6 +40,83 @@ fn edge_values(modulus: &U256) -> Vec<U256> {
         modulus.wrapping_sub(&U256::ONE),
         U256::MAX,
     ]
+}
+
+/// Canonical inputs whose Montgomery form, the integer the safegcd
+/// receives, needs more than 531 divsteps (nine batches of 59) to
+/// reach `g = 0`: 539 and 537. A random input needs the tenth batch
+/// about once in 11 500, so only pins like these catch an inversion
+/// that stops a batch early. Found by a search over random Montgomery
+/// forms; the backend's `pinned_inputs_need_the_tenth_batch` re-proves
+/// that each needs the tenth batch.
+const P_TENTH_BATCH: [&str; 2] = [
+    "1fc6ab8f0e2ea2cf2423986d9a68cb73ad588fcd815374ce5d0dce476d1f7d54",
+    "b90ad88d39cb370d9a1065751e2db84879a6669d8914a26fb24edf9b98a0af6b",
+];
+
+/// The same for the order n: 537 divsteps each.
+const N_TENTH_BATCH: [&str; 2] = [
+    "9b48406b426169918f113fc2938d0ea07f6f49a0535b9909f086da4fecc846c3",
+    "25cd0e2dacf4faaa6d26ccbe3794501af442030b13bcc961ba1677c22c7db21e",
+];
+
+/// The inversion sweep's canonical inputs for `ctx.m`: 1..=64, `2^k`
+/// and `m − 2^k` for k = 0..=255, m − 1, m − 2, (m ± 1)/2 and the
+/// alternating-bit words; then every one of those again as the
+/// Montgomery form the inversion receives (the input `v·R⁻¹`, stored
+/// as `v`); then the pinned tenth-batch inputs.
+fn inversion_sweep(ctx: &MontCtx, pinned: &[&str]) -> Vec<U256> {
+    let m = ctx.m;
+    let mut values: Vec<U256> = (1..=64).map(U256::from_u64).collect();
+    let mut pow = U256::ONE;
+    for _ in 0..=255 {
+        values.push(pow);
+        values.push(m.wrapping_sub(&pow));
+        pow = pow.shl1().0;
+    }
+    let half = m.shr1();
+    values.extend([
+        m.wrapping_sub(&U256::ONE),
+        m.wrapping_sub(&U256::from_u64(2)),
+        half,
+        half.wrapping_add(&U256::ONE),
+    ]);
+    values.extend(
+        [0x5555_5555_5555_5555u64, 0xaaaa_aaaa_aaaa_aaaa]
+            .map(|w| ctx.reduce(&U256::from_limbs([w; 4]))),
+    );
+    let stored: Vec<U256> = values.iter().map(|v| ctx.from_mont(v)).collect();
+    values.extend(stored);
+    values.extend(pinned.iter().map(|h| U256::from_be_hex(h)));
+    values
+}
+
+/// Canonical inverse of a canonical residue, via the oracle's Fermat
+/// inversion.
+fn ref_inv(ctx: &MontCtx, a: &U256) -> U256 {
+    ctx.from_mont(&ctx.mont_inv(&ctx.to_mont(a)))
+}
+
+#[test]
+fn field_inversion_sweep_matches_reference() {
+    let ctx = p_ctx();
+    for v in inversion_sweep(&ctx, &P_TENTH_BATCH) {
+        let a = FieldElement::from_canonical(&v).expect("sweep inputs are reduced");
+        let inv = a.invert();
+        assert_eq!(inv.to_canonical(), ref_inv(&ctx, &v), "a = {v}");
+        assert_eq!(a.mul(&inv), FieldElement::one(), "a = {v}");
+    }
+}
+
+#[test]
+fn scalar_inversion_sweep_matches_reference() {
+    let ctx = n_ctx();
+    for v in inversion_sweep(&ctx, &N_TENTH_BATCH) {
+        let a = Scalar::from_canonical(&v).expect("sweep inputs are reduced");
+        let inv = a.invert();
+        assert_eq!(inv.to_canonical(), ref_inv(&ctx, &v), "a = {v}");
+        assert_eq!(a.mul(&inv), Scalar::one(), "a = {v}");
+    }
 }
 
 /// Canonical product of two canonical residues, via the oracle.

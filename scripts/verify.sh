@@ -32,6 +32,11 @@ run_test() {
   # guarantees must hold for the optimized code that ships.
   echo "==> cargo test --release -p ecq_p256 (constant-time suite)"
   cargo test --release -q -p ecq_p256
+
+  # The same holds across crates: full handshakes and batch enrollment
+  # under the group-operation and divstep counters, on optimized code.
+  echo "==> cargo test --release -p ecq_lint --test dynamic_schedule (cross-crate ct schedules)"
+  cargo test --release -q -p ecq_lint --test dynamic_schedule
 }
 
 run_lint() {
