@@ -12,9 +12,10 @@
 //!
 //! Scope of the model: these primitives remove secret-dependent
 //! *control flow and table indexing* at the group-operation level. The
-//! underlying Montgomery field arithmetic ([`crate::mont`]) retains its
-//! value-dependent final conditional subtraction, like most portable
-//! bignum code; that is documented in the README security notes.
+//! field layer under them ([`crate::backend`]) is branch-free as well:
+//! its reductions end in masked subtractions, and its safegcd
+//! inversion runs a fixed 590 divsteps whose moves are chosen by masks
+//! (see the README security notes).
 
 use crate::point::AffinePoint;
 use crate::u256::U256;
