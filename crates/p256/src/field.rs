@@ -44,8 +44,9 @@ fn curve_b_mont() -> &'static FieldElement {
 /// Counters for the field-operation schedule, mirroring `point::ops`:
 /// the constant-time assertions use these to prove the square-root
 /// chain and the inversion's Montgomery correction run a
-/// value-independent sequence of multiplications and squarings. Compiled for this crate's tests and
-/// under the `schedule-counters` feature for cross-crate checks.
+/// value-independent sequence of multiplications and squarings.
+/// Compiled for this crate's tests and under the `schedule-counters`
+/// feature for cross-crate checks.
 #[cfg(any(test, feature = "schedule-counters"))]
 pub mod fe_ops {
     use std::cell::Cell;
