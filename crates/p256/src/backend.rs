@@ -380,8 +380,13 @@ pub mod divstep_ops {
     }
 
     /// Runs `f` with a zeroed counter and returns its result plus the
-    /// divsteps it ran on this thread.
+    /// divsteps it ran on this thread. Forces the lazy fixed-base
+    /// tables first, like `point::ops::measure`: each build normalizes
+    /// with one inversion, which would otherwise be attributed to the
+    /// first `f` of a process.
     pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let _ = crate::precomp::generator_table();
+        let _ = crate::precomp::generator_table_wide();
         DIVSTEPS.with(|c| c.set(0));
         let result = f();
         (result, DIVSTEPS.with(Cell::get))
