@@ -69,13 +69,12 @@ impl CertRequester {
         issued: &IssuedCert,
         ca_public: &AffinePoint,
     ) -> Result<KeyPair, CertError> {
-        Self::reconstruct_batch(
+        let keys = Zeroizing::new(Self::reconstruct_batch(
             core::slice::from_ref(self),
             core::slice::from_ref(issued),
             ca_public,
-        )?
-        .pop()
-        .ok_or(CertError::InvalidEncoding)
+        )?);
+        keys.first().copied().ok_or(CertError::InvalidEncoding)
     }
 
     /// Batch [`Self::reconstruct`], with one possession check for the

@@ -1,21 +1,19 @@
 //! Dynamic companion to the static lint: drives real secret-bearing
 //! paths — full STS handshakes from `ecq_sts` down through the curve,
 //! batch enrollment, plus ECDH and scalar inversion in isolation —
-//! under the `schedule-counters` feature's runtime op and divstep
-//! counters, and
-//! asserts the constant-time schedules are value-independent
-//! end-to-end across crate boundaries (the static analyzer proves no
-//! vartime call is *reachable*; this proves the ct paths actually
-//! taken perform an input-independent operation sequence).
+//! under the `schedule-counters` feature's runtime operation counters
+//! (`ecq_p256::counters`), and asserts the constant-time schedules are
+//! value-independent end-to-end across crate boundaries (the static
+//! analyzer proves no vartime call is *reachable*; this proves the ct
+//! paths actually taken perform an input-independent operation
+//! sequence).
 
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_p256::backend::divstep_ops;
-use ecq_p256::field::fe_ops;
-use ecq_p256::point::{mul_generator_ct, ops};
-use ecq_p256::scalar::scalar_ops;
+use ecq_p256::counters::{self, Counts};
+use ecq_p256::point::mul_generator_ct;
 use ecq_p256::Scalar;
 use ecq_proto::Credentials;
 use ecq_sts::{establish, StsConfig};
@@ -39,11 +37,10 @@ fn handshake_ct_schedule_is_seed_independent() {
     for seed in [0x1001u64, 0x2002, 0x3003, 0x4004] {
         let (a, b, mut rng) = setup(seed);
         let config = StsConfig::default();
-        let ((outcome, counts), divsteps) =
-            divstep_ops::measure(|| ops::measure(|| establish(&a, &b, &config, &mut rng)));
+        let (outcome, counts) = counters::measure(|| establish(&a, &b, &config, &mut rng));
         let outcome = outcome.expect("handshake");
         assert_eq!(outcome.initiator_key, outcome.responder_key);
-        schedules.push((counts.ct_adds, counts.ct_doubles, divsteps));
+        schedules.push((counts.ct_adds, counts.ct_doubles, counts.divsteps));
     }
     let first = schedules[0];
     assert!(
@@ -76,7 +73,7 @@ fn enrollment_ct_schedule_is_secret_independent() {
             .collect();
         let requests: Vec<_> = requesters.iter().map(CertRequester::request).collect();
         let issued = ca.issue_batch(&requests, 0, 3600, &mut rng).expect("issue");
-        let (keys, counts) = ops::measure(|| {
+        let (keys, counts) = counters::measure(|| {
             CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())
         });
         assert_eq!(keys.expect("reconstruct").len(), 8);
@@ -101,9 +98,9 @@ fn ecdh_field_schedule_is_key_independent() {
     for _ in 0..4 {
         let private = Scalar::random(&mut rng);
         let peer = mul_generator_ct(&Scalar::random(&mut rng));
-        let (shared, counts) = fe_ops::measure(|| ecq_p256::ecdh::shared_secret(&private, &peer));
+        let (shared, counts) = counters::measure(|| ecq_p256::ecdh::shared_secret(&private, &peer));
         shared.expect("ecdh");
-        schedules.push((counts.muls, counts.squares));
+        schedules.push((counts.fe_muls, counts.fe_squares));
     }
     let first = schedules[0];
     assert!(
@@ -118,19 +115,25 @@ fn ecdh_field_schedule_is_key_independent() {
 
 /// Scalar inversion (the s-computation path in ECDSA signing) is one
 /// safegcd and one correcting multiplication: exactly 590 divsteps,
-/// one scalar multiplication and no squaring for every input.
+/// one scalar multiplication, no squaring and no field or group
+/// operation for every input.
 #[test]
 fn scalar_inversion_schedule_is_value_independent() {
     let mut rng = HmacDrbg::from_seed(0x15C4);
+    let expected = Counts {
+        scalar_muls: 1,
+        divsteps: 590,
+        ..Counts::default()
+    };
     let mut schedules = Vec::new();
     for _ in 0..4 {
         let k = Scalar::random(&mut rng);
-        let ((inv, counts), divsteps) = divstep_ops::measure(|| scalar_ops::measure(|| k.invert()));
+        let (inv, counts) = counters::measure(|| k.invert());
         assert_eq!(inv.mul(&k), Scalar::one());
-        schedules.push((counts.muls, counts.squares, divsteps));
+        schedules.push(counts);
     }
     assert!(
-        schedules.iter().all(|s| *s == (1, 0, 590)),
-        "scalar inversion schedule is not 1 mul, 0 squares, 590 divsteps: {schedules:?}"
+        schedules.iter().all(|s| *s == expected),
+        "scalar inversion schedule is not {expected:?}: {schedules:?}"
     );
 }

@@ -14,6 +14,7 @@ use crate::FleetError;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, RevocationList};
 use ecq_crypto::sha256::Sha256;
+use ecq_crypto::zeroize::Zeroizing;
 use ecq_crypto::HmacDrbg;
 use ecq_devices::DevicePreset;
 use ecq_proto::{Credentials, ProtocolError, SessionKey};
@@ -862,11 +863,15 @@ impl<'a> Enroller<'a> {
             &mut self.shard_rngs[self.shard],
         )?;
         let ca_done = self.shard_time + self.per_cert_us * chunk.len() as VirtualTime;
-        let keys = CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())?;
+        let keys = Zeroizing::new(CertRequester::reconstruct_batch(
+            &requesters,
+            &issued,
+            &ca.public_key(),
+        )?);
         self.shard_time = ca_done;
         self.batches += 1;
         let mut batch = Vec::with_capacity(chunk.len());
-        for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
+        for ((&i, cert), &keys) in chunk.iter().zip(&issued).zip(keys.iter()) {
             let device = &self.devices[i];
             let done =
                 ca_done + micros_from_ms(FleetCoordinator::reconstruct_cost_ms(device.preset));

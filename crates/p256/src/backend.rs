@@ -362,37 +362,6 @@ pub(crate) fn reduce_wide(wide: &[u64; 8], p: &MontParams) -> [u64; 4] {
     mont_mul(&t, &p.r2, p)
 }
 
-/// Counter for the divstep schedule, mirroring `field::fe_ops`: the
-/// constant-time assertions use it to prove every inversion runs
-/// exactly 590 divsteps. Compiled for this crate's tests and under the
-/// `schedule-counters` feature for cross-crate checks.
-#[cfg(any(test, feature = "schedule-counters"))]
-pub mod divstep_ops {
-    use std::cell::Cell;
-
-    thread_local! {
-        static DIVSTEPS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Counts one divstep on this thread.
-    pub fn record() {
-        DIVSTEPS.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Runs `f` with a zeroed counter and returns its result plus the
-    /// divsteps it ran on this thread. Forces the lazy fixed-base
-    /// tables first, like `point::ops::measure`: each build normalizes
-    /// with one inversion, which would otherwise be attributed to the
-    /// first `f` of a process.
-    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        let _ = crate::precomp::generator_table();
-        let _ = crate::precomp::generator_table_wide();
-        DIVSTEPS.with(|c| c.set(0));
-        let result = f();
-        (result, DIVSTEPS.with(Cell::get))
-    }
-}
-
 /// The low 62 bits of a limb.
 const M62: u64 = u64::MAX >> 2;
 
@@ -445,7 +414,7 @@ fn divsteps_59(mut zeta: i64, f0: u64, g0: u64) -> (i64, Trans) {
     let mut i = 0;
     while i < 59 {
         #[cfg(any(test, feature = "schedule-counters"))]
-        divstep_ops::record();
+        crate::counters::record(|c| c.divsteps += 1);
         let c1 = (zeta >> 63) as u64;
         let c2 = (g & 1).wrapping_neg();
         // Conditionally negated f, u, v, added to g, q, r when g is odd.

@@ -225,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn sign_verify_roundtrip_both_strategies() {
+    fn sign_verify_roundtrip() {
         let mut rng = HmacDrbg::from_seed(41);
         let kp = KeyPair::generate(&mut rng);
         let sig = sign(&kp.private, b"session transcript");

@@ -41,53 +41,6 @@ fn curve_b_mont() -> &'static FieldElement {
     B.get_or_init(|| FieldElement::from_canonical(&U256::from_be_hex(B_HEX)).expect("b < p"))
 }
 
-/// Counters for the field-operation schedule, mirroring `point::ops`:
-/// the constant-time assertions use these to prove the square-root
-/// chain and the inversion's Montgomery correction run a
-/// value-independent sequence of multiplications and squarings.
-/// Compiled for this crate's tests and under the `schedule-counters`
-/// feature for cross-crate checks.
-#[cfg(any(test, feature = "schedule-counters"))]
-pub mod fe_ops {
-    use std::cell::Cell;
-
-    thread_local! {
-        static MULS: Cell<u64> = const { Cell::new(0) };
-        static SQUARES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Snapshot of this thread's field-operation counters.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct Counts {
-        /// Multiplications recorded on this thread.
-        pub muls: u64,
-        /// Dedicated squarings recorded on this thread.
-        pub squares: u64,
-    }
-
-    /// Counts one field multiplication on this thread.
-    pub fn record_mul() {
-        MULS.with(|c| c.set(c.get() + 1));
-    }
-    /// Counts one field squaring on this thread.
-    pub fn record_square() {
-        SQUARES.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Runs `f` with zeroed counters and returns its result plus the
-    /// field operations it performed on this thread.
-    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Counts) {
-        MULS.with(|c| c.set(0));
-        SQUARES.with(|c| c.set(0));
-        let result = f();
-        let counts = Counts {
-            muls: MULS.with(Cell::get),
-            squares: SQUARES.with(Cell::get),
-        };
-        (result, counts)
-    }
-}
-
 /// An element of GF(p) in Montgomery form.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct FieldElement(U256);
@@ -209,7 +162,7 @@ impl FieldElement {
     /// Multiplication in GF(p).
     pub fn mul(&self, rhs: &Self) -> Self {
         #[cfg(any(test, feature = "schedule-counters"))]
-        fe_ops::record_mul();
+        crate::counters::record(|c| c.fe_muls += 1);
         FieldElement(U256::from_limbs(backend::mont_mul(
             &self.0.limbs(),
             &rhs.0.limbs(),
@@ -221,7 +174,7 @@ impl FieldElement {
     /// once and doubled), measurably cheaper than `mul(self, self)`.
     pub fn square(&self) -> Self {
         #[cfg(any(test, feature = "schedule-counters"))]
-        fe_ops::record_square();
+        crate::counters::record(|c| c.fe_squares += 1);
         FieldElement(U256::from_limbs(backend::mont_sqr(
             &self.0.limbs(),
             &P_PARAMS,
@@ -257,8 +210,8 @@ impl FieldElement {
     /// modular inversion", TCHES 2019) in [`crate::backend`]: exactly
     /// 590 divsteps for every input, the bound for 256-bit moduli, then
     /// one Montgomery multiplication by `R³ mod p`. No branch, index or
-    /// exit depends on the value (the test-only `fe_ops` and
-    /// `divstep_ops` counters assert the schedule).
+    /// exit depends on the value (the test-only `crate::counters`
+    /// assert the schedule).
     ///
     /// # Panics
     ///
@@ -301,7 +254,7 @@ impl FieldElement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::divstep_ops;
+    use crate::counters::{self, Counts};
 
     #[test]
     fn identities() {
@@ -379,30 +332,39 @@ mod tests {
     #[test]
     fn inversion_schedule_is_value_independent() {
         // The safegcd runs 590 divsteps for every input, and the
-        // Montgomery correction is one multiplication.
+        // Montgomery correction is one multiplication; no scalar or
+        // group operation runs.
+        let expected = Counts {
+            divsteps: 590,
+            fe_muls: 1,
+            ..Counts::default()
+        };
         let p_minus_1 = FieldElement::one().neg();
         let inputs = [1u64, 2, 0xdead_beef, u64::MAX].map(FieldElement::from_u64);
         for a in inputs.into_iter().chain([p_minus_1]) {
-            let ((inv, counts), divsteps) = divstep_ops::measure(|| fe_ops::measure(|| a.invert()));
+            let (inv, counts) = counters::measure(|| a.invert());
             assert_eq!(a.mul(&inv), FieldElement::one(), "{a:?}");
-            assert_eq!(divsteps, 590, "{a:?}");
-            assert_eq!(counts.muls, 1, "{a:?}: {counts:?}");
-            assert_eq!(counts.squares, 0, "{a:?}: {counts:?}");
+            assert_eq!(counts, expected, "{a:?}");
         }
     }
 
     #[test]
     fn sqrt_schedule_is_value_independent() {
         // Residues and non-residues must cost the same: 254 squarings
-        // (253 chain + 1 verification) + 7 multiplications.
+        // (253 chain + 1 verification) + 7 multiplications, and no
+        // divstep.
         let residue = FieldElement::from_u64(2).square();
         let non_residue = FieldElement::one().neg();
-        let (r, counts_r) = fe_ops::measure(|| residue.sqrt());
-        let (n, counts_n) = fe_ops::measure(|| non_residue.sqrt());
+        let (r, counts_r) = counters::measure(|| residue.sqrt());
+        let (n, counts_n) = counters::measure(|| non_residue.sqrt());
         assert!(r.is_some());
         assert!(n.is_none());
         assert_eq!(counts_r, counts_n);
-        assert_eq!(counts_r.squares, 254, "{counts_r:?}");
-        assert_eq!(counts_r.muls, 7, "{counts_r:?}");
+        let expected = Counts {
+            fe_squares: 254,
+            fe_muls: 7,
+            ..Counts::default()
+        };
+        assert_eq!(counts_r, expected);
     }
 }

@@ -9,9 +9,9 @@ use ecq_crypto::HmacDrbg;
 ///
 /// All `private·G` computations go through the constant-schedule
 /// fixed-base path ([`mul_generator_ct`]). The pair is `Copy` for
-/// ergonomic protocol state; holders of long-lived copies (e.g. the
-/// STS endpoints) wipe them on drop via the [`Zeroize`] impl, which
-/// clears the private scalar.
+/// ergonomic protocol state and wipes nothing itself; holders of
+/// long-lived copies (e.g. `ecq_proto::Credentials`) wipe them on drop
+/// via the [`Zeroize`] impl, which clears the private scalar.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyPair {
     /// The private scalar in `[1, n−1]`.

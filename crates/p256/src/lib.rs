@@ -8,7 +8,10 @@
 //! Layers, bottom-up:
 //!
 //! * [`u256`] — 256-bit unsigned integers over 4×u64 limbs,
-//! * [`mont`] — Montgomery modular arithmetic (shared by field & scalar),
+//! * [`backend`] — the fixed-modulus Montgomery engine under both
+//!   fields, with the constant-time safegcd inversion,
+//! * [`mont`] — the generic Montgomery engine, kept as the reference
+//!   oracle the backend is tested against,
 //! * [`field`] — arithmetic in GF(p), the curve's base field,
 //! * [`scalar`] — arithmetic mod `n`, the group order,
 //! * [`point`] — affine/Jacobian group operations and scalar
@@ -18,14 +21,16 @@
 //!   vartime multiplier),
 //! * [`ct`] — the mask/select/table-scan primitives under the `*_ct`
 //!   paths,
-//! * [`precomp`] — the fixed-base window table behind
-//!   [`point::mul_generator_ct`] / [`point::mul_generator_vartime`]
-//!   (no doublings per `k·G`),
+//! * [`precomp`] — the two fixed-base combs: the 4-bit one behind
+//!   [`point::mul_generator_ct`] and the 8-bit one behind
+//!   [`point::mul_generator_vartime`] (no doublings per `k·G`),
 //! * [`encoding`] — SEC1 point (de)compression,
-//! * [`ecdsa`] — deterministic (RFC 6979) and randomized ECDSA,
+//! * [`ecdsa`] — deterministic ECDSA (RFC 6979 nonces),
 //! * [`ecdh`] — Diffie–Hellman: the static `Sk = Prk_a·Puk_b` of §II-A
 //!   and the ephemeral `KPM = X_A·XG_B` of the paper's eq. (3),
-//! * [`keys`] — key-pair generation.
+//! * [`keys`] — key-pair generation,
+//! * `counters` — the operation counters behind the constant-schedule
+//!   tests (only under `cfg(test)` or the `schedule-counters` feature).
 //!
 //! # Example
 //!
@@ -44,6 +49,8 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+#[cfg(any(test, feature = "schedule-counters"))]
+pub mod counters;
 pub mod ct;
 pub mod ecdh;
 pub mod ecdsa;

@@ -21,13 +21,13 @@
 //!   reconstruction and the batch possession check, benches and attack
 //!   simulations.
 //!
-//! The op-counter (the `ops` module, compiled under `cfg(test)` or the
-//! `schedule-counters` feature) asserts the ct schedules are
-//! scalar-independent; `scripts/verify.sh` runs that suite in release
-//! mode, and `ecq_lint`'s companion test re-checks it end-to-end from
-//! `ecq_sts`. The remaining caveat is documented in [`crate::ct`]: field
-//! arithmetic keeps the Montgomery conditional subtraction, so this is
-//! schedule-level, not gate-level, constant time.
+//! The operation counters (`crate::counters`, compiled under
+//! `cfg(test)` or the `schedule-counters` feature) assert the ct
+//! schedules are scalar-independent; `scripts/verify.sh` runs that
+//! suite in release mode, and `ecq_lint`'s companion test re-checks it
+//! end-to-end from `ecq_sts`. The field arithmetic under these paths is
+//! branch-free as well (see [`crate::ct`]): masked final subtractions
+//! and a fixed 590-divstep inversion.
 
 use crate::ct;
 use crate::field::FieldElement;
@@ -40,75 +40,6 @@ use std::sync::OnceLock;
 pub const GX_HEX: &str = "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
 /// Generator y-coordinate, big-endian hex.
 pub const GY_HEX: &str = "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
-
-/// Group-operation counters behind the constant-schedule assertions.
-/// Thread-local, so parallel tests do not observe each other's
-/// operations. Compiled for this crate's own tests and, under the
-/// `schedule-counters` feature, for cross-crate dynamic checks (the
-/// `ecq_lint` companion test drives full STS handshakes under these
-/// counters and asserts value-independent schedules end-to-end).
-#[cfg(any(test, feature = "schedule-counters"))]
-pub mod ops {
-    use std::cell::Cell;
-
-    thread_local! {
-        static ADDS: Cell<u64> = const { Cell::new(0) };
-        static DOUBLES: Cell<u64> = const { Cell::new(0) };
-        static CT_ADDS: Cell<u64> = const { Cell::new(0) };
-        static CT_DOUBLES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Snapshot of this thread's counters.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct Counts {
-        /// Variable-time additions (`add` / `add_affine`).
-        pub adds: u64,
-        /// Variable-time doublings (`double`).
-        pub doubles: u64,
-        /// Constant-schedule additions (`add_affine_ct`).
-        pub ct_adds: u64,
-        /// Constant-schedule doublings (`double_ct`).
-        pub ct_doubles: u64,
-    }
-
-    /// Counts one variable-time addition on this thread.
-    pub fn record_add() {
-        ADDS.with(|c| c.set(c.get() + 1));
-    }
-    /// Counts one variable-time doubling on this thread.
-    pub fn record_double() {
-        DOUBLES.with(|c| c.set(c.get() + 1));
-    }
-    /// Counts one constant-schedule addition on this thread.
-    pub fn record_ct_add() {
-        CT_ADDS.with(|c| c.set(c.get() + 1));
-    }
-    /// Counts one constant-schedule doubling on this thread.
-    pub fn record_ct_double() {
-        CT_DOUBLES.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Runs `f` with zeroed counters and returns its result plus the
-    /// group operations it performed on this thread. Forces the lazy
-    /// fixed-base tables first so their one-time builds are not
-    /// attributed to `f`.
-    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Counts) {
-        let _ = crate::precomp::generator_table();
-        let _ = crate::precomp::generator_table_wide();
-        ADDS.with(|c| c.set(0));
-        DOUBLES.with(|c| c.set(0));
-        CT_ADDS.with(|c| c.set(0));
-        CT_DOUBLES.with(|c| c.set(0));
-        let result = f();
-        let counts = Counts {
-            adds: ADDS.with(Cell::get),
-            doubles: DOUBLES.with(Cell::get),
-            ct_adds: CT_ADDS.with(Cell::get),
-            ct_doubles: CT_DOUBLES.with(Cell::get),
-        };
-        (result, counts)
-    }
-}
 
 /// A point in affine coordinates, or the point at infinity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -304,7 +235,7 @@ impl JacobianPoint {
     /// (`M = 3(X−Z²)(X+Z²)`, standard dbl-2001-b shape).
     pub fn double(&self) -> JacobianPoint {
         #[cfg(any(test, feature = "schedule-counters"))]
-        ops::record_double();
+        crate::counters::record(|c| c.doubles += 1);
         if self.is_identity() || self.y.is_zero() {
             return Self::identity();
         }
@@ -319,7 +250,7 @@ impl JacobianPoint {
     /// unnecessary for valid inputs.
     fn double_ct(&self) -> JacobianPoint {
         #[cfg(any(test, feature = "schedule-counters"))]
-        ops::record_ct_double();
+        crate::counters::record(|c| c.ct_doubles += 1);
         self.double_inner()
     }
 
@@ -345,7 +276,7 @@ impl JacobianPoint {
     /// General Jacobian + Jacobian addition.
     pub fn add(&self, rhs: &JacobianPoint) -> JacobianPoint {
         #[cfg(any(test, feature = "schedule-counters"))]
-        ops::record_add();
+        crate::counters::record(|c| c.adds += 1);
         if self.is_identity() {
             return *rhs;
         }
@@ -382,7 +313,7 @@ impl JacobianPoint {
     /// Mixed Jacobian + affine addition (saves a few multiplications).
     pub fn add_affine(&self, rhs: &AffinePoint) -> JacobianPoint {
         #[cfg(any(test, feature = "schedule-counters"))]
-        ops::record_add();
+        crate::counters::record(|c| c.adds += 1);
         if rhs.infinity {
             return *self;
         }
@@ -428,7 +359,7 @@ impl JacobianPoint {
     /// [`mul_generator_ct_jacobian`].
     fn add_affine_ct(&self, rhs: &AffinePoint) -> JacobianPoint {
         #[cfg(any(test, feature = "schedule-counters"))]
-        ops::record_ct_add();
+        crate::counters::record(|c| c.ct_adds += 1);
         let z1z1 = self.z.square();
         let u2 = rhs.x.mul(&z1z1);
         let s2 = rhs.y.mul(&z1z1).mul(&self.z);
@@ -801,6 +732,7 @@ fn wnaf_entry_vartime(table: &[AffinePoint; 8], d: i8) -> AffinePoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters;
     use ecq_crypto::HmacDrbg;
 
     #[test]
@@ -1042,7 +974,7 @@ mod tests {
         // Acceptance: exactly 64 table additions (with dummies), no
         // doublings, for any scalar — zero-rich or dense.
         for (i, k) in edge_scalars().iter().enumerate() {
-            let (_, counts) = ops::measure(|| mul_generator_ct(k));
+            let (_, counts) = counters::measure(|| mul_generator_ct(k));
             assert_eq!(counts.ct_adds, 64, "scalar {i}: {counts:?}");
             assert_eq!(counts.ct_doubles, 0, "scalar {i}: {counts:?}");
             assert_eq!(counts.adds, 0, "scalar {i}: {counts:?}");
@@ -1061,7 +993,7 @@ mod tests {
         );
         let mut schedules = Vec::new();
         for (i, k) in edge_scalars().iter().enumerate() {
-            let (_, counts) = ops::measure(|| base.mul_ct(k));
+            let (_, counts) = counters::measure(|| base.mul_ct(k));
             assert_eq!(counts.ct_doubles, 256, "scalar {i}: {counts:?}");
             assert_eq!(counts.ct_adds, 64, "scalar {i}: {counts:?}");
             assert_eq!(counts.adds, 7, "scalar {i}: {counts:?}");
@@ -1078,8 +1010,8 @@ mod tests {
         // vartime path: a sparse scalar performs fewer table additions.
         let dense = Scalar::from_u64(1).neg(); // n − 1: ~all nibbles set
         let sparse = Scalar::one();
-        let (_, dense_counts) = ops::measure(|| mul_generator_vartime(&dense));
-        let (_, sparse_counts) = ops::measure(|| mul_generator_vartime(&sparse));
+        let (_, dense_counts) = counters::measure(|| mul_generator_vartime(&dense));
+        let (_, sparse_counts) = counters::measure(|| mul_generator_vartime(&sparse));
         assert!(sparse_counts.adds < dense_counts.adds);
         assert_eq!(dense_counts.ct_adds, 0);
     }

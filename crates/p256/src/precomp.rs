@@ -76,17 +76,6 @@ impl GeneratorTable {
         }
     }
 
-    /// The precomputed point `d · 16^w · G` (`d ∈ [1, 15]`).
-    ///
-    /// Indexing by a secret digit leaks it through the data cache; the
-    /// constant-time fixed-base walk uses [`Self::window`] with a full
-    /// masked scan instead.
-    #[inline]
-    pub fn entry(&self, window: usize, digit: u8) -> &AffinePoint {
-        debug_assert!((1..=DIGITS as u8).contains(&digit));
-        &self.windows[window][digit as usize - 1]
-    }
-
     /// All 15 entries of one window (`window[d-1] = d · 16^w · G`), for
     /// the constant-time scan of [`crate::ct::lookup_affine`].
     #[inline]
@@ -180,9 +169,9 @@ mod tests {
         let table = generator_table();
         // Spot-check digits across several windows against the generic
         // scalar multiplication: d · 16^w.
-        for &(w, d) in &[(0usize, 1u8), (0, 15), (1, 1), (1, 9), (7, 3), (63, 15)] {
+        for &(w, d) in &[(0usize, 1usize), (0, 15), (1, 1), (1, 9), (7, 3), (63, 15)] {
             assert_eq!(
-                *table.entry(w, d),
+                table.window(w)[d - 1],
                 g.mul_vartime(&digit_scalar(d as u64, 16, w)),
                 "window {w} digit {d}"
             );
@@ -214,8 +203,7 @@ mod tests {
     fn every_entry_is_on_curve() {
         let table = generator_table();
         for w in 0..WINDOWS {
-            for d in 1..=DIGITS as u8 {
-                let p = table.entry(w, d);
+            for p in table.window(w) {
                 assert!(p.is_on_curve() && !p.infinity);
             }
         }

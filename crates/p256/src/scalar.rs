@@ -29,52 +29,6 @@ const N_LIMBS: [u64; 4] = [
 /// Compile-time Montgomery parameters for the order field.
 const N_PARAMS: MontParams = MontParams::new(N_LIMBS);
 
-/// Counters for the scalar-operation schedule (see `field::fe_ops`);
-/// the inversion ct test asserts its Montgomery correction is
-/// input-independent.
-/// Compiled for this crate's tests and under the `schedule-counters`
-/// feature for cross-crate checks.
-#[cfg(any(test, feature = "schedule-counters"))]
-pub mod scalar_ops {
-    use std::cell::Cell;
-
-    thread_local! {
-        static MULS: Cell<u64> = const { Cell::new(0) };
-        static SQUARES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Snapshot of this thread's scalar-operation counters.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct Counts {
-        /// Multiplications recorded on this thread.
-        pub muls: u64,
-        /// Dedicated squarings recorded on this thread.
-        pub squares: u64,
-    }
-
-    /// Counts one scalar multiplication on this thread.
-    pub fn record_mul() {
-        MULS.with(|c| c.set(c.get() + 1));
-    }
-    /// Counts one scalar squaring on this thread.
-    pub fn record_square() {
-        SQUARES.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Runs `f` with zeroed counters and returns its result plus the
-    /// scalar operations it performed on this thread.
-    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Counts) {
-        MULS.with(|c| c.set(0));
-        SQUARES.with(|c| c.set(0));
-        let result = f();
-        let counts = Counts {
-            muls: MULS.with(Cell::get),
-            squares: SQUARES.with(Cell::get),
-        };
-        (result, counts)
-    }
-}
-
 /// A scalar mod `n` in Montgomery form.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct Scalar(U256);
@@ -222,7 +176,7 @@ impl Scalar {
     /// Multiplication mod n.
     pub fn mul(&self, rhs: &Self) -> Self {
         #[cfg(any(test, feature = "schedule-counters"))]
-        scalar_ops::record_mul();
+        crate::counters::record(|c| c.scalar_muls += 1);
         Scalar(U256::from_limbs(backend::mont_mul(
             &self.0.limbs(),
             &rhs.0.limbs(),
@@ -233,7 +187,7 @@ impl Scalar {
     /// Squaring mod n (dedicated pass, cheaper than `mul(self, self)`).
     pub fn square(&self) -> Self {
         #[cfg(any(test, feature = "schedule-counters"))]
-        scalar_ops::record_square();
+        crate::counters::record(|c| c.scalar_squares += 1);
         Scalar(U256::from_limbs(backend::mont_sqr(
             &self.0.limbs(),
             &N_PARAMS,
@@ -245,8 +199,8 @@ impl Scalar {
     /// modular inversion", TCHES 2019) in [`crate::backend`]: exactly
     /// 590 divsteps for every input, the bound for 256-bit moduli, then
     /// one Montgomery multiplication by `R³ mod n`. No branch, index or
-    /// exit depends on the value (the test-only `scalar_ops` and
-    /// `divstep_ops` counters assert the schedule).
+    /// exit depends on the value (the test-only `crate::counters`
+    /// assert the schedule).
     ///
     /// # Panics
     ///
@@ -277,7 +231,7 @@ impl ecq_crypto::zeroize::Zeroize for Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::divstep_ops;
+    use crate::counters::{self, Counts};
 
     #[test]
     fn ring_identities() {
@@ -355,16 +309,19 @@ mod tests {
 
     #[test]
     fn inversion_schedule_is_input_independent() {
-        // 590 divsteps and one correcting multiplication, for every base.
+        // 590 divsteps and one correcting multiplication, for every base;
+        // no field operation runs.
+        let expected = Counts {
+            divsteps: 590,
+            scalar_muls: 1,
+            ..Counts::default()
+        };
         let n_minus_1 = Scalar::from_u64(1).neg();
         let inputs = [1u64, 2, 0xdead_beef, u64::MAX].map(Scalar::from_u64);
         for a in inputs.into_iter().chain([n_minus_1]) {
-            let ((inv, counts), divsteps) =
-                divstep_ops::measure(|| scalar_ops::measure(|| a.invert()));
+            let (inv, counts) = counters::measure(|| a.invert());
             assert_eq!(a.mul(&inv), Scalar::one(), "{:?}", a.to_canonical());
-            assert_eq!(divsteps, 590, "{:?}", a.to_canonical());
-            assert_eq!(counts.muls, 1, "{counts:?}");
-            assert_eq!(counts.squares, 0, "{counts:?}");
+            assert_eq!(counts, expected, "{:?}", a.to_canonical());
         }
     }
 

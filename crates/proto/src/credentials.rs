@@ -8,11 +8,13 @@
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, DeviceId, ImplicitCert};
+use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::AffinePoint;
 
-/// Long-term credential state of one device.
+/// Long-term credential state of one device. Every copy wipes its
+/// private key when dropped.
 #[derive(Clone, Debug)]
 pub struct Credentials {
     /// The device identity.
@@ -72,6 +74,22 @@ impl Credentials {
     }
 }
 
+impl Zeroize for Credentials {
+    /// Wipes the private key `Prk_X`; the rest is public.
+    fn zeroize(&mut self) {
+        self.keys.zeroize();
+    }
+}
+
+impl Drop for Credentials {
+    /// Wipes the long-term private key: `KeyPair` is `Copy` and wipes
+    /// nothing itself, so every holder (endpoints, fleet devices, the
+    /// service daemon) relies on this.
+    fn drop(&mut self) {
+        self.zeroize();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +107,22 @@ mod tests {
             reconstruct_public_key(&creds.cert, &creds.ca_public).unwrap(),
             creds.keys.public
         );
+    }
+
+    #[test]
+    fn zeroize_wipes_only_the_private_key() {
+        let mut rng = HmacDrbg::from_seed(83);
+        let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+        let creds = Credentials::provision(&ca, DeviceId::from_label("ecu"), 0, 100, &mut rng)
+            .expect("provisioning succeeds");
+        let mut wiped = creds.clone();
+        wiped.zeroize();
+        assert!(wiped.keys.private.is_zero());
+        assert!(!creds.keys.private.is_zero());
+        assert_eq!(wiped.id, creds.id);
+        assert_eq!(wiped.cert, creds.cert);
+        assert_eq!(wiped.keys.public, creds.keys.public);
+        assert_eq!(wiped.ca_public, creds.ca_public);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub struct ServiceConfig {
     /// complete frame for this long is closed with a typed
     /// `Deadline` error frame.
     pub read_timeout: Duration,
-    /// Per-connection write timeout for response frames.
-    pub write_timeout: Duration,
 }
 
 impl ServiceConfig {
@@ -55,7 +53,6 @@ impl ServiceConfig {
             valid_from: 0,
             valid_to: u32::MAX,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
         }
     }
 
@@ -94,13 +91,6 @@ impl ServiceConfig {
         self.read_timeout = timeout;
         self
     }
-
-    /// Sets the per-connection write timeout.
-    #[must_use]
-    pub fn write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -112,13 +102,11 @@ mod tests {
         let config = ServiceConfig::tcp("127.0.0.1:0")
             .seed(7)
             .validity(10, 20)
-            .read_timeout(Duration::from_millis(250))
-            .write_timeout(Duration::from_millis(125));
+            .read_timeout(Duration::from_millis(250));
         assert_eq!(config.bind, BindAddr::Tcp("127.0.0.1:0".into()));
         assert_eq!(config.seed, Some(7));
         assert_eq!((config.valid_from, config.valid_to), (10, 20));
         assert_eq!(config.read_timeout, Duration::from_millis(250));
-        assert_eq!(config.write_timeout, Duration::from_millis(125));
     }
 
     #[cfg(unix)]

@@ -20,9 +20,13 @@ use std::io::Read;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Read-poll granularity: the connection wakes this often to notice a
-/// daemon shutdown or an expired idle deadline.
-const TICK: Duration = Duration::from_millis(50);
+/// Poll granularity: a connection wakes this often to notice a daemon
+/// shutdown or an expired idle deadline, and the accept loop to notice
+/// new connections and the shutdown flag.
+pub(crate) const TICK: Duration = Duration::from_millis(50);
+
+/// Per-connection write timeout for response frames.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How one service of a frame (or a read attempt) ends.
 enum Outcome {
@@ -96,9 +100,7 @@ impl FrameSource {
 pub(crate) fn handle_connection(shared: &Shared, mut stream: ServiceStream) {
     shared.stats.connections.fetch_add(1, Ordering::Relaxed);
     if stream.set_read_deadline(Some(TICK)).is_err()
-        || stream
-            .set_write_deadline(Some(shared.write_timeout))
-            .is_err()
+        || stream.set_write_deadline(Some(WRITE_TIMEOUT)).is_err()
     {
         shared.stats.errors.fetch_add(1, Ordering::Relaxed);
         return;

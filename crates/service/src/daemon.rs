@@ -1,7 +1,7 @@
 //! The long-running CA + responder daemon.
 
 use crate::config::{BindAddr, ServiceConfig};
-use crate::connection::handle_connection;
+use crate::connection::{handle_connection, TICK};
 use crate::error::ServiceError;
 use crate::stream::ServiceStream;
 use ecq_cert::ca::CertificateAuthority;
@@ -66,7 +66,6 @@ pub(crate) struct Shared {
     pub valid_from: u32,
     pub valid_to: u32,
     pub read_timeout: Duration,
-    pub write_timeout: Duration,
     pub shutdown: AtomicBool,
     pub stats: Stats,
 }
@@ -78,16 +77,21 @@ enum Listener {
 }
 
 impl Listener {
+    /// Accepts one pending connection as a blocking stream; the
+    /// listener itself is non-blocking, so `WouldBlock` means none is
+    /// pending.
     fn accept(&self) -> std::io::Result<ServiceStream> {
         match self {
             Listener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
+                stream.set_nonblocking(false)?;
                 let _ = stream.set_nodelay(true);
                 Ok(ServiceStream::Tcp(stream))
             }
             #[cfg(unix)]
             Listener::Unix(l) => {
                 let (stream, _) = l.accept()?;
+                stream.set_nonblocking(false)?;
                 Ok(ServiceStream::Unix(stream))
             }
         }
@@ -97,10 +101,15 @@ impl Listener {
 /// A running CA + responder daemon.
 ///
 /// The daemon owns one accept thread and one worker thread per live
-/// connection. [`ServiceDaemon::shutdown`] (also run on drop) flips
-/// the shared shutdown flag, unblocks the accept loop, and joins every
-/// worker; in-flight connections receive a typed `ShuttingDown` error
-/// frame at their next read tick.
+/// connection. The accept thread polls a non-blocking listener: each
+/// time it wakes it accepts every pending connection, then sleeps one
+/// tick (50 ms) and checks the shutdown flag again.
+/// [`ServiceDaemon::shutdown`] (also run on drop) flips that flag and
+/// joins the accept thread, which joins every worker; in-flight
+/// connections receive a typed `ShuttingDown` error frame at their
+/// next read tick. No step of the shutdown connects to the daemon's
+/// own address, so it returns even when a Unix socket file was
+/// removed under the running daemon.
 pub struct ServiceDaemon {
     shared: Arc<Shared>,
     addr: ServiceAddr,
@@ -173,7 +182,6 @@ impl ServiceDaemon {
             valid_from: config.valid_from,
             valid_to: config.valid_to,
             read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
         });
@@ -223,16 +231,6 @@ impl ServiceDaemon {
     /// worker thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept call with a throwaway connection.
-        match &self.addr {
-            ServiceAddr::Tcp(addr) => {
-                let _ = std::net::TcpStream::connect_timeout(addr, Duration::from_secs(1));
-            }
-            #[cfg(unix)]
-            ServiceAddr::Unix(path) => {
-                let _ = std::os::unix::net::UnixStream::connect(path);
-            }
-        }
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -308,6 +306,7 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
     match bind {
         BindAddr::Tcp(addr) => {
             let listener = std::net::TcpListener::bind(addr.as_str())?;
+            listener.set_nonblocking(true)?;
             let local = listener.local_addr()?;
             Ok((Listener::Tcp(listener), ServiceAddr::Tcp(local)))
         }
@@ -315,6 +314,7 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
         BindAddr::Unix(path) => {
             remove_stale_socket(path);
             let listener = std::os::unix::net::UnixListener::bind(path)?;
+            listener.set_nonblocking(true)?;
             Ok((Listener::Unix(listener), ServiceAddr::Unix(path.clone())))
         }
     }
@@ -334,14 +334,16 @@ fn remove_stale_socket(path: &std::path::Path) {
 
 fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        let stream = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let stream = match listener.accept() {
             Ok(stream) => stream,
-            Err(_) => continue, // transient accept failure; keep serving
+            // `WouldBlock` (nothing pending) or a failed accept, such as
+            // running out of descriptors: either way, wait one tick
+            // instead of spinning.
+            Err(_) => {
+                std::thread::sleep(TICK);
+                continue;
+            }
         };
         let worker_shared = Arc::clone(shared);
         let spawned = std::thread::Builder::new()

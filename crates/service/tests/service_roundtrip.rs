@@ -165,6 +165,24 @@ fn unix_bind_replaces_only_a_stale_socket() {
     daemon.shutdown();
 }
 
+#[cfg(unix)]
+#[test]
+fn shutdown_returns_when_the_socket_file_is_gone() {
+    let path = std::env::temp_dir().join(format!("ecq-service-gone-{}.sock", std::process::id()));
+    let daemon = ServiceDaemon::start(ServiceConfig::unix(&path).seed(24)).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    // Drop on a helper thread, so a shutdown that blocks fails this
+    // test instead of hanging the suite.
+    let (dropped, done) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        drop(daemon);
+        let _ = dropped.send(());
+    });
+    done.recv_timeout(Duration::from_secs(2))
+        .expect("shutdown returns without the socket file");
+    helper.join().unwrap();
+}
+
 #[test]
 fn control_frame_mid_handshake_is_unexpected() {
     // A scripted peer answers A1 with a control frame: the client must
