@@ -3,13 +3,10 @@
 //!
 //! One table covers the symmetric primitives, the P-256 field and
 //! curve operations, ECQV issuance and reconstruction, point decoding
-//! and one full handshake per distinct wire format of Table II. The
-//! field rows also time the generic [`ecq_p256::mont::MontCtx`] engine
-//! on the *same* operation, so the artifact records the backend's
-//! speedup live instead of relying on numbers copied from an older
-//! commit. Host numbers differ from the paper's embedded boards by
-//! construction; the ratios between rows are the comparison that
-//! carries over. CI uploads the JSON next to `BENCH_fleet.json`.
+//! and one full handshake per distinct wire format of Table II. Host
+//! numbers differ from the paper's embedded boards by construction; the
+//! ratios between rows are the comparison that carries over. CI
+//! uploads the JSON next to `BENCH_fleet.json`.
 //!
 //! ```sh
 //! cargo run --release --bin bench_p256 -- --json BENCH_p256.json
@@ -19,10 +16,9 @@ use ecq_baselines::establish;
 use ecq_bench::deployment;
 use ecq_cert::{ca::CertificateAuthority, requester::CertRequester, DeviceId};
 use ecq_crypto::{aes::Aes128, cmac, ctr, hkdf, hmac, sha256, HmacDrbg};
-use ecq_p256::field::{FieldElement, P_HEX};
-use ecq_p256::mont::MontCtx;
+use ecq_p256::field::FieldElement;
 use ecq_p256::point::{mul_generator_ct, mul_generator_vartime, AffinePoint, JacobianPoint};
-use ecq_p256::scalar::{Scalar, N_HEX};
+use ecq_p256::scalar::Scalar;
 use ecq_p256::u256::U256;
 use ecq_p256::{ecdh, ecdsa, encoding, keys::KeyPair};
 use ecq_proto::ProtocolKind;
@@ -30,12 +26,10 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// One measured row: a primitive, its per-op cost, and (when a generic
-/// reference exists) the oracle's cost for the identical operation.
+/// One measured row: a primitive and its per-op cost.
 struct Row {
     name: &'static str,
     ns: f64,
-    reference_ns: Option<f64>,
 }
 
 /// Median-of-reps timing of `f`, batched so per-call overhead washes
@@ -58,13 +52,8 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     samples[REPS / 2]
 }
 
-/// A row with no reference implementation.
 fn row(name: &'static str, ns: f64) -> Row {
-    Row {
-        name,
-        ns,
-        reference_ns: None,
-    }
+    Row { name, ns }
 }
 
 /// The row name of `kind`'s full handshake. The STS schedules share
@@ -82,16 +71,10 @@ fn handshake_row(kind: ProtocolKind) -> &'static str {
 
 fn rows() -> Vec<Row> {
     let mut rng = HmacDrbg::from_seed(0xB256);
-    let p_ctx = MontCtx::new(U256::from_be_hex(P_HEX));
-    let n_ctx = MontCtx::new(U256::from_be_hex(N_HEX));
 
-    // Field operands (Montgomery-form values < p on both sides).
     let fa = FieldElement::from_reduced(&U256::from_be_bytes(&rng.bytes32()));
     let fb = FieldElement::from_reduced(&U256::from_be_bytes(&rng.bytes32()));
-    let ra = p_ctx.to_mont(&p_ctx.reduce(&U256::from_be_bytes(&rng.bytes32())));
-    let rb = p_ctx.to_mont(&p_ctx.reduce(&U256::from_be_bytes(&rng.bytes32())));
     let sa = Scalar::random(&mut rng);
-    let na = n_ctx.to_mont(&n_ctx.reduce(&U256::from_be_bytes(&rng.bytes32())));
 
     let kp = KeyPair::generate(&mut rng);
     let peer = KeyPair::generate(&mut rng);
@@ -165,122 +148,99 @@ fn rows() -> Vec<Row> {
         ),
     ];
 
-    rows.push(Row {
-        name: "fe_mul",
-        ns: time_ns(20_000, || {
+    rows.push(row(
+        "fe_mul",
+        time_ns(20_000, || {
             black_box(black_box(&fa).mul(black_box(&fb)));
         }),
-        reference_ns: Some(time_ns(20_000, || {
-            black_box(p_ctx.mont_mul(black_box(&ra), black_box(&rb)));
-        })),
-    });
-    rows.push(Row {
-        name: "fe_square",
-        ns: time_ns(20_000, || {
+    ));
+    rows.push(row(
+        "fe_square",
+        time_ns(20_000, || {
             black_box(black_box(&fa).square());
         }),
-        reference_ns: Some(time_ns(20_000, || {
-            black_box(p_ctx.mont_mul(black_box(&ra), black_box(&ra)));
-        })),
-    });
-    rows.push(Row {
-        name: "fe_invert",
-        ns: time_ns(200, || {
+    ));
+    rows.push(row(
+        "fe_invert",
+        time_ns(200, || {
             black_box(black_box(&fa).invert());
         }),
-        reference_ns: Some(time_ns(200, || {
-            black_box(p_ctx.mont_inv(black_box(&ra)));
-        })),
-    });
-    rows.push(Row {
-        name: "fe_sqrt",
-        ns: time_ns(200, || {
+    ));
+    rows.push(row(
+        "fe_sqrt",
+        time_ns(200, || {
             black_box(black_box(&fa).sqrt());
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "scalar_invert",
-        ns: time_ns(200, || {
+    ));
+    rows.push(row(
+        "scalar_invert",
+        time_ns(200, || {
             black_box(black_box(&sa).invert());
         }),
-        reference_ns: Some(time_ns(200, || {
-            black_box(n_ctx.mont_inv(black_box(&na)));
-        })),
-    });
-    rows.push(Row {
-        name: "point_double",
-        ns: time_ns(5_000, || {
+    ));
+    rows.push(row(
+        "point_double",
+        time_ns(5_000, || {
             black_box(black_box(&pj).double());
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "point_add",
-        ns: time_ns(5_000, || {
+    ));
+    rows.push(row(
+        "point_add",
+        time_ns(5_000, || {
             black_box(black_box(&pj).add(black_box(&gj)));
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "base_mul_ct",
-        ns: time_ns(300, || {
+    ));
+    rows.push(row(
+        "base_mul_ct",
+        time_ns(300, || {
             black_box(mul_generator_ct(black_box(&k)));
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "base_mul_vartime",
-        ns: time_ns(300, || {
+    ));
+    rows.push(row(
+        "base_mul_vartime",
+        time_ns(300, || {
             black_box(mul_generator_vartime(black_box(&k)));
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "point_mul_ct",
-        ns: time_ns(100, || {
+    ));
+    rows.push(row(
+        "point_mul_ct",
+        time_ns(100, || {
             black_box(peer.public.mul_ct(black_box(&k)));
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "point_mul_vartime",
-        ns: time_ns(100, || {
+    ));
+    rows.push(row(
+        "point_mul_vartime",
+        time_ns(100, || {
             black_box(peer.public.mul_vartime(black_box(&k)));
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecdh",
-        ns: time_ns(100, || {
+    ));
+    rows.push(row(
+        "ecdh",
+        time_ns(100, || {
             black_box(ecdh::shared_secret(&kp.private, black_box(&peer.public)).unwrap());
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecdsa_sign",
-        ns: time_ns(100, || {
+    ));
+    rows.push(row(
+        "ecdsa_sign",
+        time_ns(100, || {
             black_box(ecdsa::sign(&kp.private, black_box(b"bench message")));
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecdsa_verify",
-        ns: time_ns(100, || {
+    ));
+    rows.push(row(
+        "ecdsa_verify",
+        time_ns(100, || {
             black_box(ecdsa::verify(&kp.public, b"bench message", &sig));
         }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecqv_reconstruct_eq1",
-        ns: time_ns(100, || {
+    ));
+    rows.push(row(
+        "ecqv_reconstruct_eq1",
+        time_ns(100, || {
             black_box(
                 ecq_cert::reconstruct_public_key(black_box(&issued.certificate), &ca.public_key())
                     .unwrap(),
             );
         }),
-        reference_ns: None,
-    });
+    ));
     // eq. (1) folded into the verify: the first-contact path of
     // Algorithm 2, against `ecqv_reconstruct_eq1` + `ecdsa_verify`.
     rows.push(row(
@@ -365,20 +325,15 @@ fn rows() -> Vec<Row> {
 }
 
 fn json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"bench-p256-v1\",\n  \"unit\": \"ns_per_op\",\n  \"reference\": \"generic MontCtx engine on the same operation\",\n  \"rows\": [\n");
+    let mut out = String::from(
+        "{\n  \"schema\": \"bench-p256-v2\",\n  \"unit\": \"ns_per_op\",\n  \"rows\": [\n",
+    );
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns\": {:.1}",
+            "    {{\"name\": \"{}\", \"ns\": {:.1}}}",
             row.name, row.ns
         ));
-        if let Some(r) = row.reference_ns {
-            out.push_str(&format!(
-                ", \"reference_ns\": {:.1}, \"speedup\": {:.2}",
-                r,
-                r / row.ns.max(1e-9)
-            ));
-        }
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
+        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ]\n}\n");
     out
@@ -404,21 +359,9 @@ fn main() -> ExitCode {
     }
 
     let rows = rows();
-    println!(
-        "{:<24}{:>12}{:>16}{:>10}",
-        "primitive", "ns/op", "reference ns/op", "speedup"
-    );
+    println!("{:<24}{:>12}", "primitive", "ns/op");
     for row in &rows {
-        match row.reference_ns {
-            Some(r) => println!(
-                "{:<24}{:>12.1}{:>16.1}{:>9.2}x",
-                row.name,
-                row.ns,
-                r,
-                r / row.ns.max(1e-9)
-            ),
-            None => println!("{:<24}{:>12.1}{:>16}{:>10}", row.name, row.ns, "-", "-"),
-        }
+        println!("{:<24}{:>12.1}", row.name, row.ns);
     }
 
     if let Some(path) = json_path {

@@ -1,8 +1,8 @@
-//! Constant-time comparison helpers.
+//! Constant-time comparison.
 //!
 //! Key and tag comparisons in the protocol code must not leak the
-//! position of the first differing byte through timing. These helpers
-//! fold the whole comparison into a single accumulated value before
+//! position of the first differing byte through timing. [`eq`] folds
+//! the whole comparison into a single accumulated value before
 //! branching.
 
 /// Compares two byte slices in constant time with respect to content.
@@ -20,17 +20,6 @@ pub fn eq(a: &[u8], b: &[u8]) -> bool {
     acc == 0
 }
 
-/// Selects `a` when `choice` is true, `b` otherwise, without branching on
-/// the secret `choice` for the per-byte copy.
-pub fn select(choice: bool, a: &[u8], b: &[u8], out: &mut [u8]) {
-    assert_eq!(a.len(), b.len(), "select arms must have equal length");
-    assert_eq!(a.len(), out.len(), "output must match arm length");
-    let mask = (choice as u8).wrapping_neg(); // 0xFF or 0x00
-    for i in 0..out.len() {
-        out[i] = (a[i] & mask) | (b[i] & !mask);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,21 +31,5 @@ mod tests {
         assert!(!eq(b"abc", b"abd"));
         assert!(!eq(b"abc", b"ab"));
         assert!(!eq(b"\x00", b"\x01"));
-    }
-
-    #[test]
-    fn select_arms() {
-        let mut out = [0u8; 3];
-        select(true, b"aaa", b"bbb", &mut out);
-        assert_eq!(&out, b"aaa");
-        select(false, b"aaa", b"bbb", &mut out);
-        assert_eq!(&out, b"bbb");
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn select_length_mismatch_panics() {
-        let mut out = [0u8; 2];
-        select(true, b"aa", b"b", &mut out);
     }
 }

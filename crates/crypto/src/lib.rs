@@ -8,14 +8,14 @@
 //! * [`sha256`] — FIPS 180-4 SHA-256 (one-shot and incremental),
 //! * [`hmac`] — RFC 2104 HMAC-SHA256,
 //! * [`hkdf`] — RFC 5869 HKDF-SHA256 (the paper's `KDF(KPM, salt)`),
-//! * [`aes`] — FIPS 197 AES-128 block cipher,
+//! * [`aes`] — FIPS 197 AES-128 block cipher (encryption only),
 //! * [`ctr`] — AES-128-CTR stream encryption (used for the encrypted STS
 //!   signature response, Algorithm 1 of the paper),
 //! * [`cmac`] — NIST SP 800-38B AES-CMAC (128-bit, as in the paper's
 //!   evaluation setup),
 //! * [`drbg`] — NIST SP 800-90A HMAC-DRBG, the deterministic randomness
 //!   source used for reproducible protocol simulation,
-//! * [`ct`] — constant-time comparison helpers,
+//! * [`ct`] — constant-time comparison,
 //! * [`zeroize`] — best-effort wiping of secret material (volatile
 //!   stores + compiler fence; no dependencies).
 //!

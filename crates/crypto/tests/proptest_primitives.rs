@@ -1,6 +1,6 @@
 //! Property-based tests of the symmetric primitives.
 
-use ecq_crypto::{aes::Aes128, cmac, ctr, hkdf, hmac, sha256, HmacDrbg};
+use ecq_crypto::{cmac, ctr, hkdf, hmac, sha256, HmacDrbg};
 use proptest::prelude::*;
 
 proptest! {
@@ -20,15 +20,6 @@ proptest! {
                                        b in proptest::collection::vec(any::<u8>(), 0..64)) {
         let joined = [a.as_slice(), b.as_slice()].concat();
         prop_assert_eq!(sha256::sha256_concat(&[&a, &b]), sha256::sha256(&joined));
-    }
-
-    #[test]
-    fn aes_roundtrips(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-        let aes = Aes128::new(&key);
-        let mut work = block;
-        aes.encrypt_block(&mut work);
-        aes.decrypt_block(&mut work);
-        prop_assert_eq!(work, block);
     }
 
     #[test]

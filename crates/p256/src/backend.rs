@@ -1,18 +1,16 @@
 //! The specialized fixed-modulus field backend.
 //!
-//! [`crate::mont::MontCtx`] is a *generic* engine: the modulus, the
-//! Montgomery constant `n0` and the conversion constants live behind a
-//! runtime context, every multiplication loads them through a
-//! reference, and the final reduction step branches on the
-//! (secret-derived) result value. This module is the specialized
-//! counterpart the hot paths run on:
+//! A generic Montgomery engine keeps the modulus, the constant `n0`
+//! and the conversion constants behind a runtime context and loads
+//! them through a reference on every multiplication. This module is
+//! the specialized engine the hot paths run on:
 //!
 //! * all constants (`MontParams`) are derived **at compile time** by
-//!   `const fn` from the modulus alone — the same "no hand-derived
-//!   magic numbers" policy as `MontCtx::new`, but with zero runtime
-//!   cost and full constant folding into the unrolled limb code. For
-//!   the P-256 prime, `n0 = 1` and the sparse modulus limbs fold into
-//!   shift/add forms;
+//!   `const fn` from the modulus alone, so no hand-derived magic
+//!   number needs to be trusted, at zero runtime cost and with full
+//!   constant folding into the unrolled limb code. For the P-256
+//!   prime, `n0 = 1` and the sparse modulus limbs fold into shift/add
+//!   forms;
 //! * multiplication is a 4-limb CIOS pass and squaring a dedicated
 //!   SOS pass (cross products computed once and doubled), both fully
 //!   inlined;
@@ -28,9 +26,9 @@
 //!   index or exit depends on the value.
 //!
 //! [`crate::field`] instantiates this engine for GF(p) and
-//! [`crate::scalar`] for the order field mod n; `MontCtx` stays as the
-//! independently-derived reference oracle the proptests compare
-//! against (`crates/p256/tests/proptest_field_backend.rs`).
+//! [`crate::scalar`] for the order field mod n. The crate's unit tests
+//! compare every operation against `MontCtx`, a generic engine that
+//! derives its constants at runtime and is compiled only for tests.
 
 use crate::ct;
 use core::hint::black_box;
@@ -110,11 +108,12 @@ const fn mul_2_256(mut x: [u64; 4], m: &[u64; 4]) -> [u64; 4] {
 impl MontParams {
     /// Derives every constant from the modulus at compile time.
     ///
-    /// Mirrors `MontCtx::new`: `m^{-1} mod 2^64` by Newton–Hensel
-    /// lifting (negated for `n0`, truncated for `m^{-1} mod 2^62`),
-    /// `R mod m = 2^256 − m` (valid because `m > 2^255`), and
-    /// `R^2 mod m` and `R^3 mod m` by 256 modular doublings each.
-    /// Branches here run in the compiler, not on secrets.
+    /// Mirrors the test-only `MontCtx::new`: `m^{-1} mod 2^64` by
+    /// Newton–Hensel lifting (negated for `n0`, truncated for
+    /// `m^{-1} mod 2^62`), `R mod m = 2^256 − m` (valid because
+    /// `m > 2^255`), and `R^2 mod m` and `R^3 mod m` by 256 modular
+    /// doublings each. Branches here run in the compiler, not on
+    /// secrets.
     pub const fn new(m: [u64; 4]) -> Self {
         assert!(m[0] & 1 == 1, "Montgomery modulus must be odd");
         assert!(m[3] >> 63 == 1, "modulus must exceed 2^255");
@@ -344,24 +343,6 @@ pub(crate) fn reduce_once(a: &[u64; 4], p: &MontParams) -> [u64; 4] {
     cond_sub(0, a, &p.m)
 }
 
-/// Reduces a 512-bit value to the *canonical* residue mod m:
-/// one Montgomery reduction (`·R^{-1}`) followed by a multiplication
-/// by `R^2·R^{-1} = R` to undo the factor. Replaces the bit-by-bit
-/// `MontCtx::reduce_wide` on hot hash-to-scalar paths.
-///
-/// For `t` up to `2^512 − 1` the inner reduction can exceed `m` by up
-/// to `2^256`, so an extra branch-free subtraction runs before the
-/// correction multiply.
-#[inline(always)]
-pub(crate) fn reduce_wide(wide: &[u64; 8], p: &MontParams) -> [u64; 4] {
-    let t = mont_reduce(wide, p);
-    // mont_reduce already bounds t < m for t < m·2^256; an arbitrary
-    // 512-bit input is < 2^512 < (2m)·2^256, one more subtraction
-    // covers the slack.
-    let t = reduce_once(&t, p);
-    mont_mul(&t, &p.r2, p)
-}
-
 /// The low 62 bits of a limb.
 const M62: u64 = u64::MAX >> 2;
 
@@ -562,6 +543,7 @@ pub(crate) fn invert(a: &[u64; 4], p: &MontParams) -> [u64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mont::{MontCtx, N_TENTH_BATCH, P_TENTH_BATCH};
     use crate::u256::U256;
 
     const P: [u64; 4] = [
@@ -580,7 +562,7 @@ mod tests {
 
     #[test]
     fn const_params_match_runtime_ctx() {
-        let ctx = crate::mont::MontCtx::new(U256::from_limbs(P));
+        let ctx = MontCtx::new(U256::from_limbs(P));
         assert_eq!(PARAMS.r1, ctx.r1.limbs());
         assert_eq!(PARAMS.r2, ctx.r2.limbs());
         assert_eq!(PARAMS.n0, ctx.n0());
@@ -597,17 +579,6 @@ mod tests {
             assert_eq!(params.m_inv62.wrapping_mul(m[0]) & M62, 1);
         }
     }
-
-    /// The canonical inputs `tests/proptest_field_backend.rs` pins for
-    /// p and for n.
-    const P_TENTH_BATCH: [&str; 2] = [
-        "1fc6ab8f0e2ea2cf2423986d9a68cb73ad588fcd815374ce5d0dce476d1f7d54",
-        "b90ad88d39cb370d9a1065751e2db84879a6669d8914a26fb24edf9b98a0af6b",
-    ];
-    const N_TENTH_BATCH: [&str; 2] = [
-        "9b48406b426169918f113fc2938d0ea07f6f49a0535b9909f086da4fecc846c3",
-        "25cd0e2dacf4faaa6d26ccbe3794501af442030b13bcc961ba1677c22c7db21e",
-    ];
 
     #[test]
     fn pinned_inputs_need_the_tenth_batch() {
@@ -632,7 +603,7 @@ mod tests {
 
     #[test]
     fn mul_and_square_match_reference() {
-        let ctx = crate::mont::MontCtx::new(U256::from_limbs(P));
+        let ctx = MontCtx::new(U256::from_limbs(P));
         let a =
             U256::from_be_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296");
         let b =
@@ -645,21 +616,8 @@ mod tests {
     }
 
     #[test]
-    fn wide_reduction_matches_reference() {
-        let ctx = crate::mont::MontCtx::new(U256::from_limbs(P));
-        let a = U256::MAX;
-        let b =
-            U256::from_be_hex("ffffffff00000001000000000000000000000000fffffffffffffffffffffffe");
-        let wide = a.widening_mul(&b);
-        assert_eq!(reduce_wide(&wide, &PARAMS), ctx.reduce_wide(&wide).limbs());
-        // All-ones 512-bit value: the worst-case slack path.
-        let ones = [u64::MAX; 8];
-        assert_eq!(reduce_wide(&ones, &PARAMS), ctx.reduce_wide(&ones).limbs());
-    }
-
-    #[test]
     fn add_sub_neg_match_reference() {
-        let ctx = crate::mont::MontCtx::new(U256::from_limbs(P));
+        let ctx = MontCtx::new(U256::from_limbs(P));
         let a = U256::from_u64(5);
         let b = ctx.m.wrapping_sub(&U256::from_u64(3));
         assert_eq!(

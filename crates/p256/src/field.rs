@@ -7,9 +7,9 @@
 //! in at compile time, branch-free final reductions, inversion by the
 //! backend's constant-time safegcd (Bernstein–Yang, 590 divsteps), and
 //! the square root by a fixed addition chain instead of generic
-//! square-and-multiply. The generic [`crate::mont::MontCtx`] engine is
-//! no longer on any GF(p) path — it survives as the reference oracle
-//! the backend proptests compare against.
+//! square-and-multiply. The crate's unit tests compare every operation
+//! against `MontCtx`, a generic Montgomery engine compiled only for
+//! tests.
 
 use crate::backend::{self, MontParams};
 use crate::u256::U256;

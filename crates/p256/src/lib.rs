@@ -10,8 +10,6 @@
 //! * [`u256`] — 256-bit unsigned integers over 4×u64 limbs,
 //! * [`backend`] — the fixed-modulus Montgomery engine under both
 //!   fields, with the constant-time safegcd inversion,
-//! * [`mont`] — the generic Montgomery engine, kept as the reference
-//!   oracle the backend is tested against,
 //! * [`field`] — arithmetic in GF(p), the curve's base field,
 //! * [`scalar`] — arithmetic mod `n`, the group order,
 //! * [`point`] — affine/Jacobian group operations and scalar
@@ -30,7 +28,9 @@
 //!   and the ephemeral `KPM = X_A·XG_B` of the paper's eq. (3),
 //! * [`keys`] — key-pair generation,
 //! * `counters` — the operation counters behind the constant-schedule
-//!   tests (only under `cfg(test)` or the `schedule-counters` feature).
+//!   tests (only under `cfg(test)` or the `schedule-counters` feature),
+//! * `mont` — the generic Montgomery engine the tests pin the backend
+//!   against for every operation (only under `cfg(test)`).
 //!
 //! # Example
 //!
@@ -57,7 +57,6 @@ pub mod ecdsa;
 pub mod encoding;
 pub mod field;
 pub mod keys;
-pub mod mont;
 pub mod point;
 pub mod precomp;
 pub mod rfc6979;
@@ -94,3 +93,6 @@ impl core::fmt::Display for CurveError {
 }
 
 impl std::error::Error for CurveError {}
+
+#[cfg(test)]
+mod mont;

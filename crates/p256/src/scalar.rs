@@ -80,18 +80,6 @@ impl Scalar {
         )))
     }
 
-    /// Builds from a 512-bit integer, reducing mod n (for wide hashes).
-    /// Runs a Montgomery-based wide reduction — the bit-by-bit
-    /// [`crate::mont::MontCtx::reduce_wide`] stays as the oracle only.
-    pub fn from_wide(wide: &[u64; 8]) -> Self {
-        let canonical = backend::reduce_wide(wide, &N_PARAMS);
-        Scalar(U256::from_limbs(backend::mont_mul(
-            &canonical,
-            &N_PARAMS.r2,
-            &N_PARAMS,
-        )))
-    }
-
     /// Builds from a small integer.
     pub fn from_u64(v: u64) -> Self {
         Scalar(U256::from_limbs(backend::mont_mul(
@@ -290,21 +278,6 @@ mod tests {
     fn high_low_halves() {
         assert!(!Scalar::from_u64(1).is_high());
         assert!(Scalar::from_u64(1).neg().is_high()); // n-1 is high
-    }
-
-    #[test]
-    fn wide_reduction_consistency() {
-        // (n-1)^2 mod n == 1
-        let nm1 = Scalar::from_u64(1).neg();
-        let wide = nm1.to_canonical().widening_mul(&nm1.to_canonical());
-        assert_eq!(Scalar::from_wide(&wide), Scalar::one());
-        // All-ones 512-bit value against the bit-by-bit oracle.
-        let ctx = crate::mont::MontCtx::new(Scalar::order());
-        let ones = [u64::MAX; 8];
-        assert_eq!(
-            Scalar::from_wide(&ones).to_canonical(),
-            ctx.reduce_wide(&ones)
-        );
     }
 
     #[test]

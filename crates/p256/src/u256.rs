@@ -1,8 +1,8 @@
 //! 256-bit unsigned integer arithmetic over four 64-bit limbs.
 //!
 //! Limbs are stored least-significant first. Only the operations the
-//! curve layers need are provided: carrying add/sub, widening multiply,
-//! comparisons, bit access and big-endian (de)serialization.
+//! curve layers need are provided: carrying add/sub, comparisons, bit
+//! access and big-endian (de)serialization.
 
 #![allow(clippy::needless_range_loop)] // index form mirrors the limb algorithms
 
@@ -180,34 +180,6 @@ impl U256 {
         U256::ZERO.wrapping_sub(self)
     }
 
-    /// Full 256×256 → 512-bit multiplication.
-    pub fn widening_mul(&self, rhs: &U256) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for i in 0..4 {
-            let mut carry = 0u128;
-            for j in 0..4 {
-                let acc =
-                    out[i + j] as u128 + (self.limbs[i] as u128) * (rhs.limbs[j] as u128) + carry;
-                out[i + j] = acc as u64;
-                carry = acc >> 64;
-            }
-            out[i + 4] = carry as u64;
-        }
-        out
-    }
-
-    /// Shifts left by one bit, returning the shifted value and the
-    /// carried-out top bit.
-    pub fn shl1(&self) -> (U256, bool) {
-        let mut out = [0u64; 4];
-        let mut carry = 0u64;
-        for i in 0..4 {
-            out[i] = (self.limbs[i] << 1) | carry;
-            carry = self.limbs[i] >> 63;
-        }
-        (U256 { limbs: out }, carry == 1)
-    }
-
     /// All-ones mask when the value is zero, all-zeros otherwise,
     /// without branching on the (possibly secret) value.
     pub fn ct_is_zero_mask(&self) -> u64 {
@@ -298,26 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn widening_mul_small() {
-        let a = U256::from_u64(u64::MAX);
-        let prod = a.widening_mul(&a);
-        // (2^64-1)^2 = 2^128 - 2^65 + 1
-        assert_eq!(prod[0], 1);
-        assert_eq!(prod[1], u64::MAX - 1);
-        assert_eq!(prod[2..], [0, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn widening_mul_max() {
-        let prod = U256::MAX.widening_mul(&U256::MAX);
-        // (2^256-1)^2 = 2^512 - 2^257 + 1
-        assert_eq!(prod[0], 1);
-        assert_eq!(prod[1..4], [0, 0, 0]);
-        assert_eq!(prod[4], u64::MAX - 1);
-        assert_eq!(prod[5..], [u64::MAX, u64::MAX, u64::MAX]);
-    }
-
-    #[test]
     fn bits_and_nibbles() {
         let x = U256::from_u64(0b1011_0101);
         assert!(x.bit(0));
@@ -334,9 +286,6 @@ mod tests {
     fn shifts() {
         let x =
             U256::from_be_hex("8000000000000000000000000000000000000000000000000000000000000001");
-        let (shifted, carry) = x.shl1();
-        assert!(carry);
-        assert_eq!(shifted, U256::from_u64(2));
         assert_eq!(
             x.shr1().to_string(),
             "4000000000000000000000000000000000000000000000000000000000000000"

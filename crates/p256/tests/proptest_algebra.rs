@@ -36,16 +36,13 @@ proptest! {
 
     #[test]
     fn u256_shl_shr(a in arb_u256()) {
-        // (a >> 1) << 1 clears only the lowest bit.
-        let (doubled, _) = a.shr1().shl1();
+        // Doubling (a >> 1) clears only the lowest bit.
+        let half = a.shr1();
+        let (doubled, carry) = half.adc(&half);
+        prop_assert!(!carry);
         let mut expect = a.to_be_bytes();
         expect[31] &= 0xFE;
         prop_assert_eq!(doubled.to_be_bytes(), expect);
-    }
-
-    #[test]
-    fn u256_mul_commutes(a in arb_u256(), b in arb_u256()) {
-        prop_assert_eq!(a.widening_mul(&b), b.widening_mul(&a));
     }
 
     #[test]

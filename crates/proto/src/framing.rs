@@ -181,7 +181,8 @@ pub enum Frame {
 pub enum ErrorCode {
     /// The request frame could not be decoded.
     BadFrame,
-    /// Enrollment was refused (bad request point or CA failure).
+    /// Enrollment was refused: a bad request point, a reserved subject
+    /// (the daemon's own CA or responder identity) or a CA failure.
     EnrollRefused,
     /// The handshake failed (authentication, decode, or state error).
     HandshakeFailed,

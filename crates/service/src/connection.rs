@@ -160,12 +160,14 @@ fn enroll(
     subject: [u8; 16],
     point: &[u8; 33],
 ) -> Result<Frame, Option<ErrorCode>> {
+    let subject = DeviceId::from_bytes(subject);
+    // The daemon's own identities are not for a client to claim.
+    if subject == shared.responder.cert.subject || subject == shared.ca.id() {
+        return Err(Some(ErrorCode::EnrollRefused));
+    }
     let point =
         AffinePoint::from_bytes_compressed(point).map_err(|_| Some(ErrorCode::EnrollRefused))?;
-    let request = CertRequest {
-        subject: DeviceId::from_bytes(subject),
-        point,
-    };
+    let request = CertRequest { subject, point };
     let mut rng = shared
         .issue_rng
         .lock()

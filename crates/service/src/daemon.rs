@@ -109,10 +109,16 @@ impl Listener {
 /// connections receive a typed `ShuttingDown` error frame at their
 /// next read tick. No step of the shutdown connects to the daemon's
 /// own address, so it returns even when a Unix socket file was
-/// removed under the running daemon.
+/// removed under the running daemon. The socket file is removed only
+/// while its path still names the socket this daemon bound, so a
+/// daemon that later bound the same path keeps its file.
 pub struct ServiceDaemon {
     shared: Arc<Shared>,
     addr: ServiceAddr,
+    /// The device and inode of the bound Unix socket file, until
+    /// shutdown removes it.
+    #[cfg(unix)]
+    socket_file: Option<(u64, u64)>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -173,6 +179,11 @@ impl ServiceDaemon {
         responder: Credentials,
     ) -> Result<Self, ServiceError> {
         let (listener, addr) = bind(&config.bind)?;
+        #[cfg(unix)]
+        let socket_file = match &addr {
+            ServiceAddr::Unix(path) => file_id(path),
+            ServiceAddr::Tcp(_) => None,
+        };
         let shared = Arc::new(Shared {
             ca,
             responder,
@@ -192,6 +203,8 @@ impl ServiceDaemon {
         Ok(ServiceDaemon {
             shared,
             addr,
+            #[cfg(unix)]
+            socket_file,
             accept: Some(accept),
         })
     }
@@ -235,8 +248,12 @@ impl ServiceDaemon {
             let _ = handle.join();
         }
         #[cfg(unix)]
-        if let ServiceAddr::Unix(path) = &self.addr {
-            let _ = std::fs::remove_file(path);
+        if let (ServiceAddr::Unix(path), Some(id)) = (&self.addr, self.socket_file.take()) {
+            // Once the file was removed, another daemon may have bound
+            // the same path; its socket has another inode.
+            if file_id(path) == Some(id) {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 }
@@ -318,6 +335,16 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
             Ok((Listener::Unix(listener), ServiceAddr::Unix(path.clone())))
         }
     }
+}
+
+/// The device and inode of the file at `path`, without following a
+/// symlink.
+#[cfg(unix)]
+fn file_id(path: &std::path::Path) -> Option<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::symlink_metadata(path)
+        .ok()
+        .map(|m| (m.dev(), m.ino()))
 }
 
 /// Removes `path` only if it is a socket that no listener answers on.

@@ -81,6 +81,32 @@ fn enroll_then_handshake_agrees_end_to_end() {
 }
 
 #[test]
+fn enrollment_refuses_the_daemons_own_subjects() {
+    let mut daemon = ServiceDaemon::start(ServiceConfig::tcp("127.0.0.1:0")).unwrap();
+    let mut rng = HmacDrbg::from_seed(98);
+    let refused = ServiceError::Refused(ErrorCode::EnrollRefused.code());
+    // A refusal closes the connection, so each subject gets its own.
+    for (errors, reserved) in [(1, "service-responder"), (2, "service-ca")] {
+        let mut client = ServiceClient::connect_tcp(tcp_addr(&daemon)).unwrap();
+        client.hello([8; 32]).unwrap();
+        let err = client
+            .enroll(DeviceId::from_label(reserved), &mut rng)
+            .unwrap_err();
+        assert_eq!(err, refused, "{reserved}");
+        let stats = daemon.stats();
+        assert_eq!((stats.enrollments, stats.errors), (0, errors), "{reserved}");
+    }
+    let mut client = ServiceClient::connect_tcp(tcp_addr(&daemon)).unwrap();
+    client.hello([9; 32]).unwrap();
+    let creds = client
+        .enroll(DeviceId::from_label("ecu-7"), &mut rng)
+        .unwrap();
+    assert_eq!(creds.cert.subject, DeviceId::from_label("ecu-7"));
+    daemon.shutdown();
+    assert_eq!(daemon.stats().enrollments, 1);
+}
+
+#[test]
 fn crl_fetch_is_signed_and_tracks_revocations() {
     let mut daemon = start_tcp(13);
     let mut client = ServiceClient::connect_tcp(tcp_addr(&daemon)).unwrap();
@@ -181,6 +207,23 @@ fn shutdown_returns_when_the_socket_file_is_gone() {
     done.recv_timeout(Duration::from_secs(2))
         .expect("shutdown returns without the socket file");
     helper.join().unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn dropping_a_daemon_keeps_a_later_daemons_socket() {
+    let path = std::env::temp_dir().join(format!("ecq-service-reuse-{}.sock", std::process::id()));
+    let first = ServiceDaemon::start(ServiceConfig::unix(&path).seed(25)).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let second = ServiceDaemon::start(ServiceConfig::unix(&path).seed(26)).unwrap();
+    drop(first);
+    let mut client = ServiceClient::connect(second.addr()).unwrap();
+    assert_eq!(client.hello([7; 32]).unwrap(), second.ca_public());
+    drop(second);
+    assert!(
+        !path.exists(),
+        "the later daemon removes its own socket file"
+    );
 }
 
 #[test]

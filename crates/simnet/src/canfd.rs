@@ -29,18 +29,6 @@ pub fn padded_len(len: usize) -> usize {
         .expect("len <= 64 always maps")
 }
 
-/// Returns the 4-bit DLC code for a padded payload size.
-///
-/// # Panics
-///
-/// Panics when `padded` is not a valid CAN-FD payload size.
-pub fn dlc_code(padded: usize) -> u8 {
-    DLC_SIZES
-        .iter()
-        .position(|&cap| cap == padded)
-        .expect("padded size must be a DLC size") as u8
-}
-
 /// Bit-rate configuration of the bus.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BitTiming {
@@ -134,9 +122,6 @@ mod tests {
         assert_eq!(padded_len(13), 16);
         assert_eq!(padded_len(33), 48);
         assert_eq!(padded_len(64), 64);
-        assert_eq!(dlc_code(64), 15);
-        assert_eq!(dlc_code(8), 8);
-        assert_eq!(dlc_code(12), 9);
     }
 
     #[test]

@@ -108,8 +108,8 @@ run_fleet() {
     --baseline ci/BENCH_fleet_mega_baseline.json \
     --gate-pct 30
 
-  # Host cost of every primitive and handshake (field rows against the
-  # generic MontCtx reference), recorded next to BENCH_fleet.json.
+  # Host cost of every primitive and handshake, recorded next to
+  # BENCH_fleet.json.
   echo "==> host timing table (BENCH_p256.json artifact)"
   cargo run --release -q --bin bench_p256 -- --json BENCH_p256.json
 }
