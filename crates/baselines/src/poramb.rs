@@ -38,8 +38,8 @@ use ecq_crypto::sha256::sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
-    Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError,
-    Role, SessionKey, StsPhase, WireField,
+    check_peer_cert, Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp,
+    ProtocolError, Role, SessionKey, StsPhase, WireField,
 };
 
 /// Domain-separation label for the PORAMB KDF.
@@ -194,6 +194,7 @@ pub struct PorambInitiator {
     hello: [u8; 32],
     nonce: [u8; 32],
     peer_hello: Option<[u8; 32]>,
+    peer_id: Option<Vec<u8>>,
     peer_cert: Option<ImplicitCert>,
     state: InitState,
     core: EndpointCore,
@@ -216,6 +217,7 @@ impl PorambInitiator {
             hello: rng.bytes32(),
             nonce: rng.bytes32(),
             peer_hello: None,
+            peer_id: None,
             peer_cert: None,
             state: InitState::Start,
             core,
@@ -227,7 +229,7 @@ impl PorambInitiator {
             .field(FieldKind::Hello)?
             .try_into()
             .map_err(|_| ProtocolError::Decode)?;
-        let _id_b = msg.field(FieldKind::Id)?;
+        self.peer_id = Some(msg.field(FieldKind::Id)?.to_vec());
         self.peer_hello = Some(hello_b);
 
         self.core.record(StsPhase::Other, PrimitiveOp::MacTag);
@@ -257,9 +259,11 @@ impl PorambInitiator {
             .map_err(|_| ProtocolError::Decode)?;
         let mac = msg.field(FieldKind::Mac)?;
 
-        if !cert_b.is_valid_at(self.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
+        let claimed = self
+            .peer_id
+            .as_deref()
+            .ok_or(ProtocolError::UnexpectedMessage)?;
+        check_peer_cert(&cert_b, claimed, self.now)?;
         self.core.record(StsPhase::Other, PrimitiveOp::MacVerify);
         let expect = phase2_mac(
             &self.pairwise,
@@ -357,6 +361,7 @@ pub struct PorambResponder {
     hello: Option<[u8; 32]>,
     nonce: Option<[u8; 32]>,
     peer_hello: Option<[u8; 32]>,
+    peer_id: Option<Vec<u8>>,
     peer_cert: Option<ImplicitCert>,
     state: RespState,
     core: EndpointCore,
@@ -378,6 +383,7 @@ impl PorambResponder {
             hello: None,
             nonce: None,
             peer_hello: None,
+            peer_id: None,
             peer_cert: None,
             state: RespState::AwaitA1,
             core: EndpointCore::new(Role::Responder),
@@ -389,12 +395,13 @@ impl PorambResponder {
             .field(FieldKind::Hello)?
             .try_into()
             .map_err(|_| ProtocolError::Decode)?;
-        let _id_a = msg.field(FieldKind::Id)?;
+        let id_a = msg.field(FieldKind::Id)?.to_vec();
         self.core
             .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });
         let hello_b = self.rng.bytes32();
         self.hello = Some(hello_b);
         self.peer_hello = Some(hello_a);
+        self.peer_id = Some(id_a);
         self.state = RespState::AwaitA2;
         Ok(Some(Message::new(
             "B1",
@@ -413,9 +420,11 @@ impl PorambResponder {
             .map_err(|_| ProtocolError::Decode)?;
         let mac = msg.field(FieldKind::Mac)?;
 
-        if !cert_a.is_valid_at(self.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
+        let claimed = self
+            .peer_id
+            .as_deref()
+            .ok_or(ProtocolError::UnexpectedMessage)?;
+        check_peer_cert(&cert_a, claimed, self.now)?;
         let hello_b = self.hello.ok_or(ProtocolError::UnexpectedMessage)?;
         let hello_a = self.peer_hello.ok_or(ProtocolError::UnexpectedMessage)?;
         self.core.record(StsPhase::Other, PrimitiveOp::MacVerify);
@@ -573,5 +582,32 @@ mod tests {
             bob.step(Some(&a3)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
+    }
+
+    #[test]
+    fn certificate_must_name_the_phase_one_id() {
+        // A device holding the pairwise key claims to be `b` in phase
+        // 1 but presents its own certificate, for `c`, in phase 2. The
+        // MAC verifies, so only the ID binding refuses it.
+        let mut rng = HmacDrbg::from_seed(245);
+        let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+        let a = Credentials::provision(&ca, DeviceId::from_label("a"), 0, 100, &mut rng).unwrap();
+        let c = Credentials::provision(&ca, DeviceId::from_label("c"), 0, 100, &mut rng).unwrap();
+        use ecq_proto::Endpoint as _;
+        let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"x");
+        let mut rng_c = HmacDrbg::new(&rng.bytes32(), b"y");
+        let mut alice = PorambInitiator::new(a, [7u8; 32], 0, &mut rng_a);
+        let mut mallory = PorambResponder::new(c, [7u8; 32], 0, &mut rng_c);
+        let a1 = alice.step(None).unwrap().into_sent().unwrap();
+        let mut b1 = mallory.step(Some(&a1)).unwrap().into_sent().unwrap();
+        let id = b1.fields.iter_mut().find(|f| f.kind == FieldKind::Id);
+        id.unwrap().bytes = DeviceId::from_label("b").as_bytes().to_vec();
+        let a2 = alice.step(Some(&b1)).unwrap().into_sent().unwrap();
+        let b2 = mallory.step(Some(&a2)).unwrap().into_sent().unwrap();
+        assert_eq!(
+            alice.step(Some(&b2)).unwrap_err(),
+            ProtocolError::AuthenticationFailed
+        );
+        assert!(alice.session_key().is_err());
     }
 }

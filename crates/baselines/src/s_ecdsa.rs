@@ -29,8 +29,8 @@ use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdsa::{self, Signature};
 use ecq_proto::{
-    Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError,
-    Role, SessionKey, StsPhase, WireField,
+    check_peer_cert, Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp,
+    ProtocolError, Role, SessionKey, StsPhase, WireField,
 };
 
 /// Domain-separation label for the S-ECDSA KDF.
@@ -128,12 +128,7 @@ impl SEcdsaInitiator {
             .try_into()
             .map_err(|_| ProtocolError::Decode)?;
 
-        if cert_b.subject.as_bytes() != id_b {
-            return Err(ProtocolError::AuthenticationFailed);
-        }
-        if !cert_b.is_valid_at(self.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
+        check_peer_cert(&cert_b, id_b, self.now)?;
 
         // Implicitly derive Q_B and verify the nonce signature.
         self.core.record(
@@ -318,12 +313,7 @@ impl SEcdsaResponder {
             .peer_id
             .as_deref()
             .ok_or(ProtocolError::UnexpectedMessage)?;
-        if cert_a.subject.as_bytes() != claimed {
-            return Err(ProtocolError::AuthenticationFailed);
-        }
-        if !cert_a.is_valid_at(self.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
+        check_peer_cert(&cert_a, claimed, self.now)?;
         let nonce_a = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
         let nonce_b = self.nonce.ok_or(ProtocolError::UnexpectedMessage)?;
 
@@ -346,7 +336,6 @@ impl SEcdsaResponder {
         self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::Kdf);
         let ks = SessionKey::derive(premaster.as_slice(), &salt, KDF_LABEL);
-        self.core.set_key(ks);
 
         let mut fields = vec![WireField::new(FieldKind::Ack, vec![0x01])];
         if self.extended {
@@ -362,6 +351,7 @@ impl SEcdsaResponder {
         } else {
             self.core.establish();
         }
+        self.core.set_key(ks);
         Ok(Some(Message::new("B2", fields)))
     }
 

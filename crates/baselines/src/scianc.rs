@@ -25,8 +25,8 @@ use ecq_cert::ImplicitCert;
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::{
-    Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError,
-    Role, SessionKey, StsPhase, WireField,
+    check_peer_cert, Credentials, Endpoint, EndpointCore, FieldKind, Message, OpTrace, PrimitiveOp,
+    ProtocolError, Role, SessionKey, StsPhase, WireField,
 };
 
 /// Domain-separation label for the SCIANC KDF.
@@ -101,12 +101,7 @@ impl SciancInitiator {
         // SCIANC validates the certificate's ID binding and validity —
         // but note (paper §III): this does NOT authenticate the device;
         // certificates are public and replayable.
-        if cert_b.subject.as_bytes() != id_b {
-            return Err(ProtocolError::AuthenticationFailed);
-        }
-        if !cert_b.is_valid_at(self.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
+        check_peer_cert(&cert_b, id_b, self.now)?;
 
         let ks = derive_ks(
             &self.creds,
@@ -207,12 +202,7 @@ impl SciancResponder {
             .try_into()
             .map_err(|_| ProtocolError::Decode)?;
         let cert_a = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
-        if cert_a.subject.as_bytes() != id_a {
-            return Err(ProtocolError::AuthenticationFailed);
-        }
-        if !cert_a.is_valid_at(self.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
+        check_peer_cert(&cert_a, id_a, self.now)?;
 
         self.core
             .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 32 });

@@ -5,7 +5,6 @@ use crate::certificate::ImplicitCert;
 use crate::id::DeviceId;
 use crate::requester::CertRequest;
 use crate::{cert_hash, CertError};
-use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::{batch_normalize, mul_generator_ct, mul_generator_ct_jacobian, AffinePoint};
@@ -17,9 +16,12 @@ use ecq_p256::scalar::Scalar;
 pub struct IssuedCert {
     /// The implicit certificate (public; 101 bytes on the wire).
     pub certificate: ImplicitCert,
-    /// Private-key reconstruction data `r = e·k + d_CA mod n`
-    /// (confidential to the subject; sent over the provisioning
-    /// channel of deployment phase 1).
+    /// Private-key reconstruction data `r = e·k + d_CA mod n` (SEC 4
+    /// §2.4). It need not be confidential: the subject's private key
+    /// `d_U = e·k_U + r` (SEC 4 §2.5) stays secret without the request
+    /// secret `k_U`, which never leaves the subject, so the service's
+    /// `EnrollIssued` frame sends `r` in clear.
+    // ct-public
     pub recon_private: Scalar,
 }
 
@@ -204,14 +206,6 @@ impl CertificateAuthority {
             });
         }
         Ok(out)
-    }
-}
-
-impl Drop for CertificateAuthority {
-    /// Wipes the CA private key `d_CA` — the root secret of the whole
-    /// trust domain — when a CA instance (or clone) goes away.
-    fn drop(&mut self) {
-        self.keys.zeroize();
     }
 }
 

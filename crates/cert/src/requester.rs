@@ -69,12 +69,13 @@ impl CertRequester {
         issued: &IssuedCert,
         ca_public: &AffinePoint,
     ) -> Result<KeyPair, CertError> {
-        let keys = Zeroizing::new(Self::reconstruct_batch(
+        Self::reconstruct_batch(
             core::slice::from_ref(self),
             core::slice::from_ref(issued),
             ca_public,
-        )?);
-        keys.first().copied().ok_or(CertError::InvalidEncoding)
+        )?
+        .pop()
+        .ok_or(CertError::InvalidEncoding)
     }
 
     /// Batch [`Self::reconstruct`], with one possession check for the

@@ -5,15 +5,14 @@ use crate::auth::{
 };
 use crate::{StsConfig, KDF_LABEL};
 use ecq_cert::ImplicitCert;
-use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdh;
 use ecq_p256::encoding::{decode_raw, encode_raw};
 use ecq_p256::keys::KeyPair;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
-    Credentials, Endpoint, EndpointCore, FieldKind, Message, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    check_peer_cert, Credentials, Endpoint, EndpointCore, FieldKind, Message, PrimitiveOp,
+    ProtocolError, Role, SessionKey, StsPhase, WireField,
 };
 
 #[derive(Clone, Copy, Debug)]
@@ -67,16 +66,6 @@ impl StsInitiator {
         self
     }
 
-    fn check_peer_cert(&self, cert: &ImplicitCert, claimed: &[u8]) -> Result<(), ProtocolError> {
-        if cert.subject.as_bytes() != claimed {
-            return Err(ProtocolError::AuthenticationFailed);
-        }
-        if !cert.is_valid_at(self.config.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
-        Ok(())
-    }
-
     fn handle_b1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
         let id_b = msg.field(FieldKind::Id)?;
         let cert_b = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
@@ -86,7 +75,7 @@ impl StsInitiator {
             .map_err(|_| ProtocolError::Decode)?;
         let resp_b = msg.field(FieldKind::Response)?;
 
-        self.check_peer_cert(&cert_b, id_b)?;
+        check_peer_cert(&cert_b, id_b, self.config.now)?;
         let xg_b = decode_raw(&xg_b_bytes)?;
 
         // Op2: premaster KPM = X_A · XG_B, then KS = KDF(KPM, salt).
@@ -133,15 +122,6 @@ impl StsInitiator {
                 WireField::new(FieldKind::Response, resp_a.to_vec()),
             ],
         )))
-    }
-}
-
-impl Drop for StsInitiator {
-    /// Wipes the ephemeral secret `X_A`: forward secrecy is only as
-    /// good as the lifetime of the ephemerals (paper §V, node-capture
-    /// row of Table III). The core wipes the session key.
-    fn drop(&mut self) {
-        self.ephemeral.zeroize();
     }
 }
 

@@ -15,7 +15,6 @@
 //! safe — no key material is shared between epochs).
 
 use crate::{establish_hinted, ReconstructionHint, StsConfig};
-use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::{Credentials, ProtocolError, SessionKey, SessionOutcome};
 
@@ -173,7 +172,7 @@ impl SessionManager {
             self.hints = Some((for_initiator, for_responder));
         }
         let (hint_a, hint_b) = self.hints.as_ref().expect("hints cached above");
-        let mut outcome: SessionOutcome = establish_hinted(
+        let outcome: SessionOutcome = establish_hinted(
             &self.local,
             &self.peer,
             &config,
@@ -181,15 +180,9 @@ impl SessionManager {
             Some(hint_a),
             Some(hint_b),
         )?;
-        // The superseded epoch's key is dead from here on: wipe it.
-        if let Some(old) = self.key.as_mut() {
-            old.zeroize();
-        }
+        // The superseded epoch's key drops here, and the outcome's
+        // responder copy at the end of this scope; both wipe themselves.
         self.key = Some(outcome.initiator_key);
-        // Wipe the outcome's own copies (responder_key is identical to
-        // the stored key) so only the copy our Drop wipes survives.
-        outcome.initiator_key.zeroize();
-        outcome.responder_key.zeroize();
         self.epoch = Some(EpochInfo {
             established_at: now,
             messages_used: 0,
@@ -214,16 +207,7 @@ impl SessionManager {
         }
         let epoch = self.epoch.as_mut().expect("epoch exists after rekey");
         epoch.messages_used += 1;
-        Ok(self.key.expect("key exists after rekey"))
-    }
-}
-
-impl Drop for SessionManager {
-    /// Wipes the current epoch's key when the manager goes away.
-    fn drop(&mut self) {
-        if let Some(key) = self.key.as_mut() {
-            key.zeroize();
-        }
+        Ok(self.key.clone().expect("key exists after rekey"))
     }
 }
 

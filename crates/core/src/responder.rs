@@ -5,15 +5,13 @@ use crate::auth::{
 };
 use crate::{StsConfig, KDF_LABEL};
 use ecq_cert::ImplicitCert;
-use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdh;
 use ecq_p256::encoding::{decode_raw, encode_raw};
-use ecq_p256::point::mul_generator_ct;
-use ecq_p256::scalar::Scalar;
+use ecq_p256::keys::KeyPair;
 use ecq_proto::{
-    Credentials, Endpoint, EndpointCore, FieldKind, Message, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    check_peer_cert, Credentials, Endpoint, EndpointCore, FieldKind, Message, PrimitiveOp,
+    ProtocolError, Role, SessionKey, StsPhase, WireField,
 };
 
 #[derive(Clone, Copy, Debug)]
@@ -28,7 +26,7 @@ pub struct StsResponder {
     creds: Credentials,
     config: StsConfig,
     rng: HmacDrbg,
-    ephemeral: Option<(Scalar, [u8; 64])>,
+    xg_own: Option<[u8; 64]>,
     peer_hint: Option<ReconstructionHint>,
     peer_id: Option<Vec<u8>>,
     peer_xg: Option<[u8; 64]>,
@@ -44,7 +42,7 @@ impl StsResponder {
             creds,
             config,
             rng: HmacDrbg::new(&rng.bytes32(), b"sts-responder-session"),
-            ephemeral: None,
+            xg_own: None,
             peer_hint: None,
             peer_id: None,
             peer_xg: None,
@@ -77,13 +75,15 @@ impl StsResponder {
             .record(StsPhase::Op1Request, PrimitiveOp::RandomBytes { bytes: 32 });
         self.core
             .record(StsPhase::Op1Request, PrimitiveOp::EphemeralKeyGen);
-        let x_b = Scalar::random(&mut self.rng);
-        let xg_b_bytes = encode_raw(&mul_generator_ct(&x_b));
+        // `x_b` wipes itself when it drops at the end of this step;
+        // only XG_B outlives it.
+        let x_b = KeyPair::generate(&mut self.rng);
+        let xg_b_bytes = encode_raw(&x_b.public);
 
         // Op2: KPM = X_B · XG_A; KS = KDF(KPM, XG_A ‖ XG_B).
         self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::EcdhDerive);
-        let premaster = ecdh::shared_secret(&x_b, &xg_a)?;
+        let premaster = ecdh::shared_secret(&x_b.private, &xg_a)?;
         let salt = [xg_a_bytes.as_slice(), xg_b_bytes.as_slice()].concat();
         self.core
             .record(StsPhase::Op2KeyDerivation, PrimitiveOp::Kdf);
@@ -101,7 +101,7 @@ impl StsResponder {
             self.core.trace_mut(),
         );
 
-        self.ephemeral = Some((x_b, xg_b_bytes));
+        self.xg_own = Some(xg_b_bytes);
         self.peer_id = Some(id_a);
         self.peer_xg = Some(xg_a_bytes);
         self.core.set_key(ks);
@@ -126,16 +126,11 @@ impl StsResponder {
             .peer_id
             .as_deref()
             .ok_or(ProtocolError::UnexpectedMessage)?;
-        if cert_a.subject.as_bytes() != claimed {
-            return Err(ProtocolError::AuthenticationFailed);
-        }
-        if !cert_a.is_valid_at(self.config.now) {
-            return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
-        }
+        check_peer_cert(&cert_a, claimed, self.config.now)?;
 
         let ks = self.core.derived_key()?;
         let xg_a = self.peer_xg.ok_or(ProtocolError::UnexpectedMessage)?;
-        let (_, xg_b) = self.ephemeral.ok_or(ProtocolError::UnexpectedMessage)?;
+        let xg_b = self.xg_own.ok_or(ProtocolError::UnexpectedMessage)?;
 
         verify_response_hinted(
             &ks,
@@ -154,16 +149,6 @@ impl StsResponder {
             "B2",
             vec![WireField::new(FieldKind::Ack, vec![0x01])],
         )))
-    }
-}
-
-impl Drop for StsResponder {
-    /// Wipes the ephemeral secret `X_B`; the core wipes the session
-    /// key.
-    fn drop(&mut self) {
-        if let Some((x_b, _)) = self.ephemeral.as_mut() {
-            x_b.zeroize();
-        }
     }
 }
 

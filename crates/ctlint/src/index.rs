@@ -1,11 +1,14 @@
 //! Item indexing: a brace-matching scan over the token stream that
 //! extracts the declarations the taint analysis needs — functions
 //! (with parameter/return types and body token ranges), structs (with
-//! field types), `impl` blocks (for `Self` types and `Drop`/`Zeroize`
-//! coverage) — plus the two source annotations the lint understands:
+//! field types), `impl` blocks (for `Self` types and `Drop` coverage) —
+//! plus the source annotations the lint understands:
 //!
 //! * `// ct-secret` on a `fn`, `struct`, field or `let` marks it as
 //!   carrying secret material even though its type is not a marker.
+//! * `// ct-public` on a field declares a marker-typed value public
+//!   (an ECDSA signature scalar, ECQV's reconstruction data `r`): the
+//!   field carries no taint.
 //! * `// ct-vartime` on a `fn` declares it part of the variable-time
 //!   family (same contract as a `*_vartime` name suffix): calling it
 //!   from a secret context is a finding, while its own body is the
@@ -63,6 +66,8 @@ pub struct Field {
     pub ty: String,
     /// Annotated `// ct-secret`.
     pub ct_secret: bool,
+    /// Annotated `// ct-public`.
+    pub ct_public: bool,
 }
 
 /// An indexed struct.
@@ -91,8 +96,6 @@ pub struct Index {
     pub structs: Vec<StructItem>,
     /// Types with an `impl Drop for T`.
     pub drop_impls: Vec<String>,
-    /// Types with an `impl Zeroize for T` (or the zeroize trait path).
-    pub zeroize_impls: Vec<String>,
 }
 
 impl Index {
@@ -158,7 +161,7 @@ impl Index {
                         pend = Pending::default();
                     }
                     "impl" => {
-                        let (target, is_drop, is_zeroize, body_open) = cur.parse_impl_header();
+                        let (target, is_drop, body_open) = cur.parse_impl_header();
                         if let Some(open) = body_open {
                             let close = cur.matching_brace_at(open);
                             cur.pos = open + 1;
@@ -167,9 +170,6 @@ impl Index {
                             } else {
                                 if is_drop {
                                     self.drop_impls.push(target.clone());
-                                }
-                                if is_zeroize {
-                                    self.zeroize_impls.push(target.clone());
                                 }
                                 self.scan_items(cur, file, Some(&target), close);
                                 cur.pos = close + 1;
@@ -361,8 +361,8 @@ impl<'a> Cursor<'a> {
 
     /// Parses `impl<G> Trait for Type {` / `impl Type {` from the
     /// `impl` keyword. Returns (target type simple name, is Drop impl,
-    /// is Zeroize impl, body-open token index).
-    fn parse_impl_header(&mut self) -> (String, bool, bool, Option<usize>) {
+    /// body-open token index).
+    fn parse_impl_header(&mut self) -> (String, bool, Option<usize>) {
         self.pos += 1; // impl
                        // Skip generic parameters.
         if self.peek_is_punct("<") {
@@ -411,12 +411,7 @@ impl<'a> Cursor<'a> {
             .rfind(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.clone())
             .unwrap_or_default();
-        (
-            target,
-            trait_name == "Drop",
-            trait_name == "Zeroize" || trait_name == "ZeroizeOnDrop",
-            open,
-        )
+        (target, trait_name == "Drop", open)
     }
 
     /// Skips a balanced `<...>` group starting at the next `<`.
@@ -620,6 +615,7 @@ impl<'a> Cursor<'a> {
                                 name: fields.len().to_string(),
                                 ty,
                                 ct_secret: false,
+                                ct_public: false,
                             });
                         }
                         start = i + 1;
@@ -658,6 +654,7 @@ fn parse_named_fields(toks: &[Tok]) -> Vec<Field> {
             let end = if t.is_punct(",") { i } else { i + 1 };
             let seg = &toks[start..end];
             let ct_secret = seg.iter().any(|t| t.is_annotation("ct-secret"));
+            let ct_public = seg.iter().any(|t| t.is_annotation("ct-public"));
             // name is the last ident before the top-level `:`.
             let mut colon = None;
             let mut d2 = 0i32;
@@ -681,6 +678,7 @@ fn parse_named_fields(toks: &[Tok]) -> Vec<Field> {
                         name,
                         ty: join_significant(&seg[c + 1..]),
                         ct_secret,
+                        ct_public,
                     });
                 }
             }

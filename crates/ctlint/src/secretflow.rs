@@ -3,11 +3,12 @@
 //! **Seeding.** A binding is tainted when its type mentions a marker
 //! type (`Scalar`, `KeyPair`, `SessionKey`, `Zeroizing` by default —
 //! the types PRs 3 and 5 built the constant-time machinery for) or it
-//! carries a `// ct-secret` annotation. A function is a *secret
-//! context* when it binds tainted state: a marker-typed parameter, a
-//! `self` whose type is a marker or holds a tainted field, a
-//! marker-typed return (it manufactures secrets), or a `// ct-secret`
-//! annotation.
+//! carries a `// ct-secret` annotation. A struct field annotated
+//! `// ct-public` is never tainted, whatever its type. A function is a
+//! *secret context* when it binds tainted state: a marker-typed
+//! parameter, a `self` whose type is a marker or holds a tainted
+//! field, a marker-typed return (it manufactures secrets), or a
+//! `// ct-secret` annotation.
 //!
 //! **Propagation.** For the vartime-reachability check, secrecy flows
 //! through the shared call graph ([`crate::callgraph`]): every
@@ -26,8 +27,9 @@
 //! 3. `nonct-eq` — `==`/`!=` with a tainted operand inside a secret
 //!    context instead of `ecq_crypto::ct::eq`.
 //! 4. `missing-zeroize` — a struct holding tainted fields where
-//!    neither the struct (via `Drop`/`Zeroize`) nor every tainted
-//!    field's own type wipes itself on drop.
+//!    neither the struct nor every tainted field's own type wipes
+//!    itself on drop. Only a `Drop` impl or a `Zeroizing` holder
+//!    counts: a `Zeroize` impl wipes only when someone calls it.
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
@@ -110,7 +112,7 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
         let tf: Vec<_> = s
             .fields
             .iter()
-            .filter(|f| f.ct_secret || mentions_marker(&f.ty))
+            .filter(|f| !f.ct_public && (f.ct_secret || mentions_marker(&f.ty)))
             .collect();
         if !tf.is_empty() || s.ct_secret {
             tainted_fields.insert(s.name.as_str(), tf);
@@ -198,13 +200,8 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
         scan_body(f, &ix.files[f.file], &tainted, &mut findings);
     }
 
-    // Class 4: secret-holding structs without zeroize-on-drop.
-    let wipes: HashSet<&str> = ix
-        .drop_impls
-        .iter()
-        .chain(ix.zeroize_impls.iter())
-        .map(String::as_str)
-        .collect();
+    // Class 4: secret-holding structs without a wipe on drop.
+    let wipes: HashSet<&str> = ix.drop_impls.iter().map(String::as_str).collect();
     for s in &ix.structs {
         let Some(tf) = tainted_fields.get(s.name.as_str()) else {
             continue;
@@ -213,7 +210,7 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
             continue;
         }
         // Safe containment: every tainted field's own type wipes
-        // itself on drop (`Zeroizing<…>` or a type with Drop/Zeroize).
+        // itself on drop (`Zeroizing<…>` or a type with a Drop impl).
         let self_wiping = |ty: &str| {
             ty.split_whitespace()
                 .any(|w| w == "Zeroizing" || wipes.contains(w))
@@ -233,7 +230,7 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
             &s.name,
             &culprit,
             format!(
-                "struct `{}` holds secret field `{}` but has no Drop/Zeroize impl",
+                "struct `{}` holds secret field `{}` but has no Drop impl",
                 s.name, culprit
             ),
         ));

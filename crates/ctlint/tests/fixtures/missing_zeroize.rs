@@ -1,7 +1,7 @@
 //! Fixture: secret-holding structs without zeroize-on-drop.
 //! Never compiled — fed to the analyzer by `tests/golden.rs`.
 
-// Flagged: holds a marker-typed field, no Drop/Zeroize impl anywhere.
+// Flagged: holds a marker-typed field, no Drop impl anywhere.
 pub struct LeakyHandle {
     pub label: String,
     pub private: Scalar,
@@ -27,4 +27,22 @@ impl Drop for Guarded {
 // Not flagged: every tainted field's own type wipes itself on drop.
 pub struct Wrapped {
     pub premaster: Zeroizing<[u8; 32]>,
+}
+
+// Flagged: a `Zeroize` impl wipes only when someone calls it, so it
+// does not count as a wipe on drop.
+pub struct ManualWipe {
+    pub private: Scalar,
+}
+
+impl Zeroize for ManualWipe {
+    fn zeroize(&mut self) {
+        self.private = Scalar::zero();
+    }
+}
+
+// Not flagged: a `// ct-public` field carries no taint.
+pub struct Published {
+    // ct-public
+    pub r: Scalar,
 }

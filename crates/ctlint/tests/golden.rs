@@ -91,21 +91,28 @@ fn missing_zeroize_fixture() {
     assert_eq!(
         anchors(&found),
         vec![
-            // Marker-typed field, no Drop/Zeroize anywhere.
+            // Marker-typed field, no Drop anywhere.
             ("missing-zeroize", 5, "private"),
             // `// ct-secret` field annotation on a plain type.
             ("missing-zeroize", 11, "premaster"),
+            // A `Zeroize` impl without a `Drop`.
+            ("missing-zeroize", 34, "private"),
         ],
         "{found:#?}"
     );
     assert_eq!(found[0].context, "LeakyHandle");
     assert_eq!(found[1].context, "Draft");
-    // `Guarded` (own Drop impl) and `Wrapped` (self-wiping Zeroizing
-    // field) must both pass.
+    assert_eq!(found[2].context, "ManualWipe");
+    assert_eq!(
+        found[2].message,
+        "struct `ManualWipe` holds secret field `private` but has no Drop impl"
+    );
+    // `Guarded` (own Drop impl), `Wrapped` (self-wiping Zeroizing
+    // field) and `Published` (`// ct-public` field) must all pass.
     assert!(
         found
             .iter()
-            .all(|f| f.context != "Guarded" && f.context != "Wrapped"),
+            .all(|f| !["Guarded", "Wrapped", "Published"].contains(&f.context.as_str())),
         "{found:#?}"
     );
 }

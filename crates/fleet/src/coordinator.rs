@@ -14,7 +14,6 @@ use crate::FleetError;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, RevocationList};
 use ecq_crypto::sha256::Sha256;
-use ecq_crypto::zeroize::Zeroizing;
 use ecq_crypto::HmacDrbg;
 use ecq_devices::DevicePreset;
 use ecq_proto::{Credentials, ProtocolError, SessionKey};
@@ -720,11 +719,11 @@ fn sweep_and_fold(
         for (index, result) in (first..).zip(results) {
             digest.update(&(index as u64).to_be_bytes());
             report.count(&result.outcome);
-            match result.outcome {
+            match &result.outcome {
                 Outcome::Keyed(key) => digest.update(key.as_bytes()),
                 Outcome::Denied => digest.update(b"denied:revoked"),
                 Outcome::Failed(err) => {
-                    first_failure.get_or_insert(FleetError::Protocol(err));
+                    first_failure.get_or_insert(FleetError::Protocol(*err));
                     // The failure *mode* is part of the determinism
                     // witness: a run that times out where another saw an
                     // authentication failure must not digest equal.
@@ -863,15 +862,11 @@ impl<'a> Enroller<'a> {
             &mut self.shard_rngs[self.shard],
         )?;
         let ca_done = self.shard_time + self.per_cert_us * chunk.len() as VirtualTime;
-        let keys = Zeroizing::new(CertRequester::reconstruct_batch(
-            &requesters,
-            &issued,
-            &ca.public_key(),
-        )?);
+        let keys = CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())?;
         self.shard_time = ca_done;
         self.batches += 1;
         let mut batch = Vec::with_capacity(chunk.len());
-        for ((&i, cert), &keys) in chunk.iter().zip(&issued).zip(keys.iter()) {
+        for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
             let device = &self.devices[i];
             let done =
                 ca_done + micros_from_ms(FleetCoordinator::reconstruct_cost_ms(device.preset));

@@ -261,7 +261,7 @@ pub(crate) enum Pair {
 }
 
 /// How a session ended. The fold digests and counts exactly this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Outcome {
     /// Both endpoints established and their keys compared equal.
     Keyed(SessionKey),
@@ -945,7 +945,7 @@ mod tests {
             deadline_us: 30_000_000,
             ..FaultSpec::none()
         };
-        let outcome = |r: &SessionResult| (r.outcome, r.end_us, r.deliveries.clone());
+        let outcome = |r: &SessionResult| (r.outcome.clone(), r.end_us, r.deliveries.clone());
         // The reference: each bus group alone in one event loop, in
         // group order.
         let base = SweepOptions::new().transport(transport).faults(faults);

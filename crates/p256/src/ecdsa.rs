@@ -30,11 +30,15 @@ use crate::CurveError;
 use ecq_crypto::sha256::sha256;
 
 /// A raw `r ‖ s` ECDSA signature (the paper's `Sign(64)` / `dsign`).
+///
+/// Both components are public: a signature is sent to the verifier.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Signature {
     /// The `r` component.
+    // ct-public
     pub r: Scalar,
     /// The `s` component.
+    // ct-public
     pub s: Scalar,
 }
 

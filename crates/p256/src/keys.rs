@@ -8,11 +8,11 @@ use ecq_crypto::HmacDrbg;
 /// A P-256 key pair (`public = private · G`).
 ///
 /// All `private·G` computations go through the constant-schedule
-/// fixed-base path ([`mul_generator_ct`]). The pair is `Copy` for
-/// ergonomic protocol state and wipes nothing itself; holders of
-/// long-lived copies (e.g. `ecq_proto::Credentials`) wipe them on drop
-/// via the [`Zeroize`] impl, which clears the private scalar.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// fixed-base path ([`mul_generator_ct`]). The pair wipes its private
+/// scalar when it drops, so a holder needs no wipe of its own. The
+/// `Drop` impl keeps the type from being `Copy`: a copy can only be
+/// made with `clone`, and each clone wipes itself too.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyPair {
     /// The private scalar in `[1, n−1]`.
     pub private: Scalar,
@@ -51,6 +51,12 @@ impl Zeroize for KeyPair {
     /// Wipes the private scalar (the public point is public).
     fn zeroize(&mut self) {
         self.private.zeroize();
+    }
+}
+
+impl Drop for KeyPair {
+    fn drop(&mut self) {
+        self.zeroize();
     }
 }
 

@@ -5,16 +5,17 @@
 //! device identity, its implicit certificate, the reconstructed key
 //! pair and the CA public key needed to derive peers' keys.
 
+use crate::ProtocolError;
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, DeviceId, ImplicitCert};
-use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::AffinePoint;
 
-/// Long-term credential state of one device. Every copy wipes its
-/// private key when dropped.
+/// Long-term credential state of one device. The private key lives in
+/// [`KeyPair`], which wipes it when the credentials (or a clone of
+/// them) drop.
 #[derive(Clone, Debug)]
 pub struct Credentials {
     /// The device identity.
@@ -74,20 +75,24 @@ impl Credentials {
     }
 }
 
-impl Zeroize for Credentials {
-    /// Wipes the private key `Prk_X`; the rest is public.
-    fn zeroize(&mut self) {
-        self.keys.zeroize();
+/// Checks a peer's certificate against the identity the peer claimed
+/// on the wire, before any key is derived from it: the certificate
+/// must name `claimed` and be valid at `now`. Every state machine runs
+/// this one check.
+///
+/// # Errors
+///
+/// [`ProtocolError::AuthenticationFailed`] when the subject is not
+/// `claimed`; otherwise `ProtocolError::Cert(CertError::Expired)` when
+/// `now` is outside the validity window.
+pub fn check_peer_cert(cert: &ImplicitCert, claimed: &[u8], now: u32) -> Result<(), ProtocolError> {
+    if cert.subject.as_bytes() != claimed {
+        return Err(ProtocolError::AuthenticationFailed);
     }
-}
-
-impl Drop for Credentials {
-    /// Wipes the long-term private key: `KeyPair` is `Copy` and wipes
-    /// nothing itself, so every holder (endpoints, fleet devices, the
-    /// service daemon) relies on this.
-    fn drop(&mut self) {
-        self.zeroize();
+    if !cert.is_valid_at(now) {
+        return Err(ProtocolError::Cert(CertError::Expired));
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -107,22 +112,6 @@ mod tests {
             reconstruct_public_key(&creds.cert, &creds.ca_public).unwrap(),
             creds.keys.public
         );
-    }
-
-    #[test]
-    fn zeroize_wipes_only_the_private_key() {
-        let mut rng = HmacDrbg::from_seed(83);
-        let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
-        let creds = Credentials::provision(&ca, DeviceId::from_label("ecu"), 0, 100, &mut rng)
-            .expect("provisioning succeeds");
-        let mut wiped = creds.clone();
-        wiped.zeroize();
-        assert!(wiped.keys.private.is_zero());
-        assert!(!creds.keys.private.is_zero());
-        assert_eq!(wiped.id, creds.id);
-        assert_eq!(wiped.cert, creds.cert);
-        assert_eq!(wiped.keys.public, creds.keys.public);
-        assert_eq!(wiped.ca_public, creds.ca_public);
     }
 
     #[test]

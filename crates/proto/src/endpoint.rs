@@ -86,7 +86,8 @@ enum Phase {
 /// The core is where the fail-closed rules live, once for every state
 /// machine. [`Endpoint::session_key`] releases the key only once the
 /// handshake is established. [`Endpoint::step`] fails the core on any
-/// error, and the core wipes the key when it fails and when it drops.
+/// error, and the core wipes the key when it fails; the key wipes
+/// itself when the core drops (the node-capture row of Table III).
 /// Both wipes zeroize the same 32 bytes whether or not a key was ever
 /// derived, so they never branch on secret state.
 #[derive(Debug)]
@@ -136,7 +137,7 @@ impl EndpointCore {
     pub fn derived_key(&self) -> Result<SessionKey, ProtocolError> {
         match (self.phase, self.keyed) {
             (Phase::Failed, _) | (_, false) => Err(ProtocolError::UnexpectedMessage),
-            _ => Ok(self.key),
+            _ => Ok(self.key.clone()),
         }
     }
 
@@ -149,14 +150,6 @@ impl EndpointCore {
         self.key.zeroize();
         self.keyed = false;
         self.phase = Phase::Failed;
-    }
-}
-
-impl Drop for EndpointCore {
-    /// Wipes the session key: a key lives no longer than its session
-    /// (the node-capture row of Table III).
-    fn drop(&mut self) {
-        self.key.zeroize();
     }
 }
 
@@ -205,7 +198,7 @@ pub trait Endpoint {
     fn session_key(&self) -> Result<SessionKey, ProtocolError> {
         let core = self.core();
         match (core.phase, core.keyed) {
-            (Phase::Established, true) => Ok(core.key),
+            (Phase::Established, true) => Ok(core.key.clone()),
             _ => Err(ProtocolError::NotEstablished),
         }
     }

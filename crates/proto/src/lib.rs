@@ -36,7 +36,7 @@ pub mod transcript;
 pub mod transport;
 pub mod wire;
 
-pub use credentials::Credentials;
+pub use credentials::{check_peer_cert, Credentials};
 pub use endpoint::{run_handshake, Endpoint, EndpointCore, Role, SessionOutcome, StepOutput};
 pub use error::{ProtocolError, TransportError};
 pub use framing::{Frame, FrameKind};

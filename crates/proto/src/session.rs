@@ -13,10 +13,24 @@ use ecq_crypto::zeroize::Zeroize;
 pub const SESSION_KEY_LEN: usize = 32;
 
 /// A derived session key (`KS` in the paper).
-#[derive(Clone, Copy, PartialEq, Eq)]
+///
+/// The key wipes its bytes when it drops, so it lives no longer than
+/// its holder: an endpoint, a session manager, a fleet session's last
+/// key. The `Drop` impl keeps the type from being `Copy`; a copy is an
+/// explicit `clone` that wipes itself too. Equality runs in constant
+/// time ([`ecq_crypto::ct::eq`]).
+#[derive(Clone)]
 pub struct SessionKey {
     bytes: [u8; SESSION_KEY_LEN],
 }
+
+impl PartialEq for SessionKey {
+    fn eq(&self, other: &Self) -> bool {
+        ecq_crypto::ct::eq(&self.bytes, &other.bytes)
+    }
+}
+
+impl Eq for SessionKey {}
 
 impl core::fmt::Debug for SessionKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -67,12 +81,16 @@ impl SessionKey {
 
 impl Zeroize for SessionKey {
     /// Wipes the key bytes (volatile stores; see
-    /// [`ecq_crypto::zeroize`]). [`crate::EndpointCore`] calls this
-    /// when its handshake fails and when it drops, so every endpoint
-    /// (baselines included) wipes its key; `SessionManager` wipes each
-    /// superseded epoch key and its last one on drop.
+    /// [`ecq_crypto::zeroize`]). The key's `Drop` calls this, and
+    /// [`crate::EndpointCore`] calls it when its handshake fails.
     fn zeroize(&mut self) {
         self.bytes.zeroize();
+    }
+}
+
+impl Drop for SessionKey {
+    fn drop(&mut self) {
+        self.zeroize();
     }
 }
 
@@ -114,6 +132,17 @@ mod tests {
         let dbg = format!("{k:?}");
         assert!(!dbg.contains("abab"));
         assert!(dbg.contains("fp:"));
+    }
+
+    #[test]
+    fn equality_compares_every_byte() {
+        let k = SessionKey::from_bytes([0x5a; 32]);
+        assert_eq!(k, SessionKey::from_bytes([0x5a; 32]));
+        for i in [0, 15, 16, 31] {
+            let mut bytes = [0x5a; 32];
+            bytes[i] ^= 0x01;
+            assert_ne!(k, SessionKey::from_bytes(bytes), "byte {i} differs");
+        }
     }
 
     #[test]

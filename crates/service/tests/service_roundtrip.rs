@@ -342,6 +342,42 @@ fn idle_connection_is_closed_with_deadline() {
 }
 
 #[test]
+fn trickled_frame_is_closed_with_deadline() {
+    // A peer that sends one byte every 30 ms never leaves a read idle
+    // for a whole 50 ms tick, yet must still meet the 200 ms budget.
+    let mut daemon = ServiceDaemon::start(
+        ServiceConfig::tcp("127.0.0.1:0")
+            .seed(20)
+            .read_timeout(Duration::from_millis(200)),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(tcp_addr(&daemon)).unwrap();
+    let hello = Frame::Hello { nonce: [4; 32] }.encode().unwrap();
+    stream.set_nonblocking(true).unwrap();
+    for byte in hello {
+        // Stop once the daemon has answered: writing on after it
+        // closed could reset the connection before the reply is read.
+        if stream.peek(&mut [0u8; 1]).is_ok() {
+            break;
+        }
+        stream.write_all(&[byte]).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    stream.set_nonblocking(false).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    assert_eq!(
+        reply,
+        Frame::ErrorClose {
+            code: ErrorCode::Deadline.code()
+        }
+    );
+    daemon.shutdown();
+}
+
+#[test]
 fn shutdown_notifies_in_flight_connections() {
     let mut daemon = start_tcp(19);
     let mut stream = std::net::TcpStream::connect(tcp_addr(&daemon)).unwrap();
