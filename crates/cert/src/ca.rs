@@ -5,6 +5,7 @@ use crate::certificate::ImplicitCert;
 use crate::id::DeviceId;
 use crate::requester::CertRequest;
 use crate::{cert_hash, CertError};
+use ecq_crypto::zeroize::Zeroizing;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::{batch_normalize, mul_generator_ct, mul_generator_ct_jacobian, AffinePoint};
@@ -149,19 +150,21 @@ impl CertificateAuthority {
             return Err(CertError::InvalidRequest);
         }
         // Phase 1: draw (serial, k) in the sequential order and keep
-        // every blinded point in Jacobian form.
+        // every blinded point in Jacobian form. Every copy of a
+        // blinding `k` is wiped: `r = e·k + d_CA` goes out in clear, so
+        // one leaked `k` gives away `d_CA`.
         let mut serials = Vec::with_capacity(requests.len());
-        let mut blindings = Vec::with_capacity(requests.len());
+        let mut blindings = Zeroizing::new(Vec::with_capacity(requests.len()));
         let mut points = Vec::with_capacity(requests.len());
         for request in requests {
             serials.push(rng.next_u64());
             loop {
-                let k = Scalar::random(rng);
+                let k = Zeroizing::new(Scalar::random(rng));
                 let p_u = mul_generator_ct_jacobian(&k).add_affine(&request.point);
                 if p_u.is_identity() {
                     continue; // R_U = -kG; resample, as `issue` does
                 }
-                blindings.push(k);
+                blindings.push(*k);
                 points.push(p_u);
                 break;
             }
@@ -180,12 +183,12 @@ impl CertificateAuthority {
                 &affine[i],
             );
             let mut e = cert_hash(&certificate);
-            let mut k = blindings[i];
+            let mut k = Zeroizing::new(blindings[i]);
             // e = 0 requires a fresh blinding (probability ≈ 2⁻²⁵⁶,
             // unreachable in practice; a batch of N would then draw in
             // a different order than N batches of one).
             while e.is_zero() {
-                k = Scalar::random(rng);
+                *k = Scalar::random(rng);
                 let p_u = request.point.add(&mul_generator_ct(&k));
                 if p_u.infinity {
                     continue;

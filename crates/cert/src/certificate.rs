@@ -23,7 +23,7 @@
 //! tamper changes the reconstructed public key and breaks the
 //! possession proof.
 
-use crate::id::{DeviceId, ID_LEN};
+use crate::id::DeviceId;
 use crate::CertError;
 use ecq_p256::encoding::{decode_compressed, encode_compressed, COMPRESSED_LEN};
 use ecq_p256::point::AffinePoint;
@@ -37,6 +37,19 @@ const VERSION: u8 = 1;
 /// IANA/SEC curve identifier for secp256r1.
 pub const CURVE_SECP256R1: u8 = 0x17;
 const EXT_LEN: usize = 15;
+
+/// The `N`-byte field at offset `at` of an encoding.
+///
+/// # Errors
+///
+/// [`CertError::InvalidEncoding`] when the encoding ends before it.
+pub(crate) fn field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], CertError> {
+    bytes
+        .get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or(CertError::InvalidEncoding)
+}
 
 /// An ECQV implicit certificate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -92,23 +105,15 @@ impl ImplicitCert {
         if bytes[52] != CURVE_SECP256R1 {
             return Err(CertError::InvalidEncoding);
         }
-        let mut issuer = [0u8; ID_LEN];
-        issuer.copy_from_slice(&bytes[11..27]);
-        let mut subject = [0u8; ID_LEN];
-        subject.copy_from_slice(&bytes[27..43]);
-        let mut point = [0u8; COMPRESSED_LEN];
-        point.copy_from_slice(&bytes[53..86]);
-        let mut extensions = [0u8; EXT_LEN];
-        extensions.copy_from_slice(&bytes[86..101]);
         Ok(ImplicitCert {
-            serial: u64::from_be_bytes(bytes[3..11].try_into().expect("8 bytes")),
-            issuer: DeviceId::from_bytes(issuer),
-            subject: DeviceId::from_bytes(subject),
-            valid_from: u32::from_be_bytes(bytes[43..47].try_into().expect("4 bytes")),
-            valid_to: u32::from_be_bytes(bytes[47..51].try_into().expect("4 bytes")),
+            serial: u64::from_be_bytes(field(bytes, 3)?),
+            issuer: DeviceId::from_bytes(field(bytes, 11)?),
+            subject: DeviceId::from_bytes(field(bytes, 27)?),
+            valid_from: u32::from_be_bytes(field(bytes, 43)?),
+            valid_to: u32::from_be_bytes(field(bytes, 47)?),
             key_usage: bytes[51],
-            point,
-            extensions,
+            point: field(bytes, 53)?,
+            extensions: field(bytes, 86)?,
         })
     }
 
@@ -210,10 +215,13 @@ mod tests {
             Err(CertError::InvalidEncoding)
         );
 
-        assert_eq!(
-            ImplicitCert::from_bytes(&good[..100]),
-            Err(CertError::InvalidEncoding)
-        );
+        for len in 0..good.len() {
+            assert_eq!(
+                ImplicitCert::from_bytes(&good[..len]),
+                Err(CertError::InvalidEncoding),
+                "prefix of {len} bytes"
+            );
+        }
     }
 
     #[test]

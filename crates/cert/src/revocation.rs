@@ -11,7 +11,7 @@
 //! known compromised, forward secrecy protects *past* traffic, but only
 //! revocation stops *future* sessions.
 
-use crate::certificate::ImplicitCert;
+use crate::certificate::{field, ImplicitCert};
 use crate::CertError;
 use std::collections::BTreeSet;
 
@@ -104,16 +104,15 @@ impl RevocationList {
         if bytes.len() < 11 || bytes[0..2] != MAGIC || bytes[2] != VERSION {
             return Err(CertError::InvalidEncoding);
         }
-        let sequence = u32::from_be_bytes(bytes[3..7].try_into().expect("4 bytes"));
-        let count = u32::from_be_bytes(bytes[7..11].try_into().expect("4 bytes")) as usize;
-        if bytes.len() != 11 + 8 * count {
+        let sequence = u32::from_be_bytes(field(bytes, 3)?);
+        let count = u32::from_be_bytes(field(bytes, 7)?) as usize;
+        let (serials, tail) = bytes[11..].as_chunks::<8>();
+        if serials.len() != count || !tail.is_empty() {
             return Err(CertError::InvalidEncoding);
         }
         let mut revoked = BTreeSet::new();
-        for i in 0..count {
-            let off = 11 + 8 * i;
-            let serial = u64::from_be_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-            if !revoked.insert(serial) {
+        for serial in serials {
+            if !revoked.insert(u64::from_be_bytes(*serial)) {
                 return Err(CertError::InvalidEncoding);
             }
         }
@@ -187,6 +186,15 @@ mod tests {
         let mut bytes = good.to_bytes();
         bytes[2] = 9;
         assert!(RevocationList::from_bytes(&bytes).is_err());
+        // Every strict prefix of a valid list.
+        good.revoke(9);
+        let bytes = good.to_bytes();
+        for len in 0..bytes.len() {
+            assert!(
+                RevocationList::from_bytes(&bytes[..len]).is_err(),
+                "prefix of {len} bytes"
+            );
+        }
     }
 
     #[test]

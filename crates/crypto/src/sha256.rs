@@ -78,9 +78,8 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            compress(&mut self.state, block.try_into().expect("64-byte block"));
+        while let Some((block, rest)) = data.split_first_chunk::<BLOCK_LEN>() {
+            compress(&mut self.state, block);
             data = rest;
         }
         if !data.is_empty() {
@@ -113,8 +112,8 @@ impl Sha256 {
 
 fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
+    for (wi, word) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *wi = u32::from_be_bytes(*word);
     }
     for i in 16..64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);

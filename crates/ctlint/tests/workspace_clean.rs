@@ -73,8 +73,9 @@ fn workspace_is_clean_under_committed_allowlists() {
 
     // The panic-reach and secret-flow allowlist sizes are tracked and
     // may only shrink: a refactor of the hot path deletes entries,
-    // never adds them. Lower a ceiling when entries go.
-    const PANIC_ALLOW_MAX: usize = 28;
+    // never adds them. Each size is pinned exactly, so a change that
+    // deletes entries lowers its pin with them.
+    const PANIC_ALLOW_MAX: usize = 10;
     const CT_ALLOW_MAX: usize = 5;
     let panic_reach = ecq_lint::panicreach::PanicReach;
     let secret_flow = ecq_lint::secretflow::SecretFlow::default();
@@ -87,9 +88,11 @@ fn workspace_is_clean_under_committed_allowlists() {
             .expect("read a committed allowlist");
         let (entries, errors) = ecq_lint::allowlist::parse(&text, pass.classes());
         assert!(errors.is_empty(), "{errors:#?}");
-        assert!(
-            entries.len() <= max,
-            "the {} allowlist grew to {} entries (ceiling {max})",
+        assert_eq!(
+            entries.len(),
+            max,
+            "the {} allowlist has {} entries, its pin says {max}: \
+             lower the pin with the entries a change deletes",
             pass.name(),
             entries.len()
         );

@@ -11,6 +11,7 @@ use crate::pool::CaPool;
 use crate::report::FleetReport;
 use crate::scheduler::{micros_from_ms, VirtualTime};
 use crate::FleetError;
+use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, RevocationList};
 use ecq_crypto::sha256::Sha256;
@@ -324,17 +325,6 @@ impl FleetCoordinator {
         2.0 * c.keygen_ms + c.recon_ms
     }
 
-    /// Roster indices of each shard's devices, in roster order.
-    fn shard_worklists(&self) -> Vec<Vec<usize>> {
-        let mut lists = vec![Vec::new(); self.pool.shard_count()];
-        for d in &self.devices {
-            if let Some(list) = lists.get_mut(d.shard) {
-                list.push(d.index);
-            }
-        }
-        lists
-    }
-
     /// Batch-enrolls every device against its CA shard: within a shard
     /// the CA serializes `issue_batch` calls of `enroll_batch`
     /// certificates each, shards run concurrently on the virtual
@@ -347,12 +337,11 @@ impl FleetCoordinator {
     /// (impossible for well-formed rosters).
     pub fn enroll_all(&mut self) -> Result<(), FleetError> {
         let mut enroller = Enroller::new(
-            self.shard_worklists(),
             self.config,
             &self.pool,
+            &mut self.shard_rngs,
             &self.devices,
             &self.device_seeds,
-            &mut self.shard_rngs,
         );
         let enrolled: Vec<Enrolled> = enroller.by_ref().collect();
         if let Some(e) = enroller.error {
@@ -395,21 +384,18 @@ impl FleetCoordinator {
     /// Panics when an establishment sweep already ran.
     fn create_sessions(&mut self) -> Vec<SessionWork> {
         self.claim_sweep();
-        let roster = &self.devices;
-        let enrolled = self
-            .shard_worklists()
-            .into_iter()
-            .flatten()
-            .filter_map(|index| {
-                let d = roster.get(index)?;
-                let creds = d.credentials.as_deref()?.clone();
-                Some(Enrolled {
-                    index,
-                    shard: d.shard,
-                    creds,
-                    preset: d.preset,
-                })
-            });
+        // Shard by shard, roster order within a shard: the sort is stable.
+        let mut roster: Vec<&SimDevice> = self.devices.iter().collect();
+        roster.sort_by_key(|d| d.shard);
+        let enrolled = roster.into_iter().filter_map(|d| {
+            let creds = d.credentials.as_deref()?.clone();
+            Some(Enrolled {
+                index: d.index,
+                shard: d.shard,
+                creds,
+                preset: d.preset,
+            })
+        });
         let pairs = PairProducer::new(enrolled, &mut self.session_rng, &self.crl, self.config);
         let mut work = Vec::new();
         for (a, b, wire_seed, w) in pairs {
@@ -499,16 +485,14 @@ impl FleetCoordinator {
             self.report.enrolled == 0,
             "streaming_sweep enrolls the roster itself; do not call enroll_all first"
         );
-        let worklists = self.shard_worklists();
-        let total = worklists.iter().map(|l| l.len() / 2).sum();
         let enroller = Enroller::new(
-            worklists,
             self.config,
             &self.pool,
+            &mut self.shard_rngs,
             &self.devices,
             &self.device_seeds,
-            &mut self.shard_rngs,
         );
+        let total = enroller.queues.iter().map(|q| q.devices.len() / 2).sum();
         let mut pairs = PairProducer::new(enroller, &mut self.session_rng, &self.crl, self.config);
         let swept = sweep_and_fold(
             &mut self.report,
@@ -774,12 +758,8 @@ struct Enrolled {
 /// credential and no report field.
 struct Enroller<'a> {
     config: FleetConfig,
-    pool: &'a CaPool,
-    devices: &'a [SimDevice],
-    device_seeds: &'a [[u8; 32]],
-    shard_rngs: &'a mut [HmacDrbg],
-    /// Shard worklists in roster order, and the walk's position.
-    worklists: Vec<Vec<usize>>,
+    /// One queue per shard, and the walk's position.
+    queues: Vec<ShardQueue<'a>>,
     shard: usize,
     cursor: usize,
     /// Virtual time the current shard's CA becomes free.
@@ -794,22 +774,40 @@ struct Enroller<'a> {
     error: Option<FleetError>,
 }
 
+/// One shard's enrollment queue: its CA, the CA's issuance DRBG, and
+/// the shard's devices with their request seeds, in roster order.
+struct ShardQueue<'a> {
+    ca: &'a CertificateAuthority,
+    rng: &'a mut HmacDrbg,
+    devices: Vec<(&'a SimDevice, &'a [u8; 32])>,
+}
+
 impl<'a> Enroller<'a> {
     fn new(
-        worklists: Vec<Vec<usize>>,
         config: FleetConfig,
         pool: &'a CaPool,
+        shard_rngs: &'a mut [HmacDrbg],
         devices: &'a [SimDevice],
         device_seeds: &'a [[u8; 32]],
-        shard_rngs: &'a mut [HmacDrbg],
     ) -> Self {
+        let mut queues: Vec<ShardQueue<'a>> = pool
+            .shards()
+            .iter()
+            .zip(shard_rngs)
+            .map(|(ca, rng)| ShardQueue {
+                ca,
+                rng,
+                devices: Vec::new(),
+            })
+            .collect();
+        for (device, seed) in devices.iter().zip(device_seeds) {
+            if let Some(queue) = queues.get_mut(device.shard) {
+                queue.devices.push((device, seed));
+            }
+        }
         Enroller {
             config,
-            pool,
-            devices,
-            device_seeds,
-            shard_rngs,
-            worklists,
+            queues,
             shard: 0,
             cursor: 0,
             shard_time: 0,
@@ -831,49 +829,48 @@ impl<'a> Enroller<'a> {
     /// Returns an empty batch once every shard is enrolled.
     fn enroll_batch(&mut self) -> Result<Vec<Enrolled>, FleetError> {
         while self
-            .worklists
+            .queues
             .get(self.shard)
-            .is_some_and(|list| self.cursor >= list.len())
+            .is_some_and(|queue| self.cursor >= queue.devices.len())
         {
             self.shard += 1;
             self.cursor = 0;
             self.shard_time = 0;
         }
-        let Some(list) = self.worklists.get(self.shard) else {
+        let Some(queue) = self.queues.get_mut(self.shard) else {
             return Ok(Vec::new());
         };
-        let end = (self.cursor + self.config.enroll_batch.max(1)).min(list.len());
-        let chunk = &list[self.cursor..end];
+        let end = (self.cursor + self.config.enroll_batch.max(1)).min(queue.devices.len());
+        let chunk = &queue.devices[self.cursor..end];
         self.cursor = end;
 
         let requesters: Vec<CertRequester> = chunk
             .iter()
-            .map(|&i| {
-                let mut rng = HmacDrbg::new(&self.device_seeds[i], b"fleet-requester");
-                CertRequester::generate(self.devices[i].id, &mut rng)
+            .map(|&(device, seed)| {
+                let mut rng = HmacDrbg::new(seed, b"fleet-requester");
+                CertRequester::generate(device.id, &mut rng)
             })
             .collect();
         let requests: Vec<_> = requesters.iter().map(|r| r.request()).collect();
-        let ca = self.pool.shard(self.shard);
+        let ca = queue.ca;
         let issued = ca.issue_batch(
             &requests,
             self.config.valid_from,
             self.config.valid_to,
-            &mut self.shard_rngs[self.shard],
+            queue.rng,
         )?;
         let ca_done = self.shard_time + self.per_cert_us * chunk.len() as VirtualTime;
         let keys = CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())?;
         self.shard_time = ca_done;
         self.batches += 1;
         let mut batch = Vec::with_capacity(chunk.len());
-        for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
-            let device = &self.devices[i];
+        for ((&(device, _), cert), keys) in chunk.iter().zip(&issued).zip(keys) {
             let done =
                 ca_done + micros_from_ms(FleetCoordinator::reconstruct_cost_ms(device.preset));
             self.makespan = self.makespan.max(done);
             self.enrolled += 1;
             batch.push(Enrolled {
-                index: i,
+                index: device.index,
                 shard: self.shard,
                 creds: Credentials {
                     id: device.id,
@@ -1005,7 +1002,7 @@ mod tests {
             assert!(creds.keys.is_consistent());
             assert_eq!(creds.cert.subject, d.id);
             // Each device's certificate chains to its own shard's CA.
-            assert_eq!(creds.ca_public, fleet.pool.shard(d.shard).public_key());
+            assert_eq!(creds.ca_public, fleet.pool.shards()[d.shard].public_key());
         }
     }
 

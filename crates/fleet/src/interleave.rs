@@ -820,7 +820,7 @@ mod tests {
             ids.push(device.id);
         }
         let requests: Vec<_> = requesters.iter().map(|r| r.request()).collect();
-        let ca = pool.shard(0);
+        let ca = &pool.shards()[0];
         let issued = ca
             .issue_batch(&requests, 0, 86_400, &mut ca_rng)
             .expect("test CA issues");

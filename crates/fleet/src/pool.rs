@@ -38,13 +38,9 @@ impl CaPool {
         self.shards.len()
     }
 
-    /// The CA serving shard `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= shard_count()`.
-    pub fn shard(&self, index: usize) -> &CertificateAuthority {
-        &self.shards[index]
+    /// The CAs, in shard order: shard `i` is `shards()[i]`.
+    pub fn shards(&self) -> &[CertificateAuthority] {
+        &self.shards
     }
 
     /// The shard serving `id`: FNV-1a over the identity bytes, reduced
@@ -70,7 +66,7 @@ mod tests {
         assert_eq!(pool.shard_count(), 4);
         for i in 0..4 {
             for j in (i + 1)..4 {
-                assert_ne!(pool.shard(i).public_key(), pool.shard(j).public_key());
+                assert_ne!(pool.shards()[i].public_key(), pool.shards()[j].public_key());
             }
         }
     }

@@ -85,8 +85,9 @@ const fn sbb4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     (out, borrow)
 }
 
-/// `x·2^256 mod m` for a reduced `x`, by 256 modular doublings.
-const fn mul_2_256(mut x: [u64; 4], m: &[u64; 4]) -> [u64; 4] {
+/// `x·2^256 mod m` for a reduced `x`, by 256 modular doublings: the
+/// Montgomery form of `x` when `m` is the modulus.
+pub(crate) const fn mul_2_256(mut x: [u64; 4], m: &[u64; 4]) -> [u64; 4] {
     let mut i = 0;
     while i < 256 {
         let carry = x[3] >> 63;

@@ -28,6 +28,7 @@ use crate::rfc6979;
 use crate::scalar::Scalar;
 use crate::CurveError;
 use ecq_crypto::sha256::sha256;
+use ecq_crypto::zeroize::Zeroizing;
 
 /// A raw `r ‖ s` ECDSA signature (the paper's `Sign(64)` / `dsign`).
 ///
@@ -92,16 +93,17 @@ pub fn sign(private: &Scalar, msg: &[u8]) -> Signature {
     sign_prehashed(private, &h)
 }
 
-/// Signs a precomputed 32-byte message hash.
+/// Signs a precomputed 32-byte message hash. The nonce is wiped on
+/// return: with it, a signature gives away the private key.
 pub fn sign_prehashed(private: &Scalar, hash: &[u8; 32]) -> Signature {
     let e = Scalar::from_be_bytes_reduced(hash);
-    let mut k = rfc6979::generate_k(private, hash);
+    let mut k = Zeroizing::new(rfc6979::generate_k(private, hash));
     loop {
         if let Some(sig) = sign_with_k(private, &e, &k) {
             return sig;
         }
         // Astronomically unlikely; perturb k deterministically.
-        k = k.add(&Scalar::one());
+        *k = k.add(&Scalar::one());
     }
 }
 

@@ -33,13 +33,8 @@ const P_LIMBS: [u64; 4] = [
 /// reduction multiplier in the unrolled backend folds away entirely.
 const P_PARAMS: MontParams = MontParams::new(P_LIMBS);
 
-/// The curve coefficient `b` in Montgomery form (computed once from
-/// [`B_HEX`] at compile time would need const hex parsing; a one-time
-/// lazy conversion is equivalent and keeps the constant auditable).
-fn curve_b_mont() -> &'static FieldElement {
-    static B: std::sync::OnceLock<FieldElement> = std::sync::OnceLock::new();
-    B.get_or_init(|| FieldElement::from_canonical(&U256::from_be_hex(B_HEX)).expect("b < p"))
-}
+/// The curve coefficient `b` in Montgomery form.
+const CURVE_B: FieldElement = FieldElement::from_be_hex(B_HEX);
 
 /// An element of GF(p) in Montgomery form.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -64,7 +59,14 @@ impl FieldElement {
 
     /// The curve coefficient `b`.
     pub fn curve_b() -> Self {
-        *curve_b_mont()
+        CURVE_B
+    }
+
+    /// The element with canonical big-endian hex value `hex`, which
+    /// must be below `p`, converted at compile time.
+    pub(crate) const fn from_be_hex(hex: &str) -> Self {
+        let x = U256::from_be_hex(hex).limbs();
+        FieldElement(U256::from_limbs(backend::mul_2_256(x, &P_LIMBS)))
     }
 
     /// Builds a field element from a canonical integer `< p`.
@@ -305,6 +307,15 @@ mod tests {
     #[test]
     fn curve_b_constant() {
         assert_eq!(FieldElement::curve_b().to_canonical().to_string(), B_HEX);
+    }
+
+    #[test]
+    fn compile_time_conversion_matches_runtime() {
+        use crate::point::{GX_HEX, GY_HEX};
+        for hex in [B_HEX, GX_HEX, GY_HEX] {
+            let runtime = FieldElement::from_canonical(&U256::from_be_hex(hex)).unwrap();
+            assert_eq!(FieldElement::from_be_hex(hex), runtime, "{hex}");
+        }
     }
 
     #[test]

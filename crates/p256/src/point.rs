@@ -34,12 +34,18 @@ use crate::field::FieldElement;
 use crate::scalar::Scalar;
 use crate::u256::U256;
 use crate::CurveError;
-use std::sync::OnceLock;
 
 /// Generator x-coordinate, big-endian hex.
 pub const GX_HEX: &str = "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
 /// Generator y-coordinate, big-endian hex.
 pub const GY_HEX: &str = "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
+
+/// The generator in Montgomery form.
+const GENERATOR: AffinePoint = AffinePoint {
+    x: FieldElement::from_be_hex(GX_HEX),
+    y: FieldElement::from_be_hex(GY_HEX),
+    infinity: false,
+};
 
 /// A point in affine coordinates, or the point at infinity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -64,12 +70,7 @@ impl AffinePoint {
 
     /// The curve generator `G`.
     pub fn generator() -> Self {
-        static G: OnceLock<AffinePoint> = OnceLock::new();
-        *G.get_or_init(|| AffinePoint {
-            x: FieldElement::from_canonical(&U256::from_be_hex(GX_HEX)).expect("Gx < p"),
-            y: FieldElement::from_canonical(&U256::from_be_hex(GY_HEX)).expect("Gy < p"),
-            infinity: false,
-        })
+        GENERATOR
     }
 
     /// Checks the affine curve equation `y² = x³ − 3x + b`.

@@ -7,34 +7,34 @@
 use crate::scalar::Scalar;
 use crate::u256::U256;
 use ecq_crypto::hmac::hmac_sha256_concat;
+use ecq_crypto::zeroize::Zeroizing;
 
 /// Derives the ECDSA nonce `k` for private key `x` and message hash
-/// `h1` (already hashed, 32 bytes), per RFC 6979 §3.2.
+/// `h1` (already hashed, 32 bytes), per RFC 6979 §3.2. The private-key
+/// octets and the HMAC `K`/`V` state, whose last `V` is the nonce, are
+/// wiped on return.
 pub fn generate_k(x: &Scalar, h1: &[u8; 32]) -> Scalar {
-    let x_octets = x.to_be_bytes();
+    let x_octets = Zeroizing::new(x.to_be_bytes());
     let h_octets = bits2octets(h1);
 
-    let mut k = [0u8; 32];
-    let mut v = [1u8; 32];
+    let mut k = Zeroizing::new([0u8; 32]);
+    let mut v = Zeroizing::new([1u8; 32]);
 
     // K = HMAC_K(V || 0x00 || int2octets(x) || bits2octets(h1))
-    k = hmac_sha256_concat(&k, &[&v, &[0x00], &x_octets, &h_octets]);
-    v = hmac_sha256_concat(&k, &[&v]);
+    *k = hmac_sha256_concat(&*k, &[&*v, &[0x00], &*x_octets, &h_octets]);
+    *v = hmac_sha256_concat(&*k, &[&*v]);
     // K = HMAC_K(V || 0x01 || int2octets(x) || bits2octets(h1))
-    k = hmac_sha256_concat(&k, &[&v, &[0x01], &x_octets, &h_octets]);
-    v = hmac_sha256_concat(&k, &[&v]);
+    *k = hmac_sha256_concat(&*k, &[&*v, &[0x01], &*x_octets, &h_octets]);
+    *v = hmac_sha256_concat(&*k, &[&*v]);
 
     loop {
-        v = hmac_sha256_concat(&k, &[&v]);
-        let candidate = U256::from_be_bytes(&v);
-        if !candidate.is_zero() && candidate < Scalar::order() {
-            let s = Scalar::from_canonical(&candidate).expect("checked < n");
-            if !s.is_zero() {
-                return s;
-            }
+        *v = hmac_sha256_concat(&*k, &[&*v]);
+        let candidate = Scalar::from_canonical(&U256::from_be_bytes(&v));
+        if let Some(s) = candidate.filter(|s| !s.is_zero()) {
+            return s;
         }
-        k = hmac_sha256_concat(&k, &[&v, &[0x00]]);
-        v = hmac_sha256_concat(&k, &[&v]);
+        *k = hmac_sha256_concat(&*k, &[&*v, &[0x00]]);
+        *v = hmac_sha256_concat(&*k, &[&*v]);
     }
 }
 

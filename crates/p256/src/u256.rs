@@ -65,14 +65,19 @@ impl U256 {
     ///
     /// # Panics
     ///
-    /// Panics on malformed input; intended for constants and tests.
-    pub fn from_be_hex(s: &str) -> Self {
-        assert_eq!(s.len(), 64, "expected 64 hex chars");
-        let mut bytes = [0u8; 32];
-        for i in 0..32 {
-            bytes[i] = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("hex digit");
+    /// Panics on malformed input; intended for constants and tests. In
+    /// a `const` item the panic is a build error.
+    pub const fn from_be_hex(s: &str) -> Self {
+        let s = s.as_bytes();
+        assert!(s.len() == 64, "expected 64 hex chars");
+        let mut limbs = [0u64; 4];
+        let mut i = 0;
+        while i < 64 {
+            let digit = (s[i] as char).to_digit(16).expect("hex digit");
+            limbs[3 - i / 16] = (limbs[3 - i / 16] << 4) | digit as u64;
+            i += 1;
         }
-        Self::from_be_bytes(&bytes)
+        U256 { limbs }
     }
 
     /// Constructs from 32 big-endian bytes.

@@ -21,8 +21,8 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Poll granularity: a connection wakes this often to notice a daemon
-/// shutdown or an expired idle deadline, and the accept loop to notice
-/// new connections and the shutdown flag.
+/// shutdown or an expired idle deadline. The accept loop, which blocks
+/// in `accept`, waits this long only after a failed accept.
 pub(crate) const TICK: Duration = Duration::from_millis(50);
 
 /// Per-connection write timeout for response frames.

@@ -11,6 +11,8 @@ use ecq_crypto::zeroize::wipe_bytes;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::Credentials;
 use std::io::Read;
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -77,44 +79,52 @@ enum Listener {
 }
 
 impl Listener {
-    /// Accepts one pending connection as a blocking stream; the
-    /// listener itself is non-blocking, so `WouldBlock` means none is
-    /// pending.
+    /// Blocks until a connection arrives, or fails once shutdown has
+    /// woken it.
     fn accept(&self) -> std::io::Result<ServiceStream> {
         match self {
             Listener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
                 let _ = stream.set_nodelay(true);
                 Ok(ServiceStream::Tcp(stream))
             }
             #[cfg(unix)]
-            Listener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                Ok(ServiceStream::Unix(stream))
-            }
+            Listener::Unix(l) => Ok(ServiceStream::Unix(l.accept()?.0)),
         }
+    }
+
+    /// A second handle on the listening socket, typed as a stream so
+    /// that [`ServiceDaemon::shutdown`] can call `shutdown(2)` on it.
+    fn waker(&self) -> std::io::Result<ServiceStream> {
+        Ok(match self {
+            Listener::Tcp(l) => ServiceStream::Tcp(OwnedFd::from(l.try_clone()?).into()),
+            #[cfg(unix)]
+            Listener::Unix(l) => ServiceStream::Unix(OwnedFd::from(l.try_clone()?).into()),
+        })
     }
 }
 
 /// A running CA + responder daemon.
 ///
 /// The daemon owns one accept thread and one worker thread per live
-/// connection. The accept thread polls a non-blocking listener: each
-/// time it wakes it accepts every pending connection, then sleeps one
-/// tick (50 ms) and checks the shutdown flag again.
-/// [`ServiceDaemon::shutdown`] (also run on drop) flips that flag and
-/// joins the accept thread, which joins every worker; in-flight
-/// connections receive a typed `ShuttingDown` error frame at their
-/// next read tick. No step of the shutdown connects to the daemon's
-/// own address, so it returns even when a Unix socket file was
-/// removed under the running daemon. The socket file is removed only
-/// while its path still names the socket this daemon bound, so a
-/// daemon that later bound the same path keeps its file.
+/// connection. The accept thread blocks in `accept`, so a connection
+/// is picked up as soon as it arrives. [`ServiceDaemon::shutdown`]
+/// (also run on drop) sets the shutdown flag, wakes the accept thread
+/// by shutting the listening socket down through a second handle on
+/// it (Linux `shutdown(2)` semantics), and joins the accept thread,
+/// which joins every worker; in-flight connections receive a typed
+/// `ShuttingDown` error frame at their next read tick. No step of the
+/// shutdown connects to the daemon's own address, so it returns even
+/// when a Unix socket file was removed under the running daemon. The
+/// socket file is removed only while its path still names the socket
+/// this daemon bound, so a daemon that later bound the same path keeps
+/// its file.
 pub struct ServiceDaemon {
     shared: Arc<Shared>,
     addr: ServiceAddr,
+    /// A second handle on the listening socket, through which shutdown
+    /// wakes the accept thread.
+    waker: ServiceStream,
     /// The device and inode of the bound Unix socket file, until
     /// shutdown removes it.
     #[cfg(unix)]
@@ -179,6 +189,7 @@ impl ServiceDaemon {
         responder: Credentials,
     ) -> Result<Self, ServiceError> {
         let (listener, addr) = bind(&config.bind)?;
+        let waker = listener.waker()?;
         #[cfg(unix)]
         let socket_file = match &addr {
             ServiceAddr::Unix(path) => file_id(path),
@@ -203,6 +214,7 @@ impl ServiceDaemon {
         Ok(ServiceDaemon {
             shared,
             addr,
+            waker,
             #[cfg(unix)]
             socket_file,
             accept: Some(accept),
@@ -244,6 +256,14 @@ impl ServiceDaemon {
     /// worker thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // On Linux, shutting a listening socket down for reading fails
+        // the `accept` blocked on it, and every later one, with
+        // `EINVAL`; later connects are refused.
+        let _ = match &self.waker {
+            ServiceStream::Tcp(s) => s.shutdown(Shutdown::Read),
+            #[cfg(unix)]
+            ServiceStream::Unix(s) => s.shutdown(Shutdown::Read),
+        };
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -323,7 +343,6 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
     match bind {
         BindAddr::Tcp(addr) => {
             let listener = std::net::TcpListener::bind(addr.as_str())?;
-            listener.set_nonblocking(true)?;
             let local = listener.local_addr()?;
             Ok((Listener::Tcp(listener), ServiceAddr::Tcp(local)))
         }
@@ -331,7 +350,6 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
         BindAddr::Unix(path) => {
             remove_stale_socket(path);
             let listener = std::os::unix::net::UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
             Ok((Listener::Unix(listener), ServiceAddr::Unix(path.clone())))
         }
     }
@@ -364,9 +382,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         let stream = match listener.accept() {
             Ok(stream) => stream,
-            // `WouldBlock` (nothing pending) or a failed accept, such as
-            // running out of descriptors: either way, wait one tick
-            // instead of spinning.
+            // Shutdown woke the accept.
+            Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
+            // A failed accept, such as running out of descriptors:
+            // wait one tick instead of spinning.
             Err(_) => {
                 std::thread::sleep(TICK);
                 continue;

@@ -34,6 +34,28 @@ fn hello_returns_the_ca_key() {
 }
 
 #[test]
+fn idle_daemon_accepts_without_waiting_for_a_tick() {
+    let mut daemon = start_tcp(12);
+    let addr = tcp_addr(&daemon);
+    let mut samples: Vec<Duration> = (0..9)
+        .map(|_| {
+            // Let the accept thread fall idle between connections.
+            std::thread::sleep(Duration::from_millis(60));
+            let start = std::time::Instant::now();
+            let mut client = ServiceClient::connect_tcp(addr).unwrap();
+            assert_eq!(client.hello([2; 32]).unwrap(), daemon.ca_public());
+            start.elapsed()
+        })
+        .collect();
+    samples.sort();
+    assert!(
+        samples[4] < Duration::from_millis(10),
+        "median connect + hello on an idle daemon: {samples:?}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
 fn default_daemons_hold_keys_of_their_own() {
     let a = ServiceDaemon::start(ServiceConfig::tcp("127.0.0.1:0")).unwrap();
     let b = ServiceDaemon::start(ServiceConfig::tcp("127.0.0.1:0")).unwrap();

@@ -23,10 +23,10 @@ pub const MAX_PAYLOAD: usize = 64;
 /// Panics when `len > 64` (callers segment via ISO-TP first).
 pub fn padded_len(len: usize) -> usize {
     assert!(len <= MAX_PAYLOAD, "CAN-FD payload exceeds 64 bytes");
-    *DLC_SIZES
-        .iter()
-        .find(|&&cap| cap >= len)
-        .expect("len <= 64 always maps")
+    DLC_SIZES
+        .into_iter()
+        .find(|&cap| cap >= len)
+        .unwrap_or(MAX_PAYLOAD)
 }
 
 /// Bit-rate configuration of the bus.
@@ -83,8 +83,9 @@ impl CanFdFrame {
     /// still passes the receiving controller's CRC. `offset` is reduced
     /// modulo [`CanFdFrame::used_len`]; a no-op on empty frames.
     pub fn corrupt_byte(&mut self, offset: usize) {
-        if self.used_len > 0 {
-            self.payload[offset % self.used_len] ^= 0xA5;
+        let at = offset.checked_rem(self.used_len);
+        if let Some(byte) = at.and_then(|i| self.payload.get_mut(i)) {
+            *byte ^= 0xA5;
         }
     }
 

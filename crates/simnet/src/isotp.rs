@@ -236,11 +236,10 @@ pub fn transfer_time_ns(payload_len: usize, timing: &BitTiming, config: &IsoTpCo
         let fc = flow_control_frame(config);
         // One FC after the FF, plus one per full block of CFs.
         let cf_count = frames.len() - 1;
-        let fc_rounds = if config.block_size == 0 {
-            1
-        } else {
-            1 + (cf_count.saturating_sub(1)) / config.block_size as usize
-        };
+        let fc_rounds = cf_count
+            .saturating_sub(1)
+            .checked_div(config.block_size as usize)
+            .map_or(1, |blocks| 1 + blocks);
         total += fc.frame_time_ns(timing) * fc_rounds as u64;
         total += (config.st_min_us as u64) * 1000 * cf_count as u64;
     }

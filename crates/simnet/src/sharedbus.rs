@@ -303,22 +303,26 @@ impl SharedBus {
     /// Submits a typed handshake message from `from` on `slot` at
     /// virtual time `now_us`. Frames are queued for arbitration with
     /// all fault-plan effects applied; deliveries surface later from
-    /// [`SharedBus::process`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slot` is unregistered (handshake messages always
-    /// fit ISO-TP, so segmentation cannot fail).
+    /// [`SharedBus::process`]. Nothing is queued for an unregistered
+    /// slot. A message too long for ISO-TP counts as sent and is never
+    /// delivered, so its session times out.
     pub fn send(&mut self, slot: usize, from: Role, message: Message, now_us: TransportTime) {
         let tx = role_index(from);
         let rx = role_index(from.peer());
-        let config = self.slots[slot].isotp[tx];
+        let Some(state) = self.slots.get_mut(slot) else {
+            return;
+        };
+        state.stats.messages += 1;
+        state.stats.bytes += message.wire_len() as u64;
         let encoded = message.encode();
-        let payload = AppMessage::handshake(self.slots[slot].session_id, encoded.clone()).encode();
-        let frames = segment(&payload, &config).expect("handshake messages fit ISO-TP");
-
-        let msg_index = self.slots[slot].msg_seq[tx];
-        self.slots[slot].msg_seq[tx] += 1;
+        let payload = AppMessage::handshake(state.session_id, encoded.clone()).encode();
+        let Ok(frames) = segment(&payload, &state.isotp[tx]) else {
+            return;
+        };
+        state.stats.frames += frames.len() as u64;
+        let tx_overhead = state.overhead_ns[tx];
+        let msg_index = state.msg_seq[tx];
+        state.msg_seq[tx] += 1;
         let bus_msg = self.msg_counter;
         self.msg_counter += 1;
 
@@ -328,15 +332,11 @@ impl SharedBus {
             self.counters.delayed += 1;
         }
         let base_ns = now_ns + delay + self.plan.skew_delay_ns(from, now_ns);
-        let tx_overhead = self.slots[slot].overhead_ns[tx];
 
-        self.slots[slot].stats.messages += 1;
-        self.slots[slot].stats.bytes += message.wire_len() as u64;
-        self.slots[slot].stats.frames += frames.len() as u64;
         let replay = self.plan.replay_delay_ns(slot, from, msg_index as usize);
         if replay.is_some() {
             self.counters.replayed += 1;
-            self.slots[slot].pending_typed[rx].insert(
+            state.pending_typed[rx].insert(
                 msg_index | REPLAY_BIT,
                 PendingTyped {
                     original: message.clone(),
@@ -345,7 +345,7 @@ impl SharedBus {
                 },
             );
         }
-        self.slots[slot].pending_typed[rx].insert(
+        state.pending_typed[rx].insert(
             msg_index,
             PendingTyped {
                 original: message,
@@ -433,14 +433,17 @@ impl SharedBus {
             if start > now_ns {
                 break;
             }
-            let winner = self
+            // The min-ready frame always qualifies.
+            let Some(winner) = self
                 .pending
                 .iter()
                 .enumerate()
                 .filter(|(_, f)| f.ready_ns <= start)
                 .min_by_key(|(_, f)| (f.frame.id, f.seq))
                 .map(|(i, _)| i)
-                .expect("the min-ready frame qualifies");
+            else {
+                break;
+            };
             let queued = self.pending.remove(winner);
             let completed = start + queued.frame.frame_time_ns(&self.timing);
             self.busy_until_ns = completed;
@@ -485,7 +488,7 @@ impl SharedBus {
     ) -> Option<DeliveryDue> {
         let receiver = origin.sender.peer();
         let rx = role_index(receiver);
-        let slot = &mut self.slots[origin.slot];
+        let slot = self.slots.get_mut(origin.slot)?;
         // An SF/FF names the in-flight message the reassembler is now
         // working on; CFs inherit it. A scrambled interleaving (frame
         // of message N landing mid-reassembly of message N+1) shows up
@@ -886,5 +889,28 @@ mod tests {
         acc.sort_by_key(|d| (d.at_us, d.slot));
         assert_eq!(all, acc);
         assert_eq!(one_shot.take_frame_log(), stepped.take_frame_log());
+    }
+
+    #[test]
+    fn unsendable_messages_fail_closed() {
+        let mut bus = SharedBus::new(FaultPlan::inert());
+        let s0 = bus.add_slot(0, [0, 0]);
+        // An unregistered slot queues nothing.
+        bus.send(s0 + 1, Role::Initiator, a1(), 0);
+        assert_eq!(bus.next_activity_us(), None);
+        assert_eq!(bus.slot_stats(s0 + 1), SlotStats::default());
+        // 41 certificates are 4141 bytes, over ISO-TP's 4095: the
+        // message counts as sent, queues no frame and is lost.
+        let oversized = Message::new(
+            "B1",
+            vec![WireField::new(FieldKind::Cert, vec![8; 101]); 41],
+        );
+        assert_eq!(oversized.wire_len(), 4141);
+        bus.send(s0, Role::Responder, oversized, 0);
+        assert_eq!(bus.next_activity_us(), None);
+        assert!(drain(&mut bus).is_empty());
+        assert_eq!(bus.recv(s0, Role::Initiator, TransportTime::MAX), None);
+        assert_eq!(bus.slot_stats(s0).messages, 1);
+        assert_eq!(bus.counters().messages_lost, 1);
     }
 }
