@@ -15,7 +15,7 @@
 use ecq_baselines::establish;
 use ecq_bench::deployment;
 use ecq_cert::{ca::CertificateAuthority, requester::CertRequester, DeviceId};
-use ecq_crypto::{aes::Aes128, cmac, ctr, hkdf, hmac, sha256, HmacDrbg};
+use ecq_crypto::{aes::Aes128, ctr, hkdf, hmac, sha256, HmacDrbg};
 use ecq_p256::field::FieldElement;
 use ecq_p256::point::{mul_generator_ct, mul_generator_vartime, AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
@@ -138,12 +138,6 @@ fn rows() -> Vec<Row> {
                     &[0u8; 12],
                     black_box(&data_64),
                 ));
-            }),
-        ),
-        row(
-            "aes128_cmac_64B",
-            time_ns(2_000, || {
-                black_box(cmac::aes128_cmac(b"0123456789abcdef", black_box(&data_64)));
             }),
         ),
     ];

@@ -6,7 +6,7 @@
 //! reproducible from a seed while still exercising the exact code paths
 //! a hardware TRNG would feed on the paper's boards.
 
-use crate::hmac::hmac_sha256_concat;
+use crate::hmac::{hmac_sha256, HmacSha256};
 
 /// Deterministic random bit generator (HMAC-DRBG with SHA-256).
 ///
@@ -54,17 +54,20 @@ impl HmacDrbg {
         Self::new(&seed.to_be_bytes(), b"ecq-sim")
     }
 
+    /// SP 800-90A `HMAC_DRBG_Update`: round 0, and round 1 only when
+    /// `provided` carries data, each `K = HMAC(K, V ‖ round ‖ provided)`
+    /// then `V = HMAC(K, V)`.
     fn update(&mut self, provided: &[&[u8]]) {
-        let has_data = provided.iter().any(|p| !p.is_empty());
-        let mut parts: Vec<&[u8]> = vec![&self.v, &[0x00]];
-        parts.extend_from_slice(provided);
-        self.k = hmac_sha256_concat(&self.k, &parts);
-        self.v = hmac_sha256_concat(&self.k, &[&self.v]);
-        if has_data {
-            let mut parts: Vec<&[u8]> = vec![&self.v, &[0x01]];
-            parts.extend_from_slice(provided);
-            self.k = hmac_sha256_concat(&self.k, &parts);
-            self.v = hmac_sha256_concat(&self.k, &[&self.v]);
+        let last_round = u8::from(provided.iter().any(|p| !p.is_empty()));
+        for round in 0..=last_round {
+            let mut mac = HmacSha256::new(&self.k);
+            mac.update(&self.v);
+            mac.update(&[round]);
+            for p in provided {
+                mac.update(p);
+            }
+            self.k = mac.finalize();
+            self.v = hmac_sha256(&self.k, &self.v);
         }
     }
 
@@ -72,7 +75,7 @@ impl HmacDrbg {
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut written = 0;
         while written < out.len() {
-            self.v = hmac_sha256_concat(&self.k, &[&self.v]);
+            self.v = hmac_sha256(&self.k, &self.v);
             let take = (out.len() - written).min(32);
             out[written..written + take].copy_from_slice(&self.v[..take]);
             written += take;

@@ -91,15 +91,17 @@ impl Sha256 {
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        self.total_len = self.total_len.wrapping_sub(1);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            self.total_len = self.total_len.wrapping_sub(1);
-        }
+        // Padding: 0x80, zeros, 64-bit big-endian length. A tail of 56
+        // bytes or more leaves no room for the length, which then goes
+        // in one extra block of zeros.
         let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &block);
+            block = [0u8; BLOCK_LEN];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &block);
 
         let mut out = [0u8; DIGEST_LEN];
@@ -209,6 +211,17 @@ mod tests {
                 b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn tail_past_56_bytes_pads_into_an_extra_block() {
+        // 63 bytes 0x00..=0x3e: 0x80 fills the first block, and the
+        // length goes in a second one.
+        let msg: Vec<u8> = (0..63).collect();
+        assert_eq!(
+            hex(&sha256(&msg)),
+            "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"
         );
     }
 

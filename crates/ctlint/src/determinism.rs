@@ -12,8 +12,8 @@
 //! report/scenario finalization (`finalize`), and every method of the
 //! shared-bus / fault / report types (`SharedBus`, `FaultSpec`,
 //! `FaultPlan`, `FleetReport`, `FleetCoordinator`, `Scenario`). The
-//! cone is the transitive closure over the shared name-resolved call
-//! graph.
+//! cone is the transitive closure over the shared call graph
+//! ([`crate::callgraph`]).
 //!
 //! **Finding classes** (each anchored at the offending token, with the
 //! root-first reach chain as evidence):

@@ -1,7 +1,8 @@
 //! Item indexing: a brace-matching scan over the token stream that
 //! extracts the declarations the taint analysis needs — functions
 //! (with parameter/return types and body token ranges), structs (with
-//! field types), `impl` blocks (for `Self` types and `Drop` coverage) —
+//! field types), `impl` and `trait` blocks (for `Self` types, call
+//! resolution and `Drop` coverage) —
 //! plus the source annotations the lint understands:
 //!
 //! * `// ct-secret` on a `fn`, `struct`, field or `let` marks it as
@@ -43,6 +44,8 @@ pub struct FnItem {
     pub line: u32,
     /// The `impl` block's `Self` type, when this is a method.
     pub self_type: Option<String>,
+    /// Declared in a `trait` block or an `impl Trait for T` block.
+    pub in_trait: bool,
     /// Parameters (excluding any `self` receiver).
     pub params: Vec<Param>,
     /// Whether the function takes a `self` receiver.
@@ -108,15 +111,17 @@ impl Index {
             toks: &toks,
             pos: 0,
         };
-        self.scan_items(&mut cur, file, None, usize::MAX);
+        self.scan_items(&mut cur, file, None, false, usize::MAX);
     }
 
-    /// Scans items until `end` (exclusive token position) or EOF.
+    /// Scans items until `end` (exclusive token position) or EOF;
+    /// `in_trait` marks a `trait` or `impl Trait for T` block.
     fn scan_items(
         &mut self,
         cur: &mut Cursor<'_>,
         file: usize,
         self_type: Option<&str>,
+        in_trait: bool,
         end: usize,
     ) {
         let mut pend = Pending::default();
@@ -152,7 +157,7 @@ impl Index {
                             if pend.cfg_test {
                                 cur.pos = close + 1;
                             } else {
-                                self.scan_items(cur, file, self_type, close);
+                                self.scan_items(cur, file, self_type, in_trait, close);
                                 cur.pos = close + 1;
                             }
                         } else {
@@ -161,17 +166,18 @@ impl Index {
                         pend = Pending::default();
                     }
                     "impl" => {
-                        let (target, is_drop, body_open) = cur.parse_impl_header();
+                        let (target, trait_name, body_open) = cur.parse_impl_header();
                         if let Some(open) = body_open {
                             let close = cur.matching_brace_at(open);
                             cur.pos = open + 1;
                             if pend.cfg_test {
                                 cur.pos = close + 1;
                             } else {
-                                if is_drop {
+                                if trait_name.as_deref() == Some("Drop") {
                                     self.drop_impls.push(target.clone());
                                 }
-                                self.scan_items(cur, file, Some(&target), close);
+                                let trait_impl = trait_name.is_some();
+                                self.scan_items(cur, file, Some(&target), trait_impl, close);
                                 cur.pos = close + 1;
                             }
                         }
@@ -187,14 +193,14 @@ impl Index {
                             if pend.cfg_test {
                                 cur.pos = close + 1;
                             } else {
-                                self.scan_items(cur, file, None, close);
+                                self.scan_items(cur, file, None, true, close);
                                 cur.pos = close + 1;
                             }
                         }
                         pend = Pending::default();
                     }
                     "fn" => {
-                        let parsed = cur.parse_fn(file, self_type, &pend);
+                        let parsed = cur.parse_fn(file, self_type, in_trait, &pend);
                         if let Some(f) = parsed {
                             if !pend.cfg_test {
                                 self.fns.push(f);
@@ -328,26 +334,14 @@ impl<'a> Cursor<'a> {
     /// Finds the next top-level `{` before any `;` (for items whose
     /// header we do not model precisely).
     fn find_block_open(&self) -> Option<usize> {
-        let mut i = self.pos;
         let mut angle = 0i32;
-        while i < self.toks.len() {
-            let t = &self.toks[i];
-            // `>>` (and `<<`) lex as one token — a signature ending in
-            // `Option<Box<dyn T>>` must still return to depth 0.
-            if t.is_punct("<") {
-                angle += 1;
-            } else if t.is_punct("<<") {
-                angle += 2;
-            } else if t.is_punct(">") {
-                angle -= 1;
-            } else if t.is_punct(">>") {
-                angle -= 2;
-            } else if t.is_punct("{") && angle <= 0 {
+        for (i, t) in self.toks.iter().enumerate().skip(self.pos) {
+            angle += t.angle_delta();
+            if angle <= 0 && t.is_punct("{") {
                 return Some(i);
-            } else if t.is_punct(";") && angle <= 0 {
+            } else if angle <= 0 && t.is_punct(";") {
                 return None;
             }
-            i += 1;
         }
         None
     }
@@ -360,9 +354,9 @@ impl<'a> Cursor<'a> {
     }
 
     /// Parses `impl<G> Trait for Type {` / `impl Type {` from the
-    /// `impl` keyword. Returns (target type simple name, is Drop impl,
-    /// body-open token index).
-    fn parse_impl_header(&mut self) -> (String, bool, Option<usize>) {
+    /// `impl` keyword. Returns (target type simple name, trait simple
+    /// name for a trait impl, body-open token index).
+    fn parse_impl_header(&mut self) -> (String, Option<String>, Option<usize>) {
         self.pos += 1; // impl
                        // Skip generic parameters.
         if self.peek_is_punct("<") {
@@ -378,11 +372,8 @@ impl<'a> Cursor<'a> {
         let mut for_split = None;
         let mut angle = 0i32;
         for (i, t) in header.iter().enumerate() {
-            if t.is_punct("<") {
-                angle += 1;
-            } else if t.is_punct(">") {
-                angle -= 1;
-            } else if t.is_ident("for") && angle <= 0 {
+            angle += t.angle_delta();
+            if t.is_ident("for") && angle <= 0 {
                 for_split = Some(i);
                 break;
             }
@@ -396,22 +387,21 @@ impl<'a> Cursor<'a> {
         let mut target = String::new();
         let mut angle2 = 0i32;
         for t in type_part {
-            if t.is_punct("<") {
-                angle2 += 1;
-            } else if t.is_punct(">") {
-                angle2 -= 1;
-            } else if t.is_ident("where") && angle2 <= 0 {
+            angle2 += t.angle_delta();
+            if t.is_ident("where") && angle2 <= 0 {
                 break;
             } else if t.kind == TokKind::Ident && angle2 <= 0 {
                 target = t.text.clone();
             }
         }
-        let trait_name = trait_part
-            .iter()
-            .rfind(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        (target, trait_name == "Drop", open)
+        let trait_name = for_split.map(|_| {
+            trait_part
+                .iter()
+                .rfind(|t| t.kind == TokKind::Ident)
+                .map(|t| t.text.clone())
+                .unwrap_or_default()
+        });
+        (target, trait_name, open)
     }
 
     /// Skips a balanced `<...>` group starting at the next `<`.
@@ -421,21 +411,12 @@ impl<'a> Cursor<'a> {
                 return;
             }
             let mut depth = 0i32;
-            let mut i = start;
-            while i < self.toks.len() {
-                let t = &self.toks[i];
-                if t.is_punct("<") || t.is_punct("<<") {
-                    depth += if t.is_punct("<<") { 2 } else { 1 };
-                } else if t.is_punct(">") || t.is_punct(">>") {
-                    depth -= if t.is_punct(">>") { 2 } else { 1 };
-                    if depth <= 0 {
-                        self.pos = i + 1;
-                        return;
-                    }
-                } else if t.is_punct("->") {
-                    // `->` inside a generic bound (Fn() -> T) — ignore.
+            for i in start..self.toks.len() {
+                depth += self.toks[i].angle_delta();
+                if depth <= 0 {
+                    self.pos = i + 1;
+                    return;
                 }
-                i += 1;
             }
             self.pos = self.toks.len();
         }
@@ -443,7 +424,13 @@ impl<'a> Cursor<'a> {
 
     /// Parses a `fn` item from the `fn` keyword. Returns `None` for
     /// declarations without a name (malformed input).
-    fn parse_fn(&mut self, file: usize, self_type: Option<&str>, pend: &Pending) -> Option<FnItem> {
+    fn parse_fn(
+        &mut self,
+        file: usize,
+        self_type: Option<&str>,
+        in_trait: bool,
+        pend: &Pending,
+    ) -> Option<FnItem> {
         let line = self.toks[self.pos].line;
         self.pos += 1; // fn
         let name_idx = self.next_significant(self.pos)?;
@@ -501,17 +488,7 @@ impl<'a> Cursor<'a> {
                 let mut parts = Vec::new();
                 while i < self.toks.len() {
                     let t = &self.toks[i];
-                    // `>>`/`<<` lex as one token each (see
-                    // `find_block_open`).
-                    if t.is_punct("<") {
-                        angle += 1;
-                    } else if t.is_punct("<<") {
-                        angle += 2;
-                    } else if t.is_punct(">") {
-                        angle -= 1;
-                    } else if t.is_punct(">>") {
-                        angle -= 2;
-                    }
+                    angle += t.angle_delta();
                     if angle <= 0 && (t.is_punct("{") || t.is_punct(";") || t.is_ident("where")) {
                         break;
                     }
@@ -544,6 +521,7 @@ impl<'a> Cursor<'a> {
             file,
             line,
             self_type: self_type.map(str::to_string),
+            in_trait,
             params,
             has_self,
             ret,

@@ -56,6 +56,20 @@ impl Tok {
         self.kind == TokKind::Ident && self.text == w
     }
 
+    /// The change in angle-bracket depth at this token: `<` and `<<`
+    /// open one and two levels, `>` and `>>` close them (each lexes as
+    /// one token).
+    pub fn angle_delta(&self) -> i32 {
+        match self.text.as_str() {
+            _ if self.kind != TokKind::Punct => 0,
+            "<" => 1,
+            "<<" => 2,
+            ">" => -1,
+            ">>" => -2,
+            _ => 0,
+        }
+    }
+
     /// Whether this token is a `// <name>` lint annotation. Doc
     /// comments (`///`, `//!`, `/** */`) never count — they describe
     /// annotations without applying them — and the name must lead the
@@ -87,6 +101,16 @@ impl Tok {
         };
         body.trim_start().starts_with(name)
     }
+}
+
+/// Whether identifier `s` is a keyword that never names a callee, an
+/// indexed base or a divided operand.
+pub fn is_keyword(s: &str) -> bool {
+    const KEYWORDS: &[&str] = &[
+        "as", "break", "continue", "else", "fn", "for", "if", "in", "let", "loop", "match", "move",
+        "mut", "ref", "return", "unsafe", "where", "while",
+    ];
+    KEYWORDS.contains(&s)
 }
 
 /// Two-character punctuation recognized as single tokens. Order does

@@ -3,8 +3,9 @@
 //! The paper's security argument and the reproduction's engineering
 //! contracts are machine-checked here instead of left to `grep` and
 //! review. One shared front end — a hand-rolled lexer (the container
-//! is offline, so no `syn`), an item index and a name-resolved call
-//! graph — feeds three passes behind the [`pass::Pass`] trait:
+//! is offline, so no `syn`), an item index and a call graph that
+//! resolves each call from its shape ([`callgraph`]) — feeds three
+//! passes behind the [`pass::Pass`] trait:
 //!
 //! * **`secret-flow`** ([`secretflow`]) — PR 6's constant-time
 //!   boundary audit: vartime calls reachable from secret contexts,

@@ -13,7 +13,7 @@
 //! `run_worker`), the rekey path (`handshake_sweep`, `run_epochs`),
 //! every fn named `step` (the provided `Endpoint::step` message pump
 //! among them) and the service daemon's `handle_connection`. The cone
-//! is the transitive closure over the shared name-resolved call graph.
+//! is the transitive closure over the shared call graph.
 //!
 //! **Finding classes** (anchored at the offending token, with the
 //! root-first reach chain as evidence):
@@ -30,16 +30,18 @@
 //!   slicing (`&b[..n]`, predominantly length-guarded decode framing
 //!   covered by the fail-closed decode suite) are documented
 //!   under-approximations.
-//! * `panic-div` — integer `/` or `%` with a non-literal divisor
-//!   (float division does not panic and is skipped).
+//! * `panic-div` — integer `/` or `%` with a non-literal divisor.
+//!   Float division does not panic and is skipped: a float literal
+//!   nearby, or an operand declared `f64`/`f32` — a binding, or a
+//!   field `base.field` of `self`, a parameter or a typed `let`.
 //!
 //! Tooling files ([`crate::pass::TOOLING_PREFIXES`]) are exempt from
 //! emission; reachability still flows through them.
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
-use crate::index::Index;
-use crate::lexer::{Tok, TokKind};
+use crate::index::{FnItem, Index};
+use crate::lexer::{is_keyword, Tok, TokKind};
 use crate::pass::{hot_path_file, Pass};
 use std::collections::HashMap;
 
@@ -51,9 +53,10 @@ pub const CLASSES: &[&str] = &["panic-unwrap", "panic-macro", "panic-index", "pa
 
 /// Hot-path root functions (simple names). `step` is the one provided
 /// `Endpoint::step`, which reaches every handshake state machine
-/// through its protocol hook `advance` (a name-resolved edge that
-/// `workspace_clean.rs` pins); `handle_connection` is the service
-/// daemon's per-connection worker, which faces untrusted socket bytes.
+/// through its protocol hook `self.advance(..)` (a method-call edge,
+/// resolved by simple name, that `workspace_clean.rs` pins);
+/// `handle_connection` is the service daemon's per-connection worker,
+/// which faces untrusted socket bytes.
 pub const ROOT_FNS: &[&str] = &[
     "interleaved_sweep",
     "run_sweep",
@@ -90,7 +93,8 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
     let cg = CallGraph::build(ix);
     let reach = cg.reach(ix, |f| ROOT_FNS.contains(&f.name.as_str()), |_| true);
 
-    // Struct name → (field name → field type), for `self.field[i]`.
+    // Struct name → (field name → field type), for `self.field[i]` and
+    // `x / base.field`.
     let struct_fields: HashMap<&str, HashMap<&str, &str>> = ix
         .structs
         .iter()
@@ -126,26 +130,30 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
         };
 
         // Class 1: unwrap/expect call sites.
-        for (callee, line) in &cg.calls[i] {
+        for call in &cg.calls[i] {
             if matches!(
-                callee.as_str(),
+                call.name.as_str(),
                 "unwrap" | "expect" | "unwrap_err" | "expect_err"
             ) {
                 emit(
-                    *line,
+                    call.line,
                     "panic-unwrap",
-                    callee,
+                    &call.name,
                     format!(
                         "`{}` calls `.{}()` on the sweep hot path (convert to a typed \
                          fail-closed error or justify the invariant)",
-                        f.qual, callee
+                        f.qual, call.name
                     ),
                 );
             }
         }
 
         let sig: Vec<&Tok> = f.body.iter().filter(|t| !t.is_comment()).collect();
-        let lets = typed_lets(&sig);
+        let scope = Scope {
+            f,
+            lets: typed_lets(&sig),
+            fields: &struct_fields,
+        };
         for (j, t) in sig.iter().enumerate() {
             // Class 2: panicking macros.
             if t.kind == TokKind::Ident
@@ -169,7 +177,7 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
             if t.is_punct("[") && j > 0 {
                 let prev = sig[j - 1];
                 if prev.kind == TokKind::Ident && !is_keyword(&prev.text) {
-                    if let Some(ty) = base_type(f, &struct_fields, &lets, &sig, j) {
+                    if let Some(ty) = base_type(&scope, &sig, j) {
                         if growable(&ty) {
                             if let Some(ident) = dynamic_index(&sig, j) {
                                 emit(
@@ -199,7 +207,7 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
                     || prev.is_punct(")")
                     || prev.is_punct("]");
                 let next_literal = sig.get(j + 1).is_some_and(|n| n.kind == TokKind::Num);
-                if binary_pos && !next_literal && !float_context(&sig, j, f, &lets) {
+                if binary_pos && !next_literal && !float_context(&scope, &sig, j) {
                     let divisor = sig.get(j + 1).map(|n| n.text.clone()).unwrap_or_default();
                     emit(
                         t.line,
@@ -260,35 +268,53 @@ fn typed_lets(sig: &[&Tok]) -> HashMap<String, String> {
     out
 }
 
+/// The declarations a fn body can name: its parameters, its typed
+/// `let`s and the fields of every indexed struct.
+struct Scope<'a> {
+    f: &'a FnItem,
+    lets: HashMap<String, String>,
+    fields: &'a HashMap<&'a str, HashMap<&'a str, &'a str>>,
+}
+
+impl Scope<'_> {
+    /// The declared type of the binding `name`, or of the field
+    /// `base.name` when `base` is `self`, a parameter or a typed `let`.
+    fn type_of(&self, base: Option<&Tok>, name: &Tok) -> Option<String> {
+        let binding = |n: &str| {
+            let param = self
+                .f
+                .params
+                .iter()
+                .find(|p| p.names.iter().any(|b| b == n));
+            param
+                .map(|p| p.ty.clone())
+                .or_else(|| self.lets.get(n).cloned())
+        };
+        let Some(base) = base else {
+            return binding(&name.text);
+        };
+        let owner = if base.is_ident("self") {
+            self.f.self_type.clone()
+        } else {
+            binding(&base.text)
+        }?;
+        owner
+            .split_whitespace()
+            .find_map(|w| Some(self.fields.get(w)?.get(name.text.as_str())?.to_string()))
+    }
+}
+
 /// Resolves the type of the indexed base at `sig[j - 1]` (where
-/// `sig[j]` is `[`): `self.field` via the impl type's fields, else a
-/// parameter, else an explicitly typed `let`.
-fn base_type(
-    f: &crate::index::FnItem,
-    struct_fields: &HashMap<&str, HashMap<&str, &str>>,
-    lets: &HashMap<String, String>,
-    sig: &[&Tok],
-    j: usize,
-) -> Option<String> {
-    let name = &sig[j - 1].text;
-    let is_self_field = j >= 3 && sig[j - 2].is_punct(".") && sig[j - 3].is_ident("self");
-    if is_self_field {
-        let st = f.self_type.as_deref()?;
-        return struct_fields
-            .get(st)?
-            .get(name.as_str())
-            .map(|t| t.to_string());
+/// `sig[j]` is `[`): a parameter, a typed `let` or a field of `self`.
+/// A field of anything else stays unresolved.
+fn base_type(scope: &Scope, sig: &[&Tok], j: usize) -> Option<String> {
+    if j < 2 || !sig[j - 2].is_punct(".") {
+        return scope.type_of(None, sig[j - 1]);
     }
-    // A field access on something other than `self` is unresolvable.
-    if j >= 2 && sig[j - 2].is_punct(".") {
-        return None;
+    match j.checked_sub(3).map(|k| sig[k]) {
+        Some(base) if base.is_ident("self") => scope.type_of(Some(base), sig[j - 1]),
+        _ => None,
     }
-    for p in &f.params {
-        if p.names.iter().any(|n| n == name) {
-            return Some(p.ty.clone());
-        }
-    }
-    lets.get(name.as_str()).cloned()
 }
 
 /// Whether a resolved type is growable / dynamically sized — the
@@ -341,14 +367,9 @@ fn dynamic_index(sig: &[&Tok], j: usize) -> Option<String> {
 }
 
 /// Whether the tokens around a `/` look like float arithmetic: a float
-/// literal or `f64`/`f32` mention nearby, or an operand whose type
-/// (via parameter or typed `let`) is a float.
-fn float_context(
-    sig: &[&Tok],
-    j: usize,
-    f: &crate::index::FnItem,
-    lets: &HashMap<String, String>,
-) -> bool {
+/// literal or `f64`/`f32` mention nearby, or an operand — a binding or
+/// a field `base.field` — whose declared type is a float.
+fn float_context(scope: &Scope, sig: &[&Tok], j: usize) -> bool {
     let lo = j.saturating_sub(4);
     let hi = (j + 5).min(sig.len());
     if sig[lo..hi].iter().any(|s| {
@@ -358,38 +379,24 @@ fn float_context(
     }) {
         return true;
     }
-    let is_float_ident = |t: &Tok| {
-        if t.kind != TokKind::Ident {
-            return false;
-        }
-        let ty = f
-            .params
-            .iter()
-            .find(|p| p.names.contains(&t.text))
-            .map(|p| p.ty.clone())
-            .or_else(|| lets.get(&t.text).cloned());
-        ty.is_some_and(|ty| ty.split_whitespace().any(|w| w == "f64" || w == "f32"))
+    let left = if j >= 3 && sig[j - 2].is_punct(".") {
+        scope.type_of(Some(sig[j - 3]), sig[j - 1])
+    } else {
+        j.checked_sub(1).and_then(|k| scope.type_of(None, sig[k]))
     };
-    (j > 0 && is_float_ident(sig[j - 1])) || sig.get(j + 1).is_some_and(|t| is_float_ident(t))
-}
-
-/// Keywords that can precede `[` / `/` without forming the flagged
-/// expression shape.
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "return"
-            | "break"
-            | "in"
-            | "else"
-            | "match"
-            | "if"
-            | "while"
-            | "loop"
-            | "let"
-            | "mut"
-            | "as"
-    )
+    // `base.field`, not the method call `base.field(..)`.
+    let field_after = sig.get(j + 2).is_some_and(|t| t.is_punct("."))
+        && !sig.get(j + 4).is_some_and(|t| t.is_punct("("));
+    let right = if field_after {
+        sig.get(j + 3)
+            .and_then(|n| scope.type_of(Some(sig[j + 1]), n))
+    } else {
+        sig.get(j + 1).and_then(|n| scope.type_of(None, n))
+    };
+    [left, right]
+        .into_iter()
+        .flatten()
+        .any(|ty| ty.split_whitespace().any(|w| w == "f64" || w == "f32"))
 }
 
 #[cfg(test)]

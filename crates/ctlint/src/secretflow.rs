@@ -34,7 +34,7 @@
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
 use crate::index::{FnItem, Index};
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{is_keyword, Tok, TokKind};
 use crate::pass::Pass;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -147,14 +147,6 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
 
     let cg = CallGraph::build(ix);
 
-    // Vartime family: every *_vartime / ct-vartime fn name.
-    let vartime_names: HashSet<&str> = ix
-        .fns
-        .iter()
-        .filter(|f| f.vartime)
-        .map(|f| f.name.as_str())
-        .collect();
-
     // Reachability: BFS from secret contexts through the call graph.
     // Edges out of vartime-family functions are not followed — their
     // bodies are the audited boundary.
@@ -167,19 +159,19 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
         if !reach.reachable[i] || f.vartime {
             continue;
         }
-        for (callee, line) in &cg.calls[i] {
+        for call in &cg.calls[i] {
             let is_vartime_call =
-                callee.ends_with("_vartime") || vartime_names.contains(callee.as_str());
+                call.name.ends_with("_vartime") || call.targets.iter().any(|&t| ix.fns[t].vartime);
             if is_vartime_call {
                 let mut out = finding(
                     &ix.files[f.file],
-                    *line,
+                    call.line,
                     "vartime-call",
                     &f.qual,
-                    callee,
+                    &call.name,
                     format!(
                         "`{}` calls variable-time `{}` while reachable from a secret context",
-                        f.qual, callee
+                        f.qual, call.name
                     ),
                 );
                 out.chain = reach.chain(ix, i);
@@ -433,14 +425,6 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
         }
         i += 1;
     }
-}
-
-/// Keywords that can precede `[` without it being an index expression.
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "return" | "break" | "in" | "else" | "match" | "if" | "while" | "loop" | "let" | "mut"
-    )
 }
 
 #[cfg(test)]

@@ -268,3 +268,42 @@ fn panic_allowlist_suppresses_and_reports_stale() {
     assert_eq!(applied.stale.len(), 1);
     assert_eq!(applied.stale[0].context, "removed_function");
 }
+
+#[test]
+fn panic_call_shapes_fixture() {
+    let found = panicreach::analyze(&index_fixture("panic_shapes.rs"));
+    let reached: Vec<(u32, &str, Vec<&str>)> = found
+        .iter()
+        .map(|f| {
+            let chain = f.chain.iter().map(String::as_str).collect();
+            (f.line, f.context.as_str(), chain)
+        })
+        .collect();
+    // A trait path, a method call, a type path and a function
+    // reference each reach their callee; the bare `helper()` reaches
+    // only the free `helper`, not `Other::helper` (line 35).
+    assert_eq!(
+        reached,
+        vec![
+            (15, "Cache::decode", vec!["run_sweep", "Cache::decode"]),
+            (21, "Cache::get", vec!["run_sweep", "Cache::get"]),
+            (25, "Cache::build", vec!["run_sweep", "Cache::build"]),
+            (29, "Cache::init", vec!["run_sweep", "Cache::init"]),
+        ],
+        "{found:#?}"
+    );
+    assert!(found.iter().all(|f| f.class == "panic-unwrap"));
+}
+
+#[test]
+fn panic_float_field_fixture() {
+    let found = panicreach::analyze(&index_fixture("panic_float_fields.rs"));
+    // The `f64` field through `self` (line 15), a parameter (line 25)
+    // and a typed `let` (line 26) is float division; the `u32` field
+    // is not.
+    assert_eq!(
+        anchors(&found),
+        vec![("panic-div", 27, "budget")],
+        "{found:#?}"
+    );
+}

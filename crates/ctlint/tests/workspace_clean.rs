@@ -59,9 +59,15 @@ fn workspace_is_clean_under_committed_allowlists() {
         suppressed.get("secret-flow").copied().unwrap_or(0) > 0,
         "secret-flow allowlist suppressed nothing"
     );
-    assert!(
-        suppressed.get("panic-reach").copied().unwrap_or(0) > 0,
-        "panic-reach allowlist suppressed nothing"
+    // The panic-reach count is pinned exactly, next to its entry pin
+    // below: a call-graph change that drops or adds a finding under a
+    // live entry shows here.
+    const PANIC_ALLOWED_FINDINGS: usize = 7;
+    assert_eq!(
+        suppressed.get("panic-reach").copied().unwrap_or(0),
+        PANIC_ALLOWED_FINDINGS,
+        "the panic-reach allowlist suppresses a different number of \
+         findings than its pin says"
     );
     assert_eq!(
         suppressed.get("determinism").copied().unwrap_or(0),
@@ -75,7 +81,7 @@ fn workspace_is_clean_under_committed_allowlists() {
     // may only shrink: a refactor of the hot path deletes entries,
     // never adds them. Each size is pinned exactly, so a change that
     // deletes entries lowers its pin with them.
-    const PANIC_ALLOW_MAX: usize = 10;
+    const PANIC_ALLOW_MAX: usize = 3;
     const CT_ALLOW_MAX: usize = 5;
     let panic_reach = ecq_lint::panicreach::PanicReach;
     let secret_flow = ecq_lint::secretflow::SecretFlow::default();

@@ -497,11 +497,12 @@ pub fn mul_generator_ct(k: &Scalar) -> AffinePoint {
 
 /// `k·G` for secret `k`, without the final affine normalization.
 ///
-/// Walks the same precomputed table as [`mul_generator_vartime`] but
-/// always-adds: each of the 64 windows performs one constant-time scan
-/// of its 15 entries ([`crate::ct::lookup_affine`]) and one masked
-/// mixed addition — a dummy, discarded by select, when the digit is
-/// zero. Exactly 64 ct-additions and no doublings for every scalar.
+/// Walks the 4-bit comb of [`crate::precomp`] (the vartime walk takes
+/// the 8-bit one) and always-adds: each of the 64 windows performs one
+/// constant-time scan of its 15 entries ([`crate::ct::lookup_affine`])
+/// and one masked mixed addition — a dummy, discarded by select, when
+/// the digit is zero. Exactly 64 ct-additions and no doublings for
+/// every scalar.
 ///
 /// Exceptional-case audit for `add_affine_ct`: windows are processed
 /// low-to-high, so at window `w` the accumulator holds `S·G` with
@@ -513,10 +514,10 @@ pub fn mul_generator_ct(k: &Scalar) -> AffinePoint {
 /// select inside the addition.
 pub fn mul_generator_ct_jacobian(k: &Scalar) -> JacobianPoint {
     let kv = k.to_canonical();
-    let table = crate::precomp::generator_table();
+    let windows = crate::precomp::generator_table().windows();
     let mut acc = JacobianPoint::identity();
-    for w in 0..crate::precomp::WINDOWS {
-        let (entry, nonzero) = ct::lookup_affine(table.window(w), kv.nibble(w));
+    for (w, window) in (0..crate::precomp::WINDOWS).zip(windows) {
+        let (entry, nonzero) = ct::lookup_affine(window, kv.nibble(w));
         let sum = acc.add_affine_ct(&entry);
         acc = JacobianPoint::conditional_select(&sum, &acc, nonzero);
     }
@@ -542,12 +543,13 @@ pub fn mul_generator_vartime_jacobian(k: &Scalar) -> JacobianPoint {
     if kv.is_zero() {
         return JacobianPoint::identity();
     }
-    let table = crate::precomp::generator_table_wide();
+    let windows = crate::precomp::generator_table_wide().windows();
     let mut acc = JacobianPoint::identity();
-    for w in 0..crate::precomp::WIDE_WINDOWS {
-        let byte = kv.byte(w);
-        if byte != 0 {
-            acc = acc.add_affine(table.entry(w, byte));
+    for (w, window) in windows.iter().enumerate() {
+        // Byte `d` selects `window[d - 1]`; a zero byte adds nothing.
+        let digit = usize::from(kv.byte(w));
+        if let Some(entry) = digit.checked_sub(1).and_then(|d| window.get(d)) {
+            acc = acc.add_affine(entry);
         }
     }
     acc

@@ -55,55 +55,32 @@ use crate::point::{batch_normalize, AffinePoint, JacobianPoint};
 use std::sync::OnceLock;
 
 /// Number of 4-bit windows covering a 256-bit scalar (ct comb).
-pub const WINDOWS: usize = 64;
+pub const WINDOWS: usize = Comb::<DIGITS>::WINDOWS;
 /// Non-zero digits per 4-bit window.
 pub const DIGITS: usize = 15;
-
-/// Number of 8-bit windows covering a 256-bit scalar (wide comb).
-pub const WIDE_WINDOWS: usize = 32;
-/// Non-zero digits per 8-bit window.
+/// Non-zero digits per 8-bit window (wide comb).
 pub const WIDE_DIGITS: usize = 255;
 
-/// The constant-time comb: `table[w][d-1] = d · 16^w · G`.
-pub struct GeneratorTable {
-    windows: Vec<[AffinePoint; DIGITS]>,
+/// A comb for `G` with `D` nonzero digits per window, `D + 1` a power
+/// of two: `windows()[w][d-1] = d · (D+1)^w · G`.
+pub struct Comb<const D: usize> {
+    windows: Vec<[AffinePoint; D]>,
 }
 
-impl GeneratorTable {
+impl<const D: usize> Comb<D> {
+    /// Number of windows covering a 256-bit scalar.
+    const WINDOWS: usize = 256 / (D + 1).ilog2() as usize;
+
     fn build() -> Self {
-        GeneratorTable {
-            windows: build_comb::<DIGITS>(WINDOWS),
+        Comb {
+            windows: build_comb::<D>(Self::WINDOWS),
         }
     }
 
-    /// All 15 entries of one window (`window[d-1] = d · 16^w · G`), for
-    /// the constant-time scan of [`crate::ct::lookup_affine`].
+    /// The windows in scalar order, low digit first.
     #[inline]
-    pub fn window(&self, window: usize) -> &[AffinePoint; DIGITS] {
-        &self.windows[window]
-    }
-}
-
-/// The wide variable-time comb: `table[w][d-1] = d · 256^w · G`.
-pub struct WideGeneratorTable {
-    windows: Vec<[AffinePoint; WIDE_DIGITS]>,
-}
-
-impl WideGeneratorTable {
-    fn build() -> Self {
-        WideGeneratorTable {
-            windows: build_comb::<WIDE_DIGITS>(WIDE_WINDOWS),
-        }
-    }
-
-    /// The precomputed point `d · 256^w · G` (`d ∈ [1, 255]`).
-    ///
-    /// Direct indexing — only for *public* scalar digits (the vartime
-    /// fixed-base walk).
-    #[inline]
-    pub fn entry(&self, window: usize, digit: u8) -> &AffinePoint {
-        debug_assert!(digit >= 1);
-        &self.windows[window][digit as usize - 1]
+    pub(crate) fn windows(&self) -> &[[AffinePoint; D]] {
+        &self.windows
     }
 }
 
@@ -138,16 +115,17 @@ fn build_comb<const D: usize>(windows: usize) -> Vec<[AffinePoint; D]> {
         .collect()
 }
 
-/// The shared process-wide ct comb, built on first use.
-pub fn generator_table() -> &'static GeneratorTable {
-    static TABLE: OnceLock<GeneratorTable> = OnceLock::new();
-    TABLE.get_or_init(GeneratorTable::build)
+/// The shared process-wide ct comb (4-bit windows), built on first use.
+pub fn generator_table() -> &'static Comb<DIGITS> {
+    static TABLE: OnceLock<Comb<DIGITS>> = OnceLock::new();
+    TABLE.get_or_init(Comb::build)
 }
 
-/// The shared process-wide wide comb, built on first use.
-pub fn generator_table_wide() -> &'static WideGeneratorTable {
-    static TABLE: OnceLock<WideGeneratorTable> = OnceLock::new();
-    TABLE.get_or_init(WideGeneratorTable::build)
+/// The shared process-wide wide comb (8-bit windows), built on first
+/// use.
+pub fn generator_table_wide() -> &'static Comb<WIDE_DIGITS> {
+    static TABLE: OnceLock<Comb<WIDE_DIGITS>> = OnceLock::new();
+    TABLE.get_or_init(Comb::build)
 }
 
 #[cfg(test)]
@@ -166,12 +144,13 @@ mod tests {
     #[test]
     fn table_entries_match_generic_mul() {
         let g = AffinePoint::generator();
-        let table = generator_table();
+        let windows = generator_table().windows();
+        assert_eq!(windows.len(), WINDOWS);
         // Spot-check digits across several windows against the generic
         // scalar multiplication: d · 16^w.
         for &(w, d) in &[(0usize, 1usize), (0, 15), (1, 1), (1, 9), (7, 3), (63, 15)] {
             assert_eq!(
-                table.window(w)[d - 1],
+                windows[w][d - 1],
                 g.mul_vartime(&digit_scalar(d as u64, 16, w)),
                 "window {w} digit {d}"
             );
@@ -181,7 +160,8 @@ mod tests {
     #[test]
     fn wide_table_entries_match_generic_mul() {
         let g = AffinePoint::generator();
-        let table = generator_table_wide();
+        let windows = generator_table_wide().windows();
+        assert_eq!(windows.len(), 32);
         for &(w, d) in &[
             (0usize, 1u8),
             (0, 255),
@@ -192,7 +172,7 @@ mod tests {
             (31, 255),
         ] {
             assert_eq!(
-                *table.entry(w, d),
+                windows[w][d as usize - 1],
                 g.mul_vartime(&digit_scalar(d as u64, 256, w)),
                 "window {w} digit {d}"
             );
@@ -201,11 +181,8 @@ mod tests {
 
     #[test]
     fn every_entry_is_on_curve() {
-        let table = generator_table();
-        for w in 0..WINDOWS {
-            for p in table.window(w) {
-                assert!(p.is_on_curve() && !p.infinity);
-            }
+        for p in generator_table().windows().iter().flatten() {
+            assert!(p.is_on_curve() && !p.infinity);
         }
     }
 
@@ -213,10 +190,9 @@ mod tests {
     fn wide_entries_sampled_on_curve() {
         // The full wide comb has 8160 entries; a strided sample keeps
         // the test fast while still covering every window.
-        let table = generator_table_wide();
-        for w in 0..WIDE_WINDOWS {
-            for d in [1u8, 2, 17, 128, 255] {
-                let p = table.entry(w, d);
+        for (w, window) in generator_table_wide().windows().iter().enumerate() {
+            for d in [1usize, 2, 17, 128, 255] {
+                let p = window[d - 1];
                 assert!(p.is_on_curve() && !p.infinity, "window {w} digit {d}");
             }
         }

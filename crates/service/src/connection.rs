@@ -58,10 +58,10 @@ impl FrameSource {
     /// frame byte by byte still meets it. Buffered surplus bytes carry
     /// over to the next call, so a peer may batch frames in one write.
     ///
-    /// This and `serve_handshake` are named apart from `Iterator::next`
-    /// and `AppMessage::handshake`: `ecq_lint` resolves calls by simple
-    /// name, and a shared name would pull this host-timed daemon code
-    /// into the determinism pass's report cone.
+    /// Named apart from `Iterator::next`: `ecq_lint` still resolves a
+    /// method call such as `.next()` by simple name, and a shared name
+    /// would pull this host-timed daemon code into the determinism
+    /// pass's report cone.
     fn next_frame(&mut self, stream: &mut ServiceStream, shared: &Shared) -> Outcome {
         let started = Instant::now();
         let mut chunk = [0u8; 4096];

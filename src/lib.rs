@@ -9,7 +9,7 @@
 //! `ecq_sts` builds from the `crates/core` directory):
 //!
 //! * [`crypto`] (`ecq_crypto`) — SHA-256 / HMAC / HKDF / AES-128 /
-//!   CMAC / HMAC-DRBG,
+//!   HMAC-DRBG,
 //! * [`p256`] (`ecq_p256`) — the curve, ECDSA and ECDH from scratch,
 //! * [`cert`] (`ecq_cert`) — SEC4 ECQV implicit certificates,
 //! * [`proto`] (`ecq_proto`) — wire model, op traces, endpoint driver,
