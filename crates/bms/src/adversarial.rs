@@ -13,7 +13,7 @@
 //! charging-session vocabulary: does the EV start charging, how much
 //! later, or which error refused it.
 
-use ecq_fleet::scenario::{by_name, catalog, Scenario};
+use ecq_fleet::scenario::{by_name, Scenario};
 use ecq_proto::ProtocolError;
 use ecq_simnet::FaultCounters;
 
@@ -48,13 +48,8 @@ impl AdversarialReport {
     }
 }
 
-/// Names of all available adversarial scenarios, catalog order.
-pub fn available() -> Vec<&'static str> {
-    catalog().iter().map(|s| s.name).collect()
-}
-
 /// Runs one named scenario against the BMS prototype fleet.
-/// Returns `None` for an unknown name (see [`available`]).
+/// Returns `None` for an unknown name.
 pub fn run(name: &str) -> Option<AdversarialReport> {
     by_name(name).map(run_scenario)
 }
@@ -96,12 +91,12 @@ pub fn render(report: &AdversarialReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecq_fleet::scenario::Expected;
+    use ecq_fleet::scenario::{catalog, Expected};
 
     #[test]
     fn unknown_scenario_is_none() {
         assert!(run("definitely-not-a-scenario").is_none());
-        assert!(available().len() >= 8);
+        assert!(catalog().len() >= 8);
     }
 
     #[test]

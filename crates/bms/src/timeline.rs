@@ -68,15 +68,6 @@ impl Timeline {
             .sum()
     }
 
-    /// Sum of compute time for one actor.
-    pub fn compute_ms(&self, actor: &str) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.kind == EventKind::Compute && e.actor == actor)
-            .map(|e| e.duration_ms)
-            .sum()
-    }
-
     /// Renders a Fig.-7-style text timeline.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -126,8 +117,6 @@ mod tests {
         t.push("EVCC", "b", 20.0, EventKind::Compute);
         t.push("bus", "m2", 2.0, EventKind::Transfer);
         assert_eq!(t.transfer_ms(), 3.0);
-        assert_eq!(t.compute_ms("BMS"), 10.0);
-        assert_eq!(t.compute_ms("EVCC"), 20.0);
     }
 
     #[test]

@@ -121,31 +121,8 @@ impl ReconstructionHint {
     }
 }
 
-/// Algorithm 2: decrypts and verifies a peer's authentication response.
-///
-/// # Errors
-///
-/// * [`ProtocolError::AuthenticationFailed`] when the decrypted bytes
-///   are not a valid signature over `xg_peer ‖ xg_own` under the
-///   implicitly derived public key;
-/// * certificate/point errors when eq. (1) cannot be evaluated.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's explicit inputs
-pub fn verify_response(
-    ks: &SessionKey,
-    resp: &[u8],
-    peer_cert: &ImplicitCert,
-    ca_public: &AffinePoint,
-    xg_peer: &[u8; 64],
-    xg_own: &[u8; 64],
-    direction: u8,
-    trace: &mut OpTrace,
-) -> Result<(), ProtocolError> {
-    verify_response_hinted(
-        ks, resp, peer_cert, ca_public, xg_peer, xg_own, direction, trace, None,
-    )
-}
-
-/// [`verify_response`] with an optional cached eq. (1) result.
+/// Algorithm 2: decrypts and verifies a peer's authentication
+/// response, with an optional cached eq. (1) result.
 ///
 /// When `hint` matches both `peer_cert` and `ca_public`, the signature
 /// is checked against the cached key and the public-key reconstruction
@@ -154,7 +131,10 @@ pub fn verify_response(
 ///
 /// # Errors
 ///
-/// As [`verify_response`].
+/// * [`ProtocolError::AuthenticationFailed`] when the decrypted bytes
+///   are not a valid signature over `xg_peer ‖ xg_own` under the
+///   implicitly derived public key;
+/// * certificate/point errors when eq. (1) cannot be evaluated.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's explicit inputs
 pub fn verify_response_hinted(
     ks: &SessionKey,
@@ -242,7 +222,7 @@ mod tests {
             DIR_INITIATOR,
             &mut trace,
         );
-        verify_response(
+        verify_response_hinted(
             &ks(),
             &resp,
             &c.cert,
@@ -251,6 +231,7 @@ mod tests {
             &xg_b,
             DIR_INITIATOR,
             &mut trace,
+            None,
         )
         .expect("valid response verifies");
         assert_eq!(trace.count_op(PrimitiveOp::EcdsaSign), 1);
@@ -272,7 +253,7 @@ mod tests {
             &mut trace,
         );
         let other_ks = SessionKey::derive(b"different", b"salt", b"test");
-        assert!(verify_response(
+        assert!(verify_response_hinted(
             &other_ks,
             &resp,
             &c.cert,
@@ -280,7 +261,8 @@ mod tests {
             &xg_a,
             &xg_b,
             DIR_INITIATOR,
-            &mut trace
+            &mut trace,
+            None,
         )
         .is_err());
     }
@@ -302,7 +284,7 @@ mod tests {
             &mut trace,
         );
         assert_eq!(
-            verify_response(
+            verify_response_hinted(
                 &ks(),
                 &resp,
                 &c.cert,
@@ -310,7 +292,8 @@ mod tests {
                 &xg_b,
                 &xg_a,
                 DIR_INITIATOR,
-                &mut trace
+                &mut trace,
+                None,
             )
             .unwrap_err(),
             ProtocolError::AuthenticationFailed
@@ -331,7 +314,7 @@ mod tests {
             DIR_INITIATOR,
             &mut trace,
         );
-        assert!(verify_response(
+        assert!(verify_response_hinted(
             &ks(),
             &resp,
             &c.cert,
@@ -339,7 +322,8 @@ mod tests {
             &xg_a,
             &xg_b,
             DIR_RESPONDER,
-            &mut trace
+            &mut trace,
+            None,
         )
         .is_err());
     }
@@ -363,7 +347,7 @@ mod tests {
         // Tampered cert ⇒ different hash ⇒ different implicit key ⇒
         // signature no longer verifies.
         assert_eq!(
-            verify_response(
+            verify_response_hinted(
                 &ks(),
                 &resp,
                 &cert,
@@ -371,7 +355,8 @@ mod tests {
                 &xg_a,
                 &xg_b,
                 DIR_INITIATOR,
-                &mut trace
+                &mut trace,
+                None,
             )
             .unwrap_err(),
             ProtocolError::AuthenticationFailed
@@ -383,7 +368,7 @@ mod tests {
         let (c, ca_pub) = creds(116);
         let mut trace = OpTrace::new();
         assert_eq!(
-            verify_response(
+            verify_response_hinted(
                 &ks(),
                 &[0u8; 32],
                 &c.cert,
@@ -391,7 +376,8 @@ mod tests {
                 &[0u8; 64],
                 &[1u8; 64],
                 DIR_INITIATOR,
-                &mut trace
+                &mut trace,
+                None,
             )
             .unwrap_err(),
             ProtocolError::Decode
@@ -445,7 +431,7 @@ mod tests {
                 invalid
             );
             assert_eq!(
-                verify_response(
+                verify_response_hinted(
                     &ks(),
                     &resp,
                     cert,
@@ -453,7 +439,8 @@ mod tests {
                     &xg_a,
                     &xg_b,
                     DIR_INITIATOR,
-                    &mut trace
+                    &mut trace,
+                    None,
                 ),
                 Err(ProtocolError::Cert(invalid))
             );
@@ -562,7 +549,7 @@ mod tests {
         ks().apply_stream(DIR_INITIATOR, &mut resp);
         let mut trace = OpTrace::new();
         assert_eq!(
-            verify_response(
+            verify_response_hinted(
                 &ks(),
                 &resp,
                 &c.cert,
@@ -570,7 +557,8 @@ mod tests {
                 &xg_a,
                 &xg_b,
                 DIR_INITIATOR,
-                &mut trace
+                &mut trace,
+                None,
             ),
             Err(ProtocolError::Cert(invalid))
         );

@@ -4,7 +4,6 @@
 //! authentication codes, by [`crate::hkdf`] for key derivation, and by
 //! [`crate::drbg`] for deterministic random bit generation.
 
-use crate::ct;
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Size of an HMAC-SHA256 tag in bytes.
@@ -86,19 +85,10 @@ pub fn hmac_sha256_concat(key: &[u8], parts: &[&[u8]]) -> [u8; TAG_LEN] {
     m.finalize()
 }
 
-/// Verifies an HMAC-SHA256 tag in constant time.
-///
-/// Returns `true` when `tag` equals the MAC of `msg` under `key`. The
-/// comparison does not short-circuit, so timing does not reveal the
-/// position of the first mismatching byte.
-pub fn verify_hmac_sha256(key: &[u8], msg: &[u8], tag: &[u8]) -> bool {
-    let expect = hmac_sha256(key, msg);
-    tag.len() == TAG_LEN && ct::eq(&expect, tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ct;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -153,13 +143,15 @@ mod tests {
 
     #[test]
     fn verify_accepts_and_rejects() {
+        // Callers check a tag by recomputing it and comparing in
+        // constant time.
         let tag = hmac_sha256(b"k", b"m");
-        assert!(verify_hmac_sha256(b"k", b"m", &tag));
+        assert!(ct::eq(&hmac_sha256(b"k", b"m"), &tag));
         let mut bad = tag;
         bad[0] ^= 1;
-        assert!(!verify_hmac_sha256(b"k", b"m", &bad));
-        assert!(!verify_hmac_sha256(b"k", b"m", &tag[..31]));
-        assert!(!verify_hmac_sha256(b"k2", b"m", &tag));
+        assert!(!ct::eq(&hmac_sha256(b"k", b"m"), &bad));
+        assert!(!ct::eq(&hmac_sha256(b"k", b"m"), &tag[..31]));
+        assert!(!ct::eq(&hmac_sha256(b"k2", b"m"), &tag));
     }
 
     #[test]

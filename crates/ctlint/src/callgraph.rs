@@ -24,7 +24,7 @@
 //! call chain as reviewable evidence.
 
 use crate::index::{FnItem, Index};
-use crate::lexer::{is_keyword, Tok, TokKind};
+use crate::lexer::{is_keyword, partner, Tok, TokKind};
 use std::collections::HashMap;
 
 /// One call site or function reference in a fn body.
@@ -188,12 +188,7 @@ fn call_sites(body: &[Tok]) -> Vec<(String, u32, Shape)> {
         }
         // Turbofish: name::<...>(
         if punct_at(j, "::") && punct_at(j + 1, "<") {
-            let mut depth = 0;
-            let close = (j + 1..sig.len()).find(|&k| {
-                depth += sig[k].angle_delta();
-                depth <= 0
-            });
-            j = close.unwrap_or(sig.len()) + 1;
+            j = partner(&sig, j + 1).unwrap_or(sig.len()) + 1;
         }
         // In `a::b(…)` only `b` is the callee; a path segment ending
         // neither in `(` nor in `::` is a function reference.
@@ -218,13 +213,8 @@ fn shape(sig: &[&Tok], i: usize) -> Shape {
     let Some(mut q) = i.checked_sub(2) else {
         return Shape::Free; // `::name(` — an absolute path
     };
-    if sig[q].angle_delta() < 0 {
-        let mut depth = 0;
-        let open = (0..=q).rev().find(|&k| {
-            depth -= sig[k].angle_delta();
-            depth <= 0
-        });
-        let Some(open) = open else {
+    if sig[q].is_punct(">") || sig[q].is_punct(">>") {
+        let Some(open) = partner(sig, q) else {
             return Shape::Path(None);
         };
         if !before(open).is_some_and(|t| t.is_punct("::")) || open < 2 {

@@ -19,7 +19,8 @@
 //! secrets with `assert_eq!` as a matter of course and is not a timing
 //! surface.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{partner, split_top, top_level, Nest, Tok, TokKind};
+use std::borrow::Borrow;
 
 /// A function parameter: bound names (all identifiers in the pattern)
 /// and the type's token text.
@@ -56,6 +57,9 @@ pub struct FnItem {
     pub vartime: bool,
     /// Annotated `// ct-secret`.
     pub ct_secret: bool,
+    /// Whether a body block follows the signature (a trait
+    /// declaration has none; `{}` is a body).
+    pub has_body: bool,
     /// Body tokens (comments included, for `let` annotations).
     pub body: Vec<Tok>,
 }
@@ -152,7 +156,7 @@ impl Index {
                         }
                         if cur.peek_is_punct("{") {
                             let open = cur.next_significant(cur.pos).unwrap_or(cur.pos);
-                            let close = cur.matching_brace_at(open);
+                            let close = cur.close_of(open);
                             cur.pos = open + 1;
                             if pend.cfg_test {
                                 cur.pos = close + 1;
@@ -168,7 +172,7 @@ impl Index {
                     "impl" => {
                         let (target, trait_name, body_open) = cur.parse_impl_header();
                         if let Some(open) = body_open {
-                            let close = cur.matching_brace_at(open);
+                            let close = cur.close_of(open);
                             cur.pos = open + 1;
                             if pend.cfg_test {
                                 cur.pos = close + 1;
@@ -188,7 +192,7 @@ impl Index {
                         // block with no Self type.
                         cur.pos += 1;
                         if let Some(open) = cur.find_block_open() {
-                            let close = cur.matching_brace_at(open);
+                            let close = cur.close_of(open);
                             cur.pos = open + 1;
                             if pend.cfg_test {
                                 cur.pos = close + 1;
@@ -278,72 +282,32 @@ impl<'a> Cursor<'a> {
         (from..self.toks.len()).find(|&i| !self.toks[i].is_comment())
     }
 
+    /// The bracket closing the one at `open`; the last token when it
+    /// is unclosed.
+    fn close_of(&self, open: usize) -> usize {
+        partner(self.toks, open).unwrap_or(self.toks.len().saturating_sub(1))
+    }
+
     /// Consumes an attribute starting at `#`; returns its joined text.
     fn take_attr(&mut self) -> String {
         let start = self.pos;
         self.pos += 1; // '#'
-        if self
-            .toks
-            .get(self.pos)
-            .map(|t| t.is_punct("!"))
-            .unwrap_or(false)
-        {
+        if self.toks.get(self.pos).is_some_and(|t| t.is_punct("!")) {
             self.pos += 1;
         }
-        if self
-            .toks
-            .get(self.pos)
-            .map(|t| t.is_punct("["))
-            .unwrap_or(false)
-        {
-            let mut depth = 0usize;
-            while self.pos < self.toks.len() {
-                let t = &self.toks[self.pos];
-                if t.is_punct("[") {
-                    depth += 1;
-                } else if t.is_punct("]") {
-                    depth -= 1;
-                    if depth == 0 {
-                        self.pos += 1;
-                        break;
-                    }
-                }
-                self.pos += 1;
-            }
+        if self.toks.get(self.pos).is_some_and(|t| t.is_punct("[")) {
+            self.pos = self.close_of(self.pos) + 1;
         }
         join(&self.toks[start..self.pos.min(self.toks.len())])
     }
 
-    /// Index of the `}` matching the `{` at `open`.
-    fn matching_brace_at(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        for i in open..self.toks.len() {
-            let t = &self.toks[i];
-            if t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct("}") {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i;
-                }
-            }
-        }
-        self.toks.len().saturating_sub(1)
-    }
-
-    /// Finds the next top-level `{` before any `;` (for items whose
+    /// Finds the next depth-0 `{` before any `;` (for items whose
     /// header we do not model precisely).
     fn find_block_open(&self) -> Option<usize> {
-        let mut angle = 0i32;
-        for (i, t) in self.toks.iter().enumerate().skip(self.pos) {
-            angle += t.angle_delta();
-            if angle <= 0 && t.is_punct("{") {
-                return Some(i);
-            } else if angle <= 0 && t.is_punct(";") {
-                return None;
-            }
-        }
-        None
+        let rest = self.toks.get(self.pos..)?;
+        let end = top_level(rest, Nest::Type)
+            .find(|&i| rest[i].is_punct("{") || rest[i].is_punct(";"))?;
+        rest[end].is_punct("{").then_some(self.pos + end)
     }
 
     fn skip_past_semi(&mut self) {
@@ -353,47 +317,44 @@ impl<'a> Cursor<'a> {
         self.pos = (self.pos + 1).min(self.toks.len());
     }
 
+    /// Skips a generic parameter list `<...>` when one comes next.
+    fn skip_generics(&mut self) {
+        if let Some(open) = self.next_significant(self.pos) {
+            if self.toks[open].is_punct("<") {
+                self.pos = self.close_of(open) + 1;
+            }
+        }
+    }
+
     /// Parses `impl<G> Trait for Type {` / `impl Type {` from the
     /// `impl` keyword. Returns (target type simple name, trait simple
     /// name for a trait impl, body-open token index).
     fn parse_impl_header(&mut self) -> (String, Option<String>, Option<usize>) {
         self.pos += 1; // impl
-                       // Skip generic parameters.
-        if self.peek_is_punct("<") {
-            self.skip_angle_group();
-        }
+        self.skip_generics();
         let open = self.find_block_open();
         let header_end = open.unwrap_or(self.toks.len());
         let header: Vec<&Tok> = self.toks[self.pos.min(header_end)..header_end]
             .iter()
             .filter(|t| !t.is_comment())
             .collect();
-        // Split at `for` (a trait impl) if present at angle depth 0.
-        let mut for_split = None;
-        let mut angle = 0i32;
-        for (i, t) in header.iter().enumerate() {
-            angle += t.angle_delta();
-            if t.is_ident("for") && angle <= 0 {
-                for_split = Some(i);
-                break;
-            }
-        }
-        let (trait_part, type_part): (&[&Tok], &[&Tok]) = match for_split {
+        // Split at a depth-0 `for` (a trait impl).
+        let for_split = top_level(&header, Nest::Type).find(|&i| header[i].is_ident("for"));
+        let (trait_part, type_part) = match for_split {
             Some(i) => (&header[..i], &header[i + 1..]),
-            None => (&[], &header[..]),
+            None => (&header[..0], &header[..]),
         };
-        // Target type: last path-segment identifier before generics /
-        // a `where` clause.
-        let mut target = String::new();
-        let mut angle2 = 0i32;
-        for t in type_part {
-            angle2 += t.angle_delta();
-            if t.is_ident("where") && angle2 <= 0 {
-                break;
-            } else if t.kind == TokKind::Ident && angle2 <= 0 {
-                target = t.text.clone();
-            }
-        }
+        // Target type: the last depth-0 identifier before a `where`
+        // clause. An array or slice type has none and is named by its
+        // text.
+        let ty_end = top_level(type_part, Nest::Type)
+            .find(|&i| type_part[i].is_ident("where"))
+            .unwrap_or(type_part.len());
+        let ty = &type_part[..ty_end];
+        let target = top_level(ty, Nest::Type)
+            .filter(|&i| ty[i].kind == TokKind::Ident)
+            .last()
+            .map_or_else(|| join(ty), |i| ty[i].text.clone());
         let trait_name = for_split.map(|_| {
             trait_part
                 .iter()
@@ -402,24 +363,6 @@ impl<'a> Cursor<'a> {
                 .unwrap_or_default()
         });
         (target, trait_name, open)
-    }
-
-    /// Skips a balanced `<...>` group starting at the next `<`.
-    fn skip_angle_group(&mut self) {
-        if let Some(start) = self.next_significant(self.pos) {
-            if !self.toks[start].is_punct("<") {
-                return;
-            }
-            let mut depth = 0i32;
-            for i in start..self.toks.len() {
-                depth += self.toks[i].angle_delta();
-                if depth <= 0 {
-                    self.pos = i + 1;
-                    return;
-                }
-            }
-            self.pos = self.toks.len();
-        }
     }
 
     /// Parses a `fn` item from the `fn` keyword. Returns `None` for
@@ -440,72 +383,45 @@ impl<'a> Cursor<'a> {
         }
         let name = self.toks[name_idx].text.clone();
         self.pos = name_idx + 1;
-        if self.peek_is_punct("<") {
-            self.skip_angle_group();
-        }
+        self.skip_generics();
         // Parameter list.
         let mut params = Vec::new();
         let mut has_self = false;
         if let Some(open) = self.next_significant(self.pos) {
             if self.toks[open].is_punct("(") {
-                let close = self.matching_paren_at(open);
-                let mut start = open + 1;
-                let mut depth = 0i32;
-                let mut i = open + 1;
-                while i <= close && i < self.toks.len() {
-                    let t = &self.toks[i];
-                    if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") || t.is_punct("<") {
-                        depth += 1;
-                    } else if t.is_punct(")")
-                        || t.is_punct("]")
-                        || t.is_punct("}")
-                        || t.is_punct(">")
-                    {
-                        depth -= 1;
-                    }
-                    if (t.is_punct(",") && depth == 0) || i == close {
-                        let seg = &self.toks[start..i];
-                        if let Some(p) = parse_param(seg) {
-                            if p.ty.is_empty() && p.names.iter().any(|n| n == "self") {
-                                has_self = true;
-                            } else if !p.names.is_empty() {
-                                params.push(p);
-                            }
+                let close = self.close_of(open);
+                for seg in split_top(&self.toks[open + 1..close.max(open + 1)], Nest::Type, ",") {
+                    if let Some(p) = parse_param(seg) {
+                        if p.ty.is_empty() && p.names.iter().any(|n| n == "self") {
+                            has_self = true;
+                        } else if !p.names.is_empty() {
+                            params.push(p);
                         }
-                        start = i + 1;
                     }
-                    i += 1;
                 }
                 self.pos = close + 1;
             }
         }
-        // Return type: up to `{`, `;` or `where`.
+        // Return type: up to a depth-0 `{`, `;` or `where`.
         let mut ret = String::new();
         if let Some(arrow) = self.next_significant(self.pos) {
             if self.toks[arrow].is_punct("->") {
-                let mut i = arrow + 1;
-                let mut angle = 0i32;
-                let mut parts = Vec::new();
-                while i < self.toks.len() {
-                    let t = &self.toks[i];
-                    angle += t.angle_delta();
-                    if angle <= 0 && (t.is_punct("{") || t.is_punct(";") || t.is_ident("where")) {
-                        break;
-                    }
-                    if !t.is_comment() {
-                        parts.push(t.text.clone());
-                    }
-                    i += 1;
-                }
-                ret = parts.join(" ");
-                self.pos = i;
+                let rest = &self.toks[arrow + 1..];
+                let end = top_level(rest, Nest::Type)
+                    .find(|&i| {
+                        rest[i].is_punct("{") || rest[i].is_punct(";") || rest[i].is_ident("where")
+                    })
+                    .unwrap_or(rest.len());
+                ret = join_significant(&rest[..end]);
+                self.pos = arrow + 1 + end;
             }
         }
         // Body (or `;` for a declaration).
+        let block = self.find_block_open();
         let mut body = Vec::new();
-        if let Some(open) = self.find_block_open() {
-            let close = self.matching_brace_at(open);
-            body = self.toks[open + 1..close.min(self.toks.len())].to_vec();
+        if let Some(open) = block {
+            let close = self.close_of(open);
+            body = self.toks[open + 1..close.max(open + 1)].to_vec();
             self.pos = close + 1;
         } else {
             self.skip_past_semi();
@@ -527,25 +443,9 @@ impl<'a> Cursor<'a> {
             ret,
             vartime,
             ct_secret: pend.secret,
+            has_body: block.is_some(),
             body,
         })
-    }
-
-    /// Index of the `)` matching the `(` at `open`.
-    fn matching_paren_at(&self, open: usize) -> usize {
-        let mut depth = 0i32;
-        for i in open..self.toks.len() {
-            let t = &self.toks[i];
-            if t.is_punct("(") {
-                depth += 1;
-            } else if t.is_punct(")") {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-        }
-        self.toks.len().saturating_sub(1)
     }
 
     /// Parses a `struct` item from the `struct` keyword.
@@ -559,46 +459,34 @@ impl<'a> Cursor<'a> {
         }
         let name = self.toks[name_idx].text.clone();
         self.pos = name_idx + 1;
-        if self.peek_is_punct("<") {
-            self.skip_angle_group();
-        }
+        self.skip_generics();
         let mut fields = Vec::new();
         let mut ct_secret = pend.secret;
         if let Some(next) = self.next_significant(self.pos) {
+            let close = self.close_of(next);
+            let inner = &self.toks[next + 1..close.max(next + 1)];
             if self.toks[next].is_punct("{") {
-                let close = self.matching_brace_at(next);
-                fields = parse_named_fields(&self.toks[next + 1..close.min(self.toks.len())]);
+                fields = parse_named_fields(inner);
                 self.pos = close + 1;
             } else if self.toks[next].is_punct("(") {
-                let close = self.matching_paren_at(next);
-                let inner = &self.toks[next + 1..close.min(self.toks.len())];
-                // Tuple fields: split top-level commas; a ct-secret
-                // comment anywhere inside marks the struct.
+                // Tuple fields; a ct-secret comment anywhere inside
+                // marks the struct.
                 if inner.iter().any(|t| t.is_annotation("ct-secret")) {
                     ct_secret = true;
                 }
-                let mut depth = 0i32;
-                let mut start = 0usize;
-                for (i, t) in inner.iter().enumerate() {
-                    if t.is_punct("(") || t.is_punct("<") || t.is_punct("[") {
-                        depth += 1;
-                    } else if t.is_punct(")") || t.is_punct(">") || t.is_punct("]") {
-                        depth -= 1;
-                    }
-                    if (t.is_punct(",") && depth == 0) || i + 1 == inner.len() {
-                        let end = if t.is_punct(",") { i } else { i + 1 };
-                        let ty = join_significant(&inner[start..end]);
-                        if !ty.is_empty() {
-                            fields.push(Field {
-                                name: fields.len().to_string(),
-                                ty,
-                                ct_secret: false,
-                                ct_public: false,
-                            });
-                        }
-                        start = i + 1;
-                    }
-                }
+                let types = split_top(inner, Nest::Type, ",")
+                    .into_iter()
+                    .map(join_significant);
+                fields = types
+                    .filter(|ty| !ty.is_empty())
+                    .enumerate()
+                    .map(|(i, ty)| Field {
+                        name: i.to_string(),
+                        ty,
+                        ct_secret: false,
+                        ct_public: false,
+                    })
+                    .collect();
                 self.pos = close + 1;
                 self.skip_past_semi();
             } else {
@@ -619,104 +507,82 @@ impl<'a> Cursor<'a> {
 /// Parses one named-field list (`vis name: Type, …` with attributes
 /// and comments interleaved).
 fn parse_named_fields(toks: &[Tok]) -> Vec<Field> {
-    let mut fields = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0usize;
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_punct("(") || t.is_punct("<") || t.is_punct("[") || t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct(">") || t.is_punct("]") || t.is_punct("}") {
-            depth -= 1;
-        }
-        if (t.is_punct(",") && depth == 0) || i + 1 == toks.len() {
-            let end = if t.is_punct(",") { i } else { i + 1 };
-            let seg = &toks[start..end];
-            let ct_secret = seg.iter().any(|t| t.is_annotation("ct-secret"));
-            let ct_public = seg.iter().any(|t| t.is_annotation("ct-public"));
-            // name is the last ident before the top-level `:`.
-            let mut colon = None;
-            let mut d2 = 0i32;
-            for (j, s) in seg.iter().enumerate() {
-                if s.is_punct("<") || s.is_punct("(") || s.is_punct("[") {
-                    d2 += 1;
-                } else if s.is_punct(">") || s.is_punct(")") || s.is_punct("]") {
-                    d2 -= 1;
-                } else if s.is_punct(":") && d2 == 0 {
-                    colon = Some(j);
-                    break;
-                }
-            }
-            if let Some(c) = colon {
-                let name = seg[..c]
-                    .iter()
-                    .rfind(|s| s.kind == TokKind::Ident)
-                    .map(|s| s.text.clone());
-                if let Some(name) = name {
-                    fields.push(Field {
-                        name,
-                        ty: join_significant(&seg[c + 1..]),
-                        ct_secret,
-                        ct_public,
-                    });
-                }
-            }
-            start = i + 1;
-        }
-    }
-    fields
+    split_top(toks, Nest::Type, ",")
+        .into_iter()
+        .filter_map(|seg| {
+            // The name is the last ident before the depth-0 `:`.
+            let colon = top_level(seg, Nest::Type).find(|&j| seg[j].is_punct(":"))?;
+            let name = seg[..colon].iter().rfind(|s| s.kind == TokKind::Ident)?;
+            Some(Field {
+                name: name.text.clone(),
+                ty: join_significant(&seg[colon + 1..]),
+                ct_secret: seg.iter().any(|t| t.is_annotation("ct-secret")),
+                ct_public: seg.iter().any(|t| t.is_annotation("ct-public")),
+            })
+        })
+        .collect()
 }
 
 /// Parses one parameter segment into bound names + type text.
 fn parse_param(toks: &[Tok]) -> Option<Param> {
     let sig: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
-    if sig.is_empty() {
-        return None;
-    }
-    // Receiver forms: self, &self, &mut self, mut self, self: Type.
-    let mut colon = None;
-    let mut depth = 0i32;
+    (!sig.is_empty()).then(|| binding(&sig))
+}
+
+/// A pattern with an optional depth-0 `: Type`: the names it binds
+/// (`mut` and `ref` dropped) and the type text, empty when there is
+/// none. A receiver (`self`, `&mut self`) binds `self` with no type.
+fn binding(sig: &[&Tok]) -> Param {
+    let (pat, ty) = match top_level(sig, Nest::Type).find(|&i| sig[i].is_punct(":")) {
+        Some(c) => (&sig[..c], join(&sig[c + 1..])),
+        None => (sig, String::new()),
+    };
+    let names = pat
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident && t.text != "mut" && t.text != "ref")
+        .map(|t| t.text.clone())
+        .collect();
+    Param { names, ty }
+}
+
+/// One `let` statement of a fn body.
+#[derive(Clone, Debug)]
+pub struct Let {
+    /// 1-based line of the `let` keyword.
+    pub line: u32,
+    /// Identifiers bound by the pattern (`mut` and `ref` dropped).
+    pub names: Vec<String>,
+    /// The declared type as space-joined token text; empty when the
+    /// `let` declares none.
+    pub ty: String,
+}
+
+/// The `let` statements in `sig` (body tokens without comments): each
+/// binding runs to its depth-0 `=` or `;`.
+pub fn lets(sig: &[&Tok]) -> Vec<Let> {
+    let mut out = Vec::new();
     for (i, t) in sig.iter().enumerate() {
-        if t.is_punct("<") || t.is_punct("(") || t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct(">") || t.is_punct(")") || t.is_punct("]") {
-            depth -= 1;
-        } else if t.is_punct(":") && depth == 0 {
-            colon = Some(i);
-            break;
+        if !t.is_ident("let") {
+            continue;
         }
+        let rest = &sig[i + 1..];
+        let end = top_level(rest, Nest::Type)
+            .find(|&k| rest[k].is_punct("=") || rest[k].is_punct(";"))
+            .unwrap_or(rest.len());
+        let Param { names, ty } = binding(&rest[..end]);
+        out.push(Let {
+            line: t.line,
+            names,
+            ty,
+        });
     }
-    match colon {
-        None => {
-            let names: Vec<String> = sig
-                .iter()
-                .filter(|t| t.kind == TokKind::Ident && t.text != "mut")
-                .map(|t| t.text.clone())
-                .collect();
-            Some(Param {
-                names,
-                ty: String::new(),
-            })
-        }
-        Some(c) => {
-            let names: Vec<String> = sig[..c]
-                .iter()
-                .filter(|t| t.kind == TokKind::Ident && t.text != "mut" && t.text != "ref")
-                .map(|t| t.text.clone())
-                .collect();
-            let ty: String = sig[c + 1..]
-                .iter()
-                .map(|t| t.text.clone())
-                .collect::<Vec<_>>()
-                .join(" ");
-            Some(Param { names, ty })
-        }
-    }
+    out
 }
 
 /// Joins token texts with spaces.
-pub fn join(toks: &[Tok]) -> String {
+pub fn join<T: Borrow<Tok>>(toks: &[T]) -> String {
     toks.iter()
-        .map(|t| t.text.clone())
+        .map(|t| t.borrow().text.as_str())
         .collect::<Vec<_>>()
         .join(" ")
 }
@@ -725,7 +591,7 @@ pub fn join(toks: &[Tok]) -> String {
 pub fn join_significant(toks: &[Tok]) -> String {
     toks.iter()
         .filter(|t| !t.is_comment())
-        .map(|t| t.text.clone())
+        .map(|t| t.text.as_str())
         .collect::<Vec<_>>()
         .join(" ")
 }
@@ -773,6 +639,13 @@ mod tests {
         let make = ix.fns.iter().find(|f| f.name == "make").unwrap();
         assert!(ix.fns.iter().any(|f| f.name == "after"));
         assert!(!make.ret.is_empty());
+    }
+
+    #[test]
+    fn unclosed_block_at_end_of_input_is_total() {
+        let ix = index_of("fn f() {");
+        assert!(ix.fns[0].has_body);
+        assert!(ix.fns[0].body.is_empty());
     }
 
     #[test]

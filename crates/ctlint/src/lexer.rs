@@ -6,6 +6,12 @@
 //! offline; no `syn`). It must never panic: `tests/proptest_lexer.rs`
 //! feeds it arbitrary byte soup. Unterminated strings or comments are
 //! closed implicitly at end of input.
+//!
+//! Every bracket walk in the crate runs on one nesting rule,
+//! [`Tok::nest_delta`], through [`partner`], [`top_level`] and
+//! [`split_top`].
+
+use std::borrow::Borrow;
 
 /// What kind of token a [`Tok`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,16 +62,19 @@ impl Tok {
         self.kind == TokKind::Ident && self.text == w
     }
 
-    /// The change in angle-bracket depth at this token: `<` and `<<`
-    /// open one and two levels, `>` and `>>` close them (each lexes as
-    /// one token).
-    pub fn angle_delta(&self) -> i32 {
-        match self.text.as_str() {
-            _ if self.kind != TokKind::Punct => 0,
-            "<" => 1,
-            "<<" => 2,
-            ">" => -1,
-            ">>" => -2,
+    /// The change in nesting depth at this token under `mode`: the
+    /// crate's one nesting rule (see [`Nest`]).
+    pub fn nest_delta(&self, mode: Nest) -> i32 {
+        if self.kind != TokKind::Punct {
+            return 0;
+        }
+        match (self.text.as_str(), mode) {
+            ("(" | "[" | "{", _) => 1,
+            (")" | "]" | "}", _) => -1,
+            ("<", Nest::Type) => 1,
+            ("<<", Nest::Type) => 2,
+            (">", Nest::Type) => -1,
+            (">>", Nest::Type) => -2,
             _ => 0,
         }
     }
@@ -101,6 +110,70 @@ impl Tok {
         };
         body.trim_start().starts_with(name)
     }
+}
+
+/// How a bracket walk reads a run of tokens. `(` `[` `{` always nest.
+/// `<` `<<` `>` `>>` nest only where the caller reads a type, because
+/// in an expression `<` compares and `<<` shifts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Nest {
+    /// An expression or a body: angle brackets do not nest.
+    Expr,
+    /// A type — a signature, an `impl` header, a field or `let` type, a
+    /// turbofish: `<` and `<<` open one and two levels, `>` and `>>`
+    /// close them (each lexes as one token).
+    Type,
+}
+
+/// The bracket paired with `toks[at]`: searched forward from an
+/// opening bracket, backward from a closing one. Angle brackets pair
+/// under [`Nest::Type`], the others under [`Nest::Expr`]. `None` when
+/// `toks[at]` is no bracket or has no partner.
+pub fn partner<T: Borrow<Tok>>(toks: &[T], at: usize) -> Option<usize> {
+    let t = toks.get(at)?.borrow();
+    let mode = if t.nest_delta(Nest::Expr) == 0 {
+        Nest::Type
+    } else {
+        Nest::Expr
+    };
+    let sign = t.nest_delta(mode).signum();
+    let mut depth = 0;
+    let mut closes = |i: &usize| {
+        depth += sign * toks[*i].borrow().nest_delta(mode);
+        depth <= 0
+    };
+    match sign {
+        1 => (at..toks.len()).find(&mut closes),
+        -1 => (0..=at).rev().find(&mut closes),
+        _ => None,
+    }
+}
+
+/// The positions in `toks` at depth 0 under `mode`, in order. Each
+/// opening bracket at depth 0 is yielded, its contents are not. An
+/// unmatched closing bracket is yielded last: it ends the run.
+pub fn top_level<T: Borrow<Tok>>(toks: &[T], mode: Nest) -> impl Iterator<Item = usize> + '_ {
+    let mut depth = 0;
+    toks.iter()
+        .enumerate()
+        .map_while(move |(i, t)| {
+            let at = depth;
+            depth += t.borrow().nest_delta(mode);
+            (at >= 0).then_some((i, at == 0))
+        })
+        .filter_map(|(i, top)| top.then_some(i))
+}
+
+/// `toks` split at its depth-0 `sep` tokens under `mode`.
+pub fn split_top<'a, T: Borrow<Tok>>(toks: &'a [T], mode: Nest, sep: &str) -> Vec<&'a [T]> {
+    let mut pieces = Vec::new();
+    let mut start = 0;
+    for i in top_level(toks, mode).filter(|&i| toks[i].borrow().is_punct(sep)) {
+        pieces.push(&toks[start..i]);
+        start = i + 1;
+    }
+    pieces.push(&toks[start..]);
+    pieces
 }
 
 /// Whether identifier `s` is a keyword that never names a callee, an
@@ -421,6 +494,39 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn one_nesting_rule_for_types_and_expressions() {
+        let texts = |piece: &[Tok]| {
+            piece
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        // In a type `<` nests and `>>` closes two levels.
+        let params = lex("t: Option<Vec<u8>>, v: [u8; 4], i: usize");
+        let pieces: Vec<String> = split_top(&params, Nest::Type, ",")
+            .into_iter()
+            .map(texts)
+            .collect();
+        assert_eq!(
+            pieces,
+            ["t : Option < Vec < u8 >>", "v : [ u8 ; 4 ]", "i : usize"]
+        );
+        // In an expression `<` compares and `>>` shifts.
+        let expr = lex("a < b, c >> 1");
+        assert_eq!(split_top(&expr, Nest::Expr, ",").len(), 2);
+        // An opening bracket pairs forward, a closing one backward.
+        let path = lex("Foo::<Vec<u8>>::new()");
+        assert_eq!(partner(&path, 2), Some(6));
+        assert_eq!(partner(&path, 6), Some(2));
+        assert_eq!(partner(&path, 9), Some(10));
+        assert_eq!(partner(&path, 0), None);
+        // An unmatched closing bracket is the last token of a run.
+        let run = lex("x ( y ) ) z");
+        assert_eq!(top_level(&run, Nest::Expr).collect::<Vec<_>>(), [0, 1, 4]);
     }
 
     #[test]

@@ -40,8 +40,8 @@
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
-use crate::index::{FnItem, Index};
-use crate::lexer::{is_keyword, Tok, TokKind};
+use crate::index::{self, FnItem, Index};
+use crate::lexer::{is_keyword, partner, Tok, TokKind};
 use crate::pass::{hot_path_file, Pass};
 use std::collections::HashMap;
 
@@ -149,9 +149,14 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
         }
 
         let sig: Vec<&Tok> = f.body.iter().filter(|t| !t.is_comment()).collect();
+        let lets = index::lets(&sig)
+            .into_iter()
+            .filter(|l| !l.ty.is_empty())
+            .flat_map(|l| l.names.into_iter().map(move |n| (n, l.ty.clone())))
+            .collect();
         let scope = Scope {
             f,
-            lets: typed_lets(&sig),
+            lets,
             fields: &struct_fields,
         };
         for (j, t) in sig.iter().enumerate() {
@@ -228,46 +233,6 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
     findings
 }
 
-/// `let` bindings with an explicit type: name → space-joined type.
-fn typed_lets(sig: &[&Tok]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    for (i, t) in sig.iter().enumerate() {
-        if !t.is_ident("let") {
-            continue;
-        }
-        let mut names = Vec::new();
-        let mut ty = Vec::new();
-        let mut in_ty = false;
-        let mut depth = 0i32;
-        for s in sig.iter().skip(i + 1) {
-            if s.is_punct("(") || s.is_punct("[") || s.is_punct("<") {
-                depth += 1;
-            } else if s.is_punct(")") || s.is_punct("]") || s.is_punct(">") {
-                depth -= 1;
-            } else if s.is_punct(">>") {
-                depth -= 2;
-            } else if (s.is_punct("=") || s.is_punct(";")) && depth <= 0 {
-                break;
-            } else if s.is_punct(":") && depth <= 0 {
-                in_ty = true;
-                continue;
-            }
-            if in_ty {
-                ty.push(s.text.clone());
-            } else if s.kind == TokKind::Ident && s.text != "mut" && s.text != "ref" {
-                names.push(s.text.clone());
-            }
-        }
-        if !ty.is_empty() {
-            let ty = ty.join(" ");
-            for n in names {
-                out.insert(n, ty.clone());
-            }
-        }
-    }
-    out
-}
-
 /// The declarations a fn body can name: its parameters, its typed
 /// `let`s and the fields of every indexed struct.
 struct Scope<'a> {
@@ -328,22 +293,7 @@ fn growable(ty: &str) -> bool {
 /// when it is dynamic: not a bare literal, not a range. Returns a
 /// display name for the index.
 fn dynamic_index(sig: &[&Tok], j: usize) -> Option<String> {
-    let mut depth = 1i32;
-    let mut k = j + 1;
-    let mut inner: Vec<&Tok> = Vec::new();
-    while k < sig.len() && depth > 0 {
-        let s = sig[k];
-        if s.is_punct("[") || s.is_punct("(") {
-            depth += 1;
-        } else if s.is_punct("]") || s.is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        inner.push(s);
-        k += 1;
-    }
+    let inner = &sig[j + 1..partner(sig, j).unwrap_or(sig.len())];
     if inner.is_empty() {
         return None;
     }

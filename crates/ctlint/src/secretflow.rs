@@ -33,8 +33,8 @@
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
-use crate::index::{FnItem, Index};
-use crate::lexer::{is_keyword, Tok, TokKind};
+use crate::index::{self, FnItem, Index};
+use crate::lexer::{is_keyword, partner, top_level, Nest, Tok, TokKind};
 use crate::pass::Pass;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -281,41 +281,11 @@ fn tainted_bindings(
         .map(|t| t.line)
         .collect();
     let sig: Vec<&Tok> = f.body.iter().filter(|t| !t.is_comment()).collect();
-    for (i, t) in sig.iter().enumerate() {
-        if !t.is_ident("let") {
-            continue;
-        }
-        // Pattern: next idents up to `:`/`=` are the binding names.
-        let mut names = Vec::new();
-        let mut ty = Vec::new();
-        let mut in_ty = false;
-        let mut depth = 0i32;
-        for s in sig.iter().skip(i + 1) {
-            if s.is_punct("(") || s.is_punct("[") || s.is_punct("<") {
-                depth += 1;
-            } else if s.is_punct(")") || s.is_punct("]") || s.is_punct(">") {
-                depth -= 1;
-            } else if (s.is_punct("=") || s.is_punct(";")) && depth <= 0 {
-                break;
-            } else if s.is_punct(":") && depth <= 0 {
-                in_ty = true;
-                continue;
-            }
-            if s.kind == TokKind::Ident && s.text != "mut" && s.text != "ref" {
-                if in_ty {
-                    ty.push(s.text.clone());
-                } else {
-                    names.push(s.text.clone());
-                }
-            }
-        }
+    for l in index::lets(&sig) {
         let annotated =
-            secret_lines.contains(&t.line) || secret_lines.contains(&t.line.saturating_sub(1));
-        let marked_ty = ty.iter().any(|w| markers.contains(w.as_str()));
-        if annotated || marked_ty {
-            for n in names {
-                tainted.insert(n);
-            }
+            secret_lines.contains(&l.line) || secret_lines.contains(&l.line.saturating_sub(1));
+        if annotated || mentions_marker(&l.ty) {
+            tainted.extend(l.names);
         }
     }
     tainted
@@ -331,24 +301,13 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
         let t = sig[i];
         // Conditions: if / while / match up to the opening `{`.
         if t.is_ident("if") || t.is_ident("while") || t.is_ident("match") {
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            let mut culprit: Option<&Tok> = None;
-            while j < sig.len() {
-                let s = sig[j];
-                if s.is_punct("(") || s.is_punct("[") {
-                    depth += 1;
-                } else if s.is_punct(")") || s.is_punct("]") {
-                    depth -= 1;
-                } else if s.is_punct("{") && depth <= 0 {
-                    break;
-                }
-                if culprit.is_none() && is_tainted(s) {
-                    culprit = Some(s);
-                }
-                j += 1;
-            }
-            if let Some(c) = culprit {
+            // The condition runs to its depth-0 `{`, or to the
+            // unmatched bracket that ends it (a match guard, a macro).
+            let cond = &sig[i + 1..];
+            let end = top_level(cond, Nest::Expr)
+                .find(|&k| cond[k].is_punct("{") || cond[k].nest_delta(Nest::Expr) < 0)
+                .unwrap_or(cond.len());
+            if let Some(c) = cond[..end].iter().find(|s| is_tainted(s)) {
                 findings.push(finding(
                     file,
                     c.line,
@@ -361,7 +320,7 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
                     ),
                 ));
             }
-            i = j;
+            i += 1 + end;
             continue;
         }
         // Array indexing by a tainted value: `expr [ … tainted … ]`
@@ -373,22 +332,8 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
                 || prev.is_punct(")")
                 || prev.is_punct("]");
             if indexing {
-                let mut depth = 1i32;
-                let mut j = i + 1;
-                let mut culprit: Option<&Tok> = None;
-                while j < sig.len() && depth > 0 {
-                    let s = sig[j];
-                    if s.is_punct("[") {
-                        depth += 1;
-                    } else if s.is_punct("]") {
-                        depth -= 1;
-                    }
-                    if culprit.is_none() && is_tainted(s) {
-                        culprit = Some(s);
-                    }
-                    j += 1;
-                }
-                if let Some(c) = culprit {
+                let close = partner(&sig, i).unwrap_or(sig.len());
+                if let Some(c) = sig[i + 1..close].iter().find(|s| is_tainted(s)) {
                     findings.push(finding(
                         file,
                         c.line,
@@ -400,7 +345,7 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
                             f.qual, c.text
                         ),
                     ));
-                    i = j;
+                    i = close + 1;
                     continue;
                 }
             }

@@ -118,6 +118,18 @@ fn missing_zeroize_fixture() {
 }
 
 #[test]
+fn nested_generic_let_type_ends_at_its_closing_brackets() {
+    // `Vec<Vec<u8>>` closes at its `>>`; `t` stays public, so only the
+    // branch on the `Scalar` `s` is a finding.
+    let found = secret_flow("secret_nested_let.rs");
+    assert_eq!(
+        anchors(&found),
+        vec![("secret-branch", 10, "s")],
+        "{found:#?}"
+    );
+}
+
+#[test]
 fn clean_fixture_is_silent() {
     let found = secret_flow("clean.rs");
     assert!(found.is_empty(), "{found:#?}");
@@ -306,4 +318,25 @@ fn panic_float_field_fixture() {
         vec![("panic-div", 27, "budget")],
         "{found:#?}"
     );
+}
+
+#[test]
+fn panic_array_return_fixture() {
+    // The `;` in `[u8; 4]` does not end `helper`'s signature: its body
+    // is indexed and its `unwrap` is reached.
+    let found = panicreach::analyze(&index_fixture("panic_array_return.rs"));
+    assert_eq!(
+        anchors(&found),
+        vec![("panic-unwrap", 10, "unwrap")],
+        "{found:#?}"
+    );
+    assert_eq!(found[0].chain, vec!["run_sweep", "helper"]);
+}
+
+#[test]
+fn panic_nested_generic_param_fixture() {
+    // `Option<Vec<u8>>` closes at its `>>`, so `v` is a param of its
+    // own and `v[i]` is a dynamic index into a `Vec`.
+    let found = panicreach::analyze(&index_fixture("panic_nested_generics.rs"));
+    assert_eq!(anchors(&found), vec![("panic-index", 5, "v")], "{found:#?}");
 }

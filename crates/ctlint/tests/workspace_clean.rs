@@ -114,6 +114,30 @@ fn workspace_is_clean_under_committed_allowlists() {
     );
 }
 
+/// Every fn the index reads without a body block is a declaration in
+/// a `trait` block. A parse gap that drops a body (as an array return
+/// type once did) leaves that fn with no calls, panic sites or taint;
+/// this turns the next such gap into a failure instead of findings
+/// that silently go missing.
+#[test]
+fn every_bodiless_fn_is_a_trait_declaration() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ix = ecq_lint::index_workspace(&root).expect("workspace index");
+    let gaps: Vec<String> = ix
+        .fns
+        .iter()
+        .filter(|f| !f.has_body)
+        // A fn in a `trait` block has no `Self` type in the index.
+        .filter(|f| !(f.in_trait && f.self_type.is_none()))
+        .map(|f| format!("{}:{} {}", ix.files[f.file], f.line, f.qual))
+        .collect();
+    assert!(
+        gaps.is_empty(),
+        "{} fns indexed without a body: {gaps:#?}",
+        gaps.len()
+    );
+}
+
 /// The panic-reach gate covers the handshake state machines only
 /// through a name-resolved edge: `Endpoint::step` calls the protocol
 /// hook `advance`, and each machine's hook calls its message handlers.

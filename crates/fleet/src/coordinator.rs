@@ -993,7 +993,7 @@ mod tests {
         let mut fleet = FleetCoordinator::new(small_config());
         fleet.enroll_all().unwrap();
         assert_eq!(fleet.report().enrolled, 24);
-        assert!(fleet.devices().iter().all(|d| d.is_enrolled()));
+        assert!(fleet.devices().iter().all(|d| d.credentials.is_some()));
         assert!(fleet.report().enroll_makespan_us > 0);
         // 24 devices over 3 shards in batches of ≤5 needs ≥ 5 batches.
         assert!(fleet.report().enroll_batches >= 5);

@@ -40,11 +40,6 @@ impl SimDevice {
     pub fn id_for(index: usize) -> DeviceId {
         DeviceId::from_label(&format!("dev-{index:05}"))
     }
-
-    /// Whether enrollment completed for this device.
-    pub fn is_enrolled(&self) -> bool {
-        self.credentials.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -57,7 +52,7 @@ mod tests {
         assert_eq!(d.id, DeviceId::from_label("dev-00042"));
         assert_eq!(d.preset, DevicePreset::Stm32F767); // 42 % 4 == 2
         assert_eq!(d.shard, 3);
-        assert!(!d.is_enrolled());
+        assert!(d.credentials.is_none());
     }
 
     #[test]

@@ -91,10 +91,12 @@ proptest! {
         // timeouts only occur when something was actually injected.
         let r = fleet.report();
         if r.timeouts > 0 {
-            prop_assert!(
-                faults.is_active(),
-                "timeouts without any active fault class"
-            );
+            let inert = FaultSpec {
+                seed: faults.seed,
+                deadline_us: faults.deadline_us,
+                ..FaultSpec::none()
+            };
+            prop_assert!(faults != inert, "timeouts without any active fault class");
         }
     }
 }

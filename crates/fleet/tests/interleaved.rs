@@ -443,7 +443,7 @@ fn streaming_sweep_reproduces_the_materialized_report() {
             "streaming keeps no per-session state"
         );
         assert!(
-            fleet.devices().iter().all(|d| !d.is_enrolled()),
+            fleet.devices().iter().all(|d| d.credentials.is_none()),
             "streaming never materializes roster credentials"
         );
     }

@@ -61,12 +61,16 @@ impl SessionKey {
 
     /// The AES-128 encryption half.
     pub fn enc_key(&self) -> [u8; 16] {
-        self.bytes[..16].try_into().expect("16 bytes")
+        let mut half = [0u8; 16];
+        half.copy_from_slice(&self.bytes[..16]);
+        half
     }
 
     /// The MAC half.
     pub fn mac_key(&self) -> [u8; 16] {
-        self.bytes[16..].try_into().expect("16 bytes")
+        let mut half = [0u8; 16];
+        half.copy_from_slice(&self.bytes[16..]);
+        half
     }
 
     /// Encrypts/decrypts `data` in place with AES-128-CTR under the

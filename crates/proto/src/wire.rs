@@ -171,22 +171,6 @@ impl Message {
             .ok_or(ProtocolError::Decode)
     }
 
-    /// Returns the payload of the `n`-th field of `kind` (0-based), for
-    /// messages carrying repeated kinds.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Decode`] when fewer than `n+1` such fields
-    /// exist.
-    pub fn field_nth(&self, kind: FieldKind, n: usize) -> Result<&[u8], ProtocolError> {
-        self.fields
-            .iter()
-            .filter(|f| f.kind == kind)
-            .nth(n)
-            .map(|f| f.bytes.as_slice())
-            .ok_or(ProtocolError::Decode)
-    }
-
     /// A `"Label(len)"` rendering of the field list, matching the
     /// paper's Table II cells (e.g. `"ID(16), XG(64)"`).
     pub fn describe_fields(&self) -> String {
@@ -256,9 +240,9 @@ mod tests {
             ],
         );
         assert_eq!(msg.field(FieldKind::Cert).unwrap().len(), 101);
-        assert_eq!(msg.field_nth(FieldKind::Nonce, 1).unwrap()[0], 2);
+        // A repeated kind yields its first occurrence.
+        assert_eq!(msg.field(FieldKind::Nonce).unwrap()[0], 1);
         assert!(msg.field(FieldKind::Ack).is_err());
-        assert!(msg.field_nth(FieldKind::Nonce, 2).is_err());
     }
 
     #[test]

@@ -73,11 +73,15 @@ proptest! {
         let msg = message_for(&layout, 3);
         for kind in ALL_KINDS {
             let expected = layout.iter().filter(|k| **k == kind).count();
-            let mut found = 0;
-            while msg.field_nth(kind, found).is_ok() {
-                found += 1;
-            }
-            prop_assert_eq!(found, expected);
+            let found: Vec<&[u8]> = msg
+                .fields
+                .iter()
+                .filter(|f| f.kind == kind)
+                .map(|f| f.bytes.as_slice())
+                .collect();
+            prop_assert_eq!(found.len(), expected);
+            // `field` finds the first occurrence.
+            prop_assert_eq!(msg.field(kind).ok(), found.first().copied());
         }
     }
 

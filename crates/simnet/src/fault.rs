@@ -142,16 +142,6 @@ impl FaultSpec {
         }
     }
 
-    /// Whether any fault class is active.
-    pub fn is_active(&self) -> bool {
-        *self
-            != FaultSpec {
-                seed: self.seed,
-                deadline_us: self.deadline_us,
-                ..FaultSpec::none()
-            }
-    }
-
     /// A spec with one targeted fault and nothing random.
     pub const fn targeted_only(fault: TargetedFault, deadline_us: u64) -> Self {
         let mut spec = FaultSpec::none();
@@ -385,7 +375,14 @@ mod tests {
     #[test]
     fn inert_plan_injects_nothing() {
         let plan = FaultPlan::inert();
-        assert!(!plan.spec().is_active());
+        assert_eq!(
+            *plan.spec(),
+            FaultSpec {
+                seed: plan.spec().seed,
+                deadline_us: plan.spec().deadline_us,
+                ..FaultSpec::none()
+            }
+        );
         for seq in 0..100 {
             assert_eq!(plan.frame_fate(seq), FrameFate::Deliver);
             assert!(!plan.duplicates(seq));

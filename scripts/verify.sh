@@ -9,7 +9,9 @@
 #   ./scripts/verify.sh ctlint   # multi-pass static analysis (CI `ctlint`)
 #   ./scripts/verify.sh scenario # adversarial conformance    (CI `scenario`)
 #   ./scripts/verify.sh service  # socket daemon + load smoke (CI `service`)
+#   ./scripts/verify.sh loc      # non-test line count, total and per crate
 #
+# `loc` measures rather than checks, so it is not part of `all`.
 # `mega` is the hour-scale tier (a full million-device run per thread
 # count) and is therefore not part of `all`; CI runs it as its own job
 # and `fleet` carries a scaled-down streaming smoke against the same
@@ -168,6 +170,42 @@ run_service() {
     --json BENCH_service.json
 }
 
+run_loc() {
+  # The non-test line count that ROADMAP.md and CHANGES.md quote: each
+  # .rs file under crates/*/src, src/ and examples/, counted up to its
+  # first `#[cfg(test)]` line that is followed by a `mod` line.
+  # crates/p256/src/mont.rs compiles only under cfg(test), so all of it
+  # is test code.
+  local files
+  mapfile -t files < <(find crates/*/src src examples -name '*.rs' \
+    ! -path crates/p256/src/mont.rs | sort)
+  awk '
+    FNR == 1 {
+      split(FILENAME, part, "/")
+      unit = part[1] == "crates" ? part[1] "/" part[2] : part[1]
+      in_tests = 0
+      cfg_test = 0
+    }
+    in_tests { next }
+    cfg_test && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / {
+      lines[unit]--
+      in_tests = 1
+      next
+    }
+    {
+      cfg_test = /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/
+      lines[unit]++
+    }
+    END {
+      for (u in lines) {
+        printf "%7d  %s\n", lines[u], u
+        total += lines[u]
+      }
+      printf "%7d  total\n", total
+    }
+  ' "${files[@]}" | sort -k2
+}
+
 case "$mode" in
   all)
     run_test
@@ -206,8 +244,11 @@ case "$mode" in
     run_service
     echo "OK: service mode green (fuzz, transcripts, load smoke)"
     ;;
+  loc)
+    run_loc
+    ;;
   *)
-    echo "usage: $0 [all|lint|test|ctlint|fleet|mega|scenario|service]" >&2
+    echo "usage: $0 [all|lint|test|ctlint|fleet|mega|scenario|service|loc]" >&2
     exit 2
     ;;
 esac
