@@ -72,12 +72,14 @@ fn catalog_spans_completion_and_fail_closed_outcomes() {
 }
 
 /// Scenario runs are deterministic: the same scenario reproduces the
-/// same report bit-for-bit (outcome digest included).
+/// same report bit-for-bit (outcome digest included). The scenario's
+/// corruption fires on at least one frame.
 #[test]
 fn scenario_runs_are_reproducible() {
     let scenario = by_name("corrupt-b1-auth").expect("catalog scenario");
     let a = scenario.run();
     let b = scenario.run();
+    assert!(a.report.faults.corrupted >= 1, "no frame was corrupted");
     assert_eq!(a.report, b.report);
     assert_eq!(a.session_failures, b.session_failures);
     assert_eq!(a.makespan_us, b.makespan_us);

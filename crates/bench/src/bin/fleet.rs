@@ -392,10 +392,9 @@ fn smoke(args: &Args) -> ExitCode {
 }
 
 /// `--scenario`: the adversarial shared-bus fault catalog, reported in
-/// charging-session terms (see `ecq_bms::adversarial`).
+/// charging-session terms.
 fn scenario_mode(which: &str) -> ExitCode {
-    use ecq_bms::adversarial;
-    use ecq_fleet::scenario::{catalog, Expected};
+    use ecq_fleet::scenario::{by_name, catalog, Expected};
     match which {
         "list" => {
             println!("adversarial scenarios ({} in catalog):", catalog().len());
@@ -407,14 +406,14 @@ fn scenario_mode(which: &str) -> ExitCode {
         "all" => {
             let mut failed = false;
             for s in catalog() {
-                let report = adversarial::run(s.name).expect("catalog name resolves");
+                let out = s.run();
                 let predicted =
                     matches!(s.expected, Expected::Completes | Expected::CompletesSlower);
-                let ok = report.charging_authorized == predicted;
+                let ok = out.target_keyed == predicted;
                 println!(
                     "  {:<8} {}",
                     if ok { "ok" } else { "DIVERGED" },
-                    adversarial::render(&report)
+                    render_scenario(s.name, &out)
                 );
                 failed |= !ok;
             }
@@ -428,10 +427,11 @@ fn scenario_mode(which: &str) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        name => match adversarial::run(name) {
-            Some(report) => {
-                println!("{}", adversarial::render(&report));
-                let c = report.faults;
+        name => match by_name(name) {
+            Some(s) => {
+                let out = s.run();
+                println!("{}", render_scenario(s.name, &out));
+                let c = out.report.faults;
                 println!(
                     "  injected: {} dropped, {} corrupted, {} duplicated, {} held back, \
                      {} delayed, {} replayed, {} storm frames ({} messages lost)",
@@ -452,6 +452,23 @@ fn scenario_mode(which: &str) -> ExitCode {
             }
         },
     }
+}
+
+/// One scenario outcome as a log line: does the BMS ↔ EVCC session
+/// authorize charging, how much later than the fault-free baseline, or
+/// which fail-closed error refused it.
+fn render_scenario(name: &str, out: &ecq_fleet::scenario::ScenarioOutcome) -> String {
+    let handshake_ms = out.makespan_us as f64 / 1e3;
+    let baseline_ms = out.baseline_makespan_us as f64 / 1e3;
+    let verdict = match (out.target_keyed, out.target_failure) {
+        (true, _) => format!(
+            "charging authorized (+{:.1} ms over baseline)",
+            (handshake_ms - baseline_ms).max(0.0)
+        ),
+        (false, Some(e)) => format!("charging refused: {e}"),
+        (false, None) => "charging refused".to_string(),
+    };
+    format!("{name}: {verdict} [handshake {handshake_ms:.1} ms, baseline {baseline_ms:.1} ms]")
 }
 
 /// The full human-readable sweep (default mode).

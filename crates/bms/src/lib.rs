@@ -33,11 +33,9 @@
 
 #![warn(missing_docs)]
 
-pub mod adversarial;
 pub mod emulator;
 pub mod scenario;
 pub mod timeline;
 
-pub use adversarial::AdversarialReport;
 pub use scenario::{BmsScenario, SessionReport};
 pub use timeline::{EventKind, Timeline, TimelineEvent};

@@ -39,10 +39,10 @@
 //! Reachability still flows through them.
 
 use crate::callgraph::CallGraph;
-use crate::findings::Finding;
-use crate::index::Index;
+use crate::findings::{Finding, Hit};
+use crate::index::{FnItem, Index};
 use crate::lexer::{Tok, TokKind};
-use crate::pass::{hot_path_file, Pass};
+use crate::pass::scan_hot_path;
 
 /// The pass name, as spelled on the CLI.
 pub const NAME: &str = "determinism";
@@ -79,47 +79,16 @@ pub const ROOT_TYPES: &[&str] = &[
     "Scenario",
 ];
 
-/// The determinism-flow pass.
-pub struct Determinism;
-
-impl Pass for Determinism {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn classes(&self) -> &'static [&'static str] {
-        CLASSES
-    }
-
-    fn default_allowlist(&self) -> &'static str {
-        "ci/determinism_allow.toml"
-    }
-
-    fn analyze(&self, ix: &Index) -> Vec<Finding> {
-        analyze(ix)
-    }
-}
-
 /// Runs the determinism-flow analysis.
-pub fn analyze(ix: &Index) -> Vec<Finding> {
-    let cg = CallGraph::build(ix);
-    let reach = cg.reach(
-        ix,
-        |f| {
-            ROOT_FNS.contains(&f.name.as_str())
-                || f.self_type
-                    .as_deref()
-                    .is_some_and(|t| ROOT_TYPES.contains(&t))
-        },
-        |_| true,
-    );
-
-    let mut findings = Vec::new();
-    for (i, f) in ix.fns.iter().enumerate() {
-        if !reach.reachable[i] || !hot_path_file(&ix.files[f.file]) {
-            continue;
-        }
-        let chain = reach.chain(ix, i);
+pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
+    let root = |f: &FnItem| {
+        ROOT_FNS.contains(&f.name.as_str())
+            || f.self_type
+                .as_deref()
+                .is_some_and(|t| ROOT_TYPES.contains(&t))
+    };
+    scan_hot_path(ix, cg, NAME, root, |_, f| {
+        let mut hits: Vec<Hit> = Vec::new();
         let sig: Vec<&Tok> = f.body.iter().filter(|t| !t.is_comment()).collect();
         for (j, t) in sig.iter().enumerate() {
             if t.kind != TokKind::Ident {
@@ -206,22 +175,11 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
                 _ => None,
             };
             if let Some((class, message)) = hit {
-                findings.push(Finding {
-                    file: ix.files[f.file].clone(),
-                    line: t.line,
-                    pass: NAME.to_string(),
-                    class: class.to_string(),
-                    context: f.qual.clone(),
-                    ident: t.text.clone(),
-                    message,
-                    chain: chain.clone(),
-                });
+                hits.push((t.line, class, t.text.clone(), message));
             }
         }
-    }
-    findings.sort();
-    findings.dedup();
-    findings
+        hits
+    })
 }
 
 #[cfg(test)]
@@ -231,7 +189,7 @@ mod tests {
     fn run(src: &str) -> Vec<Finding> {
         let mut ix = Index::default();
         ix.add_file("t.rs", src);
-        analyze(&ix)
+        analyze(&ix, &CallGraph::build(&ix))
     }
 
     #[test]
@@ -285,6 +243,6 @@ mod tests {
             "crates/bench/src/bin/fleet.rs",
             "fn run_sweep() { let t = Instant::now(); }\n",
         );
-        assert!(analyze(&ix).is_empty());
+        assert!(analyze(&ix, &CallGraph::build(&ix)).is_empty());
     }
 }

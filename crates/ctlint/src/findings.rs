@@ -39,7 +39,27 @@ pub struct Finding {
     pub chain: Vec<String>,
 }
 
+/// What a pass found at one spot: the line, the finding class, the
+/// identifier involved and the message.
+pub type Hit = (u32, &'static str, String, String);
+
 impl Finding {
+    /// The finding `pass` raises for `hit` in `file`, inside `context`
+    /// (a fn or a struct), with an empty reach chain.
+    pub fn new(pass: &str, file: &str, context: &str, hit: Hit) -> Self {
+        let (line, class, ident, message) = hit;
+        Finding {
+            file: file.to_string(),
+            line,
+            pass: pass.to_string(),
+            class: class.to_string(),
+            context: context.to_string(),
+            ident,
+            message,
+            chain: Vec::new(),
+        }
+    }
+
     /// `root -> a -> b` rendering of the reach chain, or `""`.
     pub fn chain_text(&self) -> String {
         self.chain.join(" -> ")

@@ -295,7 +295,14 @@ pub fn lex(src: &str) -> Vec<Tok> {
             i += if c == '"' { 1 } else { 2 };
             while i < chars.len() {
                 match chars[i] {
-                    '\\' => i += 2,
+                    '\\' => {
+                        // An escaped newline (a `\` line continuation)
+                        // is still a line.
+                        if chars.get(i + 1) == Some(&'\n') {
+                            line += 1;
+                        }
+                        i += 2;
+                    }
                     '"' => {
                         i += 1;
                         break;
@@ -461,11 +468,20 @@ mod tests {
 
     #[test]
     fn lexes_idents_puncts_and_lines() {
-        let toks = lex("fn foo(a: u8) -> bool {\n    a == 3\n}\n");
-        assert!(toks.iter().any(|t| t.is_ident("fn")));
-        assert!(toks.iter().any(|t| t.is_punct("->")));
-        let eq = toks.iter().find(|t| t.is_punct("==")).unwrap();
-        assert_eq!(eq.line, 2);
+        for (src, eq_line) in [
+            ("fn foo(a: u8) -> bool {\n    a == 3\n}\n", 2),
+            // A `\`-continued string spans two lines.
+            (
+                "fn foo(a: u8) -> bool {\n    f(\"x \\\n    y\");\n    a == 3\n}\n",
+                4,
+            ),
+        ] {
+            let toks = lex(src);
+            assert!(toks.iter().any(|t| t.is_ident("fn")));
+            assert!(toks.iter().any(|t| t.is_punct("->")));
+            let eq = toks.iter().find(|t| t.is_punct("==")).unwrap();
+            assert_eq!(eq.line, eq_line, "{src}");
+        }
     }
 
     #[test]

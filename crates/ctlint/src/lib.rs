@@ -5,7 +5,9 @@
 //! review. One shared front end — a hand-rolled lexer (the container
 //! is offline, so no `syn`), an item index and a call graph that
 //! resolves each call from its shape ([`callgraph`]) — feeds three
-//! passes behind the [`pass::Pass`] trait:
+//! passes, the rows of one table of plain data ([`pass::PASSES`]). A
+//! run builds the index and the call graph once and hands both to
+//! every selected pass:
 //!
 //! * **`secret-flow`** ([`secretflow`]) — PR 6's constant-time
 //!   boundary audit: vartime calls reachable from secret contexts,
@@ -44,6 +46,7 @@ pub mod panicreach;
 pub mod pass;
 pub mod secretflow;
 
+use callgraph::CallGraph;
 use findings::Finding;
 use index::Index;
 use pass::Pass;
@@ -160,42 +163,47 @@ impl Report {
 }
 
 /// Resolves a `--pass` argument to the passes to run (`"all"` selects
-/// the full registry, in canonical order).
-pub fn select_passes(name: &str) -> Option<Vec<Box<dyn Pass>>> {
+/// the whole table, in canonical order).
+pub fn select_passes(name: &str) -> Option<&'static [Pass]> {
     if name == "all" {
-        return Some(pass::all_passes());
+        return Some(pass::PASSES);
     }
-    pass::by_name(name).map(|p| vec![p])
+    pass::PASSES
+        .iter()
+        .find(|p| p.name == name)
+        .map(std::slice::from_ref)
 }
 
-/// Runs `passes` over the workspace at `root`. Each pass's allowlist
-/// is its default path under `root`, unless `allowlist_override` is
-/// given (the CLI only permits an override with a single selected
-/// pass). A missing allowlist file is treated as empty.
+/// Runs `passes` over the workspace at `root`, on one index and one
+/// call graph. Each pass's allowlist is its default path under `root`,
+/// unless `allowlist_override` is given (the CLI only permits an
+/// override with a single selected pass). A missing allowlist file is
+/// treated as empty.
 pub fn run(
     root: &Path,
-    passes: &[Box<dyn Pass>],
+    passes: &[Pass],
     allowlist_override: Option<&Path>,
 ) -> std::io::Result<Report> {
     let ix = index_workspace(root)?;
+    let cg = CallGraph::build(&ix);
     let mut report = Report {
         files: ix.files.len(),
         fns: ix.fns.len(),
         passes: Vec::with_capacity(passes.len()),
     };
     for p in passes {
-        let findings = p.analyze(&ix);
+        let findings = (p.analyze)(&ix, &cg);
         let path = allowlist_override
             .map(Path::to_path_buf)
-            .unwrap_or_else(|| root.join(p.default_allowlist()));
+            .unwrap_or_else(|| root.join(p.allowlist));
         let (entries, allowlist_errors) = if path.exists() {
-            allowlist::parse(&std::fs::read_to_string(&path)?, p.classes())
+            allowlist::parse(&std::fs::read_to_string(&path)?, p.classes)
         } else {
             (Vec::new(), Vec::new())
         };
         let applied = allowlist::apply(findings, &entries);
         report.passes.push(PassReport {
-            pass: p.name().to_string(),
+            pass: p.name.to_string(),
             allowlist_path: path,
             unsuppressed: applied.unsuppressed,
             suppressed: applied

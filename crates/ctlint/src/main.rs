@@ -15,23 +15,25 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => {
-                root = PathBuf::from(args.next().unwrap_or_else(|| ".".into()));
-            }
-            "--allowlist" => {
-                allowlist = args.next().map(PathBuf::from);
-            }
-            "--pass" => {
-                pass = args.next().unwrap_or_else(|| "all".into());
-            }
-            "--format" => match args.next().as_deref() {
-                Some("json") => json = true,
-                Some("human") | None => json = false,
-                Some(other) => {
-                    eprintln!("ecq_lint: unknown format `{other}` (human|json)");
+            flag @ ("--root" | "--allowlist" | "--pass" | "--format") => {
+                let Some(value) = args.next() else {
+                    eprintln!("ecq_lint: `{flag}` needs a value (try --help)");
                     return ExitCode::from(2);
+                };
+                match flag {
+                    "--root" => root = PathBuf::from(value),
+                    "--allowlist" => allowlist = Some(PathBuf::from(value)),
+                    "--pass" => pass = value,
+                    _ => match value.as_str() {
+                        "json" => json = true,
+                        "human" => json = false,
+                        other => {
+                            eprintln!("ecq_lint: unknown format `{other}` (human|json)");
+                            return ExitCode::from(2);
+                        }
+                    },
                 }
-            },
+            }
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => {
                 eprintln!(
@@ -63,7 +65,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let report = match ecq_lint::run(&root, &passes, allowlist.as_deref()) {
+    let report = match ecq_lint::run(&root, passes, allowlist.as_deref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ecq_lint: scan failed: {e}");

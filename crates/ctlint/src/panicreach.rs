@@ -39,10 +39,10 @@
 //! emission; reachability still flows through them.
 
 use crate::callgraph::CallGraph;
-use crate::findings::Finding;
+use crate::findings::{Finding, Hit};
 use crate::index::{self, FnItem, Index};
 use crate::lexer::{is_keyword, partner, Tok, TokKind};
-use crate::pass::{hot_path_file, Pass};
+use crate::pass::scan_hot_path;
 use std::collections::HashMap;
 
 /// The pass name, as spelled on the CLI.
@@ -67,32 +67,8 @@ pub const ROOT_FNS: &[&str] = &[
     "handle_connection",
 ];
 
-/// The panic-reachability pass.
-pub struct PanicReach;
-
-impl Pass for PanicReach {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn classes(&self) -> &'static [&'static str] {
-        CLASSES
-    }
-
-    fn default_allowlist(&self) -> &'static str {
-        "ci/panic_allow.toml"
-    }
-
-    fn analyze(&self, ix: &Index) -> Vec<Finding> {
-        analyze(ix)
-    }
-}
-
 /// Runs the panic-reachability analysis.
-pub fn analyze(ix: &Index) -> Vec<Finding> {
-    let cg = CallGraph::build(ix);
-    let reach = cg.reach(ix, |f| ROOT_FNS.contains(&f.name.as_str()), |_| true);
-
+pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
     // Struct name → (field name → field type), for `self.field[i]` and
     // `x / base.field`.
     let struct_fields: HashMap<&str, HashMap<&str, &str>> = ix
@@ -109,42 +85,25 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
         })
         .collect();
 
-    let mut findings = Vec::new();
-    for (i, f) in ix.fns.iter().enumerate() {
-        if !reach.reachable[i] || !hot_path_file(&ix.files[f.file]) {
-            continue;
-        }
-        let chain = reach.chain(ix, i);
-        let file = ix.files[f.file].clone();
-        let mut emit = |line: u32, class: &str, ident: &str, message: String| {
-            findings.push(Finding {
-                file: file.clone(),
-                line,
-                pass: NAME.to_string(),
-                class: class.to_string(),
-                context: f.qual.clone(),
-                ident: ident.to_string(),
-                message,
-                chain: chain.clone(),
-            });
-        };
-
+    let root = |f: &FnItem| ROOT_FNS.contains(&f.name.as_str());
+    scan_hot_path(ix, cg, NAME, root, |i, f| {
+        let mut hits: Vec<Hit> = Vec::new();
         // Class 1: unwrap/expect call sites.
         for call in &cg.calls[i] {
             if matches!(
                 call.name.as_str(),
                 "unwrap" | "expect" | "unwrap_err" | "expect_err"
             ) {
-                emit(
+                hits.push((
                     call.line,
                     "panic-unwrap",
-                    &call.name,
+                    call.name.clone(),
                     format!(
                         "`{}` calls `.{}()` on the sweep hot path (convert to a typed \
                          fail-closed error or justify the invariant)",
                         f.qual, call.name
                     ),
-                );
+                ));
             }
         }
 
@@ -168,15 +127,15 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
                 )
                 && sig.get(j + 1).is_some_and(|n| n.is_punct("!"))
             {
-                emit(
+                hits.push((
                     t.line,
                     "panic-macro",
-                    &t.text,
+                    t.text.clone(),
                     format!(
                         "`{}` can `{}!` on the sweep hot path (fail closed instead)",
                         f.qual, t.text
                     ),
-                );
+                ));
             }
             // Class 3: dynamic indexing into a Vec/slice.
             if t.is_punct("[") && j > 0 {
@@ -185,10 +144,10 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
                     if let Some(ty) = base_type(&scope, &sig, j) {
                         if growable(&ty) {
                             if let Some(ident) = dynamic_index(&sig, j) {
-                                emit(
+                                hits.push((
                                     prev.line,
                                     "panic-index",
-                                    &prev.text,
+                                    prev.text.clone(),
                                     format!(
                                         "`{}` indexes `{}` (a {}) by `{}` on the sweep hot \
                                          path (use .get() and fail closed, or justify the \
@@ -198,7 +157,7 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
                                         ty.trim(),
                                         ident
                                     ),
-                                );
+                                ));
                             }
                         }
                     }
@@ -214,23 +173,21 @@ pub fn analyze(ix: &Index) -> Vec<Finding> {
                 let next_literal = sig.get(j + 1).is_some_and(|n| n.kind == TokKind::Num);
                 if binary_pos && !next_literal && !float_context(&scope, &sig, j) {
                     let divisor = sig.get(j + 1).map(|n| n.text.clone()).unwrap_or_default();
-                    emit(
+                    hits.push((
                         t.line,
                         "panic-div",
-                        &divisor,
+                        divisor.clone(),
                         format!(
                             "`{}` divides (`{}`) by non-literal `{}` on the sweep hot path \
                              (guard the divisor or justify the nonzero invariant)",
                             f.qual, t.text, divisor
                         ),
-                    );
+                    ));
                 }
             }
         }
-    }
-    findings.sort();
-    findings.dedup();
-    findings
+        hits
+    })
 }
 
 /// The declarations a fn body can name: its parameters, its typed
@@ -356,7 +313,7 @@ mod tests {
     fn run(src: &str) -> Vec<Finding> {
         let mut ix = Index::default();
         ix.add_file("t.rs", src);
-        analyze(&ix)
+        analyze(&ix, &CallGraph::build(&ix))
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The secret-flow pass: secrecy taint analysis over the item index.
 //!
 //! **Seeding.** A binding is tainted when its type mentions a marker
-//! type (`Scalar`, `KeyPair`, `SessionKey`, `Zeroizing` by default —
-//! the types PRs 3 and 5 built the constant-time machinery for) or it
+//! type ([`MARKERS`]: `Scalar`, `KeyPair`, `SessionKey`, `Zeroizing` —
+//! the types the constant-time machinery was built for) or it
 //! carries a `// ct-secret` annotation. A struct field annotated
 //! `// ct-public` is never tainted, whatever its type. A function is a
 //! *secret context* when it binds tainted state: a marker-typed
@@ -32,14 +32,13 @@
 //!    counts: a `Zeroize` impl wipes only when someone calls it.
 
 use crate::callgraph::CallGraph;
-use crate::findings::Finding;
+use crate::findings::{Finding, Hit};
 use crate::index::{self, FnItem, Index};
 use crate::lexer::{is_keyword, partner, top_level, Nest, Tok, TokKind};
-use crate::pass::Pass;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Default marker types seeding the taint analysis.
-pub const DEFAULT_MARKERS: &[&str] = &["Scalar", "KeyPair", "SessionKey", "Zeroizing"];
+/// The marker types seeding the taint analysis.
+pub const MARKERS: &[&str] = &["Scalar", "KeyPair", "SessionKey", "Zeroizing"];
 
 /// The pass name, as spelled on the CLI.
 pub const NAME: &str = "secret-flow";
@@ -52,60 +51,14 @@ pub const CLASSES: &[&str] = &[
     "missing-zeroize",
 ];
 
-/// The secret-flow pass, configured by its marker-type list.
-#[derive(Clone, Debug)]
-pub struct SecretFlow {
-    /// Marker type names seeding taint.
-    pub markers: Vec<String>,
+/// Whether a type's token text names a marker type.
+fn mentions_marker(ty: &str) -> bool {
+    ty.split_whitespace().any(|w| MARKERS.contains(&w))
 }
 
-impl Default for SecretFlow {
-    fn default() -> Self {
-        SecretFlow {
-            markers: DEFAULT_MARKERS.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-}
-
-impl Pass for SecretFlow {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn classes(&self) -> &'static [&'static str] {
-        CLASSES
-    }
-
-    fn default_allowlist(&self) -> &'static str {
-        "ci/ctlint_allow.toml"
-    }
-
-    fn analyze(&self, ix: &Index) -> Vec<Finding> {
-        analyze(ix, self)
-    }
-}
-
-/// Builds a secret-flow finding (chain filled in by the caller when
-/// the finding is reachability-based).
-fn finding(file: &str, line: u32, class: &str, context: &str, ident: &str, msg: String) -> Finding {
-    Finding {
-        file: file.to_string(),
-        line,
-        pass: NAME.to_string(),
-        class: class.to_string(),
-        context: context.to_string(),
-        ident: ident.to_string(),
-        message: msg,
-        chain: Vec::new(),
-    }
-}
-
-/// Runs all four checks over an index. Findings are sorted by
-/// (file, line).
-pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
-    let markers: HashSet<&str> = cfg.markers.iter().map(String::as_str).collect();
-    let mentions_marker = |ty: &str| ty.split_whitespace().any(|w| markers.contains(w));
-
+/// Runs all four checks over an index and its call graph. Findings
+/// are sorted by (file, line).
+pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
     // Struct-level taint: which structs hold tainted fields.
     let mut tainted_fields: HashMap<&str, Vec<&crate::index::Field>> = HashMap::new();
     for s in &ix.structs {
@@ -119,33 +72,18 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
         }
     }
 
-    // Secret contexts (direct seeding).
-    let is_secret = |f: &FnItem| -> bool {
-        if f.ct_secret {
-            return true;
-        }
-        // A `// ct-secret` annotation on a `let` inside the body makes
-        // the whole function a secret context.
-        if f.body.iter().any(|t| t.is_annotation("ct-secret")) {
-            return true;
-        }
-        if f.params.iter().any(|p| mentions_marker(&p.ty)) {
-            return true;
-        }
-        if mentions_marker(&f.ret) {
-            return true;
-        }
-        if f.has_self {
-            if let Some(st) = &f.self_type {
-                if markers.contains(st.as_str()) || tainted_fields.contains_key(st.as_str()) {
-                    return true;
-                }
-            }
-        }
-        false
+    // Secret contexts (direct seeding). A `// ct-secret` annotation on
+    // a `let` inside the body makes the whole function a secret context.
+    let is_secret = |f: &FnItem| {
+        f.ct_secret
+            || f.body.iter().any(|t| t.is_annotation("ct-secret"))
+            || f.params.iter().any(|p| mentions_marker(&p.ty))
+            || mentions_marker(&f.ret)
+            || (f.has_self
+                && f.self_type
+                    .as_deref()
+                    .is_some_and(|st| MARKERS.contains(&st) || tainted_fields.contains_key(st)))
     };
-
-    let cg = CallGraph::build(ix);
 
     // Reachability: BFS from secret contexts through the call graph.
     // Edges out of vartime-family functions are not followed — their
@@ -163,19 +101,19 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
             let is_vartime_call =
                 call.name.ends_with("_vartime") || call.targets.iter().any(|&t| ix.fns[t].vartime);
             if is_vartime_call {
-                let mut out = finding(
-                    &ix.files[f.file],
+                let hit = (
                     call.line,
                     "vartime-call",
-                    &f.qual,
-                    &call.name,
+                    call.name.clone(),
                     format!(
                         "`{}` calls variable-time `{}` while reachable from a secret context",
                         f.qual, call.name
                     ),
                 );
-                out.chain = reach.chain(ix, i);
-                findings.push(out);
+                findings.push(Finding {
+                    chain: reach.chain(ix, i),
+                    ..Finding::new(NAME, &ix.files[f.file], &f.qual, hit)
+                });
             }
         }
     }
@@ -185,11 +123,13 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
         if f.vartime || !is_secret(f) {
             continue;
         }
-        let tainted = tainted_bindings(f, &markers, &tainted_fields, &mentions_marker);
+        let tainted = tainted_bindings(f, &tainted_fields);
         if tainted.is_empty() {
             continue;
         }
-        scan_body(f, &ix.files[f.file], &tainted, &mut findings);
+        for hit in scan_body(f, &tainted) {
+            findings.push(Finding::new(NAME, &ix.files[f.file], &f.qual, hit));
+        }
     }
 
     // Class 4: secret-holding structs without a wipe on drop.
@@ -215,17 +155,16 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
             .find(|f| !self_wiping(&f.ty))
             .map(|f| f.name.clone())
             .unwrap_or_default();
-        findings.push(finding(
-            &ix.files[s.file],
+        let hit = (
             s.line,
             "missing-zeroize",
-            &s.name,
-            &culprit,
+            culprit.clone(),
             format!(
                 "struct `{}` holds secret field `{}` but has no Drop impl",
                 s.name, culprit
             ),
-        ));
+        );
+        findings.push(Finding::new(NAME, &ix.files[s.file], &s.name, hit));
     }
 
     // A `nonct-eq` on a line shadows the `secret-branch` the same
@@ -246,9 +185,7 @@ pub fn analyze(ix: &Index, cfg: &SecretFlow) -> Vec<Finding> {
 /// The tainted binding names visible in a function body.
 fn tainted_bindings(
     f: &FnItem,
-    markers: &HashSet<&str>,
     tainted_fields: &HashMap<&str, Vec<&crate::index::Field>>,
-    mentions_marker: &dyn Fn(&str) -> bool,
 ) -> BTreeSet<String> {
     let mut tainted = BTreeSet::new();
     for p in &f.params {
@@ -260,7 +197,7 @@ fn tainted_bindings(
     }
     if f.has_self {
         if let Some(st) = &f.self_type {
-            if markers.contains(st.as_str()) {
+            if MARKERS.contains(&st.as_str()) {
                 tainted.insert("self".to_string());
             }
             if let Some(tf) = tainted_fields.get(st.as_str()) {
@@ -292,9 +229,10 @@ fn tainted_bindings(
 }
 
 /// Scans one secret-context body for classes 2 and 3.
-fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut Vec<Finding>) {
+fn scan_body(f: &FnItem, tainted: &BTreeSet<String>) -> Vec<Hit> {
     let sig: Vec<&Tok> = f.body.iter().filter(|t| !t.is_comment()).collect();
     let is_tainted = |t: &Tok| t.kind == TokKind::Ident && tainted.contains(&t.text);
+    let mut hits = Vec::new();
 
     let mut i = 0usize;
     while i < sig.len() {
@@ -308,12 +246,10 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
                 .find(|&k| cond[k].is_punct("{") || cond[k].nest_delta(Nest::Expr) < 0)
                 .unwrap_or(cond.len());
             if let Some(c) = cond[..end].iter().find(|s| is_tainted(s)) {
-                findings.push(finding(
-                    file,
+                hits.push((
                     c.line,
                     "secret-branch",
-                    &f.qual,
-                    &c.text,
+                    c.text.clone(),
                     format!(
                         "`{}` branches (`{}`) on secret-derived `{}`",
                         f.qual, t.text, c.text
@@ -334,12 +270,10 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
             if indexing {
                 let close = partner(&sig, i).unwrap_or(sig.len());
                 if let Some(c) = sig[i + 1..close].iter().find(|s| is_tainted(s)) {
-                    findings.push(finding(
-                        file,
+                    hits.push((
                         c.line,
                         "secret-branch",
-                        &f.qual,
-                        &c.text,
+                        c.text.clone(),
                         format!(
                             "`{}` indexes by secret-derived `{}` (cache-line leak)",
                             f.qual, c.text
@@ -355,12 +289,10 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
             let lo = i.saturating_sub(6);
             let hi = (i + 7).min(sig.len());
             if let Some(c) = sig[lo..hi].iter().find(|s| is_tainted(s)) {
-                findings.push(finding(
-                    file,
+                hits.push((
                     t.line,
                     "nonct-eq",
-                    &f.qual,
-                    &c.text,
+                    c.text.clone(),
                     format!(
                         "`{}` compares secret-derived `{}` with `{}` (use ecq_crypto::ct::eq)",
                         f.qual, c.text, t.text
@@ -370,6 +302,7 @@ fn scan_body(f: &FnItem, file: &str, tainted: &BTreeSet<String>, findings: &mut 
         }
         i += 1;
     }
+    hits
 }
 
 #[cfg(test)]
@@ -379,7 +312,7 @@ mod tests {
     fn run(src: &str) -> Vec<Finding> {
         let mut ix = Index::default();
         ix.add_file("t.rs", src);
-        analyze(&ix, &SecretFlow::default())
+        analyze(&ix, &CallGraph::build(&ix))
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! (and report staleness) exactly as documented.
 
 use ecq_lint::allowlist;
+use ecq_lint::callgraph::CallGraph;
 use ecq_lint::findings::Finding;
 use ecq_lint::index::Index;
 use ecq_lint::{determinism, panicreach, secretflow};
@@ -18,8 +19,14 @@ fn index_fixture(fixture: &str) -> Index {
     ix
 }
 
+/// Runs one pass's analysis over a fixture's index and call graph.
+fn analyze(pass: fn(&Index, &CallGraph) -> Vec<Finding>, fixture: &str) -> Vec<Finding> {
+    let ix = index_fixture(fixture);
+    pass(&ix, &CallGraph::build(&ix))
+}
+
 fn secret_flow(fixture: &str) -> Vec<Finding> {
-    secretflow::analyze(&index_fixture(fixture), &secretflow::SecretFlow::default())
+    analyze(secretflow::analyze, fixture)
 }
 
 fn read_allow(file: &str, classes: &[&str]) -> Vec<allowlist::Entry> {
@@ -164,7 +171,7 @@ fn secret_flow_allowlist_suppresses_and_reports_stale() {
 
 #[test]
 fn determinism_offending_fixture() {
-    let found = determinism::analyze(&index_fixture("determinism_offending.rs"));
+    let found = analyze(determinism::analyze, "determinism_offending.rs");
     assert_eq!(
         anchors(&found),
         vec![
@@ -189,13 +196,13 @@ fn determinism_offending_fixture() {
 
 #[test]
 fn determinism_clean_fixture_is_silent() {
-    let found = determinism::analyze(&index_fixture("determinism_clean.rs"));
+    let found = analyze(determinism::analyze, "determinism_clean.rs");
     assert!(found.is_empty(), "{found:#?}");
 }
 
 #[test]
 fn determinism_allowlist_suppresses_and_reports_stale() {
-    let found = determinism::analyze(&index_fixture("determinism_allowlisted.rs"));
+    let found = analyze(determinism::analyze, "determinism_allowlisted.rs");
     assert_eq!(
         anchors(&found),
         vec![
@@ -236,7 +243,7 @@ fn determinism_allowlist_rejects_foreign_class() {
 
 #[test]
 fn panic_offending_fixture() {
-    let found = panicreach::analyze(&index_fixture("panic_offending.rs"));
+    let found = analyze(panicreach::analyze, "panic_offending.rs");
     assert_eq!(
         anchors(&found),
         vec![
@@ -257,13 +264,13 @@ fn panic_offending_fixture() {
 
 #[test]
 fn panic_clean_fixture_is_silent() {
-    let found = panicreach::analyze(&index_fixture("panic_clean.rs"));
+    let found = analyze(panicreach::analyze, "panic_clean.rs");
     assert!(found.is_empty(), "{found:#?}");
 }
 
 #[test]
 fn panic_allowlist_suppresses_and_reports_stale() {
-    let found = panicreach::analyze(&index_fixture("panic_allowlisted.rs"));
+    let found = analyze(panicreach::analyze, "panic_allowlisted.rs");
     assert_eq!(
         anchors(&found),
         vec![("panic-index", 6, "xs"), ("panic-unwrap", 7, "unwrap")],
@@ -283,7 +290,7 @@ fn panic_allowlist_suppresses_and_reports_stale() {
 
 #[test]
 fn panic_call_shapes_fixture() {
-    let found = panicreach::analyze(&index_fixture("panic_shapes.rs"));
+    let found = analyze(panicreach::analyze, "panic_shapes.rs");
     let reached: Vec<(u32, &str, Vec<&str>)> = found
         .iter()
         .map(|f| {
@@ -309,7 +316,7 @@ fn panic_call_shapes_fixture() {
 
 #[test]
 fn panic_float_field_fixture() {
-    let found = panicreach::analyze(&index_fixture("panic_float_fields.rs"));
+    let found = analyze(panicreach::analyze, "panic_float_fields.rs");
     // The `f64` field through `self` (line 15), a parameter (line 25)
     // and a typed `let` (line 26) is float division; the `u32` field
     // is not.
@@ -324,7 +331,7 @@ fn panic_float_field_fixture() {
 fn panic_array_return_fixture() {
     // The `;` in `[u8; 4]` does not end `helper`'s signature: its body
     // is indexed and its `unwrap` is reached.
-    let found = panicreach::analyze(&index_fixture("panic_array_return.rs"));
+    let found = analyze(panicreach::analyze, "panic_array_return.rs");
     assert_eq!(
         anchors(&found),
         vec![("panic-unwrap", 10, "unwrap")],
@@ -337,6 +344,6 @@ fn panic_array_return_fixture() {
 fn panic_nested_generic_param_fixture() {
     // `Option<Vec<u8>>` closes at its `>>`, so `v` is a param of its
     // own and `v[i]` is a dynamic index into a `Vec`.
-    let found = panicreach::analyze(&index_fixture("panic_nested_generics.rs"));
+    let found = analyze(panicreach::analyze, "panic_nested_generics.rs");
     assert_eq!(anchors(&found), vec![("panic-index", 5, "v")], "{found:#?}");
 }

@@ -5,6 +5,7 @@
 //! index must yield identical JSON. CI diffs the uploaded artifact
 //! between runs, so any order-dependence would show up as noise.
 
+use ecq_lint::callgraph::CallGraph;
 use ecq_lint::findings::{findings_from_json, findings_to_json, Finding};
 use ecq_lint::index::Index;
 use ecq_lint::{determinism, panicreach};
@@ -81,8 +82,9 @@ fn analyze_in_order(order: &[usize]) -> String {
         let (name, src) = SOURCES[i];
         ix.add_file(name, src);
     }
-    let mut found = determinism::analyze(&ix);
-    found.extend(panicreach::analyze(&ix));
+    let cg = CallGraph::build(&ix);
+    let mut found = determinism::analyze(&ix, &cg);
+    found.extend(panicreach::analyze(&ix, &cg));
     findings_to_json(&found)
 }
 

@@ -7,15 +7,15 @@
 
 use ecq_lint::callgraph::CallGraph;
 use ecq_lint::panicreach::ROOT_FNS;
-use ecq_lint::pass::Pass;
+use ecq_lint::{panicreach, secretflow};
 use std::path::Path;
 
 #[test]
 fn workspace_is_clean_under_committed_allowlists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let passes = ecq_lint::select_passes("all").expect("`all` selects the registry");
-    for p in &passes {
-        let allowlist = root.join(p.default_allowlist());
+    for p in passes {
+        let allowlist = root.join(p.allowlist);
         assert!(
             allowlist.exists(),
             "missing committed allowlist {}",
@@ -23,7 +23,7 @@ fn workspace_is_clean_under_committed_allowlists() {
         );
     }
 
-    let report = ecq_lint::run(&root, &passes, None).expect("workspace scan");
+    let report = ecq_lint::run(&root, passes, None).expect("workspace scan");
 
     assert_eq!(report.passes.len(), 3, "all three passes must run");
     assert!(
@@ -62,7 +62,7 @@ fn workspace_is_clean_under_committed_allowlists() {
     // The panic-reach count is pinned exactly, next to its entry pin
     // below: a call-graph change that drops or adds a finding under a
     // live entry shows here.
-    const PANIC_ALLOWED_FINDINGS: usize = 7;
+    const PANIC_ALLOWED_FINDINGS: usize = 1;
     assert_eq!(
         suppressed.get("panic-reach").copied().unwrap_or(0),
         PANIC_ALLOWED_FINDINGS,
@@ -81,25 +81,23 @@ fn workspace_is_clean_under_committed_allowlists() {
     // may only shrink: a refactor of the hot path deletes entries,
     // never adds them. Each size is pinned exactly, so a change that
     // deletes entries lowers its pin with them.
-    const PANIC_ALLOW_MAX: usize = 3;
+    const PANIC_ALLOW_MAX: usize = 1;
     const CT_ALLOW_MAX: usize = 5;
-    let panic_reach = ecq_lint::panicreach::PanicReach;
-    let secret_flow = ecq_lint::secretflow::SecretFlow::default();
-    let ceilings: [(&dyn Pass, usize); 2] = [
-        (&panic_reach, PANIC_ALLOW_MAX),
-        (&secret_flow, CT_ALLOW_MAX),
-    ];
-    for (pass, max) in ceilings {
-        let text = std::fs::read_to_string(root.join(pass.default_allowlist()))
-            .expect("read a committed allowlist");
-        let (entries, errors) = ecq_lint::allowlist::parse(&text, pass.classes());
+    for (name, max) in [
+        (panicreach::NAME, PANIC_ALLOW_MAX),
+        (secretflow::NAME, CT_ALLOW_MAX),
+    ] {
+        let pass = &ecq_lint::select_passes(name).expect("a built-in pass")[0];
+        let text =
+            std::fs::read_to_string(root.join(pass.allowlist)).expect("read a committed allowlist");
+        let (entries, errors) = ecq_lint::allowlist::parse(&text, pass.classes);
         assert!(errors.is_empty(), "{errors:#?}");
         assert_eq!(
             entries.len(),
             max,
             "the {} allowlist has {} entries, its pin says {max}: \
              lower the pin with the entries a change deletes",
-            pass.name(),
+            pass.name,
             entries.len()
         );
     }
@@ -135,6 +133,37 @@ fn every_bodiless_fn_is_a_trait_declaration() {
         gaps.is_empty(),
         "{} fns indexed without a body: {gaps:#?}",
         gaps.len()
+    );
+}
+
+/// Every finding's `file:line` anchor is a token's line, so the lexer
+/// must count every newline it passes over, escaped ones included: a
+/// newline it skips shifts the rest of its file one line early. For
+/// every scanned file, each non-comment token's first line of text
+/// must appear on the line the lexer reports for it.
+#[test]
+fn every_token_sits_on_its_reported_line() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut shifted = Vec::new();
+    for rel in ecq_lint::workspace_sources(&root).expect("workspace sources") {
+        let src = std::fs::read_to_string(root.join(&rel)).expect("read a scanned file");
+        let lines: Vec<&str> = src.lines().collect();
+        let first_off = ecq_lint::lexer::lex(&src).into_iter().find(|t| {
+            let text = t.text.lines().next().unwrap_or("");
+            !t.is_comment()
+                && !(t.line as usize)
+                    .checked_sub(1)
+                    .and_then(|l| lines.get(l))
+                    .is_some_and(|l| l.contains(text))
+        });
+        if let Some(t) = first_off {
+            shifted.push(format!("{}:{} `{}`", rel.display(), t.line, t.text));
+        }
+    }
+    assert!(
+        shifted.is_empty(),
+        "{} files hold a token off its reported line: {shifted:#?}",
+        shifted.len()
     );
 }
 

@@ -717,7 +717,13 @@ where
     // more groups than the sweep has (`sync_channel` preallocates its
     // ring, so an unbounded window must not allocate an unbounded one).
     let groups_per_worker = total.div_ceil(group).div_ceil(threads).max(1);
-    let cap = (opts.max_inflight.max(group) / threads / group).clamp(1, groups_per_worker);
+    let cap = opts
+        .max_inflight
+        .max(group)
+        .checked_div(threads)
+        .and_then(|per_worker| per_worker.checked_div(group))
+        .unwrap_or(1)
+        .clamp(1, groups_per_worker);
 
     let mut work = work;
     std::thread::scope(|scope| {
@@ -749,6 +755,8 @@ where
             }
         };
 
+        // Group `g` goes to worker `g % threads`.
+        let mut deal = feeds.iter().cycle();
         let mut g = 0usize;
         loop {
             let mut batch = Vec::with_capacity(group);
@@ -761,8 +769,8 @@ where
             if batch.is_empty() {
                 break;
             }
-            let Some(feed) = feeds.get(g % threads) else {
-                break; // unreachable: g % threads < threads
+            let Some(feed) = deal.next() else {
+                break; // unreachable: there is at least one worker
             };
             // Retire everything already finished before admitting more:
             // when workers outpace the producer (enrollment runs on this

@@ -91,18 +91,14 @@ fn build_comb<const D: usize>(windows: usize) -> Vec<[AffinePoint; D]> {
     let mut jac: Vec<JacobianPoint> = Vec::with_capacity(windows * D);
     let mut base = JacobianPoint::from_affine(&AffinePoint::generator());
     for _ in 0..windows {
-        let start = jac.len();
-        jac.push(base); // 1·base
-        for d in 2..=D {
-            let next = if d % 2 == 0 {
-                jac[start + d / 2 - 1].double()
-            } else {
-                jac[start + d - 2].add(&base)
-            };
-            jac.push(next);
+        // A running sum: d·base for d = 1..=D, then (D+1)·base, which
+        // feeds the next window.
+        let mut sum = base;
+        for _ in 0..D {
+            jac.push(sum);
+            sum = sum.add(&base);
         }
-        // (D+1)·base = 2·(((D+1)/2)·base) feeds the next window.
-        base = jac[start + D.div_ceil(2) - 1].double();
+        base = sum;
     }
     let affine = batch_normalize(&jac);
     affine
