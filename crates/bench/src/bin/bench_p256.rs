@@ -2,8 +2,9 @@
 //! `BENCH_p256.json` artifact.
 //!
 //! One table covers the symmetric primitives, the P-256 field and
-//! curve operations, ECQV issuance and reconstruction, point decoding
-//! and one full handshake per distinct wire format of Table II. Host
+//! curve operations, ECQV issuance and reconstruction, point decoding,
+//! one full handshake per distinct wire format of Table II, and an STS
+//! rekey that verifies against hinted keys (`handshake_sts_rekey`). Host
 //! numbers differ from the paper's embedded boards by construction; the
 //! ratios between rows are the comparison that carries over. CI
 //! uploads the JSON next to `BENCH_fleet.json`.
@@ -22,6 +23,7 @@ use ecq_p256::scalar::Scalar;
 use ecq_p256::u256::U256;
 use ecq_p256::{ecdh, ecdsa, encoding, keys::KeyPair};
 use ecq_proto::ProtocolKind;
+use ecq_sts::{establish_hinted, ReconstructionHint, StsConfig};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -226,6 +228,21 @@ fn rows() -> Vec<Row> {
             black_box(ecdsa::verify(&kp.public, b"bench message", &sig));
         }),
     ));
+    // The comb verifier of a cached key, against `ecdsa_verify`'s wNAF
+    // ladder, and the comb's one-off build.
+    let cached = ecdsa::VerifyingKey::new(&kp.public).unwrap();
+    rows.push(row(
+        "ecdsa_verify_cached",
+        time_ns(100, || {
+            black_box(cached.verify(b"bench message", &sig));
+        }),
+    ));
+    rows.push(row(
+        "verifying_key_new",
+        time_ns(100, || {
+            black_box(ecdsa::VerifyingKey::new(black_box(&kp.public)).unwrap());
+        }),
+    ));
     rows.push(row(
         "ecqv_reconstruct_eq1",
         time_ns(100, || {
@@ -313,6 +330,22 @@ fn rows() -> Vec<Row> {
                 black_box(establish(kind, &alice, &bob, 0, &mut hs_rng).expect("handshake"));
             }),
         ));
+        if kind == ProtocolKind::Sts {
+            // A rekey of the same pair: each side's hint holds its
+            // peer's eq. (1) key and that key's comb.
+            let hint_a = ReconstructionHint::compute(&bob.cert, &alice.ca_public).unwrap();
+            let hint_b = ReconstructionHint::compute(&alice.cert, &bob.ca_public).unwrap();
+            let config = StsConfig::default();
+            rows.push(row(
+                "handshake_sts_rekey",
+                time_ns(10, || {
+                    let hints = (Some(&hint_a), Some(&hint_b));
+                    let out =
+                        establish_hinted(&alice, &bob, &config, &mut hs_rng, hints.0, hints.1);
+                    black_box(out.expect("rekey"));
+                }),
+            ));
+        }
     }
 
     rows

@@ -135,7 +135,9 @@ pub fn reconstruct_public_key(
 /// `u1·G + (u2·e)·P_X + u2·Q_CA`, whose two variable bases share one
 /// wNAF ladder ([`ecdsa::verify_prehashed_terms`]). That saves one
 /// variable-base multiplication and one field inversion against the
-/// two-step path, which the hinted STS path keeps for a cached `Q_X`.
+/// two-step path. The hinted STS path forms `Q_X` once per certificate
+/// session instead, and verifies every rekey against that key's comb
+/// ([`ecdsa::VerifyingKey`]).
 ///
 /// # Errors
 ///

@@ -130,10 +130,10 @@ pub fn establish_hinted(
 ) -> Result<SessionOutcome, ProtocolError> {
     let (mut alice, mut bob) = endpoint_pair(initiator.clone(), responder.clone(), *config, rng);
     if let Some(hint) = initiator_hint {
-        alice = alice.with_peer_hint(*hint);
+        alice = alice.with_peer_hint(hint.clone());
     }
     if let Some(hint) = responder_hint {
-        bob = bob.with_peer_hint(*hint);
+        bob = bob.with_peer_hint(hint.clone());
     }
     run_handshake(&mut alice, &mut bob)
 }

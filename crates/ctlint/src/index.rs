@@ -1,8 +1,9 @@
 //! Item indexing: a brace-matching scan over the token stream that
 //! extracts the declarations the taint analysis needs — functions
 //! (with parameter/return types and body token ranges), structs (with
-//! field types), `impl` and `trait` blocks (for `Self` types, call
-//! resolution and `Drop` coverage) —
+//! field types), `const` items (with their initializers), `impl` and
+//! `trait` blocks (for `Self` types, call resolution and `Drop`
+//! coverage) —
 //! plus the source annotations the lint understands:
 //!
 //! * `// ct-secret` on a `fn`, `struct`, field or `let` marks it as
@@ -92,6 +93,15 @@ pub struct StructItem {
     pub ct_secret: bool,
 }
 
+/// An indexed `const` item, free or associated.
+#[derive(Clone, Debug)]
+pub struct ConstItem {
+    /// The constant's name.
+    pub name: String,
+    /// The initializer, as space-joined token text.
+    pub init: String,
+}
+
 /// The whole-workspace item index.
 #[derive(Default, Debug)]
 pub struct Index {
@@ -101,6 +111,8 @@ pub struct Index {
     pub fns: Vec<FnItem>,
     /// All indexed structs.
     pub structs: Vec<StructItem>,
+    /// All indexed `const` items.
+    pub consts: Vec<ConstItem>,
     /// Types with an `impl Drop for T`.
     pub drop_impls: Vec<String>,
 }
@@ -212,6 +224,17 @@ impl Index {
                         }
                         pend = Pending::default();
                     }
+                    "const" => match cur.parse_const() {
+                        Some(c) => {
+                            if !pend.cfg_test {
+                                self.consts.push(c);
+                            }
+                            pend = Pending::default();
+                        }
+                        // `const fn`: a qualifier, which annotations
+                        // survive.
+                        None => cur.pos += 1,
+                    },
                     "struct" => {
                         let parsed = cur.parse_struct(file, &pend);
                         if let Some(s) = parsed {
@@ -227,7 +250,7 @@ impl Index {
                         // keywords between the comment and the item.
                         if !matches!(
                             t.text.as_str(),
-                            "pub" | "crate" | "const" | "unsafe" | "async" | "extern" | "in"
+                            "pub" | "crate" | "unsafe" | "async" | "extern" | "in"
                         ) {
                             pend.secret = false;
                             pend.vartime = false;
@@ -445,6 +468,29 @@ impl<'a> Cursor<'a> {
             ct_secret: pend.secret,
             has_body: block.is_some(),
             body,
+        })
+    }
+
+    /// Parses a `const NAME: Type = init;` item from the `const`
+    /// keyword, leaving the cursor past its `;`. `None`, with the
+    /// cursor unmoved, when `const` qualifies a `fn` or the item has no
+    /// initializer.
+    fn parse_const(&mut self) -> Option<ConstItem> {
+        let name = self.next_significant(self.pos + 1)?;
+        let colon = self.next_significant(name + 1)?;
+        if self.toks[name].kind != TokKind::Ident || !self.toks[colon].is_punct(":") {
+            return None;
+        }
+        let rest = &self.toks[colon + 1..];
+        let end = top_level(rest, Nest::Expr)
+            .find(|&i| rest[i].is_punct(";"))
+            .unwrap_or(rest.len());
+        let item = &rest[..end];
+        let eq = top_level(item, Nest::Type).find(|&i| item[i].is_punct("="))?;
+        self.pos = (colon + end + 2).min(self.toks.len());
+        Some(ConstItem {
+            name: self.toks[name].text.clone(),
+            init: join_significant(&item[eq + 1..]),
         })
     }
 
@@ -673,6 +719,24 @@ mod tests {
         let buf = &ix.structs[0];
         assert!(buf.fields[0].ct_secret);
         assert!(!buf.fields[1].ct_secret);
+    }
+
+    #[test]
+    fn indexes_const_items_not_const_fns() {
+        let ix = index_of(
+            "pub const BLOCK: usize = 16;\n\
+             const fn twice(x: u8) -> u8 { x * 2 }\n\
+             impl Table { const WIDTH: [u8; 2] = [1, 2]; fn get(&self) {} }\n\
+             #[cfg(test)]\nconst HIDDEN: u8 = 0;\n",
+        );
+        let consts: Vec<(&str, &str)> = ix
+            .consts
+            .iter()
+            .map(|c| (c.name.as_str(), c.init.as_str()))
+            .collect();
+        assert_eq!(consts, vec![("BLOCK", "16"), ("WIDTH", "[ 1 , 2 ]")]);
+        let names: Vec<&str> = ix.fns.iter().map(|f| f.qual.as_str()).collect();
+        assert_eq!(names, vec!["twice", "Table::get"]);
     }
 
     #[test]

@@ -30,7 +30,12 @@
 //!   slicing (`&b[..n]`, predominantly length-guarded decode framing
 //!   covered by the fail-closed decode suite) are documented
 //!   under-approximations.
-//! * `panic-div` — integer `/` or `%` with a non-literal divisor.
+//! * `panic-div` — integer division by a divisor that may be zero:
+//!   the `/` and `%` operators, and the methods `.div_ceil(d)`,
+//!   `.div_euclid(d)` and `.rem_euclid(d)`. A divisor is known nonzero
+//!   when it is an integer literal, a `const` item whose initializer is
+//!   a nonzero integer literal, or a binding or field declared
+//!   `NonZero*` (std's `Div` and `Rem` impls for those cannot panic).
 //!   Float division does not panic and is skipped: a float literal
 //!   nearby, or an operand declared `f64`/`f32` — a binding, or a
 //!   field `base.field` of `self`, a parameter or a typed `let`.
@@ -85,6 +90,13 @@ pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
         })
         .collect();
 
+    // Const name → whether every `const` of that name is a nonzero
+    // integer literal.
+    let mut nonzero_consts: HashMap<&str, bool> = HashMap::new();
+    for c in &ix.consts {
+        *nonzero_consts.entry(c.name.as_str()).or_insert(true) &= nonzero_int_literal(&c.init);
+    }
+
     let root = |f: &FnItem| ROOT_FNS.contains(&f.name.as_str());
     scan_hot_path(ix, cg, NAME, root, |i, f| {
         let mut hits: Vec<Hit> = Vec::new();
@@ -117,6 +129,7 @@ pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
             f,
             lets,
             fields: &struct_fields,
+            nonzero_consts: &nonzero_consts,
         };
         for (j, t) in sig.iter().enumerate() {
             // Class 2: panicking macros.
@@ -163,16 +176,30 @@ pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
                     }
                 }
             }
-            // Class 4: integer division / remainder by a non-literal.
-            if (t.is_punct("/") || t.is_punct("%")) && j > 0 {
+            // Class 4: integer division by a divisor that may be zero,
+            // through an operator or a dividing method.
+            let division = if (t.is_punct("/") || t.is_punct("%")) && j > 0 {
                 let prev = sig[j - 1];
                 let binary_pos = prev.kind == TokKind::Ident && !is_keyword(&prev.text)
                     || prev.kind == TokKind::Num
                     || prev.is_punct(")")
                     || prev.is_punct("]");
-                let next_literal = sig.get(j + 1).is_some_and(|n| n.kind == TokKind::Num);
-                if binary_pos && !next_literal && !float_context(&scope, &sig, j) {
-                    let divisor = sig.get(j + 1).map(|n| n.text.clone()).unwrap_or_default();
+                binary_pos.then(|| (j, operand(&sig, j + 1)))
+            } else if t.kind == TokKind::Ident
+                && matches!(t.text.as_str(), "div_ceil" | "div_euclid" | "rem_euclid")
+                && j > 0
+                && sig[j - 1].is_punct(".")
+                && sig.get(j + 1).is_some_and(|n| n.is_punct("("))
+            {
+                // The receiver stands left of the `.`.
+                let close = partner(&sig, j + 1).unwrap_or(sig.len());
+                Some((j - 1, &sig[j + 2..close]))
+            } else {
+                None
+            };
+            if let Some((op, divisor)) = division {
+                if !scope.nonzero(divisor) && !float_context(&scope, &sig, op) {
+                    let divisor = divisor.first().map(|d| d.text.clone()).unwrap_or_default();
                     hits.push((
                         t.line,
                         "panic-div",
@@ -191,11 +218,13 @@ pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
 }
 
 /// The declarations a fn body can name: its parameters, its typed
-/// `let`s and the fields of every indexed struct.
+/// `let`s, the fields of every indexed struct and the `const`s that
+/// are nonzero integer literals.
 struct Scope<'a> {
     f: &'a FnItem,
     lets: HashMap<String, String>,
     fields: &'a HashMap<&'a str, HashMap<&'a str, &'a str>>,
+    nonzero_consts: &'a HashMap<&'a str, bool>,
 }
 
 impl Scope<'_> {
@@ -224,6 +253,47 @@ impl Scope<'_> {
             .split_whitespace()
             .find_map(|w| Some(self.fields.get(w)?.get(name.text.as_str())?.to_string()))
     }
+
+    /// Whether a divisor operand cannot be zero: an integer literal, a
+    /// nonzero literal `const`, or a binding or field `base.field`
+    /// declared `NonZero*`.
+    fn nonzero(&self, divisor: &[&Tok]) -> bool {
+        let declared = match divisor {
+            [lit] if lit.kind == TokKind::Num => return true,
+            [name] if self.nonzero_consts.get(name.text.as_str()) == Some(&true) => return true,
+            [name] => self.type_of(None, name),
+            [base, dot, field] if dot.is_punct(".") => self.type_of(Some(base), field),
+            _ => None,
+        };
+        declared.is_some_and(|ty| ty.split_whitespace().any(|w| w.starts_with("NonZero")))
+    }
+}
+
+/// The operand that starts at `sig[k]`, as a nonzero check reads it:
+/// a field `base.field` (not the method call `base.field(..)`), or
+/// else the one token. A number is one token: the lexer splits `2.0`
+/// at its `.`.
+fn operand<'s, 't>(sig: &'s [&'t Tok], k: usize) -> &'s [&'t Tok] {
+    let field = sig.get(k).is_some_and(|t| t.kind == TokKind::Ident)
+        && sig.get(k + 1).is_some_and(|t| t.is_punct("."))
+        && !sig.get(k + 3).is_some_and(|t| t.is_punct("("));
+    let end = sig.len().min(if field { k + 3 } else { k + 1 });
+    sig.get(k..end).unwrap_or_default()
+}
+
+/// Whether a literal's text is an integer other than zero: decimal,
+/// hex, octal or binary, with `_` separators and a type suffix.
+fn nonzero_int_literal(text: &str) -> bool {
+    let digits: String = text.chars().filter(|&c| c != '_').collect();
+    let (radix, body) = match digits.get(..2) {
+        Some("0x") => (16, &digits[2..]),
+        Some("0o") => (8, &digits[2..]),
+        Some("0b") => (2, &digits[2..]),
+        _ => (10, digits.as_str()),
+    };
+    // A suffix starts at `u` or `i`, neither of which is a hex digit.
+    let body = body.split(['u', 'i']).next().unwrap_or_default();
+    u128::from_str_radix(body, radix).is_ok_and(|v| v != 0)
 }
 
 /// Resolves the type of the indexed base at `sig[j - 1]` (where
@@ -384,6 +454,37 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|x| x.class == "panic-div"));
         assert!(f.iter().all(|x| x.ident == "threads"));
+    }
+
+    #[test]
+    fn flags_dividing_methods_by_a_binding() {
+        let f = run("fn run_sweep(total: usize, group: usize) -> usize {\n\
+                 total.div_ceil(group) + total.rem_euclid(group) + total.div_euclid(2)\n\
+             }\n");
+        assert_eq!(f.len(), 2, "{f:#?}");
+        assert!(f
+            .iter()
+            .all(|x| x.class == "panic-div" && x.ident == "group"));
+    }
+
+    #[test]
+    fn nonzero_divisors_are_exempt() {
+        let f = run("const LEN: usize = 1_000usize;\n\
+             struct S { n: NonZeroU32 }\n\
+             fn run_sweep(s: &S, d: NonZeroUsize, x: usize, y: u32) -> usize {\n\
+                 x / d + x % d + x.div_ceil(LEN) + (y / s.n) as usize\n\
+             }\n");
+        assert!(f.is_empty(), "{f:#?}");
+    }
+
+    #[test]
+    fn nonzero_literals_parse_in_every_radix() {
+        for lit in ["1", "16usize", "0x10", "0b1", "0o7", "1_000", "0xffu8"] {
+            assert!(nonzero_int_literal(lit), "{lit}");
+        }
+        for lit in ["0", "0x0", "0_u8", "1.5", "x", ""] {
+            assert!(!nonzero_int_literal(lit), "{lit}");
+        }
     }
 
     #[test]

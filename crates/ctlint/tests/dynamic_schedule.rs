@@ -16,7 +16,7 @@ use ecq_p256::counters::{self, Counts};
 use ecq_p256::point::mul_generator_ct;
 use ecq_p256::Scalar;
 use ecq_proto::Credentials;
-use ecq_sts::{establish, StsConfig};
+use ecq_sts::{establish, establish_hinted, ReconstructionHint, StsConfig};
 
 fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
     let mut rng = HmacDrbg::from_seed(seed);
@@ -55,6 +55,82 @@ fn handshake_ct_schedule_is_seed_independent() {
         schedules.iter().all(|s| *s == first),
         "ct schedule varies with the handshake secrets: {schedules:?}"
     );
+}
+
+/// The variable-time census of one run: group adds and doubles, field
+/// multiplications and squarings, scalar multiplications and divsteps.
+fn census(c: &Counts) -> [u64; 6] {
+    [
+        c.adds,
+        c.doubles,
+        c.fe_muls,
+        c.fe_squares,
+        c.scalar_muls,
+        c.divsteps,
+    ]
+}
+
+/// A hinted rekey, the steady state of a certificate session: each side
+/// checks its peer's signature against the comb of the key its hint
+/// caches, in 63 doublings, where first contact runs the fused eq. (1)
+/// ladder. The ct schedule must be first contact's; the variable-time
+/// census of the rekey and of the two hints' build is pinned per seed.
+#[test]
+fn hinted_rekey_census_is_pinned() {
+    // (seed, the two hints' build, the hinted establish), each as
+    // `census`. The build is eq. (1) twice plus two combs of 192
+    // doublings, 11 additions and one inversion each.
+    let pinned = [
+        (
+            0x1001u64,
+            [125, 889, 4994, 4531, 2, 3540],
+            [199, 140, 7522, 4407, 12, 8260],
+        ),
+        (
+            0x2002,
+            [126, 889, 5002, 4534, 2, 3540],
+            [194, 140, 7482, 4392, 12, 8260],
+        ),
+        (
+            0x3003,
+            [125, 894, 5014, 4551, 2, 3540],
+            [198, 140, 7514, 4404, 12, 8260],
+        ),
+        (
+            0x4004,
+            [128, 894, 5038, 4560, 2, 3540],
+            [197, 140, 7506, 4401, 12, 8260],
+        ),
+    ];
+    for (seed, build_pin, rekey_pin) in pinned {
+        let (a, b, rng) = setup(seed);
+        let config = StsConfig::default();
+        let (hints, build) = counters::measure(|| {
+            (
+                ReconstructionHint::compute(&b.cert, &a.ca_public).expect("hint for A"),
+                ReconstructionHint::compute(&a.cert, &b.ca_public).expect("hint for B"),
+            )
+        });
+        let (first, first_counts) =
+            counters::measure(|| establish(&a, &b, &config, &mut rng.clone()));
+        let (rekey, rekey_counts) = counters::measure(|| {
+            let (hint_a, hint_b) = (Some(&hints.0), Some(&hints.1));
+            establish_hinted(&a, &b, &config, &mut rng.clone(), hint_a, hint_b)
+        });
+        // The same stream gives the same ephemerals, so the same key.
+        let (first, rekey) = (first.expect("first contact"), rekey.expect("rekey"));
+        assert_eq!(rekey.initiator_key, first.initiator_key);
+        assert_eq!(rekey.responder_key, rekey.initiator_key);
+
+        let ct = |c: &Counts| (c.ct_adds, c.ct_doubles, c.scalar_squares);
+        assert_eq!(ct(&rekey_counts), ct(&first_counts), "seed {seed:#x}");
+        assert_eq!(ct(&build), (0, 0, 0), "seed {seed:#x}");
+        assert_eq!(rekey_counts.divsteps % 590, 0, "seed {seed:#x}");
+        // Two comb walks, plus the seven table doublings of each ECDH.
+        assert_eq!(rekey_counts.doubles, 2 * 63 + 2 * 7, "seed {seed:#x}");
+        assert_eq!(census(&rekey_counts), rekey_pin, "seed {seed:#x}");
+        assert_eq!(census(&build), build_pin, "seed {seed:#x}");
+    }
 }
 
 /// Batch enrollment, counted at the group-operation level: each

@@ -328,6 +328,24 @@ fn panic_float_field_fixture() {
 }
 
 #[test]
+fn panic_div_methods_fixture() {
+    let found = analyze(panicreach::analyze, "panic_div_methods.rs");
+    // `div_ceil`, `div_euclid` and `rem_euclid` by a binding or a zero
+    // `const`; the literal, the `0x10` const, the `NonZero` field and
+    // `let`, and the `f64` receiver (lines 19–23) are not divisions
+    // that can panic.
+    assert_eq!(
+        anchors(&found),
+        vec![
+            ("panic-div", 16, "group"),
+            ("panic-div", 17, "NONE"),
+            ("panic-div", 18, "group"),
+        ],
+        "{found:#?}"
+    );
+}
+
+#[test]
 fn panic_array_return_fixture() {
     // The `;` in `[u8; 4]` does not end `helper`'s signature: its body
     // is indexed and its `unwrap` is reached.

@@ -182,9 +182,9 @@ impl PairSession {
                 }
                 // Without hints (a failed reconstruction) the handshake
                 // re-evaluates eq. (1) and fails closed in Algorithm 2.
-                if let (true, Some((for_a, for_b))) = (hinted, self.hints) {
-                    initiator = initiator.with_peer_hint(for_a);
-                    responder = responder.with_peer_hint(for_b);
+                if let (true, Some((for_a, for_b))) = (hinted, &self.hints) {
+                    initiator = initiator.with_peer_hint(for_a.clone());
+                    responder = responder.with_peer_hint(for_b.clone());
                 }
                 Pair::Built(Box::new((initiator, responder)))
             }

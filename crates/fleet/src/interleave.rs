@@ -56,6 +56,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::num::NonZeroUsize;
 
 use crate::scheduler::{micros_from_ms, VirtualTime};
 use ecq_cert::CertError;
@@ -92,13 +93,21 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Sessions per bus.
-    fn group(self) -> usize {
+    /// Sessions per bus, at least one.
+    fn group(self) -> NonZeroUsize {
         match self {
-            TransportKind::Simnet => 1,
-            TransportKind::SharedBus { group } => group.max(1),
+            TransportKind::Simnet => NonZeroUsize::MIN,
+            TransportKind::SharedBus { group } => {
+                NonZeroUsize::new(group).unwrap_or(NonZeroUsize::MIN)
+            }
         }
     }
+}
+
+/// `⌈n / d⌉`. The divisor is nonzero by type, so std's `Div` and `Rem`
+/// impls for `NonZeroUsize` cannot panic.
+fn div_ceil(n: usize, d: NonZeroUsize) -> usize {
+    n / d + usize::from(n % d != 0)
 }
 
 /// Revocation arriving *during* the sweep: from `at_us`, session
@@ -448,7 +457,7 @@ pub(crate) fn run_worker(
     opts: SweepOptions,
     total: usize,
 ) -> (Vec<SessionResult>, BusTrace) {
-    assert_one_bus_group(&work, g, opts.transport.group(), total);
+    assert_one_bus_group(&work, g, opts.transport.group().get(), total);
     let plan = match opts.transport {
         TransportKind::Simnet => FaultPlan::inert(),
         TransportKind::SharedBus { .. } => FaultPlan::new(opts.faults, g as u64),
@@ -709,27 +718,24 @@ where
 {
     use std::sync::mpsc::{channel, sync_channel, TrySendError};
 
-    let group = opts.transport.group();
+    let group: NonZeroUsize = opts.transport.group();
     let opts = *opts;
-    let threads = opts.threads.max(1).min(total.div_ceil(group).max(1));
+    let groups = div_ceil(total, group);
+    // One worker per group at most, and at least one worker.
+    let threads: NonZeroUsize =
+        NonZeroUsize::new(opts.threads.min(groups)).unwrap_or(NonZeroUsize::MIN);
     // Per-worker queue depth in groups: the window split across
     // workers, at least one so every worker can hold work — and never
     // more groups than the sweep has (`sync_channel` preallocates its
     // ring, so an unbounded window must not allocate an unbounded one).
-    let groups_per_worker = total.div_ceil(group).div_ceil(threads).max(1);
-    let cap = opts
-        .max_inflight
-        .max(group)
-        .checked_div(threads)
-        .and_then(|per_worker| per_worker.checked_div(group))
-        .unwrap_or(1)
-        .clamp(1, groups_per_worker);
+    let groups_per_worker = div_ceil(groups, threads).max(1);
+    let cap = (opts.max_inflight.max(group.get()) / threads / group).clamp(1, groups_per_worker);
 
     let mut work = work;
     std::thread::scope(|scope| {
         let (res_tx, res_rx) = channel::<(usize, Vec<SessionResult>, BusTrace)>();
-        let mut feeds = Vec::with_capacity(threads);
-        for _ in 0..threads {
+        let mut feeds = Vec::with_capacity(threads.get());
+        for _ in 0..threads.get() {
             let (tx, rx) = sync_channel::<(usize, Vec<SessionWork>)>(cap);
             let worker_tx = res_tx.clone();
             scope.spawn(move || {
@@ -750,7 +756,7 @@ where
         let mut retire = |(done, results, trace)| {
             pending.insert(done, (results, trace));
             while let Some((results, trace)) = pending.remove(&next_out) {
-                consume(next_out * group, results, trace);
+                consume(next_out * group.get(), results, trace);
                 next_out += 1;
             }
         };
@@ -759,8 +765,8 @@ where
         let mut deal = feeds.iter().cycle();
         let mut g = 0usize;
         loop {
-            let mut batch = Vec::with_capacity(group);
-            while batch.len() < group {
+            let mut batch = Vec::with_capacity(group.get());
+            while batch.len() < group.get() {
                 match work.next() {
                     Some(w) => batch.push(w),
                     None => break,

@@ -4,14 +4,26 @@
 //! (Algorithms 1 and 2) and the static S-ECDSA baseline. Signing is
 //! deterministic (RFC 6979), which keeps simulations reproducible.
 //!
-//! Verification has one core, [`verify_prehashed_terms`], which takes
-//! the public key as one or two terms. [`verify`] and
-//! [`verify_prehashed`] pass a plain key `[(1, Q)]`. An ECQV implicit
-//! key passes `[(e, P_X), (1, Q_CA)]`: Algorithm 2 first computes
-//! `Q_X = e·P_X + Q_CA` (eq. (1)) and then verifies against it, while
-//! the core folds eq. (1) into the verification sum and never forms
-//! `Q_X` (see `ecq_cert::verify_implicit`). The device cost model still
-//! bills both operations, because the op trace records both.
+//! Verification has one core, which derives `u1` and `u2`, takes
+//! `u2·Q` from the key, refuses `u2·Q = O`, adds `u1·G` from the wide
+//! comb and checks `x`. Only the source of `u2·Q` differs:
+//!
+//! * [`verify_prehashed_terms`] takes the key as one or two terms on
+//!   one shared wNAF ladder. [`verify`] and [`verify_prehashed`] pass a
+//!   plain key `[(1, Q)]`. An ECQV implicit key passes
+//!   `[(e, P_X), (1, Q_CA)]`: Algorithm 2 first computes
+//!   `Q_X = e·P_X + Q_CA` (eq. (1)) and then verifies against it, while
+//!   the core folds eq. (1) into the verification sum and never forms
+//!   `Q_X` (see `ecq_cert::verify_implicit`). The device cost model
+//!   still bills both operations, because the op trace records both.
+//! * A [`VerifyingKey`] holds a 4-tooth comb of `Q` (see
+//!   [`crate::precomp`]), so `u2·Q` takes 63 doublings instead of
+//!   ~255. Building the comb costs about half a verify, so
+//!   it pays for a key that checks many signatures: the STS rekeys of
+//!   one certificate session verify against the key that
+//!   `ecq_sts::ReconstructionHint` caches. This is a host-only
+//!   optimisation: the op trace still records one verify, so the
+//!   device model, Table I and the figures do not move.
 //!
 //! `u1·G` stays a separate fixed-base multiplication on the wide comb,
 //! and only the variable bases share a wNAF ladder. micro-ecc's
@@ -24,6 +36,7 @@
 use crate::point::{
     mul_generator_ct, mul_generator_vartime_jacobian, mul_sum_vartime, AffinePoint, JacobianPoint,
 };
+use crate::precomp::KeyComb;
 use crate::rfc6979;
 use crate::scalar::Scalar;
 use crate::CurveError;
@@ -138,16 +151,13 @@ pub fn verify_prehashed(public: &AffinePoint, hash: &[u8; 32], sig: &Signature) 
         && verify_prehashed_terms([(Scalar::one(), *public)], hash, sig) == Ok(true)
 }
 
-/// The verification core: checks `sig` over `hash` under the public
-/// key `Q = Σ cᵢ·Pᵢ`, given as one or two `(cᵢ, Pᵢ)` terms —
-/// `[(1, Q)]` for a plain key, `[(e, P_X), (1, Q_CA)]` for the key
-/// eq. (1) implies for an ECQV certificate.
+/// Checks `sig` over `hash` under the public key `Q = Σ cᵢ·Pᵢ`, given
+/// as one or two `(cᵢ, Pᵢ)` terms — `[(1, Q)]` for a plain key,
+/// `[(e, P_X), (1, Q_CA)]` for the key eq. (1) implies for an ECQV
+/// certificate.
 ///
-/// `u1·G` rides the wide fixed-base comb and `u2·Q = Σ (u2·cᵢ)·Pᵢ`
-/// one shared wNAF ladder ([`mul_sum_vartime`]), so an implicit key
-/// is never formed. Because `r, s ∈ [1, n−1]` makes `u2 ≠ 0`,
-/// `u2·Q = O` exactly when `Q = O`; that key is refused before `u1·G`
-/// is added, since `u1·G` alone would otherwise verify a forgery.
+/// `u2·Q = Σ (u2·cᵢ)·Pᵢ` runs on one shared wNAF ladder
+/// ([`mul_sum_vartime`]), so an implicit key is never formed.
 ///
 /// Every point must be on the curve; [`verify_prehashed`] and
 /// `ecq_cert::verify_implicit` check theirs before calling.
@@ -162,6 +172,82 @@ pub fn verify_prehashed_terms<const N: usize>(
     hash: &[u8; 32],
     sig: &Signature,
 ) -> Result<bool, CurveError> {
+    verify_core(Key::Terms(key), hash, sig)
+}
+
+/// A public key prepared for many verifications: a 4-tooth comb of `Q`
+/// (see [`crate::precomp`]), built once, that every [`Self::verify`]
+/// walks for `u2·Q` in 63 doublings. The verdict is the one [`verify`]
+/// gives under the same `Q`.
+#[derive(Clone, Debug)]
+pub struct VerifyingKey {
+    comb: KeyComb,
+}
+
+impl VerifyingKey {
+    /// Builds the comb of `public`: 192 doublings, 11 additions and one
+    /// inversion, about half the cost of one [`verify`].
+    ///
+    /// # Errors
+    ///
+    /// [`CurveError::InvalidPoint`] when `public` is the identity or
+    /// off the curve.
+    pub fn new(public: &AffinePoint) -> Result<Self, CurveError> {
+        if public.infinity || !public.is_on_curve() {
+            return Err(CurveError::InvalidPoint);
+        }
+        Ok(VerifyingKey {
+            comb: KeyComb::build(public),
+        })
+    }
+
+    /// Verifies a signature on `msg` (hashed internally).
+    pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        self.verify_prehashed(&sha256(msg), sig)
+    }
+
+    /// Verifies a signature over a precomputed 32-byte hash.
+    pub fn verify_prehashed(&self, hash: &[u8; 32], sig: &Signature) -> bool {
+        // The comb stands in for the terms, so there are none.
+        verify_core::<0>(Key::Comb(&self.comb), hash, sig) == Ok(true)
+    }
+}
+
+/// Where the verification core takes `u2·Q` from.
+enum Key<'a, const N: usize> {
+    /// `Q = Σ cᵢ·Pᵢ`, for one shared wNAF ladder.
+    Terms([(Scalar, AffinePoint); N]),
+    /// A [`VerifyingKey`]'s comb of `Q`.
+    Comb(&'a KeyComb),
+}
+
+impl<const N: usize> Key<'_, N> {
+    /// `u2·Q`, in variable time: `u2` and the key are public. The
+    /// ladder's sum stays Jacobian, so a verification pays one field
+    /// inversion for its tables (none on the comb) and one for the
+    /// result.
+    fn mul_vartime(self, u2: &Scalar) -> JacobianPoint {
+        match self {
+            Key::Terms(terms) => {
+                mul_sum_vartime(&terms.map(|(c, p)| (u2.mul(&c), JacobianPoint::from_affine(&p))))
+            }
+            Key::Comb(comb) => comb.mul_vartime(u2),
+        }
+    }
+}
+
+/// The verification core under both key sources.
+///
+/// `u1·G` rides the wide fixed-base comb. Because `r, s ∈ [1, n−1]`
+/// makes `u2 ≠ 0`, `u2·Q = O` exactly when `Q = O`; that key is
+/// refused before `u1·G` is added, since `u1·G` alone would otherwise
+/// verify a forgery. A zero signature component is `Ok(false)` before
+/// the key is looked at.
+fn verify_core<const N: usize>(
+    key: Key<'_, N>,
+    hash: &[u8; 32],
+    sig: &Signature,
+) -> Result<bool, CurveError> {
     if sig.r.is_zero() || sig.s.is_zero() {
         return Ok(false);
     }
@@ -170,10 +256,8 @@ pub fn verify_prehashed_terms<const N: usize>(
     let u1 = e.mul(&s_inv);
     let u2 = sig.r.mul(&s_inv);
     // u1/u2 derive from the public signature and hash, so verification
-    // stays on the faster vartime paths; the sum stays Jacobian so the
-    // whole verification pays one field inversion for the tables and
-    // one for the result.
-    let u2q = mul_sum_vartime(&key.map(|(c, p)| (u2.mul(&c), JacobianPoint::from_affine(&p))));
+    // stays on the faster vartime paths.
+    let u2q = key.mul_vartime(&u2);
     if u2q.is_identity() {
         return Err(CurveError::InvalidPoint);
     }

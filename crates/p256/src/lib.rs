@@ -19,9 +19,11 @@
 //!   vartime multiplier),
 //! * [`ct`] — the mask/select/table-scan primitives under the `*_ct`
 //!   paths,
-//! * [`precomp`] — the two fixed-base combs: the 4-bit one behind
-//!   [`point::mul_generator_ct`] and the 8-bit one behind
-//!   [`point::mul_generator_vartime`] (no doublings per `k·G`),
+//! * [`precomp`] — the two fixed-base combs for `G`: the 4-bit one
+//!   behind [`point::mul_generator_ct`] and the 8-bit one behind
+//!   [`point::mul_generator_vartime`] (no doublings per `k·G`); and
+//!   the 4-tooth comb of one public key behind
+//!   [`ecdsa::VerifyingKey`] (63 doublings per `u2·Q`),
 //! * [`encoding`] — SEC1 point (de)compression,
 //! * [`ecdsa`] — deterministic ECDSA (RFC 6979 nonces),
 //! * [`ecdh`] — Diffie–Hellman: the static `Sk = Prk_a·Puk_b` of §II-A

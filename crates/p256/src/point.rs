@@ -662,7 +662,7 @@ pub fn batch_normalize(points: &[JacobianPoint]) -> Vec<AffinePoint> {
 /// Identity entries skip the product — inverting an empty product is
 /// `1⁻¹`, which is well defined — so callers may leave unused slots at
 /// the identity.
-fn normalize_into(points: &[JacobianPoint], out: &mut [AffinePoint]) {
+pub(crate) fn normalize_into(points: &[JacobianPoint], out: &mut [AffinePoint]) {
     debug_assert_eq!(points.len(), out.len());
     // out[i].x = product of z_j for non-identity j < i.
     let mut acc = FieldElement::one();

@@ -1,12 +1,15 @@
 //! Property-based tests of the elliptic-curve group: abelian group
 //! laws, scalar-multiplication homomorphism, ct/vartime agreement
-//! (the shared N-term ladder included), encodings, ECDSA and ECDH
-//! over random keys. Case counts are kept low — every case costs
-//! several scalar multiplications.
+//! (the shared N-term ladder included), encodings, ECDSA (the comb
+//! verifier of `VerifyingKey` included) and ECDH over random keys.
+//! Case counts are kept low — every case costs several scalar
+//! multiplications.
 
+use ecq_crypto::sha256::sha256;
 use ecq_crypto::HmacDrbg;
-use ecq_p256::ecdsa;
+use ecq_p256::ecdsa::{self, Signature, VerifyingKey};
 use ecq_p256::encoding;
+use ecq_p256::field::FieldElement;
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::{
     mul_generator_ct, mul_generator_vartime, mul_sum_vartime, AffinePoint, JacobianPoint,
@@ -247,6 +250,37 @@ proptest! {
     }
 
     #[test]
+    fn verifying_key_agrees_with_plain_verify(key in arb_scalar(), msg in any::<[u8; 24]>()) {
+        // Valid, tampered r, tampered s, zero r, the wrong message and
+        // another key: the comb verifier gives `verify_prehashed`'s
+        // verdict on each.
+        let kp = KeyPair::from_private(key);
+        let other = KeyPair::from_private(key.add(&Scalar::one()));
+        let sig = ecdsa::sign(&kp.private, &msg);
+        let one = Scalar::one();
+        let sigs = [
+            sig,
+            Signature { r: sig.r.add(&one), s: sig.s },
+            Signature { r: sig.r, s: sig.s.add(&one) },
+            Signature { r: Scalar::zero(), s: sig.s },
+        ];
+        let mut wrong = msg;
+        wrong[0] ^= 1;
+        for public in [kp.public, other.public] {
+            let vk = VerifyingKey::new(&public).unwrap();
+            for m in [&msg, &wrong] {
+                let hash = sha256(m);
+                for s in &sigs {
+                    let expected = ecdsa::verify_prehashed(&public, &hash, s);
+                    prop_assert_eq!(vk.verify_prehashed(&hash, s), expected);
+                    prop_assert_eq!(vk.verify(m, s), expected);
+                }
+            }
+        }
+        prop_assert!(VerifyingKey::new(&kp.public).unwrap().verify(&msg, &sig));
+    }
+
+    #[test]
     fn ecdh_commutes(seed in any::<u64>()) {
         let mut rng = HmacDrbg::from_seed(seed);
         let a = KeyPair::generate(&mut rng);
@@ -256,4 +290,23 @@ proptest! {
             ecq_p256::ecdh::shared_secret(&b.private, &a.public).unwrap()
         );
     }
+}
+
+#[test]
+fn verifying_key_refuses_the_identity_and_off_curve_points() {
+    let invalid = Err(ecq_p256::CurveError::InvalidPoint);
+    let g = AffinePoint::generator();
+    let off_curve = AffinePoint {
+        y: g.y.add(&FieldElement::one()),
+        ..g
+    };
+    // The identity flag wins over coordinates that lie on the curve.
+    let flagged = AffinePoint {
+        infinity: true,
+        ..g
+    };
+    for p in [AffinePoint::identity(), flagged, off_curve] {
+        assert_eq!(VerifyingKey::new(&p).map(|_| ()), invalid, "{p:?}");
+    }
+    assert!(VerifyingKey::new(&g).is_ok());
 }
