@@ -15,7 +15,7 @@ use ecq_crypto::HmacDrbg;
 use ecq_p256::counters::{self, Counts};
 use ecq_p256::point::mul_generator_ct;
 use ecq_p256::Scalar;
-use ecq_proto::Credentials;
+use ecq_proto::{Credentials, ProtocolKind};
 use ecq_sts::{establish, establish_hinted, ReconstructionHint, StsConfig};
 
 fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
@@ -212,4 +212,113 @@ fn scalar_inversion_schedule_is_value_independent() {
         schedules.iter().all(|s| *s == expected),
         "scalar inversion schedule is not {expected:?}: {schedules:?}"
     );
+}
+
+/// A census as one array, in `Counts` field order: `adds`, `doubles`,
+/// `ct_adds`, `ct_doubles`, `fe_muls`, `fe_squares`, `scalar_muls`,
+/// `scalar_squares`, `divsteps`.
+fn counts(c: [u64; 9]) -> Counts {
+    let [adds, doubles, ct_adds, ct_doubles, fe_muls, fe_squares, scalar_muls, scalar_squares, divsteps] =
+        c;
+    Counts {
+        adds,
+        doubles,
+        ct_adds,
+        ct_doubles,
+        fe_muls,
+        fe_squares,
+        scalar_muls,
+        scalar_squares,
+        divsteps,
+    }
+}
+
+/// One first-contact handshake of every Table I protocol, through the
+/// protocol table, pinned in full: a refactor of the curve layer must
+/// run the same group, field, scalar and divstep operations.
+#[test]
+fn first_contact_census_is_pinned_per_protocol() {
+    let pinned = [
+        (
+            ProtocolKind::SEcdsa,
+            [286, 1038, 256, 512, 11098, 8448, 16, 0, 10620],
+        ),
+        (
+            ProtocolKind::SEcdsaExt,
+            [286, 1038, 256, 512, 11098, 8448, 16, 0, 10620],
+        ),
+        (
+            ProtocolKind::Sts,
+            [282, 528, 384, 512, 10064, 6786, 16, 0, 9440],
+        ),
+        (
+            ProtocolKind::StsOptI,
+            [282, 528, 384, 512, 10064, 6786, 16, 0, 9440],
+        ),
+        (
+            ProtocolKind::StsOptII,
+            [282, 528, 384, 512, 10064, 6786, 16, 0, 9440],
+        ),
+        (
+            ProtocolKind::Scianc,
+            [118, 525, 128, 512, 6530, 5480, 2, 0, 4720],
+        ),
+        (
+            ProtocolKind::Poramb,
+            [236, 1050, 256, 1024, 13056, 10952, 4, 0, 9440],
+        ),
+    ];
+    assert_eq!(pinned.map(|(kind, _)| kind), ProtocolKind::ALL);
+    for (kind, pin) in pinned {
+        let (a, b, mut rng) = setup(0x5151);
+        let (outcome, census) =
+            counters::measure(|| ecq_baselines::establish(kind, &a, &b, 0, &mut rng));
+        let outcome = outcome.expect("handshake");
+        assert_eq!(outcome.initiator_key, outcome.responder_key, "{kind:?}");
+        assert_eq!(census, counts(pin), "{kind:?}");
+    }
+}
+
+/// Batch enrollment at three sizes, pinned in full for each half: the
+/// CA's `issue_batch` and the devices' `reconstruct_batch` (one batch
+/// possession check, then one comb per device key).
+#[test]
+fn batch_enrollment_census_is_pinned() {
+    let pinned = [
+        (
+            1usize,
+            [1, 0, 64, 0, 528, 198, 1, 0, 590],
+            [51, 256, 64, 0, 2037, 1645, 2, 0, 1180],
+        ),
+        (
+            8,
+            [8, 0, 512, 0, 4217, 1584, 8, 0, 590],
+            [430, 264, 576, 0, 9917, 6290, 24, 0, 1180],
+        ),
+        (
+            64,
+            [64, 0, 4096, 0, 33729, 12672, 64, 0, 590],
+            [3239, 321, 4160, 0, 66441, 41097, 192, 0, 1180],
+        ),
+    ];
+    for (n, issue_pin, reconstruct_pin) in pinned {
+        let mut rng = HmacDrbg::from_seed(0xE0 + n as u64);
+        let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+        let requesters: Vec<CertRequester> = (0..n)
+            .map(|i| CertRequester::generate(DeviceId::from_label(&format!("dev-{i}")), &mut rng))
+            .collect();
+        let requests: Vec<_> = requesters.iter().map(CertRequester::request).collect();
+        let (issued, issue) = counters::measure(|| ca.issue_batch(&requests, 0, 3600, &mut rng));
+        let issued = issued.expect("issue");
+        let (keys, reconstruct) = counters::measure(|| {
+            CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())
+        });
+        assert_eq!(keys.expect("reconstruct").len(), n);
+        assert_eq!(issue, counts(issue_pin), "issue_batch of {n}");
+        assert_eq!(
+            reconstruct,
+            counts(reconstruct_pin),
+            "reconstruct_batch of {n}"
+        );
+    }
 }
