@@ -129,7 +129,6 @@ fn main() -> ExitCode {
     };
     let addr = match daemon.addr() {
         ecq_service::ServiceAddr::Tcp(addr) => *addr,
-        #[cfg(unix)]
         ecq_service::ServiceAddr::Unix(_) => unreachable!("daemon bound to TCP"),
     };
 

@@ -12,8 +12,12 @@
 //!   fns only: no `impl`, no trait.
 //! * `Type::name(..)` reaches `Type`'s own fns plus every fn declared
 //!   in a trait or a trait impl. `Self` is the caller's impl type and
-//!   `Foo::<T>::name(..)` reads as `Foo`. Any other qualifier
-//!   (`<T as Trait>::`) reaches the trait fns only.
+//!   `Foo::<T>::name(..)` reads as `Foo`. A module-level `type` alias
+//!   reads as the type it names, on both sides: after
+//!   `type Scalar = Residue<ModN>;`, `Scalar::f(..)` reaches the fns of
+//!   `impl<M> Residue<M>`, and a fn of `impl Scalar` answers to
+//!   `Residue::f(..)`. Any other qualifier (`<T as Trait>::`) reaches
+//!   the trait fns only.
 //!
 //! A path `…::name` followed by neither `(` nor `::` is a function
 //! passed as a value (`get_or_init(Comb::build)`) and resolves like a
@@ -64,7 +68,7 @@ enum Shape {
 
 impl Shape {
     /// Whether a call of this shape in `caller` can reach `callee`.
-    fn reaches(&self, caller: &FnItem, callee: &FnItem) -> bool {
+    fn reaches(&self, ix: &Index, caller: &FnItem, callee: &FnItem) -> bool {
         match self {
             Shape::Method => callee.has_self,
             Shape::Free => callee.self_type.is_none() && !callee.in_trait,
@@ -73,7 +77,8 @@ impl Shape {
                     Some("Self") => caller.self_type.as_deref(),
                     q => q,
                 };
-                callee.in_trait || ty.is_some_and(|t| callee.self_type.as_deref() == Some(t))
+                let callee_ty = callee.self_type.as_deref().map(|s| ix.resolve(s));
+                callee.in_trait || ty.is_some_and(|t| callee_ty == Some(ix.resolve(t)))
             }
         }
     }
@@ -98,7 +103,7 @@ impl CallGraph {
                             .into_iter()
                             .flatten()
                             .copied()
-                            .filter(|&t| shape.reaches(caller, &ix.fns[t]))
+                            .filter(|&t| shape.reaches(ix, caller, &ix.fns[t]))
                             .collect();
                         Call {
                             name,

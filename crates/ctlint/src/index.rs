@@ -1,8 +1,9 @@
 //! Item indexing: a brace-matching scan over the token stream that
 //! extracts the declarations the taint analysis needs — functions
 //! (with parameter/return types and body token ranges), structs (with
-//! field types), `const` items (with their initializers), `impl` and
-//! `trait` blocks (for `Self` types, call resolution and `Drop`
+//! field types), `const` items (with their initializers), module-level
+//! `type` aliases (for call resolution and secret-flow markers), `impl`
+//! and `trait` blocks (for `Self` types, call resolution and `Drop`
 //! coverage) —
 //! plus the source annotations the lint understands:
 //!
@@ -22,6 +23,7 @@
 
 use crate::lexer::{partner, split_top, top_level, Nest, Tok, TokKind};
 use std::borrow::Borrow;
+use std::collections::BTreeMap;
 
 /// A function parameter: bound names (all identifiers in the pattern)
 /// and the type's token text.
@@ -115,9 +117,20 @@ pub struct Index {
     pub consts: Vec<ConstItem>,
     /// Types with an `impl Drop for T`.
     pub drop_impls: Vec<String>,
+    /// Module-level `type` aliases: each alias name mapped to the simple
+    /// name of the type it aliases (`Scalar` → `Residue` for
+    /// `type Scalar = Residue<ModN>;`). A later alias of the same name
+    /// replaces an earlier one.
+    pub aliases: BTreeMap<String, String>,
 }
 
 impl Index {
+    /// `ty` seen through a module-level alias: the aliased type's simple
+    /// name, or `ty` itself when it is no alias. One level deep.
+    pub fn resolve<'a>(&'a self, ty: &'a str) -> &'a str {
+        self.aliases.get(ty).map_or(ty, String::as_str)
+    }
+
     /// Lexes and indexes one file, appending into this index.
     pub fn add_file(&mut self, rel_path: &str, src: &str) {
         let file = self.files.len();
@@ -235,6 +248,17 @@ impl Index {
                         // survive.
                         None => cur.pos += 1,
                     },
+                    "type" => {
+                        // An associated type (`type Item = …;` in an
+                        // impl or trait) names nothing calls resolve to.
+                        let parsed = cur.parse_alias();
+                        if let Some((name, target)) = parsed {
+                            if self_type.is_none() && !in_trait && !pend.cfg_test {
+                                self.aliases.insert(name, target);
+                            }
+                        }
+                        pend = Pending::default();
+                    }
                     "struct" => {
                         let parsed = cur.parse_struct(file, &pend);
                         if let Some(s) = parsed {
@@ -494,6 +518,28 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// Parses a `type Name<..> = Target<..>;` item from the `type`
+    /// keyword, leaving the cursor past its `;`. Returns the alias name
+    /// and the target's simple name, its last depth-0 identifier
+    /// (`Residue` in `crate::residue::Residue<ModN>`); `None` for a
+    /// declaration without `=` or a target without such an identifier
+    /// (a tuple, array or slice type).
+    fn parse_alias(&mut self) -> Option<(String, String)> {
+        let rest = &self.toks[self.pos..];
+        let end = top_level(rest, Nest::Type)
+            .find(|&i| rest[i].is_punct(";"))
+            .unwrap_or(rest.len());
+        let item: Vec<&Tok> = rest[1..end].iter().filter(|t| !t.is_comment()).collect();
+        self.pos = (self.pos + end + 1).min(self.toks.len());
+        let name = item.first().filter(|t| t.kind == TokKind::Ident)?;
+        let eq = top_level(&item, Nest::Type).find(|&i| item[i].is_punct("="))?;
+        let ty = &item[eq + 1..];
+        let target = top_level(ty, Nest::Type)
+            .filter(|&i| ty[i].kind == TokKind::Ident)
+            .last()?;
+        Some((name.text.clone(), ty[target].text.clone()))
+    }
+
     /// Parses a `struct` item from the `struct` keyword.
     fn parse_struct(&mut self, file: usize, pend: &Pending) -> Option<StructItem> {
         let line = self.toks[self.pos].line;
@@ -737,6 +783,29 @@ mod tests {
         assert_eq!(consts, vec![("BLOCK", "16"), ("WIDTH", "[ 1 , 2 ]")]);
         let names: Vec<&str> = ix.fns.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(names, vec!["twice", "Table::get"]);
+    }
+
+    #[test]
+    fn indexes_module_level_aliases_only() {
+        let ix = index_of(
+            "pub type Scalar = crate::residue::Residue<ModN>;\n\
+             type Pair<T = u8> = (T, T);\n\
+             mod m { pub(crate) type Fe = Residue<ModP>; }\n\
+             impl Iterator for Walk { type Item = u8; fn next(&mut self) {} }\n\
+             trait Tr { type Out; fn f(); }\n\
+             #[cfg(test)]\ntype Hidden = Other;\n\
+             fn after() {}\n",
+        );
+        let aliases: Vec<(&str, &str)> = ix
+            .aliases
+            .iter()
+            .map(|(a, t)| (a.as_str(), t.as_str()))
+            .collect();
+        assert_eq!(aliases, vec![("Fe", "Residue"), ("Scalar", "Residue")]);
+        assert_eq!(ix.resolve("Scalar"), "Residue");
+        assert_eq!(ix.resolve("Walk"), "Walk");
+        let names: Vec<&str> = ix.fns.iter().map(|f| f.qual.as_str()).collect();
+        assert_eq!(names, vec!["Walk::next", "f", "after"]);
     }
 
     #[test]

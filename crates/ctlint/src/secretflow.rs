@@ -3,7 +3,10 @@
 //! **Seeding.** A binding is tainted when its type mentions a marker
 //! type ([`MARKERS`]: `Scalar`, `KeyPair`, `SessionKey`, `Zeroizing` —
 //! the types the constant-time machinery was built for) or it
-//! carries a `// ct-secret` annotation. A struct field annotated
+//! carries a `// ct-secret` annotation. The type a marker names through
+//! a module-level `type` alias is a marker too ([`markers`]): after
+//! `type Scalar = Residue<ModN>;`, the fns of `impl<M> Residue<M>` are
+//! seeded as `impl Scalar`'s are. A struct field annotated
 //! `// ct-public` is never tainted, whatever its type. A function is a
 //! *secret context* when it binds tainted state: a marker-typed
 //! parameter, a `self` whose type is a marker or holds a tainted
@@ -51,21 +54,34 @@ pub const CLASSES: &[&str] = &[
     "missing-zeroize",
 ];
 
-/// Whether a type's token text names a marker type.
-fn mentions_marker(ty: &str) -> bool {
-    ty.split_whitespace().any(|w| MARKERS.contains(&w))
+/// The marker types of `ix`: [`MARKERS`], plus the type each of them
+/// names through a module-level `type` alias.
+pub fn markers(ix: &Index) -> HashSet<&str> {
+    let aliased = MARKERS.iter().filter_map(|m| ix.aliases.get(*m));
+    MARKERS
+        .iter()
+        .copied()
+        .chain(aliased.map(String::as_str))
+        .collect()
+}
+
+/// Whether a type's token text names one of `markers`.
+fn mentions_marker(markers: &HashSet<&str>, ty: &str) -> bool {
+    ty.split_whitespace().any(|w| markers.contains(w))
 }
 
 /// Runs all four checks over an index and its call graph. Findings
 /// are sorted by (file, line).
 pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
+    let markers = markers(ix);
+    let marked = |ty: &str| mentions_marker(&markers, ty);
     // Struct-level taint: which structs hold tainted fields.
     let mut tainted_fields: HashMap<&str, Vec<&crate::index::Field>> = HashMap::new();
     for s in &ix.structs {
         let tf: Vec<_> = s
             .fields
             .iter()
-            .filter(|f| !f.ct_public && (f.ct_secret || mentions_marker(&f.ty)))
+            .filter(|f| !f.ct_public && (f.ct_secret || marked(&f.ty)))
             .collect();
         if !tf.is_empty() || s.ct_secret {
             tainted_fields.insert(s.name.as_str(), tf);
@@ -77,12 +93,12 @@ pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
     let is_secret = |f: &FnItem| {
         f.ct_secret
             || f.body.iter().any(|t| t.is_annotation("ct-secret"))
-            || f.params.iter().any(|p| mentions_marker(&p.ty))
-            || mentions_marker(&f.ret)
+            || f.params.iter().any(|p| marked(&p.ty))
+            || marked(&f.ret)
             || (f.has_self
                 && f.self_type
                     .as_deref()
-                    .is_some_and(|st| MARKERS.contains(&st) || tainted_fields.contains_key(st)))
+                    .is_some_and(|st| markers.contains(st) || tainted_fields.contains_key(st)))
     };
 
     // Reachability: BFS from secret contexts through the call graph.
@@ -123,7 +139,7 @@ pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
         if f.vartime || !is_secret(f) {
             continue;
         }
-        let tainted = tainted_bindings(f, &tainted_fields);
+        let tainted = tainted_bindings(f, &markers, &tainted_fields);
         if tainted.is_empty() {
             continue;
         }
@@ -185,11 +201,12 @@ pub fn analyze(ix: &Index, cg: &CallGraph) -> Vec<Finding> {
 /// The tainted binding names visible in a function body.
 fn tainted_bindings(
     f: &FnItem,
+    markers: &HashSet<&str>,
     tainted_fields: &HashMap<&str, Vec<&crate::index::Field>>,
 ) -> BTreeSet<String> {
     let mut tainted = BTreeSet::new();
     for p in &f.params {
-        if mentions_marker(&p.ty) {
+        if mentions_marker(markers, &p.ty) {
             for n in &p.names {
                 tainted.insert(n.clone());
             }
@@ -197,7 +214,7 @@ fn tainted_bindings(
     }
     if f.has_self {
         if let Some(st) = &f.self_type {
-            if MARKERS.contains(&st.as_str()) {
+            if markers.contains(st.as_str()) {
                 tainted.insert("self".to_string());
             }
             if let Some(tf) = tainted_fields.get(st.as_str()) {
@@ -221,7 +238,7 @@ fn tainted_bindings(
     for l in index::lets(&sig) {
         let annotated =
             secret_lines.contains(&l.line) || secret_lines.contains(&l.line.saturating_sub(1));
-        if annotated || mentions_marker(&l.ty) {
+        if annotated || mentions_marker(markers, &l.ty) {
             tainted.extend(l.names);
         }
     }

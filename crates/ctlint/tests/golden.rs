@@ -137,6 +137,50 @@ fn nested_generic_let_type_ends_at_its_closing_brackets() {
 }
 
 #[test]
+fn marker_alias_fixture() {
+    // `type Scalar = Residue<ModN>;` makes `Residue` a marker and every
+    // `Scalar` path a `Residue` path.
+    let found = secret_flow("secret_alias.rs");
+    let reached: Vec<(&str, u32, &str, Vec<&str>)> = found
+        .iter()
+        .map(|f| {
+            let chain = f.chain.iter().map(String::as_str).collect();
+            (f.class.as_str(), f.line, f.context.as_str(), chain)
+        })
+        .collect();
+    assert_eq!(
+        reached,
+        vec![
+            // `Scalar::from_u64(..)` reaches the generic `from_u64`.
+            (
+                "vartime-call",
+                11,
+                "Residue::from_u64",
+                vec!["derive", "Residue::from_u64"]
+            ),
+            // `Self::widen(..)` in `impl Scalar` reaches the generic
+            // `widen`.
+            (
+                "vartime-call",
+                16,
+                "Residue::widen",
+                vec!["Scalar::halve", "Residue::widen"]
+            ),
+            // The generic `is_odd` is a secret context.
+            ("secret-branch", 21, "Residue::is_odd", vec![]),
+            // `Scalar::sample(..)` reaches `impl Scalar`'s own `sample`.
+            (
+                "vartime-call",
+                36,
+                "Scalar::sample",
+                vec!["derive", "Scalar::sample"]
+            ),
+        ],
+        "{found:#?}"
+    );
+}
+
+#[test]
 fn clean_fixture_is_silent() {
     let found = secret_flow("clean.rs");
     assert!(found.is_empty(), "{found:#?}");

@@ -25,8 +25,9 @@
 //!   bound for 256-bit inputs, as 10 batches of 59, and no branch,
 //!   index or exit depends on the value.
 //!
-//! [`crate::field`] instantiates this engine for GF(p) and
-//! [`crate::scalar`] for the order field mod n. The crate's unit tests
+//! [`crate::residue::Residue`] is the one wrapper over this engine, for
+//! both moduli: [`crate::residue::ModP`] (GF(p)) and
+//! [`crate::residue::ModN`] (the order field mod n). The crate's unit tests
 //! compare every operation against `MontCtx`, a generic engine that
 //! derives its constants at runtime and is compiled only for tests.
 
@@ -34,19 +35,21 @@ use crate::ct;
 use core::hint::black_box;
 
 /// Compile-time Montgomery parameters for an odd 256-bit modulus
-/// `m > 2^255` (both P-256 moduli qualify).
-pub(crate) struct MontParams {
+/// `m > 2^255` (both P-256 moduli qualify). Public so that
+/// [`crate::residue::Modulus`] can name it; the constants stay
+/// crate-private.
+pub struct MontParams {
     /// The modulus limbs, little-endian.
-    pub m: [u64; 4],
+    pub(crate) m: [u64; 4],
     /// `-m^{-1} mod 2^64` (`1` for the P-256 prime).
-    pub n0: u64,
+    pub(crate) n0: u64,
     /// `R mod m` with `R = 2^256` — Montgomery form of 1.
-    pub r1: [u64; 4],
+    pub(crate) r1: [u64; 4],
     /// `R^2 mod m` — the to-Montgomery conversion constant.
-    pub r2: [u64; 4],
+    pub(crate) r2: [u64; 4],
     /// `R^3 mod m`: one Montgomery multiplication by it takes the
     /// inverse `(aR)^{-1}` of a Montgomery-form `aR` to `a^{-1}R`.
-    pub r3: [u64; 4],
+    pub(crate) r3: [u64; 4],
     /// The modulus in signed 62-bit limbs, for `invert`.
     m62: [i64; 5],
     /// `m^{-1} mod 2^62`, for `invert`.

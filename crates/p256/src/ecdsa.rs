@@ -90,8 +90,8 @@ impl Signature {
         let mut sb = [0u8; 32];
         rb.copy_from_slice(&bytes[..32]);
         sb.copy_from_slice(&bytes[32..]);
-        let r = Scalar::from_be_bytes(&rb).map_err(|_| CurveError::InvalidSignature)?;
-        let s = Scalar::from_be_bytes(&sb).map_err(|_| CurveError::InvalidSignature)?;
+        let r = Scalar::from_be_bytes(&rb).ok_or(CurveError::InvalidSignature)?;
+        let s = Scalar::from_be_bytes(&sb).ok_or(CurveError::InvalidSignature)?;
         if r.is_zero() || s.is_zero() {
             return Err(CurveError::InvalidSignature);
         }

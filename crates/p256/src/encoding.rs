@@ -6,7 +6,7 @@
 //! pairs (`XG(64)`), matching the paper's overhead accounting.
 
 use crate::field::FieldElement;
-use crate::point::AffinePoint;
+use crate::point::{curve_rhs, AffinePoint};
 use crate::CurveError;
 
 /// Length of a compressed SEC1 point encoding.
@@ -41,13 +41,7 @@ pub fn decode_compressed(bytes: &[u8]) -> Result<AffinePoint, CurveError> {
     let mut xb = [0u8; 32];
     xb.copy_from_slice(&bytes[1..]);
     let x = FieldElement::from_be_bytes(&xb).ok_or(CurveError::InvalidPoint)?;
-    // y² = x³ − 3x + b
-    let rhs = x
-        .square()
-        .mul(&x)
-        .sub(&x.double().add(&x))
-        .add(&FieldElement::curve_b());
-    let mut y = rhs.sqrt().ok_or(CurveError::InvalidPoint)?;
+    let mut y = curve_rhs(&x).sqrt().ok_or(CurveError::InvalidPoint)?;
     let want_odd = bytes[0] == 0x03;
     if y.is_odd() != want_odd {
         y = y.neg();

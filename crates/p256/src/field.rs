@@ -1,17 +1,18 @@
 //! Arithmetic in GF(p), the P-256 base field.
 //!
-//! `p = 2^256 − 2^224 + 2^192 + 2^96 − 1`. Elements are stored in
-//! Montgomery form and every operation runs on the specialized
-//! fixed-constant backend ([`crate::backend`]): unrolled
-//! multiplication/squaring with the modulus limbs and `n0 = 1` folded
-//! in at compile time, branch-free final reductions, inversion by the
-//! backend's constant-time safegcd (Bernstein–Yang, 590 divsteps), and
-//! the square root by a fixed addition chain instead of generic
-//! square-and-multiply. The crate's unit tests compare every operation
+//! `p = 2^256 − 2^224 + 2^192 + 2^96 − 1`. A [`FieldElement`] is a
+//! [`Residue`] mod p: every ring operation, the conversions and the
+//! constant-time inversion are the shared ones of [`crate::residue`],
+//! which run on the specialized fixed-constant backend
+//! ([`crate::backend`]). This module adds what only the base field
+//! needs: the curve coefficient `b`, compile-time constants, the square
+//! root by a fixed addition chain (`p ≡ 3 mod 4`) and the parity of the
+//! canonical value. The crate's unit tests compare every operation
 //! against `MontCtx`, a generic Montgomery engine compiled only for
 //! tests.
 
-use crate::backend::{self, MontParams};
+use crate::backend;
+use crate::residue::{ModP, Modulus, Residue};
 use crate::u256::U256;
 
 /// The P-256 prime modulus, big-endian hex.
@@ -21,24 +22,11 @@ pub const P_HEX: &str = "ffffffff00000001000000000000000000000000fffffffffffffff
 /// the point formulas).
 pub const B_HEX: &str = "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
 
-/// The prime as little-endian limbs.
-const P_LIMBS: [u64; 4] = [
-    0xffff_ffff_ffff_ffff,
-    0x0000_0000_ffff_ffff,
-    0x0000_0000_0000_0000,
-    0xffff_ffff_0000_0001,
-];
-
-/// Compile-time Montgomery parameters for GF(p); `n0 = 1` here, so the
-/// reduction multiplier in the unrolled backend folds away entirely.
-const P_PARAMS: MontParams = MontParams::new(P_LIMBS);
-
 /// The curve coefficient `b` in Montgomery form.
 const CURVE_B: FieldElement = FieldElement::from_be_hex(B_HEX);
 
 /// An element of GF(p) in Montgomery form.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-pub struct FieldElement(U256);
+pub type FieldElement = Residue<ModP>;
 
 impl core::fmt::Debug for FieldElement {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -47,16 +35,6 @@ impl core::fmt::Debug for FieldElement {
 }
 
 impl FieldElement {
-    /// The additive identity.
-    pub fn zero() -> Self {
-        FieldElement(U256::ZERO)
-    }
-
-    /// The multiplicative identity.
-    pub fn one() -> Self {
-        FieldElement(U256::from_limbs(P_PARAMS.r1))
-    }
-
     /// The curve coefficient `b`.
     pub fn curve_b() -> Self {
         CURVE_B
@@ -66,126 +44,7 @@ impl FieldElement {
     /// must be below `p`, converted at compile time.
     pub(crate) const fn from_be_hex(hex: &str) -> Self {
         let x = U256::from_be_hex(hex).limbs();
-        FieldElement(U256::from_limbs(backend::mul_2_256(x, &P_LIMBS)))
-    }
-
-    /// Builds a field element from a canonical integer `< p`.
-    ///
-    /// Returns `None` when `v >= p`.
-    pub fn from_canonical(v: &U256) -> Option<Self> {
-        if *v >= U256::from_limbs(P_LIMBS) {
-            None
-        } else {
-            Some(FieldElement(U256::from_limbs(backend::mont_mul(
-                &v.limbs(),
-                &P_PARAMS.r2,
-                &P_PARAMS,
-            ))))
-        }
-    }
-
-    /// Builds a field element reducing an arbitrary 256-bit value mod p.
-    pub fn from_reduced(v: &U256) -> Self {
-        let reduced = backend::reduce_once(&v.limbs(), &P_PARAMS);
-        FieldElement(U256::from_limbs(backend::mont_mul(
-            &reduced,
-            &P_PARAMS.r2,
-            &P_PARAMS,
-        )))
-    }
-
-    /// Builds from a small integer.
-    pub fn from_u64(v: u64) -> Self {
-        FieldElement(U256::from_limbs(backend::mont_mul(
-            &[v, 0, 0, 0],
-            &P_PARAMS.r2,
-            &P_PARAMS,
-        )))
-    }
-
-    /// Returns the canonical (non-Montgomery) value.
-    pub fn to_canonical(self) -> U256 {
-        U256::from_limbs(backend::mont_mul(&self.0.limbs(), &[1, 0, 0, 0], &P_PARAMS))
-    }
-
-    /// Serializes to 32 big-endian bytes.
-    pub fn to_be_bytes(self) -> [u8; 32] {
-        self.to_canonical().to_be_bytes()
-    }
-
-    /// Parses 32 big-endian bytes; `None` when the value is `>= p`.
-    pub fn from_be_bytes(bytes: &[u8; 32]) -> Option<Self> {
-        Self::from_canonical(&U256::from_be_bytes(bytes))
-    }
-
-    /// Whether this is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.is_zero()
-    }
-
-    /// All-ones mask when this is zero, without branching (Montgomery
-    /// representation of zero is zero, so the raw limbs decide).
-    pub fn ct_is_zero_mask(&self) -> u64 {
-        self.0.ct_is_zero_mask()
-    }
-
-    /// Constant-time select: `a` when `mask` is all-ones, `b` when
-    /// all-zeros. `mask` must be one of the two.
-    pub fn conditional_select(a: &Self, b: &Self, mask: u64) -> Self {
-        FieldElement(crate::ct::select_u256(&a.0, &b.0, mask))
-    }
-
-    /// Addition in GF(p).
-    pub fn add(&self, rhs: &Self) -> Self {
-        FieldElement(U256::from_limbs(backend::add_mod(
-            &self.0.limbs(),
-            &rhs.0.limbs(),
-            &P_PARAMS,
-        )))
-    }
-
-    /// Subtraction in GF(p).
-    pub fn sub(&self, rhs: &Self) -> Self {
-        FieldElement(U256::from_limbs(backend::sub_mod(
-            &self.0.limbs(),
-            &rhs.0.limbs(),
-            &P_PARAMS,
-        )))
-    }
-
-    /// Negation in GF(p).
-    pub fn neg(&self) -> Self {
-        FieldElement(U256::from_limbs(backend::neg_mod(
-            &self.0.limbs(),
-            &P_PARAMS,
-        )))
-    }
-
-    /// Multiplication in GF(p).
-    pub fn mul(&self, rhs: &Self) -> Self {
-        #[cfg(any(test, feature = "schedule-counters"))]
-        crate::counters::record(|c| c.fe_muls += 1);
-        FieldElement(U256::from_limbs(backend::mont_mul(
-            &self.0.limbs(),
-            &rhs.0.limbs(),
-            &P_PARAMS,
-        )))
-    }
-
-    /// Squaring in GF(p) — a dedicated pass (cross products computed
-    /// once and doubled), measurably cheaper than `mul(self, self)`.
-    pub fn square(&self) -> Self {
-        #[cfg(any(test, feature = "schedule-counters"))]
-        crate::counters::record(|c| c.fe_squares += 1);
-        FieldElement(U256::from_limbs(backend::mont_sqr(
-            &self.0.limbs(),
-            &P_PARAMS,
-        )))
-    }
-
-    /// Doubling (`2·self`).
-    pub fn double(&self) -> Self {
-        self.add(self)
+        Self::from_montgomery(backend::mul_2_256(x, &ModP::PARAMS.m))
     }
 
     /// `self^(2^n)`: `n` back-to-back squarings (chain helper).
@@ -205,25 +64,6 @@ impl FieldElement {
         let x8 = x4.sqn(4).mul(&x4);
         let x16 = x8.sqn(8).mul(&x8);
         x16.sqn(16).mul(&x16)
-    }
-
-    /// Multiplicative inverse, by the constant-time safegcd of
-    /// Bernstein and Yang ("Fast constant-time gcd computation and
-    /// modular inversion", TCHES 2019) in [`crate::backend`]: exactly
-    /// 590 divsteps for every input, the bound for 256-bit moduli, then
-    /// one Montgomery multiplication by `R³ mod p`. No branch, index or
-    /// exit depends on the value (the test-only `crate::counters`
-    /// assert the schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is zero.
-    pub fn invert(&self) -> Self {
-        assert!(!self.is_zero(), "attempted to invert zero");
-        // The stored integer is aR, whose inverse is a⁻¹R⁻¹; one
-        // Montgomery multiplication by R³ takes it to a⁻¹R.
-        let inv = backend::invert(&self.0.limbs(), &P_PARAMS);
-        FieldElement(U256::from_limbs(inv)).mul(&FieldElement(U256::from_limbs(P_PARAMS.r3)))
     }
 
     /// Square root, if one exists (`p ≡ 3 mod 4` ⇒ `sqrt = a^{(p+1)/4}`),
@@ -337,7 +177,7 @@ mod tests {
 
     #[test]
     fn limbs_hex_agree() {
-        assert_eq!(U256::from_limbs(P_LIMBS), U256::from_be_hex(P_HEX));
+        assert_eq!(FieldElement::modulus(), U256::from_be_hex(P_HEX));
     }
 
     #[test]

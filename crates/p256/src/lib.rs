@@ -10,8 +10,14 @@
 //! * [`u256`] — 256-bit unsigned integers over 4×u64 limbs,
 //! * [`backend`] — the fixed-modulus Montgomery engine under both
 //!   fields, with the constant-time safegcd inversion,
-//! * [`field`] — arithmetic in GF(p), the curve's base field,
-//! * [`scalar`] — arithmetic mod `n`, the group order,
+//! * [`residue`] — [`residue::Residue`], the one Montgomery-form
+//!   wrapper over the backend, generic over the modulus: every ring
+//!   operation, conversion and the inversion, written once for both
+//!   fields,
+//! * [`field`] — GF(p), the curve's base field: `FieldElement =
+//!   Residue<ModP>` plus the curve constant and the square root,
+//! * [`scalar`] — the integers mod `n`, the group order: `Scalar =
+//!   Residue<ModN>` plus sampling and the low-s test,
 //! * [`point`] — affine/Jacobian group operations and scalar
 //!   multiplication, split into constant-schedule `*_ct` paths for
 //!   secret scalars and explicit `*_vartime` paths for public ones
@@ -61,6 +67,7 @@ pub mod field;
 pub mod keys;
 pub mod point;
 pub mod precomp;
+pub mod residue;
 pub mod rfc6979;
 pub mod scalar;
 pub mod u256;

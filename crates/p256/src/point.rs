@@ -34,6 +34,7 @@ use crate::field::FieldElement;
 use crate::scalar::Scalar;
 use crate::u256::U256;
 use crate::CurveError;
+use core::hint::black_box;
 
 /// Generator x-coordinate, big-endian hex.
 pub const GX_HEX: &str = "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
@@ -46,6 +47,13 @@ const GENERATOR: AffinePoint = AffinePoint {
     y: FieldElement::from_be_hex(GY_HEX),
     infinity: false,
 };
+
+/// `x³ − 3x + b`: the right-hand side of the curve equation, the
+/// `y²` of every curve point with abscissa `x`.
+pub(crate) fn curve_rhs(x: &FieldElement) -> FieldElement {
+    let x3 = x.square().mul(x);
+    x3.sub(&x.double().add(x)).add(&FieldElement::curve_b())
+}
 
 /// A point in affine coordinates, or the point at infinity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -75,15 +83,7 @@ impl AffinePoint {
 
     /// Checks the affine curve equation `y² = x³ − 3x + b`.
     pub fn is_on_curve(&self) -> bool {
-        if self.infinity {
-            return true;
-        }
-        let y2 = self.y.square();
-        let x3 = self.x.square().mul(&self.x);
-        let rhs = x3
-            .sub(&self.x.double().add(&self.x)) // x³ − 3x
-            .add(&FieldElement::curve_b());
-        y2 == rhs
+        self.infinity || self.y.square() == curve_rhs(&self.x)
     }
 
     /// Encodes the point in compressed SEC1 form (`02/03 ‖ x`,
@@ -321,15 +321,27 @@ impl JacobianPoint {
         if self.is_identity() {
             return Self::from_affine(rhs);
         }
-        let z1z1 = self.z.square();
-        let u2 = rhs.x.mul(&z1z1);
-        let s2 = rhs.y.mul(&z1z1).mul(&self.z);
-        if self.x == u2 {
-            if self.y == s2 {
+        let (sum, h, r) = self.add_affine_formula(rhs);
+        if h.is_zero() {
+            // `rhs` is `self` or its negation, which the formula cannot
+            // add.
+            if r.is_zero() {
                 return self.double();
             }
             return Self::identity();
         }
+        sum
+    }
+
+    /// The mixed-addition formula `self + rhs` for both additions, with
+    /// its `H = x₂·Z₁² − X₁` and `R = y₂·Z₁³ − Y₁`. Branch-free; the
+    /// sum is correct only when neither operand is the identity and
+    /// `H ≠ 0`, and each caller repairs the other cases its own way.
+    #[inline(always)]
+    fn add_affine_formula(&self, rhs: &AffinePoint) -> (JacobianPoint, FieldElement, FieldElement) {
+        let z1z1 = self.z.square();
+        let u2 = rhs.x.mul(&z1z1);
+        let s2 = rhs.y.mul(&z1z1).mul(&self.z);
         let h = u2.sub(&self.x);
         let r = s2.sub(&self.y);
         let h2 = h.square();
@@ -338,11 +350,12 @@ impl JacobianPoint {
         let x3 = r.square().sub(&h3).sub(&u1h2.double());
         let y3 = r.mul(&u1h2.sub(&x3)).sub(&self.y.mul(&h3));
         let z3 = self.z.mul(&h);
-        JacobianPoint {
+        let sum = JacobianPoint {
             x: x3,
             y: y3,
             z: z3,
-        }
+        };
+        (sum, h, r)
     }
 
     /// Mixed addition for secret-dependent schedules: computes the
@@ -361,26 +374,13 @@ impl JacobianPoint {
     fn add_affine_ct(&self, rhs: &AffinePoint) -> JacobianPoint {
         #[cfg(any(test, feature = "schedule-counters"))]
         crate::counters::record(|c| c.ct_adds += 1);
-        let z1z1 = self.z.square();
-        let u2 = rhs.x.mul(&z1z1);
-        let s2 = rhs.y.mul(&z1z1).mul(&self.z);
-        let h = u2.sub(&self.x);
-        let r = s2.sub(&self.y);
-        let h2 = h.square();
-        let h3 = h2.mul(&h);
-        let u1h2 = self.x.mul(&h2);
-        let x3 = r.square().sub(&h3).sub(&u1h2.double());
-        let y3 = r.mul(&u1h2.sub(&x3)).sub(&self.y.mul(&h3));
-        let z3 = self.z.mul(&h);
-        let general = JacobianPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        };
-
-        let self_is_id = self.z.ct_is_zero_mask();
-        let rhs_is_id = ct::bool_mask(rhs.infinity);
-        let h_is_zero = h.ct_is_zero_mask();
+        let (general, h, _) = self.add_affine_formula(rhs);
+        // The masks pass through `black_box`, as the safegcd's do: with
+        // the formula shared with `add_affine`, the optimizer compiled
+        // the `H = 0` select into a `je` on the value.
+        let self_is_id = black_box(self.z.ct_is_zero_mask());
+        let rhs_is_id = black_box(ct::bool_mask(rhs.infinity));
+        let h_is_zero = black_box(h.ct_is_zero_mask());
         let rhs_lifted = JacobianPoint {
             x: rhs.x,
             y: rhs.y,

@@ -2,36 +2,26 @@
 //!
 //! Scalars are the exponents of the group: private keys, ECDSA nonces,
 //! the ECQV hash values `e = H_n(Cert)` and the reconstruction data `r`.
-//! Like [`crate::field`], the hot operations run on the specialized
-//! fixed-constant backend ([`crate::backend`]) — the order limbs and
-//! `n0` fold in at compile time and every reduction is branch-free.
-//! Inversion (`k⁻¹` in ECDSA signing, `s⁻¹` in verification) is the
-//! backend's constant-time safegcd (Bernstein–Yang, 590 divsteps for
-//! every input) plus one Montgomery multiplication.
+//! A [`Scalar`] is a [`Residue`] mod n: the ring operations, the
+//! conversions and the constant-time inversion (`k⁻¹` in ECDSA signing,
+//! `s⁻¹` in verification) are the shared ones of [`crate::residue`].
+//! This module adds what only the order needs: uniform sampling,
+//! hash-to-scalar, the low-s test, a fingerprint-only `Debug` and a
+//! wipe.
 
-use crate::backend::{self, MontParams};
+use crate::residue::{ModN, Residue};
 use crate::u256::U256;
-use crate::CurveError;
 use ecq_crypto::HmacDrbg;
-use std::sync::OnceLock;
 
 /// The P-256 group order, big-endian hex.
 pub const N_HEX: &str = "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551";
 
-/// The group order as little-endian limbs.
-const N_LIMBS: [u64; 4] = [
-    0xf3b9_cac2_fc63_2551,
-    0xbce6_faad_a717_9e84,
-    0xffff_ffff_ffff_ffff,
-    0xffff_ffff_0000_0000,
-];
-
-/// Compile-time Montgomery parameters for the order field.
-const N_PARAMS: MontParams = MontParams::new(N_LIMBS);
+/// `(n − 1)/2`, the largest "low" scalar of low-s ECDSA normalization.
+const HALF_N: U256 =
+    U256::from_be_hex("7fffffff800000007fffffffffffffffde737d56d38bcf4279dce5617e3192a8");
 
 /// A scalar mod `n` in Montgomery form.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-pub struct Scalar(U256);
+pub type Scalar = Residue<ModN>;
 
 impl core::fmt::Debug for Scalar {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -42,62 +32,6 @@ impl core::fmt::Debug for Scalar {
 }
 
 impl Scalar {
-    /// The scalar 0.
-    pub fn zero() -> Self {
-        Scalar(U256::ZERO)
-    }
-
-    /// The scalar 1.
-    pub fn one() -> Self {
-        Scalar(U256::from_limbs(N_PARAMS.r1))
-    }
-
-    /// The group order `n` as an integer.
-    pub fn order() -> U256 {
-        U256::from_limbs(N_LIMBS)
-    }
-
-    /// Builds from a canonical integer `< n`; `None` otherwise.
-    pub fn from_canonical(v: &U256) -> Option<Self> {
-        if *v >= Self::order() {
-            None
-        } else {
-            Some(Scalar(U256::from_limbs(backend::mont_mul(
-                &v.limbs(),
-                &N_PARAMS.r2,
-                &N_PARAMS,
-            ))))
-        }
-    }
-
-    /// Builds from an arbitrary 256-bit integer, reducing mod n.
-    pub fn from_reduced(v: &U256) -> Self {
-        let reduced = backend::reduce_once(&v.limbs(), &N_PARAMS);
-        Scalar(U256::from_limbs(backend::mont_mul(
-            &reduced,
-            &N_PARAMS.r2,
-            &N_PARAMS,
-        )))
-    }
-
-    /// Builds from a small integer.
-    pub fn from_u64(v: u64) -> Self {
-        Scalar(U256::from_limbs(backend::mont_mul(
-            &[v, 0, 0, 0],
-            &N_PARAMS.r2,
-            &N_PARAMS,
-        )))
-    }
-
-    /// Parses 32 big-endian bytes as a canonical scalar.
-    ///
-    /// # Errors
-    ///
-    /// [`CurveError::InvalidScalar`] when the value is `>= n`.
-    pub fn from_be_bytes(bytes: &[u8; 32]) -> Result<Self, CurveError> {
-        Self::from_canonical(&U256::from_be_bytes(bytes)).ok_or(CurveError::InvalidScalar)
-    }
-
     /// Parses 32 big-endian bytes, reducing mod n (hash-to-scalar; this
     /// is the paper's `Hash(Cert_X)` interpreted as an integer).
     pub fn from_be_bytes_reduced(bytes: &[u8; 32]) -> Self {
@@ -109,9 +43,6 @@ impl Scalar {
     pub fn random(rng: &mut HmacDrbg) -> Self {
         loop {
             let candidate = U256::from_be_bytes(&rng.bytes32());
-            if candidate.is_zero() {
-                continue;
-            }
             if let Some(s) = Self::from_canonical(&candidate) {
                 if !s.is_zero() {
                     return s;
@@ -120,99 +51,16 @@ impl Scalar {
         }
     }
 
-    /// Returns the canonical integer value.
-    pub fn to_canonical(self) -> U256 {
-        U256::from_limbs(backend::mont_mul(&self.0.limbs(), &[1, 0, 0, 0], &N_PARAMS))
-    }
-
-    /// Serializes to 32 big-endian bytes.
-    pub fn to_be_bytes(self) -> [u8; 32] {
-        self.to_canonical().to_be_bytes()
-    }
-
-    /// Whether this is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.is_zero()
-    }
-
-    /// Addition mod n.
-    pub fn add(&self, rhs: &Self) -> Self {
-        Scalar(U256::from_limbs(backend::add_mod(
-            &self.0.limbs(),
-            &rhs.0.limbs(),
-            &N_PARAMS,
-        )))
-    }
-
-    /// Subtraction mod n.
-    pub fn sub(&self, rhs: &Self) -> Self {
-        Scalar(U256::from_limbs(backend::sub_mod(
-            &self.0.limbs(),
-            &rhs.0.limbs(),
-            &N_PARAMS,
-        )))
-    }
-
-    /// Negation mod n.
-    pub fn neg(&self) -> Self {
-        Scalar(U256::from_limbs(backend::neg_mod(
-            &self.0.limbs(),
-            &N_PARAMS,
-        )))
-    }
-
-    /// Multiplication mod n.
-    pub fn mul(&self, rhs: &Self) -> Self {
-        #[cfg(any(test, feature = "schedule-counters"))]
-        crate::counters::record(|c| c.scalar_muls += 1);
-        Scalar(U256::from_limbs(backend::mont_mul(
-            &self.0.limbs(),
-            &rhs.0.limbs(),
-            &N_PARAMS,
-        )))
-    }
-
-    /// Squaring mod n (dedicated pass, cheaper than `mul(self, self)`).
-    pub fn square(&self) -> Self {
-        #[cfg(any(test, feature = "schedule-counters"))]
-        crate::counters::record(|c| c.scalar_squares += 1);
-        Scalar(U256::from_limbs(backend::mont_sqr(
-            &self.0.limbs(),
-            &N_PARAMS,
-        )))
-    }
-
-    /// Multiplicative inverse mod n, by the constant-time safegcd of
-    /// Bernstein and Yang ("Fast constant-time gcd computation and
-    /// modular inversion", TCHES 2019) in [`crate::backend`]: exactly
-    /// 590 divsteps for every input, the bound for 256-bit moduli, then
-    /// one Montgomery multiplication by `R³ mod n`. No branch, index or
-    /// exit depends on the value (the test-only `crate::counters`
-    /// assert the schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is zero.
-    pub fn invert(&self) -> Self {
-        assert!(!self.0.is_zero(), "attempted to invert zero");
-        // The stored integer is aR, whose inverse is a⁻¹R⁻¹; one
-        // Montgomery multiplication by R³ takes it to a⁻¹R.
-        let inv = backend::invert(&self.0.limbs(), &N_PARAMS);
-        Scalar(U256::from_limbs(inv)).mul(&Scalar(U256::from_limbs(N_PARAMS.r3)))
-    }
-
-    /// Whether the canonical value is in the "high" half (`> n/2`);
+    /// Whether the canonical value is in the "high" half (`> (n−1)/2`);
     /// used for low-s ECDSA normalization.
     pub fn is_high(&self) -> bool {
-        static HALF: OnceLock<U256> = OnceLock::new();
-        let half = HALF.get_or_init(|| Scalar::order().shr1());
-        self.to_canonical() > *half
+        self.to_canonical() > HALF_N
     }
 }
 
 impl ecq_crypto::zeroize::Zeroize for Scalar {
     fn zeroize(&mut self) {
-        ecq_crypto::zeroize::Zeroize::zeroize(&mut self.0);
+        ecq_crypto::zeroize::Zeroize::zeroize(&mut self.mont);
     }
 }
 
@@ -232,7 +80,7 @@ mod tests {
 
     #[test]
     fn limbs_hex_agree() {
-        assert_eq!(Scalar::order(), U256::from_be_hex(N_HEX));
+        assert_eq!(Scalar::modulus(), U256::from_be_hex(N_HEX));
     }
 
     #[test]
@@ -249,10 +97,7 @@ mod tests {
         let n = U256::from_be_hex(N_HEX);
         assert!(Scalar::from_canonical(&n).is_none());
         assert!(Scalar::from_canonical(&n.wrapping_sub(&U256::ONE)).is_some());
-        assert_eq!(
-            Scalar::from_be_bytes(&[0xff; 32]),
-            Err(CurveError::InvalidScalar)
-        );
+        assert_eq!(Scalar::from_be_bytes(&[0xff; 32]), None);
     }
 
     #[test]
@@ -278,6 +123,16 @@ mod tests {
     fn high_low_halves() {
         assert!(!Scalar::from_u64(1).is_high());
         assert!(Scalar::from_u64(1).neg().is_high()); // n-1 is high
+    }
+
+    #[test]
+    fn half_order_is_the_low_high_boundary() {
+        // (n − 1)/2 is the largest low scalar, (n + 1)/2 the smallest
+        // high one.
+        assert_eq!(HALF_N, Scalar::modulus().shr1());
+        let half = Scalar::from_canonical(&HALF_N).unwrap();
+        assert!(!half.is_high());
+        assert!(half.add(&Scalar::one()).is_high());
     }
 
     #[test]

@@ -23,7 +23,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut bind: Option<String> = None;
-    #[cfg(unix)]
     let mut unix: Option<String> = None;
     let mut valid_from: u32 = 0;
     let mut valid_to: u32 = u32::MAX;
@@ -37,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--bind" => bind = Some(value("--bind")?),
-            #[cfg(unix)]
             "--unix" => unix = Some(value("--unix")?),
             "--valid-from" => valid_from = parse(&value("--valid-from")?)?,
             "--valid-to" => valid_to = parse(&value("--valid-to")?)?,
@@ -47,13 +45,10 @@ fn parse_args() -> Result<Args, String> {
         }
     }
 
-    #[cfg(unix)]
     let config = match unix {
         Some(path) => ServiceConfig::unix(path),
         None => ServiceConfig::tcp(bind.unwrap_or_else(|| "127.0.0.1:0".into())),
     };
-    #[cfg(not(unix))]
-    let config = ServiceConfig::tcp(bind.unwrap_or_else(|| "127.0.0.1:0".into()));
 
     Ok(Args {
         config: config
@@ -85,7 +80,6 @@ fn main() {
     };
     match daemon.addr() {
         ServiceAddr::Tcp(addr) => println!("listening on tcp://{addr}"),
-        #[cfg(unix)]
         ServiceAddr::Unix(path) => println!("listening on unix://{}", path.display()),
     }
 

@@ -12,6 +12,7 @@ use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdsa::{verify, Signature};
 use ecq_p256::point::AffinePoint;
 use ecq_p256::scalar::Scalar;
+use ecq_p256::CurveError;
 use ecq_proto::socket::{read_frame, write_frame};
 use ecq_proto::{Credentials, Endpoint, Frame, Message, SessionKey, StepOutput};
 use ecq_sts::{StsConfig, StsInitiator, StsVariant};
@@ -58,7 +59,6 @@ impl ServiceClient {
     /// # Errors
     ///
     /// [`ServiceError`] on connect or socket-option failure.
-    #[cfg(unix)]
     pub fn connect_unix(path: &std::path::Path) -> Result<Self, ServiceError> {
         let stream = std::os::unix::net::UnixStream::connect(path)?;
         Self::over(ServiceStream::Unix(stream))
@@ -72,7 +72,6 @@ impl ServiceClient {
     pub fn connect(addr: &ServiceAddr) -> Result<Self, ServiceError> {
         match addr {
             ServiceAddr::Tcp(addr) => Self::connect_tcp(*addr),
-            #[cfg(unix)]
             ServiceAddr::Unix(path) => Self::connect_unix(path),
         }
     }
@@ -144,7 +143,8 @@ impl ServiceClient {
                 recon_private,
             } => {
                 let certificate = ImplicitCert::from_bytes(&cert)?;
-                let recon_private = Scalar::from_be_bytes(&recon_private)?;
+                let recon_private =
+                    Scalar::from_be_bytes(&recon_private).ok_or(CurveError::InvalidScalar)?;
                 let issued = IssuedCert {
                     certificate,
                     recon_private,

@@ -12,7 +12,6 @@ pub enum BindAddr {
     /// A Unix-domain socket path. A stale socket file at the path (one
     /// no listener answers on) is removed before binding; any other
     /// file there makes the bind fail with `AddrInUse`.
-    #[cfg(unix)]
     Unix(PathBuf),
 }
 
@@ -57,7 +56,6 @@ impl ServiceConfig {
     }
 
     /// A config listening on a Unix-domain socket path.
-    #[cfg(unix)]
     pub fn unix(path: impl Into<PathBuf>) -> Self {
         let mut config = Self::tcp(String::new());
         config.bind = BindAddr::Unix(path.into());
@@ -109,7 +107,6 @@ mod tests {
         assert_eq!(config.read_timeout, Duration::from_millis(250));
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_bind_keeps_defaults() {
         let config = ServiceConfig::unix("/tmp/ecq.sock");

@@ -24,7 +24,6 @@ pub enum ServiceAddr {
     /// Bound TCP address.
     Tcp(std::net::SocketAddr),
     /// Bound Unix-domain socket path.
-    #[cfg(unix)]
     Unix(std::path::PathBuf),
 }
 
@@ -74,7 +73,6 @@ pub(crate) struct Shared {
 
 enum Listener {
     Tcp(std::net::TcpListener),
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixListener),
 }
 
@@ -88,7 +86,6 @@ impl Listener {
                 let _ = stream.set_nodelay(true);
                 Ok(ServiceStream::Tcp(stream))
             }
-            #[cfg(unix)]
             Listener::Unix(l) => Ok(ServiceStream::Unix(l.accept()?.0)),
         }
     }
@@ -98,7 +95,6 @@ impl Listener {
     fn waker(&self) -> std::io::Result<ServiceStream> {
         Ok(match self {
             Listener::Tcp(l) => ServiceStream::Tcp(OwnedFd::from(l.try_clone()?).into()),
-            #[cfg(unix)]
             Listener::Unix(l) => ServiceStream::Unix(OwnedFd::from(l.try_clone()?).into()),
         })
     }
@@ -127,7 +123,6 @@ pub struct ServiceDaemon {
     waker: ServiceStream,
     /// The device and inode of the bound Unix socket file, until
     /// shutdown removes it.
-    #[cfg(unix)]
     socket_file: Option<(u64, u64)>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
@@ -190,7 +185,6 @@ impl ServiceDaemon {
     ) -> Result<Self, ServiceError> {
         let (listener, addr) = bind(&config.bind)?;
         let waker = listener.waker()?;
-        #[cfg(unix)]
         let socket_file = match &addr {
             ServiceAddr::Unix(path) => file_id(path),
             ServiceAddr::Tcp(_) => None,
@@ -215,7 +209,6 @@ impl ServiceDaemon {
             shared,
             addr,
             waker,
-            #[cfg(unix)]
             socket_file,
             accept: Some(accept),
         })
@@ -261,13 +254,11 @@ impl ServiceDaemon {
         // `EINVAL`; later connects are refused.
         let _ = match &self.waker {
             ServiceStream::Tcp(s) => s.shutdown(Shutdown::Read),
-            #[cfg(unix)]
             ServiceStream::Unix(s) => s.shutdown(Shutdown::Read),
         };
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        #[cfg(unix)]
         if let (ServiceAddr::Unix(path), Some(id)) = (&self.addr, self.socket_file.take()) {
             // Once the file was removed, another daemon may have bound
             // the same path; its socket has another inode.
@@ -346,7 +337,6 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
             let local = listener.local_addr()?;
             Ok((Listener::Tcp(listener), ServiceAddr::Tcp(local)))
         }
-        #[cfg(unix)]
         BindAddr::Unix(path) => {
             remove_stale_socket(path);
             let listener = std::os::unix::net::UnixListener::bind(path)?;
@@ -357,7 +347,6 @@ fn bind(bind: &BindAddr) -> Result<(Listener, ServiceAddr), ServiceError> {
 
 /// The device and inode of the file at `path`, without following a
 /// symlink.
-#[cfg(unix)]
 fn file_id(path: &std::path::Path) -> Option<(u64, u64)> {
     use std::os::unix::fs::MetadataExt;
     std::fs::symlink_metadata(path)
@@ -368,7 +357,6 @@ fn file_id(path: &std::path::Path) -> Option<(u64, u64)> {
 /// Removes `path` only if it is a socket that no listener answers on.
 /// Anything else there (a regular file, a live daemon's socket) stays,
 /// and the bind that follows fails with `AddrInUse`.
-#[cfg(unix)]
 fn remove_stale_socket(path: &std::path::Path) {
     use std::os::unix::fs::FileTypeExt;
     let is_socket = std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket());

@@ -30,6 +30,16 @@
 //! daemon shutdown surfaces as a typed
 //! [`ecq_proto::Frame::ErrorClose`] before the socket drops, and the
 //! frame decoder itself never panics on byte soup.
+//!
+//! # Platform
+//!
+//! The crate builds on unix targets only: the daemon hands its
+//! listeners around as `std::os::fd::OwnedFd`, and both transports
+//! (TCP and Unix-domain sockets) are always compiled. Shutdown wakes
+//! the accept thread by calling `shutdown(2)` on a second handle of the
+//! listening socket, which fails the blocked `accept` on Linux. Another
+//! kernel may leave that `accept` blocked, so
+//! [`ServiceDaemon::shutdown`] is specified for Linux.
 
 #![warn(missing_docs)]
 

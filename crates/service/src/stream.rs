@@ -11,7 +11,6 @@ pub enum ServiceStream {
     /// A TCP connection.
     Tcp(std::net::TcpStream),
     /// A Unix-domain connection.
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
 }
 
@@ -24,7 +23,6 @@ impl ServiceStream {
     pub fn set_read_deadline(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
         match self {
             ServiceStream::Tcp(s) => s.set_read_timeout(timeout).map_err(TransportError::from),
-            #[cfg(unix)]
             ServiceStream::Unix(s) => s.set_read_timeout(timeout).map_err(TransportError::from),
         }
     }
@@ -37,7 +35,6 @@ impl ServiceStream {
     pub fn set_write_deadline(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
         match self {
             ServiceStream::Tcp(s) => s.set_write_timeout(timeout).map_err(TransportError::from),
-            #[cfg(unix)]
             ServiceStream::Unix(s) => s.set_write_timeout(timeout).map_err(TransportError::from),
         }
     }
@@ -47,7 +44,6 @@ impl Read for ServiceStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             ServiceStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             ServiceStream::Unix(s) => s.read(buf),
         }
     }
@@ -57,7 +53,6 @@ impl Write for ServiceStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             ServiceStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             ServiceStream::Unix(s) => s.write(buf),
         }
     }
@@ -65,7 +60,6 @@ impl Write for ServiceStream {
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             ServiceStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             ServiceStream::Unix(s) => s.flush(),
         }
     }
